@@ -45,12 +45,23 @@ class DrMoments:
         return self.second_cos if axis == 0 else self.second_sin
 
 
+def heading_vector(phi) -> np.ndarray:
+    """Unit vectors [cos phi, sin phi], shape (..., 2) for headings (...)."""
+    phi = np.asarray(phi, dtype=float)
+    out = np.empty(phi.shape + (2,))
+    np.cos(phi, out=out[..., 0])
+    np.sin(phi, out=out[..., 1])
+    return out
+
+
 def dr_predict(previous_position, frame: MeasurementFrame, T: float) -> np.ndarray:
-    """Dead-reckoned position (2,): previous + T * V * [cos phi, sin phi]."""
+    """Dead-reckoned position (2,): previous + T * V * [cos phi, sin phi].
+
+    A batch of runs (positions (R, 2), a batched frame) gives (R, 2).
+    """
     prev = np.asarray(previous_position, dtype=float)
-    return prev + T * frame.speed * np.array(
-        [math.cos(frame.heading), math.sin(frame.heading)]
-    )
+    step = np.asarray(T * frame.speed, dtype=float)[..., None]
+    return prev + step * heading_vector(frame.heading)
 
 
 def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int = 0) -> float:
@@ -82,8 +93,10 @@ def dr_second_moment(
     `speed_power_form=True` swaps it for sigma_v^2 alone, a variant that
     drops the deterministic part of the speed power; it is kept only so
     the two can be compared numerically and is wrong as a moment.
+    `v`, `phi` and `axis` may be arrays; they broadcast elementwise.
     """
-    double_angle = math.cos(2.0 * phi) if axis == 0 else -math.cos(2.0 * phi)
+    # cos(2 phi) on axis 0, -cos(2 phi) on axis 1
+    double_angle = np.cos(2.0 * np.asarray(phi, dtype=float)) * (1.0 - 2.0 * np.asarray(axis))
     prefactor = sigma_v**2 if speed_power_form else v**2 + sigma_v**2
     return prefactor * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
 

@@ -7,6 +7,10 @@ to a WLS position fix), plus one 4-D EKF that instead models
 (x1, x2, V, phi) as a nearly-constant-velocity state and takes speed and
 heading as measurements.  All filters share the distance-dependent range
 noise model, evaluated at predicted ranges.
+
+Each filter step is written once, as a kernel on a batch of runs (a
+leading run axis on every state and measurement array); the public
+single-run step functions call it on a batch of one.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deadreckoning import heading_vector
 from .models import (
     AnchorSet,
     CvProcessModel,
@@ -24,40 +29,47 @@ from .models import (
     range_variance,
     true_ranges,
 )
-from .ranging import (
-    RangingGeometry,
-    build_geometry,
-    noise_cov_inverse,
-    ranging_bias,
-    ranging_second_moment,
-    wls_estimate,
-)
+from .ranging import RangingGeometry, build_geometry, ranging_layer
 
 _MIN_RANGE = 1e-9
 
 
 @dataclass(slots=True)
 class KfState:
-    """Gaussian filter belief.
+    """Gaussian filter belief, for one run or a batch of R runs.
 
     Attributes
     ----------
     mean : np.ndarray
-        State mean, (2,) for the position filters, (4,) for the CV filter.
+        State mean, (2,) for the position filters, (4,) for the CV filter;
+        (R, 2) or (R, 4) for a batch.
     covariance : np.ndarray
-        State covariance, matching square shape.
+        State covariance, matching square shape (with the leading R axis
+        for a batch).
     """
 
     mean: np.ndarray
     covariance: np.ndarray
 
+    def batch_of_one(self) -> "KfState":
+        """This single-run belief as a batch of one run (copies)."""
+        return KfState(
+            mean=np.array(self.mean, dtype=float)[None],
+            covariance=np.array(self.covariance, dtype=float)[None],
+        )
+
+    def unbatch(self) -> "KfState":
+        """The single run of a batch of one."""
+        return KfState(mean=self.mean[0], covariance=self.covariance[0])
+
 
 def position_init(position, variance: float = 1.0) -> KfState:
-    """Initial 2-D belief: given position, isotropic covariance."""
-    return KfState(
-        mean=np.asarray(position, dtype=float).copy(),
-        covariance=np.eye(2) * variance,
-    )
+    """Initial 2-D belief: given position, isotropic covariance.
+
+    A stack of positions (R, 2) gives a batch of R beliefs.
+    """
+    mean = np.array(position, dtype=float)
+    return KfState(mean=mean, covariance=np.tile(np.eye(2) * variance, mean.shape[:-1] + (1, 1)))
 
 
 def cv_init(position, speed: float, heading: float) -> KfState:
@@ -65,16 +77,34 @@ def cv_init(position, speed: float, heading: float) -> KfState:
 
     Position covariance 1 m^2 per axis, speed 0.25 (m/s)^2, heading
     (pi/4)^2 rad^2 -- loose priors that let the measurements take over.
+    Positions (R, 2) with speeds and headings (R,) give a batch.
     """
-    mean = np.array([position[0], position[1], speed, heading], dtype=float)
-    return KfState(
-        mean=mean,
-        covariance=np.diag([1.0, 1.0, 0.25, (np.pi / 4.0) ** 2]),
+    mean = np.concatenate(
+        [
+            np.asarray(position, dtype=float),
+            np.asarray(speed, dtype=float)[..., None],
+            np.asarray(heading, dtype=float)[..., None],
+        ],
+        axis=-1,
     )
+    cov = np.diag([1.0, 1.0, 0.25, (np.pi / 4.0) ** 2])
+    return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
+
+
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.T)
+    return 0.5 * (p + _transpose(p))
+
+
+def _diag(values: np.ndarray) -> np.ndarray:
+    """Diagonal matrices (..., m, m) with the given diagonals (..., m)."""
+    out = np.zeros(values.shape + values.shape[-1:])
+    idx = np.arange(values.shape[-1])
+    out[..., idx, idx] = values
+    return out
 
 
 def _input_driven_predict(
@@ -86,19 +116,57 @@ def _input_driven_predict(
     the state through the displacement Jacobian B = d(displacement)/d(V, phi),
     giving process noise Q = B diag(sigma_v^2, sigma_phi^2) B^T.
     """
-    v, phi = frame.speed, frame.heading
-    c, s = np.cos(phi), np.sin(phi)
-    mean = state.mean + T * v * np.array([c, s])
-    b = np.array([[T * c, -T * v * s], [T * s, T * v * c]])
-    q = b @ np.diag([sensor_model.sigma_v**2, sensor_model.sigma_phi**2]) @ b.T
+    v = frame.speed
+    direction = heading_vector(frame.heading)
+    c, s = direction[..., 0], direction[..., 1]
+    mean = state.mean + (T * v)[..., None] * direction
+    b = np.empty(v.shape + (2, 2))
+    b[..., 0, 0] = T * c
+    b[..., 0, 1] = -T * v * s
+    b[..., 1, 0] = T * s
+    b[..., 1, 1] = T * v * c
+    q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ _transpose(b)
     return KfState(mean=mean, covariance=_symmetrize(state.covariance + q))
 
 
+def _floored_ranges(position, anchors: AnchorSet) -> np.ndarray:
+    """Ranges (..., M) from positions (..., 2), floored away from zero."""
+    return np.maximum(true_ranges(position, anchors), _MIN_RANGE)
+
+
 def _range_jacobian(position, anchors: AnchorSet) -> tuple:
-    """Predicted ranges (M,) and their Jacobian (M, 2) at a position."""
-    diff = np.asarray(position, dtype=float)[None, :] - anchors.positions
-    r = np.maximum(np.linalg.norm(diff, axis=1), _MIN_RANGE)
-    return r, diff / r[:, None]
+    """Predicted ranges (..., M) and their Jacobian (..., M, 2) at positions (..., 2)."""
+    r = _floored_ranges(position, anchors)
+    diff = np.asarray(position, dtype=float)[..., None, :] - anchors.positions
+    return r, diff / r[..., None]
+
+
+def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: np.ndarray) -> KfState:
+    """Linear(ised) Kalman update with measurement Jacobian h (..., m, n),
+    innovation (..., m) and measurement noise covariance (..., m, m)."""
+    p = pred.covariance
+    ht = _transpose(h)
+    s = h @ p @ ht + r_cov
+    gain = _transpose(np.linalg.solve(_transpose(s), _transpose(p @ ht)))
+    mean = pred.mean + (gain @ innovation[..., None])[..., 0]
+    cov = (np.eye(p.shape[-1]) - gain @ h) @ p
+    return KfState(mean=mean, covariance=_symmetrize(cov))
+
+
+def ekf_step_batch(
+    state: KfState,
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+    T: float,
+) -> KfState:
+    """EKF cycle on a batch of runs (see `ekf_step`)."""
+    pred = _input_driven_predict(state, frame, sensor_model, T)
+    r_hat, h = _range_jacobian(pred.mean, anchors)
+    return _kalman_update(
+        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, range_model))
+    )
 
 
 def ekf_step(
@@ -113,35 +181,60 @@ def ekf_step(
 
     Ranges are linearised about the predicted position; the measurement
     noise covariance is diagonal with the distance-dependent variances
-    evaluated at the predicted ranges.
+    evaluated at the predicted ranges.  This is `ekf_step_batch` on a
+    batch of one run.
     """
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat, h = _range_jacobian(pred.mean, anchors)
-    r_cov = np.diag(range_variance(r_hat, range_model))
-    innovation = np.asarray(frame.ranges, dtype=float) - r_hat
-    s = h @ pred.covariance @ h.T + r_cov
-    gain = np.linalg.solve(s.T, (pred.covariance @ h.T).T).T
-    mean = pred.mean + gain @ innovation
-    cov = (np.eye(2) - gain @ h) @ pred.covariance
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    return ekf_step_batch(
+        state.batch_of_one(), frame.batch_of_one(), anchors, range_model, sensor_model, T
+    ).unbatch()
+
+
+def _cholesky(cov: np.ndarray, scale: float) -> np.ndarray:
+    """Cholesky factor of scale * cov, for one matrix or each of a stack.
+
+    A matrix whose factorisation fails is retried once with 1e-12 jitter
+    on the diagonal; a second failure propagates.
+    """
+    try:
+        return np.linalg.cholesky(scale * cov)
+    except np.linalg.LinAlgError:
+        if cov.ndim > 2:
+            return np.stack([_cholesky(c, scale) for c in cov])
+        return np.linalg.cholesky(scale * (cov + 1e-12 * np.eye(cov.shape[-1])))
 
 
 def _sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = 1.0) -> tuple:
-    """Symmetric 2n+1 sigma-point set with weights.
+    """Symmetric 2n+1 sigma-point set (..., 2n+1, n) with weights (2n+1,).
 
     Cholesky failure triggers one retry with 1e-12 jitter on the
-    diagonal; a second failure propagates.
+    diagonal, per run of a batch; a second failure propagates.
     """
-    n = mean.size
+    n = mean.shape[-1]
     scale = n + kappa
-    try:
-        root = np.linalg.cholesky(scale * cov)
-    except np.linalg.LinAlgError:
-        root = np.linalg.cholesky(scale * (cov + 1e-12 * np.eye(n)))
-    points = np.vstack([mean, mean + root.T, mean - root.T])
+    root_t = _transpose(_cholesky(cov, scale))
+    center = mean[..., None, :]
+    points = np.concatenate([center, center + root_t, center - root_t], axis=-2)
     weights = np.full(2 * n + 1, 1.0 / (2.0 * scale))
     weights[0] = kappa / scale
     return points, weights
+
+
+def _unscented_correct(
+    pred: KfState, points: np.ndarray, weights: np.ndarray, z_points: np.ndarray, z, r_cov
+) -> KfState:
+    """Unscented update from sigma points (..., p, n) and their images
+    z_points (..., p, m) under the measurement function."""
+    z_hat = weights @ z_points
+    dz = z_points - z_hat[..., None, :]
+    dx = points - pred.mean[..., None, :]
+    weighted = weights[:, None] * dz
+    s = _transpose(dz) @ weighted + r_cov
+    cross = _transpose(dx) @ weighted
+    gain = _transpose(np.linalg.solve(_transpose(s), _transpose(cross)))
+    innovation = np.asarray(z, dtype=float) - z_hat
+    mean = pred.mean + (gain @ innovation[..., None])[..., 0]
+    cov = pred.covariance - gain @ s @ _transpose(gain)
+    return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
 def unscented_update(
@@ -163,15 +256,23 @@ def unscented_update(
     """
     points, weights = _sigma_points(state.mean, state.covariance, kappa)
     z_points = np.array([h(p) for p in points])
-    z_hat = weights @ z_points
-    dz = z_points - z_hat
-    dx = points - state.mean
-    s = dz.T @ (weights[:, None] * dz) + r_cov
-    cross = dx.T @ (weights[:, None] * dz)
-    gain = np.linalg.solve(s.T, cross.T).T
-    mean = state.mean + gain @ (np.asarray(z, dtype=float) - z_hat)
-    cov = state.covariance - gain @ s @ gain.T
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    return _unscented_correct(state, points, weights, z_points, z, r_cov)
+
+
+def ukf_step_batch(
+    state: KfState,
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+    T: float,
+) -> KfState:
+    """UKF cycle on a batch of runs (see `ukf_step`)."""
+    pred = _input_driven_predict(state, frame, sensor_model, T)
+    r_cov = _diag(range_variance(_floored_ranges(pred.mean, anchors), range_model))
+    points, weights = _sigma_points(pred.mean, pred.covariance)
+    z_points = _floored_ranges(points, anchors)
+    return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
 
 
 def ukf_step(
@@ -186,18 +287,36 @@ def ukf_step(
 
     The predict step is exactly linear in the state (the displacement
     does not depend on position), so only the range update goes through
-    the unscented transform.
+    the unscented transform.  This is `ukf_step_batch` on a batch of one
+    run.
     """
+    return ukf_step_batch(
+        state.batch_of_one(), frame.batch_of_one(), anchors, range_model, sensor_model, T
+    ).unbatch()
+
+
+def lckf_step_batch(
+    state: KfState,
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+    T: float,
+    geometry: RangingGeometry | None = None,
+) -> KfState:
+    """Linear-correction KF cycle on a batch of runs (see `lckf_step`)."""
+    if geometry is None:
+        geometry = build_geometry(anchors)
     pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat, _ = _range_jacobian(pred.mean, anchors)
-    r_cov = np.diag(range_variance(r_hat, range_model))
-
-    def h(p):
-        return np.maximum(
-            np.linalg.norm(p[None, :] - anchors.positions, axis=1), _MIN_RANGE
-        )
-
-    return unscented_update(pred, frame.ranges, h, r_cov)
+    r_hat = true_ranges(pred.mean, anchors)
+    z, bias, second = ranging_layer(
+        geometry, r_hat, range_variance(r_hat, range_model), frame.ranges
+    )
+    r_cov = _symmetrize(second - bias[..., :, None] * bias[..., None, :])
+    eigvals, eigvecs = np.linalg.eigh(r_cov)
+    r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ _transpose(eigvecs)
+    h = np.broadcast_to(np.eye(2), r_cov.shape)
+    return _kalman_update(pred, h, z - pred.mean, r_cov)
 
 
 def lckf_step(
@@ -214,44 +333,38 @@ def lckf_step(
     The ranges are collapsed to a WLS position estimate whose error
     covariance (closed form, evaluated at predicted ranges) becomes the
     measurement noise of a linear H = I update.  The covariance is
-    floored to stay positive definite.
+    floored to stay positive definite.  This is `lckf_step_batch` on a
+    batch of one run.
     """
-    if geometry is None:
-        geometry = build_geometry(anchors)
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat = true_ranges(pred.mean, anchors)
-    variances = range_variance(r_hat, range_model)
-    weight = noise_cov_inverse(r_hat, variances)
-    z = wls_estimate(geometry, frame.ranges, weight)
-    bias = ranging_bias(geometry, weight, variances)
-    second = ranging_second_moment(geometry, weight, r_hat, variances)
-    r_cov = _symmetrize(second - np.outer(bias, bias))
-    eigvals, eigvecs = np.linalg.eigh(r_cov)
-    r_cov = eigvecs @ np.diag(np.maximum(eigvals, 1e-12)) @ eigvecs.T
-
-    s = pred.covariance + r_cov
-    gain = np.linalg.solve(s.T, pred.covariance.T).T
-    mean = pred.mean + gain @ (z - pred.mean)
-    cov = (np.eye(2) - gain) @ pred.covariance
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    return lckf_step_batch(
+        state.batch_of_one(),
+        frame.batch_of_one(),
+        anchors,
+        range_model,
+        sensor_model,
+        T,
+        geometry=geometry,
+    ).unbatch()
 
 
 def numerical_jacobian(f, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of f at x.
 
     Per-component step h_i = max(h_scale, h_scale * |x_i|).  Row i holds
-    the partials of output i with respect to each input.
+    the partials of output i with respect to each input.  For a stack of
+    points x (..., n) and an f that maps stacks row by row, the result is
+    one Jacobian per row, (..., m, n).
     """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(f(x), dtype=float)
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = max(h_scale, h_scale * abs(x[j]))
+    h = np.maximum(h_scale, h_scale * np.abs(x))
+    columns = []
+    for j in range(x.shape[-1]):
         xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-    return jac
+        xp[..., j] += h[..., j]
+        xm[..., j] -= h[..., j]
+        diff = np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)
+        columns.append(diff / (2.0 * h[..., j, None]))
+    return np.stack(columns, axis=-1)
 
 
 def cv_transition_jacobian(state: np.ndarray, T: float) -> np.ndarray:
@@ -268,6 +381,38 @@ def cv_transition_jacobian(state: np.ndarray, T: float) -> np.ndarray:
     )
 
 
+def ekf_cv_step_batch(
+    state: KfState,
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    cv_model: CvProcessModel,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+) -> KfState:
+    """EKF cycle on the 4-D constant-velocity state, for a batch of runs
+    (see `ekf_cv_step`)."""
+    f = cv_model.transition
+    f_jac = numerical_jacobian(f, state.mean)
+    mean_pred = f(state.mean)
+    cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + cv_model.q_matrix())
+
+    r_hat, d = _range_jacobian(mean_pred[..., :2], anchors)
+    m = anchors.m
+    h = np.zeros(d.shape[:-2] + (m + 2, 4))
+    h[..., :m, :2] = d
+    h[..., m, 2] = 1.0
+    h[..., m + 1, 3] = 1.0
+    z_hat = np.concatenate([r_hat, mean_pred[..., 2:]], axis=-1)
+    z = np.concatenate(
+        [frame.ranges, frame.speed[..., None], frame.heading[..., None]], axis=-1
+    )
+    sensor_var = np.broadcast_to(
+        [sensor_model.sigma_v**2, sensor_model.sigma_phi**2], r_hat.shape[:-1] + (2,)
+    )
+    r_cov = _diag(np.concatenate([range_variance(r_hat, range_model), sensor_var], axis=-1))
+    return _kalman_update(KfState(mean=mean_pred, covariance=cov_pred), h, z - z_hat, r_cov)
+
+
 def ekf_cv_step(
     state: KfState,
     frame: MeasurementFrame,
@@ -281,33 +426,9 @@ def ekf_cv_step(
     Speed and heading join the ranges as measurements; the transition
     Jacobian is obtained by central differences on the CV transition (the
     analytic form exists and is used as a test oracle, the filter itself
-    exercises the numerical path).
+    exercises the numerical path).  This is `ekf_cv_step_batch` on a
+    batch of one run.
     """
-    f = cv_model.transition
-    f_jac = numerical_jacobian(f, state.mean)
-    mean_pred = f(state.mean)
-    cov_pred = _symmetrize(f_jac @ state.covariance @ f_jac.T + cv_model.q_matrix())
-
-    r_hat, d = _range_jacobian(mean_pred[:2], anchors)
-    m = anchors.m
-    h = np.zeros((m + 2, 4))
-    h[:m, :2] = d
-    h[m, 2] = 1.0
-    h[m + 1, 3] = 1.0
-    z_hat = np.concatenate([r_hat, mean_pred[2:]])
-    z = np.concatenate(
-        [np.asarray(frame.ranges, dtype=float), [frame.speed, frame.heading]]
-    )
-    r_cov = np.diag(
-        np.concatenate(
-            [
-                range_variance(r_hat, range_model),
-                [sensor_model.sigma_v**2, sensor_model.sigma_phi**2],
-            ]
-        )
-    )
-    s = h @ cov_pred @ h.T + r_cov
-    gain = np.linalg.solve(s.T, (cov_pred @ h.T).T).T
-    mean = mean_pred + gain @ (z - z_hat)
-    cov = (np.eye(4) - gain @ h) @ cov_pred
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    return ekf_cv_step_batch(
+        state.batch_of_one(), frame.batch_of_one(), anchors, cv_model, range_model, sensor_model
+    ).unbatch()

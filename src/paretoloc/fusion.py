@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deadreckoning import dr_predict, dr_second_moment
+from .deadreckoning import dr_predict, dr_second_moment, heading_vector
 from .models import (
     AnchorSet,
     MeasurementFrame,
@@ -37,13 +37,11 @@ from .models import (
     range_variance,
     true_ranges,
 )
-from .ranging import (
-    RangingGeometry,
-    noise_cov_inverse,
-    ranging_bias,
-    ranging_second_moment,
-    wls_estimate,
-)
+from .ranging import RangingGeometry, ranging_layer
+
+
+# Axis indices (0 = x1, 1 = x2) along the trailing axis of a batched step.
+_AXES = np.arange(2)
 
 
 @dataclass(slots=True)
@@ -71,6 +69,10 @@ class VarianceComponents:
 @dataclass(slots=True)
 class AxisContext:
     """Everything one axis needs to score a candidate beta at one step.
+
+    Each field is a float for one axis, or an array holding one value per
+    element (the batched step passes (R, 2): runs by axes); every formula
+    below works elementwise and broadcasts.
 
     Attributes
     ----------
@@ -178,6 +180,10 @@ class ParetoConfig:
 class FusionState:
     """Fused estimator state carried between steps.
 
+    Holds one run with the shapes below, or a batch of R runs with a
+    leading run axis on every array and per-run arrays (R,) in place of
+    the floats; the batched kernels take and return batches.
+
     Attributes
     ----------
     estimate : np.ndarray
@@ -206,6 +212,38 @@ class FusionState:
     last_heading: float = 0.0
     last_beta: np.ndarray = field(default_factory=lambda: np.zeros(2))
     last_rho: np.ndarray = field(default_factory=lambda: np.full(2, 0.5))
+
+    def batch_of_one(self) -> "FusionState":
+        """This single-run state as a batch of one run (copies)."""
+
+        def one(x):
+            return None if x is None else np.array(x, dtype=float)[None]
+
+        return FusionState(
+            estimate=one(self.estimate),
+            prev_estimate=one(self.prev_estimate),
+            bias_estimate=one(self.bias_estimate),
+            error_variance=one(self.error_variance),
+            k=self.k,
+            last_speed=one(self.last_speed),
+            last_heading=one(self.last_heading),
+            last_beta=one(self.last_beta),
+            last_rho=one(self.last_rho),
+        )
+
+    def unbatch(self) -> "FusionState":
+        """The single run of a batch of one."""
+        return FusionState(
+            estimate=self.estimate[0],
+            prev_estimate=None if self.prev_estimate is None else self.prev_estimate[0],
+            bias_estimate=self.bias_estimate[0],
+            error_variance=self.error_variance[0],
+            k=self.k,
+            last_speed=float(self.last_speed[0]),
+            last_heading=float(self.last_heading[0]),
+            last_beta=self.last_beta[0],
+            last_rho=self.last_rho[0],
+        )
 
 
 def fuse(beta, ranging_estimate, dr_estimate) -> np.ndarray:
@@ -268,6 +306,27 @@ def error_variance(beta: float, comps: VarianceComponents) -> float:
     )
 
 
+def _clamp_beta(xi, config: ParetoConfig):
+    """Clamp to the feasible domain, then cap |beta| at beta_clip."""
+    lo, hi = config.beta_domain
+    beta = np.minimum(np.maximum(xi, lo), hi)
+    return np.copysign(np.minimum(np.abs(beta), config.beta_clip), beta)
+
+
+def _pareto_beta(rho, ranging_mean, comps: VarianceComponents, gamma, config: ParetoConfig) -> tuple:
+    """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise.
+
+    Returns (beta, degenerate): beta is 0 where the objective has no
+    curvature (non-positive denominator), and `degenerate` marks those
+    elements.
+    """
+    num = 2.0 * (1.0 - rho) * comps.sigma_vr_sq - 2.0 * rho * gamma * ranging_mean
+    den = 2.0 * (1.0 - rho) * comps.total() + 2.0 * rho * gamma**2
+    degenerate = den <= 0.0
+    xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
+    return _clamp_beta(xi, config), degenerate
+
+
 def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = None) -> float:
     """Minimiser of rho * mu^2(beta) + (1 - rho) * sigma^2(beta).
 
@@ -279,32 +338,27 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
     with eta = sigma_vr^2 + sigma_vx^2 + sigma_vv^2, clamped to the
     feasible domain and capped at |beta| <= beta_clip.  A non-positive
     denominator means the objective has no curvature (all variances and
-    the bias drift vanish); beta = 0 is returned with a warning.
+    the bias drift vanish); beta = 0 is returned with a warning.  Array
+    contexts (and rho) give one beta per element.
     """
     if config is None:
         config = ParetoConfig()
-    if not 0.0 <= rho <= 1.0:
+    if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    comps = ctx.components()
-    gamma = ctx.gamma
-    eta = comps.total()
-    num = 2.0 * (1.0 - rho) * comps.sigma_vr_sq - 2.0 * rho * gamma * ctx.ranging_mean
-    den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
-    if den <= 0.0:
+    beta, degenerate = _pareto_beta(rho, ctx.ranging_mean, ctx.components(), ctx.gamma, config)
+    if np.any(degenerate):
         warnings.warn(
             "degenerate beta objective (zero curvature); falling back to beta = 0",
             RuntimeWarning,
             stacklevel=2,
         )
-        return 0.0
-    xi = num / den
-    lo, hi = config.beta_domain
-    beta = min(max(xi, lo), hi)
-    return math.copysign(min(abs(beta), config.beta_clip), beta)
+    return beta[()]
 
 
 def mse_beta(a_k: float, b_k: float, config: ParetoConfig | None = None) -> float:
     """Plain MSE-minimising beta: clamp(-b_k / a_k) to the feasible domain.
+
+    Works elementwise on arrays of coefficients.
 
     Raises
     ------
@@ -314,11 +368,9 @@ def mse_beta(a_k: float, b_k: float, config: ParetoConfig | None = None) -> floa
     """
     if config is None:
         config = ParetoConfig()
-    if a_k <= 0.0:
+    if np.any(a_k <= 0.0):
         raise ValueError(f"a_k must be positive, got {a_k}")
-    lo, hi = config.beta_domain
-    beta = min(max(-b_k / a_k, lo), hi)
-    return math.copysign(min(abs(beta), config.beta_clip), beta)
+    return _clamp_beta(-b_k / a_k, config)[()]
 
 
 def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
@@ -328,32 +380,31 @@ def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
     the resulting one-step bias and variance, and keeps the rho whose
     squared-bias / variance gap (sigma^2 - mu^2)^2 is smallest.  Ties go
     to the smallest rho (np.argmin keeps the first minimum on the sorted
-    grid).
+    grid).  An array context is scanned elementwise along a trailing grid
+    axis.
 
     Returns
     -------
-    (rho_star, beta_star) : tuple of floats
+    (rho_star, beta_star) : tuple
+        Floats, or arrays of the context's shape.
     """
     comps = ctx.components()
-    rho = config.rho_grid
-    gamma = ctx.gamma
-    eta = comps.total()
-    num = 2.0 * (1.0 - rho) * comps.sigma_vr_sq - 2.0 * rho * gamma * ctx.ranging_mean
-    den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    lo, hi = config.beta_domain
-    betas = np.clip(xi, lo, hi)
-    betas = np.sign(betas) * np.minimum(np.abs(betas), config.beta_clip)
-    mu = (1.0 - betas) * ctx.ranging_mean + betas * ctx.prev_bias + betas * ctx.drift
-    var = (
-        (1.0 - betas) ** 2 * comps.sigma_vr_sq
-        + betas**2 * comps.sigma_vx_sq
-        + betas**2 * comps.sigma_vv_sq
+
+    def along_grid(x):
+        return np.asarray(x)[..., None]
+
+    grid = AxisContext(*(along_grid(getattr(ctx, name)) for name in AxisContext.__slots__))
+    grid_comps = VarianceComponents(
+        along_grid(comps.sigma_vr_sq), along_grid(comps.sigma_vx_sq), along_grid(comps.sigma_vv_sq)
     )
-    objective = (var - mu**2) ** 2
-    best = int(np.argmin(objective))
-    return float(rho[best]), float(betas[best])
+    rho = config.rho_grid
+    betas, _ = _pareto_beta(rho, grid.ranging_mean, grid_comps, along_grid(ctx.gamma), config)
+    mu = bias_recursion(betas, grid)
+    var = error_variance(betas, grid_comps)
+    best = np.argmin((var - mu**2) ** 2, axis=-1)
+    flat = betas.reshape(-1, rho.size)
+    beta = flat[np.arange(flat.shape[0]), best.reshape(-1)].reshape(best.shape)
+    return rho[best][()], beta[()]
 
 
 def approximate_kinematics(
@@ -369,14 +420,43 @@ def approximate_kinematics(
     With no older estimate available the configured fallbacks are
     returned; with zero displacement the speed is 0 and the previous
     heading is retained (the direction of a zero step is undefined).
+    Stacks of positions (..., 2) give one speed and heading per row.
     """
     if prev_prev is None:
         return fallback_speed, fallback_heading
     delta = np.asarray(prev, dtype=float) - np.asarray(prev_prev, dtype=float)
-    norm = float(np.linalg.norm(delta))
-    if norm < 1e-12:
-        return 0.0, fallback_heading
-    return norm / T, math.atan2(delta[1], delta[0])
+    norm = np.sqrt((delta * delta).sum(axis=-1))
+    still = norm < 1e-12
+    speed = np.where(still, 0.0, norm / T)
+    heading = np.where(still, fallback_heading, np.arctan2(delta[..., 1], delta[..., 0]))
+    return speed[()], heading[()]
+
+
+def init_fusion_batch(
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    geometry: RangingGeometry,
+    range_model: RangeNoiseModel,
+    config: ParetoConfig,
+) -> FusionState:
+    """Bootstrap a batch of fused states from WLS-only solves of the first
+    frames (a batched frame; see `init_fusion`)."""
+    r = np.maximum(frame.ranges, 0.0)
+    estimate, bias, second = ranging_layer(
+        geometry, r, range_variance(r, range_model), frame.ranges
+    )
+    runs = estimate.shape[:-1]
+    return FusionState(
+        estimate=estimate,
+        prev_estimate=None,
+        bias_estimate=bias,
+        error_variance=second.diagonal(0, -2, -1).copy(),
+        k=frame.k,
+        last_speed=np.full(runs, float(config.initial_speed)),
+        last_heading=np.full(runs, float(config.initial_heading)),
+        last_beta=np.zeros(runs + (2,)),
+        last_rho=np.full(runs + (2,), 0.5),
+    )
 
 
 def init_fusion(
@@ -390,22 +470,78 @@ def init_fusion(
 
     Weights are evaluated at the measured ranges (no prior estimate
     exists yet); the tracked bias / variance start from the ranging error
-    moments at that operating point.
+    moments at that operating point.  This is `init_fusion_batch` on a
+    batch of one run.
     """
-    r = np.maximum(np.asarray(frame.ranges, dtype=float), 0.0)
-    variances = range_variance(r, range_model)
-    w = noise_cov_inverse(r, variances)
-    estimate = wls_estimate(geometry, frame.ranges, w)
-    bias = ranging_bias(geometry, w, variances)
-    second = ranging_second_moment(geometry, w, r, variances)
+    return init_fusion_batch(
+        frame.batch_of_one(), anchors, geometry, range_model, config
+    ).unbatch()
+
+
+def fusion_step_batch(
+    state: FusionState,
+    frame: MeasurementFrame,
+    anchors: AnchorSet,
+    geometry: RangingGeometry,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+    config: ParetoConfig,
+    T: float,
+) -> FusionState:
+    """Advance a batch of fused estimators by one batched measurement frame.
+
+    Every run and both axes are scored at once: the axis contexts have
+    shape (R, 2) and the knee search scans (R, 2, len(rho_grid)).  See
+    `fusion_step` for the approximations.
+    """
+    v_ap, phi_ap = approximate_kinematics(
+        state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
+    )
+
+    x_v = dr_predict(state.estimate, frame, T)
+
+    # The ranging moments describe the *incoming* frame, so the unknown
+    # true ranges are approximated at the dead-reckoned prediction (the
+    # best available guess of the new position) rather than at the stale
+    # previous estimate; the two coincide as the per-step displacement
+    # shrinks.
+    r_ap = true_ranges(x_v, anchors)
+    x_r, r_bias, r_second = ranging_layer(
+        geometry, r_ap, range_variance(r_ap, range_model), frame.ranges
+    )
+
+    v, phi = v_ap[..., None], phi_ap[..., None]
+    ctx = AxisContext(
+        ranging_mean=r_bias,
+        ranging_second=r_second.diagonal(0, -2, -1),
+        prev_bias=state.bias_estimate,
+        prev_variance=state.error_variance,
+        dr_true_first=v * heading_vector(phi_ap),
+        heading_attenuation=math.exp(-0.5 * sensor_model.sigma_phi**2),
+        dr_second=dr_second_moment(
+            v, sensor_model.sigma_v, phi, sensor_model.sigma_phi, axis=_AXES
+        ),
+        T=T,
+    )
+    if config.mode == "knee":
+        rho, beta = select_rho(ctx, config)
+    elif config.mode == "fixed":
+        beta = optimal_beta(config.fixed_rho, ctx, config)
+        rho = np.full_like(beta, config.fixed_rho)
+    else:  # mse
+        beta = mse_beta(*second_moment_terms(ctx), config)
+        rho = np.full_like(beta, 0.5)
+
     return FusionState(
-        estimate=estimate,
-        prev_estimate=None,
-        bias_estimate=bias,
-        error_variance=np.diag(second).copy(),
+        estimate=fuse(beta, x_r, x_v),
+        prev_estimate=state.estimate,
+        bias_estimate=bias_recursion(beta, ctx),
+        error_variance=error_variance(beta, ctx.components()),
         k=frame.k,
-        last_speed=config.initial_speed,
-        last_heading=config.initial_heading,
+        last_speed=v_ap,
+        last_heading=phi_ap,
+        last_beta=beta,
+        last_rho=rho,
     )
 
 
@@ -423,72 +559,18 @@ def fusion_step(
 
     Online operation replaces unknowable quantities by approximations:
     speed/heading by differencing the last two estimates, true ranges by
-    ranges from the previous estimate, the previous error variance by the
-    tracked one.
+    ranges from the dead-reckoned prediction, the previous error variance
+    by the tracked one.  This is `fusion_step_batch` on a batch of one run.
 
     Returns a new FusionState; the input state is not modified.
     """
-    v_ap, phi_ap = approximate_kinematics(
-        state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
-    )
-
-    x_v = dr_predict(state.estimate, frame, T)
-
-    # The ranging moments describe the *incoming* frame, so the unknown
-    # true ranges are approximated at the dead-reckoned prediction (the
-    # best available guess of the new position) rather than at the stale
-    # previous estimate; the two coincide as the per-step displacement
-    # shrinks.
-    r_ap = true_ranges(x_v, anchors)
-    variances = range_variance(r_ap, range_model)
-    weight = noise_cov_inverse(r_ap, variances)
-    x_r = wls_estimate(geometry, frame.ranges, weight)
-    r_bias = ranging_bias(geometry, weight, variances)
-    r_second = ranging_second_moment(geometry, weight, r_ap, variances)
-
-    atten = math.exp(-0.5 * sensor_model.sigma_phi**2)
-    new_estimate = np.empty(2)
-    new_bias = np.empty(2)
-    new_variance = np.empty(2)
-    betas = np.empty(2)
-    rhos = np.empty(2)
-    for axis in range(2):
-        trig = math.cos(phi_ap) if axis == 0 else math.sin(phi_ap)
-        ctx = AxisContext(
-            ranging_mean=float(r_bias[axis]),
-            ranging_second=float(r_second[axis, axis]),
-            prev_bias=float(state.bias_estimate[axis]),
-            prev_variance=float(state.error_variance[axis]),
-            dr_true_first=v_ap * trig,
-            heading_attenuation=atten,
-            dr_second=dr_second_moment(
-                v_ap, sensor_model.sigma_v, phi_ap, sensor_model.sigma_phi, axis=axis
-            ),
-            T=T,
-        )
-        if config.mode == "knee":
-            rho, beta = select_rho(ctx, config)
-        elif config.mode == "fixed":
-            rho = config.fixed_rho
-            beta = optimal_beta(rho, ctx, config)
-        else:  # mse
-            rho = 0.5
-            a_k, b_k = second_moment_terms(ctx)
-            beta = mse_beta(a_k, b_k, config)
-        new_estimate[axis] = fuse(beta, x_r[axis], x_v[axis])
-        new_bias[axis] = bias_recursion(beta, ctx)
-        new_variance[axis] = error_variance(beta, ctx.components())
-        betas[axis] = beta
-        rhos[axis] = rho
-
-    return FusionState(
-        estimate=new_estimate,
-        prev_estimate=state.estimate.copy(),
-        bias_estimate=new_bias,
-        error_variance=new_variance,
-        k=frame.k,
-        last_speed=v_ap,
-        last_heading=phi_ap,
-        last_beta=betas,
-        last_rho=rhos,
-    )
+    return fusion_step_batch(
+        state.batch_of_one(),
+        frame.batch_of_one(),
+        anchors,
+        geometry,
+        range_model,
+        sensor_model,
+        config,
+        T,
+    ).unbatch()

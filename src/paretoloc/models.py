@@ -154,16 +154,23 @@ class CvProcessModel:
         )
 
     def transition(self, state: np.ndarray) -> np.ndarray:
-        """Noise-free transition applied to a state vector (4,)."""
-        x1, x2, v, phi = np.asarray(state, dtype=float)
-        return np.array(
-            [x1 + self.T * v * math.cos(phi), x2 + self.T * v * math.sin(phi), v, phi]
-        )
+        """Noise-free transition applied to a state vector (4,), or to each
+        row of a stack (..., 4)."""
+        state = np.asarray(state, dtype=float)
+        v, phi = state[..., 2], state[..., 3]
+        out = state.copy()
+        out[..., 0] += self.T * v * np.cos(phi)
+        out[..., 1] += self.T * v * np.sin(phi)
+        return out
 
 
 @dataclass(slots=True)
 class MeasurementFrame:
-    """One step's worth of raw measurements.
+    """One step's worth of raw measurements, for one run or a batch of runs.
+
+    A batch of R runs at the same step puts a leading run axis on every
+    measurement: ranges (R, M), speed (R,), heading (R,).  The batched
+    estimator kernels take batches; their scalar forms take one run.
 
     Attributes
     ----------
@@ -181,6 +188,15 @@ class MeasurementFrame:
     speed: float
     heading: float
     k: int = 0
+
+    def batch_of_one(self) -> "MeasurementFrame":
+        """This single-run frame as a batch of one run (copies)."""
+        return MeasurementFrame(
+            ranges=np.array(self.ranges, dtype=float)[None],
+            speed=np.array([self.speed], dtype=float),
+            heading=np.array([self.heading], dtype=float),
+            k=self.k,
+        )
 
 
 @dataclass(slots=True)
@@ -229,16 +245,58 @@ def range_variance(r, model: RangeNoiseModel):
     0.0625
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise ValueError("ranges must be non-negative")
     out = model.sigma0_sq * np.exp(model.kappa * r)
     return float(out) if out.ndim == 0 else out
 
 
 def true_ranges(position, anchors: AnchorSet) -> np.ndarray:
-    """Euclidean ranges (M,) from a position (2,) to every anchor."""
-    position = np.asarray(position, dtype=float)
-    return np.linalg.norm(anchors.positions - position[None, :], axis=1)
+    """Euclidean ranges (M,) from a position (2,) to every anchor; a stack
+    of positions (..., 2) gives ranges (..., M)."""
+    diff = anchors.positions - np.asarray(position, dtype=float)[..., None, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def draw_measurements(
+    positions,
+    speeds,
+    headings,
+    anchors: AnchorSet,
+    range_model: RangeNoiseModel,
+    sensor_model: SensorNoiseModel,
+    streams: SensorStreams,
+) -> tuple:
+    """Draw noisy measurements for a sequence of n true states.
+
+    Ranges get independent N(0, sigma_i^2) noise with sigma_i^2 evaluated
+    at the *true* range; speed and heading get N(0, sigma_v^2) and
+    N(0, sigma_phi^2).  Each sensor consumes its own substream, in step
+    order: one draw of shape (n, M) is the same stream as n draws of M.
+
+    Parameters
+    ----------
+    positions : array_like
+        True positions (n, 2).
+    speeds, headings : array_like
+        True speeds and headings (n,).
+
+    Returns
+    -------
+    (ranges, speed, heading) : tuple of np.ndarray
+        Shapes (n, M), (n,) and (n,).
+    """
+    r = true_ranges(positions, anchors)
+    sigmas = np.sqrt(range_variance(r, range_model))
+    n = r.shape[0]
+    ranges = r + streams.ranges.normal(0.0, 1.0, size=r.shape) * sigmas
+    speed = np.asarray(speeds, dtype=float) + streams.speed.normal(
+        0.0, sensor_model.sigma_v, size=n
+    )
+    heading = np.asarray(headings, dtype=float) + streams.heading.normal(
+        0.0, sensor_model.sigma_phi, size=n
+    )
+    return ranges, speed, heading
 
 
 def synthesize_measurements(
@@ -248,18 +306,20 @@ def synthesize_measurements(
     sensor_model: SensorNoiseModel,
     streams: SensorStreams,
 ) -> MeasurementFrame:
-    """Draw one noisy measurement frame for a true state.
-
-    Ranges get independent N(0, sigma_i^2) noise with sigma_i^2 evaluated
-    at the *true* range; speed and heading get N(0, sigma_v^2) and
-    N(0, sigma_phi^2).  Each sensor consumes its own substream.
-    """
-    r = true_ranges(state.position, anchors)
-    sigmas = np.sqrt(range_variance(r, range_model))
-    ranges = r + streams.ranges.normal(0.0, 1.0, size=anchors.m) * sigmas
-    speed = state.speed + streams.speed.normal(0.0, sensor_model.sigma_v)
-    heading = state.heading + streams.heading.normal(0.0, sensor_model.sigma_phi)
-    return MeasurementFrame(ranges=ranges, speed=speed, heading=heading, k=state.k)
+    """Draw one noisy measurement frame for a true state (see
+    `draw_measurements`, of which this is the one-state case)."""
+    ranges, speed, heading = draw_measurements(
+        np.asarray(state.position, dtype=float)[None],
+        [state.speed],
+        [state.heading],
+        anchors,
+        range_model,
+        sensor_model,
+        streams,
+    )
+    return MeasurementFrame(
+        ranges=ranges[0], speed=float(speed[0]), heading=float(heading[0]), k=state.k
+    )
 
 
 # Eight anchors on the perimeter of a 4 m x 4 m cell (corners plus edge

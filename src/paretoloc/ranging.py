@@ -91,33 +91,47 @@ def noise_cov_inverse(ranges, variances) -> np.ndarray:
     structure inverts in closed form:
 
         (D + p 11^T)^{-1} = (I - G 11^T / (1 + q)) D^{-1},
-        G = p D^{-1},  q = sum_l p / D_ll.
+        G = p D^{-1},  q = sum_l p / D_ll,
+
+    which is built entry by entry, W_lj = (delta_lj - G_l / (1 + q)) / D_jj.
 
     Parameters
     ----------
     ranges : array_like
         Ranges (M,) the weights are evaluated at (true ranges in analysis,
-        estimated ranges online).
+        estimated ranges online), or a stack (..., M) of such vectors.
     variances : array_like
-        Per-anchor range-noise variances (M,).
+        Per-anchor range-noise variances, same shape as `ranges`.
 
     Returns
     -------
     np.ndarray
-        W = R^{-1}, shape (M-1, M-1).
+        W = R^{-1}, shape (M-1, M-1), or (..., M-1, M-1) for a stack.
     """
     r = np.asarray(ranges, dtype=float)
     var = np.asarray(variances, dtype=float)
-    if r.shape != var.shape or r.ndim != 1:
-        raise ValueError("ranges and variances must be 1-D with equal length")
-    if np.any(var <= 0.0):
+    if r.shape != var.shape or r.ndim < 1:
+        raise ValueError("ranges and variances must be vectors of equal shape")
+    if (var <= 0.0).any():
         raise ValueError("variances must be positive")
-    d = 4.0 * r[:-1] ** 2 * var[:-1] + 2.0 * var[:-1] ** 2
-    p = 4.0 * r[-1] ** 2 * var[-1] + 2.0 * var[-1] ** 2
-    d_inv = 1.0 / d
-    g = p * d_inv
-    q = float(np.sum(g))
-    return (np.eye(d.size) - np.outer(g, np.ones(d.size)) / (1.0 + q)) @ np.diag(d_inv)
+    # D_ll for l < M, and p in the last slot
+    d = 4.0 * r**2 * var + 2.0 * var**2
+    d_inv = 1.0 / d[..., :-1]
+    g = d[..., -1:] * d_inv
+    q = g.sum(axis=-1, keepdims=True)
+    return (np.eye(d_inv.shape[-1]) - (g / (1.0 + q))[..., :, None]) * d_inv[..., None, :]
+
+
+def _range_differences(geometry: RangingGeometry, measured_ranges) -> np.ndarray:
+    """Right-hand side b_l = r_M^2 - r_l^2 + a_l (..., M-1) from ranges (..., M)."""
+    r_sq = np.asarray(measured_ranges, dtype=float) ** 2
+    return r_sq[..., -1:] - r_sq[..., :-1] + geometry.offset_vector
+
+
+def _noise_mean(variances) -> np.ndarray:
+    """Mean sigma_M^2 - sigma_l^2 (..., M-1) of the differenced squared-range noise."""
+    var = np.asarray(variances, dtype=float)
+    return var[..., -1:] - var[..., :-1]
 
 
 def wls_estimate(
@@ -126,18 +140,18 @@ def wls_estimate(
     """Weighted least-squares position estimate from measured ranges.
 
     Solves (A^T W A) x = A^T W b with b_l = r_M^2 - r_l^2 + a_l built
-    from the *measured* ranges.
+    from the *measured* ranges.  Stacks of ranges (R, M) and weights
+    (R, M-1, M-1) give one estimate per run, (R, 2).
 
     Raises
     ------
     np.linalg.LinAlgError
         If A^T W A is singular.
     """
-    r = np.asarray(measured_ranges, dtype=float)
     a_mat = geometry.design_matrix
-    b = r[-1] ** 2 - r[:-1] ** 2 + geometry.offset_vector
     atw = a_mat.T @ weight
-    return np.linalg.solve(atw @ a_mat, atw @ b)
+    rhs = atw @ _range_differences(geometry, measured_ranges)[..., None]
+    return np.linalg.solve(atw @ a_mat, rhs)[..., 0]
 
 
 def ranging_bias(geometry: RangingGeometry, weight: np.ndarray, variances) -> np.ndarray:
@@ -147,11 +161,9 @@ def ranging_bias(geometry: RangingGeometry, weight: np.ndarray, variances) -> np
     row l, which the linear solve maps to
     (A^T W A)^{-1} A^T W (1 sigma_M^2 - [sigma_1^2 .. sigma_{M-1}^2]^T).
     """
-    var = np.asarray(variances, dtype=float)
     a_mat = geometry.design_matrix
     atw = a_mat.T @ weight
-    mean_vec = var[-1] - var[:-1]
-    return np.linalg.solve(atw @ a_mat, atw @ mean_vec)
+    return np.linalg.solve(atw @ a_mat, atw @ _noise_mean(variances))
 
 
 def noise_raw_second_moment(ranges, variances) -> np.ndarray:
@@ -170,15 +182,18 @@ def noise_raw_second_moment(ranges, variances) -> np.ndarray:
     """
     r = np.asarray(ranges, dtype=float)
     var = np.asarray(variances, dtype=float)
-    vm = var[-1]
-    rm = r[-1]
-    v = var[:-1]
-    n = v.size
-    common = 3.0 * vm**2 + 4.0 * rm**2 * vm
-    c = common - vm * v[None, :] - v[:, None] * vm + v[:, None] * v[None, :]
-    diag = common + 3.0 * v**2 + 4.0 * r[:-1] ** 2 * v - 2.0 * vm * v
-    c[np.arange(n), np.arange(n)] = diag
-    return 0.5 * (c + c.T)
+    r_sq = r**2
+    vm = var[..., -1:]
+    v = var[..., :-1]
+    n = v.shape[-1]
+    common = 3.0 * vm**2 + 4.0 * r_sq[..., -1:] * vm
+    vm_v = vm * v
+    c = (common - vm_v)[..., None, :] - vm_v[..., :, None] + v[..., :, None] * v[..., None, :]
+    # the diagonal, written through a strided view of the fresh array
+    c.reshape(c.shape[:-2] + (n * n,))[..., :: n + 1] = (
+        common + 3.0 * v**2 + 4.0 * r_sq[..., :-1] * v - 2.0 * vm_v
+    )
+    return 0.5 * (c + c.swapaxes(-1, -2))
 
 
 def ranging_second_moment(
@@ -196,6 +211,51 @@ def ranging_second_moment(
     left = np.linalg.solve(gram, atw)
     corr = left @ c @ left.T
     return 0.5 * (corr + corr.T)
+
+
+def ranging_layer(
+    geometry: RangingGeometry, ranges, variances, measured_ranges
+) -> tuple:
+    """WLS fix and its error moments, for one run or a stack of runs.
+
+    The weights W, the bias and the correlation are evaluated at `ranges`
+    with range-noise `variances` (true ranges in analysis, a predicted
+    position's ranges online); the fix solves the normal equations for
+    `measured_ranges`.  One solve on the 2x2 gram G = A^T W A per run,
+    with right-hand sides [A^T W b, A^T W mu, I], gives the fix, the bias
+    and G^{-1}.  Because W is the inverse of the noise covariance at the
+    same ranges, and the noise raw second moment is that covariance plus
+    mu mu^T, the correlation of `ranging_second_moment` reduces to
+
+        E{w w^T} = G^{-1} + bias bias^T.
+
+    Parameters
+    ----------
+    ranges, variances, measured_ranges : array_like
+        Shape (M,) for one run, or (R, M) for R runs.
+
+    Returns
+    -------
+    (fix, bias, correlation) : tuple
+        Shapes (2,), (2,) and (2, 2), with a leading R axis for a stack.
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        If a gram matrix is singular.
+    """
+    a_mat = geometry.design_matrix
+    atw = a_mat.T @ noise_cov_inverse(ranges, variances)
+    columns = np.empty(atw.shape[:-2] + (a_mat.shape[0], 2))
+    columns[..., 0] = _range_differences(geometry, measured_ranges)
+    columns[..., 1] = _noise_mean(variances)
+    rhs = np.empty(atw.shape[:-2] + (2, 4))
+    rhs[..., :2] = atw @ columns
+    rhs[..., 2:] = np.eye(2)
+    solution = np.linalg.solve(atw @ a_mat, rhs)
+    fix, bias = solution[..., 0], solution[..., 1]
+    corr = solution[..., 2:] + bias[..., :, None] * bias[..., None, :]
+    return fix, bias, 0.5 * (corr + corr.swapaxes(-1, -2))
 
 
 def ranging_error_moments(

@@ -13,13 +13,22 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crlb import parcrlb_trace, pcrlb_bounds
-from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, ukf_step
-from .fusion import ParetoConfig, fusion_step, init_fusion
+from .deadreckoning import dr_predict
+from .filters import (
+    cv_init,
+    ekf_cv_step_batch,
+    ekf_step_batch,
+    lckf_step_batch,
+    position_init,
+    ukf_step_batch,
+)
+from .fusion import ParetoConfig, fusion_step_batch, init_fusion_batch
 from .models import (
     DEFAULT_ANCHORS,
     AnchorSet,
@@ -29,12 +38,10 @@ from .models import (
     SensorNoiseModel,
     SensorStreams,
     TruthState,
+    draw_measurements,
     range_variance,
-    synthesize_measurements,
 )
-from .ranging import build_geometry, noise_cov_inverse, wls_estimate
-
-KNOWN_ESTIMATORS = ("fusion", "mse", "wls", "dr", "ekf", "ukf", "lckf", "ekf-cv")
+from .ranging import RangingGeometry, build_geometry, noise_cov_inverse, wls_estimate
 
 
 @dataclass(slots=True)
@@ -95,19 +102,24 @@ def _reflect(value: float, lo: float, hi: float) -> tuple:
     """Fold a scalar into [lo, hi] by wall reflections; returns (value, sign).
 
     sign is -1 when an odd number of reflections occurred (the velocity
-    component flips), +1 otherwise.
+    component flips), +1 otherwise.  The path is unfolded with period
+    2 * (hi - lo): whole periods are two reflections each, and one more
+    happens when the remainder lies past the far wall.
     """
-    sign = 1.0
     width = hi - lo
-    while value > hi or value < lo:
-        if value > hi:
-            value = 2.0 * hi - value
-        else:
-            value = 2.0 * lo - value
-        sign = -sign
-        if width <= 0.0:
-            raise ValueError("degenerate reflection interval")
-    return value, sign
+    if not width > 0.0:
+        raise ValueError("degenerate reflection interval")
+    if not math.isfinite(value):
+        raise ValueError(f"cannot reflect a non-finite position {value}")
+    if value < lo:
+        folded, sign = _reflect(-value, -hi, -lo)
+        return -folded, sign
+    value -= 2.0 * width * ((value - lo) // (2.0 * width))
+    sign = 1.0
+    if value > hi:
+        value, sign = 2.0 * hi - value, -1.0
+    # rounding in the period shift can leave the result an ulp outside
+    return min(max(value, lo), hi), sign
 
 
 def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float) -> list:
@@ -299,17 +311,19 @@ class RunResult:
         Estimator names, in run order.
     errors : dict
         name -> per-step Euclidean errors, shape (runs, steps); rows of
-        NaN mark excluded (numerically failed) runs.
+        NaN mark excluded runs (a numerical error, or a non-finite
+        estimate at any step).
     rmse : dict
-        name -> RMSE averaged over included runs.
+        name -> RMSE averaged over included runs (NaN if none).
     p95 : dict
-        name -> 95th percentile of the pooled step errors.
+        name -> 95th percentile of the included runs' pooled step errors.
     excluded : dict
         name -> number of excluded runs.
     truth_trace : np.ndarray
         First run's true positions (steps, 2).
     estimate_traces : dict
-        name -> first run's estimated positions (steps, 2).
+        name -> first run's estimated positions (steps, 2); NaN if that
+        run is excluded.
     """
 
     estimators: tuple
@@ -323,153 +337,252 @@ class RunResult:
     estimate_traces: dict
 
 
-def _wls_fix(frame: MeasurementFrame, geometry, range_model: RangeNoiseModel):
-    """Standalone WLS position from one frame, weights at measured ranges."""
-    r = np.maximum(np.asarray(frame.ranges, dtype=float), 0.0)
-    variances = range_variance(r, range_model)
-    w = noise_cov_inverse(r, variances)
-    return wls_estimate(geometry, frame.ranges, w)
+def draw_run(config: ExperimentConfig, run: int) -> tuple:
+    """Truth and measurements of one Monte Carlo run, from its own streams.
+
+    Seeding is hierarchical: (seed, run) spawns the trajectory stream and
+    the sensor streams, so a run's draws do not depend on the number of
+    runs or on the estimators.
+
+    Returns
+    -------
+    (positions, ranges, speed, heading) : tuple of np.ndarray
+        Shapes (n, 2), (n, M), (n,) and (n,) for n = trajectory steps.
+    """
+    traj_seq, sensor_seq = np.random.SeedSequence((config.seed, run)).spawn(2)
+    traj = gen_trajectory(config.trajectory, np.random.default_rng(traj_seq))
+    positions = np.array([state.position for state in traj])
+    ranges, speed, heading = draw_measurements(
+        positions,
+        [state.speed for state in traj],
+        [state.heading for state in traj],
+        config.anchors,
+        config.range_model,
+        config.sensor_model,
+        SensorStreams.from_seed(sensor_seq),
+    )
+    return positions, ranges, speed, heading
 
 
-class _EstimatorRun:
-    """Stateful wrapper running one estimator over one frame sequence."""
+@dataclass(frozen=True, slots=True)
+class EngineSetup:
+    """Per-experiment constants the estimator kernels read.
 
-    def __init__(self, name: str, config: ExperimentConfig, geometry):
-        self.name = name
-        self.config = config
-        self.geometry = geometry
-        self.state = None
+    Attributes
+    ----------
+    config : ExperimentConfig
+    geometry : RangingGeometry
+        Linearised trilateration geometry of the anchors.
+    cv : CvProcessModel
+        Process model of the EKF-CV filter: `config.cv_filter` if given,
+        else the model of a CV-generated trajectory, else the default.
+    mse_pareto : ParetoConfig
+        `config.pareto` in "mse" mode, for the "mse" estimator.
+    """
 
-    def init(self, frame: MeasurementFrame) -> np.ndarray:
-        cfg = self.config
-        fix = _wls_fix(frame, self.geometry, cfg.range_model)
-        if self.name in ("fusion", "mse"):
-            pareto = cfg.pareto
-            if self.name == "mse" and pareto.mode != "mse":
-                pareto = dataclasses.replace(pareto, mode="mse")
-            self._pareto = pareto
-            self.state = init_fusion(
-                frame, cfg.anchors, self.geometry, cfg.range_model, pareto
-            )
-            return self.state.estimate
-        if self.name in ("ekf", "ukf", "lckf"):
-            self.state = position_init(fix)
-            return self.state.mean[:2]
-        if self.name == "ekf-cv":
-            self.state = cv_init(fix, frame.speed, frame.heading)
-            return self.state.mean[:2]
-        # wls / dr keep only the latest position
-        self.state = fix
-        return fix
+    config: ExperimentConfig
+    geometry: RangingGeometry
+    cv: CvProcessModel
+    mse_pareto: ParetoConfig
 
-    def step(self, frame: MeasurementFrame) -> np.ndarray:
-        cfg = self.config
-        t_step = cfg.trajectory.T
-        if self.name in ("fusion", "mse"):
-            self.state = fusion_step(
-                self.state,
-                frame,
-                cfg.anchors,
-                self.geometry,
-                cfg.range_model,
-                cfg.sensor_model,
-                self._pareto,
-                t_step,
-            )
-            return self.state.estimate
-        if self.name == "wls":
-            self.state = _wls_fix(frame, self.geometry, cfg.range_model)
-            return self.state
-        if self.name == "dr":
-            v = frame.speed
-            self.state = self.state + t_step * v * np.array(
-                [math.cos(frame.heading), math.sin(frame.heading)]
-            )
-            return self.state
-        if self.name == "ekf":
-            self.state = ekf_step(
-                self.state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, t_step
-            )
-            return self.state.mean[:2]
-        if self.name == "ukf":
-            self.state = ukf_step(
-                self.state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, t_step
-            )
-            return self.state.mean[:2]
-        if self.name == "lckf":
-            self.state = lckf_step(
-                self.state,
-                frame,
-                cfg.anchors,
-                cfg.range_model,
-                cfg.sensor_model,
-                t_step,
-                geometry=self.geometry,
-            )
-            return self.state.mean[:2]
-        # ekf-cv: prefer an explicit filter model, else stay matched to a
-        # CV-generated trajectory, else run the generic default
-        cv = cfg.cv_filter
-        if cv is None and cfg.trajectory.kind == "cv" and cfg.trajectory.cv is not None:
-            cv = cfg.trajectory.cv
+    @classmethod
+    def from_config(cls, config: ExperimentConfig) -> "EngineSetup":
+        spec = config.trajectory
+        cv = config.cv_filter
+        if cv is None and spec.kind == "cv" and spec.cv is not None:
+            cv = spec.cv
         if cv is None:
-            cv = CvProcessModel(T=t_step)
-        self.state = ekf_cv_step(
-            self.state, frame, cfg.anchors, cv, cfg.range_model, cfg.sensor_model
+            cv = CvProcessModel(T=spec.T)
+        pareto = config.pareto
+        mse = pareto if pareto.mode == "mse" else dataclasses.replace(pareto, mode="mse")
+        return cls(config=config, geometry=build_geometry(config.anchors), cv=cv, mse_pareto=mse)
+
+
+@dataclass(frozen=True, slots=True)
+class EstimatorKernels:
+    """Batched kernels of one estimator.
+
+    Each takes and returns a batch of R runs: `init(setup, frame)` builds
+    the state from the first frames, `step(setup, state, frame)` advances
+    it by one frame, and `position(state)` gives the estimates (R, 2).
+    """
+
+    init: Callable
+    step: Callable
+    position: Callable
+
+
+def _wls_fix(setup: EngineSetup, frame: MeasurementFrame) -> np.ndarray:
+    """WLS fixes (R, 2), weights at the measured ranges (no prior estimate)."""
+    r = np.maximum(frame.ranges, 0.0)
+    weight = noise_cov_inverse(r, range_variance(r, setup.config.range_model))
+    return wls_estimate(setup.geometry, frame.ranges, weight)
+
+
+def _pareto_kernels(pareto: Callable) -> EstimatorKernels:
+    """Kernels of the Pareto fusion run with the ParetoConfig `pareto(setup)`."""
+
+    def init(setup, frame):
+        cfg = setup.config
+        return init_fusion_batch(frame, cfg.anchors, setup.geometry, cfg.range_model, pareto(setup))
+
+    def step(setup, state, frame):
+        cfg = setup.config
+        return fusion_step_batch(
+            state,
+            frame,
+            cfg.anchors,
+            setup.geometry,
+            cfg.range_model,
+            cfg.sensor_model,
+            pareto(setup),
+            cfg.trajectory.T,
         )
-        return self.state.mean[:2]
+
+    return EstimatorKernels(init, step, lambda state: state.estimate)
+
+
+def _wls_step(setup, state, frame):
+    return _wls_fix(setup, frame)
+
+
+def _dr_step(setup, state, frame):
+    return dr_predict(state, frame, setup.config.trajectory.T)
+
+
+def _filter_init(setup, frame):
+    return position_init(_wls_fix(setup, frame))
+
+
+def _cv_filter_init(setup, frame):
+    return cv_init(_wls_fix(setup, frame), frame.speed, frame.heading)
+
+
+def _ekf_step(setup, state, frame):
+    cfg = setup.config
+    return ekf_step_batch(
+        state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
+    )
+
+
+def _ukf_step(setup, state, frame):
+    cfg = setup.config
+    return ukf_step_batch(
+        state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
+    )
+
+
+def _lckf_step(setup, state, frame):
+    cfg = setup.config
+    return lckf_step_batch(
+        state,
+        frame,
+        cfg.anchors,
+        cfg.range_model,
+        cfg.sensor_model,
+        cfg.trajectory.T,
+        geometry=setup.geometry,
+    )
+
+
+def _ekf_cv_step(setup, state, frame):
+    cfg = setup.config
+    return ekf_cv_step_batch(
+        state, frame, cfg.anchors, setup.cv, cfg.range_model, cfg.sensor_model
+    )
+
+
+def _same(state):
+    return state
+
+
+def _filter_position(state):
+    return state.mean[..., :2]
+
+
+# Batched kernels of every estimator, by name; the engine looks names up
+# here and nowhere else.
+ESTIMATORS = {
+    "fusion": _pareto_kernels(lambda setup: setup.config.pareto),
+    "mse": _pareto_kernels(lambda setup: setup.mse_pareto),
+    "wls": EstimatorKernels(_wls_fix, _wls_step, _same),
+    "dr": EstimatorKernels(_wls_fix, _dr_step, _same),
+    "ekf": EstimatorKernels(_filter_init, _ekf_step, _filter_position),
+    "ukf": EstimatorKernels(_filter_init, _ukf_step, _filter_position),
+    "lckf": EstimatorKernels(_filter_init, _lckf_step, _filter_position),
+    "ekf-cv": EstimatorKernels(_cv_filter_init, _ekf_cv_step, _filter_position),
+}
+KNOWN_ESTIMATORS = tuple(ESTIMATORS)
+
+
+def _track(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
+    """Estimates (n, R, 2) of one estimator over measurements (n, R, ...)."""
+    frames = [
+        MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
+        for k in range(len(ranges))
+    ]
+    trace = np.empty(speed.shape + (2,))
+    state = kernels.init(setup, frames[0])
+    trace[0] = kernels.position(state)
+    for k in range(1, len(frames)):
+        state = kernels.step(setup, state, frames[k])
+        trace[k] = kernels.position(state)
+    return trace
+
+
+def _track_runs(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
+    """Estimates (n, R, 2) of one estimator, all runs in one batch.
+
+    If the batch raises a numerical error, the runs are re-run one at a
+    time from the same measurements; a run that raises again is left NaN.
+    Each run's arithmetic is the same alone as in a batch, so the other
+    runs' estimates do not change.
+    """
+    try:
+        return _track(kernels, setup, ranges, speed, heading)
+    except (np.linalg.LinAlgError, ValueError):
+        pass
+    trace = np.full(speed.shape + (2,), np.nan)
+    for run in range(speed.shape[1]):
+        one = slice(run, run + 1)
+        try:
+            trace[:, one] = _track(kernels, setup, ranges[:, one], speed[:, one], heading[:, one])
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+    return trace
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Run all configured estimators over paired Monte Carlo realizations."""
-    geometry = build_geometry(config.anchors)
+    """Run all configured estimators over paired Monte Carlo realizations.
+
+    Every run's truth and measurements are drawn up front (`draw_run`);
+    then each estimator advances all runs together, one batched step per
+    time step.  A (run, estimator) pair that raised a numerical error or
+    produced a non-finite estimate at any step is excluded: its row of
+    `errors` is NaN and it is counted in `excluded`.
+    """
+    setup = EngineSetup.from_config(config)
+    draws = [draw_run(config, run) for run in range(config.runs)]
+    # step-major stacks (n, R, ...): one time step's batch is contiguous
+    positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
     n = config.trajectory.steps
-    errors = {name: np.full((config.runs, n), np.nan) for name in config.estimators}
-    excluded = {name: 0 for name in config.estimators}
-    truth_trace = None
-    estimate_traces = {}
 
-    for run in range(config.runs):
-        root = np.random.SeedSequence((config.seed, run))
-        traj_seq, sensor_seq = root.spawn(2)
-        traj = gen_trajectory(config.trajectory, np.random.default_rng(traj_seq))
-        streams = SensorStreams.from_seed(sensor_seq)
-        frames = [
-            synthesize_measurements(
-                state, config.anchors, config.range_model, config.sensor_model, streams
-            )
-            for state in traj
-        ]
-        positions = np.array([state.position for state in traj])
-        if run == 0:
-            truth_trace = positions.copy()
-        for name in config.estimators:
-            est = _EstimatorRun(name, config, geometry)
-            trace = np.full((n, 2), np.nan)
-            try:
-                trace[0] = est.init(frames[0])
-                for k in range(1, n):
-                    trace[k] = est.step(frames[k])
-            except (np.linalg.LinAlgError, ValueError):
-                excluded[name] += 1
-                continue
-            errors[name][run] = np.linalg.norm(trace - positions, axis=1)
-            if run == 0:
-                estimate_traces[name] = trace
-
-    rmse = {}
-    p95 = {}
+    errors, excluded, estimate_traces = {}, {}, {}
+    rmse, p95 = {}, {}
     for name in config.estimators:
-        err = errors[name]
-        ok = ~np.isnan(err[:, 0])
+        trace = _track_runs(ESTIMATORS[name], setup, ranges, speed, heading)
+        err = np.linalg.norm(trace - positions, axis=-1).T.copy()
+        ok = np.all(np.isfinite(err), axis=1)
+        err[~ok] = np.nan
+        errors[name] = err
+        excluded[name] = int(np.sum(~ok))
+        estimate_traces[name] = trace[:, 0].copy() if ok[0] else np.full((n, 2), np.nan)
         if np.any(ok):
             rmse[name] = float(np.mean(np.sqrt(np.mean(err[ok] ** 2, axis=1))))
             p95[name] = float(np.percentile(err[ok].ravel(), 95.0))
         else:
             rmse[name] = float("nan")
             p95[name] = float("nan")
-        if name not in estimate_traces:  # excluded on run 0
-            estimate_traces[name] = np.full((n, 2), np.nan)
 
     return RunResult(
         estimators=config.estimators,
@@ -479,7 +592,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         rmse=rmse,
         p95=p95,
         excluded=excluded,
-        truth_trace=truth_trace,
+        truth_trace=positions[:, 0].copy(),
         estimate_traces=estimate_traces,
     )
 

@@ -14,6 +14,7 @@ from paretoloc.ranging import (
     noise_cov_inverse,
     ranging_bias,
     ranging_error_moments,
+    ranging_layer,
     ranging_second_moment,
     wls_estimate,
 )
@@ -146,3 +147,27 @@ def test_wls_error_scale_matches_prediction():
     assert_allclose(
         np.diag(mc), np.diag(moments.correlation), rtol=0.05
     )
+
+
+def test_ranging_layer_matches_the_separate_moments_per_run():
+    # One stacked solve with G^{-1} + bias bias^T for the correlation must
+    # agree with the general-weight formulas run by run, and with its own
+    # single-run form.
+    geometry = build_geometry(ANCHORS)
+    rng = np.random.default_rng(3)
+    positions = rng.uniform(0.5, 4.5, size=(5, 2))
+    r = true_ranges(positions, ANCHORS)
+    var = range_variance(r, MODEL)
+    measured = r + rng.normal(0.0, np.sqrt(var))
+    fix, bias, corr = ranging_layer(geometry, r, var, measured)
+    assert fix.shape == (5, 2) and bias.shape == (5, 2) and corr.shape == (5, 2, 2)
+    for run in range(5):
+        w = noise_cov_inverse(r[run], var[run])
+        assert_allclose(fix[run], wls_estimate(geometry, measured[run], w), rtol=1e-10)
+        assert_allclose(bias[run], ranging_bias(geometry, w, var[run]), rtol=1e-10)
+        assert_allclose(
+            corr[run], ranging_second_moment(geometry, w, r[run], var[run]), rtol=1e-10
+        )
+        single = ranging_layer(geometry, r[run], var[run], measured[run])
+        for stacked, one in zip((fix, bias, corr), single):
+            np.testing.assert_array_equal(stacked[run], one)

@@ -9,12 +9,31 @@ noise pairing across estimator subsets.
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretoloc.models import CvProcessModel, DEFAULT_ANCHORS
+from paretoloc import simulate
+from paretoloc.deadreckoning import dr_predict
+from paretoloc.filters import (
+    cv_init,
+    ekf_cv_step,
+    ekf_step,
+    lckf_step,
+    position_init,
+    ukf_step,
+)
+from paretoloc.fusion import fusion_step, init_fusion
+from paretoloc.models import (
+    CvProcessModel,
+    DEFAULT_ANCHORS,
+    MeasurementFrame,
+    RangeNoiseModel,
+    range_variance,
+)
+from paretoloc.ranging import build_geometry, noise_cov_inverse, wls_estimate
 from paretoloc.simulate import (
     ARENA_BOUNDS,
     ExperimentConfig,
@@ -22,6 +41,7 @@ from paretoloc.simulate import (
     TrajectorySpec,
     _reflect,
     crlb_traces,
+    draw_run,
     gen_trajectory,
     make_scenario,
     run_experiment,
@@ -46,6 +66,36 @@ def test_reflect_folds_into_interval():
     assert _reflect(-0.6, 0.0, 4.0) == pytest.approx((0.6, -1.0))
     # two walls crossed: value folds twice, velocity sign restored
     assert _reflect(9.0, 0.0, 4.0) == pytest.approx((1.0, 1.0))
+
+
+@pytest.mark.parametrize("widths", [2, 3, 7, 8])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_reflect_many_widths_out_counts_every_wall(widths, side):
+    # `widths` whole widths past one wall plus 1.0: that many reflections,
+    # so the sign is their parity and the point sits 1.0 from a wall
+    lo, hi = 0.4, 3.6
+    wall, inward = (hi, -1.0) if side > 0 else (lo, 1.0)
+    value = wall + side * ((widths - 1) * (hi - lo) + 1.0)
+    folded, sign = _reflect(value, lo, hi)
+    odd = widths % 2 == 1
+    near = wall + inward * 1.0 if odd else (lo + hi) - (wall + inward * 1.0)
+    assert folded == pytest.approx(near, abs=1e-9)
+    assert sign == (-1.0 if odd else 1.0)
+
+
+def test_reflect_far_outside_does_not_hang():
+    folded, sign = _reflect(1e9, 0.4, 3.6)
+    assert 0.4 <= folded <= 3.6 and sign in (-1.0, 1.0)
+    assert 0.4 <= _reflect(-1e9, 0.4, 3.6)[0] <= 3.6
+    states = gen_trajectory(scenario_linear(steps=5, speed=1e9))
+    pos = np.array([s.position for s in states])
+    (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
+    assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
+    assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
+    with pytest.raises(ValueError):
+        _reflect(1.0, 2.0, 2.0)
+    with pytest.raises(ValueError):
+        _reflect(float("inf"), 0.0, 1.0)
 
 
 def _dr_replay(states, t_step):
@@ -228,6 +278,133 @@ def test_noise_pairing_survives_estimator_subsetting():
     both = run_experiment(_small_config(estimators=("fusion", "ekf")))
     alone = run_experiment(_small_config(estimators=("ekf",)))
     assert_allclose(both.errors["ekf"], alone.errors["ekf"], atol=0.0)
+
+
+def test_each_run_is_the_same_alone_and_in_a_batch():
+    one = run_experiment(_small_config(estimators=KNOWN_ESTIMATORS, runs=1))
+    six = run_experiment(_small_config(estimators=KNOWN_ESTIMATORS, runs=6))
+    for name in KNOWN_ESTIMATORS:
+        np.testing.assert_array_equal(one.errors[name][0], six.errors[name][0], err_msg=name)
+        np.testing.assert_array_equal(
+            one.estimate_traces[name], six.estimate_traces[name], err_msg=name
+        )
+
+
+def test_a_failing_run_is_excluded_alone(monkeypatch):
+    config = _small_config(estimators=("fusion", "ekf"), runs=4)
+    clean = run_experiment(config)
+    marked = draw_run(config, 2)[1]  # run 2's measured ranges (steps, M)
+    kernels = simulate.ESTIMATORS["ekf"]
+
+    def step(setup, state, frame):
+        if frame.k == 10 and np.any(np.all(frame.ranges == marked[10], axis=-1)):
+            raise np.linalg.LinAlgError("forced failure of run 2")
+        return kernels.step(setup, state, frame)
+
+    monkeypatch.setitem(
+        simulate.ESTIMATORS, "ekf", dataclasses.replace(kernels, step=step)
+    )
+    forced = run_experiment(config)
+    assert forced.excluded == {"fusion": 0, "ekf": 1}
+    assert np.all(np.isnan(forced.errors["ekf"][2]))
+    keep = [0, 1, 3]
+    np.testing.assert_array_equal(forced.errors["ekf"][keep], clean.errors["ekf"][keep])
+    np.testing.assert_array_equal(forced.errors["fusion"], clean.errors["fusion"])
+    np.testing.assert_array_equal(forced.estimate_traces["ekf"], clean.estimate_traces["ekf"])
+    ok = np.sqrt(np.mean(clean.errors["ekf"][keep] ** 2, axis=1))
+    assert forced.rmse["ekf"] == pytest.approx(float(np.mean(ok)), rel=1e-12)
+
+
+def test_non_finite_runs_are_excluded_and_counted():
+    # Range noise growing as exp(5 r) swamps the ranging at the cell's far
+    # anchors: every estimator diverges to a non-finite value in some run,
+    # usually after step 0.
+    config = _small_config(
+        trajectory=scenario_linear(steps=60),
+        range_model=RangeNoiseModel(kappa=5.0),
+        estimators=KNOWN_ESTIMATORS,
+        runs=3,
+    )
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_experiment(config)
+    for name in KNOWN_ESTIMATORS:
+        err = result.errors[name]
+        finite = np.all(np.isfinite(err), axis=1)
+        assert np.all(finite | np.all(np.isnan(err), axis=1)), name
+        assert result.excluded[name] == int(np.sum(~finite)) >= 1, name
+        if np.any(finite):
+            per_run = np.sqrt(np.mean(err[finite] ** 2, axis=1))
+            assert result.rmse[name] == pytest.approx(float(np.mean(per_run)), rel=1e-12)
+            assert np.isfinite(result.p95[name]), name
+        else:
+            assert math.isnan(result.rmse[name]) and math.isnan(result.p95[name]), name
+        if not finite[0]:
+            assert np.all(np.isnan(result.estimate_traces[name])), name
+
+
+def _scalar_trace(name, config, ranges, speed, heading):
+    """Estimates of one estimator from the public single-run functions."""
+    geometry = build_geometry(config.anchors)
+    t_step = config.trajectory.T
+    args = (config.anchors, config.range_model, config.sensor_model, t_step)
+    frames = [
+        MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
+        for k in range(len(speed))
+    ]
+
+    def fix(frame):
+        r = np.maximum(frame.ranges, 0.0)
+        weight = noise_cov_inverse(r, range_variance(r, config.range_model))
+        return wls_estimate(geometry, frame.ranges, weight)
+
+    if name in ("fusion", "mse"):
+        pareto = config.pareto
+        if name == "mse":
+            pareto = dataclasses.replace(pareto, mode="mse")
+        state = init_fusion(frames[0], config.anchors, geometry, config.range_model, pareto)
+        out = [state.estimate]
+        for frame in frames[1:]:
+            state = fusion_step(
+                state, frame, config.anchors, geometry, config.range_model,
+                config.sensor_model, pareto, t_step,
+            )
+            out.append(state.estimate)
+        return np.array(out)
+    if name == "wls":
+        return np.array([fix(frame) for frame in frames])
+    if name == "dr":
+        out = [fix(frames[0])]
+        for frame in frames[1:]:
+            out.append(dr_predict(out[-1], frame, t_step))
+        return np.array(out)
+    if name == "ekf-cv":
+        state = cv_init(fix(frames[0]), frames[0].speed, frames[0].heading)
+        cv = CvProcessModel(T=t_step)
+        out = [state.mean[:2]]
+        for frame in frames[1:]:
+            state = ekf_cv_step(
+                state, frame, config.anchors, cv, config.range_model, config.sensor_model
+            )
+            out.append(state.mean[:2])
+        return np.array(out)
+    step = {"ekf": ekf_step, "ukf": ukf_step, "lckf": lckf_step}[name]
+    state = position_init(fix(frames[0]))
+    out = [state.mean]
+    for frame in frames[1:]:
+        state = step(state, frame, *args)
+        out.append(state.mean)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", KNOWN_ESTIMATORS)
+def test_scalar_steps_reproduce_the_batched_engine(name):
+    config = _small_config(estimators=KNOWN_ESTIMATORS, runs=3)
+    result = run_experiment(config)
+    _, ranges, speed, heading = draw_run(config, 0)
+    np.testing.assert_array_equal(
+        _scalar_trace(name, config, ranges, speed, heading), result.estimate_traces[name]
+    )
 
 
 def test_all_known_estimators_produce_finite_errors():
