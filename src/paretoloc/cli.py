@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -107,10 +108,10 @@ def _build_experiment(args) -> ExperimentConfig:
         overrides["a_max"] = settings["amax"]
     try:
         spec = make_scenario(scenario, **overrides)
+        if "heading" in settings:
+            spec = dataclasses.replace(spec, heading=float(settings["heading"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if "heading" in settings:
-        spec = dataclasses.replace(spec, heading=float(settings["heading"]))
     if "start" in settings:
         start = np.asarray(settings["start"], dtype=float)
         if start.shape != (2,):
@@ -235,6 +236,8 @@ def _cmd_crlb(args) -> int:
 def _cmd_validate(args) -> int:
     from .validate import run_all_checks
 
+    if not 0.0 < args.samples < math.inf:
+        raise ConfigError("--samples must be finite and positive")
     scale = args.samples / 1e6
     results = run_all_checks(scale=scale, verbose=True)
     return 0 if all(r.passed for r in results) else 1

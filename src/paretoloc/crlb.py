@@ -23,6 +23,7 @@ information recursions below are written for that convention.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,29 +390,35 @@ class SeriesExpectation:
     outer_terms: int
 
 
-def _truncate_alternating(terms: np.ndarray) -> tuple:
+def _truncate_alternating(terms: Iterable[float]) -> tuple:
     """Partial sum of an asymptotic series truncated at the smallest term.
+
+    Reads the terms one at a time and stops at the first one, after the
+    first nonzero term, whose magnitude is not below its predecessor's;
+    no later term is requested.  Leading zero terms are kept.  When no
+    term is cut, the last term's magnitude stands in for the omitted one.
 
     Returns (sum_of_kept_terms, kept_count, first_omitted_magnitude).
     Raises SeriesDivergenceError when the leading terms never decrease.
     """
-    mags = np.abs(terms)
-    nonzero = np.nonzero(mags)[0]
-    if nonzero.size == 0:
-        return 0.0, len(terms), 0.0
-    start = nonzero[0]
-    if start + 1 < len(mags) and mags[start + 1] >= mags[start]:
-        raise SeriesDivergenceError(
-            "ratio-moment series diverges from the first term on; "
-            "use diag_expectation_mc instead"
-        )
-    cut = len(mags)
-    for i in range(start + 1, len(mags)):
-        if mags[i] >= mags[i - 1]:
-            cut = i
-            break
-    omitted = float(mags[cut]) if cut < len(mags) else float(mags[cut - 1])
-    return float(np.sum(terms[:cut])), cut, omitted
+    kept: list = []
+    start = None  # index of the first nonzero term
+    for term in terms:
+        mag = abs(term)
+        if start is not None and mag >= prev:
+            if len(kept) == start + 1:
+                raise SeriesDivergenceError(
+                    "ratio-moment series diverges from the first term on; "
+                    "use diag_expectation_mc instead"
+                )
+            return float(np.sum(kept)), len(kept), float(mag)
+        if start is None and mag != 0.0:
+            start = len(kept)
+        kept.append(term)
+        prev = mag
+    if start is None:
+        return 0.0, len(kept), 0.0
+    return float(np.sum(kept)), len(kept), float(prev)
 
 
 def diag_expectation_series(
@@ -431,6 +438,7 @@ def diag_expectation_series(
     moments, which have no tractable closed form and are estimated by
     Monte Carlo.  Both stages are asymptotic: terms are kept only while
     they decrease, and the first omitted term enters the error estimate.
+    Outer orders past that first omitted term are not evaluated.
 
     Requires sigma_z == sigma_q (the common scale the expansion assumes).
 
@@ -461,21 +469,23 @@ def diag_expectation_series(
     z = rng.normal(math.copysign(math.sqrt(lam_z), mu_z), 1.0, size=mc_budget)
     f = z**2 / q**2
     denom = 1.0 + upsilon
-    outer_terms_arr = np.empty(truncation)
-    outer_se = np.empty(truncation)
-    # The first central moment is zero by construction of the expansion
-    # point; only k >= 2 carries information.
-    outer_terms_arr[0] = 0.0
-    outer_se[0] = 0.0
+    outer_se: list = []
+
+    def outer_terms():
+        # The first central moment is zero by construction of the
+        # expansion point; only k >= 2 carries information.
+        outer_se.append(0.0)
+        yield 0.0
+        for kk in range(2, truncation + 1):
+            centred = (f - upsilon) ** kk
+            outer_se.append(centred.std(ddof=1) / math.sqrt(mc_budget) / denom**kk)
+            yield (-1.0) ** kk * centred.mean() / denom**kk
+
     # High orders of the heavy-tailed ratio overflow to inf; the
     # truncation rule and the error estimate absorb that, so the
     # overflow warning itself carries no information.
     with np.errstate(over="ignore"):
-        for kk in range(2, truncation + 1):
-            centred = (f - upsilon) ** kk
-            outer_terms_arr[kk - 1] = (-1.0) ** kk * centred.mean() / denom**kk
-            outer_se[kk - 1] = centred.std(ddof=1) / math.sqrt(mc_budget) / denom**kk
-    outer_sum, outer_kept, outer_omitted = _truncate_alternating(outer_terms_arr)
+        outer_sum, outer_kept, outer_omitted = _truncate_alternating(outer_terms())
 
     value = (1.0 + outer_sum) / denom
     error = (

@@ -174,6 +174,8 @@ class ParetoConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.beta_clip <= 1.0:
             raise ValueError("beta_clip must be in (0, 1]")
+        if not 0.0 <= self.fixed_rho <= 1.0:
+            raise ValueError("fixed_rho must be in [0, 1]")
 
 
 @dataclass(slots=True)

@@ -93,8 +93,14 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError("step period must be positive")
+        if not (math.isfinite(self.speed) and math.isfinite(self.heading)):
+            raise ValueError("speed and heading must be finite")
+        if not 0.0 <= self.a_max < math.inf:
+            raise ValueError("a_max must be finite and non-negative")
+        if not self.breakpoint_period > 0.0:
+            raise ValueError("breakpoint_period must be positive")
         self.start = np.asarray(self.start, dtype=float)
 
 

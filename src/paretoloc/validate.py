@@ -303,13 +303,14 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
         if k not in (1, 2, 5, 10, 20):
             continue
         tm = trig_moments(v0, phi0, s3, s4, k)
+        cos, sin = np.cos(phi), np.sin(phi)
         samples = {
             "E[V]": (v, tm.e_v),
             "E[V^2]": (v**2, tm.e_v_sq),
-            "E[cos]": (np.cos(phi), tm.e_cos),
-            "E[sin]": (np.sin(phi), tm.e_sin),
-            "E[sin cos]": (np.sin(phi) * np.cos(phi), tm.e_sin_cos),
-            "E[cos^2]": (np.cos(phi) ** 2, tm.e_cos_sq),
+            "E[cos]": (cos, tm.e_cos),
+            "E[sin]": (sin, tm.e_sin),
+            "E[sin cos]": (sin * cos, tm.e_sin_cos),
+            "E[cos^2]": (cos**2, tm.e_cos_sq),
         }
         for _, (draw, closed) in samples.items():
             se = draw.std(ddof=1) / math.sqrt(n)

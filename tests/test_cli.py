@@ -176,6 +176,51 @@ def test_bad_settings_exit_with_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(noise_cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "B", "--amax", "-1"],
+        ["--scenario", "B", "--amax", "nan"],
+        ["--scenario", "B", "--speed", "inf"],
+        ["--scenario", "A", "--T", "nan"],
+    ],
+)
+def test_bad_trajectory_settings_exit_with_config_error(argv, capsys):
+    assert main(["run", "--steps", "10", "--runs", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "rmse" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"mode": "fixed", "fixed_rho": 1.5},
+        {"mode": "fixed", "fixed_rho": -0.5},
+        {"mode": "fixed", "fixed_rho": float("nan")},
+        {"heading": float("nan")},
+    ],
+)
+def test_bad_config_values_exit_with_config_error(settings, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(settings))
+    argv = ["run", "--config", str(cfg), "--steps", "10", "--runs", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "rmse" not in captured.out
+
+
+@pytest.mark.parametrize("samples", ["nan", "inf", "-5", "0"])
+def test_validate_lemmas_rejects_bad_samples(samples, monkeypatch, capsys):
+    def checks_must_not_run(scale=1.0, verbose=True):
+        raise AssertionError(f"oracle suite ran at scale {scale}")
+
+    monkeypatch.setattr(paretoloc.validate, "run_all_checks", checks_must_not_run)
+    assert main(["validate-lemmas", "--samples", samples]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_validate_lemmas_exit_codes(monkeypatch):
     seen = {}
 

@@ -7,6 +7,7 @@ implementation; the scalar information Riccati fixed point in closed
 form; seeded Monte Carlo for the genuinely stochastic expectations.
 """
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy import integrate, special, stats
 
 from paretoloc.crlb import (
     SeriesDivergenceError,
+    SeriesExpectation,
     _truncate_alternating,
     d11,
     d12,
@@ -269,6 +271,79 @@ def test_diag_bounds_scale_invariance_and_validation():
     assert offdiag_bounds() == (-0.5, 0.5)
 
 
+def _truncate_all_orders(terms):
+    """Reference truncation over a fully evaluated term array."""
+    mags = np.abs(terms)
+    nonzero = np.nonzero(mags)[0]
+    if nonzero.size == 0:
+        return 0.0, len(terms), 0.0
+    start = nonzero[0]
+    if start + 1 < len(mags) and mags[start + 1] >= mags[start]:
+        raise SeriesDivergenceError(
+            "ratio-moment series diverges from the first term on; "
+            "use diag_expectation_mc instead"
+        )
+    cut = len(mags)
+    for i in range(start + 1, len(mags)):
+        if mags[i] >= mags[i - 1]:
+            cut = i
+            break
+    omitted = float(mags[cut]) if cut < len(mags) else float(mags[cut - 1])
+    return float(np.sum(terms[:cut])), cut, omitted
+
+
+def _series_all_orders(mu_q, sigma_q, mu_z, sigma_z, truncation=30,
+                       mc_budget=200_000, rng=None):
+    """Reference series that evaluates every outer order before truncating.
+
+    Same draws and the same per-order arithmetic as the library, so the
+    library's stop-at-the-cut evaluation must match it bit for bit.
+    """
+    lam_q = (mu_q / sigma_q) ** 2
+    lam_z = (mu_z / sigma_q) ** 2
+    scale = 1.0 + lam_q
+    moments_q = ncx2_central_moments(lam_q, truncation)
+    k = np.arange(1, truncation + 1)
+    inner_terms = ((-1.0) ** k) * moments_q[1:] / scale**k
+    inner_sum, inner_kept, inner_omitted = _truncate_all_orders(inner_terms)
+    upsilon = (1.0 + lam_z) / scale * (1.0 + inner_sum)
+    upsilon_err = (1.0 + lam_z) / scale * inner_omitted
+    q = rng.normal(math.sqrt(lam_q), 1.0, size=mc_budget)
+    z = rng.normal(math.copysign(math.sqrt(lam_z), mu_z), 1.0, size=mc_budget)
+    f = z**2 / q**2
+    denom = 1.0 + upsilon
+    outer_terms_arr = np.zeros(truncation)
+    outer_se = np.zeros(truncation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kk in range(2, truncation + 1):
+            centred = (f - upsilon) ** kk
+            outer_terms_arr[kk - 1] = (-1.0) ** kk * centred.mean() / denom**kk
+            outer_se[kk - 1] = centred.std(ddof=1) / math.sqrt(mc_budget) / denom**kk
+    outer_sum, outer_kept, outer_omitted = _truncate_all_orders(outer_terms_arr)
+    value = (1.0 + outer_sum) / denom
+    error = (
+        outer_omitted / 1.0
+        + upsilon_err / denom**2
+        + 3.0 * float(np.sum(outer_se[:outer_kept]))
+    )
+    return SeriesExpectation(
+        value=float(value),
+        error=float(error),
+        upsilon=float(upsilon),
+        inner_terms=inner_kept,
+        outer_terms=outer_kept,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """Bit patterns of every result field, or the divergence message."""
+    try:
+        result = fn(*args, **kwargs)
+    except SeriesDivergenceError as exc:
+        return ("diverges", str(exc))
+    return tuple(np.float64(v).tobytes() for v in astuple(result))
+
+
 def test_truncate_alternating():
     total, kept, omitted = _truncate_alternating(
         np.array([1.0, -0.5, 0.25, -0.4, 0.2])
@@ -279,6 +354,89 @@ def test_truncate_alternating():
     with pytest.raises(SeriesDivergenceError):
         _truncate_alternating(np.array([0.1, -0.2, 0.3]))
     assert _truncate_alternating(np.zeros(4)) == (0.0, 4, 0.0)
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        ([0.0, 0.0, 1.0, -0.5, 0.6], (0.5, 4, 0.6)),  # leading zeros kept
+        ([1.0, 0.0, 0.3, 0.1], (1.0, 2, 0.3)),  # zero right after the first
+        ([1.0, math.nan, 0.3, 0.1], (math.nan, 4, 0.1)),  # NaN never cuts
+        ([math.nan, 0.5, 0.6], (math.nan, 2, 0.6)),
+        ([math.inf, 1.0, -0.5, 2.0], (math.inf, 3, 2.0)),
+        ([1.0, -0.5, math.inf, 0.1], (0.5, 2, math.inf)),
+        ([1.0, -0.5, 0.25, -0.125], (0.625, 4, 0.125)),  # no cut
+        ([0.0, 2.0], (2.0, 2, 2.0)),
+    ],
+)
+def test_truncate_alternating_edge_cases(terms, expected):
+    got = _truncate_alternating(np.array(terms))
+    assert np.array_equal(got, _truncate_all_orders(np.array(terms)), equal_nan=True)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "terms", [[0.0, 1.0, 1.0], [math.inf, math.inf], [0.0, 1.0, math.inf]]
+)
+def test_truncate_alternating_divergence(terms):
+    with pytest.raises(SeriesDivergenceError):
+        _truncate_all_orders(np.array(terms))
+    with pytest.raises(SeriesDivergenceError):
+        _truncate_alternating(np.array(terms))
+
+
+def test_truncate_alternating_sums_a_long_series_like_the_reference():
+    # 30 kept terms: a running sum differs from numpy's pairwise sum
+    # in the last bit here, so the kept sum must come from np.sum
+    k = np.arange(30)
+    terms = (-1.0) ** k * np.exp(-0.1 * k) / 3.0
+    assert _truncate_alternating(iter(terms)) == _truncate_all_orders(terms)
+
+
+def test_truncate_alternating_reads_no_term_past_the_cut():
+    def terms():
+        yield from (0.0, 1.0, -0.5, 0.25, -0.3)
+        raise AssertionError("a term past the cut was requested")
+
+    assert _truncate_alternating(terms()) == (0.75, 4, 0.3)
+
+
+def test_series_matches_all_orders_reference_on_the_check_grid():
+    grid = (0.5, 1.0, 2.0, 3.0, 5.0)
+    outcomes = []
+    for mu_q in grid:
+        for mu_z in grid:
+            args = (mu_q, 1.0, mu_z, 1.0)
+            got = _outcome(
+                diag_expectation_series, *args, rng=np.random.default_rng((29, 1))
+            )
+            want = _outcome(
+                _series_all_orders, *args, rng=np.random.default_rng((29, 1))
+            )
+            assert got == want, args
+            outcomes.append(got[0] == "diverges")
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_series_matches_all_orders_reference_on_random_points():
+    rng = np.random.default_rng(2024)
+    diverged = 0
+    for i in range(150):
+        sigma = float(rng.uniform(0.2, 3.0))
+        mu_q = float(rng.uniform(0.0, 8.0)) * sigma
+        mu_z = float(rng.uniform(-8.0, 8.0)) * sigma
+        truncation = int(rng.integers(1, 31))
+        budget = int(rng.integers(200, 3000))
+        rng_lib = np.random.default_rng((7, i))
+        rng_ref = np.random.default_rng((7, i))
+        got = _outcome(diag_expectation_series, mu_q, sigma, mu_z, sigma,
+                       truncation=truncation, mc_budget=budget, rng=rng_lib)
+        want = _outcome(_series_all_orders, mu_q, sigma, mu_z, sigma,
+                        truncation=truncation, mc_budget=budget, rng=rng_ref)
+        assert got == want, (mu_q, mu_z, sigma, truncation, budget)
+        assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
+        diverged += got[0] == "diverges"
+    assert 10 < diverged < 140
 
 
 def test_series_expectation_agrees_with_sampling_where_it_converges():

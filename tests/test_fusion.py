@@ -165,6 +165,10 @@ def test_pareto_config_validation():
         ParetoConfig(mode="balanced")
     with pytest.raises(ValueError):
         ParetoConfig(beta_clip=0.0)
+    for rho in (-0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ParetoConfig(mode="fixed", fixed_rho=rho)
+    assert ParetoConfig(mode="fixed", fixed_rho=1.0).fixed_rho == 1.0
 
 
 def test_approximate_kinematics_cases():

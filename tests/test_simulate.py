@@ -210,6 +210,29 @@ def test_trajectory_spec_validation():
         TrajectorySpec(T=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("T", math.nan),
+        ("a_max", -1.0),
+        ("a_max", math.inf),
+        ("a_max", math.nan),
+        ("breakpoint_period", 0.0),
+        ("breakpoint_period", -2.0),
+        ("breakpoint_period", math.nan),
+        ("speed", math.nan),
+        ("speed", math.inf),
+        ("heading", math.nan),
+        ("heading", -math.inf),
+    ],
+)
+def test_trajectory_spec_rejects_bad_settings(field, value):
+    with pytest.raises(ValueError):
+        TrajectorySpec(kind="pwl", **{field: value})
+    with pytest.raises(ValueError):
+        dataclasses.replace(TrajectorySpec(kind="pwl"), **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # experiment harness
 # ---------------------------------------------------------------------------
