@@ -36,7 +36,7 @@ from .simulate import (
     crlb_traces,
     make_scenario,
     run_experiment,
-    sweep,
+    sweep_configs,
     write_crlb,
     write_run_trace,
     write_summary,
@@ -104,7 +104,10 @@ def _build_experiment(args) -> ExperimentConfig:
     for key, attr in (("steps", "steps"), ("T", "T"), ("speed", "speed")):
         if key in settings:
             overrides[attr] = settings[key]
-    if scenario.upper() == "B" and "amax" in settings:
+    if "amax" in settings:
+        # only the accelerating track has an acceleration cap to set
+        if scenario.upper() != "B":
+            raise ConfigError(f"amax applies only to scenario B, not {scenario}")
         overrides["a_max"] = settings["amax"]
     try:
         spec = make_scenario(scenario, **overrides)
@@ -178,10 +181,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _build_experiment(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+        experiments = sweep_configs(config, args.parameter, values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not experiments:
         raise ConfigError("no sweep values given")
-    rows = sweep(config, args.parameter, values)
+    rows = [(value, run_experiment(cfg)) for value, cfg in experiments]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -211,6 +218,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_crlb(args) -> int:
     if args.model != "cv":
         raise ConfigError(f"unknown bound model {args.model!r}")
+    if args.ensemble < 1:
+        raise ConfigError("--ensemble must be at least 1")
     args.scenario = args.scenario or "CV"
     config = _build_experiment(args)
     traces = crlb_traces(config, steps=args.steps, n_ensemble=args.ensemble)

@@ -784,7 +784,14 @@ def pcrlb_bounds(
     bracket matrices are obtained by swapping the bracketed Pi into the
     same step (so the entry-wise order is preserved exactly), then
     eigenvalue-ordered by `gershgorin_sandwich`.
+
+    Raises
+    ------
+    ValueError
+        If `n_ensemble` is less than 1.
     """
+    if n_ensemble < 1:
+        raise ValueError(f"n_ensemble must be at least 1, got {n_ensemble}")
     rng = np.random.default_rng() if rng is None else rng
     if j0 is None:
         j0 = default_prior_information()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,6 +410,32 @@ def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
     return rho[best][()], beta[()]
 
 
+def _choose_rho_beta(ctx: AxisContext, config: ParetoConfig) -> tuple:
+    """Per-axis (rho, beta) for the contexts `ctx`, by `config.mode`."""
+    if config.mode == "knee":
+        return select_rho(ctx, config)
+    if config.mode == "fixed":
+        beta = optimal_beta(config.fixed_rho, ctx, config)
+        return np.full_like(beta, config.fixed_rho), beta
+    beta = mse_beta(*second_moment_terms(ctx), config)  # mse
+    return np.full_like(beta, 0.5), beta
+
+
+def _context_rows(ctx: AxisContext, part: slice) -> AxisContext:
+    """The contexts of the rows `part` of a batch; T and the heading
+    attenuation are shared by all rows."""
+    return AxisContext(
+        ranging_mean=ctx.ranging_mean[part],
+        ranging_second=ctx.ranging_second[part],
+        prev_bias=ctx.prev_bias[part],
+        prev_variance=ctx.prev_variance[part],
+        dr_true_first=ctx.dr_true_first[part],
+        heading_attenuation=ctx.heading_attenuation,
+        dr_second=ctx.dr_second[part],
+        T=ctx.T,
+    )
+
+
 def approximate_kinematics(
     prev_prev,
     prev,
@@ -434,30 +461,47 @@ def approximate_kinematics(
     return speed[()], heading[()]
 
 
+def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
+    """(row slice, config) for each of `configs`, in order, splitting
+    `rows` rows into one equal block per config."""
+    size, rest = divmod(rows, len(configs))
+    if rest:
+        raise ValueError(f"{rows} rows do not split into {len(configs)} equal blocks")
+    return [(slice(i * size, (i + 1) * size), config) for i, config in enumerate(configs)]
+
+
 def init_fusion_batch(
     frame: MeasurementFrame,
     anchors: AnchorSet,
     geometry: RangingGeometry,
     range_model: RangeNoiseModel,
-    config: ParetoConfig,
+    configs: Sequence[ParetoConfig],
 ) -> FusionState:
     """Bootstrap a batch of fused states from WLS-only solves of the first
-    frames (a batched frame; see `init_fusion`)."""
+    frames (a batched frame; see `init_fusion`).
+
+    `configs` holds one ParetoConfig per equal block of rows, in row
+    order; a batch run under one config passes a sequence of one.
+    """
     r = np.maximum(frame.ranges, 0.0)
     estimate, bias, second = ranging_layer(
         geometry, r, range_variance(r, range_model), frame.ranges
     )
-    runs = estimate.shape[:-1]
+    rows = len(estimate)
+    last_speed, last_heading = np.empty(rows), np.empty(rows)
+    for part, config in _row_blocks(configs, rows):
+        last_speed[part] = config.initial_speed
+        last_heading[part] = config.initial_heading
     return FusionState(
         estimate=estimate,
         prev_estimate=None,
         bias_estimate=bias,
         error_variance=second.diagonal(0, -2, -1).copy(),
         k=frame.k,
-        last_speed=np.full(runs, float(config.initial_speed)),
-        last_heading=np.full(runs, float(config.initial_heading)),
-        last_beta=np.zeros(runs + (2,)),
-        last_rho=np.full(runs + (2,), 0.5),
+        last_speed=last_speed,
+        last_heading=last_heading,
+        last_beta=np.zeros((rows, 2)),
+        last_rho=np.full((rows, 2), 0.5),
     )
 
 
@@ -476,7 +520,7 @@ def init_fusion(
     batch of one run.
     """
     return init_fusion_batch(
-        frame.batch_of_one(), anchors, geometry, range_model, config
+        frame.batch_of_one(), anchors, geometry, range_model, (config,)
     ).unbatch()
 
 
@@ -487,14 +531,18 @@ def fusion_step_batch(
     geometry: RangingGeometry,
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
-    config: ParetoConfig,
+    configs: Sequence[ParetoConfig],
     T: float,
 ) -> FusionState:
     """Advance a batch of fused estimators by one batched measurement frame.
 
-    Every run and both axes are scored at once: the axis contexts have
-    shape (R, 2) and the knee search scans (R, 2, len(rho_grid)).  See
-    `fusion_step` for the approximations.
+    `configs` holds one ParetoConfig per equal block of rows, in row
+    order (a sequence of one for a batch under one config).  The dead
+    reckoning, the ranging layer and the axis contexts, of shape
+    (rows, 2), are computed once for all rows; beta and rho are chosen
+    per block by that block's mode, and the knee search scans
+    (block rows, 2, len(rho_grid)).  See `fusion_step` for the
+    approximations.
     """
     v_ap, phi_ap = approximate_kinematics(
         state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
@@ -525,14 +573,9 @@ def fusion_step_batch(
         ),
         T=T,
     )
-    if config.mode == "knee":
-        rho, beta = select_rho(ctx, config)
-    elif config.mode == "fixed":
-        beta = optimal_beta(config.fixed_rho, ctx, config)
-        rho = np.full_like(beta, config.fixed_rho)
-    else:  # mse
-        beta = mse_beta(*second_moment_terms(ctx), config)
-        rho = np.full_like(beta, 0.5)
+    rho, beta = np.empty_like(x_r), np.empty_like(x_r)
+    for part, config in _row_blocks(configs, len(x_r)):
+        rho[part], beta[part] = _choose_rho_beta(_context_rows(ctx, part), config)
 
     return FusionState(
         estimate=fuse(beta, x_r, x_v),
@@ -573,6 +616,6 @@ def fusion_step(
         geometry,
         range_model,
         sensor_model,
-        config,
+        (config,),
         T,
     ).unbatch()

@@ -372,7 +372,7 @@ def draw_run(config: ExperimentConfig, run: int) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class EngineSetup:
-    """Per-experiment constants the estimator kernels read.
+    """Constants the estimator kernels read.
 
     Attributes
     ----------
@@ -384,12 +384,16 @@ class EngineSetup:
         else the model of a CV-generated trajectory, else the default.
     mse_pareto : ParetoConfig
         `config.pareto` in "mse" mode, for the "mse" estimator.
+    variants : tuple
+        Variants of the batch being run, one per equal block of rows in
+        row order (see `EstimatorKernels.variant`).
     """
 
     config: ExperimentConfig
     geometry: RangingGeometry
     cv: CvProcessModel
     mse_pareto: ParetoConfig
+    variants: tuple = (None,)
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "EngineSetup":
@@ -406,50 +410,51 @@ class EngineSetup:
 
 @dataclass(frozen=True, slots=True)
 class EstimatorKernels:
-    """Batched kernels of one estimator.
+    """Batched kernels of one estimator, and its variant of them.
 
-    Each takes and returns a batch of R runs: `init(setup, frame)` builds
-    the state from the first frames, `step(setup, state, frame)` advances
-    it by one frame, and `position(state)` gives the estimates (R, 2).
+    Each kernel takes and returns a batch of rows: `init(setup, frame)`
+    builds the state from the first frames, `step(setup, state, frame)`
+    advances it by one frame, and `position(state)` gives the estimates
+    (rows, 2).  An estimator with no `step` is stateless: its estimate at
+    every frame is `position(init(setup, frame))`.
+
+    Estimators whose entries share `init`, `step` and `position` run as
+    one stacked batch, one block of rows each; `variant(setup)` gives
+    the value that tells an estimator's block apart, and the kernels
+    read the blocks' values from `setup.variants`.  The default variant
+    is None, for kernels that read none.
     """
 
     init: Callable
-    step: Callable
+    step: Callable | None
     position: Callable
+    variant: Callable = lambda setup: None
 
 
 def _wls_fix(setup: EngineSetup, frame: MeasurementFrame) -> np.ndarray:
-    """WLS fixes (R, 2), weights at the measured ranges (no prior estimate)."""
+    """WLS fixes (rows, 2), weights at the measured ranges (no prior estimate)."""
     r = np.maximum(frame.ranges, 0.0)
     weight = noise_cov_inverse(r, range_variance(r, setup.config.range_model))
     return wls_estimate(setup.geometry, frame.ranges, weight)
 
 
-def _pareto_kernels(pareto: Callable) -> EstimatorKernels:
-    """Kernels of the Pareto fusion run with the ParetoConfig `pareto(setup)`."""
-
-    def init(setup, frame):
-        cfg = setup.config
-        return init_fusion_batch(frame, cfg.anchors, setup.geometry, cfg.range_model, pareto(setup))
-
-    def step(setup, state, frame):
-        cfg = setup.config
-        return fusion_step_batch(
-            state,
-            frame,
-            cfg.anchors,
-            setup.geometry,
-            cfg.range_model,
-            cfg.sensor_model,
-            pareto(setup),
-            cfg.trajectory.T,
-        )
-
-    return EstimatorKernels(init, step, lambda state: state.estimate)
+def _pareto_init(setup, frame):
+    cfg = setup.config
+    return init_fusion_batch(frame, cfg.anchors, setup.geometry, cfg.range_model, setup.variants)
 
 
-def _wls_step(setup, state, frame):
-    return _wls_fix(setup, frame)
+def _pareto_step(setup, state, frame):
+    cfg = setup.config
+    return fusion_step_batch(
+        state,
+        frame,
+        cfg.anchors,
+        setup.geometry,
+        cfg.range_model,
+        cfg.sensor_model,
+        setup.variants,
+        cfg.trajectory.T,
+    )
 
 
 def _dr_step(setup, state, frame):
@@ -502,16 +507,25 @@ def _same(state):
     return state
 
 
+def _fusion_position(state):
+    return state.estimate
+
+
 def _filter_position(state):
     return state.mean[..., :2]
 
 
 # Batched kernels of every estimator, by name; the engine looks names up
-# here and nowhere else.
+# here and nowhere else.  "fusion" and "mse" share the Pareto kernels and
+# differ in their ParetoConfig.
 ESTIMATORS = {
-    "fusion": _pareto_kernels(lambda setup: setup.config.pareto),
-    "mse": _pareto_kernels(lambda setup: setup.mse_pareto),
-    "wls": EstimatorKernels(_wls_fix, _wls_step, _same),
+    "fusion": EstimatorKernels(
+        _pareto_init, _pareto_step, _fusion_position, lambda setup: setup.config.pareto
+    ),
+    "mse": EstimatorKernels(
+        _pareto_init, _pareto_step, _fusion_position, lambda setup: setup.mse_pareto
+    ),
+    "wls": EstimatorKernels(_wls_fix, None, _same),
     "dr": EstimatorKernels(_wls_fix, _dr_step, _same),
     "ekf": EstimatorKernels(_filter_init, _ekf_step, _filter_position),
     "ukf": EstimatorKernels(_filter_init, _ukf_step, _filter_position),
@@ -520,14 +534,49 @@ ESTIMATORS = {
 }
 KNOWN_ESTIMATORS = tuple(ESTIMATORS)
 
+# Most rows in one call of a stateless kernel.  The engine runs such a
+# kernel over blocks of whole time steps; this bound keeps the transient
+# (rows, M-1, M-1) weight stack of the WLS fix small.
+STATELESS_BLOCK_ROWS = 256
+
+
+def _stacks(names) -> list:
+    """The requested estimator names grouped by shared kernels, in order
+    of first request."""
+    stacks = {}
+    for name in dict.fromkeys(names):
+        kernels = ESTIMATORS[name]
+        stacks.setdefault((kernels.init, kernels.step, kernels.position), []).append(name)
+    return list(stacks.values())
+
 
 def _track(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
-    """Estimates (n, R, 2) of one estimator over measurements (n, R, ...)."""
+    """Estimates (n, rows, 2) of one batch over measurements (n, rows, ...)."""
+    trace = np.empty(speed.shape + (2,))
+    if kernels.step is None:
+        # Frames of several steps go into one call, reordered so that each
+        # variant's rows stay one block: (steps, blocks, runs) -> (blocks,
+        # steps, runs).
+        blocks = len(setup.variants)
+        runs = speed.shape[1] // blocks
+        per_call = max(1, STATELESS_BLOCK_ROWS // speed.shape[1])
+
+        def rows(x):
+            split = x.reshape((len(x), blocks, runs) + x.shape[2:])
+            return split.swapaxes(0, 1).reshape((-1,) + x.shape[2:])
+
+        for k in range(0, len(speed), per_call):
+            part = slice(k, k + per_call)
+            frame = MeasurementFrame(
+                ranges=rows(ranges[part]), speed=rows(speed[part]), heading=rows(heading[part]), k=k
+            )
+            estimate = kernels.position(kernels.init(setup, frame)).reshape(blocks, -1, runs, 2)
+            trace[part] = estimate.swapaxes(0, 1).reshape(-1, blocks * runs, 2)
+        return trace
     frames = [
         MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
         for k in range(len(ranges))
     ]
-    trace = np.empty(speed.shape + (2,))
     state = kernels.init(setup, frames[0])
     trace[0] = kernels.position(state)
     for k in range(1, len(frames)):
@@ -537,35 +586,45 @@ def _track(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading
 
 
 def _track_runs(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
-    """Estimates (n, R, 2) of one estimator, all runs in one batch.
+    """Estimates (n, blocks, R, 2) of one stack, blocks for `setup.variants`.
 
-    If the batch raises a numerical error, the runs are re-run one at a
-    time from the same measurements; a run that raises again is left NaN.
-    Each run's arithmetic is the same alone as in a batch, so the other
-    runs' estimates do not change.
+    Every block gets the same measurements (n, R, ...), and all blocks
+    and runs go in one batch.  If the batch raises a numerical error,
+    each (block, run) row is re-run alone with its block's variant; a row
+    that raises again is left NaN.  Each row's arithmetic is the same
+    alone as in a batch, so the other rows' estimates do not change.
     """
+    blocks, runs = len(setup.variants), speed.shape[1]
+    stacked = [np.concatenate((x,) * blocks, axis=1) for x in (ranges, speed, heading)]
     try:
-        return _track(kernels, setup, ranges, speed, heading)
+        return _track(kernels, setup, *stacked).reshape(len(speed), blocks, runs, 2)
     except (np.linalg.LinAlgError, ValueError):
         pass
-    trace = np.full(speed.shape + (2,), np.nan)
-    for run in range(speed.shape[1]):
-        one = slice(run, run + 1)
-        try:
-            trace[:, one] = _track(kernels, setup, ranges[:, one], speed[:, one], heading[:, one])
-        except (np.linalg.LinAlgError, ValueError):
-            pass
+    trace = np.full((len(speed), blocks, runs, 2), np.nan)
+    for block, variant in enumerate(setup.variants):
+        alone = dataclasses.replace(setup, variants=(variant,))
+        for run in range(runs):
+            one = slice(run, run + 1)
+            try:
+                trace[:, block, one] = _track(
+                    kernels, alone, ranges[:, one], speed[:, one], heading[:, one]
+                )
+            except (np.linalg.LinAlgError, ValueError):
+                pass
     return trace
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run all configured estimators over paired Monte Carlo realizations.
 
-    Every run's truth and measurements are drawn up front (`draw_run`);
-    then each estimator advances all runs together, one batched step per
-    time step.  A (run, estimator) pair that raised a numerical error or
-    produced a non-finite estimate at any step is excluded: its row of
-    `errors` is NaN and it is counted in `excluded`.
+    Every run's truth and measurements are drawn up front (`draw_run`).
+    Estimators that share kernels (see `EstimatorKernels`) then run as
+    one stacked batch, one block of rows each, which advances all their
+    runs with one kernel call per time step; a stateless estimator is
+    called on blocks of whole time steps.  A (run, estimator) pair that
+    raised a numerical error or produced a non-finite estimate at any
+    step is excluded: its row of `errors` is NaN and it is counted in
+    `excluded`.
     """
     setup = EngineSetup.from_config(config)
     draws = [draw_run(config, run) for run in range(config.runs)]
@@ -573,10 +632,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
     n = config.trajectory.steps
 
+    traces = {}
+    for names in _stacks(config.estimators):
+        variants = tuple(ESTIMATORS[name].variant(setup) for name in names)
+        stacked = _track_runs(
+            ESTIMATORS[names[0]], dataclasses.replace(setup, variants=variants), ranges, speed, heading
+        )
+        traces.update((name, stacked[:, block]) for block, name in enumerate(names))
+
     errors, excluded, estimate_traces = {}, {}, {}
     rmse, p95 = {}, {}
     for name in config.estimators:
-        trace = _track_runs(ESTIMATORS[name], setup, ranges, speed, heading)
+        trace = traces[name]
         err = np.linalg.norm(trace - positions, axis=-1).T.copy()
         ok = np.all(np.isfinite(err), axis=1)
         err[~ok] = np.nan
@@ -603,28 +670,51 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     )
 
 
-def sweep(config: ExperimentConfig, parameter: str, values) -> list:
-    """Re-run the experiment for each value of one trajectory parameter.
+def sweep_configs(config: ExperimentConfig, parameter: str, values) -> list:
+    """The experiment of each value of one trajectory parameter, every one
+    built and checked before any is run.
 
     Parameters
     ----------
     parameter : str
-        "speed", "amax", or "T".
+        "speed", "amax", or "T".  "amax" needs a "pwl" trajectory: the
+        other kinds have no acceleration cap.
     values : iterable of float
+
+    Returns
+    -------
+    list of (value, ExperimentConfig)
+
+    Raises
+    ------
+    ValueError
+        For an unknown parameter, "amax" on a trajectory that does not
+        read it, or a value the trajectory rejects.
+    """
+    attr = {"speed": "speed", "amax": "a_max", "T": "T"}.get(parameter)
+    if attr is None:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if attr == "a_max" and config.trajectory.kind != "pwl":
+        raise ValueError(
+            f"amax applies only to 'pwl' trajectories, not {config.trajectory.kind!r}"
+        )
+    out = []
+    for value in values:
+        spec = dataclasses.replace(config.trajectory, **{attr: float(value)})
+        out.append((float(value), dataclasses.replace(config, trajectory=spec)))
+    return out
+
+
+def sweep(config: ExperimentConfig, parameter: str, values) -> list:
+    """Re-run the experiment for each value of one trajectory parameter.
+
+    Every value is checked before the first run (see `sweep_configs`).
 
     Returns
     -------
     list of (value, RunResult)
     """
-    attr = {"speed": "speed", "amax": "a_max", "T": "T"}.get(parameter)
-    if attr is None:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    out = []
-    for value in values:
-        spec = dataclasses.replace(config.trajectory, **{attr: float(value)})
-        cfg = dataclasses.replace(config, trajectory=spec)
-        out.append((float(value), run_experiment(cfg)))
-    return out
+    return [(value, run_experiment(cfg)) for value, cfg in sweep_configs(config, parameter, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paretoloc.cli
 import paretoloc.validate
 from paretoloc.cli import ConfigError, _load_config_file, build_parser, main
 from paretoloc.validate import CheckResult
@@ -209,6 +210,44 @@ def test_bad_config_values_exit_with_config_error(settings, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "rmse" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "B", "--parameter", "amax", "--values", "0.5,-1"],
+        ["sweep", "--scenario", "B", "--parameter", "amax", "--values", "0.1,abc"],
+        ["sweep", "--scenario", "A", "--parameter", "T", "--values", "0.1,0"],
+        ["sweep", "--scenario", "A", "--parameter", "amax", "--values", "0.1,0.9"],
+        ["run", "--scenario", "A", "--amax", "-1", "--estimators", "fusion"],
+        ["run", "--scenario", "A", "--amax", "0.5"],
+        ["run", "--scenario", "CV", "--amax", "0.5"],
+        ["crlb", "--amax", "0.5"],
+    ],
+)
+def test_bad_sweep_values_and_stray_amax_exit_before_any_run(argv, monkeypatch, capsys):
+    def must_not_run(config, *args, **kwargs):
+        raise AssertionError("an experiment ran despite a config error")
+
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
+    assert main([*argv, "--runs", "1", "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
+
+
+def test_amax_in_a_config_file_needs_scenario_b(tmp_path, capsys):
+    cfg = tmp_path / "amax.json"
+    cfg.write_text(json.dumps({"scenario": "A", "amax": 0.3}))
+    assert main(["run", "--config", str(cfg), "--steps", "10", "--runs", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble", ["0", "-3"])
+def test_crlb_rejects_an_empty_ensemble(ensemble, capsys):
+    assert main(["crlb", "--steps", "5", "--ensemble", ensemble]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["nan", "inf", "-5", "0"])

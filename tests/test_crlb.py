@@ -589,6 +589,16 @@ def test_parcrlb_trace_custom_prior():
     assert np.all(tight < loose)
 
 
+@pytest.mark.parametrize("n_ensemble", [0, -3])
+def test_pcrlb_bounds_rejects_an_empty_ensemble(n_ensemble):
+    model, sensors = RangeNoiseModel(), SensorNoiseModel()
+    with pytest.raises(ValueError, match="n_ensemble"):
+        pcrlb_bounds(
+            CV, ANCHORS, model, sensors, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6,
+            n_ensemble=n_ensemble, rng=np.random.default_rng(13),
+        )
+
+
 def test_pcrlb_bounds_small_ensemble():
     model, sensors = RangeNoiseModel(), SensorNoiseModel()
     out = pcrlb_bounds(

@@ -25,7 +25,7 @@ from paretoloc.filters import (
     position_init,
     ukf_step,
 )
-from paretoloc.fusion import fusion_step, init_fusion
+from paretoloc.fusion import ParetoConfig, fusion_step, fusion_step_batch, init_fusion
 from paretoloc.models import (
     CvProcessModel,
     DEFAULT_ANCHORS,
@@ -338,6 +338,113 @@ def test_a_failing_run_is_excluded_alone(monkeypatch):
     assert forced.rmse["ekf"] == pytest.approx(float(np.mean(ok)), rel=1e-12)
 
 
+@pytest.mark.parametrize("runs", [1, 6])
+@pytest.mark.parametrize("mode", ["knee", "fixed", "mse"])
+def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0].estimate))
+        return fusion_step_batch(*args, **kwargs)
+
+    config = _small_config(
+        trajectory=scenario_pwl(steps=60),
+        pareto=ParetoConfig(mode=mode, fixed_rho=0.3),
+        estimators=("fusion", "mse"),
+        runs=runs,
+    )
+    monkeypatch.setattr(simulate, "fusion_step_batch", counted)
+    both = run_experiment(config)
+    # one kernel call per step advances both estimators' rows
+    assert calls == [2 * runs] * (config.trajectory.steps - 1)
+    for name in ("fusion", "mse"):
+        alone = run_experiment(dataclasses.replace(config, estimators=(name,)))
+        np.testing.assert_array_equal(both.errors[name], alone.errors[name], err_msg=name)
+        np.testing.assert_array_equal(
+            both.estimate_traces[name], alone.estimate_traces[name], err_msg=name
+        )
+
+
+@pytest.mark.parametrize("runs", [1, 7])
+def test_wls_over_blocks_of_steps_matches_the_per_step_loop(runs, monkeypatch):
+    rows = []
+
+    def counted(geometry, measured_ranges, weight):
+        rows.append(len(measured_ranges))
+        return wls_estimate(geometry, measured_ranges, weight)
+
+    config = _small_config(trajectory=scenario_pwl(steps=300), estimators=("wls",), runs=runs)
+    monkeypatch.setattr(simulate, "wls_estimate", counted)
+    result = run_experiment(config)
+    per_call = simulate.STATELESS_BLOCK_ROWS // runs
+    assert rows[:-1] == [per_call * runs] * (len(rows) - 1)
+    assert len(rows) == math.ceil(300 / per_call) and sum(rows) == 300 * runs
+
+    geometry = build_geometry(config.anchors)
+    for run in range(runs):
+        positions, ranges, _, _ = draw_run(config, run)
+        loop = []
+        for k in range(len(ranges)):
+            r = np.maximum(ranges[k], 0.0)
+            weight = noise_cov_inverse(r, range_variance(r, config.range_model))
+            loop.append(wls_estimate(geometry, ranges[k], weight))
+        err = np.linalg.norm(np.array(loop) - positions, axis=-1)
+        np.testing.assert_array_equal(result.errors["wls"][run], err)
+
+
+def test_a_stateless_stack_keeps_each_variant_in_its_block(monkeypatch):
+    # two names share stateless kernels; each block's fixes are shifted by
+    # its own variant, so rows reaching the wrong block would show
+    wls = simulate.ESTIMATORS["wls"]
+
+    def init(setup, frame):
+        fix = wls.init(setup, frame)
+        size = len(fix) // len(setup.variants)
+        return fix + np.repeat(np.array(setup.variants), size)[:, None]
+
+    for name, shift in (("wls", 0.0), ("wls-shifted", 1.0)):
+        kernels = simulate.EstimatorKernels(init, None, wls.position, lambda setup, s=shift: s)
+        monkeypatch.setitem(simulate.ESTIMATORS, name, kernels)
+    monkeypatch.setattr(simulate, "KNOWN_ESTIMATORS", tuple(simulate.ESTIMATORS))
+    config = _small_config(
+        trajectory=scenario_pwl(steps=300), estimators=("wls", "wls-shifted"), runs=3
+    )
+    result = run_experiment(config)
+    traces = result.estimate_traces
+    np.testing.assert_array_equal(traces["wls-shifted"], traces["wls"] + 1.0)
+
+
+def test_a_failing_row_of_a_stack_is_excluded_alone(monkeypatch):
+    config = _small_config(estimators=("fusion", "mse"), runs=4)
+    clean = run_experiment(config)
+    marked = draw_run(config, 2)[1]  # run 2's measured ranges (steps, M)
+    pareto_step = simulate.ESTIMATORS["mse"].step
+    stacked = []
+
+    def step(setup, state, frame):
+        modes = [variant.mode for variant in setup.variants]
+        stacked.append(len(modes) > 1)
+        size = len(frame.speed) // len(modes)
+        for block, mode in enumerate(modes):
+            ranges = frame.ranges[block * size : (block + 1) * size]
+            if mode == "mse" and frame.k == 10 and np.any(np.all(ranges == marked[10], axis=-1)):
+                raise np.linalg.LinAlgError("forced failure of run 2 of mse")
+        return pareto_step(setup, state, frame)
+
+    for name in ("fusion", "mse"):
+        kernels = dataclasses.replace(simulate.ESTIMATORS[name], step=step)
+        monkeypatch.setitem(simulate.ESTIMATORS, name, kernels)
+    forced = run_experiment(config)
+    assert stacked[0]
+    assert forced.excluded == {"fusion": 0, "mse": 1}
+    assert np.all(np.isnan(forced.errors["mse"][2]))
+    keep = [0, 1, 3]
+    np.testing.assert_array_equal(forced.errors["mse"][keep], clean.errors["mse"][keep])
+    np.testing.assert_array_equal(forced.errors["fusion"], clean.errors["fusion"])
+    for name in ("fusion", "mse"):
+        np.testing.assert_array_equal(forced.estimate_traces[name], clean.estimate_traces[name])
+
+
 def test_non_finite_runs_are_excluded_and_counted():
     # Range noise growing as exp(5 r) swamps the ranging at the cell's far
     # anchors: every estimator diverges to a non-finite value in some run,
@@ -453,6 +560,26 @@ def test_sweep_varies_one_parameter_without_touching_config():
     assert out[0][0] == 0.2
     with pytest.raises(ValueError):
         sweep(config, "wind", [1.0])
+
+
+@pytest.mark.parametrize(
+    "trajectory, parameter, values",
+    [
+        (scenario_pwl(steps=50), "amax", [0.5, -1.0]),
+        (scenario_linear(steps=50), "T", [0.1, 0.0]),
+        (scenario_linear(steps=50), "speed", [0.1, math.nan]),
+        (scenario_linear(steps=50), "amax", [0.1, 0.9]),
+        (scenario_cv(steps=50), "amax", [0.1]),
+    ],
+)
+def test_sweep_checks_every_value_before_the_first_run(trajectory, parameter, values, monkeypatch):
+    def must_not_run(config):
+        raise AssertionError("an experiment ran before every value was checked")
+
+    monkeypatch.setattr(simulate, "run_experiment", must_not_run)
+    config = _small_config(trajectory=trajectory, runs=1)
+    with pytest.raises(ValueError):
+        sweep(config, parameter, values)
 
 
 # ---------------------------------------------------------------------------
