@@ -9,7 +9,8 @@ sweep           re-runs the experiment over a parameter grid; writes a
 crlb            parametric / posterior bound traces as CSV
 validate-lemmas closed-form-vs-Monte-Carlo oracle suite
 
-Exit codes: 0 success, 1 validation failure, 2 bad usage or config.
+Exit codes: 0 success; 1 a failed oracle check, or a `run`/`sweep` with
+an excluded (run, estimator) pair; 2 bad usage or config.
 """
 
 from __future__ import annotations
@@ -162,6 +163,18 @@ def _build_experiment(args) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _report_excluded(result, label: str = "") -> bool:
+    """One stderr line per estimator with excluded runs; True if any."""
+    excluded = [name for name in result.estimators if result.excluded[name]]
+    for name in excluded:
+        print(
+            f"{label}{name}: {result.excluded[name]}/{result.runs} runs excluded "
+            "(a step raised or gave a non-finite estimate)",
+            file=sys.stderr,
+        )
+    return bool(excluded)
+
+
 def _cmd_run(args) -> int:
     config = _build_experiment(args)
     result = run_experiment(config)
@@ -176,7 +189,7 @@ def _cmd_run(args) -> int:
             f"p95 = {result.p95[name] * 100.0:.2f} cm, "
             f"excluded {result.excluded[name]}/{result.runs}"
         )
-    return 0
+    return 1 if _report_excluded(result) else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -209,10 +222,17 @@ def _cmd_sweep(args) -> int:
                         ]
                     )
         print(f"sweep written to {args.out}")
+    any_excluded = False
     for value, result in rows:
-        best = min(result.rmse, key=lambda k: result.rmse[k])
-        print(f"{args.parameter} = {value:g}: best {best} ({result.rmse[best] * 100.0:.2f} cm)")
-    return 0
+        label = f"{args.parameter} = {value:g}: "
+        finished = {name: r for name, r in result.rmse.items() if math.isfinite(r)}
+        if finished:
+            best = min(finished, key=finished.get)
+            print(f"{label}best {best} ({finished[best] * 100.0:.2f} cm)")
+        else:
+            print(f"{label}no estimator finished")
+        any_excluded |= _report_excluded(result, label)
+    return 1 if any_excluded else 0
 
 
 def _cmd_crlb(args) -> int:

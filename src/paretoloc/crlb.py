@@ -292,24 +292,6 @@ def expected_log_ncx2(lam: float) -> float:
     return float(np.sum(pmf * special.digamma(0.5 + n)) + math.log(2.0))
 
 
-def kummer_a_derivative(z: float, max_terms: int = 400) -> float:
-    """Series sum_{n>=1} z^n / (n (1/2)_n): the confluent-hypergeometric
-    a-derivative at a = 0, b = 1/2.
-
-    Entire in z, but alternating with large terms for very negative z;
-    intended for moderate |z| (cross-checks `expected_log_ncx2`, which is
-    stable everywhere).
-    """
-    acc = 0.0
-    term = 1.0  # z^n / (1/2)_n, built incrementally
-    for n in range(1, max_terms + 1):
-        term *= z / (0.5 + (n - 1))
-        acc += term / n
-        if abs(term / n) < 1e-17 * max(1.0, abs(acc)):
-            break
-    return acc
-
-
 def diag_bounds(
     mu_q: float, sigma_q: float, mu_z: float, sigma_z: float
 ) -> tuple:

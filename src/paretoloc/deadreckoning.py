@@ -14,35 +14,10 @@ and analogously for sine (second-harmonic sign flipped).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import MeasurementFrame
-
-
-@dataclass(slots=True)
-class DrMoments:
-    """Closed-form moments of the noisy displacement direction terms.
-
-    Attributes
-    ----------
-    first_cos, first_sin : float
-        E{V_meas cos(phi_meas)} and E{V_meas sin(phi_meas)}.
-    second_cos, second_sin : float
-        E{V_meas^2 cos^2(phi_meas)} and E{V_meas^2 sin^2(phi_meas)}.
-    """
-
-    first_cos: float
-    first_sin: float
-    second_cos: float
-    second_sin: float
-
-    def first(self, axis: int) -> float:
-        return self.first_cos if axis == 0 else self.first_sin
-
-    def second(self, axis: int) -> float:
-        return self.second_cos if axis == 0 else self.second_sin
 
 
 def heading_vector(phi) -> np.ndarray:
@@ -100,12 +75,3 @@ def dr_second_moment(
     prefactor = sigma_v**2 if speed_power_form else v**2 + sigma_v**2
     return prefactor * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
 
-
-def dr_moments(v: float, sigma_v: float, phi: float, sigma_phi: float) -> DrMoments:
-    """All four displacement moments for one (speed, heading) operating point."""
-    return DrMoments(
-        first_cos=dr_first_moment(v, phi, sigma_phi, axis=0),
-        first_sin=dr_first_moment(v, phi, sigma_phi, axis=1),
-        second_cos=dr_second_moment(v, sigma_v, phi, sigma_phi, axis=0),
-        second_sin=dr_second_moment(v, sigma_v, phi, sigma_phi, axis=1),
-    )

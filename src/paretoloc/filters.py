@@ -237,28 +237,6 @@ def _unscented_correct(
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
-def unscented_update(
-    state: KfState, z: np.ndarray, h, r_cov: np.ndarray, kappa: float = 1.0
-) -> KfState:
-    """Generic unscented measurement update.
-
-    Parameters
-    ----------
-    state : KfState
-        Predicted belief.
-    z : np.ndarray
-        Measurement vector.
-    h : callable
-        Measurement function mapping a state vector to a measurement
-        vector.
-    r_cov : np.ndarray
-        Additive measurement noise covariance.
-    """
-    points, weights = _sigma_points(state.mean, state.covariance, kappa)
-    z_points = np.array([h(p) for p in points])
-    return _unscented_correct(state, points, weights, z_points, z, r_cov)
-
-
 def ukf_step_batch(
     state: KfState,
     frame: MeasurementFrame,
@@ -347,38 +325,18 @@ def lckf_step(
     ).unbatch()
 
 
-def numerical_jacobian(f, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of f at x.
-
-    Per-component step h_i = max(h_scale, h_scale * |x_i|).  Row i holds
-    the partials of output i with respect to each input.  For a stack of
-    points x (..., n) and an f that maps stacks row by row, the result is
-    one Jacobian per row, (..., m, n).
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.maximum(h_scale, h_scale * np.abs(x))
-    columns = []
-    for j in range(x.shape[-1]):
-        xp, xm = x.copy(), x.copy()
-        xp[..., j] += h[..., j]
-        xm[..., j] -= h[..., j]
-        diff = np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)
-        columns.append(diff / (2.0 * h[..., j, None]))
-    return np.stack(columns, axis=-1)
-
-
-def cv_transition_jacobian(state: np.ndarray, T: float) -> np.ndarray:
-    """Analytic Jacobian of the constant-velocity transition (4, 4)."""
-    _, _, v, phi = np.asarray(state, dtype=float)
+def cv_transition_jacobian(state, T: float) -> np.ndarray:
+    """Analytic Jacobian of the constant-velocity transition: (4, 4) at a
+    state (4,), one per row (..., 4, 4) for a stack of states (..., 4)."""
+    state = np.asarray(state, dtype=float)
+    v, phi = state[..., 2], state[..., 3]
     c, s = np.cos(phi), np.sin(phi)
-    return np.array(
-        [
-            [1.0, 0.0, T * c, -T * v * s],
-            [0.0, 1.0, T * s, T * v * c],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    jac = np.tile(np.eye(4), state.shape[:-1] + (1, 1))
+    jac[..., 0, 2] = T * c
+    jac[..., 0, 3] = -T * v * s
+    jac[..., 1, 2] = T * s
+    jac[..., 1, 3] = T * v * c
+    return jac
 
 
 def ekf_cv_step_batch(
@@ -391,9 +349,8 @@ def ekf_cv_step_batch(
 ) -> KfState:
     """EKF cycle on the 4-D constant-velocity state, for a batch of runs
     (see `ekf_cv_step`)."""
-    f = cv_model.transition
-    f_jac = numerical_jacobian(f, state.mean)
-    mean_pred = f(state.mean)
+    f_jac = cv_transition_jacobian(state.mean, cv_model.T)
+    mean_pred = cv_model.transition(state.mean)
     cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + cv_model.q_matrix())
 
     r_hat, d = _range_jacobian(mean_pred[..., :2], anchors)
@@ -423,11 +380,10 @@ def ekf_cv_step(
 ) -> KfState:
     """One EKF cycle on the 4-D constant-velocity state.
 
-    Speed and heading join the ranges as measurements; the transition
-    Jacobian is obtained by central differences on the CV transition (the
-    analytic form exists and is used as a test oracle, the filter itself
-    exercises the numerical path).  This is `ekf_cv_step_batch` on a
-    batch of one run.
+    Speed and heading join the ranges as measurements; the covariance is
+    predicted through the analytic transition Jacobian
+    `cv_transition_jacobian`.  This is `ekf_cv_step_batch` on a batch of
+    one run.
     """
     return ekf_cv_step_batch(
         state.batch_of_one(), frame.batch_of_one(), anchors, cv_model, range_model, sensor_model

@@ -46,28 +46,6 @@ _AXES = np.arange(2)
 
 
 @dataclass(slots=True)
-class VarianceComponents:
-    """The three variance contributions to one axis of the fused error.
-
-    Attributes
-    ----------
-    sigma_vr_sq : float
-        Variance of the (zero-mean part of the) ranging error.
-    sigma_vx_sq : float
-        Variance of the previous step's fused error.
-    sigma_vv_sq : float
-        Variance of the dead-reckoned displacement T * V~ trig(phi~).
-    """
-
-    sigma_vr_sq: float
-    sigma_vx_sq: float
-    sigma_vv_sq: float
-
-    def total(self) -> float:
-        return self.sigma_vr_sq + self.sigma_vx_sq + self.sigma_vv_sq
-
-
-@dataclass(slots=True)
 class AxisContext:
     """Everything one axis needs to score a candidate beta at one step.
 
@@ -119,23 +97,18 @@ class AxisContext:
 
     @property
     def sigma_vr_sq(self) -> float:
+        """Variance of the ranging error, E{w_r^2} - E{w_r}^2."""
         return self.ranging_second - self.ranging_mean**2
 
     @property
     def sigma_vv_sq(self) -> float:
+        """Variance of the dead-reckoned displacement T V~ trig(phi~)."""
         return self.T**2 * (self.dr_second - self.dr_first**2)
 
     @property
     def gamma(self) -> float:
         """Mean of the beta-multiplied error part: -E{w_r} + E{w_k} + drift."""
         return -self.ranging_mean + self.prev_bias + self.drift
-
-    def components(self) -> VarianceComponents:
-        return VarianceComponents(
-            sigma_vr_sq=self.sigma_vr_sq,
-            sigma_vx_sq=self.prev_variance,
-            sigma_vv_sq=self.sigma_vv_sq,
-        )
 
 
 @dataclass(slots=True)
@@ -153,7 +126,7 @@ class ParetoConfig:
         so bias/variance recursions stay contractive.
     mode : str
         "knee" (grid-balanced rho), "fixed" (use `fixed_rho`) or "mse"
-        (plain MSE minimiser, equivalent to rho = 1/2).
+        (rho = 1/2, where the objective is half the mean square error).
     fixed_rho : float
         Pareto weight used when mode == "fixed".
     initial_speed, initial_heading : float
@@ -269,43 +242,16 @@ def bias_recursion(beta: float, ctx: AxisContext) -> float:
     return (1.0 - beta) * ctx.ranging_mean + beta * ctx.prev_bias + beta * ctx.drift
 
 
-def second_moment_terms(ctx: AxisContext) -> tuple:
-    """Quadratic coefficients (a_k, b_k) of the fused error second moment.
-
-    E{w_{k+1}^2} = beta^2 a_k + 2 beta b_k + E{w_r^2}, with
-
-    a_k = E{w_r^2} + E{w_k^2} + T^2 E{V~^2 trig^2}
-          + T^2 V^2 trig^2 (1 - 2 exp(-sigma_phi^2/2))
-          - 2 E{w_k} E{w_r} - 2 E{w_r} c + 2 E{w_k} c,
-    b_k = -E{w_r^2} + E{w_k} E{w_r} + E{w_r} c,
-
-    where c is the dead-reckoning drift term.  Algebraically
-    a_k = gamma^2 + eta >= 0 and b_k = E{w_r} gamma - sigma_vr^2.
-    """
-    prev_second = ctx.prev_bias**2 + ctx.prev_variance
-    c = ctx.drift
-    a_k = (
-        ctx.ranging_second
-        + prev_second
-        + ctx.T**2 * ctx.dr_second
-        + ctx.T**2 * ctx.dr_true_first**2 * (1.0 - 2.0 * ctx.heading_attenuation)
-        - 2.0 * ctx.prev_bias * ctx.ranging_mean
-        - 2.0 * ctx.ranging_mean * c
-        + 2.0 * ctx.prev_bias * c
-    )
-    b_k = -ctx.ranging_second + ctx.prev_bias * ctx.ranging_mean + ctx.ranging_mean * c
-    return a_k, b_k
-
-
-def error_variance(beta: float, comps: VarianceComponents) -> float:
+def error_variance(beta: float, ctx: AxisContext) -> float:
     """Variance of the fused error after one step with the given beta.
 
-    sigma^2 = (1 - beta)^2 sigma_vr^2 + beta^2 sigma_vx^2 + beta^2 sigma_vv^2.
+    sigma^2 = (1 - beta)^2 sigma_vr^2 + beta^2 sigma_vx^2 + beta^2 sigma_vv^2,
+    with sigma_vx^2 the previous step's variance `ctx.prev_variance`.
     """
     return (
-        (1.0 - beta) ** 2 * comps.sigma_vr_sq
-        + beta**2 * comps.sigma_vx_sq
-        + beta**2 * comps.sigma_vv_sq
+        (1.0 - beta) ** 2 * ctx.sigma_vr_sq
+        + beta**2 * ctx.prev_variance
+        + beta**2 * ctx.sigma_vv_sq
     )
 
 
@@ -316,15 +262,17 @@ def _clamp_beta(xi, config: ParetoConfig):
     return np.copysign(np.minimum(np.abs(beta), config.beta_clip), beta)
 
 
-def _pareto_beta(rho, ranging_mean, comps: VarianceComponents, gamma, config: ParetoConfig) -> tuple:
+def _pareto_beta(rho, ctx: AxisContext, config: ParetoConfig) -> tuple:
     """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise.
 
     Returns (beta, degenerate): beta is 0 where the objective has no
     curvature (non-positive denominator), and `degenerate` marks those
     elements.
     """
-    num = 2.0 * (1.0 - rho) * comps.sigma_vr_sq - 2.0 * rho * gamma * ranging_mean
-    den = 2.0 * (1.0 - rho) * comps.total() + 2.0 * rho * gamma**2
+    sigma_vr_sq, gamma = ctx.sigma_vr_sq, ctx.gamma
+    eta = sigma_vr_sq + ctx.prev_variance + ctx.sigma_vv_sq
+    num = 2.0 * (1.0 - rho) * sigma_vr_sq - 2.0 * rho * gamma * ctx.ranging_mean
+    den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
     degenerate = den <= 0.0
     xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
     return _clamp_beta(xi, config), degenerate
@@ -348,7 +296,7 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
         config = ParetoConfig()
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    beta, degenerate = _pareto_beta(rho, ctx.ranging_mean, ctx.components(), ctx.gamma, config)
+    beta, degenerate = _pareto_beta(rho, ctx, config)
     if np.any(degenerate):
         warnings.warn(
             "degenerate beta objective (zero curvature); falling back to beta = 0",
@@ -356,24 +304,6 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
             stacklevel=2,
         )
     return beta[()]
-
-
-def mse_beta(a_k: float, b_k: float, config: ParetoConfig | None = None) -> float:
-    """Plain MSE-minimising beta: clamp(-b_k / a_k) to the feasible domain.
-
-    Works elementwise on arrays of coefficients.
-
-    Raises
-    ------
-    ValueError
-        If a_k <= 0 (the second moment would not be convex in beta,
-        which cannot happen for genuine moments).
-    """
-    if config is None:
-        config = ParetoConfig()
-    if np.any(a_k <= 0.0):
-        raise ValueError(f"a_k must be positive, got {a_k}")
-    return _clamp_beta(-b_k / a_k, config)[()]
 
 
 def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
@@ -391,19 +321,16 @@ def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
     (rho_star, beta_star) : tuple
         Floats, or arrays of the context's shape.
     """
-    comps = ctx.components()
 
     def along_grid(x):
-        return np.asarray(x)[..., None]
+        # scalar fields (T and the heading attenuation of a batch) broadcast as they are
+        return x[..., None] if isinstance(x, np.ndarray) else x
 
     grid = AxisContext(*(along_grid(getattr(ctx, name)) for name in AxisContext.__slots__))
-    grid_comps = VarianceComponents(
-        along_grid(comps.sigma_vr_sq), along_grid(comps.sigma_vx_sq), along_grid(comps.sigma_vv_sq)
-    )
     rho = config.rho_grid
-    betas, _ = _pareto_beta(rho, grid.ranging_mean, grid_comps, along_grid(ctx.gamma), config)
+    betas, _ = _pareto_beta(rho, grid, config)
     mu = bias_recursion(betas, grid)
-    var = error_variance(betas, grid_comps)
+    var = error_variance(betas, grid)
     best = np.argmin((var - mu**2) ** 2, axis=-1)
     flat = betas.reshape(-1, rho.size)
     beta = flat[np.arange(flat.shape[0]), best.reshape(-1)].reshape(best.shape)
@@ -414,11 +341,10 @@ def _choose_rho_beta(ctx: AxisContext, config: ParetoConfig) -> tuple:
     """Per-axis (rho, beta) for the contexts `ctx`, by `config.mode`."""
     if config.mode == "knee":
         return select_rho(ctx, config)
-    if config.mode == "fixed":
-        beta = optimal_beta(config.fixed_rho, ctx, config)
-        return np.full_like(beta, config.fixed_rho), beta
-    beta = mse_beta(*second_moment_terms(ctx), config)  # mse
-    return np.full_like(beta, 0.5), beta
+    # "mse" is the rho = 1/2 point of the same objective
+    rho = config.fixed_rho if config.mode == "fixed" else 0.5
+    beta = optimal_beta(rho, ctx, config)
+    return np.full_like(beta, rho), beta
 
 
 def _context_rows(ctx: AxisContext, part: slice) -> AxisContext:
@@ -581,7 +507,7 @@ def fusion_step_batch(
         estimate=fuse(beta, x_r, x_v),
         prev_estimate=state.estimate,
         bias_estimate=bias_recursion(beta, ctx),
-        error_variance=error_variance(beta, ctx.components()),
+        error_variance=error_variance(beta, ctx),
         k=frame.k,
         last_speed=v_ap,
         last_heading=phi_ap,

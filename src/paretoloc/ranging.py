@@ -40,29 +40,6 @@ class RangingGeometry:
     offset_vector: np.ndarray
 
 
-@dataclass(slots=True)
-class RangingErrorMoments:
-    """First and second moments of the WLS position error.
-
-    Attributes
-    ----------
-    mean : np.ndarray
-        Estimator bias (2,): E{x_hat - x}.
-    correlation : np.ndarray
-        Raw error correlation (2, 2): E{(x_hat - x)(x_hat - x)^T}.
-    link_variances : np.ndarray
-        Per-anchor range-noise variances (M,) the moments were built from.
-    """
-
-    mean: np.ndarray
-    correlation: np.ndarray
-    link_variances: np.ndarray
-
-    def variance(self) -> np.ndarray:
-        """Per-axis variances (2,): diag(correlation) - mean^2."""
-        return np.diag(self.correlation) - self.mean**2
-
-
 def build_geometry(anchors: AnchorSet) -> RangingGeometry:
     """Design matrix and offset vector for an anchor set.
 
@@ -257,19 +234,3 @@ def ranging_layer(
     corr = solution[..., 2:] + bias[..., :, None] * bias[..., None, :]
     return fix, bias, 0.5 * (corr + corr.swapaxes(-1, -2))
 
-
-def ranging_error_moments(
-    geometry: RangingGeometry, ranges, variances
-) -> RangingErrorMoments:
-    """Bias and raw correlation of the WLS error for given ranges/variances.
-
-    Builds the weight matrix internally from the same ranges and
-    variances, which is the configuration every closed-form expression
-    here assumes.
-    """
-    w = noise_cov_inverse(ranges, variances)
-    return RangingErrorMoments(
-        mean=ranging_bias(geometry, w, variances),
-        correlation=ranging_second_moment(geometry, w, ranges, variances),
-        link_variances=np.asarray(variances, dtype=float).copy(),
-    )

@@ -32,9 +32,7 @@ from .fusion import (
     ParetoConfig,
     bias_recursion,
     error_variance,
-    mse_beta,
     optimal_beta,
-    second_moment_terms,
 )
 from .models import AnchorSet, CvProcessModel, RangeNoiseModel, SensorNoiseModel
 from .ranging import (
@@ -241,12 +239,50 @@ def _random_axis_context(rng: np.random.Generator) -> AxisContext:
     )
 
 
+def _second_moment_terms(ctx: AxisContext) -> tuple:
+    """Paper-form quadratic coefficients (a_k, b_k) of the fused error
+    second moment.
+
+    E{w_{k+1}^2} = beta^2 a_k + 2 beta b_k + E{w_r^2}, with
+
+    a_k = E{w_r^2} + E{w_k^2} + T^2 E{V~^2 trig^2}
+          + T^2 V^2 trig^2 (1 - 2 exp(-sigma_phi^2/2))
+          - 2 E{w_k} E{w_r} - 2 E{w_r} c + 2 E{w_k} c,
+    b_k = -E{w_r^2} + E{w_k} E{w_r} + E{w_r} c,
+
+    where c is the dead-reckoning drift term.  Algebraically
+    a_k = gamma^2 + eta >= 0 and b_k = E{w_r} gamma - sigma_vr^2.
+    """
+    prev_second = ctx.prev_bias**2 + ctx.prev_variance
+    c = ctx.drift
+    a_k = (
+        ctx.ranging_second
+        + prev_second
+        + ctx.T**2 * ctx.dr_second
+        + ctx.T**2 * ctx.dr_true_first**2 * (1.0 - 2.0 * ctx.heading_attenuation)
+        - 2.0 * ctx.prev_bias * ctx.ranging_mean
+        - 2.0 * ctx.ranging_mean * c
+        + 2.0 * ctx.prev_bias * c
+    )
+    b_k = -ctx.ranging_second + ctx.prev_bias * ctx.ranging_mean + ctx.ranging_mean * c
+    return a_k, b_k
+
+
+def _mse_beta(a_k: float, b_k: float, config: ParetoConfig) -> float:
+    """Paper-form MSE minimiser: -b_k / a_k, clipped to the feasible domain
+    and to |beta| <= beta_clip."""
+    lo, hi = config.beta_domain
+    beta = min(max(-b_k / a_k, lo), hi)
+    return min(max(beta, -config.beta_clip), config.beta_clip)
+
+
 def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
     """Closed-form beta vs a brute-force grid minimiser, plus the MSE link.
 
     100 random operating points; the stationary-point formula must land
     within 2e-4 of the 1e-4-step grid argmin of the exact objective, and
-    the dedicated MSE minimiser must equal the rho = 1/2 case to 1e-9.
+    the paper-form MSE minimiser -b_k / a_k must equal the rho = 1/2
+    case to 1e-9.
     """
     rng = np.random.default_rng(seed)
     config = ParetoConfig(beta_clip=1.0)
@@ -256,24 +292,23 @@ def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
     for _ in range(100):
         ctx = _random_axis_context(rng)
         rho = float(rng.uniform(0.0, 1.0))
-        comps = ctx.components()
         mu = (
             (1.0 - beta_grid) * ctx.ranging_mean
             + beta_grid * ctx.prev_bias
             + beta_grid * ctx.drift
         )
         var = (
-            (1.0 - beta_grid) ** 2 * comps.sigma_vr_sq
-            + beta_grid**2 * comps.sigma_vx_sq
-            + beta_grid**2 * comps.sigma_vv_sq
+            (1.0 - beta_grid) ** 2 * ctx.sigma_vr_sq
+            + beta_grid**2 * ctx.prev_variance
+            + beta_grid**2 * ctx.sigma_vv_sq
         )
         objective = rho * mu**2 + (1.0 - rho) * var
         brute = float(beta_grid[int(np.argmin(objective))])
         closed = optimal_beta(rho, ctx, config)
         worst_grid = max(worst_grid, abs(closed - brute))
-        a_k, b_k = second_moment_terms(ctx)
+        a_k, b_k = _second_moment_terms(ctx)
         worst_mse = max(
-            worst_mse, abs(mse_beta(a_k, b_k, config) - optimal_beta(0.5, ctx, config))
+            worst_mse, abs(_mse_beta(a_k, b_k, config) - optimal_beta(0.5, ctx, config))
         )
     passed = worst_grid <= 2e-4 and worst_mse <= 1e-9
     return CheckResult(
@@ -341,14 +376,11 @@ def check_fisher_blocks(scale: float = 1.0, seed: int = 27) -> CheckResult:
     v = v0 + rng.normal(0.0, math.sqrt((k - 1) * cv.sigma3_sq), size=m)
     phi = phi0 + rng.normal(0.0, math.sqrt((k - 1) * cv.sigma4_sq), size=m)
     q_inv = np.linalg.inv(cv.q_matrix())
-    acc11 = np.zeros((4, 4))
-    acc_f = np.zeros((4, 4))
-    for vi, pi in zip(v, phi):
-        f_jac = cv_transition_jacobian(np.array([0.0, 0.0, vi, pi]), cv.T)
-        acc11 += f_jac.T @ q_inv @ f_jac
-        acc_f += f_jac
-    mc11 = acc11 / m
-    mc12 = -(acc_f / m).T @ q_inv
+    states = np.zeros((m, 4))
+    states[:, 2], states[:, 3] = v, phi
+    f_jac = cv_transition_jacobian(states, cv.T)
+    mc11 = (f_jac.swapaxes(-1, -2) @ q_inv @ f_jac).mean(axis=0)
+    mc12 = -f_jac.mean(axis=0).T @ q_inv
     tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, k)
     ref = d11(tm, cv, corrected=False)
     fixed = d11(tm, cv, corrected=True)

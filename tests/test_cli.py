@@ -307,3 +307,56 @@ def test_console_entry_point_is_wired(capsys):
         if ep.group == "console_scripts" and ep.name == "paretoloc"
     ]
     assert targets == [scripts["paretoloc"]]
+
+
+def _excluded_counts(stdout: str) -> dict:
+    """estimator -> excluded count, from the summary lines of `run`."""
+    counts = {}
+    for line in stdout.splitlines():
+        name, sep, rest = line.partition(": rmse =")
+        if sep:
+            counts[name] = int(rest.rpartition("excluded ")[2].split("/")[0])
+    return counts
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [50.0, 5.0])
+def test_run_with_excluded_runs_exits_one(kappa, tmp_path, capsys):
+    # range noise that grows as exp(kappa r) ruins whole runs; the summary
+    # still prints, and the exit code and stderr say that runs were lost
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": kappa}))
+    code = main(
+        ["run", "--scenario", "B", "--runs", "3", "--steps", "60", "--config", str(config)]
+    )
+    captured = capsys.readouterr()
+    counts = _excluded_counts(captured.out)
+    assert code == 1
+    assert counts["fusion"] == 3
+    lines = [line for line in captured.err.splitlines() if "runs excluded" in line]
+    assert lines == [
+        f"{name}: {n}/3 runs excluded (a step raised or gave a non-finite estimate)"
+        for name, n in counts.items()
+        if n
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": 50.0}))
+    argv = ["sweep", "--scenario", "B", "--runs", "3", "--steps", "60", "--config", str(config),
+            "--parameter", "amax", "--values", "0.1,0.5"]
+    assert main(argv + ["--estimators", "fusion,wls"]) == 1
+    captured = capsys.readouterr()
+    assert "amax = 0.1: no estimator finished" in captured.out
+    assert "amax = 0.5: no estimator finished" in captured.out
+    assert "nan" not in captured.out
+    assert "amax = 0.5: wls: 3/3 runs excluded" in captured.err
+
+    # with one estimator left standing, the best is the finite one
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        assert "best ekf (" in line and "nan" not in line
+

@@ -15,15 +15,14 @@ from numpy.testing import assert_allclose
 from paretoloc.filters import (
     KfState,
     _sigma_points,
+    _unscented_correct,
     cv_init,
     cv_transition_jacobian,
     ekf_cv_step,
     ekf_step,
     lckf_step,
-    numerical_jacobian,
     position_init,
     ukf_step,
-    unscented_update,
 )
 from paretoloc.models import (
     AnchorSet,
@@ -49,6 +48,30 @@ QUIET_SENSORS = SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0)
 def _random_spd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def numerical_jacobian(f, x, h_scale=1e-6):
+    """Central-difference Jacobian of f at x (oracle for the analytic forms).
+
+    Per-component step h_i = max(h_scale, h_scale * |x_i|); row i holds
+    the partials of output i.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.maximum(h_scale, h_scale * np.abs(x))
+    columns = []
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h[j]
+        xm[j] -= h[j]
+        columns.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h[j]))
+    return np.stack(columns, axis=-1)
+
+
+def unscented_update(state, z, h, r_cov):
+    """Unscented measurement update of `state` through a measurement function h."""
+    points, weights = _sigma_points(state.mean, state.covariance)
+    z_points = np.array([h(p) for p in points])
+    return _unscented_correct(state, points, weights, z_points, z, r_cov)
 
 
 def test_sigma_points_reconstruct_moments():
@@ -110,6 +133,24 @@ def test_cv_transition_jacobian_matches_numerical():
         numerical_jacobian(cv.transition, state),
         atol=1e-7,
     )
+
+
+def test_stacked_cv_transition_jacobian_equals_per_row_calls():
+    # the EKF-CV step calls the Jacobian once on its (R, 4) batch: each
+    # row must carry the bits of the single-state call, and the
+    # central-difference oracle's values
+    cv = CvProcessModel(T=0.1)
+    rng = np.random.default_rng(8)
+    states = np.column_stack(
+        [rng.uniform(-5.0, 5.0, (64, 2)), rng.uniform(0.0, 2.0, 64), rng.uniform(-4.0, 4.0, 64)]
+    )
+    stacked = cv_transition_jacobian(states, cv.T)
+    assert stacked.shape == (64, 4, 4)
+    for row, state in enumerate(states):
+        np.testing.assert_array_equal(stacked[row], cv_transition_jacobian(state, cv.T))
+        assert_allclose(stacked[row], numerical_jacobian(cv.transition, state), atol=1e-7)
+    grid = cv_transition_jacobian(states.reshape(8, 8, 4), cv.T)
+    np.testing.assert_array_equal(grid, stacked.reshape(8, 8, 4, 4))
 
 
 def test_inits():

@@ -6,8 +6,11 @@ optimisers against brute-force grid minimisation of the exact objective.
 """
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from paretoloc.deadreckoning import dr_second_moment
@@ -20,10 +23,10 @@ from paretoloc.fusion import (
     error_variance,
     fuse,
     fusion_step,
+    fusion_step_batch,
     init_fusion,
-    mse_beta,
+    init_fusion_batch,
     optimal_beta,
-    second_moment_terms,
     select_rho,
 )
 from paretoloc.models import (
@@ -33,10 +36,12 @@ from paretoloc.models import (
     SensorNoiseModel,
     SensorStreams,
     TruthState,
+    draw_measurements,
     synthesize_measurements,
     true_ranges,
 )
 from paretoloc.ranging import build_geometry
+from paretoloc.validate import _mse_beta, _second_moment_terms
 
 
 def _context(v=0.4, phi=0.6, sigma_v=0.05, sigma_phi=math.pi / 8.0, axis=0):
@@ -77,17 +82,17 @@ def test_recursion_matches_error_ensemble():
     se_mean = w_next.std(ddof=1) / math.sqrt(n)
     assert abs(w_next.mean() - bias_recursion(beta, ctx)) < 4.0 * se_mean
     assert w_next.var(ddof=1) == pytest.approx(
-        error_variance(beta, ctx.components()), rel=0.01
+        error_variance(beta, ctx), rel=0.01
     )
     # raw second moment through the quadratic coefficients
-    a_k, b_k = second_moment_terms(ctx)
+    a_k, b_k = _second_moment_terms(ctx)
     predicted = beta**2 * a_k + 2.0 * beta * b_k + ctx.ranging_second
     assert np.mean(w_next**2) == pytest.approx(predicted, rel=0.01)
 
 
 def test_second_moment_terms_closed_forms():
     ctx = _context()
-    a_k, b_k = second_moment_terms(ctx)
+    a_k, b_k = _second_moment_terms(ctx)
     eta = ctx.sigma_vr_sq + ctx.prev_variance + ctx.sigma_vv_sq
     assert a_k == pytest.approx(ctx.gamma**2 + eta, rel=1e-12)
     assert b_k == pytest.approx(
@@ -132,14 +137,37 @@ def test_optimal_beta_validation_and_clip():
     assert optimal_beta(1.0, clipped) == pytest.approx(0.99)
 
 
-def test_mse_beta_equals_even_weighting():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        ctx = _context(v=rng.uniform(0.0, 1.0), phi=rng.uniform(-math.pi, math.pi))
-        a_k, b_k = second_moment_terms(ctx)
-        assert mse_beta(a_k, b_k) == pytest.approx(optimal_beta(0.5, ctx), abs=1e-9)
-    with pytest.raises(ValueError):
-        mse_beta(-1.0, 0.0)
+@given(
+    ranging_mean=st.floats(-0.3, 0.3),
+    sigma_vr_sq=st.floats(1e-4, 0.25),
+    prev_bias=st.floats(-0.3, 0.3),
+    prev_variance=st.floats(1e-6, 0.04),
+    dr_true_first=st.floats(-1.0, 1.0),
+    attenuation=st.floats(0.3, 1.0),
+    sigma_vv_sq=st.floats(1e-8, 0.01),
+    beta_clip=st.floats(0.5, 1.0),
+)
+def test_paper_form_mse_beta_equals_even_weighting(
+    ranging_mean, sigma_vr_sq, prev_bias, prev_variance, dr_true_first, attenuation,
+    sigma_vv_sq, beta_clip,
+):
+    # "mse" mode runs optimal_beta at rho = 1/2; the paper's own form
+    # minimises beta^2 a_k + 2 beta b_k and must give the same beta
+    t_step = 0.1
+    dr_first = dr_true_first * attenuation
+    ctx = AxisContext(
+        ranging_mean=ranging_mean,
+        ranging_second=sigma_vr_sq + ranging_mean**2,
+        prev_bias=prev_bias,
+        prev_variance=prev_variance,
+        dr_true_first=dr_true_first,
+        heading_attenuation=attenuation,
+        dr_second=dr_first**2 + sigma_vv_sq / t_step**2,
+        T=t_step,
+    )
+    config = ParetoConfig(beta_clip=beta_clip)
+    a_k, b_k = _second_moment_terms(ctx)
+    assert _mse_beta(a_k, b_k, config) == pytest.approx(optimal_beta(0.5, ctx, config), abs=1e-9)
 
 
 def test_select_rho_minimises_balance_gap():
@@ -152,7 +180,7 @@ def test_select_rho_minimises_balance_gap():
     def gap(rho):
         beta = optimal_beta(rho, ctx, config)
         mu = bias_recursion(beta, ctx)
-        var = error_variance(beta, ctx.components())
+        var = error_variance(beta, ctx)
         return (var - mu**2) ** 2
 
     chosen = gap(rho_star)
@@ -258,3 +286,39 @@ def test_init_fusion_populates_moments():
     assert np.all(state.error_variance > 0.0)
     # clean ranges: the bootstrap solve is the true position
     assert_allclose(state.estimate, [1.5, 2.0], atol=1e-8)
+
+
+def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
+    # the "mse" mode has no beta formula of its own: a batch stepped under
+    # mode="mse" and under mode="fixed", fixed_rho=0.5 carries the same bits
+    geometry = build_geometry(ANCHORS)
+    range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
+    runs, steps, t_step = 5, 40, 0.1
+    headings = np.linspace(0.2, 2.0, runs)
+    truth = np.array([1.0, 1.2]) + 0.03 * np.arange(steps)[:, None, None] * np.stack(
+        [np.cos(headings), np.sin(headings)], axis=-1
+    )
+    draws = [
+        draw_measurements(
+            truth[:, run], np.full(steps, 0.3), np.full(steps, headings[run]),
+            ANCHORS, range_model, sensor_model, SensorStreams.from_seed(run),
+        )
+        for run in range(runs)
+    ]
+    ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
+    frames = [MeasurementFrame(ranges[k], speed[k], heading[k], k) for k in range(steps)]
+    mse = ParetoConfig(mode="mse", initial_speed=0.3)
+    fixed = ParetoConfig(mode="fixed", fixed_rho=0.5, initial_speed=0.3)
+    states = []
+    for config in (mse, fixed):
+        state = init_fusion_batch(frames[0], ANCHORS, geometry, range_model, (config,))
+        for frame in frames[1:]:
+            state = fusion_step_batch(
+                state, frame, ANCHORS, geometry, range_model, sensor_model, (config,), t_step
+            )
+        states.append(state)
+    assert np.all(np.isfinite(states[0].estimate))
+    for field in dataclasses.fields(FusionState):
+        np.testing.assert_array_equal(
+            getattr(states[0], field.name), getattr(states[1], field.name), err_msg=field.name
+        )

@@ -13,7 +13,6 @@ from paretoloc.ranging import (
     build_geometry,
     noise_cov_inverse,
     ranging_bias,
-    ranging_error_moments,
     ranging_layer,
     ranging_second_moment,
     wls_estimate,
@@ -115,17 +114,15 @@ def test_noise_second_moment_and_error_correlation_match_sampling():
     assert np.linalg.norm(mc - closed) / np.linalg.norm(closed) < 0.02
 
 
-def test_ranging_error_moments_bundle():
+def test_ranging_layer_moments_are_a_valid_covariance():
     geometry, r, var = _operating_point()
-    moments = ranging_error_moments(geometry, r, var)
+    _, bias, corr = ranging_layer(geometry, r, var, r)
     w = noise_cov_inverse(r, var)
-    assert_allclose(moments.mean, ranging_bias(geometry, w, var), atol=1e-12)
-    assert_allclose(
-        moments.correlation, ranging_second_moment(geometry, w, r, var), atol=1e-12
-    )
-    assert np.all(moments.variance() > 0.0)
+    assert_allclose(bias, ranging_bias(geometry, w, var), atol=1e-12)
+    assert_allclose(corr, ranging_second_moment(geometry, w, r, var), atol=1e-12)
+    assert np.all(np.diag(corr) - bias**2 > 0.0)
     # raw correlation minus squared bias must stay a valid covariance
-    cov = moments.correlation - np.outer(moments.mean, moments.mean)
+    cov = corr - np.outer(bias, bias)
     assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
@@ -134,8 +131,8 @@ def test_wls_error_scale_matches_prediction():
     geometry, r, var = _operating_point()
     rng = np.random.default_rng(303)
     n = 20000
-    moments = ranging_error_moments(geometry, r, var)
     w = noise_cov_inverse(r, var)
+    correlation = ranging_second_moment(geometry, w, r, var)
     est = np.array(
         [
             wls_estimate(geometry, r + rng.normal(0.0, np.sqrt(var)), w)
@@ -145,7 +142,7 @@ def test_wls_error_scale_matches_prediction():
     err = est - POSITION
     mc = err.T @ err / n
     assert_allclose(
-        np.diag(mc), np.diag(moments.correlation), rtol=0.05
+        np.diag(mc), np.diag(correlation), rtol=0.05
     )
 
 
