@@ -12,10 +12,11 @@ import numpy as np
 from paretoloc.fusion import ParetoConfig, fusion_step, init_fusion
 from paretoloc.models import (
     DEFAULT_ANCHORS,
+    MeasurementFrame,
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    synthesize_measurements,
+    draw_measurements,
 )
 from paretoloc.ranging import build_geometry
 from paretoloc.simulate import (
@@ -45,25 +46,32 @@ print(f"  fraction of fused errors under 7 cm: {np.mean(errors < 0.07):.3f}")
 # one realization by hand, to look inside the estimator
 print("\nper-axis beta along one realization (every 30th step):")
 spec = config.trajectory
-truth = gen_trajectory(spec, np.random.default_rng(1))
-streams = SensorStreams.from_seed(1)
+positions, true_speed, true_heading = gen_trajectory(spec, np.random.default_rng(1))
 range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
-frames = [
-    synthesize_measurements(s, DEFAULT_ANCHORS, range_model, sensor_model, streams)
-    for s in truth
-]
+ranges, speed, heading = draw_measurements(
+    positions, true_speed, true_heading, DEFAULT_ANCHORS, range_model, sensor_model,
+    SensorStreams.from_seed(1),
+)
+
+
+def frame(k):
+    """Step k's measurements as a batch of one run."""
+    return MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
+
+
 geometry = build_geometry(DEFAULT_ANCHORS)
-pareto = ParetoConfig(initial_speed=spec.speed, initial_heading=spec.heading)
-state = init_fusion(frames[0], DEFAULT_ANCHORS, geometry, range_model, pareto)
-for k, frame in enumerate(frames[1:], start=1):
+pareto = (ParetoConfig(initial_speed=spec.speed, initial_heading=spec.heading),)
+state = init_fusion(frame(0), DEFAULT_ANCHORS, geometry, range_model, pareto)
+for k in range(1, spec.steps):
     state = fusion_step(
-        state, frame, DEFAULT_ANCHORS, geometry, range_model, sensor_model,
+        state, frame(k), DEFAULT_ANCHORS, geometry, range_model, sensor_model,
         pareto, spec.T,
     )
     if k % 30 == 0:
-        err = np.linalg.norm(state.estimate - truth[k].position)
+        err = np.linalg.norm(state.estimate[0] - positions[k])
+        beta, rho = state.last_beta[0], state.last_rho[0]
         print(
-            f"  k={k:3d}  beta=({state.last_beta[0]:+.2f}, {state.last_beta[1]:+.2f})  "
-            f"rho=({state.last_rho[0]:.2f}, {state.last_rho[1]:.2f})  "
+            f"  k={k:3d}  beta=({beta[0]:+.2f}, {beta[1]:+.2f})  "
+            f"rho=({rho[0]:.2f}, {rho[1]:.2f})  "
             f"err {err * 100.0:4.1f} cm"
         )

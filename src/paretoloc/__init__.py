@@ -32,14 +32,10 @@ from .filters import (
     cv_init,
     cv_transition_jacobian,
     ekf_cv_step,
-    ekf_cv_step_batch,
     ekf_step,
-    ekf_step_batch,
     lckf_step,
-    lckf_step_batch,
     position_init,
     ukf_step,
-    ukf_step_batch,
 )
 from .fusion import (
     AxisContext,
@@ -50,9 +46,7 @@ from .fusion import (
     error_variance,
     fuse,
     fusion_step,
-    fusion_step_batch,
     init_fusion,
-    init_fusion_batch,
     optimal_beta,
     select_rho,
 )
@@ -64,10 +58,9 @@ from .models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    TruthState,
+    cv_rollout,
     draw_measurements,
     range_variance,
-    synthesize_measurements,
     true_ranges,
 )
 from .ranging import (

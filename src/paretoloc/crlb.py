@@ -34,6 +34,7 @@ from .models import (
     CvProcessModel,
     RangeNoiseModel,
     SensorNoiseModel,
+    cv_rollout,
     range_variance,
 )
 
@@ -623,7 +624,7 @@ def measurement_information(
 
 
 def parcrlb_trace(
-    truth: list,
+    truth: tuple,
     anchors: AnchorSet,
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
@@ -639,7 +640,9 @@ def parcrlb_trace(
 
     Parameters
     ----------
-    truth : list of TruthState
+    truth : tuple
+        (positions (N, 2), speed (N,), heading (N,)) of the true states,
+        as `gen_trajectory` returns them.
     T : float
         Step period entering the transition Jacobian.
     j0 : np.ndarray, optional
@@ -654,22 +657,21 @@ def parcrlb_trace(
 
     if j0 is None:
         j0 = default_prior_information()
-    n = len(truth)
+    positions, speed, heading = truth
+    states = np.column_stack([positions, speed, heading])
+    n = len(states)
     j_seq = np.empty((n, 4, 4))
     bound = np.empty(n)
+    f_jacs = cv_transition_jacobian(states[:-1], T)
 
-    def state_vec(s):
-        return np.array([s.position[0], s.position[1], s.speed, s.heading])
-
-    j = j0 + measurement_information(state_vec(truth[0]), anchors, range_model, sensor_model)
+    j = j0 + measurement_information(states[0], anchors, range_model, sensor_model)
     j_seq[0] = j
     bound[0] = position_error_bound(j)
     eye = np.eye(4)
     for k in range(1, n):
-        f_jac = cv_transition_jacobian(state_vec(truth[k - 1]), T)
-        f_inv = np.linalg.solve(f_jac, eye)
+        f_inv = np.linalg.solve(f_jacs[k - 1], eye)
         j = f_inv.T @ j @ f_inv + measurement_information(
-            state_vec(truth[k]), anchors, range_model, sensor_model
+            states[k], anchors, range_model, sensor_model
         )
         j = 0.5 * (j + j.T)
         j_seq[k] = j
@@ -756,7 +758,6 @@ def pcrlb_bounds(
     j0: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     epsilon: float = 1e-6,
-    corrected_d11: bool = False,
 ) -> PcrlbResult:
     """Posterior bound and its bracket along CV-model rollouts.
 
@@ -778,8 +779,7 @@ def pcrlb_bounds(
     if j0 is None:
         j0 = default_prior_information()
     x0 = np.asarray(x0, dtype=float)
-    ensemble = np.tile(np.array([x0[0], x0[1], v0, phi0]), (n_ensemble, 1))
-    sig = np.sqrt(np.array([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq]))
+    rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
 
     j_seq = np.empty((steps, 4, 4))
     lb_seq = np.empty((steps, 4, 4))
@@ -790,8 +790,8 @@ def pcrlb_bounds(
     sandwich_ok = np.empty(steps, dtype=bool)
 
     # Step k = 1: deterministic initial state, prior + first measurement.
-    pi_hat, _ = pi_expectation_mc(ensemble[:1, :2], anchors, range_model)
-    pi_lb, pi_ub = _pi_elementwise_brackets(ensemble[:1, :2], anchors, range_model)
+    pi_hat, _ = pi_expectation_mc(rollout[0, :1, :2], anchors, range_model)
+    pi_lb, pi_ub = _pi_elementwise_brackets(rollout[0, :1, :2], anchors, range_model)
     meas = np.zeros((4, 4))
     meas[2, 2] = 1.0 / sensor_model.sigma_v**2
     meas[3, 3] = 1.0 / sensor_model.sigma_phi**2
@@ -819,15 +819,12 @@ def pcrlb_bounds(
     for i in range(1, steps):
         k = i  # source step index (1-based) of the transition
         tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, k)
-        d11_mat = d11(tm, cv, corrected=corrected_d11)
+        d11_mat = d11(tm, cv)
         d12_mat = d12(tm, cv)
-        # roll the ensemble to step k + 1
-        c, s = np.cos(ensemble[:, 3]), np.sin(ensemble[:, 3])
-        ensemble[:, 0] += cv.T * ensemble[:, 2] * c
-        ensemble[:, 1] += cv.T * ensemble[:, 2] * s
-        ensemble += rng.normal(0.0, 1.0, size=ensemble.shape) * sig[None, :]
-        pi_hat, _ = pi_expectation_mc(ensemble[:, :2], anchors, range_model)
-        pi_lb, pi_ub = _pi_elementwise_brackets(ensemble[:, :2], anchors, range_model)
+        # the ensemble at step k + 1
+        ensemble = rollout[i, :, :2]
+        pi_hat, _ = pi_expectation_mc(ensemble, anchors, range_model)
+        pi_lb, pi_ub = _pi_elementwise_brackets(ensemble, anchors, range_model)
         d22_mc = d22(pi_hat, cv, sensor_model)
         d22_lb = d22(pi_lb, cv, sensor_model)
         d22_ub = d22(pi_ub, cv, sensor_model)

@@ -55,23 +55,14 @@ def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int = 0) -> fl
 
 
 def dr_second_moment(
-    v: float,
-    sigma_v: float,
-    phi: float,
-    sigma_phi: float,
-    axis: int = 0,
-    speed_power_form: bool = False,
+    v: float, sigma_v: float, phi: float, sigma_phi: float, axis: int = 0
 ) -> float:
     """E{V_meas^2 cos^2(phi_meas)} (axis 0) or the sin^2 analog (axis 1).
 
-    The exact prefactor is the full speed second moment V^2 + sigma_v^2.
-    `speed_power_form=True` swaps it for sigma_v^2 alone, a variant that
-    drops the deterministic part of the speed power; it is kept only so
-    the two can be compared numerically and is wrong as a moment.
+    The prefactor is the full speed second moment V^2 + sigma_v^2.
     `v`, `phi` and `axis` may be arrays; they broadcast elementwise.
     """
     # cos(2 phi) on axis 0, -cos(2 phi) on axis 1
     double_angle = np.cos(2.0 * np.asarray(phi, dtype=float)) * (1.0 - 2.0 * np.asarray(axis))
-    prefactor = sigma_v**2 if speed_power_form else v**2 + sigma_v**2
-    return prefactor * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
+    return (v**2 + sigma_v**2) * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
 

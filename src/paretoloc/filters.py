@@ -8,9 +8,8 @@ to a WLS position fix), plus one 4-D EKF that instead models
 heading as measurements.  All filters share the distance-dependent range
 noise model, evaluated at predicted ranges.
 
-Each filter step is written once, as a kernel on a batch of runs (a
-leading run axis on every state and measurement array); the public
-single-run step functions call it on a batch of one.
+Each filter step is a kernel on a batch of runs: a leading run axis on
+every state and measurement array.  One run is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,38 +28,26 @@ from .models import (
     range_variance,
     true_ranges,
 )
-from .ranging import RangingGeometry, build_geometry, ranging_layer
+from .ranging import RangingGeometry, ranging_layer
 
 _MIN_RANGE = 1e-9
 
 
 @dataclass(slots=True)
 class KfState:
-    """Gaussian filter belief, for one run or a batch of R runs.
+    """Gaussian filter beliefs of a batch of R runs (or other rows).
 
     Attributes
     ----------
     mean : np.ndarray
-        State mean, (2,) for the position filters, (4,) for the CV filter;
-        (R, 2) or (R, 4) for a batch.
+        State means, (R, 2) for the position filters, (R, 4) for the CV
+        filter.
     covariance : np.ndarray
-        State covariance, matching square shape (with the leading R axis
-        for a batch).
+        State covariances, (R, 2, 2) or (R, 4, 4).
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-
-    def batch_of_one(self) -> "KfState":
-        """This single-run belief as a batch of one run (copies)."""
-        return KfState(
-            mean=np.array(self.mean, dtype=float)[None],
-            covariance=np.array(self.covariance, dtype=float)[None],
-        )
-
-    def unbatch(self) -> "KfState":
-        """The single run of a batch of one."""
-        return KfState(mean=self.mean[0], covariance=self.covariance[0])
 
 
 def position_init(position, variance: float = 1.0) -> KfState:
@@ -153,22 +140,6 @@ def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: 
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
-def ekf_step_batch(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-) -> KfState:
-    """EKF cycle on a batch of runs (see `ekf_step`)."""
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat, h = _range_jacobian(pred.mean, anchors)
-    return _kalman_update(
-        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, range_model))
-    )
-
-
 def ekf_step(
     state: KfState,
     frame: MeasurementFrame,
@@ -177,16 +148,17 @@ def ekf_step(
     sensor_model: SensorNoiseModel,
     T: float,
 ) -> KfState:
-    """One EKF predict/update cycle on the 2-D position state.
+    """One EKF predict/update cycle on the 2-D position states of a batch.
 
     Ranges are linearised about the predicted position; the measurement
     noise covariance is diagonal with the distance-dependent variances
-    evaluated at the predicted ranges.  This is `ekf_step_batch` on a
-    batch of one run.
+    evaluated at the predicted ranges.
     """
-    return ekf_step_batch(
-        state.batch_of_one(), frame.batch_of_one(), anchors, range_model, sensor_model, T
-    ).unbatch()
+    pred = _input_driven_predict(state, frame, sensor_model, T)
+    r_hat, h = _range_jacobian(pred.mean, anchors)
+    return _kalman_update(
+        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, range_model))
+    )
 
 
 def _cholesky(cov: np.ndarray, scale: float) -> np.ndarray:
@@ -237,22 +209,6 @@ def _unscented_correct(
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
-def ukf_step_batch(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-) -> KfState:
-    """UKF cycle on a batch of runs (see `ukf_step`)."""
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_cov = _diag(range_variance(_floored_ranges(pred.mean, anchors), range_model))
-    points, weights = _sigma_points(pred.mean, pred.covariance)
-    z_points = _floored_ranges(points, anchors)
-    return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
-
-
 def ukf_step(
     state: KfState,
     frame: MeasurementFrame,
@@ -261,30 +217,36 @@ def ukf_step(
     sensor_model: SensorNoiseModel,
     T: float,
 ) -> KfState:
-    """One UKF cycle on the 2-D position state.
+    """One UKF cycle on the 2-D position states of a batch.
 
     The predict step is exactly linear in the state (the displacement
     does not depend on position), so only the range update goes through
-    the unscented transform.  This is `ukf_step_batch` on a batch of one
-    run.
+    the unscented transform.
     """
-    return ukf_step_batch(
-        state.batch_of_one(), frame.batch_of_one(), anchors, range_model, sensor_model, T
-    ).unbatch()
+    pred = _input_driven_predict(state, frame, sensor_model, T)
+    r_cov = _diag(range_variance(_floored_ranges(pred.mean, anchors), range_model))
+    points, weights = _sigma_points(pred.mean, pred.covariance)
+    z_points = _floored_ranges(points, anchors)
+    return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
 
 
-def lckf_step_batch(
+def lckf_step(
     state: KfState,
     frame: MeasurementFrame,
     anchors: AnchorSet,
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
     T: float,
-    geometry: RangingGeometry | None = None,
+    geometry: RangingGeometry,
 ) -> KfState:
-    """Linear-correction KF cycle on a batch of runs (see `lckf_step`)."""
-    if geometry is None:
-        geometry = build_geometry(anchors)
+    """One linear-correction KF cycle: WLS fix treated as a position reading.
+
+    The ranges are collapsed to a WLS position estimate (trilateration
+    `geometry` of the anchors) whose error covariance (closed form,
+    evaluated at predicted ranges) becomes the measurement noise of a
+    linear H = I update.  The covariance is floored to stay positive
+    definite.
+    """
     pred = _input_driven_predict(state, frame, sensor_model, T)
     r_hat = true_ranges(pred.mean, anchors)
     z, bias, second = ranging_layer(
@@ -295,34 +257,6 @@ def lckf_step_batch(
     r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ _transpose(eigvecs)
     h = np.broadcast_to(np.eye(2), r_cov.shape)
     return _kalman_update(pred, h, z - pred.mean, r_cov)
-
-
-def lckf_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-    geometry: RangingGeometry | None = None,
-) -> KfState:
-    """One linear-correction KF cycle: WLS fix treated as a position reading.
-
-    The ranges are collapsed to a WLS position estimate whose error
-    covariance (closed form, evaluated at predicted ranges) becomes the
-    measurement noise of a linear H = I update.  The covariance is
-    floored to stay positive definite.  This is `lckf_step_batch` on a
-    batch of one run.
-    """
-    return lckf_step_batch(
-        state.batch_of_one(),
-        frame.batch_of_one(),
-        anchors,
-        range_model,
-        sensor_model,
-        T,
-        geometry=geometry,
-    ).unbatch()
 
 
 def cv_transition_jacobian(state, T: float) -> np.ndarray:
@@ -339,7 +273,7 @@ def cv_transition_jacobian(state, T: float) -> np.ndarray:
     return jac
 
 
-def ekf_cv_step_batch(
+def ekf_cv_step(
     state: KfState,
     frame: MeasurementFrame,
     anchors: AnchorSet,
@@ -347,8 +281,12 @@ def ekf_cv_step_batch(
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
 ) -> KfState:
-    """EKF cycle on the 4-D constant-velocity state, for a batch of runs
-    (see `ekf_cv_step`)."""
+    """One EKF cycle on the 4-D constant-velocity states of a batch.
+
+    Speed and heading join the ranges as measurements; the covariance is
+    predicted through the analytic transition Jacobian
+    `cv_transition_jacobian`.
+    """
     f_jac = cv_transition_jacobian(state.mean, cv_model.T)
     mean_pred = cv_model.transition(state.mean)
     cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + cv_model.q_matrix())
@@ -368,23 +306,3 @@ def ekf_cv_step_batch(
     )
     r_cov = _diag(np.concatenate([range_variance(r_hat, range_model), sensor_var], axis=-1))
     return _kalman_update(KfState(mean=mean_pred, covariance=cov_pred), h, z - z_hat, r_cov)
-
-
-def ekf_cv_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    cv_model: CvProcessModel,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-) -> KfState:
-    """One EKF cycle on the 4-D constant-velocity state.
-
-    Speed and heading join the ranges as measurements; the covariance is
-    predicted through the analytic transition Jacobian
-    `cv_transition_jacobian`.  This is `ekf_cv_step_batch` on a batch of
-    one run.
-    """
-    return ekf_cv_step_batch(
-        state.batch_of_one(), frame.batch_of_one(), anchors, cv_model, range_model, sensor_model
-    ).unbatch()

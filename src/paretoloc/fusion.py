@@ -154,72 +154,39 @@ class ParetoConfig:
 
 @dataclass(slots=True)
 class FusionState:
-    """Fused estimator state carried between steps.
-
-    Holds one run with the shapes below, or a batch of R runs with a
-    leading run axis on every array and per-run arrays (R,) in place of
-    the floats; the batched kernels take and return batches.
+    """Fused estimator states of a batch of R runs (or other rows),
+    carried between steps.
 
     Attributes
     ----------
     estimate : np.ndarray
-        Current fused position estimate (2,).
+        Current fused position estimates (R, 2).
     prev_estimate : np.ndarray or None
-        Previous fused estimate, needed to difference out speed/heading.
+        Previous fused estimates (R, 2), needed to difference out
+        speed/heading; None before the first step.
     bias_estimate : np.ndarray
-        Tracked per-axis error bias (2,).
+        Tracked per-axis error biases (R, 2).
     error_variance : np.ndarray
-        Tracked per-axis error variance (2,).
+        Tracked per-axis error variances (R, 2).
     k : int
         Step index of `estimate`.
-    last_speed, last_heading : float
-        Kinematic approximations used at the most recent step (fallback
-        values before any step has run).
+    last_speed, last_heading : np.ndarray
+        Kinematic approximations (R,) used at the most recent step
+        (fallback values before any step has run).
     last_beta, last_rho : np.ndarray
-        Per-axis beta and rho chosen at the most recent step (diagnostics).
+        Per-axis beta and rho (R, 2) chosen at the most recent step
+        (diagnostics).
     """
 
     estimate: np.ndarray
     prev_estimate: np.ndarray | None
     bias_estimate: np.ndarray
     error_variance: np.ndarray
-    k: int = 0
-    last_speed: float = 0.0
-    last_heading: float = 0.0
-    last_beta: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    last_rho: np.ndarray = field(default_factory=lambda: np.full(2, 0.5))
-
-    def batch_of_one(self) -> "FusionState":
-        """This single-run state as a batch of one run (copies)."""
-
-        def one(x):
-            return None if x is None else np.array(x, dtype=float)[None]
-
-        return FusionState(
-            estimate=one(self.estimate),
-            prev_estimate=one(self.prev_estimate),
-            bias_estimate=one(self.bias_estimate),
-            error_variance=one(self.error_variance),
-            k=self.k,
-            last_speed=one(self.last_speed),
-            last_heading=one(self.last_heading),
-            last_beta=one(self.last_beta),
-            last_rho=one(self.last_rho),
-        )
-
-    def unbatch(self) -> "FusionState":
-        """The single run of a batch of one."""
-        return FusionState(
-            estimate=self.estimate[0],
-            prev_estimate=None if self.prev_estimate is None else self.prev_estimate[0],
-            bias_estimate=self.bias_estimate[0],
-            error_variance=self.error_variance[0],
-            k=self.k,
-            last_speed=float(self.last_speed[0]),
-            last_heading=float(self.last_heading[0]),
-            last_beta=self.last_beta[0],
-            last_rho=self.last_rho[0],
-        )
+    k: int
+    last_speed: np.ndarray
+    last_heading: np.ndarray
+    last_beta: np.ndarray
+    last_rho: np.ndarray
 
 
 def fuse(beta, ranging_estimate, dr_estimate) -> np.ndarray:
@@ -396,18 +363,21 @@ def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
     return [(slice(i * size, (i + 1) * size), config) for i, config in enumerate(configs)]
 
 
-def init_fusion_batch(
+def init_fusion(
     frame: MeasurementFrame,
     anchors: AnchorSet,
     geometry: RangingGeometry,
     range_model: RangeNoiseModel,
     configs: Sequence[ParetoConfig],
 ) -> FusionState:
-    """Bootstrap a batch of fused states from WLS-only solves of the first
-    frames (a batched frame; see `init_fusion`).
+    """Bootstrap a batch of fused states from WLS-only solves of the
+    first frames.
 
-    `configs` holds one ParetoConfig per equal block of rows, in row
-    order; a batch run under one config passes a sequence of one.
+    Weights are evaluated at the measured ranges (no prior estimate
+    exists yet); the tracked bias / variance start from the ranging error
+    moments at that operating point.  `configs` holds one ParetoConfig
+    per equal block of rows, in row order; a batch run under one config
+    passes a sequence of one.
     """
     r = np.maximum(frame.ranges, 0.0)
     estimate, bias, second = ranging_layer(
@@ -431,26 +401,7 @@ def init_fusion_batch(
     )
 
 
-def init_fusion(
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    geometry: RangingGeometry,
-    range_model: RangeNoiseModel,
-    config: ParetoConfig,
-) -> FusionState:
-    """Bootstrap the fused state from a WLS-only solve of the first frame.
-
-    Weights are evaluated at the measured ranges (no prior estimate
-    exists yet); the tracked bias / variance start from the ranging error
-    moments at that operating point.  This is `init_fusion_batch` on a
-    batch of one run.
-    """
-    return init_fusion_batch(
-        frame.batch_of_one(), anchors, geometry, range_model, (config,)
-    ).unbatch()
-
-
-def fusion_step_batch(
+def fusion_step(
     state: FusionState,
     frame: MeasurementFrame,
     anchors: AnchorSet,
@@ -460,15 +411,21 @@ def fusion_step_batch(
     configs: Sequence[ParetoConfig],
     T: float,
 ) -> FusionState:
-    """Advance a batch of fused estimators by one batched measurement frame.
+    """Advance a batch of fused estimators by one measurement frame.
+
+    Online operation replaces unknowable quantities by approximations:
+    speed/heading by differencing the last two estimates, true ranges by
+    ranges from the dead-reckoned prediction, the previous error variance
+    by the tracked one.
 
     `configs` holds one ParetoConfig per equal block of rows, in row
     order (a sequence of one for a batch under one config).  The dead
     reckoning, the ranging layer and the axis contexts, of shape
     (rows, 2), are computed once for all rows; beta and rho are chosen
     per block by that block's mode, and the knee search scans
-    (block rows, 2, len(rho_grid)).  See `fusion_step` for the
-    approximations.
+    (block rows, 2, len(rho_grid)).
+
+    Returns a new FusionState; the input state is not modified.
     """
     v_ap, phi_ap = approximate_kinematics(
         state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
@@ -514,34 +471,3 @@ def fusion_step_batch(
         last_beta=beta,
         last_rho=rho,
     )
-
-
-def fusion_step(
-    state: FusionState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    geometry: RangingGeometry,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    config: ParetoConfig,
-    T: float,
-) -> FusionState:
-    """Advance the fused estimator by one measurement frame.
-
-    Online operation replaces unknowable quantities by approximations:
-    speed/heading by differencing the last two estimates, true ranges by
-    ranges from the dead-reckoned prediction, the previous error variance
-    by the tracked one.  This is `fusion_step_batch` on a batch of one run.
-
-    Returns a new FusionState; the input state is not modified.
-    """
-    return fusion_step_batch(
-        state.batch_of_one(),
-        frame.batch_of_one(),
-        anchors,
-        geometry,
-        range_model,
-        sensor_model,
-        (config,),
-        T,
-    ).unbatch()

@@ -17,34 +17,6 @@ import numpy as np
 
 
 @dataclass(slots=True)
-class TruthState:
-    """Ground-truth kinematic state of the mobile node at one step.
-
-    Attributes
-    ----------
-    position : np.ndarray
-        True planar position (2,) in metres.
-    speed : float
-        True speed magnitude in m/s.
-    heading : float
-        True heading angle in radians (atan2 convention).
-    k : int
-        Discrete step index.
-    """
-
-    position: np.ndarray
-    speed: float
-    heading: float
-    k: int = 0
-
-    def velocity(self) -> np.ndarray:
-        """Velocity vector (2,) implied by speed and heading."""
-        return self.speed * np.array(
-            [math.cos(self.heading), math.sin(self.heading)]
-        )
-
-
-@dataclass(slots=True)
 class AnchorSet:
     """Fixed anchor constellation.
 
@@ -164,39 +136,44 @@ class CvProcessModel:
         return out
 
 
+def cv_rollout(
+    cv: CvProcessModel, x0, steps: int, rng: np.random.Generator, ensemble: int
+) -> np.ndarray:
+    """Random rollouts of the CV model from one initial state, (steps, ensemble, 4).
+
+    Step 0 is `x0` (4,) in every member.  Each later step applies the
+    noise-free transition and adds N(0, diag(sigma_i^2)) noise, drawn as
+    one (ensemble, 4) block of standard normals per step, so a rollout
+    with ensemble 1 consumes `rng` as one draw of 4 per step does.
+    """
+    sig = np.sqrt(np.array([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq]))
+    out = np.empty((steps, ensemble, 4))
+    out[0] = np.asarray(x0, dtype=float)
+    for k in range(1, steps):
+        out[k] = cv.transition(out[k - 1]) + rng.normal(0.0, 1.0, size=(ensemble, 4)) * sig
+    return out
+
+
 @dataclass(slots=True)
 class MeasurementFrame:
-    """One step's worth of raw measurements, for one run or a batch of runs.
-
-    A batch of R runs at the same step puts a leading run axis on every
-    measurement: ranges (R, M), speed (R,), heading (R,).  The batched
-    estimator kernels take batches; their scalar forms take one run.
+    """One step's raw measurements for a batch of R runs (or other rows).
 
     Attributes
     ----------
     ranges : np.ndarray
-        Measured anchor ranges (M,), metres.
-    speed : float
-        Measured speed, m/s.
-    heading : float
-        Measured heading, rad.
+        Measured anchor ranges (R, M), metres.
+    speed : np.ndarray
+        Measured speeds (R,), m/s.
+    heading : np.ndarray
+        Measured headings (R,), rad.
     k : int
         Step index the frame belongs to.
     """
 
     ranges: np.ndarray
-    speed: float
-    heading: float
+    speed: np.ndarray
+    heading: np.ndarray
     k: int = 0
-
-    def batch_of_one(self) -> "MeasurementFrame":
-        """This single-run frame as a batch of one run (copies)."""
-        return MeasurementFrame(
-            ranges=np.array(self.ranges, dtype=float)[None],
-            speed=np.array([self.speed], dtype=float),
-            heading=np.array([self.heading], dtype=float),
-            k=self.k,
-        )
 
 
 @dataclass(slots=True)
@@ -297,29 +274,6 @@ def draw_measurements(
         0.0, sensor_model.sigma_phi, size=n
     )
     return ranges, speed, heading
-
-
-def synthesize_measurements(
-    state: TruthState,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    streams: SensorStreams,
-) -> MeasurementFrame:
-    """Draw one noisy measurement frame for a true state (see
-    `draw_measurements`, of which this is the one-state case)."""
-    ranges, speed, heading = draw_measurements(
-        np.asarray(state.position, dtype=float)[None],
-        [state.speed],
-        [state.heading],
-        anchors,
-        range_model,
-        sensor_model,
-        streams,
-    )
-    return MeasurementFrame(
-        ranges=ranges[0], speed=float(speed[0]), heading=float(heading[0]), k=state.k
-    )
 
 
 # Eight anchors on the perimeter of a 4 m x 4 m cell (corners plus edge

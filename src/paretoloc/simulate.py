@@ -20,15 +20,8 @@ import numpy as np
 
 from .crlb import parcrlb_trace, pcrlb_bounds
 from .deadreckoning import dr_predict
-from .filters import (
-    cv_init,
-    ekf_cv_step_batch,
-    ekf_step_batch,
-    lckf_step_batch,
-    position_init,
-    ukf_step_batch,
-)
-from .fusion import ParetoConfig, fusion_step_batch, init_fusion_batch
+from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, ukf_step
+from .fusion import ParetoConfig, fusion_step, init_fusion
 from .models import (
     DEFAULT_ANCHORS,
     AnchorSet,
@@ -37,7 +30,7 @@ from .models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    TruthState,
+    cv_rollout,
     draw_measurements,
     range_variance,
 )
@@ -128,8 +121,8 @@ def _reflect(value: float, lo: float, hi: float) -> tuple:
     return min(max(value, lo), hi), sign
 
 
-def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float) -> list:
-    """Wrap a position array into TruthStates with displacement kinematics.
+def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float) -> tuple:
+    """Displacement kinematics of a position array: (pos, speed, heading).
 
     speed/heading at step k >= 1 describe the chord from k-1 to k, which
     is exactly what an odometer + compass pair reports over the interval
@@ -138,17 +131,14 @@ def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float
     values.
     """
     n = len(pos)
-    states = [TruthState(position=pos[0].copy(), speed=speed0, heading=heading0, k=0)]
-    heading = heading0
+    speed, heading = np.empty(n), np.empty(n)
+    speed[0], heading[0] = speed0, heading0
     for k in range(1, n):
         delta = pos[k] - pos[k - 1]
         norm = float(np.linalg.norm(delta))
-        if norm > 1e-12:
-            heading = math.atan2(delta[1], delta[0])
-        states.append(
-            TruthState(position=pos[k].copy(), speed=norm / t_step, heading=heading, k=k)
-        )
-    return states
+        speed[k] = norm / t_step
+        heading[k] = math.atan2(delta[1], delta[0]) if norm > 1e-12 else heading[k - 1]
+    return pos, speed, heading
 
 
 def _draw_capped(rng: np.random.Generator, a_max: float) -> np.ndarray:
@@ -194,8 +184,9 @@ def _next_breakpoint_accel(
     return accel
 
 
-def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None) -> list:
-    """Generate a ground-truth trajectory as a list of TruthState.
+def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None) -> tuple:
+    """Generate a ground-truth trajectory: (positions, speed, heading) of
+    shapes (n, 2), (n,) and (n,) for n = `spec.steps`.
 
     The "pwl" kind interpolates random breakpoint accelerations linearly
     and integrates them exactly; the norm of every breakpoint value is
@@ -266,19 +257,9 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
         return _chord_states(pos, t_step, spec.speed, spec.heading)
     # "cv": random rollout of the constant-velocity model
     cv = spec.cv if spec.cv is not None else CvProcessModel(T=t_step)
-    sig = np.sqrt(
-        np.array([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq])
-    )
-    state = np.array([spec.start[0], spec.start[1], spec.speed, spec.heading])
-    states = [
-        TruthState(position=state[:2].copy(), speed=state[2], heading=state[3], k=0)
-    ]
-    for k in range(1, n):
-        state = cv.transition(state) + rng.normal(0.0, 1.0, size=4) * sig
-        states.append(
-            TruthState(position=state[:2].copy(), speed=state[2], heading=state[3], k=k)
-        )
-    return states
+    x0 = [spec.start[0], spec.start[1], spec.speed, spec.heading]
+    states = cv_rollout(cv, x0, n, rng, ensemble=1)[:, 0]
+    return states[:, :2], states[:, 2], states[:, 3]
 
 
 @dataclass(slots=True)
@@ -356,12 +337,13 @@ def draw_run(config: ExperimentConfig, run: int) -> tuple:
         Shapes (n, 2), (n, M), (n,) and (n,) for n = trajectory steps.
     """
     traj_seq, sensor_seq = np.random.SeedSequence((config.seed, run)).spawn(2)
-    traj = gen_trajectory(config.trajectory, np.random.default_rng(traj_seq))
-    positions = np.array([state.position for state in traj])
+    positions, true_speed, true_heading = gen_trajectory(
+        config.trajectory, np.random.default_rng(traj_seq)
+    )
     ranges, speed, heading = draw_measurements(
         positions,
-        [state.speed for state in traj],
-        [state.heading for state in traj],
+        true_speed,
+        true_heading,
         config.anchors,
         config.range_model,
         config.sensor_model,
@@ -440,12 +422,12 @@ def _wls_fix(setup: EngineSetup, frame: MeasurementFrame) -> np.ndarray:
 
 def _pareto_init(setup, frame):
     cfg = setup.config
-    return init_fusion_batch(frame, cfg.anchors, setup.geometry, cfg.range_model, setup.variants)
+    return init_fusion(frame, cfg.anchors, setup.geometry, cfg.range_model, setup.variants)
 
 
 def _pareto_step(setup, state, frame):
     cfg = setup.config
-    return fusion_step_batch(
+    return fusion_step(
         state,
         frame,
         cfg.anchors,
@@ -471,21 +453,21 @@ def _cv_filter_init(setup, frame):
 
 def _ekf_step(setup, state, frame):
     cfg = setup.config
-    return ekf_step_batch(
+    return ekf_step(
         state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
     )
 
 
 def _ukf_step(setup, state, frame):
     cfg = setup.config
-    return ukf_step_batch(
+    return ukf_step(
         state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
     )
 
 
 def _lckf_step(setup, state, frame):
     cfg = setup.config
-    return lckf_step_batch(
+    return lckf_step(
         state,
         frame,
         cfg.anchors,
@@ -498,7 +480,7 @@ def _lckf_step(setup, state, frame):
 
 def _ekf_cv_step(setup, state, frame):
     cfg = setup.config
-    return ekf_cv_step_batch(
+    return ekf_cv_step(
         state, frame, cfg.anchors, setup.cv, cfg.range_model, cfg.sensor_model
     )
 

@@ -43,7 +43,6 @@ from paretoloc.models import (
     CvProcessModel,
     RangeNoiseModel,
     SensorNoiseModel,
-    TruthState,
     range_variance,
 )
 
@@ -573,10 +572,7 @@ def test_measurement_information_structure():
 
 
 def _static_truth(steps=20):
-    return [
-        TruthState(position=np.array([1.5, 1.8]), speed=0.3, heading=0.4, k=k)
-        for k in range(steps)
-    ]
+    return np.tile([1.5, 1.8], (steps, 1)), np.full(steps, 0.3), np.full(steps, 0.4)
 
 
 def test_parcrlb_trace_first_step_and_growth():
@@ -593,6 +589,27 @@ def test_parcrlb_trace_first_step_and_growth():
     # information accumulates: later bounds sit well below the first
     assert np.all(bound > 0.0) and np.all(np.isfinite(bound))
     assert bound[-1] < 0.5 * bound[0]
+
+
+def test_parcrlb_trace_follows_a_turning_path():
+    # oracle: the recursion stepped with each state's own Jacobian
+    model, sensors = RangeNoiseModel(), SensorNoiseModel()
+    steps = 25
+    heading = np.linspace(0.0, 2.5, steps)
+    speed = np.linspace(0.1, 0.6, steps)
+    positions = np.array([1.0, 1.0]) + np.cumsum(
+        0.1 * speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], -1), axis=0
+    )
+    j_seq, bound = parcrlb_trace((positions, speed, heading), ANCHORS, model, sensors, T=0.1)
+    states = np.column_stack([positions, speed, heading])
+    j = default_prior_information() + measurement_information(states[0], ANCHORS, model, sensors)
+    np.testing.assert_array_equal(j_seq[0], j)
+    for k in range(1, steps):
+        f_inv = np.linalg.solve(cv_transition_jacobian(states[k - 1], 0.1), np.eye(4))
+        j = f_inv.T @ j @ f_inv + measurement_information(states[k], ANCHORS, model, sensors)
+        j = 0.5 * (j + j.T)
+        np.testing.assert_array_equal(j_seq[k], j)
+        assert bound[k] == position_error_bound(j)
 
 
 def test_parcrlb_trace_custom_prior():

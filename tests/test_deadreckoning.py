@@ -13,6 +13,7 @@ from paretoloc.deadreckoning import (
     dr_second_moment,
 )
 from paretoloc.models import MeasurementFrame
+from paretoloc.validate import _speed_power_variant
 
 
 def _gauss(x, sigma):
@@ -70,14 +71,14 @@ def test_speed_power_variant_drops_deterministic_part():
     # by exactly v^2 * (angular factor) -- measurably wrong off v = 0
     v, sigma_v, phi, sigma_phi = 0.5, 0.05, 0.7, math.pi / 8.0
     full = dr_second_moment(v, sigma_v, phi, sigma_phi, axis=0)
-    variant = dr_second_moment(v, sigma_v, phi, sigma_phi, axis=0, speed_power_form=True)
+    variant = _speed_power_variant(sigma_v, phi, sigma_phi, axis=0)
     angular = full / (v**2 + sigma_v**2)
     assert full - variant == pytest.approx(v**2 * angular, rel=1e-12)
     assert abs(full - _quad_second(v, sigma_v, phi, sigma_phi, math.cos)) < 1e-10
     assert abs(variant - _quad_second(v, sigma_v, phi, sigma_phi, math.cos)) > 0.05
     # at v = 0 the two coincide
     assert dr_second_moment(0.0, sigma_v, phi, sigma_phi) == pytest.approx(
-        dr_second_moment(0.0, sigma_v, phi, sigma_phi, speed_power_form=True)
+        _speed_power_variant(sigma_v, phi, sigma_phi, axis=0)
     )
 
 

@@ -6,6 +6,7 @@ transform of an affine map is exact), so the two are compared to
 near-machine precision.  The nonlinear filters are checked by noise-free
 tracking and by hand-built single steps.
 """
+import functools
 import math
 
 import numpy as np
@@ -31,9 +32,8 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    TruthState,
+    draw_measurements,
     range_variance,
-    synthesize_measurements,
     true_ranges,
 )
 from paretoloc.ranging import build_geometry, noise_cov_inverse, wls_estimate
@@ -43,6 +43,17 @@ ANCHORS = AnchorSet(
 )
 QUIET_RANGES = RangeNoiseModel(sigma0_sq=1e-10, kappa=0.0)
 QUIET_SENSORS = SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0)
+# the position filters' steps, with the WLS geometry bound for the LC-KF
+POSITION_STEPS = [
+    ekf_step,
+    ukf_step,
+    pytest.param(functools.partial(lckf_step, geometry=build_geometry(ANCHORS)), id="lckf_step"),
+]
+
+
+def _frame(ranges, speed, heading, k):
+    """One run's measurements as a batch of one."""
+    return MeasurementFrame(np.asarray(ranges)[None], np.array([speed]), np.array([heading]), k)
 
 
 def _random_spd(rng, n):
@@ -167,16 +178,14 @@ def test_inits():
 def test_ekf_zero_innovation_keeps_predicted_mean():
     # measurements exactly at the predicted ranges: the update must not
     # move the mean, only shrink the covariance
-    state = position_init([1.3, 0.8], variance=0.5)
+    state = position_init([[1.3, 0.8]], variance=0.5)
     v, phi, t_step = 0.4, 0.3, 0.1
-    pred_pos = state.mean + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-    frame = MeasurementFrame(
-        ranges=true_ranges(pred_pos, ANCHORS), speed=v, heading=phi, k=1
-    )
+    pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
+    frame = _frame(true_ranges(pred_pos, ANCHORS), v, phi, 1)
     out = ekf_step(state, frame, ANCHORS, RangeNoiseModel(), QUIET_SENSORS, t_step)
-    assert_allclose(out.mean, pred_pos, atol=1e-10)
-    assert np.all(np.linalg.eigvalsh(out.covariance) > 0.0)
-    assert np.trace(out.covariance) < np.trace(state.covariance)
+    assert_allclose(out.mean[0], pred_pos, atol=1e-10)
+    assert np.all(np.linalg.eigvalsh(out.covariance[0]) > 0.0)
+    assert np.trace(out.covariance[0]) < np.trace(state.covariance[0])
 
 
 def _track(step, steps=40, start=(1.0, 1.2), init_offset=(0.4, -0.3)):
@@ -189,20 +198,18 @@ def _track(step, steps=40, start=(1.0, 1.2), init_offset=(0.4, -0.3)):
     t_step, v, phi = 0.1, 0.3, 0.5
     sensors = SensorNoiseModel(sigma_v=1e-3, sigma_phi=1e-3)
     pos = np.array(start, dtype=float)
-    state = position_init(np.array(start) + np.array(init_offset))
+    state = position_init([np.array(start) + np.array(init_offset)])
     for k in range(1, steps + 1):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-        frame = MeasurementFrame(
-            ranges=true_ranges(pos, ANCHORS), speed=v, heading=phi, k=k
-        )
+        frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
         state = step(state, frame, ANCHORS, QUIET_RANGES, sensors, t_step)
     return state, pos
 
 
-@pytest.mark.parametrize("step", [ekf_step, ukf_step, lckf_step])
+@pytest.mark.parametrize("step", POSITION_STEPS)
 def test_position_filters_lock_onto_noise_free_truth(step):
     state, pos = _track(step)
-    assert_allclose(state.mean, pos, atol=1e-4)
+    assert_allclose(state.mean[0], pos, atol=1e-4)
 
 
 def test_ekf_cv_locks_onto_noise_free_truth():
@@ -211,35 +218,33 @@ def test_ekf_cv_locks_onto_noise_free_truth():
         T=t_step, sigma1_sq=1e-8, sigma2_sq=1e-8, sigma3_sq=1e-8, sigma4_sq=1e-8
     )
     pos = np.array([1.0, 1.2])
-    state = cv_init(pos + np.array([0.3, -0.2]), speed=0.0, heading=0.0)
+    state = cv_init([pos + np.array([0.3, -0.2])], speed=[0.0], heading=[0.0])
     for k in range(1, 40):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-        frame = MeasurementFrame(
-            ranges=true_ranges(pos, ANCHORS), speed=v, heading=phi, k=k
-        )
+        frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
         state = ekf_cv_step(state, frame, ANCHORS, cv, QUIET_RANGES, QUIET_SENSORS)
-    assert_allclose(state.mean[:2], pos, atol=1e-4)
-    assert state.mean[2] == pytest.approx(v, abs=1e-4)
-    assert state.mean[3] == pytest.approx(phi, abs=1e-4)
+    assert_allclose(state.mean[0, :2], pos, atol=1e-4)
+    assert state.mean[0, 2] == pytest.approx(v, abs=1e-4)
+    assert state.mean[0, 3] == pytest.approx(phi, abs=1e-4)
 
 
-@pytest.mark.parametrize("step", [ekf_step, ukf_step, lckf_step])
+@pytest.mark.parametrize("step", POSITION_STEPS)
 def test_noisy_steps_keep_covariance_positive(step):
     range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
     streams = SensorStreams.from_seed(7)
-    state = position_init([1.5, 1.5])
+    state = position_init([[1.5, 1.5]])
     pos = np.array([1.5, 1.5])
     for k in range(1, 25):
         pos = pos + 0.03 * np.array([1.0, 0.5])
-        truth = TruthState(position=pos, speed=0.3, heading=0.46, k=k)
-        frame = synthesize_measurements(
-            truth, ANCHORS, range_model, sensor_model, streams
+        frame = MeasurementFrame(
+            *draw_measurements(pos[None], [0.3], [0.46], ANCHORS, range_model, sensor_model, streams),
+            k,
         )
         state = step(state, frame, ANCHORS, range_model, sensor_model, 0.1)
-        cov = state.covariance
+        cov = state.covariance[0]
         assert_allclose(cov, cov.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(cov) > 0.0)
-    assert np.linalg.norm(state.mean - pos) < 0.5
+    assert np.linalg.norm(state.mean[0] - pos) < 0.5
 
 
 def test_ekf_beats_memoryless_wls():
@@ -249,20 +254,20 @@ def test_ekf_beats_memoryless_wls():
     streams = SensorStreams.from_seed(42)
     t_step, v, phi = 0.1, 0.3, 0.5
     pos = np.array([1.0, 1.2])
-    state = position_init(pos)
+    state = position_init([pos])
     ekf_sq, wls_sq = [], []
     for k in range(1, 300):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         if not (0.2 < pos[0] < 3.8 and 0.2 < pos[1] < 3.8):
             phi += math.pi / 2.0
-        truth = TruthState(position=pos.copy(), speed=v, heading=phi, k=k)
-        frame = synthesize_measurements(
-            truth, ANCHORS, range_model, sensor_model, streams
+        frame = MeasurementFrame(
+            *draw_measurements(pos[None], [v], [phi], ANCHORS, range_model, sensor_model, streams),
+            k,
         )
         state = ekf_step(state, frame, ANCHORS, range_model, sensor_model, t_step)
         r_true = true_ranges(pos, ANCHORS)
         w = noise_cov_inverse(r_true, range_variance(r_true, range_model))
-        fix = wls_estimate(geometry, frame.ranges, w)
-        ekf_sq.append(np.sum((state.mean - pos) ** 2))
+        fix = wls_estimate(geometry, frame.ranges[0], w)
+        ekf_sq.append(np.sum((state.mean[0] - pos) ** 2))
         wls_sq.append(np.sum((fix - pos) ** 2))
     assert math.sqrt(np.mean(ekf_sq)) < 0.6 * math.sqrt(np.mean(wls_sq))

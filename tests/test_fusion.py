@@ -23,9 +23,7 @@ from paretoloc.fusion import (
     error_variance,
     fuse,
     fusion_step,
-    fusion_step_batch,
     init_fusion,
-    init_fusion_batch,
     optimal_beta,
     select_rho,
 )
@@ -35,9 +33,7 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    TruthState,
     draw_measurements,
-    synthesize_measurements,
     true_ranges,
 )
 from paretoloc.ranging import build_geometry
@@ -212,26 +208,30 @@ def test_approximate_kinematics_cases():
 ANCHORS = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 0.0]]))
 
 
+def _one_run_frames(positions, speed, heading, range_model, sensor_model, seed):
+    """Measurement frames of one run, each a batch of one."""
+    ranges, speed, heading = draw_measurements(
+        positions, speed, heading, ANCHORS, range_model, sensor_model,
+        SensorStreams.from_seed(seed),
+    )
+    return [
+        MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
+        for k in range(len(speed))
+    ]
+
+
 def _run_sequence(range_model, sensor_model, steps=40, seed=23, mode="knee"):
     geometry = build_geometry(ANCHORS)
     config = ParetoConfig(mode=mode, initial_speed=0.3, initial_heading=0.5)
-    streams = SensorStreams.from_seed(seed)
-    truth = []
-    pos = np.array([1.0, 1.2])
     vel = 0.3 * np.array([math.cos(0.5), math.sin(0.5)])
-    for k in range(steps):
-        truth.append(
-            TruthState(position=pos.copy(), speed=0.3, heading=0.5, k=k)
-        )
-        pos = pos + 0.1 * vel
-    frames = [
-        synthesize_measurements(s, ANCHORS, range_model, sensor_model, streams)
-        for s in truth
-    ]
-    state = init_fusion(frames[0], ANCHORS, geometry, range_model, config)
+    truth = np.array([1.0, 1.2]) + np.arange(steps)[:, None] * (0.1 * vel)
+    frames = _one_run_frames(
+        truth, np.full(steps, 0.3), np.full(steps, 0.5), range_model, sensor_model, seed
+    )
+    state = init_fusion(frames[0], ANCHORS, geometry, range_model, (config,))
     for frame in frames[1:]:
         state = fusion_step(
-            state, frame, ANCHORS, geometry, range_model, sensor_model, config, 0.1
+            state, frame, ANCHORS, geometry, range_model, sensor_model, (config,), 0.1
         )
     return state, truth
 
@@ -243,8 +243,8 @@ def test_fusion_step_tracks_noise_free_motion():
         RangeNoiseModel(sigma0_sq=1e-12, kappa=0.0),
         SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0),
     )
-    assert_allclose(state.estimate, truth[-1].position, atol=1e-4)
-    assert state.k == truth[-1].k
+    assert_allclose(state.estimate, truth[-1:], atol=1e-4)
+    assert state.k == len(truth) - 1
 
 
 def test_fusion_step_modes_run_and_differ():
@@ -259,16 +259,15 @@ def test_fusion_step_modes_run_and_differ():
 def test_fusion_step_does_not_mutate_input():
     range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
     geometry = build_geometry(ANCHORS)
-    config = ParetoConfig()
-    streams = SensorStreams.from_seed(3)
-    s0 = TruthState(position=np.array([1.0, 1.0]), speed=0.1, heading=0.0, k=0)
-    s1 = TruthState(position=np.array([1.01, 1.0]), speed=0.1, heading=0.0, k=1)
-    f0 = synthesize_measurements(s0, ANCHORS, range_model, sensor_model, streams)
-    f1 = synthesize_measurements(s1, ANCHORS, range_model, sensor_model, streams)
-    state = init_fusion(f0, ANCHORS, geometry, range_model, config)
+    configs = (ParetoConfig(),)
+    f0, f1 = _one_run_frames(
+        np.array([[1.0, 1.0], [1.01, 1.0]]), [0.1, 0.1], [0.0, 0.0],
+        range_model, sensor_model, 3,
+    )
+    state = init_fusion(f0, ANCHORS, geometry, range_model, configs)
     before = state.estimate.copy()
     out = fusion_step(
-        state, f1, ANCHORS, geometry, range_model, sensor_model, config, 0.1
+        state, f1, ANCHORS, geometry, range_model, sensor_model, configs, 0.1
     )
     assert out is not state
     assert_allclose(state.estimate, before, atol=0.0)
@@ -278,14 +277,15 @@ def test_fusion_step_does_not_mutate_input():
 def test_init_fusion_populates_moments():
     geometry = build_geometry(ANCHORS)
     frame = MeasurementFrame(
-        ranges=true_ranges([1.5, 2.0], ANCHORS), speed=0.1, heading=0.0, k=0
+        ranges=true_ranges([[1.5, 2.0]], ANCHORS), speed=np.array([0.1]),
+        heading=np.array([0.0]), k=0,
     )
-    state = init_fusion(frame, ANCHORS, geometry, RangeNoiseModel(), ParetoConfig())
+    state = init_fusion(frame, ANCHORS, geometry, RangeNoiseModel(), (ParetoConfig(),))
     assert state.prev_estimate is None
-    assert state.error_variance.shape == (2,)
+    assert state.error_variance.shape == (1, 2)
     assert np.all(state.error_variance > 0.0)
     # clean ranges: the bootstrap solve is the true position
-    assert_allclose(state.estimate, [1.5, 2.0], atol=1e-8)
+    assert_allclose(state.estimate, [[1.5, 2.0]], atol=1e-8)
 
 
 def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
@@ -311,9 +311,9 @@ def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
     fixed = ParetoConfig(mode="fixed", fixed_rho=0.5, initial_speed=0.3)
     states = []
     for config in (mse, fixed):
-        state = init_fusion_batch(frames[0], ANCHORS, geometry, range_model, (config,))
+        state = init_fusion(frames[0], ANCHORS, geometry, range_model, (config,))
         for frame in frames[1:]:
-            state = fusion_step_batch(
+            state = fusion_step(
                 state, frame, ANCHORS, geometry, range_model, sensor_model, (config,), t_step
             )
         states.append(state)

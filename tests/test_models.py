@@ -13,16 +13,10 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
-    TruthState,
+    draw_measurements,
     range_variance,
-    synthesize_measurements,
     true_ranges,
 )
-
-
-def test_truth_state_velocity():
-    s = TruthState(position=np.zeros(2), speed=2.0, heading=math.pi / 2.0)
-    assert_allclose(s.velocity(), [0.0, 2.0], atol=1e-12)
 
 
 def test_anchor_set_shape_and_count():
@@ -98,40 +92,41 @@ def test_sensor_streams_reproducible_and_independent():
     assert c.ranges.normal() != c.speed.normal()
 
 
-def test_synthesize_measurements_statistics():
+def test_draw_measurements_statistics():
     # noise levels recovered from a long draw at one fixed state
     anchors = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]))
     range_model = RangeNoiseModel(sigma0_sq=0.04, kappa=0.2)
     sensor_model = SensorNoiseModel(sigma_v=0.05, sigma_phi=0.3)
-    state = TruthState(position=np.array([1.0, 2.0]), speed=0.4, heading=0.9)
-    streams = SensorStreams.from_seed(7)
+    position, speed, heading = np.array([1.0, 2.0]), 0.4, 0.9
     n = 20000
-    frames = [
-        synthesize_measurements(state, anchors, range_model, sensor_model, streams)
-        for _ in range(n)
-    ]
-    ranges = np.array([f.ranges for f in frames])
-    r_true = true_ranges(state.position, anchors)
+    ranges, speeds, headings = draw_measurements(
+        np.tile(position, (n, 1)), np.full(n, speed), np.full(n, heading),
+        anchors, range_model, sensor_model, SensorStreams.from_seed(7),
+    )
+    assert ranges.shape == (n, anchors.m) and speeds.shape == headings.shape == (n,)
+    r_true = true_ranges(position, anchors)
     sig_true = np.sqrt(range_variance(r_true, range_model))
     # 5 sigma on the mean, ~4% on the std at n = 2e4
     assert np.all(np.abs(ranges.mean(axis=0) - r_true) < 5.0 * sig_true / math.sqrt(n))
     assert_allclose(ranges.std(axis=0, ddof=1), sig_true, rtol=0.05)
-    speeds = np.array([f.speed for f in frames])
-    headings = np.array([f.heading for f in frames])
-    assert speeds.mean() == pytest.approx(state.speed, abs=5.0 * 0.05 / math.sqrt(n))
+    assert speeds.mean() == pytest.approx(speed, abs=5.0 * 0.05 / math.sqrt(n))
     assert speeds.std(ddof=1) == pytest.approx(0.05, rel=0.05)
     assert headings.std(ddof=1) == pytest.approx(0.3, rel=0.05)
 
 
-def test_synthesize_measurements_deterministic():
-    state = TruthState(position=np.array([1.0, 1.0]), speed=0.1, heading=0.0)
-    f1 = synthesize_measurements(
-        state, DEFAULT_ANCHORS, RangeNoiseModel(), SensorNoiseModel(),
-        SensorStreams.from_seed(3),
-    )
-    f2 = synthesize_measurements(
-        state, DEFAULT_ANCHORS, RangeNoiseModel(), SensorNoiseModel(),
-        SensorStreams.from_seed(3),
-    )
-    assert_allclose(f1.ranges, f2.ranges, atol=0.0)
-    assert f1.speed == f2.speed and f1.heading == f2.heading
+def test_draw_measurements_deterministic():
+    positions = np.array([[1.0, 1.0], [1.2, 0.9], [1.5, 1.1], [1.7, 1.6], [2.0, 2.0]])
+    speeds, headings = np.full(5, 0.1), np.linspace(0.0, 1.0, 5)
+    models = (DEFAULT_ANCHORS, RangeNoiseModel(), SensorNoiseModel())
+    first = draw_measurements(positions, speeds, headings, *models, SensorStreams.from_seed(3))
+    again = draw_measurements(positions, speeds, headings, *models, SensorStreams.from_seed(3))
+    # each sensor reads its own stream in step order: one state per call
+    # draws the same numbers as all states in one call
+    streams = SensorStreams.from_seed(3)
+    per_state = [
+        draw_measurements(positions[k : k + 1], speeds[k : k + 1], headings[k : k + 1], *models, streams)
+        for k in range(5)
+    ]
+    for i, part in enumerate(first):
+        np.testing.assert_array_equal(part, again[i])
+        np.testing.assert_array_equal(part, np.concatenate([one[i] for one in per_state]))

@@ -25,12 +25,15 @@ from paretoloc.filters import (
     position_init,
     ukf_step,
 )
-from paretoloc.fusion import ParetoConfig, fusion_step, fusion_step_batch, init_fusion
+from paretoloc.fusion import ParetoConfig, fusion_step, init_fusion
 from paretoloc.models import (
     CvProcessModel,
     DEFAULT_ANCHORS,
     MeasurementFrame,
     RangeNoiseModel,
+    SensorStreams,
+    cv_rollout,
+    draw_measurements,
     range_variance,
 )
 from paretoloc.ranging import build_geometry, noise_cov_inverse, wls_estimate
@@ -87,8 +90,7 @@ def test_reflect_far_outside_does_not_hang():
     folded, sign = _reflect(1e9, 0.4, 3.6)
     assert 0.4 <= folded <= 3.6 and sign in (-1.0, 1.0)
     assert 0.4 <= _reflect(-1e9, 0.4, 3.6)[0] <= 3.6
-    states = gen_trajectory(scenario_linear(steps=5, speed=1e9))
-    pos = np.array([s.position for s in states])
+    pos, _, _ = gen_trajectory(scenario_linear(steps=5, speed=1e9))
     (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
     assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
     assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
@@ -98,12 +100,11 @@ def test_reflect_far_outside_does_not_hang():
         _reflect(float("inf"), 0.0, 1.0)
 
 
-def _dr_replay(states, t_step):
-    """Positions rebuilt from each state's own chord kinematics."""
-    pos = [states[0].position]
-    for s in states[1:]:
-        step = t_step * s.speed * np.array([math.cos(s.heading), math.sin(s.heading)])
-        pos.append(pos[-1] + step)
+def _dr_replay(positions, speed, heading, t_step):
+    """Positions rebuilt from each step's own chord kinematics."""
+    pos = [positions[0]]
+    for v, phi in zip(speed[1:], heading[1:]):
+        pos.append(pos[-1] + t_step * v * np.array([math.cos(phi), math.sin(phi)]))
     return np.array(pos)
 
 
@@ -127,10 +128,10 @@ def _dr_replay(states, t_step):
     ids=["linear-free", "linear-bouncing", "pwl-free", "pwl-contained"],
 )
 def test_chord_kinematics_replay_the_path_exactly(spec):
-    states = gen_trajectory(spec, np.random.default_rng(3))
-    truth = np.array([s.position for s in states])
-    assert_allclose(_dr_replay(states, spec.T), truth, atol=1e-9)
-    assert [s.k for s in states] == list(range(spec.steps))
+    truth, speed, heading = gen_trajectory(spec, np.random.default_rng(3))
+    assert truth.shape == (spec.steps, 2)
+    assert speed.shape == heading.shape == (spec.steps,)
+    assert_allclose(_dr_replay(truth, speed, heading, spec.T), truth, atol=1e-9)
 
 
 def test_cv_rollout_follows_model_kinematics():
@@ -138,25 +139,55 @@ def test_cv_rollout_follows_model_kinematics():
         T=0.1, sigma1_sq=1e-18, sigma2_sq=1e-18, sigma3_sq=1e-18, sigma4_sq=1e-18
     )
     spec = TrajectorySpec(kind="cv", steps=50, speed=0.3, heading=0.5, cv=cv)
-    states = gen_trajectory(spec, np.random.default_rng(0))
+    pos, speed, heading = gen_trajectory(spec, np.random.default_rng(0))
     # displacement at k uses the k-1 state's speed/heading (model form)
-    for prev, cur in zip(states, states[1:]):
-        step = spec.T * prev.speed * np.array(
-            [math.cos(prev.heading), math.sin(prev.heading)]
-        )
-        assert_allclose(cur.position, prev.position + step, atol=1e-7)
+    step = spec.T * speed[:-1, None] * np.stack([np.cos(heading[:-1]), np.sin(heading[:-1])], -1)
+    assert_allclose(pos[1:], pos[:-1] + step, atol=1e-7)
+
+
+def test_cv_trajectory_is_the_rollout_of_one():
+    spec = scenario_cv(steps=80)
+    cv = spec.cv
+    sig = np.sqrt([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq])
+    x0 = np.array([spec.start[0], spec.start[1], spec.speed, spec.heading])
+    for seed in range(5):
+        pos, speed, heading = gen_trajectory(spec, np.random.default_rng(seed))
+        rollout = cv_rollout(cv, x0, spec.steps, np.random.default_rng(seed), ensemble=1)
+        np.testing.assert_array_equal(np.column_stack([pos, speed, heading]), rollout[:, 0])
+        # oracle: one transition and one draw of 4 per step
+        rng, state, loop = np.random.default_rng(seed), x0, [x0]
+        for _ in range(1, spec.steps):
+            state = cv.transition(state) + rng.normal(0.0, 1.0, size=4) * sig
+            loop.append(state)
+        np.testing.assert_array_equal(rollout[:, 0], loop)
+
+
+def test_cv_rollout_of_an_ensemble_advances_every_member_in_place_order():
+    cv = CvProcessModel(T=0.1, sigma1_sq=1e-4, sigma2_sq=2e-4, sigma3_sq=3e-4, sigma4_sq=4e-4)
+    sig = np.sqrt([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq])
+    x0 = np.array([0.5, 1.6, 0.15, 0.3])
+    rollout = cv_rollout(cv, x0, 30, np.random.default_rng(4), ensemble=7)
+    assert rollout.shape == (30, 7, 4)
+    # oracle: the whole ensemble rolled in place, one (ensemble, 4) draw per step
+    rng, ensemble = np.random.default_rng(4), np.tile(x0, (7, 1))
+    np.testing.assert_array_equal(rollout[0], ensemble)
+    for k in range(1, 30):
+        c, s = np.cos(ensemble[:, 3]), np.sin(ensemble[:, 3])
+        ensemble[:, 0] += cv.T * ensemble[:, 2] * c
+        ensemble[:, 1] += cv.T * ensemble[:, 2] * s
+        ensemble += rng.normal(0.0, 1.0, size=ensemble.shape) * sig[None, :]
+        np.testing.assert_array_equal(rollout[k], ensemble)
 
 
 def test_bouncing_linear_track_stays_inside_and_keeps_speed():
     spec = TrajectorySpec(
         kind="linear", steps=500, speed=1.2, heading=0.9, bounds=ARENA_BOUNDS
     )
-    states = gen_trajectory(spec)
-    pos = np.array([s.position for s in states])
+    pos, speed, _ = gen_trajectory(spec)
     (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
     assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
     assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
-    speeds = np.array([s.speed for s in states[1:]])
+    speeds = speed[1:]
     # a wall hit shortens that step's chord, never lengthens it
     assert np.all(speeds <= spec.speed + 1e-9)
     assert np.median(speeds) == pytest.approx(spec.speed)
@@ -164,8 +195,7 @@ def test_bouncing_linear_track_stays_inside_and_keeps_speed():
 
 def test_pwl_acceleration_cap_limits_velocity_increments():
     spec = TrajectorySpec(kind="pwl", steps=200, speed=0.2, a_max=0.4)
-    states = gen_trajectory(spec, np.random.default_rng(8))
-    pos = np.array([s.position for s in states])
+    pos, _, _ = gen_trajectory(spec, np.random.default_rng(8))
     vel = np.diff(pos, axis=0) / spec.T
     accel = np.linalg.norm(np.diff(vel, axis=0), axis=1) / spec.T
     assert np.max(accel) <= spec.a_max + 1e-9
@@ -183,9 +213,7 @@ def test_contained_pwl_keeps_long_runs_in_coverage():
             a_max=1.0,
             bounds=ARENA_BOUNDS,
         )
-        pos = np.array(
-            [s.position for s in gen_trajectory(spec, np.random.default_rng(seed))]
-        )
+        pos, _, _ = gen_trajectory(spec, np.random.default_rng(seed))
         # the steering is soft (velocity targets, not walls): overshoot
         # past the inset margin is fine, an unbounded walk-off is not
         assert np.all(pos >= -0.8) and np.all(pos <= 4.8)
@@ -196,9 +224,8 @@ def test_gen_trajectory_is_seed_deterministic():
     spec = TrajectorySpec(kind="pwl", steps=60, a_max=0.5)
     a = gen_trajectory(spec, np.random.default_rng(5))
     b = gen_trajectory(spec, np.random.default_rng(5))
-    assert_allclose(
-        [s.position for s in a], [s.position for s in b], atol=0.0
-    )
+    for part_a, part_b in zip(a, b):
+        np.testing.assert_array_equal(part_a, part_b)
 
 
 def test_trajectory_spec_validation():
@@ -345,7 +372,7 @@ def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(len(args[0].estimate))
-        return fusion_step_batch(*args, **kwargs)
+        return fusion_step(*args, **kwargs)
 
     config = _small_config(
         trajectory=scenario_pwl(steps=60),
@@ -353,7 +380,7 @@ def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
         estimators=("fusion", "mse"),
         runs=runs,
     )
-    monkeypatch.setattr(simulate, "fusion_step_batch", counted)
+    monkeypatch.setattr(simulate, "fusion_step", counted)
     both = run_experiment(config)
     # one kernel call per step advances both estimators' rows
     assert calls == [2 * runs] * (config.trajectory.steps - 1)
@@ -473,13 +500,14 @@ def test_non_finite_runs_are_excluded_and_counted():
             assert np.all(np.isnan(result.estimate_traces[name])), name
 
 
-def _scalar_trace(name, config, ranges, speed, heading):
-    """Estimates of one estimator from the public single-run functions."""
+def _one_run_trace(name, config, ranges, speed, heading):
+    """Estimates (steps, 2) of one estimator on one run, from the public
+    kernels called on a batch of one run per step."""
     geometry = build_geometry(config.anchors)
     t_step = config.trajectory.T
     args = (config.anchors, config.range_model, config.sensor_model, t_step)
     frames = [
-        MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
+        MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
         for k in range(len(speed))
     ]
 
@@ -492,49 +520,70 @@ def _scalar_trace(name, config, ranges, speed, heading):
         pareto = config.pareto
         if name == "mse":
             pareto = dataclasses.replace(pareto, mode="mse")
-        state = init_fusion(frames[0], config.anchors, geometry, config.range_model, pareto)
+        state = init_fusion(frames[0], config.anchors, geometry, config.range_model, (pareto,))
         out = [state.estimate]
         for frame in frames[1:]:
             state = fusion_step(
                 state, frame, config.anchors, geometry, config.range_model,
-                config.sensor_model, pareto, t_step,
+                config.sensor_model, (pareto,), t_step,
             )
             out.append(state.estimate)
-        return np.array(out)
-    if name == "wls":
-        return np.array([fix(frame) for frame in frames])
-    if name == "dr":
+    elif name == "wls":
+        out = [fix(frame) for frame in frames]
+    elif name == "dr":
         out = [fix(frames[0])]
         for frame in frames[1:]:
             out.append(dr_predict(out[-1], frame, t_step))
-        return np.array(out)
-    if name == "ekf-cv":
+    elif name == "ekf-cv":
         state = cv_init(fix(frames[0]), frames[0].speed, frames[0].heading)
         cv = CvProcessModel(T=t_step)
-        out = [state.mean[:2]]
+        out = [state.mean[:, :2]]
         for frame in frames[1:]:
             state = ekf_cv_step(
                 state, frame, config.anchors, cv, config.range_model, config.sensor_model
             )
-            out.append(state.mean[:2])
-        return np.array(out)
-    step = {"ekf": ekf_step, "ukf": ukf_step, "lckf": lckf_step}[name]
-    state = position_init(fix(frames[0]))
-    out = [state.mean]
-    for frame in frames[1:]:
-        state = step(state, frame, *args)
-        out.append(state.mean)
-    return np.array(out)
+            out.append(state.mean[:, :2])
+    else:
+        step = {"ekf": ekf_step, "ukf": ukf_step, "lckf": lckf_step}[name]
+        extra = (geometry,) if name == "lckf" else ()
+        state = position_init(fix(frames[0]))
+        out = [state.mean]
+        for frame in frames[1:]:
+            state = step(state, frame, *args, *extra)
+            out.append(state.mean)
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("name", KNOWN_ESTIMATORS)
 def test_scalar_steps_reproduce_the_batched_engine(name):
+    # each run stepped alone (a batch of one) gives the engine's bits
     config = _small_config(estimators=KNOWN_ESTIMATORS, runs=3)
     result = run_experiment(config)
-    _, ranges, speed, heading = draw_run(config, 0)
-    np.testing.assert_array_equal(
-        _scalar_trace(name, config, ranges, speed, heading), result.estimate_traces[name]
-    )
+    for run in range(config.runs):
+        positions, ranges, speed, heading = draw_run(config, run)
+        trace = _one_run_trace(name, config, ranges, speed, heading)
+        np.testing.assert_array_equal(
+            np.linalg.norm(trace - positions, axis=-1), result.errors[name][run]
+        )
+        if run == 0:
+            np.testing.assert_array_equal(trace, result.estimate_traces[name])
+
+
+def test_draw_run_is_the_trajectory_and_measurements_of_its_streams():
+    config = _small_config(trajectory=scenario_pwl(steps=80), seed=5)
+    for run in (0, 2):
+        traj_seq, sensor_seq = np.random.SeedSequence((config.seed, run)).spawn(2)
+        positions, true_speed, true_heading = gen_trajectory(
+            config.trajectory, np.random.default_rng(traj_seq)
+        )
+        measured = draw_measurements(
+            positions, true_speed, true_heading, config.anchors, config.range_model,
+            config.sensor_model, SensorStreams.from_seed(sensor_seq),
+        )
+        drawn = draw_run(config, run)
+        np.testing.assert_array_equal(drawn[0], positions)
+        for got, want in zip(drawn[1:], measured):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_all_known_estimators_produce_finite_errors():
