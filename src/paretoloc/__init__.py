@@ -2,7 +2,6 @@
 and dead reckoning, with Kalman-filter baselines and Cramer-Rao bound tools."""
 
 from .crlb import (
-    FisherBounds,
     PcrlbResult,
     SeriesDivergenceError,
     TrigMoments,
@@ -30,7 +29,6 @@ from .deadreckoning import (
 from .filters import (
     KfState,
     cv_init,
-    cv_transition_jacobian,
     ekf_cv_step,
     ekf_step,
     lckf_step,
@@ -59,6 +57,7 @@ from .models import (
     SensorNoiseModel,
     SensorStreams,
     cv_rollout,
+    cv_transition_jacobian,
     draw_measurements,
     range_variance,
     true_ranges,
@@ -67,9 +66,7 @@ from .ranging import (
     RangingGeometry,
     build_geometry,
     noise_cov_inverse,
-    ranging_bias,
     ranging_layer,
-    ranging_second_moment,
     wls_estimate,
 )
 from .simulate import (

@@ -33,10 +33,12 @@ from .models import (
     SensorNoiseModel,
 )
 from .simulate import (
+    SUMMARY_HEADER,
     ExperimentConfig,
     crlb_traces,
     make_scenario,
     run_experiment,
+    summary_rows,
     sweep_configs,
     write_crlb,
     write_run_trace,
@@ -146,8 +148,6 @@ def _build_experiment(args) -> ExperimentConfig:
         cv_filter = None
         if "cv" in settings:
             cv_filter = CvProcessModel(T=spec.T, **{k: float(v) for k, v in settings["cv"].items()})
-        elif spec.kind == "cv":
-            cv_filter = spec.cv
         return ExperimentConfig(
             trajectory=spec,
             anchors=anchors,
@@ -205,22 +205,10 @@ def _cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["parameter", "value", "estimator", "rmse_m", "p95_err_m", "runs", "excluded"]
-            )
+            writer.writerow(["parameter", "value", *SUMMARY_HEADER])
             for value, result in rows:
-                for name in result.estimators:
-                    writer.writerow(
-                        [
-                            args.parameter,
-                            f"{value:.10g}",
-                            name,
-                            f"{result.rmse[name]:.10g}",
-                            f"{result.p95[name]:.10g}",
-                            str(result.runs),
-                            str(result.excluded[name]),
-                        ]
-                    )
+                for row in summary_rows(result):
+                    writer.writerow([args.parameter, f"{value:.10g}", *row])
         print(f"sweep written to {args.out}")
     any_excluded = False
     for value, result in rows:

@@ -20,11 +20,13 @@ import numpy as np
 
 from .deadreckoning import heading_vector
 from .models import (
+    CV_PRIOR_VARIANCES,
     AnchorSet,
     CvProcessModel,
     MeasurementFrame,
     RangeNoiseModel,
     SensorNoiseModel,
+    cv_transition_jacobian,
     range_variance,
     true_ranges,
 )
@@ -74,7 +76,7 @@ def cv_init(position, speed: float, heading: float) -> KfState:
         ],
         axis=-1,
     )
-    cov = np.diag([1.0, 1.0, 0.25, (np.pi / 4.0) ** 2])
+    cov = np.diag(CV_PRIOR_VARIANCES)
     return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
 
 
@@ -257,20 +259,6 @@ def lckf_step(
     r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ _transpose(eigvecs)
     h = np.broadcast_to(np.eye(2), r_cov.shape)
     return _kalman_update(pred, h, z - pred.mean, r_cov)
-
-
-def cv_transition_jacobian(state, T: float) -> np.ndarray:
-    """Analytic Jacobian of the constant-velocity transition: (4, 4) at a
-    state (4,), one per row (..., 4, 4) for a stack of states (..., 4)."""
-    state = np.asarray(state, dtype=float)
-    v, phi = state[..., 2], state[..., 3]
-    c, s = np.cos(phi), np.sin(phi)
-    jac = np.tile(np.eye(4), state.shape[:-1] + (1, 1))
-    jac[..., 0, 2] = T * c
-    jac[..., 0, 3] = -T * v * s
-    jac[..., 1, 2] = T * s
-    jac[..., 1, 3] = T * v * c
-    return jac
 
 
 def ekf_cv_step(

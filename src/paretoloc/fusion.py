@@ -119,8 +119,6 @@ class ParetoConfig:
     ----------
     rho_grid : np.ndarray
         Candidate Pareto weights for the knee search, in [0, 1].
-    beta_domain : tuple
-        Hard feasibility interval for beta.
     beta_clip : float
         Extra cap on |beta|; keeps the fused estimator strictly forgetting
         so bias/variance recursions stay contractive.
@@ -136,7 +134,6 @@ class ParetoConfig:
     rho_grid: np.ndarray = field(
         default_factory=lambda: np.linspace(0.0, 1.0, 51)
     )
-    beta_domain: tuple = (-1.0, 1.0)
     beta_clip: float = 0.99
     mode: str = "knee"
     fixed_rho: float = 0.5
@@ -222,13 +219,6 @@ def error_variance(beta: float, ctx: AxisContext) -> float:
     )
 
 
-def _clamp_beta(xi, config: ParetoConfig):
-    """Clamp to the feasible domain, then cap |beta| at beta_clip."""
-    lo, hi = config.beta_domain
-    beta = np.minimum(np.maximum(xi, lo), hi)
-    return np.copysign(np.minimum(np.abs(beta), config.beta_clip), beta)
-
-
 def _pareto_beta(rho, ctx: AxisContext, config: ParetoConfig) -> tuple:
     """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise.
 
@@ -242,7 +232,7 @@ def _pareto_beta(rho, ctx: AxisContext, config: ParetoConfig) -> tuple:
     den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
     degenerate = den <= 0.0
     xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return _clamp_beta(xi, config), degenerate
+    return np.clip(xi, -config.beta_clip, config.beta_clip), degenerate
 
 
 def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = None) -> float:
@@ -253,11 +243,11 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
         xi = [2 (1-rho) sigma_vr^2 - 2 rho gamma E{w_r}]
              / [2 (1-rho) eta + 2 rho gamma^2],
 
-    with eta = sigma_vr^2 + sigma_vx^2 + sigma_vv^2, clamped to the
-    feasible domain and capped at |beta| <= beta_clip.  A non-positive
-    denominator means the objective has no curvature (all variances and
-    the bias drift vanish); beta = 0 is returned with a warning.  Array
-    contexts (and rho) give one beta per element.
+    with eta = sigma_vr^2 + sigma_vx^2 + sigma_vv^2, clipped to
+    |beta| <= beta_clip (at most 1).  A non-positive denominator means the
+    objective has no curvature (all variances and the bias drift vanish);
+    beta = 0 is returned with a warning.  Array contexts (and rho) give
+    one beta per element.
     """
     if config is None:
         config = ParetoConfig()

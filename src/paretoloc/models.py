@@ -93,6 +93,11 @@ class SensorNoiseModel:
             raise ValueError("noise standard deviations must be non-negative")
 
 
+# Diagonal of the loose initial covariance of a CV state (x1, x2, V, phi),
+# shared by the EKF-CV filter's start and the bounds' prior information.
+CV_PRIOR_VARIANCES = (1.0, 1.0, 0.25, (math.pi / 4.0) ** 2)
+
+
 @dataclass(slots=True)
 class CvProcessModel:
     """Nearly-constant-velocity process model in (x1, x2, V, phi) coordinates.
@@ -134,6 +139,20 @@ class CvProcessModel:
         out[..., 0] += self.T * v * np.cos(phi)
         out[..., 1] += self.T * v * np.sin(phi)
         return out
+
+
+def cv_transition_jacobian(state, T: float) -> np.ndarray:
+    """Analytic Jacobian of the constant-velocity transition: (4, 4) at a
+    state (4,), one per row (..., 4, 4) for a stack of states (..., 4)."""
+    state = np.asarray(state, dtype=float)
+    v, phi = state[..., 2], state[..., 3]
+    c, s = np.cos(phi), np.sin(phi)
+    jac = np.tile(np.eye(4), state.shape[:-1] + (1, 1))
+    jac[..., 0, 2] = T * c
+    jac[..., 0, 3] = -T * v * s
+    jac[..., 1, 2] = T * s
+    jac[..., 1, 3] = T * v * c
+    return jac
 
 
 def cv_rollout(

@@ -10,9 +10,10 @@ position,
 The noise entering the right-hand side is a quadratic function of the
 raw range noise, so it is biased and correlated across rows; the helpers
 here provide its exact inverse covariance (rank-one update in closed
-form), the induced estimator bias, and the estimator error correlation.
-All second-order quantities assume independent zero-mean Gaussian range
-noise with per-anchor variances.
+form), and `ranging_layer` gives the fix together with the induced
+estimator bias and error correlation from one solve.  All second-order
+quantities assume independent zero-mean Gaussian range noise with
+per-anchor variances.
 """
 
 from __future__ import annotations
@@ -105,12 +106,6 @@ def _range_differences(geometry: RangingGeometry, measured_ranges) -> np.ndarray
     return r_sq[..., -1:] - r_sq[..., :-1] + geometry.offset_vector
 
 
-def _noise_mean(variances) -> np.ndarray:
-    """Mean sigma_M^2 - sigma_l^2 (..., M-1) of the differenced squared-range noise."""
-    var = np.asarray(variances, dtype=float)
-    return var[..., -1:] - var[..., :-1]
-
-
 def wls_estimate(
     geometry: RangingGeometry, measured_ranges, weight: np.ndarray
 ) -> np.ndarray:
@@ -131,65 +126,6 @@ def wls_estimate(
     return np.linalg.solve(atw @ a_mat, rhs)[..., 0]
 
 
-def ranging_bias(geometry: RangingGeometry, weight: np.ndarray, variances) -> np.ndarray:
-    """Closed-form WLS estimator bias (2,).
-
-    The differenced squared-range noise has mean sigma_M^2 - sigma_l^2 in
-    row l, which the linear solve maps to
-    (A^T W A)^{-1} A^T W (1 sigma_M^2 - [sigma_1^2 .. sigma_{M-1}^2]^T).
-    """
-    a_mat = geometry.design_matrix
-    atw = a_mat.T @ weight
-    return np.linalg.solve(atw @ a_mat, atw @ _noise_mean(variances))
-
-
-def noise_raw_second_moment(ranges, variances) -> np.ndarray:
-    """Raw second moment E{b b^T} of the differenced squared-range noise.
-
-    Entries, with r/sigma^2 the per-anchor ranges and variances and M the
-    reference index:
-
-        C_ll = 3 sigma_M^4 + 4 r_M^2 sigma_M^2 + 3 sigma_l^4
-               + 4 r_l^2 sigma_l^2 - 2 sigma_M^2 sigma_l^2,
-        C_lj = 3 sigma_M^4 - sigma_M^2 sigma_j^2 + 4 r_M^2 sigma_M^2
-               - sigma_l^2 sigma_M^2 + sigma_l^2 sigma_j^2,   l != j.
-
-    The off-diagonal expression is already symmetric in (l, j); the
-    result is symmetrised anyway to keep downstream eigensolvers happy.
-    """
-    r = np.asarray(ranges, dtype=float)
-    var = np.asarray(variances, dtype=float)
-    r_sq = r**2
-    vm = var[..., -1:]
-    v = var[..., :-1]
-    n = v.shape[-1]
-    common = 3.0 * vm**2 + 4.0 * r_sq[..., -1:] * vm
-    vm_v = vm * v
-    c = (common - vm_v)[..., None, :] - vm_v[..., :, None] + v[..., :, None] * v[..., None, :]
-    # the diagonal, written through a strided view of the fresh array
-    c.reshape(c.shape[:-2] + (n * n,))[..., :: n + 1] = (
-        common + 3.0 * v**2 + 4.0 * r_sq[..., :-1] * v - 2.0 * vm_v
-    )
-    return 0.5 * (c + c.swapaxes(-1, -2))
-
-
-def ranging_second_moment(
-    geometry: RangingGeometry, weight: np.ndarray, ranges, variances
-) -> np.ndarray:
-    """Raw correlation E{w w^T} (2, 2) of the WLS position error.
-
-    Maps the noise second moment through the WLS solve:
-    (A^T W A)^{-1} A^T W C W^T A (A^T W A)^{-1}.
-    """
-    a_mat = geometry.design_matrix
-    c = noise_raw_second_moment(ranges, variances)
-    atw = a_mat.T @ weight
-    gram = atw @ a_mat
-    left = np.linalg.solve(gram, atw)
-    corr = left @ c @ left.T
-    return 0.5 * (corr + corr.T)
-
-
 def ranging_layer(
     geometry: RangingGeometry, ranges, variances, measured_ranges
 ) -> tuple:
@@ -202,7 +138,8 @@ def ranging_layer(
     with right-hand sides [A^T W b, A^T W mu, I], gives the fix, the bias
     and G^{-1}.  Because W is the inverse of the noise covariance at the
     same ranges, and the noise raw second moment is that covariance plus
-    mu mu^T, the correlation of `ranging_second_moment` reduces to
+    mu mu^T, the correlation G^{-1} A^T W E{b b^T} W A G^{-1} of the
+    error mapped through the solve reduces to
 
         E{w w^T} = G^{-1} + bias bias^T.
 
@@ -225,7 +162,8 @@ def ranging_layer(
     atw = a_mat.T @ noise_cov_inverse(ranges, variances)
     columns = np.empty(atw.shape[:-2] + (a_mat.shape[0], 2))
     columns[..., 0] = _range_differences(geometry, measured_ranges)
-    columns[..., 1] = _noise_mean(variances)
+    var = np.asarray(variances, dtype=float)
+    columns[..., 1] = var[..., -1:] - var[..., :-1]  # the noise mean mu
     rhs = np.empty(atw.shape[:-2] + (2, 4))
     rhs[..., :2] = atw @ columns
     rhs[..., 2:] = np.eye(2)

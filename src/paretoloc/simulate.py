@@ -801,21 +801,24 @@ def write_run_trace(path, result: RunResult) -> None:
             writer.writerow(row)
 
 
+SUMMARY_HEADER = ("estimator", "rmse_m", "p95_err_m", "runs", "excluded")
+
+
+def summary_rows(result: RunResult) -> list:
+    """One row of strings per estimator, in the columns of SUMMARY_HEADER."""
+    return [
+        [name, _fmt(result.rmse[name]), _fmt(result.p95[name]),
+         str(result.runs), str(result.excluded[name])]
+        for name in result.estimators
+    ]
+
+
 def write_summary(path, result: RunResult) -> None:
     """Aggregate CSV: estimator, rmse_m, p95_err_m, runs, excluded."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["estimator", "rmse_m", "p95_err_m", "runs", "excluded"])
-        for name in result.estimators:
-            writer.writerow(
-                [
-                    name,
-                    _fmt(result.rmse[name]),
-                    _fmt(result.p95[name]),
-                    str(result.runs),
-                    str(result.excluded[name]),
-                ]
-            )
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(summary_rows(result))
 
 
 def write_crlb(path, parcrlb: np.ndarray, pcrlb: np.ndarray, pcrlb_lb: np.ndarray, pcrlb_ub: np.ndarray) -> None:

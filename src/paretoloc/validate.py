@@ -26,21 +26,16 @@ from .crlb import (
     trig_moments,
 )
 from .deadreckoning import dr_first_moment, dr_second_moment
-from .filters import cv_transition_jacobian
-from .fusion import (
-    AxisContext,
-    ParetoConfig,
-    bias_recursion,
-    error_variance,
-    optimal_beta,
+from .fusion import AxisContext, ParetoConfig, optimal_beta
+from .models import (
+    AnchorSet,
+    CvProcessModel,
+    RangeNoiseModel,
+    SensorNoiseModel,
+    cv_transition_jacobian,
+    range_variance,
 )
-from .models import AnchorSet, CvProcessModel, RangeNoiseModel, SensorNoiseModel
-from .ranging import (
-    build_geometry,
-    noise_cov_inverse,
-    ranging_bias,
-    ranging_second_moment,
-)
+from .ranging import build_geometry, noise_cov_inverse, ranging_layer
 
 
 @dataclass(slots=True)
@@ -77,6 +72,18 @@ def _random_geometry(rng: np.random.Generator) -> tuple:
         return aset, position
 
 
+def _squared_range_noise(rng: np.random.Generator, n: int, aset: AnchorSet, position) -> tuple:
+    """True ranges r, their noise variances, and n draws (n, M-1) of the
+    differenced squared-range noise w_M^2 + 2 r_M w_M - w_l^2 - 2 r_l w_l."""
+    r = np.linalg.norm(aset.positions - position[None, :], axis=1)
+    var = range_variance(r, RangeNoiseModel())
+    w = rng.normal(0.0, np.sqrt(var), size=(n, aset.m))
+    b = (w[:, -1] ** 2 + 2.0 * r[-1] * w[:, -1])[:, None] - (
+        w[:, :-1] ** 2 + 2.0 * r[:-1] * w[:, :-1]
+    )
+    return r, var, b
+
+
 def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
     """Closed-form inverse of the squared-range noise covariance vs MC.
 
@@ -90,13 +97,7 @@ def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
     worst = 0.0
     for _ in range(5):
         aset, position = _random_geometry(rng)
-        r = np.linalg.norm(aset.positions - position[None, :], axis=1)
-        var = RangeNoiseModel().sigma0_sq * np.exp(RangeNoiseModel().kappa * r)
-        w_noise = rng.normal(0.0, np.sqrt(var), size=(n, aset.m))
-        b = (
-            w_noise[:, -1] ** 2
-            + 2.0 * r[-1] * w_noise[:, -1]
-        )[:, None] - (w_noise[:, :-1] ** 2 + 2.0 * r[:-1] * w_noise[:, :-1])
+        r, var, b = _squared_range_noise(rng, n, aset, position)
         cov_mc = np.cov(b, rowvar=False)
         # empirical entry-wise SE from group covariances (no Gaussian
         # fourth-moment shortcut; the noise is quadratic in Gaussians)
@@ -120,22 +121,14 @@ def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
 def _sample_wls_errors(
     rng: np.random.Generator, n: int, aset: AnchorSet, position: np.ndarray
 ) -> tuple:
-    """MC WLS errors plus the closed-form moments at the same operating point."""
+    """MC WLS errors plus the bias and correlation that `ranging_layer`,
+    the estimators' moment path, gives at the same operating point."""
     geometry = build_geometry(aset)
-    r = np.linalg.norm(aset.positions - position[None, :], axis=1)
-    model = RangeNoiseModel()
-    var = model.sigma0_sq * np.exp(model.kappa * r)
-    weight = noise_cov_inverse(r, var)
+    r, var, b = _squared_range_noise(rng, n, aset, position)
     a_mat = geometry.design_matrix
-    atw = a_mat.T @ weight
-    gram_inv_atw = np.linalg.solve(atw @ a_mat, atw)
-    noise = rng.normal(0.0, np.sqrt(var), size=(n, aset.m))
-    b = (noise[:, -1] ** 2 + 2.0 * r[-1] * noise[:, -1])[:, None] - (
-        noise[:, :-1] ** 2 + 2.0 * r[:-1] * noise[:, :-1]
-    )
-    errors = b @ gram_inv_atw.T  # (n, 2)
-    bias = ranging_bias(geometry, weight, var)
-    second = ranging_second_moment(geometry, weight, r, var)
+    atw = a_mat.T @ noise_cov_inverse(r, var)
+    errors = b @ np.linalg.solve(atw @ a_mat, atw).T  # (n, 2)
+    _, bias, second = ranging_layer(geometry, r, var, r)
     return errors, bias, second
 
 
@@ -275,11 +268,8 @@ def _second_moment_terms(ctx: AxisContext) -> tuple:
 
 
 def _mse_beta(a_k: float, b_k: float, config: ParetoConfig) -> float:
-    """Paper-form MSE minimiser: -b_k / a_k, clipped to the feasible domain
-    and to |beta| <= beta_clip."""
-    lo, hi = config.beta_domain
-    beta = min(max(-b_k / a_k, lo), hi)
-    return min(max(beta, -config.beta_clip), config.beta_clip)
+    """Paper-form MSE minimiser: -b_k / a_k, clipped to |beta| <= beta_clip."""
+    return min(max(-b_k / a_k, -config.beta_clip), config.beta_clip)
 
 
 def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
@@ -367,13 +357,23 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
     )
 
 
+def _corrected_d11(tm, cv: CvProcessModel) -> np.ndarray:
+    """`d11` with the full speed power E{V^2} = (k-1) sigma3_sq + V0^2 in
+    its (4, 4) entry: the true second moment, which Monte Carlo accepts
+    where the reference form's diffusion-only power falls short."""
+    i1, i2, i4 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq, 1.0 / cv.sigma4_sq
+    out = d11(tm, cv)
+    out[3, 3] = cv.T**2 * tm.e_v_sq * (tm.e_sin_sq * i1 + tm.e_cos_sq * i2) + i4
+    return out
+
+
 def check_fisher_blocks(scale: float = 1.0, seed: int = 27) -> CheckResult:
     """Closed-form transition information blocks vs rollout MC at k = 6.
 
     The reference (4, 4) entry deliberately carries the diffusion-only
     speed power; the MC comparison verifies (a) every other entry at
     3 SE, (b) the (4, 4) gap equals the missing V0^2 term, and (c) the
-    corrected flag closes that gap.
+    corrected form `_corrected_d11` closes that gap.
     """
     rng = np.random.default_rng(seed)
     m = max(int(2e4 * scale), 5000)
@@ -388,8 +388,8 @@ def check_fisher_blocks(scale: float = 1.0, seed: int = 27) -> CheckResult:
     mc11 = (f_jac.swapaxes(-1, -2) @ q_inv @ f_jac).mean(axis=0)
     mc12 = -f_jac.mean(axis=0).T @ q_inv
     tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, k)
-    ref = d11(tm, cv, corrected=False)
-    fixed = d11(tm, cv, corrected=True)
+    ref = d11(tm, cv)
+    fixed = _corrected_d11(tm, cv)
     off_mask = np.ones((4, 4), dtype=bool)
     off_mask[3, 3] = False
     # entry scales vary over orders of magnitude; compare relative
@@ -488,11 +488,11 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
         gap_hi = np.abs(rng.normal(0.0, 0.5, size=(dim, dim)))
         lb = base - 0.5 * (gap_lo + gap_lo.T)
         ub = base + 0.5 * (gap_hi + gap_hi.T)
-        fb = gershgorin_sandwich(lb, ub)
+        lb_g, ub_g = gershgorin_sandwich(lb, ub)
         worst = min(
             worst,
-            float(np.linalg.eigvalsh(fb.j_lb_g).min()),
-            float(np.linalg.eigvalsh(fb.j_ub_g - fb.j_lb_g).min()),
+            float(np.linalg.eigvalsh(lb_g).min()),
+            float(np.linalg.eigvalsh(ub_g - lb_g).min()),
         )
     result = pcrlb_bounds(
         CvProcessModel(T=0.1, sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-4, sigma4_sq=2.5e-3),

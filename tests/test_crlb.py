@@ -6,6 +6,7 @@ noncentral chi-square density; scipy's independent ncx2 moment
 implementation; the scalar information Riccati fixed point in closed
 form; seeded Monte Carlo for the genuinely stochastic expectations.
 """
+import dataclasses
 import math
 from dataclasses import astuple
 
@@ -37,14 +38,19 @@ from paretoloc.crlb import (
     position_error_bound,
     trig_moments,
 )
-from paretoloc.filters import cv_transition_jacobian
+from paretoloc.filters import cv_init
 from paretoloc.models import (
+    DEFAULT_ANCHORS,
     AnchorSet,
     CvProcessModel,
     RangeNoiseModel,
     SensorNoiseModel,
+    cv_rollout,
+    cv_transition_jacobian,
     range_variance,
 )
+from paretoloc.simulate import gen_trajectory, scenario_cv
+from paretoloc.validate import _corrected_d11
 
 ANCHORS = AnchorSet(
     np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
@@ -112,7 +118,7 @@ def test_d11_initial_step_equals_plain_quadratic_form():
     tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, k=1)
     f = cv_transition_jacobian(np.array([0.0, 0.0, v0, phi0]), CV.T)
     expected = f.T @ np.linalg.inv(CV.q_matrix()) @ f
-    assert_allclose(d11(tm, CV, corrected=True), expected, rtol=1e-12)
+    assert_allclose(_corrected_d11(tm, CV), expected, rtol=1e-12)
 
 
 def test_d11_against_jacobian_sampling():
@@ -127,13 +133,13 @@ def test_d11_against_jacobian_sampling():
     states[:, 2], states[:, 3] = v[:40000], phi[:40000]
     f = cv_transition_jacobian(states, CV.T)
     sampled = (f.swapaxes(-1, -2) @ q_inv @ f).mean(axis=0)
-    closed = d11(tm, CV, corrected=True)
+    closed = _corrected_d11(tm, CV)
     assert np.linalg.norm(sampled - closed) < 0.01 * np.linalg.norm(closed)
 
 
-def test_d11_corrected_flag_shifts_one_entry():
+def test_corrected_d11_shifts_one_entry():
     tm = trig_moments(0.6, 0.8, CV.sigma3_sq, CV.sigma4_sq, k=5)
-    diff = d11(tm, CV, corrected=True) - d11(tm, CV, corrected=False)
+    diff = _corrected_d11(tm, CV) - d11(tm, CV)
     expected = np.zeros((4, 4))
     expected[3, 3] = (
         CV.T**2
@@ -493,25 +499,25 @@ def test_gershgorin_sandwich_produces_psd_ordered_pair():
     rng = np.random.default_rng(77)
     for _ in range(50):
         lb, ub = _random_bracket_pair(rng)
-        out = gershgorin_sandwich(lb, ub)
-        assert np.all(np.linalg.eigvalsh(out.j_lb_g) >= -1e-10)
-        assert np.all(np.linalg.eigvalsh(out.j_ub_g) >= -1e-10)
-        assert np.all(np.linalg.eigvalsh(out.j_ub_g - out.j_lb_g) >= -1e-10)
+        lb_g, ub_g = gershgorin_sandwich(lb, ub)
+        assert np.all(np.linalg.eigvalsh(lb_g) >= -1e-10)
+        assert np.all(np.linalg.eigvalsh(ub_g) >= -1e-10)
+        assert np.all(np.linalg.eigvalsh(ub_g - lb_g) >= -1e-10)
         # the upper matrix only ever moves up, and only on the diagonal
         off = ~np.eye(4, dtype=bool)
-        assert_allclose(out.j_ub_g[off], ub[off], atol=1e-12)
-        assert np.all(np.diag(out.j_ub_g) >= np.diag(ub) - 1e-12)
+        assert_allclose(ub_g[off], ub[off], atol=1e-12)
+        assert np.all(np.diag(ub_g) >= np.diag(ub) - 1e-12)
         # the lower off-diagonals shrink toward zero, never grow
-        assert np.all(np.abs(out.j_lb_g[off]) <= np.abs(lb[off]) + 1e-12)
-        assert_allclose(np.diag(out.j_lb_g), np.maximum(np.diag(lb), 0.0))
+        assert np.all(np.abs(lb_g[off]) <= np.abs(lb[off]) + 1e-12)
+        assert_allclose(np.diag(lb_g), np.maximum(np.diag(lb), 0.0))
 
 
 def test_gershgorin_sandwich_keeps_good_input_unchanged():
     lb = np.diag([5.0, 6.0, 7.0])
     ub = lb + np.eye(3)
-    out = gershgorin_sandwich(lb, ub)
-    assert_allclose(out.j_lb_g, lb, atol=0.0)
-    assert_allclose(out.j_ub_g, ub, atol=0.0)
+    lb_g, ub_g = gershgorin_sandwich(lb, ub)
+    assert_allclose(lb_g, lb, atol=0.0)
+    assert_allclose(ub_g, ub, atol=0.0)
 
 
 def test_gershgorin_sandwich_validation():
@@ -545,10 +551,17 @@ def test_default_prior_information():
     )
 
 
+def test_filter_and_bound_priors_share_one_covariance():
+    # the EKF-CV start and the bounds' prior information are one constant
+    cov = cv_init([0.0, 0.0], 0.3, 0.4).covariance
+    np.testing.assert_array_equal(cov, np.diag([1.0, 1.0, 0.25, (math.pi / 4.0) ** 2]))
+    np.testing.assert_array_equal(default_prior_information(), np.linalg.inv(cov))
+
+
 def test_pi_expectation_single_point_is_exact():
     pos = np.array([1.2, 0.9])
     model = RangeNoiseModel()
-    pi_hat, se = pi_expectation_mc(pos[None, :], ANCHORS, model)
+    pi_hat = pi_expectation_mc(pos[None, :], ANCHORS, model)
     expected = np.zeros((2, 2))
     for anchor in ANCHORS.positions:
         diff = pos - anchor
@@ -556,14 +569,13 @@ def test_pi_expectation_single_point_is_exact():
         d = diff / r
         expected += np.outer(d, d) / range_variance(r, model)
     assert_allclose(pi_hat, expected, rtol=1e-12)
-    assert_allclose(se, np.zeros((2, 2)))
 
 
 def test_measurement_information_structure():
     state = np.array([1.2, 0.9, 0.4, 0.7])
     model, sensors = RangeNoiseModel(), SensorNoiseModel()
     info = measurement_information(state, ANCHORS, model, sensors)
-    pi_hat, _ = pi_expectation_mc(state[None, :2], ANCHORS, model)
+    pi_hat = pi_expectation_mc(state[None, :2], ANCHORS, model)
     assert_allclose(info[:2, :2], pi_hat, rtol=1e-12)
     assert info[2, 2] == pytest.approx(1.0 / sensors.sigma_v**2)
     assert info[3, 3] == pytest.approx(1.0 / sensors.sigma_phi**2)
@@ -591,17 +603,22 @@ def test_parcrlb_trace_first_step_and_growth():
     assert bound[-1] < 0.5 * bound[0]
 
 
-def test_parcrlb_trace_follows_a_turning_path():
-    # oracle: the recursion stepped with each state's own Jacobian
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
-    steps = 25
+def _turning_truth(steps=25):
     heading = np.linspace(0.0, 2.5, steps)
     speed = np.linspace(0.1, 0.6, steps)
     positions = np.array([1.0, 1.0]) + np.cumsum(
         0.1 * speed[:, None] * np.stack([np.cos(heading), np.sin(heading)], -1), axis=0
     )
-    j_seq, bound = parcrlb_trace((positions, speed, heading), ANCHORS, model, sensors, T=0.1)
-    states = np.column_stack([positions, speed, heading])
+    return positions, speed, heading
+
+
+def test_parcrlb_trace_follows_a_turning_path():
+    # oracle: the recursion stepped with each state's own Jacobian
+    model, sensors = RangeNoiseModel(), SensorNoiseModel()
+    steps = 25
+    truth = _turning_truth(steps)
+    j_seq, bound = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1)
+    states = np.column_stack(truth)
     j = default_prior_information() + measurement_information(states[0], ANCHORS, model, sensors)
     np.testing.assert_array_equal(j_seq[0], j)
     for k in range(1, steps):
@@ -619,6 +636,69 @@ def test_parcrlb_trace_custom_prior():
     _, tight = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1, j0=strong)
     _, loose = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1)
     assert np.all(tight < loose)
+
+
+def _matrix_product_information(state, anchors, model, sensors):
+    """H^T R^{-1} H written as the matrix product over anchors."""
+    diff = state[:2][None, :] - anchors.positions
+    r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
+    d = diff / r[:, None]
+    info = np.zeros((4, 4))
+    info[:2, :2] = (d * (1.0 / range_variance(r, model))[:, None]).T @ d
+    info[2, 2] = 1.0 / sensors.sigma_v**2
+    info[3, 3] = 1.0 / sensors.sigma_phi**2
+    return info
+
+
+@pytest.mark.parametrize("track", ["turning", "scenario-cv"])
+def test_parcrlb_trace_matches_the_matrix_product_recursion(track):
+    # The bound takes Pi from `pi_expectation_mc` on one sample; the sum
+    # over anchors then runs in another order than the matrix product
+    # H^T R^{-1} H, so the two sequences agree to rounding only: 1e-14
+    # relative per step (4.2e-16 seen).
+    model, sensors = RangeNoiseModel(), SensorNoiseModel()
+    if track == "turning":
+        truth, anchors = _turning_truth(), ANCHORS
+    else:
+        # the parametric path of `crlb_traces` on scenario CV
+        truth = gen_trajectory(dataclasses.replace(scenario_cv(steps=200), kind="linear"))
+        anchors = DEFAULT_ANCHORS
+    j_seq, bound = parcrlb_trace(truth, anchors, model, sensors, T=0.1)
+    states = np.column_stack(truth)
+    for k in range(len(states)):
+        info = _matrix_product_information(states[k], anchors, model, sensors)
+        if k == 0:
+            j = default_prior_information() + info
+        else:
+            f_inv = np.linalg.solve(cv_transition_jacobian(states[k - 1], 0.1), np.eye(4))
+            j = f_inv.T @ j @ f_inv + info
+            j = 0.5 * (j + j.T)
+        assert np.max(np.abs(j_seq[k] - j)) <= 1e-14 * np.max(np.abs(j))
+        assert bound[k] == pytest.approx(position_error_bound(j), rel=1e-14, abs=0.0)
+
+
+def test_pcrlb_bounds_steps_are_the_recursion_steps():
+    # Step 0 is the prior plus the measurement block at the initial
+    # state; every later step is `pcrlb_recursion` on the previous
+    # information and the MC measurement block of the same rollout, bit
+    # for bit.
+    model, sensors = RangeNoiseModel(), SensorNoiseModel()
+    x0, v0, phi0, steps, n_ensemble = [1.5, 1.8], 0.3, 0.4, 12, 150
+    out = pcrlb_bounds(
+        CV, ANCHORS, model, sensors, x0=x0, v0=v0, phi0=phi0, steps=steps,
+        n_ensemble=n_ensemble, rng=np.random.default_rng(21),
+    )
+    state0 = np.array([x0[0], x0[1], v0, phi0])
+    rollout = cv_rollout(CV, state0, steps, np.random.default_rng(21), n_ensemble)
+    np.testing.assert_array_equal(
+        out.j[0],
+        default_prior_information() + measurement_information(state0, ANCHORS, model, sensors),
+    )
+    for i in range(1, steps):
+        tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, i)
+        pi_hat = pi_expectation_mc(rollout[i, :, :2], ANCHORS, model)
+        expected = pcrlb_recursion(out.j[i - 1], d11(tm, CV), d12(tm, CV), d22(pi_hat, CV, sensors))
+        np.testing.assert_array_equal(out.j[i], expected)
 
 
 @pytest.mark.parametrize("n_ensemble", [0, -3])

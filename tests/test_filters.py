@@ -18,7 +18,6 @@ from paretoloc.filters import (
     _sigma_points,
     _unscented_correct,
     cv_init,
-    cv_transition_jacobian,
     ekf_cv_step,
     ekf_step,
     lckf_step,
@@ -32,6 +31,7 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
+    cv_transition_jacobian,
     draw_measurements,
     range_variance,
     true_ranges,

@@ -2,7 +2,10 @@
 
 The second-order results are checked against brute-force sampling of the
 differenced squared-range noise at a fixed operating point; tolerances
-are stated next to each comparison.
+are stated next to each comparison.  `ranging_layer`'s shortcut
+E{w w^T} = G^{-1} + bias bias^T is checked against the long form: the
+noise mean and raw second moment written out entry by entry and mapped
+through the WLS solve under any weight.
 """
 import numpy as np
 import pytest
@@ -12,9 +15,7 @@ from paretoloc.models import AnchorSet, RangeNoiseModel, range_variance, true_ra
 from paretoloc.ranging import (
     build_geometry,
     noise_cov_inverse,
-    ranging_bias,
     ranging_layer,
-    ranging_second_moment,
     wls_estimate,
 )
 
@@ -38,6 +39,40 @@ def _sample_noise(rng, n, r, var):
     return (w[:, -1] ** 2 + 2.0 * r[-1] * w[:, -1])[:, None] - (
         w[:, :-1] ** 2 + 2.0 * r[:-1] * w[:, :-1]
     )
+
+
+def _noise_raw_second_moment(r, var):
+    """E{b b^T} of the differenced squared-range noise, entry by entry.
+
+    With M the reference anchor:
+        C_ll = 3 s_M^4 + 4 r_M^2 s_M^2 + 3 s_l^4 + 4 r_l^2 s_l^2 - 2 s_M^2 s_l^2,
+        C_lj = 3 s_M^4 - s_M^2 s_j^2 + 4 r_M^2 s_M^2 - s_l^2 s_M^2 + s_l^2 s_j^2.
+    """
+    vm, rm = var[-1], r[-1]
+    n = r.size - 1
+    c = np.empty((n, n))
+    for l in range(n):
+        for j in range(n):
+            if l == j:
+                c[l, l] = (
+                    3.0 * vm**2 + 4.0 * rm**2 * vm + 3.0 * var[l] ** 2
+                    + 4.0 * r[l] ** 2 * var[l] - 2.0 * vm * var[l]
+                )
+            else:
+                c[l, j] = (
+                    3.0 * vm**2 - vm * var[j] + 4.0 * rm**2 * vm
+                    - var[l] * vm + var[l] * var[j]
+                )
+    return c
+
+
+def _moments_through_solve(geometry, weight, r, var):
+    """WLS error bias and raw correlation for any weight W: the noise
+    mean and raw second moment mapped through L = (A^T W A)^{-1} A^T W."""
+    atw = geometry.design_matrix.T @ weight
+    left = np.linalg.solve(atw @ geometry.design_matrix, atw)
+    bias = left @ (var[-1] - var[:-1])
+    return bias, left @ _noise_raw_second_moment(r, var) @ left.T
 
 
 def test_build_geometry_rows():
@@ -96,8 +131,11 @@ def test_ranging_bias_matches_sampling():
     atw = geometry.design_matrix.T @ w
     errors = b @ np.linalg.solve(atw @ geometry.design_matrix, atw).T
     se = errors.std(axis=0, ddof=1) / np.sqrt(n)
-    gap = np.abs(errors.mean(axis=0) - ranging_bias(geometry, w, var))
-    assert np.all(gap < 4.0 * se)
+    # the shortcut the estimators use, and the long form
+    shortcut = ranging_layer(geometry, r, var, r)[1]
+    long_form = _moments_through_solve(geometry, w, r, var)[0]
+    for bias in (shortcut, long_form):
+        assert np.all(np.abs(errors.mean(axis=0) - bias) < 4.0 * se)
 
 
 def test_noise_second_moment_and_error_correlation_match_sampling():
@@ -109,17 +147,23 @@ def test_noise_second_moment_and_error_correlation_match_sampling():
     atw = geometry.design_matrix.T @ w
     errors = b @ np.linalg.solve(atw @ geometry.design_matrix, atw).T
     mc = errors.T @ errors / n
-    closed = ranging_second_moment(geometry, w, r, var)
-    # 2% relative Frobenius at n = 4e5
-    assert np.linalg.norm(mc - closed) / np.linalg.norm(closed) < 0.02
+    # the raw noise second moment itself, entry by entry
+    c_mc = b.T @ b / n
+    c_closed = _noise_raw_second_moment(r, var)
+    assert np.linalg.norm(c_mc - c_closed) / np.linalg.norm(c_closed) < 0.02
+    # 2% relative Frobenius at n = 4e5, for the long form and for the
+    # shortcut the estimators use
+    _, _, shortcut = ranging_layer(geometry, r, var, r)
+    for closed in (_moments_through_solve(geometry, w, r, var)[1], shortcut):
+        assert np.linalg.norm(mc - closed) / np.linalg.norm(closed) < 0.02
 
 
 def test_ranging_layer_moments_are_a_valid_covariance():
     geometry, r, var = _operating_point()
     _, bias, corr = ranging_layer(geometry, r, var, r)
-    w = noise_cov_inverse(r, var)
-    assert_allclose(bias, ranging_bias(geometry, w, var), atol=1e-12)
-    assert_allclose(corr, ranging_second_moment(geometry, w, r, var), atol=1e-12)
+    long_bias, long_corr = _moments_through_solve(geometry, noise_cov_inverse(r, var), r, var)
+    assert_allclose(bias, long_bias, atol=1e-12)
+    assert_allclose(corr, long_corr, atol=1e-12)
     assert np.all(np.diag(corr) - bias**2 > 0.0)
     # raw correlation minus squared bias must stay a valid covariance
     cov = corr - np.outer(bias, bias)
@@ -132,7 +176,7 @@ def test_wls_error_scale_matches_prediction():
     rng = np.random.default_rng(303)
     n = 20000
     w = noise_cov_inverse(r, var)
-    correlation = ranging_second_moment(geometry, w, r, var)
+    _, _, correlation = ranging_layer(geometry, r, var, r)
     est = np.array(
         [
             wls_estimate(geometry, r + rng.normal(0.0, np.sqrt(var)), w)
@@ -148,7 +192,7 @@ def test_wls_error_scale_matches_prediction():
 
 def test_ranging_layer_matches_the_separate_moments_per_run():
     # One stacked solve with G^{-1} + bias bias^T for the correlation must
-    # agree with the general-weight formulas run by run, and with its own
+    # agree with the general-weight long form run by run, and with its own
     # single-run form.
     geometry = build_geometry(ANCHORS)
     rng = np.random.default_rng(3)
@@ -161,10 +205,9 @@ def test_ranging_layer_matches_the_separate_moments_per_run():
     for run in range(5):
         w = noise_cov_inverse(r[run], var[run])
         assert_allclose(fix[run], wls_estimate(geometry, measured[run], w), rtol=1e-10)
-        assert_allclose(bias[run], ranging_bias(geometry, w, var[run]), rtol=1e-10)
-        assert_allclose(
-            corr[run], ranging_second_moment(geometry, w, r[run], var[run]), rtol=1e-10
-        )
+        long_bias, long_corr = _moments_through_solve(geometry, w, r[run], var[run])
+        assert_allclose(bias[run], long_bias, rtol=1e-10)
+        assert_allclose(corr[run], long_corr, rtol=1e-10)
         single = ranging_layer(geometry, r[run], var[run], measured[run])
         for stacked, one in zip((fix, bias, corr), single):
             np.testing.assert_array_equal(stacked[run], one)

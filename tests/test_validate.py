@@ -6,10 +6,13 @@ checks that are deterministic given their seed.
 """
 import pytest
 
+from paretoloc import validate
 from paretoloc.validate import (
     ALL_CHECKS,
     CheckResult,
     check_optimal_beta,
+    check_ranging_bias,
+    check_ranging_second_moment,
     check_recursion_identities,
     run_all_checks,
 )
@@ -62,3 +65,30 @@ def test_check_result_fields():
     assert r.passed is True
     assert "fixed point" in r.detail
     assert r.data["riccati_gap"] <= 1e-9
+
+
+def _perturb_ranging_layer(monkeypatch, bias_shift=0.0, corr_scale=1.0):
+    runtime = validate.ranging_layer
+
+    def perturbed(*args):
+        fix, bias, corr = runtime(*args)
+        return fix, bias + bias_shift, corr * corr_scale
+
+    monkeypatch.setattr(validate, "ranging_layer", perturbed)
+
+
+def test_ranging_bias_check_reads_the_runtime_moment_path(monkeypatch):
+    # 1e-2 m on each axis is about 1.6 of the check's 3-SE gate at its
+    # default budget (1e5 samples)
+    assert check_ranging_bias().passed
+    _perturb_ranging_layer(monkeypatch, bias_shift=1e-2)
+    assert not check_ranging_bias().passed
+
+
+def test_ranging_second_moment_check_reads_the_runtime_moment_path(monkeypatch):
+    # the gate is 5 % relative Frobenius, so a 10 % error in the
+    # correlation must fail it (1e-2 m^2 per entry is only about 2 % of
+    # its norm here and passes)
+    assert check_ranging_second_moment().passed
+    _perturb_ranging_layer(monkeypatch, corr_scale=1.1)
+    assert not check_ranging_second_moment().passed
