@@ -27,7 +27,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .models import (
     CV_PRIOR_VARIANCES,
@@ -271,12 +270,22 @@ def ncx2_central_moments(lam: float, order: int) -> np.ndarray:
 def expected_log_ncx2(lam: float) -> float:
     """E{ln X} for X ~ noncentral chi-square, 1 dof, noncentrality lam.
 
-    Poisson-mixture representation: ln 2 + E_N{psi(1/2 + N)} with
-    N ~ Poisson(lam / 2); the sum is truncated far into the Poisson tail
-    so the result is exact to double precision for any lam.
+    Up to lam = 300, the Poisson-mixture representation: ln 2 +
+    E_N{psi(1/2 + N)} with N ~ Poisson(lam / 2), summed far into the
+    Poisson tail.  Above, where that sum has about 24 sqrt(lam / 2) terms
+    and loses digits, the asymptotic expansion of E{ln (sqrt(lam) + Z)^2}
+    with Z standard normal, ln lam - sum_{k=1..6} (2k-1)!! / (k lam^k),
+    whose first omitted term is below 1e-13 there.  Both are exact to
+    about double precision.
     """
     if lam < 0.0:
         raise ValueError("noncentrality must be non-negative")
+    if lam > 300.0:
+        return math.log(lam) - sum(math.prod(range(1, 2 * k, 2)) / (k * lam**k) for k in range(1, 7))
+    # scipy.special costs about 0.2 s and 24 MB at import; only this
+    # function needs it
+    from scipy import special
+
     half = 0.5 * lam
     if half == 0.0:
         return float(special.digamma(0.5) + math.log(2.0))
@@ -747,6 +756,8 @@ def pcrlb_bounds(
     rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
     rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
+    # D22 = Q^{-1} + measurement block, with Q inverted once for all steps
+    q_inv = np.linalg.inv(cv.q_matrix())
 
     j_seq = np.empty((steps, 4, 4))
     lb_seq = np.empty((steps, 4, 4))
@@ -772,7 +783,7 @@ def pcrlb_bounds(
             # recursions of their own, so they need not hold in PSD order
             coupling = _coupling(j, d11(tm, cv), d12(tm, cv))
             j, j_lb_elem, j_ub_elem = (
-                _symmetric(d22(pi, cv, sensor_model) - coupling) for pi in pis
+                _symmetric(q_inv + _measurement_block(pi, sensor_model) - coupling) for pi in pis
             )
         j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
         j_seq[i], lb_seq[i], ub_seq[i] = j, j_lb_g, j_ub_g

@@ -26,6 +26,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,31 +85,35 @@ class AxisContext:
     dr_second: float
     T: float
 
-    @property
-    def dr_first(self) -> float:
-        """E{V~ trig(phi~)} = V trig(phi) * heading attenuation."""
-        return self.dr_true_first * self.heading_attenuation
+    def moments(self) -> ParetoMoments:
+        """The moments that score a beta, each evaluated once."""
+        drift = self.T * self.dr_true_first * (self.heading_attenuation - 1.0)
+        sigma_vr_sq = self.ranging_second - self.ranging_mean**2
+        dr_first = self.dr_true_first * self.heading_attenuation  # E{V~ trig(phi~)}
+        sigma_vv_sq = self.T**2 * (self.dr_second - dr_first**2)
+        return ParetoMoments(
+            self.ranging_mean, self.prev_bias, self.prev_variance, drift, sigma_vr_sq, sigma_vv_sq,
+            gamma=-self.ranging_mean + self.prev_bias + drift,
+            eta=sigma_vr_sq + self.prev_variance + sigma_vv_sq,
+        )
 
-    @property
-    def drift(self) -> float:
-        """Deterministic dead-reckoning bias increment
-        T V trig(phi) (exp(-sigma_phi^2/2) - 1)."""
-        return self.T * self.dr_true_first * (self.heading_attenuation - 1.0)
 
-    @property
-    def sigma_vr_sq(self) -> float:
-        """Variance of the ranging error, E{w_r^2} - E{w_r}^2."""
-        return self.ranging_second - self.ranging_mean**2
+class ParetoMoments(NamedTuple):
+    """What the beta formula and the bias/variance recursions read of an
+    `AxisContext`, one value per element: E{w_r}, E{w_k}, sigma_vx^2, the
+    dead-reckoning bias increment T V trig(phi) (exp(-sigma_phi^2/2) - 1),
+    the variances of the ranging error and of the displacement
+    T V~ trig(phi~), gamma = -E{w_r} + E{w_k} + drift (the mean of the
+    beta-multiplied error part) and eta = sigma_vr^2 + sigma_vx^2 + sigma_vv^2."""
 
-    @property
-    def sigma_vv_sq(self) -> float:
-        """Variance of the dead-reckoned displacement T V~ trig(phi~)."""
-        return self.T**2 * (self.dr_second - self.dr_first**2)
-
-    @property
-    def gamma(self) -> float:
-        """Mean of the beta-multiplied error part: -E{w_r} + E{w_k} + drift."""
-        return -self.ranging_mean + self.prev_bias + self.drift
+    ranging_mean: float
+    prev_bias: float
+    prev_variance: float
+    drift: float
+    sigma_vr_sq: float
+    sigma_vv_sq: float
+    gamma: float
+    eta: float
 
 
 @dataclass(slots=True)
@@ -197,42 +202,44 @@ def fuse(beta, ranging_estimate, dr_estimate) -> np.ndarray:
     return (1.0 - beta) * x_r + beta * x_v
 
 
-def bias_recursion(beta: float, ctx: AxisContext) -> float:
+def bias_recursion(beta: float, m: ParetoMoments) -> float:
     """Bias of the fused error after one step with the given beta.
 
     mu_{k+1} = (1 - beta) E{w_r} + beta E{w_k}
                + beta T V trig(phi) (exp(-sigma_phi^2/2) - 1).
     """
-    return (1.0 - beta) * ctx.ranging_mean + beta * ctx.prev_bias + beta * ctx.drift
+    return (1.0 - beta) * m.ranging_mean + beta * m.prev_bias + beta * m.drift
 
 
-def error_variance(beta: float, ctx: AxisContext) -> float:
+def error_variance(beta: float, m: ParetoMoments) -> float:
     """Variance of the fused error after one step with the given beta.
 
     sigma^2 = (1 - beta)^2 sigma_vr^2 + beta^2 sigma_vx^2 + beta^2 sigma_vv^2,
-    with sigma_vx^2 the previous step's variance `ctx.prev_variance`.
+    with sigma_vx^2 the previous step's variance `m.prev_variance`.
     """
-    return (
-        (1.0 - beta) ** 2 * ctx.sigma_vr_sq
-        + beta**2 * ctx.prev_variance
-        + beta**2 * ctx.sigma_vv_sq
-    )
+    beta_sq = beta**2
+    return (1.0 - beta) ** 2 * m.sigma_vr_sq + beta_sq * m.prev_variance + beta_sq * m.sigma_vv_sq
 
 
-def _pareto_beta(rho, ctx: AxisContext, config: ParetoConfig) -> tuple:
-    """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise.
+def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
+    """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise;
+    `rho`, `beta_clip` and the mask `warn` broadcast against the moments.
 
-    Returns (beta, degenerate): beta is 0 where the objective has no
-    curvature (non-positive denominator), and `degenerate` marks those
-    elements.
+    beta is 0 where the objective has no curvature (non-positive
+    denominator), with a warning if any of those elements is in `warn`.
     """
-    sigma_vr_sq, gamma = ctx.sigma_vr_sq, ctx.gamma
-    eta = sigma_vr_sq + ctx.prev_variance + ctx.sigma_vv_sq
-    num = 2.0 * (1.0 - rho) * sigma_vr_sq - 2.0 * rho * gamma * ctx.ranging_mean
-    den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
+    w_var, w_bias = 2.0 * (1.0 - rho), 2.0 * rho
+    num = w_var * m.sigma_vr_sq - w_bias * m.gamma * m.ranging_mean
+    den = w_var * m.eta + w_bias * m.gamma**2
     degenerate = den <= 0.0
+    if warn is not None and np.count_nonzero(degenerate & warn):
+        warnings.warn(
+            "degenerate beta objective (zero curvature); falling back to beta = 0",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return np.clip(xi, -config.beta_clip, config.beta_clip), degenerate
+    return np.clip(xi, -beta_clip, beta_clip)
 
 
 def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = None) -> float:
@@ -253,70 +260,24 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
         config = ParetoConfig()
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    beta, degenerate = _pareto_beta(rho, ctx, config)
-    if np.any(degenerate):
-        warnings.warn(
-            "degenerate beta objective (zero curvature); falling back to beta = 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return beta[()]
+    return _pareto_beta(rho, ctx.moments(), config.beta_clip, warn=True)[()]
 
 
-def select_rho(ctx: AxisContext, config: ParetoConfig) -> tuple:
-    """Knee-point Pareto weight and its beta for one axis.
+def select_rho(m: ParetoMoments, config: ParetoConfig):
+    """Knee-point Pareto weight for one axis.
 
     Scans `config.rho_grid`, computes beta*(rho) for each candidate, then
     the resulting one-step bias and variance, and keeps the rho whose
     squared-bias / variance gap (sigma^2 - mu^2)^2 is smallest.  Ties go
     to the smallest rho (np.argmin keeps the first minimum on the sorted
-    grid).  An array context is scanned elementwise along a trailing grid
-    axis.
-
-    Returns
-    -------
-    (rho_star, beta_star) : tuple
-        Floats, or arrays of the context's shape.
+    grid).  Array moments are scanned elementwise along a leading grid
+    axis and give one rho per element.
     """
-
-    def along_grid(x):
-        # scalar fields (T and the heading attenuation of a batch) broadcast as they are
-        return x[..., None] if isinstance(x, np.ndarray) else x
-
-    grid = AxisContext(*(along_grid(getattr(ctx, name)) for name in AxisContext.__slots__))
-    rho = config.rho_grid
-    betas, _ = _pareto_beta(rho, grid, config)
-    mu = bias_recursion(betas, grid)
-    var = error_variance(betas, grid)
-    best = np.argmin((var - mu**2) ** 2, axis=-1)
-    flat = betas.reshape(-1, rho.size)
-    beta = flat[np.arange(flat.shape[0]), best.reshape(-1)].reshape(best.shape)
-    return rho[best][()], beta[()]
-
-
-def _choose_rho_beta(ctx: AxisContext, config: ParetoConfig) -> tuple:
-    """Per-axis (rho, beta) for the contexts `ctx`, by `config.mode`."""
-    if config.mode == "knee":
-        return select_rho(ctx, config)
-    # "mse" is the rho = 1/2 point of the same objective
-    rho = config.fixed_rho if config.mode == "fixed" else 0.5
-    beta = optimal_beta(rho, ctx, config)
-    return np.full_like(beta, rho), beta
-
-
-def _context_rows(ctx: AxisContext, part: slice) -> AxisContext:
-    """The contexts of the rows `part` of a batch; T and the heading
-    attenuation are shared by all rows."""
-    return AxisContext(
-        ranging_mean=ctx.ranging_mean[part],
-        ranging_second=ctx.ranging_second[part],
-        prev_bias=ctx.prev_bias[part],
-        prev_variance=ctx.prev_variance[part],
-        dr_true_first=ctx.dr_true_first[part],
-        heading_attenuation=ctx.heading_attenuation,
-        dr_second=ctx.dr_second[part],
-        T=ctx.T,
-    )
+    rho = config.rho_grid.reshape((-1,) + (1,) * np.ndim(m.ranging_mean))
+    betas = _pareto_beta(rho, m, config.beta_clip)
+    mu = bias_recursion(betas, m)
+    var = error_variance(betas, m)
+    return config.rho_grid[np.argmin((var - mu**2) ** 2, axis=0)][()]
 
 
 def approximate_kinematics(
@@ -391,6 +352,27 @@ def init_fusion(
     )
 
 
+def _pareto_update(ctx: AxisContext, configs: Sequence[ParetoConfig]) -> tuple:
+    """(rho, beta, bias, variance) of one step for the contexts `ctx`
+    (rows, 2), one equal block of rows per config.  Knee blocks scan for
+    rho ("mse" is rho = 1/2); one beta evaluation at the per-row rho and
+    beta_clip, with the scan's arithmetic, then serves every row, and
+    only fixed and mse rows warn of a degenerate objective."""
+    m = ctx.moments()
+    rows = len(m.ranging_mean)
+    rho, beta_clip = np.empty((rows, 2)), np.empty((rows, 1))
+    warn = np.zeros((rows, 1), dtype=bool)
+    for part, config in _row_blocks(configs, rows):
+        beta_clip[part] = config.beta_clip
+        if config.mode == "knee":
+            rho[part] = select_rho(ParetoMoments(*(x[part] for x in m)), config)
+        else:
+            rho[part] = config.fixed_rho if config.mode == "fixed" else 0.5
+            warn[part] = True
+    beta = _pareto_beta(rho, m, beta_clip, warn)
+    return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
+
+
 def fusion_step(
     state: FusionState,
     frame: MeasurementFrame,
@@ -410,10 +392,10 @@ def fusion_step(
 
     `configs` holds one ParetoConfig per equal block of rows, in row
     order (a sequence of one for a batch under one config).  The dead
-    reckoning, the ranging layer and the axis contexts, of shape
-    (rows, 2), are computed once for all rows; beta and rho are chosen
-    per block by that block's mode, and the knee search scans
-    (block rows, 2, len(rho_grid)).
+    reckoning, the ranging layer and the axis moments, of shape
+    (rows, 2), are computed once for all rows; rho is chosen per block
+    by that block's mode (the knee search scans (len(rho_grid), block
+    rows, 2)), and beta once for all rows.
 
     Returns a new FusionState; the input state is not modified.
     """
@@ -446,15 +428,13 @@ def fusion_step(
         ),
         T=T,
     )
-    rho, beta = np.empty_like(x_r), np.empty_like(x_r)
-    for part, config in _row_blocks(configs, len(x_r)):
-        rho[part], beta[part] = _choose_rho_beta(_context_rows(ctx, part), config)
+    rho, beta, bias, variance = _pareto_update(ctx, configs)
 
     return FusionState(
         estimate=fuse(beta, x_r, x_v),
         prev_estimate=state.estimate,
-        bias_estimate=bias_recursion(beta, ctx),
-        error_variance=error_variance(beta, ctx),
+        bias_estimate=bias,
+        error_variance=variance,
         k=frame.k,
         last_speed=v_ap,
         last_heading=phi_ap,

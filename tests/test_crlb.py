@@ -219,17 +219,17 @@ def test_ncx2_central_moments_match_scipy(lam):
         ncx2_central_moments(lam, -1)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.3, 2.0, 10.0, 60.0])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 2.0, 10.0, 60.0, 1e4, 1e7])
 def test_expected_log_ncx2_against_quadrature(lam):
-    # X = Y^2 with Y ~ N(sqrt(lam), 1): integrate 2 ln|y| over the two
-    # Gaussian branches (smooth apart from the integrable log at 0)
+    # X = (sqrt(lam) + Z)^2 with Z standard normal: integrate 2 ln|sqrt(lam) + z|
+    # against the normal density over |z| <= 40 (the rest is below 1e-300),
+    # with a break point at the integrable log singularity z = -sqrt(lam)
     s = math.sqrt(lam)
     val, err = integrate.quad(
-        lambda y: 2.0
-        * math.log(y)
-        * (stats.norm.pdf(y - s) + stats.norm.pdf(y + s)),
-        0.0,
-        np.inf,
+        lambda z: 2.0 * math.log(abs(s + z)) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+        -40.0,
+        40.0,
+        points=[-s] if s < 40.0 else None,
         limit=200,
     )
     assert err < 1e-6

@@ -5,12 +5,15 @@ ensemble simulation of the error model they describe; the beta
 optimisers against brute-force grid minimisation of the exact objective.
 """
 import math
+import warnings
+from types import SimpleNamespace
 
 import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from paretoloc.deadreckoning import dr_second_moment
@@ -18,6 +21,8 @@ from paretoloc.fusion import (
     AxisContext,
     FusionState,
     ParetoConfig,
+    _pareto_update,
+    _row_blocks,
     approximate_kinematics,
     bias_recursion,
     error_variance,
@@ -65,10 +70,11 @@ def test_recursion_matches_error_ensemble():
     # with the exact noise models the closed forms describe
     v, phi, sigma_v, sigma_phi = 0.4, 0.6, 0.05, math.pi / 8.0
     ctx = _context(v, phi, sigma_v, sigma_phi)
+    m = ctx.moments()
     beta = 0.7
     rng = np.random.default_rng(11)
     n = 500000
-    w_r = rng.normal(ctx.ranging_mean, math.sqrt(ctx.sigma_vr_sq), size=n)
+    w_r = rng.normal(ctx.ranging_mean, math.sqrt(m.sigma_vr_sq), size=n)
     w_k = rng.normal(ctx.prev_bias, math.sqrt(ctx.prev_variance), size=n)
     v_meas = v + rng.normal(0.0, sigma_v, size=n)
     phi_meas = phi + rng.normal(0.0, sigma_phi, size=n)
@@ -76,10 +82,8 @@ def test_recursion_matches_error_ensemble():
     w_next = (1.0 - beta) * w_r + beta * (w_k + dr_err)
 
     se_mean = w_next.std(ddof=1) / math.sqrt(n)
-    assert abs(w_next.mean() - bias_recursion(beta, ctx)) < 4.0 * se_mean
-    assert w_next.var(ddof=1) == pytest.approx(
-        error_variance(beta, ctx), rel=0.01
-    )
+    assert abs(w_next.mean() - bias_recursion(beta, m)) < 4.0 * se_mean
+    assert w_next.var(ddof=1) == pytest.approx(error_variance(beta, m), rel=0.01)
     # raw second moment through the quadratic coefficients
     a_k, b_k = _second_moment_terms(ctx)
     predicted = beta**2 * a_k + 2.0 * beta * b_k + ctx.ranging_second
@@ -89,11 +93,10 @@ def test_recursion_matches_error_ensemble():
 def test_second_moment_terms_closed_forms():
     ctx = _context()
     a_k, b_k = _second_moment_terms(ctx)
-    eta = ctx.sigma_vr_sq + ctx.prev_variance + ctx.sigma_vv_sq
-    assert a_k == pytest.approx(ctx.gamma**2 + eta, rel=1e-12)
-    assert b_k == pytest.approx(
-        ctx.ranging_mean * ctx.gamma - ctx.sigma_vr_sq, rel=1e-12
-    )
+    m = ctx.moments()
+    assert m.eta == m.sigma_vr_sq + ctx.prev_variance + m.sigma_vv_sq
+    assert a_k == pytest.approx(m.gamma**2 + m.eta, rel=1e-12)
+    assert b_k == pytest.approx(ctx.ranging_mean * m.gamma - m.sigma_vr_sq, rel=1e-12)
 
 
 def test_optimal_beta_matches_grid():
@@ -104,12 +107,10 @@ def test_optimal_beta_matches_grid():
         ctx = _context(
             v=rng.uniform(0.0, 1.0), phi=rng.uniform(-math.pi, math.pi)
         )
+        m = ctx.moments()
         rho = float(rng.uniform(0.0, 1.0))
-        mu = (1.0 - grid) * ctx.ranging_mean + grid * (ctx.prev_bias + ctx.drift)
-        var = (
-            (1.0 - grid) ** 2 * ctx.sigma_vr_sq
-            + grid**2 * (ctx.prev_variance + ctx.sigma_vv_sq)
-        )
+        mu = (1.0 - grid) * m.ranging_mean + grid * (m.prev_bias + m.drift)
+        var = (1.0 - grid) ** 2 * m.sigma_vr_sq + grid**2 * (m.prev_variance + m.sigma_vv_sq)
         brute = grid[int(np.argmin(rho * mu**2 + (1.0 - rho) * var))]
         assert optimal_beta(rho, ctx, config) == pytest.approx(brute, abs=2e-4)
 
@@ -131,6 +132,9 @@ def test_optimal_beta_validation_and_clip():
         T=0.1,
     )
     assert optimal_beta(1.0, clipped) == pytest.approx(0.99)
+    # no variance and no bias drift: the objective has no curvature
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        assert optimal_beta(0.5, AxisContext(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1)) == 0.0
 
 
 @given(
@@ -169,19 +173,134 @@ def test_paper_form_mse_beta_equals_even_weighting(
 def test_select_rho_minimises_balance_gap():
     config = ParetoConfig()
     ctx = _context()
-    rho_star, beta_star = select_rho(ctx, config)
+    rho_star = select_rho(ctx.moments(), config)
     assert 0.0 <= rho_star <= 1.0
-    assert abs(beta_star) <= config.beta_clip
 
     def gap(rho):
         beta = optimal_beta(rho, ctx, config)
-        mu = bias_recursion(beta, ctx)
-        var = error_variance(beta, ctx)
+        mu = bias_recursion(beta, ctx.moments())
+        var = error_variance(beta, ctx.moments())
         return (var - mu**2) ** 2
 
     chosen = gap(rho_star)
     for rho in config.rho_grid:
         assert chosen <= gap(float(rho)) + 1e-18
+
+
+def _per_block_moments(ctx):
+    """Drift and variance terms evaluated from the context's fields."""
+    dr_first = ctx.dr_true_first * ctx.heading_attenuation
+    return SimpleNamespace(
+        ranging_mean=ctx.ranging_mean,
+        prev_bias=ctx.prev_bias,
+        prev_variance=ctx.prev_variance,
+        drift=ctx.T * ctx.dr_true_first * (ctx.heading_attenuation - 1.0),
+        sigma_vr_sq=ctx.ranging_second - ctx.ranging_mean**2,
+        sigma_vv_sq=ctx.T**2 * (ctx.dr_second - dr_first**2),
+    )
+
+
+def _per_block_recursions(beta, m):
+    """Tracked bias and variance after a step with `beta`."""
+    bias = (1.0 - beta) * m.ranging_mean + beta * m.prev_bias + beta * m.drift
+    variance = (1.0 - beta) ** 2 * m.sigma_vr_sq + beta**2 * m.prev_variance + beta**2 * m.sigma_vv_sq
+    return bias, variance
+
+
+def _per_block_beta(rho, m, config):
+    """beta of `optimal_beta`'s formula, and where its objective has no
+    curvature."""
+    gamma = -m.ranging_mean + m.prev_bias + m.drift
+    eta = m.sigma_vr_sq + m.prev_variance + m.sigma_vv_sq
+    num = 2.0 * (1.0 - rho) * m.sigma_vr_sq - 2.0 * rho * gamma * m.ranging_mean
+    den = 2.0 * (1.0 - rho) * eta + 2.0 * rho * gamma**2
+    degenerate = den <= 0.0
+    xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
+    return np.clip(xi, -config.beta_clip, config.beta_clip), degenerate
+
+
+def _context_fields(ctx, index):
+    """The context with `index` applied to its array fields; T and the
+    heading attenuation are shared by all rows."""
+    fields = (getattr(ctx, f.name) for f in dataclasses.fields(AxisContext))
+    return AxisContext(*(x[index] if isinstance(x, np.ndarray) else x for x in fields))
+
+
+def _per_block_step(ctx, configs):
+    """Oracle of one step's Pareto update: each block gets its own context
+    rows; a knee block scans a context rebuilt along a trailing grid axis
+    and gathers beta from the scan, the other blocks solve beta at their
+    rho.  Returns (rho, beta, bias, variance, warned), with `warned` set
+    when a fixed or mse row has no curvature."""
+    rows = len(ctx.ranging_mean)
+    rho, beta = np.empty((rows, 2)), np.empty((rows, 2))
+    warned = False
+    for part, config in _row_blocks(configs, rows):
+        block = _context_fields(ctx, part)
+        if config.mode == "knee":
+            grid = _per_block_moments(_context_fields(block, (..., None)))
+            betas, _ = _per_block_beta(config.rho_grid, grid, config)
+            mu, var = _per_block_recursions(betas, grid)
+            best = np.argmin((var - mu**2) ** 2, axis=-1)
+            flat = betas.reshape(-1, config.rho_grid.size)
+            rho[part] = config.rho_grid[best]
+            beta[part] = flat[np.arange(flat.shape[0]), best.reshape(-1)].reshape(best.shape)
+        else:
+            fixed = config.fixed_rho if config.mode == "fixed" else 0.5
+            rho[part] = fixed
+            beta[part], degenerate = _per_block_beta(fixed, _per_block_moments(block), config)
+            warned |= bool(np.any(degenerate))
+    return (rho, beta, *_per_block_recursions(beta, _per_block_moments(ctx)), warned)
+
+
+@st.composite
+def _stacked_contexts(draw):
+    """1-3 blocks of 1-3 rows under knee, fixed and mse configs; some rows
+    have every moment zero, so their beta objective has no curvature."""
+    configs = draw(
+        st.lists(
+            st.builds(
+                ParetoConfig,
+                mode=st.sampled_from(("knee", "fixed", "mse")),
+                beta_clip=st.floats(0.0, 1.0, exclude_min=True),
+                fixed_rho=st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    rows = len(configs) * draw(st.integers(1, 3))
+    zero = draw(arrays(np.bool_, (rows, 1)))
+
+    def moment(lo, hi):
+        return np.where(zero, 0.0, draw(arrays(np.float64, (rows, 2), elements=st.floats(lo, hi))))
+
+    mean = moment(-0.3, 0.3)
+    ctx = AxisContext(
+        ranging_mean=mean,
+        ranging_second=mean**2 + moment(0.0, 0.25),
+        prev_bias=moment(-0.3, 0.3),
+        prev_variance=moment(0.0, 0.04),
+        dr_true_first=moment(-1.0, 1.0),
+        heading_attenuation=draw(st.floats(0.3, 1.0)),
+        dr_second=moment(0.0, 1.0),
+        T=draw(st.floats(0.01, 1.0)),
+    )
+    return ctx, configs
+
+
+@given(_stacked_contexts())
+def test_pareto_update_equals_the_per_block_composition(case):
+    ctx, configs = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _pareto_update(ctx, configs)
+    *expected, warned = _per_block_step(ctx, configs)
+    for name, a, b in zip(("rho", "beta", "bias", "variance"), got, expected):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert [str(w.message) for w in caught] == (
+        ["degenerate beta objective (zero curvature); falling back to beta = 0"] if warned else []
+    )
 
 
 def test_pareto_config_validation():

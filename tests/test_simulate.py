@@ -9,7 +9,11 @@ noise pairing across estimator subsets.
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,3 +724,23 @@ def test_crlb_traces_small():
     finite = np.isfinite(out["pcrlb_ub"])
     assert np.all(out["pcrlb_lb"][finite] <= out["pcrlb_ub"][finite] + 1e-12)
     assert out["sandwich_ok"].dtype == bool
+
+
+def test_import_and_a_run_do_not_load_scipy_special():
+    # scipy.special is a large import that only the posterior-bound
+    # brackets need; the package and a Monte Carlo run must not pay for it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, paretoloc as pl\n"
+        "spec = pl.make_scenario('B', steps=20)\n"
+        "pl.run_experiment(pl.ExperimentConfig(trajectory=spec, runs=2,"
+        " estimators=pl.simulate.KNOWN_ESTIMATORS))\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"

@@ -67,12 +67,12 @@ def test_check_result_fields():
     assert r.data["riccati_gap"] <= 1e-9
 
 
-def _perturb_ranging_layer(monkeypatch, bias_shift=0.0, corr_scale=1.0):
+def _perturb_ranging_layer(monkeypatch, bias_shift=0.0, corr_scale=1.0, corr_shift=0.0):
     runtime = validate.ranging_layer
 
     def perturbed(*args):
         fix, bias, corr = runtime(*args)
-        return fix, bias + bias_shift, corr * corr_scale
+        return fix, bias + bias_shift, corr * corr_scale + corr_shift
 
     monkeypatch.setattr(validate, "ranging_layer", perturbed)
 
@@ -86,9 +86,12 @@ def test_ranging_bias_check_reads_the_runtime_moment_path(monkeypatch):
 
 
 def test_ranging_second_moment_check_reads_the_runtime_moment_path(monkeypatch):
-    # the gate is 5 % relative Frobenius, so a 10 % error in the
-    # correlation must fail it (1e-2 m^2 per entry is only about 2 % of
-    # its norm here and passes)
+    # the gate is 3 SE per entry of the sample mean of e e^T; a 10 % error
+    # in the correlation fails it, and so does 1e-2 m^2 on every entry
+    # (about 2 % of its norm here, 2.7 of the gate at the default 1e5
+    # samples)
     assert check_ranging_second_moment().passed
-    _perturb_ranging_layer(monkeypatch, corr_scale=1.1)
-    assert not check_ranging_second_moment().passed
+    for perturbation in ({"corr_scale": 1.1}, {"corr_shift": 1e-2}):
+        with monkeypatch.context() as patch:
+            _perturb_ranging_layer(patch, **perturbation)
+            assert not check_ranging_second_moment().passed, perturbation
