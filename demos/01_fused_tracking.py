@@ -9,18 +9,11 @@ Run:  python3 demos/01_fused_tracking.py
 """
 import numpy as np
 
-from paretoloc.fusion import ParetoConfig, fusion_step, init_fusion
-from paretoloc.models import (
-    DEFAULT_ANCHORS,
-    MeasurementFrame,
-    RangeNoiseModel,
-    SensorNoiseModel,
-    SensorStreams,
-    draw_measurements,
-)
-from paretoloc.ranging import build_geometry
+from paretoloc.fusion import fusion_step, init_fusion
+from paretoloc.models import MeasurementFrame, SensorStreams, draw_measurements
 from paretoloc.simulate import (
     ExperimentConfig,
+    Scene,
     gen_trajectory,
     run_experiment,
     scenario_linear,
@@ -43,13 +36,14 @@ for name in result.estimators:
 errors = result.errors["fusion"].ravel()
 print(f"  fraction of fused errors under 7 cm: {np.mean(errors < 0.07):.3f}")
 
-# one realization by hand, to look inside the estimator
+# one realization by hand, to look inside the estimator: the kernels take
+# the experiment's scene (anchors, noise models, step period, Pareto config)
 print("\nper-axis beta along one realization (every 30th step):")
 spec = config.trajectory
+scene = Scene.from_config(config)
 positions, true_speed, true_heading = gen_trajectory(spec, np.random.default_rng(1))
-range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
 ranges, speed, heading = draw_measurements(
-    positions, true_speed, true_heading, DEFAULT_ANCHORS, range_model, sensor_model,
+    positions, true_speed, true_heading, scene.anchors, scene.range_model, scene.sensor_model,
     SensorStreams.from_seed(1),
 )
 
@@ -59,14 +53,9 @@ def frame(k):
     return MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
 
 
-geometry = build_geometry(DEFAULT_ANCHORS)
-pareto = (ParetoConfig(initial_speed=spec.speed, initial_heading=spec.heading),)
-state = init_fusion(frame(0), DEFAULT_ANCHORS, geometry, range_model, pareto)
+state = init_fusion(scene, frame(0))
 for k in range(1, spec.steps):
-    state = fusion_step(
-        state, frame(k), DEFAULT_ANCHORS, geometry, range_model, sensor_model,
-        pareto, spec.T,
-    )
+    state = fusion_step(scene, state, frame(k))
     if k % 30 == 0:
         err = np.linalg.norm(state.estimate[0] - positions[k])
         beta, rho = state.last_beta[0], state.last_rho[0]

@@ -72,6 +72,7 @@ from .ranging import (
 from .simulate import (
     ExperimentConfig,
     RunResult,
+    Scene,
     TrajectorySpec,
     crlb_traces,
     draw_run,

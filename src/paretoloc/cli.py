@@ -224,8 +224,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    if args.model != "cv":
-        raise ConfigError(f"unknown bound model {args.model!r}")
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
     args.scenario = args.scenario or "CV"
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crlb = sub.add_parser("crlb", help="bound traces")
     add_common(p_crlb)
-    p_crlb.add_argument("--model", default="cv", help="bound model (cv)")
     p_crlb.add_argument("--ensemble", type=int, default=1000,
                         help="rollout ensemble size for the posterior bound")
     p_crlb.set_defaults(func=_cmd_crlb)

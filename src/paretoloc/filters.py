@@ -9,12 +9,14 @@ heading as measurements.  All filters share the distance-dependent range
 noise model, evaluated at predicted ranges.
 
 Each filter step is a kernel on a batch of runs: a leading run axis on
-every state and measurement array.  One run is a batch of one.
+every state and measurement array.  One run is a batch of one.  Every
+step takes the experiment's `Scene` first: `step(scene, state, frame)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,15 +24,16 @@ from .deadreckoning import heading_vector
 from .models import (
     CV_PRIOR_VARIANCES,
     AnchorSet,
-    CvProcessModel,
     MeasurementFrame,
-    RangeNoiseModel,
     SensorNoiseModel,
     cv_transition_jacobian,
     range_variance,
     true_ranges,
 )
-from .ranging import RangingGeometry, ranging_layer
+from .ranging import ranging_layer
+
+if TYPE_CHECKING:
+    from .simulate import Scene
 
 _MIN_RANGE = 1e-9
 
@@ -142,24 +145,17 @@ def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: 
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
-def ekf_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-) -> KfState:
+def ekf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One EKF predict/update cycle on the 2-D position states of a batch.
 
     Ranges are linearised about the predicted position; the measurement
     noise covariance is diagonal with the distance-dependent variances
     evaluated at the predicted ranges.
     """
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat, h = _range_jacobian(pred.mean, anchors)
+    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    r_hat, h = _range_jacobian(pred.mean, scene.anchors)
     return _kalman_update(
-        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, range_model))
+        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, scene.range_model))
     )
 
 
@@ -211,48 +207,33 @@ def _unscented_correct(
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
-def ukf_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-) -> KfState:
+def ukf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One UKF cycle on the 2-D position states of a batch.
 
     The predict step is exactly linear in the state (the displacement
     does not depend on position), so only the range update goes through
     the unscented transform.
     """
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_cov = _diag(range_variance(_floored_ranges(pred.mean, anchors), range_model))
+    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    r_cov = _diag(range_variance(_floored_ranges(pred.mean, scene.anchors), scene.range_model))
     points, weights = _sigma_points(pred.mean, pred.covariance)
-    z_points = _floored_ranges(points, anchors)
+    z_points = _floored_ranges(points, scene.anchors)
     return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
 
 
-def lckf_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-    geometry: RangingGeometry,
-) -> KfState:
+def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One linear-correction KF cycle: WLS fix treated as a position reading.
 
     The ranges are collapsed to a WLS position estimate (trilateration
-    `geometry` of the anchors) whose error covariance (closed form,
+    `scene.geometry` of the anchors) whose error covariance (closed form,
     evaluated at predicted ranges) becomes the measurement noise of a
     linear H = I update.  The covariance is floored to stay positive
     definite.
     """
-    pred = _input_driven_predict(state, frame, sensor_model, T)
-    r_hat = true_ranges(pred.mean, anchors)
+    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    r_hat = true_ranges(pred.mean, scene.anchors)
     z, bias, second = ranging_layer(
-        geometry, r_hat, range_variance(r_hat, range_model), frame.ranges
+        scene.geometry, r_hat, range_variance(r_hat, scene.range_model), frame.ranges
     )
     r_cov = _symmetrize(second - bias[..., :, None] * bias[..., None, :])
     eigvals, eigvecs = np.linalg.eigh(r_cov)
@@ -261,20 +242,14 @@ def lckf_step(
     return _kalman_update(pred, h, z - pred.mean, r_cov)
 
 
-def ekf_cv_step(
-    state: KfState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    cv_model: CvProcessModel,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-) -> KfState:
+def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One EKF cycle on the 4-D constant-velocity states of a batch.
 
-    Speed and heading join the ranges as measurements; the covariance is
-    predicted through the analytic transition Jacobian
-    `cv_transition_jacobian`.
+    The process model is `scene.cv`.  Speed and heading join the ranges
+    as measurements; the covariance is predicted through the analytic
+    transition Jacobian `cv_transition_jacobian`.
     """
+    cv_model, anchors, sensor_model = scene.cv, scene.anchors, scene.sensor_model
     f_jac = cv_transition_jacobian(state.mean, cv_model.T)
     mean_pred = cv_model.transition(state.mean)
     cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + cv_model.q_matrix())
@@ -292,5 +267,5 @@ def ekf_cv_step(
     sensor_var = np.broadcast_to(
         [sensor_model.sigma_v**2, sensor_model.sigma_phi**2], r_hat.shape[:-1] + (2,)
     )
-    r_cov = _diag(np.concatenate([range_variance(r_hat, range_model), sensor_var], axis=-1))
+    r_cov = _diag(np.concatenate([range_variance(r_hat, scene.range_model), sensor_var], axis=-1))
     return _kalman_update(KfState(mean=mean_pred, covariance=cov_pred), h, z - z_hat, r_cov)

@@ -26,20 +26,16 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .deadreckoning import dr_predict, dr_second_moment, heading_vector
-from .models import (
-    AnchorSet,
-    MeasurementFrame,
-    RangeNoiseModel,
-    SensorNoiseModel,
-    range_variance,
-    true_ranges,
-)
-from .ranging import RangingGeometry, ranging_layer
+from .models import MeasurementFrame, range_variance, true_ranges
+from .ranging import ranging_layer
+
+if TYPE_CHECKING:
+    from .simulate import Scene
 
 
 # Axis indices (0 = x1, 1 = x2) along the trailing axis of a batched step.
@@ -314,29 +310,22 @@ def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
     return [(slice(i * size, (i + 1) * size), config) for i, config in enumerate(configs)]
 
 
-def init_fusion(
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    geometry: RangingGeometry,
-    range_model: RangeNoiseModel,
-    configs: Sequence[ParetoConfig],
-) -> FusionState:
+def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     """Bootstrap a batch of fused states from WLS-only solves of the
     first frames.
 
     Weights are evaluated at the measured ranges (no prior estimate
     exists yet); the tracked bias / variance start from the ranging error
-    moments at that operating point.  `configs` holds one ParetoConfig
-    per equal block of rows, in row order; a batch run under one config
-    passes a sequence of one.
+    moments at that operating point.  `scene.paretos` holds one
+    ParetoConfig per equal block of rows, in row order.
     """
     r = np.maximum(frame.ranges, 0.0)
     estimate, bias, second = ranging_layer(
-        geometry, r, range_variance(r, range_model), frame.ranges
+        scene.geometry, r, range_variance(r, scene.range_model), frame.ranges
     )
     rows = len(estimate)
     last_speed, last_heading = np.empty(rows), np.empty(rows)
-    for part, config in _row_blocks(configs, rows):
+    for part, config in _row_blocks(scene.paretos, rows):
         last_speed[part] = config.initial_speed
         last_heading[part] = config.initial_heading
     return FusionState(
@@ -373,16 +362,7 @@ def _pareto_update(ctx: AxisContext, configs: Sequence[ParetoConfig]) -> tuple:
     return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
 
 
-def fusion_step(
-    state: FusionState,
-    frame: MeasurementFrame,
-    anchors: AnchorSet,
-    geometry: RangingGeometry,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    configs: Sequence[ParetoConfig],
-    T: float,
-) -> FusionState:
+def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> FusionState:
     """Advance a batch of fused estimators by one measurement frame.
 
     Online operation replaces unknowable quantities by approximations:
@@ -390,15 +370,15 @@ def fusion_step(
     ranges from the dead-reckoned prediction, the previous error variance
     by the tracked one.
 
-    `configs` holds one ParetoConfig per equal block of rows, in row
-    order (a sequence of one for a batch under one config).  The dead
-    reckoning, the ranging layer and the axis moments, of shape
-    (rows, 2), are computed once for all rows; rho is chosen per block
-    by that block's mode (the knee search scans (len(rho_grid), block
-    rows, 2)), and beta once for all rows.
+    `scene.paretos` holds one ParetoConfig per equal block of rows, in
+    row order.  The dead reckoning, the ranging layer and the axis
+    moments, of shape (rows, 2), are computed once for all rows; rho is
+    chosen per block by that block's mode (the knee search scans
+    (len(rho_grid), block rows, 2)), and beta once for all rows.
 
     Returns a new FusionState; the input state is not modified.
     """
+    T, sensor_model = scene.T, scene.sensor_model
     v_ap, phi_ap = approximate_kinematics(
         state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
     )
@@ -410,9 +390,9 @@ def fusion_step(
     # best available guess of the new position) rather than at the stale
     # previous estimate; the two coincide as the per-step displacement
     # shrinks.
-    r_ap = true_ranges(x_v, anchors)
+    r_ap = true_ranges(x_v, scene.anchors)
     x_r, r_bias, r_second = ranging_layer(
-        geometry, r_ap, range_variance(r_ap, range_model), frame.ranges
+        scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
     )
 
     v, phi = v_ap[..., None], phi_ap[..., None]
@@ -428,7 +408,7 @@ def fusion_step(
         ),
         T=T,
     )
-    rho, beta, bias, variance = _pareto_update(ctx, configs)
+    rho, beta, bias, variance = _pareto_update(ctx, scene.paretos)
 
     return FusionState(
         estimate=fuse(beta, x_r, x_v),

@@ -207,12 +207,11 @@ class SensorStreams:
     ranges: np.random.Generator
     speed: np.random.Generator
     heading: np.random.Generator
-    process: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int | np.random.SeedSequence) -> "SensorStreams":
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = root.spawn(4)
+        children = root.spawn(3)
         return cls(*(np.random.default_rng(c) for c in children))
 
 

@@ -353,136 +353,100 @@ def draw_run(config: ExperimentConfig, run: int) -> tuple:
 
 
 @dataclass(frozen=True, slots=True)
-class EngineSetup:
-    """Constants the estimator kernels read.
+class Scene:
+    """The constants of one experiment that every estimator kernel reads.
+
+    Every kernel takes the scene first: `init(scene, frame)` and
+    `step(scene, state, frame)`.
 
     Attributes
     ----------
-    config : ExperimentConfig
-    geometry : RangingGeometry
-        Linearised trilateration geometry of the anchors.
+    anchors : AnchorSet
+    range_model : RangeNoiseModel
+    sensor_model : SensorNoiseModel
+    T : float
+        Step period, s.
     cv : CvProcessModel
-        Process model of the EKF-CV filter: `config.cv_filter` if given,
-        else the model of a CV-generated trajectory, else the default.
-    mse_pareto : ParetoConfig
-        `config.pareto` in "mse" mode, for the "mse" estimator.
-    variants : tuple
-        Variants of the batch being run, one per equal block of rows in
-        row order (see `EstimatorKernels.variant`).
+        Process model of the EKF-CV filter and of the posterior bound;
+        None gives the default model at `T`.
+    paretos : tuple of ParetoConfig
+        One ParetoConfig per equal block of rows, in row order, for the
+        Pareto kernels (`init_fusion`, `fusion_step`).
+    geometry : RangingGeometry
+        Linearised trilateration geometry of `anchors` (derived).
     """
 
-    config: ExperimentConfig
-    geometry: RangingGeometry
-    cv: CvProcessModel
-    mse_pareto: ParetoConfig
-    variants: tuple = (None,)
+    anchors: AnchorSet = field(default_factory=lambda: DEFAULT_ANCHORS)
+    range_model: RangeNoiseModel = field(default_factory=RangeNoiseModel)
+    sensor_model: SensorNoiseModel = field(default_factory=SensorNoiseModel)
+    T: float = 0.1
+    cv: CvProcessModel | None = None
+    paretos: tuple = field(default_factory=lambda: (ParetoConfig(),))
+    geometry: RangingGeometry = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.cv is None:
+            object.__setattr__(self, "cv", CvProcessModel(T=self.T))
+        object.__setattr__(self, "geometry", build_geometry(self.anchors))
 
     @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "EngineSetup":
+    def from_config(cls, config: ExperimentConfig) -> "Scene":
+        """The scene of `config`.  The CV model is `config.cv_filter` if
+        given, else the model of a CV-generated trajectory, else the
+        default at the step period."""
         spec = config.trajectory
         cv = config.cv_filter
-        if cv is None and spec.kind == "cv" and spec.cv is not None:
+        if cv is None and spec.kind == "cv":
             cv = spec.cv
-        if cv is None:
-            cv = CvProcessModel(T=spec.T)
-        pareto = config.pareto
-        mse = pareto if pareto.mode == "mse" else dataclasses.replace(pareto, mode="mse")
-        return cls(config=config, geometry=build_geometry(config.anchors), cv=cv, mse_pareto=mse)
+        return cls(
+            anchors=config.anchors,
+            range_model=config.range_model,
+            sensor_model=config.sensor_model,
+            T=spec.T,
+            cv=cv,
+            paretos=(config.pareto,),
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class EstimatorKernels:
     """Batched kernels of one estimator, and its variant of them.
 
-    Each kernel takes and returns a batch of rows: `init(setup, frame)`
-    builds the state from the first frames, `step(setup, state, frame)`
+    Each kernel takes and returns a batch of rows: `init(scene, frame)`
+    builds the state from the first frames, `step(scene, state, frame)`
     advances it by one frame, and `position(state)` gives the estimates
     (rows, 2).  An estimator with no `step` is stateless: its estimate at
-    every frame is `position(init(setup, frame))`.
+    every frame is `position(init(scene, frame))`.
 
     Estimators whose entries share `init`, `step` and `position` run as
-    one stacked batch, one block of rows each; `variant(setup)` gives
-    the value that tells an estimator's block apart, and the kernels
-    read the blocks' values from `setup.variants`.  The default variant
-    is None, for kernels that read none.
+    one stacked batch, one block of rows each; `variant(config)` gives
+    the ParetoConfig of an estimator's block, and the kernels read the
+    blocks' configs from `scene.paretos`.
     """
 
     init: Callable
     step: Callable | None
     position: Callable
-    variant: Callable = lambda setup: None
+    variant: Callable = lambda config: config.pareto
 
 
-def _wls_fix(setup: EngineSetup, frame: MeasurementFrame) -> np.ndarray:
+def _wls_fix(scene: Scene, frame: MeasurementFrame) -> np.ndarray:
     """WLS fixes (rows, 2), weights at the measured ranges (no prior estimate)."""
     r = np.maximum(frame.ranges, 0.0)
-    weight = noise_cov_inverse(r, range_variance(r, setup.config.range_model))
-    return wls_estimate(setup.geometry, frame.ranges, weight)
+    weight = noise_cov_inverse(r, range_variance(r, scene.range_model))
+    return wls_estimate(scene.geometry, frame.ranges, weight)
 
 
-def _pareto_init(setup, frame):
-    cfg = setup.config
-    return init_fusion(frame, cfg.anchors, setup.geometry, cfg.range_model, setup.variants)
+def _dr_step(scene, state, frame):
+    return dr_predict(state, frame, scene.T)
 
 
-def _pareto_step(setup, state, frame):
-    cfg = setup.config
-    return fusion_step(
-        state,
-        frame,
-        cfg.anchors,
-        setup.geometry,
-        cfg.range_model,
-        cfg.sensor_model,
-        setup.variants,
-        cfg.trajectory.T,
-    )
+def _filter_init(scene, frame):
+    return position_init(_wls_fix(scene, frame))
 
 
-def _dr_step(setup, state, frame):
-    return dr_predict(state, frame, setup.config.trajectory.T)
-
-
-def _filter_init(setup, frame):
-    return position_init(_wls_fix(setup, frame))
-
-
-def _cv_filter_init(setup, frame):
-    return cv_init(_wls_fix(setup, frame), frame.speed, frame.heading)
-
-
-def _ekf_step(setup, state, frame):
-    cfg = setup.config
-    return ekf_step(
-        state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
-    )
-
-
-def _ukf_step(setup, state, frame):
-    cfg = setup.config
-    return ukf_step(
-        state, frame, cfg.anchors, cfg.range_model, cfg.sensor_model, cfg.trajectory.T
-    )
-
-
-def _lckf_step(setup, state, frame):
-    cfg = setup.config
-    return lckf_step(
-        state,
-        frame,
-        cfg.anchors,
-        cfg.range_model,
-        cfg.sensor_model,
-        cfg.trajectory.T,
-        geometry=setup.geometry,
-    )
-
-
-def _ekf_cv_step(setup, state, frame):
-    cfg = setup.config
-    return ekf_cv_step(
-        state, frame, cfg.anchors, setup.cv, cfg.range_model, cfg.sensor_model
-    )
+def _cv_filter_init(scene, frame):
+    return cv_init(_wls_fix(scene, frame), frame.speed, frame.heading)
 
 
 def _same(state):
@@ -497,24 +461,28 @@ def _filter_position(state):
     return state.mean[..., :2]
 
 
-# Batched kernels of every estimator, by name; the engine looks names up
-# here and nowhere else.  "fusion" and "mse" share the Pareto kernels and
-# differ in their ParetoConfig.
-ESTIMATORS = {
-    "fusion": EstimatorKernels(
-        _pareto_init, _pareto_step, _fusion_position, lambda setup: setup.config.pareto
-    ),
-    "mse": EstimatorKernels(
-        _pareto_init, _pareto_step, _fusion_position, lambda setup: setup.mse_pareto
-    ),
-    "wls": EstimatorKernels(_wls_fix, None, _same),
-    "dr": EstimatorKernels(_wls_fix, _dr_step, _same),
-    "ekf": EstimatorKernels(_filter_init, _ekf_step, _filter_position),
-    "ukf": EstimatorKernels(_filter_init, _ukf_step, _filter_position),
-    "lckf": EstimatorKernels(_filter_init, _lckf_step, _filter_position),
-    "ekf-cv": EstimatorKernels(_cv_filter_init, _ekf_cv_step, _filter_position),
-}
-KNOWN_ESTIMATORS = tuple(ESTIMATORS)
+def _mse_pareto(config):
+    return dataclasses.replace(config.pareto, mode="mse")
+
+
+def _estimators() -> dict:
+    """Batched kernels of every estimator, by name; the engine looks names
+    up here and nowhere else.  "fusion" and "mse" share the Pareto kernels
+    and differ in their ParetoConfig.  The table is built when a run
+    starts, so it holds the kernels this module names at that time."""
+    return {
+        "fusion": EstimatorKernels(init_fusion, fusion_step, _fusion_position),
+        "mse": EstimatorKernels(init_fusion, fusion_step, _fusion_position, _mse_pareto),
+        "wls": EstimatorKernels(_wls_fix, None, _same),
+        "dr": EstimatorKernels(_wls_fix, _dr_step, _same),
+        "ekf": EstimatorKernels(_filter_init, ekf_step, _filter_position),
+        "ukf": EstimatorKernels(_filter_init, ukf_step, _filter_position),
+        "lckf": EstimatorKernels(_filter_init, lckf_step, _filter_position),
+        "ekf-cv": EstimatorKernels(_cv_filter_init, ekf_cv_step, _filter_position),
+    }
+
+
+KNOWN_ESTIMATORS = tuple(_estimators())
 
 # Most rows in one call of a stateless kernel.  The engine runs such a
 # kernel over blocks of whole time steps; this bound keeps the transient
@@ -522,69 +490,63 @@ KNOWN_ESTIMATORS = tuple(ESTIMATORS)
 STATELESS_BLOCK_ROWS = 256
 
 
-def _stacks(names) -> list:
+def _stacks(registry: dict, names) -> list:
     """The requested estimator names grouped by shared kernels, in order
     of first request."""
     stacks = {}
     for name in dict.fromkeys(names):
-        kernels = ESTIMATORS[name]
+        kernels = registry[name]
         stacks.setdefault((kernels.init, kernels.step, kernels.position), []).append(name)
     return list(stacks.values())
 
 
-def _track(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
+def _track(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading) -> np.ndarray:
     """Estimates (n, rows, 2) of one batch over measurements (n, rows, ...)."""
     trace = np.empty(speed.shape + (2,))
     if kernels.step is None:
-        # Frames of several steps go into one call, reordered so that each
-        # variant's rows stay one block: (steps, blocks, runs) -> (blocks,
-        # steps, runs).
-        blocks = len(setup.variants)
-        runs = speed.shape[1] // blocks
-        per_call = max(1, STATELESS_BLOCK_ROWS // speed.shape[1])
-
-        def rows(x):
-            split = x.reshape((len(x), blocks, runs) + x.shape[2:])
-            return split.swapaxes(0, 1).reshape((-1,) + x.shape[2:])
-
+        # frames of several whole steps go into one call
+        rows = speed.shape[1]
+        per_call = max(1, STATELESS_BLOCK_ROWS // rows)
         for k in range(0, len(speed), per_call):
             part = slice(k, k + per_call)
             frame = MeasurementFrame(
-                ranges=rows(ranges[part]), speed=rows(speed[part]), heading=rows(heading[part]), k=k
+                ranges=ranges[part].reshape(-1, ranges.shape[-1]),
+                speed=speed[part].ravel(),
+                heading=heading[part].ravel(),
+                k=k,
             )
-            estimate = kernels.position(kernels.init(setup, frame)).reshape(blocks, -1, runs, 2)
-            trace[part] = estimate.swapaxes(0, 1).reshape(-1, blocks * runs, 2)
+            trace[part] = kernels.position(kernels.init(scene, frame)).reshape(-1, rows, 2)
         return trace
     frames = [
         MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
         for k in range(len(ranges))
     ]
-    state = kernels.init(setup, frames[0])
+    state = kernels.init(scene, frames[0])
     trace[0] = kernels.position(state)
     for k in range(1, len(frames)):
-        state = kernels.step(setup, state, frames[k])
+        state = kernels.step(scene, state, frames[k])
         trace[k] = kernels.position(state)
     return trace
 
 
-def _track_runs(kernels: EstimatorKernels, setup: EngineSetup, ranges, speed, heading) -> np.ndarray:
-    """Estimates (n, blocks, R, 2) of one stack, blocks for `setup.variants`.
+def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading) -> np.ndarray:
+    """Estimates (n, blocks, R, 2) of one stack, blocks for `scene.paretos`.
 
     Every block gets the same measurements (n, R, ...), and all blocks
     and runs go in one batch.  If the batch raises a numerical error,
-    each (block, run) row is re-run alone with its block's variant; a row
+    each (block, run) row is re-run alone with its block's config; a row
     that raises again is left NaN.  Each row's arithmetic is the same
     alone as in a batch, so the other rows' estimates do not change.
     """
-    blocks, runs = len(setup.variants), speed.shape[1]
+    blocks, runs = len(scene.paretos), speed.shape[1]
     stacked = [np.concatenate((x,) * blocks, axis=1) for x in (ranges, speed, heading)]
     try:
-        return _track(kernels, setup, *stacked).reshape(len(speed), blocks, runs, 2)
+        return _track(kernels, scene, *stacked).reshape(len(speed), blocks, runs, 2)
     except (np.linalg.LinAlgError, ValueError):
         pass
     trace = np.full((len(speed), blocks, runs, 2), np.nan)
-    for block, variant in enumerate(setup.variants):
-        alone = dataclasses.replace(setup, variants=(variant,))
+    for block, pareto in enumerate(scene.paretos):
+        alone = dataclasses.replace(scene, paretos=(pareto,))
         for run in range(runs):
             one = slice(run, run + 1)
             try:
@@ -608,17 +570,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     step is excluded: its row of `errors` is NaN and it is counted in
     `excluded`.
     """
-    setup = EngineSetup.from_config(config)
+    registry = _estimators()
+    scene = Scene.from_config(config)
     draws = [draw_run(config, run) for run in range(config.runs)]
     # step-major stacks (n, R, ...): one time step's batch is contiguous
     positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
     n = config.trajectory.steps
 
     traces = {}
-    for names in _stacks(config.estimators):
-        variants = tuple(ESTIMATORS[name].variant(setup) for name in names)
+    for names in _stacks(registry, config.estimators):
+        paretos = tuple(registry[name].variant(config) for name in names)
         stacked = _track_runs(
-            ESTIMATORS[names[0]], dataclasses.replace(setup, variants=variants), ranges, speed, heading
+            registry[names[0]], dataclasses.replace(scene, paretos=paretos), ranges, speed, heading
         )
         traces.update((name, stacked[:, block]) for block, name in enumerate(names))
 
@@ -844,33 +807,26 @@ def crlb_traces(
 ) -> dict:
     """Parametric and posterior bound traces for the configured scenario.
 
-    The parametric bound runs along the noise-free trajectory of the
-    scenario; the posterior bound and its bracket run along CV-model
-    rollouts from the same initial state.
+    The parametric bound runs along the noise-free straight track from the
+    scenario's initial state; the posterior bound and its bracket run
+    along rollouts of the scene's CV model (see `Scene.from_config`) from
+    the same state.
     """
     spec = config.trajectory
     n = spec.steps if steps is None else steps
-    base = dataclasses.replace(spec, steps=n)
-    if base.kind == "pwl":
-        # parametric reference path: the zero-acceleration member
-        base = dataclasses.replace(base, kind="linear")
-    if base.kind == "cv":
-        cv = base.cv if base.cv is not None else CvProcessModel(T=base.T)
-    else:
-        cv = config.cv_filter if config.cv_filter is not None else CvProcessModel(T=base.T)
-    noise_free = dataclasses.replace(base, kind="linear")
-    truth = gen_trajectory(noise_free)
+    scene = Scene.from_config(config)
+    truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n))
     _, par_bound = parcrlb_trace(
-        truth, config.anchors, config.range_model, config.sensor_model, base.T
+        truth, scene.anchors, scene.range_model, scene.sensor_model, scene.T
     )
     post = pcrlb_bounds(
-        cv,
-        config.anchors,
-        config.range_model,
-        config.sensor_model,
-        base.start,
-        base.speed,
-        base.heading,
+        scene.cv,
+        scene.anchors,
+        scene.range_model,
+        scene.sensor_model,
+        spec.start,
+        spec.speed,
+        spec.heading,
         steps=n,
         n_ensemble=n_ensemble,
         rng=np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372))),

@@ -114,9 +114,22 @@ def test_crlb_defaults_to_cv_scenario(tmp_path, capsys):
     assert "parametric" in capsys.readouterr().out
 
 
-def test_crlb_rejects_unknown_model(capsys):
-    assert main(["crlb", "--model", "turn", "--steps", "4"]) == 2
-    assert "config error" in capsys.readouterr().err
+def test_crlb_on_cv_reads_the_cv_block_of_a_config_file(tmp_path, capsys):
+    # the posterior bound rolls out the same CV model the EKF-CV filter
+    # uses: a config file's cv block, also on the CV scenario
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cv": {"sigma1_sq": 1e-17, "sigma2_sq": 1e-17}}))
+    argv = ["crlb", "--scenario", "CV", "--steps", "60", "--ensemble", "200"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--config", str(cfg)]) == 0
+    quiet = capsys.readouterr().out.splitlines()
+    assert len(default) == len(quiet) == 3
+    # step 0 is the shared prior; the later posterior lines move
+    assert quiet[0] == default[0]
+    for line, base in zip(quiet[1:], default[1:]):
+        assert line.split("posterior")[0] == base.split("posterior")[0]
+        assert line.split("posterior")[1] != base.split("posterior")[1]
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -6,7 +6,6 @@ transform of an affine map is exact), so the two are compared to
 near-machine precision.  The nonlinear filters are checked by noise-free
 tracking and by hand-built single steps.
 """
-import functools
 import math
 
 import numpy as np
@@ -36,19 +35,15 @@ from paretoloc.models import (
     range_variance,
     true_ranges,
 )
-from paretoloc.ranging import build_geometry, noise_cov_inverse, wls_estimate
+from paretoloc.ranging import noise_cov_inverse, wls_estimate
+from paretoloc.simulate import Scene
 
 ANCHORS = AnchorSet(
     np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 0.0]])
 )
 QUIET_RANGES = RangeNoiseModel(sigma0_sq=1e-10, kappa=0.0)
 QUIET_SENSORS = SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0)
-# the position filters' steps, with the WLS geometry bound for the LC-KF
-POSITION_STEPS = [
-    ekf_step,
-    ukf_step,
-    pytest.param(functools.partial(lckf_step, geometry=build_geometry(ANCHORS)), id="lckf_step"),
-]
+POSITION_STEPS = [ekf_step, ukf_step, lckf_step]
 
 
 def _frame(ranges, speed, heading, k):
@@ -182,7 +177,7 @@ def test_ekf_zero_innovation_keeps_predicted_mean():
     v, phi, t_step = 0.4, 0.3, 0.1
     pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
     frame = _frame(true_ranges(pred_pos, ANCHORS), v, phi, 1)
-    out = ekf_step(state, frame, ANCHORS, RangeNoiseModel(), QUIET_SENSORS, t_step)
+    out = ekf_step(Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step), state, frame)
     assert_allclose(out.mean[0], pred_pos, atol=1e-10)
     assert np.all(np.linalg.eigvalsh(out.covariance[0]) > 0.0)
     assert np.trace(out.covariance[0]) < np.trace(state.covariance[0])
@@ -196,13 +191,18 @@ def _track(step, steps=40, start=(1.0, 1.2), init_offset=(0.4, -0.3)):
     overconfident and freezes its transient error).
     """
     t_step, v, phi = 0.1, 0.3, 0.5
-    sensors = SensorNoiseModel(sigma_v=1e-3, sigma_phi=1e-3)
+    scene = Scene(
+        anchors=ANCHORS,
+        range_model=QUIET_RANGES,
+        sensor_model=SensorNoiseModel(sigma_v=1e-3, sigma_phi=1e-3),
+        T=t_step,
+    )
     pos = np.array(start, dtype=float)
     state = position_init([np.array(start) + np.array(init_offset)])
     for k in range(1, steps + 1):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
-        state = step(state, frame, ANCHORS, QUIET_RANGES, sensors, t_step)
+        state = step(scene, state, frame)
     return state, pos
 
 
@@ -217,12 +217,15 @@ def test_ekf_cv_locks_onto_noise_free_truth():
     cv = CvProcessModel(
         T=t_step, sigma1_sq=1e-8, sigma2_sq=1e-8, sigma3_sq=1e-8, sigma4_sq=1e-8
     )
+    scene = Scene(
+        anchors=ANCHORS, range_model=QUIET_RANGES, sensor_model=QUIET_SENSORS, T=t_step, cv=cv
+    )
     pos = np.array([1.0, 1.2])
     state = cv_init([pos + np.array([0.3, -0.2])], speed=[0.0], heading=[0.0])
     for k in range(1, 40):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
-        state = ekf_cv_step(state, frame, ANCHORS, cv, QUIET_RANGES, QUIET_SENSORS)
+        state = ekf_cv_step(scene, state, frame)
     assert_allclose(state.mean[0, :2], pos, atol=1e-4)
     assert state.mean[0, 2] == pytest.approx(v, abs=1e-4)
     assert state.mean[0, 3] == pytest.approx(phi, abs=1e-4)
@@ -230,7 +233,8 @@ def test_ekf_cv_locks_onto_noise_free_truth():
 
 @pytest.mark.parametrize("step", POSITION_STEPS)
 def test_noisy_steps_keep_covariance_positive(step):
-    range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
+    scene = Scene(anchors=ANCHORS, T=0.1)
+    range_model, sensor_model = scene.range_model, scene.sensor_model
     streams = SensorStreams.from_seed(7)
     state = position_init([[1.5, 1.5]])
     pos = np.array([1.5, 1.5])
@@ -240,7 +244,7 @@ def test_noisy_steps_keep_covariance_positive(step):
             *draw_measurements(pos[None], [0.3], [0.46], ANCHORS, range_model, sensor_model, streams),
             k,
         )
-        state = step(state, frame, ANCHORS, range_model, sensor_model, 0.1)
+        state = step(scene, state, frame)
         cov = state.covariance[0]
         assert_allclose(cov, cov.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(cov) > 0.0)
@@ -249,10 +253,10 @@ def test_noisy_steps_keep_covariance_positive(step):
 
 def test_ekf_beats_memoryless_wls():
     # filtering with memory must beat the per-step WLS fix it ingests
-    range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
-    geometry = build_geometry(ANCHORS)
-    streams = SensorStreams.from_seed(42)
     t_step, v, phi = 0.1, 0.3, 0.5
+    scene = Scene(anchors=ANCHORS, T=t_step)
+    range_model, sensor_model = scene.range_model, scene.sensor_model
+    streams = SensorStreams.from_seed(42)
     pos = np.array([1.0, 1.2])
     state = position_init([pos])
     ekf_sq, wls_sq = [], []
@@ -264,10 +268,10 @@ def test_ekf_beats_memoryless_wls():
             *draw_measurements(pos[None], [v], [phi], ANCHORS, range_model, sensor_model, streams),
             k,
         )
-        state = ekf_step(state, frame, ANCHORS, range_model, sensor_model, t_step)
+        state = ekf_step(scene, state, frame)
         r_true = true_ranges(pos, ANCHORS)
         w = noise_cov_inverse(r_true, range_variance(r_true, range_model))
-        fix = wls_estimate(geometry, frame.ranges[0], w)
+        fix = wls_estimate(scene.geometry, frame.ranges[0], w)
         ekf_sq.append(np.sum((state.mean[0] - pos) ** 2))
         wls_sq.append(np.sum((fix - pos) ** 2))
     assert math.sqrt(np.mean(ekf_sq)) < 0.6 * math.sqrt(np.mean(wls_sq))

@@ -41,7 +41,7 @@ from paretoloc.models import (
     draw_measurements,
     true_ranges,
 )
-from paretoloc.ranging import build_geometry
+from paretoloc.simulate import Scene
 from paretoloc.validate import _mse_beta, _second_moment_terms
 
 
@@ -340,18 +340,20 @@ def _one_run_frames(positions, speed, heading, range_model, sensor_model, seed):
 
 
 def _run_sequence(range_model, sensor_model, steps=40, seed=23, mode="knee"):
-    geometry = build_geometry(ANCHORS)
-    config = ParetoConfig(mode=mode, initial_speed=0.3, initial_heading=0.5)
+    scene = Scene(
+        anchors=ANCHORS,
+        range_model=range_model,
+        sensor_model=sensor_model,
+        paretos=(ParetoConfig(mode=mode, initial_speed=0.3, initial_heading=0.5),),
+    )
     vel = 0.3 * np.array([math.cos(0.5), math.sin(0.5)])
     truth = np.array([1.0, 1.2]) + np.arange(steps)[:, None] * (0.1 * vel)
     frames = _one_run_frames(
         truth, np.full(steps, 0.3), np.full(steps, 0.5), range_model, sensor_model, seed
     )
-    state = init_fusion(frames[0], ANCHORS, geometry, range_model, (config,))
+    state = init_fusion(scene, frames[0])
     for frame in frames[1:]:
-        state = fusion_step(
-            state, frame, ANCHORS, geometry, range_model, sensor_model, (config,), 0.1
-        )
+        state = fusion_step(scene, state, frame)
     return state, truth
 
 
@@ -376,30 +378,25 @@ def test_fusion_step_modes_run_and_differ():
 
 
 def test_fusion_step_does_not_mutate_input():
-    range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
-    geometry = build_geometry(ANCHORS)
-    configs = (ParetoConfig(),)
+    scene = Scene(anchors=ANCHORS)
     f0, f1 = _one_run_frames(
         np.array([[1.0, 1.0], [1.01, 1.0]]), [0.1, 0.1], [0.0, 0.0],
-        range_model, sensor_model, 3,
+        scene.range_model, scene.sensor_model, 3,
     )
-    state = init_fusion(f0, ANCHORS, geometry, range_model, configs)
+    state = init_fusion(scene, f0)
     before = state.estimate.copy()
-    out = fusion_step(
-        state, f1, ANCHORS, geometry, range_model, sensor_model, configs, 0.1
-    )
+    out = fusion_step(scene, state, f1)
     assert out is not state
     assert_allclose(state.estimate, before, atol=0.0)
     assert_allclose(out.prev_estimate, before, atol=0.0)
 
 
 def test_init_fusion_populates_moments():
-    geometry = build_geometry(ANCHORS)
     frame = MeasurementFrame(
         ranges=true_ranges([[1.5, 2.0]], ANCHORS), speed=np.array([0.1]),
         heading=np.array([0.0]), k=0,
     )
-    state = init_fusion(frame, ANCHORS, geometry, RangeNoiseModel(), (ParetoConfig(),))
+    state = init_fusion(Scene(anchors=ANCHORS), frame)
     assert state.prev_estimate is None
     assert state.error_variance.shape == (1, 2)
     assert np.all(state.error_variance > 0.0)
@@ -410,9 +407,8 @@ def test_init_fusion_populates_moments():
 def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
     # the "mse" mode has no beta formula of its own: a batch stepped under
     # mode="mse" and under mode="fixed", fixed_rho=0.5 carries the same bits
-    geometry = build_geometry(ANCHORS)
     range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
-    runs, steps, t_step = 5, 40, 0.1
+    runs, steps = 5, 40
     headings = np.linspace(0.2, 2.0, runs)
     truth = np.array([1.0, 1.2]) + 0.03 * np.arange(steps)[:, None, None] * np.stack(
         [np.cos(headings), np.sin(headings)], axis=-1
@@ -430,11 +426,10 @@ def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
     fixed = ParetoConfig(mode="fixed", fixed_rho=0.5, initial_speed=0.3)
     states = []
     for config in (mse, fixed):
-        state = init_fusion(frames[0], ANCHORS, geometry, range_model, (config,))
+        scene = Scene(anchors=ANCHORS, paretos=(config,))
+        state = init_fusion(scene, frames[0])
         for frame in frames[1:]:
-            state = fusion_step(
-                state, frame, ANCHORS, geometry, range_model, sensor_model, (config,), t_step
-            )
+            state = fusion_step(scene, state, frame)
         states.append(state)
     assert np.all(np.isfinite(states[0].estimate))
     for field in dataclasses.fields(FusionState):

@@ -45,6 +45,7 @@ from paretoloc.simulate import (
     ARENA_BOUNDS,
     ExperimentConfig,
     KNOWN_ESTIMATORS,
+    Scene,
     TrajectorySpec,
     _reflect,
     crlb_traces,
@@ -348,16 +349,13 @@ def test_a_failing_run_is_excluded_alone(monkeypatch):
     config = _small_config(estimators=("fusion", "ekf"), runs=4)
     clean = run_experiment(config)
     marked = draw_run(config, 2)[1]  # run 2's measured ranges (steps, M)
-    kernels = simulate.ESTIMATORS["ekf"]
 
-    def step(setup, state, frame):
+    def step(scene, state, frame):
         if frame.k == 10 and np.any(np.all(frame.ranges == marked[10], axis=-1)):
             raise np.linalg.LinAlgError("forced failure of run 2")
-        return kernels.step(setup, state, frame)
+        return ekf_step(scene, state, frame)
 
-    monkeypatch.setitem(
-        simulate.ESTIMATORS, "ekf", dataclasses.replace(kernels, step=step)
-    )
+    monkeypatch.setattr(simulate, "ekf_step", step)
     forced = run_experiment(config)
     assert forced.excluded == {"fusion": 0, "ekf": 1}
     assert np.all(np.isnan(forced.errors["ekf"][2]))
@@ -369,13 +367,32 @@ def test_a_failing_run_is_excluded_alone(monkeypatch):
     assert forced.rmse["ekf"] == pytest.approx(float(np.mean(ok)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kernel", ["fusion_step", "ekf_step", "ukf_step", "lckf_step", "ekf_cv_step"]
+)
+def test_the_engine_calls_the_kernel_the_module_names_at_run_time(kernel, monkeypatch):
+    # a tracer or a test replaces the module's kernel name before a run:
+    # the run calls the replacement once per step after the first
+    original = getattr(simulate, kernel)
+    steps = []
+
+    def counted(scene, state, frame):
+        steps.append(frame.k)
+        return original(scene, state, frame)
+
+    monkeypatch.setattr(simulate, kernel, counted)
+    config = _small_config(estimators=KNOWN_ESTIMATORS, runs=2)
+    run_experiment(config)
+    assert steps == list(range(1, config.trajectory.steps))
+
+
 @pytest.mark.parametrize("runs", [1, 6])
 @pytest.mark.parametrize("mode", ["knee", "fixed", "mse"])
 def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0].estimate))
+        calls.append(len(args[1].estimate))
         return fusion_step(*args, **kwargs)
 
     config = _small_config(
@@ -423,48 +440,23 @@ def test_wls_over_blocks_of_steps_matches_the_per_step_loop(runs, monkeypatch):
         np.testing.assert_array_equal(result.errors["wls"][run], err)
 
 
-def test_a_stateless_stack_keeps_each_variant_in_its_block(monkeypatch):
-    # two names share stateless kernels; each block's fixes are shifted by
-    # its own variant, so rows reaching the wrong block would show
-    wls = simulate.ESTIMATORS["wls"]
-
-    def init(setup, frame):
-        fix = wls.init(setup, frame)
-        size = len(fix) // len(setup.variants)
-        return fix + np.repeat(np.array(setup.variants), size)[:, None]
-
-    for name, shift in (("wls", 0.0), ("wls-shifted", 1.0)):
-        kernels = simulate.EstimatorKernels(init, None, wls.position, lambda setup, s=shift: s)
-        monkeypatch.setitem(simulate.ESTIMATORS, name, kernels)
-    monkeypatch.setattr(simulate, "KNOWN_ESTIMATORS", tuple(simulate.ESTIMATORS))
-    config = _small_config(
-        trajectory=scenario_pwl(steps=300), estimators=("wls", "wls-shifted"), runs=3
-    )
-    result = run_experiment(config)
-    traces = result.estimate_traces
-    np.testing.assert_array_equal(traces["wls-shifted"], traces["wls"] + 1.0)
-
-
 def test_a_failing_row_of_a_stack_is_excluded_alone(monkeypatch):
     config = _small_config(estimators=("fusion", "mse"), runs=4)
     clean = run_experiment(config)
     marked = draw_run(config, 2)[1]  # run 2's measured ranges (steps, M)
-    pareto_step = simulate.ESTIMATORS["mse"].step
     stacked = []
 
-    def step(setup, state, frame):
-        modes = [variant.mode for variant in setup.variants]
+    def step(scene, state, frame):
+        modes = [pareto.mode for pareto in scene.paretos]
         stacked.append(len(modes) > 1)
         size = len(frame.speed) // len(modes)
         for block, mode in enumerate(modes):
             ranges = frame.ranges[block * size : (block + 1) * size]
             if mode == "mse" and frame.k == 10 and np.any(np.all(ranges == marked[10], axis=-1)):
                 raise np.linalg.LinAlgError("forced failure of run 2 of mse")
-        return pareto_step(setup, state, frame)
+        return fusion_step(scene, state, frame)
 
-    for name in ("fusion", "mse"):
-        kernels = dataclasses.replace(simulate.ESTIMATORS[name], step=step)
-        monkeypatch.setitem(simulate.ESTIMATORS, name, kernels)
+    monkeypatch.setattr(simulate, "fusion_step", step)
     forced = run_experiment(config)
     assert stacked[0]
     assert forced.excluded == {"fusion": 0, "mse": 1}
@@ -507,9 +499,16 @@ def test_non_finite_runs_are_excluded_and_counted():
 def _one_run_trace(name, config, ranges, speed, heading):
     """Estimates (steps, 2) of one estimator on one run, from the public
     kernels called on a batch of one run per step."""
-    geometry = build_geometry(config.anchors)
-    t_step = config.trajectory.T
-    args = (config.anchors, config.range_model, config.sensor_model, t_step)
+    pareto = config.pareto
+    if name == "mse":
+        pareto = dataclasses.replace(pareto, mode="mse")
+    scene = Scene(
+        anchors=config.anchors,
+        range_model=config.range_model,
+        sensor_model=config.sensor_model,
+        T=config.trajectory.T,
+        paretos=(pareto,),
+    )
     frames = [
         MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
         for k in range(len(speed))
@@ -518,42 +517,32 @@ def _one_run_trace(name, config, ranges, speed, heading):
     def fix(frame):
         r = np.maximum(frame.ranges, 0.0)
         weight = noise_cov_inverse(r, range_variance(r, config.range_model))
-        return wls_estimate(geometry, frame.ranges, weight)
+        return wls_estimate(scene.geometry, frame.ranges, weight)
 
     if name in ("fusion", "mse"):
-        pareto = config.pareto
-        if name == "mse":
-            pareto = dataclasses.replace(pareto, mode="mse")
-        state = init_fusion(frames[0], config.anchors, geometry, config.range_model, (pareto,))
+        state = init_fusion(scene, frames[0])
         out = [state.estimate]
         for frame in frames[1:]:
-            state = fusion_step(
-                state, frame, config.anchors, geometry, config.range_model,
-                config.sensor_model, (pareto,), t_step,
-            )
+            state = fusion_step(scene, state, frame)
             out.append(state.estimate)
     elif name == "wls":
         out = [fix(frame) for frame in frames]
     elif name == "dr":
         out = [fix(frames[0])]
         for frame in frames[1:]:
-            out.append(dr_predict(out[-1], frame, t_step))
+            out.append(dr_predict(out[-1], frame, scene.T))
     elif name == "ekf-cv":
         state = cv_init(fix(frames[0]), frames[0].speed, frames[0].heading)
-        cv = CvProcessModel(T=t_step)
         out = [state.mean[:, :2]]
         for frame in frames[1:]:
-            state = ekf_cv_step(
-                state, frame, config.anchors, cv, config.range_model, config.sensor_model
-            )
+            state = ekf_cv_step(scene, state, frame)
             out.append(state.mean[:, :2])
     else:
         step = {"ekf": ekf_step, "ukf": ukf_step, "lckf": lckf_step}[name]
-        extra = (geometry,) if name == "lckf" else ()
         state = position_init(fix(frames[0]))
         out = [state.mean]
         for frame in frames[1:]:
-            state = step(state, frame, *args, *extra)
+            state = step(scene, state, frame)
             out.append(state.mean)
     return np.concatenate(out)
 
