@@ -25,13 +25,7 @@ import sys
 import numpy as np
 
 from .fusion import ParetoConfig
-from .models import (
-    DEFAULT_ANCHORS,
-    AnchorSet,
-    CvProcessModel,
-    RangeNoiseModel,
-    SensorNoiseModel,
-)
+from .models import AnchorSet, CvProcessModel, RangeNoiseModel, SensorNoiseModel
 from .simulate import (
     SUMMARY_HEADER,
     ExperimentConfig,
@@ -91,22 +85,30 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
+def _given(settings: dict, keys, cast=float) -> dict:
+    """`cast` of each of `keys` that `settings` holds.  A key it lacks is
+    not passed on, so the library default of that field holds."""
+    return {key: cast(settings[key]) for key in keys if key in settings}
+
+
+def _name_list(text: str) -> list:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _build_experiment(args) -> ExperimentConfig:
+    """The experiment of the config file and the flags, the flags winning.
+    The scenario is the subcommand's `default_scenario` when neither names
+    one."""
     settings: dict = {}
     if args.config:
         settings.update(_load_config_file(args.config))
-    for key in ("scenario", "seed", "runs", "steps", "T", "speed", "amax"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("scenario", "estimators", "seed", "runs", "steps", "T", "speed", "amax"):
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if args.estimators is not None:
-        settings["estimators"] = [e.strip() for e in args.estimators.split(",") if e.strip()]
 
-    scenario = settings.get("scenario", "A")
-    overrides = {}
-    for key, attr in (("steps", "steps"), ("T", "T"), ("speed", "speed")):
-        if key in settings:
-            overrides[attr] = settings[key]
+    scenario = settings.get("scenario", args.default_scenario)
+    overrides = {key: settings[key] for key in ("steps", "T", "speed") if key in settings}
     if "amax" in settings:
         # only the accelerating track has an acceleration cap to set
         if scenario.upper() != "B":
@@ -125,39 +127,24 @@ def _build_experiment(args) -> ExperimentConfig:
         spec = dataclasses.replace(spec, start=start)
 
     try:
-        range_model = RangeNoiseModel(
-            sigma0_sq=float(settings.get("sigma0_sq", 0.0625)),
-            kappa=float(settings.get("kappa", 0.25)),
-        )
-        sensor_model = SensorNoiseModel(
-            sigma_v=float(settings.get("sigma_v", 0.05)),
-            sigma_phi=float(settings.get("sigma_phi", np.pi / 8.0)),
-        )
-        pareto = ParetoConfig(
-            mode=settings.get("mode", "knee"),
-            fixed_rho=float(settings.get("fixed_rho", 0.5)),
-            beta_clip=float(settings.get("beta_clip", 0.99)),
-            initial_speed=spec.speed,
-            initial_heading=spec.heading,
-        )
-        anchors = (
-            AnchorSet(np.asarray(settings["anchors"], dtype=float))
-            if "anchors" in settings
-            else DEFAULT_ANCHORS
-        )
-        cv_filter = None
+        experiment = _given(settings, ("runs", "seed"), int)
+        if "estimators" in settings:
+            experiment["estimators"] = settings["estimators"]
+        if "anchors" in settings:
+            experiment["anchors"] = AnchorSet(np.asarray(settings["anchors"], dtype=float))
         if "cv" in settings:
-            cv_filter = CvProcessModel(T=spec.T, **{k: float(v) for k, v in settings["cv"].items()})
+            experiment["cv_filter"] = CvProcessModel(**_given(settings["cv"], _CV_KEYS))
         return ExperimentConfig(
             trajectory=spec,
-            anchors=anchors,
-            range_model=range_model,
-            sensor_model=sensor_model,
-            pareto=pareto,
-            cv_filter=cv_filter,
-            estimators=tuple(settings.get("estimators", ("fusion", "ekf", "ukf", "lckf"))),
-            runs=int(settings.get("runs", 10)),
-            seed=int(settings.get("seed", 0)),
+            range_model=RangeNoiseModel(**_given(settings, ("sigma0_sq", "kappa"))),
+            sensor_model=SensorNoiseModel(**_given(settings, ("sigma_v", "sigma_phi"))),
+            pareto=ParetoConfig(
+                **_given(settings, ("mode",), str),
+                **_given(settings, ("fixed_rho", "beta_clip")),
+                initial_speed=spec.speed,
+                initial_heading=spec.heading,
+            ),
+            **experiment,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -226,17 +213,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_crlb(args) -> int:
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
-    args.scenario = args.scenario or "CV"
     config = _build_experiment(args)
-    traces = crlb_traces(config, steps=args.steps, n_ensemble=args.ensemble)
+    traces = crlb_traces(config, n_ensemble=args.ensemble)
     if args.out:
-        write_crlb(
-            args.out,
-            traces["parcrlb"],
-            traces["pcrlb"],
-            traces["pcrlb_lb"],
-            traces["pcrlb_ub"],
-        )
+        write_crlb(args.out, traces)
         print(f"bound traces written to {args.out}")
     n = len(traces["parcrlb"])
     for k in (0, n // 2, n - 1):
@@ -265,33 +245,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--scenario", choices=["A", "B", "CV"], default=None,
-                       help="trajectory preset: A linear, B accelerating, CV rollout")
-        p.add_argument("--estimators", default=None,
+    def add_experiment(p, default_scenario="A"):
+        p.set_defaults(default_scenario=default_scenario)
+        p.add_argument("--scenario", choices=["A", "B", "CV"],
+                       help="trajectory preset: A linear, B accelerating, CV rollout "
+                            f"(default {default_scenario})")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--steps", type=int)
+        p.add_argument("--T", type=float, help="step period, s")
+        p.add_argument("--speed", type=float, help="initial speed, m/s")
+        p.add_argument("--amax", type=float, help="acceleration cap for scenario B, m/s^2")
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output CSV path")
+
+    def add_monte_carlo(p):
+        add_experiment(p)
+        p.add_argument("--estimators", type=_name_list,
                        help="comma list: fusion,mse,wls,dr,ekf,ukf,lckf,ekf-cv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--T", type=float, default=None, help="step period, s")
-        p.add_argument("--speed", type=float, default=None, help="initial speed, m/s")
-        p.add_argument("--amax", type=float, default=None,
-                       help="acceleration cap for scenario B, m/s^2")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output CSV path")
+        p.add_argument("--runs", type=int)
 
     p_run = sub.add_parser("run", help="run one experiment")
-    add_common(p_run)
+    add_monte_carlo(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep a trajectory parameter")
-    add_common(p_sweep)
+    add_monte_carlo(p_sweep)
     p_sweep.add_argument("--parameter", choices=["speed", "amax", "T"], required=True)
     p_sweep.add_argument("--values", required=True, help="comma list of values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_crlb = sub.add_parser("crlb", help="bound traces")
-    add_common(p_crlb)
+    add_experiment(p_crlb, default_scenario="CV")
     p_crlb.add_argument("--ensemble", type=int, default=1000,
                         help="rollout ensemble size for the posterior bound")
     p_crlb.set_defaults(func=_cmd_crlb)

@@ -66,7 +66,8 @@ class TrajectorySpec:
     v_cap : float
         Speed above which "pwl" breakpoints decelerate, m/s.
     cv : CvProcessModel or None
-        Process model for the "cv" kind.
+        Noise variances of the "cv" kind's process model (None: the
+        default's); the rollout steps at `T`, whatever the model's own `T`.
     """
 
     kind: str = "linear"
@@ -256,7 +257,7 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
             vel[k + 1] = vel[k] + 0.5 * t_step * (a_k + a_k1)
         return _chord_states(pos, t_step, spec.speed, spec.heading)
     # "cv": random rollout of the constant-velocity model
-    cv = spec.cv if spec.cv is not None else CvProcessModel(T=t_step)
+    cv = dataclasses.replace(spec.cv or CvProcessModel(), T=t_step)
     x0 = [spec.start[0], spec.start[1], spec.speed, spec.heading]
     states = cv_rollout(cv, x0, n, rng, ensemble=1)[:, 0]
     return states[:, :2], states[:, 2], states[:, 3]
@@ -264,7 +265,8 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
 
 @dataclass(slots=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment."""
+    """Full description of one Monte Carlo experiment.  `cv_filter` sets
+    only the EKF-CV model's noise variances: it steps at `trajectory.T`."""
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     anchors: AnchorSet = field(default_factory=lambda: DEFAULT_ANCHORS)
@@ -367,8 +369,9 @@ class Scene:
     T : float
         Step period, s.
     cv : CvProcessModel
-        Process model of the EKF-CV filter and of the posterior bound;
-        None gives the default model at `T`.
+        Process model of the EKF-CV filter and of the posterior bound.
+        It steps at `T`, whatever the given model's `T`; None gives the
+        default noise variances.
     paretos : tuple of ParetoConfig
         One ParetoConfig per equal block of rows, in row order, for the
         Pareto kernels (`init_fusion`, `fusion_step`).
@@ -385,15 +388,14 @@ class Scene:
     geometry: RangingGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.cv is None:
-            object.__setattr__(self, "cv", CvProcessModel(T=self.T))
+        object.__setattr__(self, "cv", dataclasses.replace(self.cv or CvProcessModel(), T=self.T))
         object.__setattr__(self, "geometry", build_geometry(self.anchors))
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "Scene":
-        """The scene of `config`.  The CV model is `config.cv_filter` if
-        given, else the model of a CV-generated trajectory, else the
-        default at the step period."""
+        """The scene of `config`, at the trajectory's step period.  The CV
+        model's noise variances are `config.cv_filter`'s if given, else
+        those of a CV-generated trajectory, else the defaults."""
         spec = config.trajectory
         cv = config.cv_filter
         if cv is None and spec.kind == "cv":
@@ -712,9 +714,7 @@ def scenario_cv(
     the oblique heading avoids axis-aligned symmetry.
     """
     if cv is None:
-        cv = CvProcessModel(
-            T=T, sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-6, sigma4_sq=1e-6
-        )
+        cv = CvProcessModel(sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-6, sigma4_sq=1e-6)
     return TrajectorySpec(
         kind="cv",
         steps=steps,
@@ -784,22 +784,15 @@ def write_summary(path, result: RunResult) -> None:
         writer.writerows(summary_rows(result))
 
 
-def write_crlb(path, parcrlb: np.ndarray, pcrlb: np.ndarray, pcrlb_lb: np.ndarray, pcrlb_ub: np.ndarray) -> None:
-    """Bound-trace CSV: k, parcrlb, pcrlb, pcrlb_lb, pcrlb_ub."""
-    n = len(parcrlb)
+def write_crlb(path, traces: dict) -> None:
+    """Bound-trace CSV of `crlb_traces` output: k, parcrlb, pcrlb,
+    pcrlb_lb, pcrlb_ub."""
+    columns = ("parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub"])
-        for k in range(n):
-            writer.writerow(
-                [
-                    str(k),
-                    _fmt(parcrlb[k]),
-                    _fmt(pcrlb[k]),
-                    _fmt(pcrlb_lb[k]),
-                    _fmt(pcrlb_ub[k]),
-                ]
-            )
+        writer.writerow(["k", *columns])
+        for k in range(len(traces["parcrlb"])):
+            writer.writerow([str(k), *(_fmt(traces[name][k]) for name in columns)])
 
 
 def crlb_traces(

@@ -1,5 +1,6 @@
 """Command-line interface: argument plumbing, CSV artefacts, exit codes."""
 import csv
+import dataclasses
 import importlib.metadata
 import json
 from pathlib import Path
@@ -9,7 +10,10 @@ import pytest
 
 import paretoloc.cli
 import paretoloc.validate
-from paretoloc.cli import ConfigError, _load_config_file, build_parser, main
+from paretoloc.cli import ConfigError, _build_experiment, _load_config_file, build_parser, main
+from paretoloc.fusion import ParetoConfig
+from paretoloc.models import RangeNoiseModel, SensorNoiseModel
+from paretoloc.simulate import ExperimentConfig, make_scenario
 from paretoloc.validate import CheckResult
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -132,6 +136,49 @@ def test_crlb_on_cv_reads_the_cv_block_of_a_config_file(tmp_path, capsys):
         assert line.split("posterior")[1] != base.split("posterior")[1]
 
 
+def test_crlb_takes_the_scenario_of_a_config_file(tmp_path, capsys):
+    # CV is crlb's scenario only when neither the file nor a flag names one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "A"}))
+    argv = ["crlb", "--steps", "20", "--ensemble", "100"]
+    assert main([*argv, "--scenario", "A"]) == 0
+    flag = capsys.readouterr().out
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == flag
+    assert main(argv) == 0
+    assert capsys.readouterr().out != flag
+
+
+@pytest.mark.parametrize("flag", [["--runs", "7"], ["--estimators", "ekf"]])
+def test_crlb_rejects_the_monte_carlo_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crlb", "--steps", "5", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_bare_run_builds_the_library_default_experiment():
+    # the CLI passes on only what a file or a flag sets
+    config = _build_experiment(build_parser().parse_args(["run"]))
+    default = ExperimentConfig(trajectory=make_scenario("A"))
+    assert config.range_model == RangeNoiseModel()
+    assert config.sensor_model == SensorNoiseModel()
+    assert config.anchors is default.anchors
+    assert config.cv_filter is None
+    assert (config.estimators, config.runs, config.seed) == (
+        default.estimators, default.runs, default.seed
+    )
+    pareto = ParetoConfig()
+    for field in dataclasses.fields(ParetoConfig):
+        if field.name not in ("initial_speed", "initial_heading"):
+            want, got = getattr(pareto, field.name), getattr(config.pareto, field.name)
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+    # the fusion's kinematic prior is the track's initial state
+    assert (config.pareto.initial_speed, config.pareto.initial_heading) == (
+        config.trajectory.speed, config.trajectory.heading
+    )
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -244,7 +291,8 @@ def test_bad_sweep_values_and_stray_amax_exit_before_any_run(argv, monkeypatch, 
 
     monkeypatch.setattr(paretoloc.cli, "run_experiment", must_not_run)
     monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
-    assert main([*argv, "--runs", "1", "--steps", "10"]) == 2
+    runs = [] if argv[0] == "crlb" else ["--runs", "1"]
+    assert main([*argv, *runs, "--steps", "10"]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert captured.out == ""

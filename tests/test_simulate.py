@@ -57,6 +57,7 @@ from paretoloc.simulate import (
     scenario_linear,
     scenario_pwl,
     sweep,
+    sweep_configs,
     write_crlb,
     write_run_trace,
     write_summary,
@@ -624,6 +625,28 @@ def test_sweep_checks_every_value_before_the_first_run(trajectory, parameter, va
         sweep(config, parameter, values)
 
 
+@pytest.mark.parametrize(
+    "cv_filter", [None, CvProcessModel(T=0.1, sigma1_sq=1e-5, sigma2_sq=1e-5)]
+)
+def test_a_t_sweep_on_cv_moves_the_rollout_and_the_filter_model(cv_filter):
+    # the CV model steps at the trajectory's T: a swept T changes how far
+    # the rollout goes and the period the EKF-CV filter predicts over
+    config = ExperimentConfig(trajectory=make_scenario("CV", steps=50), cv_filter=cv_filter)
+    travel = []
+    for value, cfg in sweep_configs(config, "T", [0.05, 0.2]):
+        pos, _, _ = gen_trajectory(cfg.trajectory, np.random.default_rng(0))
+        travel.append(float(np.linalg.norm(pos[-1] - pos[0])))
+        assert Scene.from_config(cfg).cv.T == value
+    # a model left at the base period rolls out 0.740 m at both values
+    assert travel == pytest.approx([0.3715, 1.4775], abs=1e-4)
+
+
+def test_scene_cv_model_steps_at_the_scene_period():
+    cv = CvProcessModel(T=0.1, sigma1_sq=1e-6, sigma2_sq=2e-6, sigma3_sq=3e-6, sigma4_sq=4e-6)
+    assert Scene(T=0.2, cv=cv).cv == dataclasses.replace(cv, T=0.2)
+    assert Scene(T=0.3).cv == CvProcessModel(T=0.3)
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -687,13 +710,14 @@ def test_write_run_trace_and_summary(tmp_path):
 
 def test_write_crlb(tmp_path):
     path = tmp_path / "crlb.csv"
-    write_crlb(
-        path,
-        np.array([0.5, 0.4]),
-        np.array([0.45, 0.35]),
-        np.array([0.4, 0.3]),
-        np.array([0.5, 0.4]),
-    )
+    traces = {
+        "parcrlb": np.array([0.5, 0.4]),
+        "pcrlb": np.array([0.45, 0.35]),
+        "pcrlb_lb": np.array([0.4, 0.3]),
+        "pcrlb_ub": np.array([0.5, 0.4]),
+        "sandwich_ok": np.array([True, False]),
+    }
+    write_crlb(path, traces)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub"]
