@@ -63,6 +63,9 @@ _CONFIG_KEYS = {
 
 _CV_KEYS = {"sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"}
 
+# config keys that set a `TrajectorySpec` field, and the field each sets
+_TRAJECTORY_KEYS = {key: key for key in ("T", "speed", "heading", "start")} | {"amax": "a_max"}
+
 
 class ConfigError(Exception):
     """Malformed configuration (bad key, bad value, unreadable file)."""
@@ -91,6 +94,13 @@ def _given(settings: dict, keys, cast=float) -> dict:
     return {key: cast(settings[key]) for key in keys if key in settings}
 
 
+def _integer(value) -> int:
+    """`value` as an int; a fraction is an error, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _name_list(text: str) -> list:
     return [name.strip() for name in text.split(",") if name.strip()]
 
@@ -108,26 +118,18 @@ def _build_experiment(args) -> ExperimentConfig:
             settings[key] = value
 
     scenario = settings.get("scenario", args.default_scenario)
-    overrides = {key: settings[key] for key in ("steps", "T", "speed") if key in settings}
-    if "amax" in settings:
-        # only the accelerating track has an acceleration cap to set
-        if scenario.upper() != "B":
-            raise ConfigError(f"amax applies only to scenario B, not {scenario}")
-        overrides["a_max"] = settings["amax"]
+    if not isinstance(scenario, str):
+        raise ConfigError(f"scenario must be A, B or CV, not {scenario!r}")
+    # only the accelerating track has an acceleration cap to set
+    if "amax" in settings and scenario.upper() != "B":
+        raise ConfigError(f"amax applies only to scenario B, not {scenario}")
     try:
-        spec = make_scenario(scenario, **overrides)
-        if "heading" in settings:
-            spec = dataclasses.replace(spec, heading=float(settings["heading"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if "start" in settings:
-        start = np.asarray(settings["start"], dtype=float)
-        if start.shape != (2,):
-            raise ConfigError("start must be [x1, x2]")
-        spec = dataclasses.replace(spec, start=start)
-
-    try:
-        experiment = _given(settings, ("runs", "seed"), int)
+        spec = dataclasses.replace(
+            make_scenario(scenario),
+            **{field: settings[key] for key, field in _TRAJECTORY_KEYS.items() if key in settings},
+            **_given(settings, ("steps",), _integer),
+        )
+        experiment = _given(settings, ("runs", "seed"), _integer)
         if "estimators" in settings:
             experiment["estimators"] = settings["estimators"]
         if "anchors" in settings:
@@ -146,7 +148,7 @@ def _build_experiment(args) -> ExperimentConfig:
             ),
             **experiment,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

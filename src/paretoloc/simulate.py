@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -85,6 +86,8 @@ class TrajectorySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "pwl", "cv"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
         if not self.T > 0.0:
@@ -96,6 +99,8 @@ class TrajectorySpec:
         if not self.breakpoint_period > 0.0:
             raise ValueError("breakpoint_period must be positive")
         self.start = np.asarray(self.start, dtype=float)
+        if self.start.shape != (2,):
+            raise ValueError("start must be [x1, x2]")
 
 
 def _reflect(value: float, lo: float, hi: float) -> tuple:
@@ -286,8 +291,10 @@ class ExperimentConfig:
                     f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}"
                 )
         self.estimators = estimators
-        if self.runs < 1:
-            raise ValueError("need at least one run")
+        if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
+            raise ValueError(f"need at least one run, as an integer; got {self.runs!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(slots=True)

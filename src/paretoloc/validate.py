@@ -15,6 +15,7 @@ import numpy as np
 
 from .crlb import (
     SeriesDivergenceError,
+    _mean_se,
     d11,
     d12,
     diag_bounds,
@@ -77,11 +78,13 @@ def _squared_range_noise(rng: np.random.Generator, n: int, aset: AnchorSet, posi
     differenced squared-range noise w_M^2 + 2 r_M w_M - w_l^2 - 2 r_l w_l."""
     r = np.linalg.norm(aset.positions - position[None, :], axis=1)
     var = range_variance(r, RangeNoiseModel())
-    w = rng.normal(0.0, np.sqrt(var), size=(n, aset.m))
-    b = (w[:, -1] ** 2 + 2.0 * r[-1] * w[:, -1])[:, None] - (
-        w[:, :-1] ** 2 + 2.0 * r[:-1] * w[:, :-1]
-    )
-    return r, var, b
+    # the stream and bits of rng.normal(0.0, sqrt(var), size=(n, M))
+    w = rng.standard_normal((n, aset.m))
+    w *= np.sqrt(var)
+    squared = w**2
+    w *= 2.0 * r
+    squared += w  # w^2 + 2 r w
+    return r, var, squared[:, -1:] - squared[:, :-1]
 
 
 def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
@@ -118,54 +121,39 @@ def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
     )
 
 
-def _sample_wls_errors(
-    rng: np.random.Generator, n: int, aset: AnchorSet, position: np.ndarray
-) -> tuple:
-    """MC WLS errors plus the bias and correlation that `ranging_layer`,
-    the estimators' moment path, gives at the same operating point."""
+def _wls_moment_check(name: str, scale: float, seed: int, second: bool) -> CheckResult:
+    """MC WLS errors against the moment `ranging_layer`, the estimators'
+    moment path, gives at the same operating point: the bias (the mean
+    error) or the correlation (the mean of e e^T), 3 SE per entry."""
+    rng = np.random.default_rng(seed)
+    n = max(int(1e5 * scale), 1000)
+    aset, position = _random_geometry(rng)
     geometry = build_geometry(aset)
     r, var, b = _squared_range_noise(rng, n, aset, position)
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(r, var)
     errors = b @ np.linalg.solve(atw @ a_mat, atw).T  # (n, 2)
-    _, bias, second = ranging_layer(geometry, r, var, r)
-    return errors, bias, second
-
-
-def check_ranging_bias(scale: float = 1.0, seed: int = 11) -> CheckResult:
-    """Closed-form WLS bias vs the MC mean error, 3 SE per axis."""
-    rng = np.random.default_rng(seed)
-    n = max(int(1e5 * scale), 1000)
-    aset, position = _random_geometry(rng)
-    errors, bias, _ = _sample_wls_errors(rng, n, aset, position)
-    se = errors.std(axis=0, ddof=1) / math.sqrt(n)
-    gap = np.abs(errors.mean(axis=0) - bias)
-    ratio = float(np.max(gap / (3.0 * se)))
+    _, bias, correlation = ranging_layer(geometry, r, var, r)
+    samples = errors[:, :, None] * errors[:, None, :] if second else errors  # (n, 2, 2) or (n, 2)
+    mean, se = _mean_se(samples, axis=0)
+    ratio = float(np.max(np.abs(mean - (correlation if second else bias)) / (3.0 * se)))
     return CheckResult(
-        name="ranging-bias",
+        name=name,
         passed=ratio <= 1.0,
         detail=f"max |MC - closed| / (3 SE) = {ratio:.3f}",
         data={"worst_ratio": ratio},
     )
+
+
+def check_ranging_bias(scale: float = 1.0, seed: int = 11) -> CheckResult:
+    """Closed-form WLS bias vs the MC mean error, 3 SE per axis."""
+    return _wls_moment_check("ranging-bias", scale, seed, second=False)
 
 
 def check_ranging_second_moment(scale: float = 1.0, seed: int = 13) -> CheckResult:
     """Closed-form WLS error correlation vs the MC mean of e e^T, 3 SE per
     entry."""
-    rng = np.random.default_rng(seed)
-    n = max(int(1e5 * scale), 1000)
-    aset, position = _random_geometry(rng)
-    errors, _, second = _sample_wls_errors(rng, n, aset, position)
-    products = errors[:, :, None] * errors[:, None, :]  # (n, 2, 2)
-    se = products.std(axis=0, ddof=1) / math.sqrt(n)
-    gap = np.abs(products.mean(axis=0) - second)
-    ratio = float(np.max(gap / (3.0 * se)))
-    return CheckResult(
-        name="ranging-second-moment",
-        passed=ratio <= 1.0,
-        detail=f"max |MC - closed| / (3 SE) = {ratio:.3f}",
-        data={"worst_ratio": ratio},
-    )
+    return _wls_moment_check("ranging-second-moment", scale, seed, second=True)
 
 
 def _speed_power_variant(sigma_v: float, phi: float, sigma_phi: float, axis: int) -> float:
@@ -197,17 +185,13 @@ def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
                 pm = phi + rng.normal(0.0, sigma_phi, size=n)
                 for axis, trig in ((0, np.cos), (1, np.sin)):
                     first = vm * trig(pm)
-                    second = first**2
-                    se1 = first.std(ddof=1) / math.sqrt(n)
-                    se2 = second.std(ddof=1) / math.sqrt(n)
-                    gap1 = abs(first.mean() - dr_first_moment(v, phi, sigma_phi, axis))
-                    gap2 = abs(
-                        second.mean()
-                        - dr_second_moment(v, sigma_v, phi, sigma_phi, axis)
-                    )
+                    mean1, se1 = _mean_se(first)
+                    mean2, se2 = _mean_se(first**2)
+                    gap1 = abs(mean1 - dr_first_moment(v, phi, sigma_phi, axis))
+                    gap2 = abs(mean2 - dr_second_moment(v, sigma_v, phi, sigma_phi, axis))
                     worst = max(worst, gap1 / (3.0 * se1), gap2 / (3.0 * se2))
                     variant = _speed_power_variant(sigma_v, phi, sigma_phi, axis)
-                    if abs(second.mean() - variant) > 3.0 * se2:
+                    if abs(mean2 - variant) > 3.0 * se2:
                         variant_rejected += 1
     return CheckResult(
         name="dr-moments",
@@ -329,8 +313,8 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
     worst = 0.0
     for k in range(1, 21):
         if k > 1:
-            v = v + rng.normal(0.0, math.sqrt(s3), size=n)
-            phi = phi + rng.normal(0.0, math.sqrt(s4), size=n)
+            v += rng.normal(0.0, math.sqrt(s3), size=n)
+            phi += rng.normal(0.0, math.sqrt(s4), size=n)
         if k not in (1, 2, 5, 10, 20):
             continue
         tm = trig_moments(v0, phi0, s3, s4, k)
@@ -344,11 +328,11 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
             "E[cos^2]": (cos**2, tm.e_cos_sq),
         }
         for _, (draw, closed) in samples.items():
-            se = draw.std(ddof=1) / math.sqrt(n)
+            mean, se = _mean_se(draw)
             # absolute floor so the deterministic k = 1 entries (sample SE
             # at rounding level) are judged against float tolerance, not a
             # vanishing denominator
-            worst = max(worst, abs(draw.mean() - closed) / (3.0 * se + 1e-12))
+            worst = max(worst, abs(mean - closed) / (3.0 * se + 1e-12))
     return CheckResult(
         name="trig-moments",
         passed=worst <= 1.0,
@@ -479,7 +463,7 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
     order with eigenvalue slack 1e-9.
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
+    pairs = []
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         base = rng.normal(0.0, 1.0, size=(dim, dim))
@@ -488,12 +472,7 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
         gap_hi = np.abs(rng.normal(0.0, 0.5, size=(dim, dim)))
         lb = base - 0.5 * (gap_lo + gap_lo.T)
         ub = base + 0.5 * (gap_hi + gap_hi.T)
-        lb_g, ub_g = gershgorin_sandwich(lb, ub)
-        worst = min(
-            worst,
-            float(np.linalg.eigvalsh(lb_g).min()),
-            float(np.linalg.eigvalsh(ub_g - lb_g).min()),
-        )
+        pairs.append(gershgorin_sandwich(lb, ub))
     result = pcrlb_bounds(
         CvProcessModel(T=0.1, sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-4, sigma4_sq=2.5e-3),
         AnchorSet(np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]])),
@@ -506,12 +485,11 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
         n_ensemble=max(int(100 * scale), 20),
         rng=rng,
     )
-    for i in range(result.j.shape[0]):
-        worst = min(
-            worst,
-            float(np.linalg.eigvalsh(result.j_lb_g[i]).min()),
-            float(np.linalg.eigvalsh(result.j_ub_g[i] - result.j_lb_g[i]).min()),
-        )
+    pairs += zip(result.j_lb_g, result.j_ub_g)
+    worst = min(
+        float(min(np.linalg.eigvalsh(lb_g).min(), np.linalg.eigvalsh(ub_g - lb_g).min()))
+        for lb_g, ub_g in pairs
+    )
     sandwich_frac = float(np.mean(result.sandwich_ok))
     return CheckResult(
         name="gershgorin-ordering",

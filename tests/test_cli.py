@@ -238,6 +238,37 @@ def test_bad_settings_exit_with_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, settings",
+    [
+        (["run"], {"scenario": 3}),
+        (["run"], {"steps": 30.5}),
+        (["run"], {"start": "ab"}),
+        (["run"], {"estimators": 5}),
+        (["run"], {"runs": 2.5}),
+        (["run"], {"seed": 1.5}),
+        (["run"], {"seed": -1}),
+        (["run", "--seed", "-1"], None),
+        (["sweep", "--parameter", "speed", "--values", "0.1", "--seed", "-1"], None),
+        (["crlb", "--seed", "-1"], None),
+    ],
+)
+def test_mistyped_settings_exit_with_config_error(argv, settings, tmp_path, monkeypatch, capsys):
+    def must_not_run(config, *args, **kwargs):
+        raise AssertionError("an experiment ran despite a config error")
+
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
+    if settings is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(settings))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--scenario", "B", "--amax", "-1"],

@@ -12,12 +12,16 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
 from paretoloc.crlb import (
     SeriesDivergenceError,
     SeriesExpectation,
+    _mean_se,
+    _pi_elementwise_brackets,
     _truncate_alternating,
     d11,
     d12,
@@ -734,3 +738,74 @@ def test_pcrlb_bounds_small_ensemble():
     assert np.all(out.bound > 0.0)
     assert np.all(out.bound_lb <= out.bound_ub + 1e-12)
     assert out.sandwich_ok.dtype == bool
+
+
+def _pi_brackets_per_anchor(positions, anchors, range_model):
+    """Entry-wise Pi brackets one anchor and one axis at a time: the loop
+    `_pi_elementwise_brackets` vectorises, kept as its bit-for-bit oracle."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    lb = np.zeros((2, 2))
+    ub = np.zeros((2, 2))
+    off_lo, off_hi = offdiag_bounds()
+    for anchor in anchors.positions:
+        diff = pos - anchor[None, :]
+        r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
+        w = 1.0 / range_variance(r, range_model)
+        w_min, w_max = float(w.min()), float(w.max())
+        ratios = (diff / r[:, None]) ** 2
+        for axis in range(2):
+            mu_q, sig_q = float(diff[:, axis].mean()), float(diff[:, axis].std())
+            mu_z, sig_z = float(diff[:, 1 - axis].mean()), float(diff[:, 1 - axis].std())
+            if sig_q > 1e-9:
+                ratio_lb, ratio_ub = diag_bounds(mu_q, sig_q, mu_z, sig_z)
+            else:
+                ratio_lb, ratio_ub = float(ratios[:, axis].min()), 1.0
+            lb[axis, axis] += w_min * ratio_lb
+            ub[axis, axis] += w_max * ratio_ub
+        lb[0, 1] += w_max * off_lo
+        ub[0, 1] += w_max * off_hi
+    lb[1, 0] = lb[0, 1]
+    ub[1, 0] = ub[0, 1]
+    return lb, ub
+
+
+def _bracket_ensemble(kind):
+    rng = np.random.default_rng(43)
+    if kind == "one-point":  # N = 1: every spread is 0, the degenerate branch
+        return np.array([[1.3, 2.2]])
+    if kind == "constant-x":  # degenerate on one axis only
+        pos = rng.normal(2.0, 0.3, size=(200, 2))
+        pos[:, 0] = 1.7
+        return pos
+    return rng.normal(2.0, 0.4, size=(1000, 2))
+
+
+@pytest.mark.parametrize("anchors", [DEFAULT_ANCHORS, ANCHORS], ids=["default", "four"])
+@pytest.mark.parametrize("kind", ["one-point", "constant-x", "wide"])
+def test_pi_brackets_are_the_per_anchor_loop_bit_for_bit(anchors, kind):
+    positions = _bracket_ensemble(kind)
+    model = RangeNoiseModel()
+    lb, ub = _pi_elementwise_brackets(positions, anchors, model)
+    lb_ref, ub_ref = _pi_brackets_per_anchor(positions, anchors, model)
+    assert np.array_equal(lb, lb_ref)
+    assert np.array_equal(ub, ub_ref)
+
+
+_MOMENT_SAMPLES = arrays(
+    np.float64,
+    st.one_of(
+        array_shapes(min_dims=1, max_dims=1, min_side=2, max_side=1000),
+        array_shapes(min_dims=2, max_dims=3, min_side=2, max_side=12),
+    ),
+    elements=st.floats(-1e6, 1e6),
+)
+
+
+@given(_MOMENT_SAMPLES)
+def test_mean_se_is_the_bits_of_mean_and_std(x):
+    axis = None if x.ndim == 1 else 0
+    mean, se = _mean_se(x, axis)
+    expected_mean = x.mean(axis)
+    assert type(mean) is type(expected_mean)
+    assert np.array_equal(mean, expected_mean)
+    assert np.array_equal(se, x.std(axis, ddof=1) / math.sqrt(x.shape[0]))

@@ -257,6 +257,9 @@ def test_trajectory_spec_validation():
         ("speed", math.inf),
         ("heading", math.nan),
         ("heading", -math.inf),
+        ("steps", 30.5),
+        ("steps", 30.0),
+        ("start", [1.0]),
     ],
 )
 def test_trajectory_spec_rejects_bad_settings(field, value):
@@ -294,6 +297,9 @@ def test_experiment_config_validation():
         _small_config(estimators=("fusion", "kalman"))
     with pytest.raises(ValueError):
         _small_config(runs=0)
+    for bad in ({"runs": 2.5}, {"seed": -1}, {"seed": 1.5}):
+        with pytest.raises(ValueError):
+            _small_config(**bad)
 
 
 def test_run_experiment_shapes_and_summary_consistency():

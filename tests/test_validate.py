@@ -4,6 +4,7 @@ The statistical checks themselves are exercised at full sample budget by
 the acceptance tests; here we only pin the suite's structure and the two
 checks that are deterministic given their seed.
 """
+import numpy as np
 import pytest
 
 from paretoloc import validate
@@ -95,3 +96,16 @@ def test_ranging_second_moment_check_reads_the_runtime_moment_path(monkeypatch):
         with monkeypatch.context() as patch:
             _perturb_ranging_layer(patch, **perturbation)
             assert not check_ranging_second_moment().passed, perturbation
+
+
+def test_squared_range_noise_draws_the_stream_of_the_scaled_normal():
+    aset, position = validate._random_geometry(np.random.default_rng(5))
+    rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
+    r, var, b = validate._squared_range_noise(rng, 5000, aset, position)
+    w = old_rng.normal(0.0, np.sqrt(var), size=(5000, aset.m))
+    old = (w[:, -1] ** 2 + 2.0 * r[-1] * w[:, -1])[:, None] - (
+        w[:, :-1] ** 2 + 2.0 * r[:-1] * w[:, :-1]
+    )
+    assert np.array_equal(b, old)
+    assert rng.bit_generator.state == old_rng.bit_generator.state
+    assert np.array_equal(rng.standard_normal(4), old_rng.standard_normal(4))
