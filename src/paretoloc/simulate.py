@@ -61,11 +61,13 @@ class TrajectorySpec:
     breakpoint_period : float
         Seconds between acceleration breakpoints for the "pwl" kind.
     bounds : tuple or None
-        ((x_lo, x_hi), (y_lo, y_hi)) soft arena box.  "linear" reflects
-        off the walls (speed preserved); "pwl" steers its breakpoint
-        accelerations back inside.  None disables both.
+        ((x_lo, x_hi), (y_lo, y_hi)) soft arena box, finite with lo < hi.
+        "linear" folds its straight line into the box (wall reflections,
+        speed preserved); "pwl" steers its breakpoint accelerations back
+        inside.  None disables both.
     v_cap : float
-        Speed above which "pwl" breakpoints decelerate, m/s.
+        Radius of the disk the bounded "pwl" kind draws its target
+        velocities from, m/s; finite and positive.
     cv : CvProcessModel or None
         Noise variances of the "cv" kind's process model (None: the
         default's); the rollout steps at `T`, whatever the model's own `T`.
@@ -90,41 +92,42 @@ class TrajectorySpec:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("need at least 2 steps")
-        if not self.T > 0.0:
-            raise ValueError("step period must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("step period must be finite and positive")
         if not (math.isfinite(self.speed) and math.isfinite(self.heading)):
             raise ValueError("speed and heading must be finite")
         if not 0.0 <= self.a_max < math.inf:
             raise ValueError("a_max must be finite and non-negative")
-        if not self.breakpoint_period > 0.0:
-            raise ValueError("breakpoint_period must be positive")
+        if not 0.0 < self.breakpoint_period < math.inf:
+            raise ValueError("breakpoint_period must be finite and positive")
+        if self.bounds is not None:
+            box = np.asarray(self.bounds, dtype=float)
+            if not (box.shape == (2, 2) and np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
+                raise ValueError("bounds must be ((x_lo, x_hi), (y_lo, y_hi)) with finite lo < hi")
+        if not 0.0 < self.v_cap < math.inf:
+            raise ValueError("v_cap must be finite and positive")
         self.start = np.asarray(self.start, dtype=float)
-        if self.start.shape != (2,):
-            raise ValueError("start must be [x1, x2]")
+        if self.start.shape != (2,) or not np.isfinite(self.start).all():
+            raise ValueError("start must be [x1, x2], finite")
 
 
-def _reflect(value: float, lo: float, hi: float) -> tuple:
-    """Fold a scalar into [lo, hi] by wall reflections; returns (value, sign).
+def _fold(x, lo, hi):
+    """Fold positions into [lo, hi] by wall reflections, elementwise.
 
-    sign is -1 when an odd number of reflections occurred (the velocity
-    component flips), +1 otherwise.  The path is unfolded with period
-    2 * (hi - lo): whole periods are two reflections each, and one more
-    happens when the remainder lies past the far wall.
+    A straight path bouncing between two walls is the unfolded path seen
+    in a mirror: it repeats with period 2 * (hi - lo), and within one
+    period a point past the far wall is mirrored back once.  `lo` and
+    `hi` broadcast against `x` (one pair per axis of an (n, 2) path).
     """
-    width = hi - lo
-    if not width > 0.0:
+    width = np.subtract(hi, lo)
+    if not np.all(width > 0.0):
         raise ValueError("degenerate reflection interval")
-    if not math.isfinite(value):
-        raise ValueError(f"cannot reflect a non-finite position {value}")
-    if value < lo:
-        folded, sign = _reflect(-value, -hi, -lo)
-        return -folded, sign
-    value -= 2.0 * width * ((value - lo) // (2.0 * width))
-    sign = 1.0
-    if value > hi:
-        value, sign = 2.0 * hi - value, -1.0
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot fold a non-finite position")
+    x = x - 2.0 * width * ((x - lo) // (2.0 * width))
+    x = np.where(x > hi, 2.0 * hi - x, x)
     # rounding in the period shift can leave the result an ulp outside
-    return min(max(value, lo), hi), sign
+    return np.clip(x, lo, hi)
 
 
 def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float) -> tuple:
@@ -134,17 +137,16 @@ def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float
     is exactly what an odometer + compass pair reports over the interval
     ending at k; dead reckoning on noise-free measurements then
     reconstructs the path exactly.  Step 0 carries the nominal initial
-    values.
+    values, and a still step keeps the heading before it.
     """
-    n = len(pos)
-    speed, heading = np.empty(n), np.empty(n)
-    speed[0], heading[0] = speed0, heading0
-    for k in range(1, n):
-        delta = pos[k] - pos[k - 1]
-        norm = float(np.linalg.norm(delta))
-        speed[k] = norm / t_step
-        heading[k] = math.atan2(delta[1], delta[0]) if norm > 1e-12 else heading[k - 1]
-    return pos, speed, heading
+    delta = np.diff(pos, axis=0)
+    norm = np.sqrt(np.vecdot(delta, delta))
+    speed = np.concatenate(([speed0], norm / t_step))
+    # math.atan2, not np.arctan2: the two differ in the last bit
+    heading = np.array([heading0, *map(math.atan2, delta[:, 1].tolist(), delta[:, 0].tolist())])
+    # index of the latest moving step at or before each step (0: the nominal)
+    latest = np.where(np.concatenate(([True], norm > 1e-12)), np.arange(len(pos)), 0)
+    return pos, speed, heading[np.maximum.accumulate(latest)]
 
 
 def _draw_capped(rng: np.random.Generator, a_max: float) -> np.ndarray:
@@ -209,57 +211,45 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
     """
     rng = np.random.default_rng() if rng is None else rng
     n, t_step = spec.steps, spec.T
+    vel0 = spec.speed * np.array([math.cos(spec.heading), math.sin(spec.heading)])
     if spec.kind == "linear":
-        vel = spec.speed * np.array([math.cos(spec.heading), math.sin(spec.heading)])
-        pos = np.empty((n, 2))
-        pos[0] = spec.start
-        if spec.bounds is None:
-            for k in range(1, n):
-                pos[k] = pos[k - 1] + t_step * vel
-        else:
-            v = vel.copy()
-            for k in range(1, n):
-                p = pos[k - 1] + t_step * v
-                for ax, (lo, hi) in enumerate(spec.bounds):
-                    p[ax], sign = _reflect(p[ax], lo, hi)
-                    v[ax] *= sign
-                pos[k] = p
+        steps = np.empty((n, 2))
+        steps[0] = spec.start
+        steps[1:] = t_step * vel0
+        pos = np.cumsum(steps, axis=0)
+        if spec.bounds is not None:
+            lo, hi = np.array(spec.bounds, dtype=float).T
+            pos = _fold(pos, lo, hi)
         return _chord_states(pos, t_step, spec.speed, spec.heading)
     if spec.kind == "pwl":
         # Breakpoints snapped to the step grid so every integration step
         # sees a genuinely linear acceleration (exact two-point integral).
         stride = max(1, int(round(spec.breakpoint_period / t_step)))
-        n_break = (n - 1) // stride + 2
-        accel = np.empty((n_break, 2))
+        frac = np.arange(stride + 1)[:, None] / stride
         vel = np.empty((n, 2))
         pos = np.empty((n, 2))
-        vel[0] = spec.speed * np.array(
-            [math.cos(spec.heading), math.sin(spec.heading)]
-        )
+        vel[0] = vel0
         pos[0] = spec.start
-        if spec.bounds is None:
-            accel[0] = _draw_capped(rng, spec.a_max)
-            accel[1] = _draw_capped(rng, spec.a_max)
-        else:
-            accel[0] = np.zeros(2)
-            accel[1] = _next_breakpoint_accel(rng, accel[0], pos[0], vel[0], spec)
-        seg = 0
-        for k in range(n - 1):
-            if k // stride > seg:
-                seg = k // stride
-                if spec.bounds is None:
-                    accel[seg + 1] = _draw_capped(rng, spec.a_max)
-                else:
-                    accel[seg + 1] = _next_breakpoint_accel(
-                        rng, accel[seg], pos[k], vel[k], spec
-                    )
-            frac = (k - seg * stride) / stride
-            a_k = accel[seg] + frac * (accel[seg + 1] - accel[seg])
-            frac1 = (k + 1 - seg * stride) / stride
-            a_k1 = accel[seg] + frac1 * (accel[seg + 1] - accel[seg])
-            # exact integrals of the linear acceleration segment
-            pos[k + 1] = pos[k] + vel[k] * t_step + t_step**2 * (2.0 * a_k + a_k1) / 6.0
-            vel[k + 1] = vel[k] + 0.5 * t_step * (a_k + a_k1)
+        accel = _draw_capped(rng, spec.a_max) if spec.bounds is None else np.zeros(2)
+        for k in range(0, n - 1, stride):
+            if spec.bounds is None:
+                accel_next = _draw_capped(rng, spec.a_max)
+            else:
+                accel_next = _next_breakpoint_accel(rng, accel, pos[k], vel[k], spec)
+            m = min(stride, n - 1 - k)
+            a = accel + frac[: m + 1] * (accel_next - accel)
+            # exact integrals of the linear acceleration segment, summed in
+            # the order of the step recursion: vel + dv, (pos + vel T) + dp
+            dv = np.empty((m + 1, 2))
+            dv[0] = vel[k]
+            dv[1:] = 0.5 * t_step * (a[:-1] + a[1:])
+            np.cumsum(dv, axis=0, out=vel[k : k + m + 1])
+            dp = np.empty((2 * m + 1, 2))
+            dp[0] = pos[k]
+            dp[1::2] = vel[k : k + m] * t_step
+            dp[2::2] = t_step**2 * (2.0 * a[:-1] + a[1:]) / 6.0
+            pos[k : k + m + 1] = np.cumsum(dp, axis=0)[::2]
+            accel = accel_next
         return _chord_states(pos, t_step, spec.speed, spec.heading)
     # "cv": random rollout of the constant-velocity model
     cv = dataclasses.replace(spec.cv or CvProcessModel(), T=t_step)
@@ -285,11 +275,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         estimators = tuple(self.estimators)
-        for name in estimators:
+        if not estimators:
+            raise ValueError("need at least one estimator")
+        for k, name in enumerate(estimators):
             if name not in KNOWN_ESTIMATORS:
                 raise ValueError(
                     f"unknown estimator {name!r}; known: {KNOWN_ESTIMATORS}"
                 )
+            if name in estimators[:k]:
+                raise ValueError(f"estimator {name!r} is named twice")
         self.estimators = estimators
         if not isinstance(self.runs, numbers.Integral) or self.runs < 1:
             raise ValueError(f"need at least one run, as an integer; got {self.runs!r}")

@@ -250,6 +250,10 @@ def test_bad_settings_exit_with_config_error(tmp_path, capsys):
         (["run", "--seed", "-1"], None),
         (["sweep", "--parameter", "speed", "--values", "0.1", "--seed", "-1"], None),
         (["crlb", "--seed", "-1"], None),
+        (["run"], {"estimators": []}),
+        (["run"], {"estimators": ["fusion", "fusion"]}),
+        (["run", "--estimators", ","], None),
+        (["run", "--estimators", "fusion,ekf,fusion"], None),
     ],
 )
 def test_mistyped_settings_exit_with_config_error(argv, settings, tmp_path, monkeypatch, capsys):

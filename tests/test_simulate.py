@@ -47,7 +47,9 @@ from paretoloc.simulate import (
     KNOWN_ESTIMATORS,
     Scene,
     TrajectorySpec,
-    _reflect,
+    _draw_capped,
+    _fold,
+    _next_breakpoint_accel,
     crlb_traces,
     draw_run,
     gen_trajectory,
@@ -70,40 +72,47 @@ from paretoloc.simulate import (
 
 
 def test_reflect_folds_into_interval():
-    assert _reflect(2.5, 0.0, 4.0) == (2.5, 1.0)
-    assert _reflect(5.2, 0.0, 4.0) == pytest.approx((2.8, -1.0))
-    assert _reflect(-0.6, 0.0, 4.0) == pytest.approx((0.6, -1.0))
-    # two walls crossed: value folds twice, velocity sign restored
-    assert _reflect(9.0, 0.0, 4.0) == pytest.approx((1.0, 1.0))
+    assert _fold(2.5, 0.0, 4.0) == 2.5
+    assert _fold(5.2, 0.0, 4.0) == pytest.approx(2.8)
+    assert _fold(-0.6, 0.0, 4.0) == pytest.approx(0.6)
+    # two walls crossed: the value folds twice
+    assert _fold(9.0, 0.0, 4.0) == pytest.approx(1.0)
+    # one interval per axis of an (n, 2) path
+    folded = _fold(np.array([[5.2, 9.0], [-0.6, 1.5]]), np.array([0.0, 1.0]), np.array([4.0, 2.0]))
+    assert_allclose(folded, [[2.8, 1.0], [0.6, 1.5]])
 
 
 @pytest.mark.parametrize("widths", [2, 3, 7, 8])
 @pytest.mark.parametrize("side", [1.0, -1.0])
 def test_reflect_many_widths_out_counts_every_wall(widths, side):
     # `widths` whole widths past one wall plus 1.0: that many reflections,
-    # so the sign is their parity and the point sits 1.0 from a wall
+    # so an odd count leaves the point 1.0 inside the wall it crossed and
+    # an even count mirrors it to 1.0 inside the opposite wall
     lo, hi = 0.4, 3.6
     wall, inward = (hi, -1.0) if side > 0 else (lo, 1.0)
     value = wall + side * ((widths - 1) * (hi - lo) + 1.0)
-    folded, sign = _reflect(value, lo, hi)
     odd = widths % 2 == 1
     near = wall + inward * 1.0 if odd else (lo + hi) - (wall + inward * 1.0)
-    assert folded == pytest.approx(near, abs=1e-9)
-    assert sign == (-1.0 if odd else 1.0)
+    assert _fold(value, lo, hi) == pytest.approx(near, abs=1e-9)
+    # one wall fewer mirrors the point to the other side
+    assert _fold(value - side * (hi - lo), lo, hi) == pytest.approx(lo + hi - near, abs=1e-9)
 
 
 def test_reflect_far_outside_does_not_hang():
-    folded, sign = _reflect(1e9, 0.4, 3.6)
-    assert 0.4 <= folded <= 3.6 and sign in (-1.0, 1.0)
-    assert 0.4 <= _reflect(-1e9, 0.4, 3.6)[0] <= 3.6
+    assert 0.4 <= _fold(1e9, 0.4, 3.6) <= 3.6
+    assert 0.4 <= _fold(-1e9, 0.4, 3.6) <= 3.6
     pos, _, _ = gen_trajectory(scenario_linear(steps=5, speed=1e9))
     (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
     assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
     assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
     with pytest.raises(ValueError):
-        _reflect(1.0, 2.0, 2.0)
+        _fold(1.0, 2.0, 2.0)
     with pytest.raises(ValueError):
-        _reflect(float("inf"), 0.0, 1.0)
+        _fold(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        _fold(float("inf"), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        _fold(np.array([0.5, float("nan")]), 0.0, 1.0)
 
 
 def _dr_replay(positions, speed, heading, t_step):
@@ -234,6 +243,131 @@ def test_gen_trajectory_is_seed_deterministic():
         np.testing.assert_array_equal(part_a, part_b)
 
 
+# The per-step loops that `gen_trajectory` and `_chord_states` replaced,
+# kept as the oracle of the array passes.
+
+
+def _reflect(value, lo, hi):
+    """Fold a scalar into [lo, hi] by wall reflections; returns (value, sign)."""
+    width = hi - lo
+    if value < lo:
+        folded, sign = _reflect(-value, -hi, -lo)
+        return -folded, sign
+    value -= 2.0 * width * ((value - lo) // (2.0 * width))
+    sign = 1.0
+    if value > hi:
+        value, sign = 2.0 * hi - value, -1.0
+    return min(max(value, lo), hi), sign
+
+
+def _chord_states_loop(pos, t_step, speed0, heading0):
+    n = len(pos)
+    speed, heading = np.empty(n), np.empty(n)
+    speed[0], heading[0] = speed0, heading0
+    for k in range(1, n):
+        delta = pos[k] - pos[k - 1]
+        norm = float(np.linalg.norm(delta))
+        speed[k] = norm / t_step
+        heading[k] = math.atan2(delta[1], delta[0]) if norm > 1e-12 else heading[k - 1]
+    return pos, speed, heading
+
+
+def _trajectory_loop(spec, rng):
+    """"linear" and "pwl" tracks, one step per iteration."""
+    n, t_step = spec.steps, spec.T
+    vel0 = spec.speed * np.array([math.cos(spec.heading), math.sin(spec.heading)])
+    pos = np.empty((n, 2))
+    pos[0] = spec.start
+    if spec.kind == "linear":
+        v = vel0.copy()
+        for k in range(1, n):
+            p = pos[k - 1] + t_step * v
+            for ax, (lo, hi) in enumerate(spec.bounds or ()):
+                p[ax], sign = _reflect(p[ax], lo, hi)
+                v[ax] *= sign
+            pos[k] = p
+        return _chord_states_loop(pos, t_step, spec.speed, spec.heading)
+    stride = max(1, int(round(spec.breakpoint_period / t_step)))
+    accel = np.empty(((n - 1) // stride + 2, 2))
+    vel = np.empty((n, 2))
+    vel[0] = vel0
+    if spec.bounds is None:
+        accel[0] = _draw_capped(rng, spec.a_max)
+        accel[1] = _draw_capped(rng, spec.a_max)
+    else:
+        accel[0] = np.zeros(2)
+        accel[1] = _next_breakpoint_accel(rng, accel[0], pos[0], vel[0], spec)
+    seg = 0
+    for k in range(n - 1):
+        if k // stride > seg:
+            seg = k // stride
+            if spec.bounds is None:
+                accel[seg + 1] = _draw_capped(rng, spec.a_max)
+            else:
+                accel[seg + 1] = _next_breakpoint_accel(rng, accel[seg], pos[k], vel[k], spec)
+        frac = (k - seg * stride) / stride
+        a_k = accel[seg] + frac * (accel[seg + 1] - accel[seg])
+        frac1 = (k + 1 - seg * stride) / stride
+        a_k1 = accel[seg] + frac1 * (accel[seg + 1] - accel[seg])
+        pos[k + 1] = pos[k] + vel[k] * t_step + t_step**2 * (2.0 * a_k + a_k1) / 6.0
+        vel[k + 1] = vel[k] + 0.5 * t_step * (a_k + a_k1)
+    return _chord_states_loop(pos, t_step, spec.speed, spec.heading)
+
+
+# A walled track folds its unfolded straight line once, where the loop
+# reflected step by step, so the two round differently; on a 3000-step
+# track they differed by 2.3e-12 m, 3.6e-11 m/s and 5.1e-12 rad.
+WALL_TOL = 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, atol",
+    [
+        (TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6), 0.0),
+        (TrajectorySpec(kind="pwl", steps=101, speed=0.2, a_max=0.6), 0.0),
+        (TrajectorySpec(kind="pwl", steps=60, speed=0.2, breakpoint_period=0.1), 0.0),
+        (dataclasses.replace(scenario_pwl(steps=60), breakpoint_period=0.1), 0.0),
+        (scenario_pwl(), 0.0),
+        (make_scenario("B", T=0.3, steps=101), 0.0),
+        (TrajectorySpec(kind="linear", steps=120, speed=0.3, heading=0.7), 0.0),
+        (TrajectorySpec(kind="linear", steps=20, speed=0.0, heading=0.7), 0.0),
+        (dataclasses.replace(scenario_cv(), kind="linear"), 0.0),
+        (scenario_linear(), 0.0),
+        (scenario_linear(steps=3000), WALL_TOL),
+        (
+            TrajectorySpec(kind="linear", steps=400, speed=0.9, heading=0.7, bounds=ARENA_BOUNDS),
+            WALL_TOL,
+        ),
+    ],
+    ids=[
+        "pwl-free",
+        "pwl-free-whole-strides",
+        "pwl-free-stride-1",
+        "pwl-contained-stride-1",
+        "B",
+        "B-T0.3-stride-7",
+        "linear-free",
+        "linear-still",
+        "crlb-cv-as-linear",
+        "A",
+        "A-3000",
+        "linear-bouncing",
+    ],
+)
+def test_trajectories_are_the_per_step_loop(spec, atol):
+    for seed in range(30):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        arrays = gen_trajectory(spec, rng)
+        loop = _trajectory_loop(spec, loop_rng)
+        for got, want in zip(arrays, loop):
+            if atol == 0.0:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert_allclose(got, want, rtol=0.0, atol=atol)
+        # the same draws, so the run's later streams are the same too
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def test_trajectory_spec_validation():
     with pytest.raises(ValueError):
         TrajectorySpec(kind="spiral")
@@ -260,6 +394,19 @@ def test_trajectory_spec_validation():
         ("steps", 30.5),
         ("steps", 30.0),
         ("start", [1.0]),
+        ("bounds", ((1.0, 1.0), (0.4, 3.6))),
+        ("bounds", ((3.6, 0.4), (0.4, 3.6))),
+        ("bounds", ((0.4, 3.6), (0.4, math.inf))),
+        ("bounds", ((0.4, math.nan), (0.4, 3.6))),
+        ("bounds", (0.4, 3.6)),
+        ("bounds", ((0.4, 3.6), (0.4,))),
+        ("v_cap", 0.0),
+        ("v_cap", -0.5),
+        ("v_cap", math.inf),
+        ("v_cap", math.nan),
+        ("start", [math.nan, 2.0]),
+        ("T", math.inf),
+        ("breakpoint_period", math.inf),
     ],
 )
 def test_trajectory_spec_rejects_bad_settings(field, value):
@@ -297,9 +444,17 @@ def test_experiment_config_validation():
         _small_config(estimators=("fusion", "kalman"))
     with pytest.raises(ValueError):
         _small_config(runs=0)
-    for bad in ({"runs": 2.5}, {"seed": -1}, {"seed": 1.5}):
+    for bad in (
+        {"runs": 2.5},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"estimators": ()},
+        {"estimators": ("fusion", "ekf", "fusion")},
+    ):
         with pytest.raises(ValueError):
             _small_config(**bad)
+    with pytest.raises(ValueError, match="'ekf' is named twice"):
+        _small_config(estimators=("ekf", "fusion", "ekf"))
 
 
 def test_run_experiment_shapes_and_summary_consistency():
