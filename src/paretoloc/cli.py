@@ -164,6 +164,13 @@ def _report_excluded(result, label: str = "") -> bool:
     return bool(excluded)
 
 
+def _largest_error(errors: np.ndarray) -> str:
+    """The largest error over the included runs and the run and step where
+    it occurs, so that a finite but absurd result can be traced there."""
+    run, step = np.unravel_index(np.nanargmax(errors), errors.shape)
+    return f"max |error| = {errors[run, step] * 100.0:.4g} cm at run {run}, step {step}"
+
+
 def _cmd_run(args) -> int:
     config = _build_experiment(args)
     result = run_experiment(config)
@@ -178,6 +185,8 @@ def _cmd_run(args) -> int:
             f"p95 = {result.p95[name] * 100.0:.2f} cm, "
             f"excluded {result.excluded[name]}/{result.runs}"
         )
+        if result.excluded[name] < result.runs:
+            print(f"  {_largest_error(result.errors[name])}")
     return 1 if _report_excluded(result) else 0
 
 
@@ -205,7 +214,10 @@ def _cmd_sweep(args) -> int:
         finished = {name: r for name, r in result.rmse.items() if math.isfinite(r)}
         if finished:
             best = min(finished, key=finished.get)
-            print(f"{label}best {best} ({finished[best] * 100.0:.2f} cm)")
+            print(
+                f"{label}best {best} ({finished[best] * 100.0:.2f} cm; "
+                f"{_largest_error(result.errors[best])})"
+            )
         else:
             print(f"{label}no estimator finished")
         any_excluded |= _report_excluded(result, label)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import importlib.metadata
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import paretoloc.validate
 from paretoloc.cli import ConfigError, _build_experiment, _load_config_file, build_parser, main
 from paretoloc.fusion import ParetoConfig
 from paretoloc.models import RangeNoiseModel, SensorNoiseModel
-from paretoloc.simulate import ExperimentConfig, make_scenario
+from paretoloc.simulate import ExperimentConfig, make_scenario, run_experiment
 from paretoloc.validate import CheckResult
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -438,6 +439,31 @@ def test_run_with_excluded_runs_exits_one(kappa, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_traces_each_largest_error_to_its_run_and_step(tmp_path, capsys):
+    # a finite but absurd error (the EKF at about 8e61 cm here) still prints
+    # as an RMSE; the line under it names the run and step that carry it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": 50.0}))
+    argv = ["run", "--scenario", "B", "--runs", "3", "--steps", "60", "--config", str(config)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines() + [""]
+    result = run_experiment(_build_experiment(build_parser().parse_args(argv)))
+    largest = {}
+    for name in result.estimators:
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{name}: rmse ="))
+        found = re.fullmatch(r"  max \|error\| = (\S+) cm at run (\d+), step (\d+)", lines[at + 1])
+        if result.excluded[name] == result.runs:
+            assert found is None, lines[at + 1]
+            continue
+        errors = result.errors[name]
+        run, step = int(found[2]), int(found[3])
+        assert errors[run, step] == np.nanmax(errors)
+        assert float(found[1]) == pytest.approx(errors[run, step] * 100.0, rel=1e-3)
+        largest[name] = float(found[1])
+    assert largest["ekf"] > 1e60
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kappa": 50.0}))
@@ -450,9 +476,11 @@ def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, caps
     assert "nan" not in captured.out
     assert "amax = 0.5: wls: 3/3 runs excluded" in captured.err
 
-    # with one estimator left standing, the best is the finite one
+    # with one estimator left standing, the best is the finite one, and
+    # its absurd size is traced to the run and step that carry it
     assert main(argv) == 1
     captured = capsys.readouterr()
     for line in captured.out.splitlines():
         assert "best ekf (" in line and "nan" not in line
+        assert line.endswith("; max |error| = 8.338e+61 cm at run 0, step 0)")
 

@@ -11,10 +11,12 @@ from paretoloc import validate
 from paretoloc.validate import (
     ALL_CHECKS,
     CheckResult,
+    check_noise_cov_inverse,
     check_optimal_beta,
     check_ranging_bias,
     check_ranging_second_moment,
     check_recursion_identities,
+    check_trig_moments,
     run_all_checks,
 )
 
@@ -109,3 +111,69 @@ def test_squared_range_noise_draws_the_stream_of_the_scaled_normal():
     assert np.array_equal(b, old)
     assert rng.bit_generator.state == old_rng.bit_generator.state
     assert np.array_equal(rng.standard_normal(4), old_rng.standard_normal(4))
+
+
+def test_noise_cov_groups_stream_the_one_draw(monkeypatch):
+    # the groups are drawn and reduced one at a time; concatenated, they
+    # must be the one (n, M) draw, and their covariances those of its split
+    aset, position = validate._random_geometry(np.random.default_rng(5))
+    draw, blocks = validate._squared_range_noise, []
+
+    def recorded(*args):
+        blocks.append(draw(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(validate, "_squared_range_noise", recorded)
+    rng, one_rng = np.random.default_rng(9), np.random.default_rng(9)
+    _, _, cov, group_covs = validate._streamed_covariances(rng, 20000, 50, aset, position)
+    _, _, b = draw(one_rng, 20000, aset, position)
+    assert len(blocks) == 50
+    assert np.array_equal(np.concatenate([block for _, _, block in blocks]), b)
+    assert rng.bit_generator.state == one_rng.bit_generator.state
+    split = np.stack([np.cov(chunk, rowvar=False) for chunk in np.split(b, 50)])
+    assert np.array_equal(group_covs, split)
+    np.testing.assert_allclose(cov, np.cov(b, rowvar=False), rtol=1e-12, atol=0.0)
+
+
+def _full_draw_noise_cov_ratio(scale: float, seed: int = 7) -> float:
+    """The noise-cov-inverse worst ratio from one (n, M) draw per geometry,
+    with `np.cov` over the whole draw and over `np.split` of it."""
+    rng = np.random.default_rng(seed)
+    groups = 50
+    n = max(int(1e6 * scale) // groups * groups, 1000)
+    worst = 0.0
+    for _ in range(5):
+        aset, position = validate._random_geometry(rng)
+        r, var, b = validate._squared_range_noise(rng, n, aset, position)
+        group_covs = np.stack([np.cov(chunk, rowvar=False) for chunk in np.split(b, groups)])
+        se = group_covs.std(axis=0, ddof=1) / np.sqrt(groups)
+        w = validate.noise_cov_inverse(r, var)
+        resid = np.abs(w @ np.cov(b, rowvar=False) - np.eye(aset.m - 1))
+        worst = max(worst, float(np.max(resid / np.maximum(3.0 * np.abs(w) @ se, 1e-300))))
+    return worst
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.02])
+def test_noise_cov_inverse_ratio_is_the_full_draw_ratio(scale):
+    # the pooled covariance is the full-draw one up to rounding: measured
+    # 2e-13 relative at scale 1.0 and 8e-15 at 0.02
+    ratio = check_noise_cov_inverse(scale).data["worst_ratio"]
+    assert ratio == pytest.approx(_full_draw_noise_cov_ratio(scale), rel=1e-9, abs=0.0)
+
+
+def test_noise_cov_inverse_check_rejects_a_one_percent_inverse(monkeypatch):
+    # the inverse x 1.01 reads 1.78 of the 3-SE gate at the default budget
+    runtime = validate.noise_cov_inverse
+    monkeypatch.setattr(validate, "noise_cov_inverse", lambda r, var: 1.01 * runtime(r, var))
+    assert not check_noise_cov_inverse().passed
+
+
+def test_trig_moments_check_rejects_a_two_percent_heading_variance(monkeypatch):
+    # sigma4^2 x 1.02 reads 1.87 of the 3-SE gate at the default budget
+    runtime = validate.trig_moments
+
+    def perturbed(v0, phi0, sigma3_sq, sigma4_sq, k):
+        return runtime(v0, phi0, sigma3_sq, 1.02 * sigma4_sq, k)
+
+    monkeypatch.setattr(validate, "trig_moments", perturbed)
+    assert not check_trig_moments().passed
