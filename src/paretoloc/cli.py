@@ -233,12 +233,18 @@ def _cmd_crlb(args) -> int:
         write_crlb(args.out, traces)
         print(f"bound traces written to {args.out}")
     n = len(traces["parcrlb"])
-    for k in (0, n // 2, n - 1):
+    lb, pcrlb, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
+    # the construction does not guarantee a bracket: print it only where it holds
+    holds = np.isfinite(ub) & (lb <= pcrlb) & (pcrlb <= ub)
+    for k in sorted({0, n // 2, n - 1}):
+        bracket = (
+            f"[{lb[k] * 100.0:.2f}, {ub[k] * 100.0:.2f}]" if holds[k] else "(bracket does not hold)"
+        )
         print(
             f"k = {k}: parametric {traces['parcrlb'][k] * 100.0:.2f} cm, "
-            f"posterior {traces['pcrlb'][k] * 100.0:.2f} cm "
-            f"[{traces['pcrlb_lb'][k] * 100.0:.2f}, {traces['pcrlb_ub'][k] * 100.0:.2f}]"
+            f"posterior {pcrlb[k] * 100.0:.2f} cm {bracket}"
         )
+    print(f"a finite bracket [lb, ub] holds at {int(holds.sum())} of {n} steps")
     return 0
 
 

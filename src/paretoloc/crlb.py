@@ -163,6 +163,20 @@ def d12(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
     return -_weighted_mean_jacobian(tm, cv)
 
 
+def _pi_entries(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> tuple:
+    """Entries (e11, e12, e22), each (N,), of sum_i sigma_ri^{-2} d_i d_i^T
+    at each of N positions (N, 2)."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    diff = pos[:, None, :] - anchors.positions[None, :, :]  # (N, M, 2)
+    r = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
+    w = 1.0 / range_variance(r, range_model)
+    d = diff / r[..., None]
+    e11 = np.sum(w * d[..., 0] ** 2, axis=1)
+    e12 = np.sum(w * d[..., 0] * d[..., 1], axis=1)
+    e22 = np.sum(w * d[..., 1] ** 2, axis=1)
+    return e11, e12, e22
+
+
 def pi_expectation_mc(
     positions, anchors: AnchorSet, range_model: RangeNoiseModel
 ) -> np.ndarray:
@@ -182,43 +196,31 @@ def pi_expectation_mc(
     np.ndarray
         The ensemble mean of the information, (2, 2).
     """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    diff = pos[:, None, :] - anchors.positions[None, :, :]  # (N, M, 2)
-    r = np.linalg.norm(diff, axis=2)
-    r = np.maximum(r, 1e-12)
-    w = 1.0 / range_variance(r, range_model)
-    d = diff / r[..., None]
-    e11 = np.sum(w * d[..., 0] ** 2, axis=1)
-    e12 = np.sum(w * d[..., 0] * d[..., 1], axis=1)
-    e22 = np.sum(w * d[..., 1] ** 2, axis=1)
+    e11, e12, e22 = _pi_entries(positions, anchors, range_model)
     return np.array([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
 
 
 def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np.ndarray:
-    """Measurement information blkdiag(Pi, R2^{-1}), shape (4, 4): the
-    range part Pi on the position block, the speed and heading sensors
-    on the diagonal."""
-    out = np.zeros((4, 4))
-    out[:2, :2] = pi_mat
-    out[2, 2] = 1.0 / sensor_model.sigma_v**2
-    out[3, 3] = 1.0 / sensor_model.sigma_phi**2
+    """Measurement information blkdiag(Pi, R2^{-1}), shape (4, 4), or one
+    per Pi of a stack (..., 2, 2): the range part Pi on the position block,
+    the speed and heading sensors on the diagonal."""
+    out = np.zeros(np.shape(pi_mat)[:-2] + (4, 4))
+    out[..., :2, :2] = pi_mat
+    out[..., 2, 2] = 1.0 / sensor_model.sigma_v**2
+    out[..., 3, 3] = 1.0 / sensor_model.sigma_phi**2
     return out
 
 
 def d22(
     pi_mat: np.ndarray, cv: CvProcessModel, sensor_model: SensorNoiseModel
 ) -> np.ndarray:
-    """Measurement-side information block Q^{-1} + blkdiag(Pi, R2^{-1})."""
+    """Measurement-side information block Q^{-1} + blkdiag(Pi, R2^{-1}),
+    (4, 4), or one per Pi of a stack (..., 2, 2)."""
     return np.linalg.inv(cv.q_matrix()) + _measurement_block(pi_mat, sensor_model)
 
 
-def _coupling(j_prev: np.ndarray, d11_mat: np.ndarray, d12_mat: np.ndarray) -> np.ndarray:
-    """Information the transition carries over: D21 (J + D11)^{-1} D12."""
-    return d12_mat.T @ np.linalg.solve(j_prev + d11_mat, d12_mat)
-
-
 def _symmetric(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def pcrlb_recursion(
@@ -227,9 +229,10 @@ def pcrlb_recursion(
     """One posterior-information step: D22 - D21 (J + D11)^{-1} D12.
 
     With D12 = 0 the result is exactly D22 (prior information cannot leak
-    into the next step without transition coupling).
+    into the next step without transition coupling).  A stack of D22
+    (..., 4, 4) gives one step per member, all from the same J.
     """
-    return _symmetric(d22_mat - _coupling(j_prev, d11_mat, d12_mat))
+    return _symmetric(d22_mat - d12_mat.T @ np.linalg.solve(j_prev + d11_mat, d12_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +514,8 @@ _GERSHGORIN_SLACK = 1e-6
 
 def gershgorin_sandwich(j_lb_elem: np.ndarray, j_ub_elem: np.ndarray) -> tuple:
     """Turn entry-wise information brackets into a PSD-ordered pair
-    (j_lb_g, j_ub_g), 0 <= j_lb_g <= j_ub_g.
+    (j_lb_g, j_ub_g), 0 <= j_lb_g <= j_ub_g: of one pair of (n, n)
+    matrices, or of each pair of two stacks (..., n, n).
 
     Upper matrix: any diagonal entry not exceeding its off-diagonal
     absolute row/column sum is raised to that sum plus a slack epsilon
@@ -534,47 +538,47 @@ def gershgorin_sandwich(j_lb_elem: np.ndarray, j_ub_elem: np.ndarray) -> tuple:
     ------
     ValueError
         If the brackets are not square, not symmetric, or violate the
-        entry-wise order.
+        entry-wise order (any member of a stack).
     """
     lb = np.asarray(j_lb_elem, dtype=float)
     ub = np.asarray(j_ub_elem, dtype=float)
-    if lb.shape != ub.shape or lb.ndim != 2 or lb.shape[0] != lb.shape[1]:
+    if lb.shape != ub.shape or lb.ndim < 2 or lb.shape[-1] != lb.shape[-2]:
         raise ValueError("brackets must be square matrices of equal shape")
-    if not np.allclose(lb, lb.T, atol=1e-9) or not np.allclose(ub, ub.T, atol=1e-9):
+    if not np.allclose(lb, lb.mT, atol=1e-9) or not np.allclose(ub, ub.mT, atol=1e-9):
         raise ValueError("brackets must be symmetric")
     if np.any(lb > ub + 1e-12):
         raise ValueError("entry-wise order violated: lower bracket exceeds upper")
-    lb = 0.5 * (lb + lb.T)
-    ub = 0.5 * (ub + ub.T)
-    n = lb.shape[0]
+    lb = 0.5 * (lb + lb.mT)
+    ub = 0.5 * (ub + ub.mT)
+    n = lb.shape[-1]
     off = ~np.eye(n, dtype=bool)
+    diag = (..., np.arange(n), np.arange(n))
 
     # Upper matrix: inflate weak diagonals to dominance.
     ub_g = ub.copy()
-    u_row = np.sum(np.abs(ub) * off, axis=1)
-    u_col = np.sum(np.abs(ub) * off, axis=0)
-    u = np.minimum(u_row, u_col)
-    weak = np.diag(ub) <= u
-    ub_g[np.diag_indices(n)] = np.where(weak, u + _GERSHGORIN_SLACK, np.diag(ub))
+    u_off = np.abs(ub) * off
+    u = np.minimum(u_off.sum(axis=-1), u_off.sum(axis=-2))
+    weak = ub[diag] <= u
+    ub_g[diag] = np.where(weak, u + _GERSHGORIN_SLACK, ub[diag])
 
     # Lower matrix: clamp diagonal, deflate off-diagonals to dominance.
     lb_g = lb.copy()
-    diag_l = np.maximum(np.diag(lb), 0.0)
-    lb_g[np.diag_indices(n)] = diag_l
-    l_row = np.sum(np.abs(lb_g) * off, axis=1)
-    l_col = np.sum(np.abs(lb_g) * off, axis=0)
+    diag_l = np.maximum(lb[diag], 0.0)
+    lb_g[diag] = diag_l
+    l_off = np.abs(lb_g) * off
+    l_row, l_col = l_off.sum(axis=-1), l_off.sum(axis=-2)
     l_max = np.maximum(l_row, l_col)
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(l_max > 0.0, diag_l / np.where(l_max > 0.0, l_max, 1.0), 1.0)
     dominant = diag_l > np.minimum(l_row, l_col)
     factor = np.where(dominant, 1.0, np.clip(factor - _GERSHGORIN_SLACK, 0.0, 1.0))
-    scale = np.minimum(factor[:, None], factor[None, :])
-    lb_g[off] = (lb_g * scale)[off]
+    scale = np.minimum(factor[..., :, None], factor[..., None, :])
+    lb_g = np.where(off, lb_g * scale, lb_g)
 
     # Order repair: make the gap diagonally dominant.
     diff = ub_g - lb_g
-    deficit = np.maximum(0.0, np.sum(np.abs(diff) * off, axis=1) - np.diag(diff))
-    ub_g[np.diag_indices(n)] += deficit
+    deficit = np.maximum(0.0, np.sum(np.abs(diff) * off, axis=-1) - diff[diag])
+    ub_g[diag] += deficit
 
     return lb_g, ub_g
 
@@ -584,14 +588,23 @@ def gershgorin_sandwich(j_lb_elem: np.ndarray, j_ub_elem: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def position_error_bound(j_mat: np.ndarray) -> float:
-    """sqrt(trace of the position block of J^{-1}); inf if J is singular."""
+def position_error_bound(j_mat: np.ndarray):
+    """sqrt(trace of the position block of J^{-1}): a float for one matrix
+    (n, n), an array for a stack (..., n, n); inf where J is singular or
+    the trace is negative or NaN."""
+    j_mat = np.asarray(j_mat, dtype=float)
     try:
         inv = np.linalg.inv(j_mat)
     except np.linalg.LinAlgError:
-        return float("inf")
-    trace = inv[0, 0] + inv[1, 1]
-    return math.sqrt(trace) if trace >= 0.0 else float("inf")
+        if j_mat.ndim == 2:
+            return float("inf")
+        # inv raises for the whole stack; one member at a time, only the
+        # singular members read inf
+        flat = j_mat.reshape(-1, *j_mat.shape[-2:])
+        return np.array([position_error_bound(m) for m in flat]).reshape(j_mat.shape[:-2])
+    trace = inv[..., 0, 0] + inv[..., 1, 1]
+    out = np.sqrt(np.where(trace >= 0.0, trace, np.inf))
+    return float(out) if out.ndim == 0 else out
 
 
 def default_prior_information() -> np.ndarray:
@@ -606,9 +619,12 @@ def measurement_information(
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
 ) -> np.ndarray:
-    """H^T R^{-1} H for the range + speed + heading measurement at a state:
-    the measurement block with Pi taken at the state's position alone."""
-    pi_mat = pi_expectation_mc(np.asarray(state, dtype=float)[None, :2], anchors, range_model)
+    """H^T R^{-1} H for the range + speed + heading measurement at a state
+    (4,), or at each state of a stack (..., 4): the measurement block with
+    Pi taken at the state's position alone."""
+    state = np.asarray(state, dtype=float)
+    e11, e12, e22 = _pi_entries(state[..., :2].reshape(-1, 2), anchors, range_model)
+    pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
     return _measurement_block(pi_mat, sensor_model)
 
 
@@ -618,14 +634,13 @@ def parcrlb_trace(
     range_model: RangeNoiseModel,
     sensor_model: SensorNoiseModel,
     T: float,
-    j0: np.ndarray | None = None,
 ) -> tuple:
     """Parametric bound along a known trajectory.
 
     Zero process noise makes the information recursion exact:
     J_k = F_{k-1}^{-T} J_{k-1} F_{k-1}^{-1} + H_k^T R_k^{-1} H_k, all
-    terms evaluated at the true states.  The first step fuses the prior
-    with the first measurement.
+    terms evaluated at the true states.  The first step fuses the loose
+    filter prior (`default_prior_information`) with the first measurement.
 
     Parameters
     ----------
@@ -634,36 +649,21 @@ def parcrlb_trace(
         as `gen_trajectory` returns them.
     T : float
         Step period entering the transition Jacobian.
-    j0 : np.ndarray, optional
-        Prior information; defaults to the loose filter prior.
 
     Returns
     -------
     (j_seq, bound) : (np.ndarray (N, 4, 4), np.ndarray (N,))
         Information matrices and sqrt position-trace error bounds.
     """
-    if j0 is None:
-        j0 = default_prior_information()
     positions, speed, heading = truth
     states = np.column_stack([positions, speed, heading])
-    n = len(states)
-    j_seq = np.empty((n, 4, 4))
-    bound = np.empty(n)
-    f_jacs = cv_transition_jacobian(states[:-1], T)
-
-    j = j0 + measurement_information(states[0], anchors, range_model, sensor_model)
-    j_seq[0] = j
-    bound[0] = position_error_bound(j)
-    eye = np.eye(4)
-    for k in range(1, n):
-        f_inv = np.linalg.solve(f_jacs[k - 1], eye)
-        j = f_inv.T @ j @ f_inv + measurement_information(
-            states[k], anchors, range_model, sensor_model
-        )
-        j = 0.5 * (j + j.T)
-        j_seq[k] = j
-        bound[k] = position_error_bound(j)
-    return j_seq, bound
+    info = measurement_information(states, anchors, range_model, sensor_model)
+    f_inv = np.linalg.inv(cv_transition_jacobian(states[:-1], T))
+    j_seq = np.empty((len(states), 4, 4))
+    j_seq[0] = default_prior_information() + info[0]
+    for k in range(1, len(states)):
+        j_seq[k] = _symmetric(f_inv[k - 1].T @ j_seq[k - 1] @ f_inv[k - 1] + info[k])
+    return j_seq, position_error_bound(j_seq)
 
 
 @dataclass(slots=True)
@@ -750,9 +750,10 @@ def pcrlb_bounds(
     brackets).  The first step is the filter prior plus the measurement
     block at the deterministic initial state; every later step is the
     `pcrlb_recursion` step on the MC estimate.  The bracket matrices
-    swap the bracketed Pi into the same step, with the MC step's
-    coupling term (so the entry-wise order is preserved exactly), and are
-    then eigenvalue-ordered by `gershgorin_sandwich`.
+    swap the bracketed Pi into the same step, from the MC information
+    (so the entry-wise order is preserved exactly).  Only the recursion
+    runs per step: the brackets are eigenvalue-ordered by
+    `gershgorin_sandwich` and all bounds taken once, on the stacks.
 
     Raises
     ------
@@ -764,50 +765,34 @@ def pcrlb_bounds(
     rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
     rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
-    # D22 = Q^{-1} + measurement block, with Q inverted once for all steps
-    q_inv = np.linalg.inv(cv.q_matrix())
-
-    j_seq = np.empty((steps, 4, 4))
-    lb_seq = np.empty((steps, 4, 4))
-    ub_seq = np.empty((steps, 4, 4))
-    bound = np.empty(steps)
-    bound_lb = np.empty(steps)
-    bound_ub = np.empty(steps)
-    sandwich_ok = np.empty(steps, dtype=bool)
-
+    # (MC, element-wise lower, element-wise upper) information per step
+    info = np.empty((3, steps, 4, 4))
     for i in range(steps):
         # step i + 1 of the rollout; the first is one deterministic state
         ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = (
-            pi_expectation_mc(ensemble, anchors, range_model),
-            *_pi_elementwise_brackets(ensemble, anchors, range_model),
+        pis = np.stack(
+            [pi_expectation_mc(ensemble, anchors, range_model),
+             *_pi_elementwise_brackets(ensemble, anchors, range_model)]
         )
         if i == 0:
-            prior = default_prior_information()
-            j, j_lb_elem, j_ub_elem = (prior + _measurement_block(pi, sensor_model) for pi in pis)
+            info[:, 0] = default_prior_information() + _measurement_block(pis, sensor_model)
         else:
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-            # the brackets reuse the MC step's coupling; they run no
+            # the brackets step from the MC information; they run no
             # recursions of their own, so they need not hold in PSD order
-            coupling = _coupling(j, d11(tm, cv), d12(tm, cv))
-            j, j_lb_elem, j_ub_elem = (
-                _symmetric(q_inv + _measurement_block(pi, sensor_model) - coupling) for pi in pis
+            info[:, i] = pcrlb_recursion(
+                info[0, i - 1], d11(tm, cv), d12(tm, cv), d22(pis, cv, sensor_model)
             )
-        j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
-        j_seq[i], lb_seq[i], ub_seq[i] = j, j_lb_g, j_ub_g
-        bound[i] = position_error_bound(j)
-        bound_lb[i] = position_error_bound(j_ub_g)
-        bound_ub[i] = position_error_bound(j_lb_g)
-        lo_gap = np.linalg.eigvalsh(j - j_lb_g).min()
-        hi_gap = np.linalg.eigvalsh(j_ub_g - j).min()
-        sandwich_ok[i] = bool(lo_gap >= -1e-9 and hi_gap >= -1e-9)
 
+    j, j_lb_elem, j_ub_elem = info
+    j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
+    gaps = np.linalg.eigvalsh(np.stack([j - j_lb_g, j_ub_g - j]))
     return PcrlbResult(
-        j=j_seq,
-        j_lb_g=lb_seq,
-        j_ub_g=ub_seq,
-        bound=bound,
-        bound_lb=bound_lb,
-        bound_ub=bound_ub,
-        sandwich_ok=sandwich_ok,
+        j=j,
+        j_lb_g=j_lb_g,
+        j_ub_g=j_ub_g,
+        bound=position_error_bound(j),
+        bound_lb=position_error_bound(j_ub_g),
+        bound_ub=position_error_bound(j_lb_g),
+        sandwich_ok=np.all(gaps >= -1e-9, axis=(0, 2)),
     )

@@ -33,6 +33,8 @@ class AnchorSet:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError(f"anchor positions must be (M, 2), got {self.positions.shape}")
+        if not np.isfinite(self.positions).all():
+            raise ValueError("anchor positions must be finite")
         if self.m < 4:
             raise ValueError(f"need at least 4 anchors, got {self.m}")
         diffs = self.positions[:, None, :] - self.positions[None, :, :]
@@ -67,10 +69,10 @@ class RangeNoiseModel:
     kappa: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.sigma0_sq <= 0.0:
-            raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be non-negative, got {self.kappa}")
+        if not 0.0 < self.sigma0_sq < math.inf:
+            raise ValueError(f"sigma0_sq must be finite and positive, got {self.sigma0_sq}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and non-negative, got {self.kappa}")
 
 
 @dataclass(slots=True)
@@ -89,8 +91,9 @@ class SensorNoiseModel:
     sigma_phi: float = math.pi / 8.0
 
     def __post_init__(self) -> None:
-        if self.sigma_v < 0.0 or self.sigma_phi < 0.0:
-            raise ValueError("noise standard deviations must be non-negative")
+        for name in ("sigma_v", "sigma_phi"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 # Diagonal of the loose initial covariance of a CV state (x1, x2, V, phi),
@@ -118,11 +121,11 @@ class CvProcessModel:
     sigma4_sq: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0:
-            raise ValueError(f"step period T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"step period T must be finite and positive, got {self.T}")
         for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def q_matrix(self) -> np.ndarray:
         """Process-noise covariance Q, shape (4, 4)."""

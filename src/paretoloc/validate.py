@@ -513,7 +513,7 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
         n_ensemble=max(int(100 * scale), 20),
         rng=rng,
     )
-    pairs += zip(result.j_lb_g, result.j_ub_g)
+    pairs.append((result.j_lb_g, result.j_ub_g))
     worst = min(
         float(min(np.linalg.eigvalsh(lb_g).min(), np.linalg.eigvalsh(ub_g - lb_g).min()))
         for lb_g, ub_g in pairs

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import importlib.metadata
 import json
+import math
 import re
 from pathlib import Path
 
@@ -129,10 +130,11 @@ def test_crlb_on_cv_reads_the_cv_block_of_a_config_file(tmp_path, capsys):
     default = capsys.readouterr().out.splitlines()
     assert main(argv + ["--config", str(cfg)]) == 0
     quiet = capsys.readouterr().out.splitlines()
-    assert len(default) == len(quiet) == 3
+    # three step lines and the bracket's share of steps
+    assert len(default) == len(quiet) == 4
     # step 0 is the shared prior; the later posterior lines move
     assert quiet[0] == default[0]
-    for line, base in zip(quiet[1:], default[1:]):
+    for line, base in zip(quiet[1:3], default[1:3]):
         assert line.split("posterior")[0] == base.split("posterior")[0]
         assert line.split("posterior")[1] != base.split("posterior")[1]
 
@@ -148,6 +150,54 @@ def test_crlb_takes_the_scenario_of_a_config_file(tmp_path, capsys):
     assert capsys.readouterr().out == flag
     assert main(argv) == 0
     assert capsys.readouterr().out != flag
+
+
+def test_crlb_prints_each_step_once_and_a_bracket_only_where_it_holds(tmp_path, capsys):
+    out = tmp_path / "crlb.csv"
+    assert main(["crlb", "--steps", "200", "--ensemble", "1000", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    with open(out, newline="") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    holds = [math.isfinite(ub) and lb <= post <= ub for _, _, post, lb, ub in rows]
+    assert [line.split(":")[0] for line in lines[:3]] == ["k = 0", "k = 100", "k = 199"]
+    for line, k in zip(lines, (0, 100, 199)):
+        assert ("[" in line) == holds[k]
+        assert ("(bracket does not hold)" in line) != holds[k]
+    # the default CV run holds its bracket at step 0 alone
+    assert lines[3] == "a finite bracket [lb, ub] holds at 1 of 200 steps" == (
+        f"a finite bracket [lb, ub] holds at {sum(holds)} of 200 steps"
+    )
+    # two steps print k = 1 once
+    assert main(["crlb", "--steps", "2", "--ensemble", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["k = 0", "k = 1"]
+
+
+@pytest.mark.parametrize(
+    "argv, settings, field",
+    [
+        (["run"], {"kappa": float("nan")}, "kappa"),
+        (["crlb"], {"kappa": float("nan")}, "kappa"),
+        (["run"], {"sigma_phi": float("inf")}, "sigma_phi"),
+        (["run"], {"cv": {"sigma1_sq": float("nan")}}, "sigma1_sq"),
+        (["crlb"], {"cv": {"sigma4_sq": float("inf")}}, "sigma4_sq"),
+        (["run"], {"anchors": [[0, 0], [4, 0], [0, 4], [4, float("nan")]]}, "anchor positions"),
+    ],
+)
+def test_non_finite_model_settings_exit_before_any_run(
+    argv, settings, field, tmp_path, monkeypatch, capsys
+):
+    def must_not_run(config, *args, **kwargs):
+        raise AssertionError("an experiment ran despite a config error")
+
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", must_not_run)
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field} must be finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", [["--runs", "7"], ["--estimators", "ekf"]])

@@ -21,7 +21,9 @@ from paretoloc.crlb import (
     SeriesDivergenceError,
     SeriesExpectation,
     _mean_se,
+    _measurement_block,
     _pi_elementwise_brackets,
+    _symmetric,
     _truncate_alternating,
     d11,
     d12,
@@ -53,7 +55,7 @@ from paretoloc.models import (
     cv_transition_jacobian,
     range_variance,
 )
-from paretoloc.simulate import gen_trajectory, scenario_cv
+from paretoloc.simulate import ExperimentConfig, Scene, gen_trajectory, make_scenario, scenario_cv
 from paretoloc.validate import _corrected_d11
 
 ANCHORS = AnchorSet(
@@ -536,6 +538,19 @@ def test_gershgorin_sandwich_validation():
         gershgorin_sandwich(2.0 * good, good)
 
 
+def test_stacked_gershgorin_sandwich_is_the_per_matrix_call_bit_for_bit():
+    rng = np.random.default_rng(78)
+    lb, ub = np.stack([np.stack(_random_bracket_pair(rng)) for _ in range(40)], axis=1)
+    lb_g, ub_g = gershgorin_sandwich(lb, ub)
+    for k in range(40):
+        lb_k, ub_k = gershgorin_sandwich(lb[k], ub[k])
+        assert np.array_equal(lb_g[k], lb_k) and np.array_equal(ub_g[k], ub_k)
+    # one asymmetric member fails the whole stack
+    lb[17, 0, 1] -= 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        gershgorin_sandwich(lb, ub)
+
+
 # ---------------------------------------------------------------------------
 # bound drivers
 # ---------------------------------------------------------------------------
@@ -545,6 +560,24 @@ def test_position_error_bound_cases():
     assert position_error_bound(np.eye(4)) == pytest.approx(math.sqrt(2.0))
     assert position_error_bound(np.zeros((4, 4))) == float("inf")
     assert position_error_bound(np.diag([-1.0, -1.0, 1.0, 1.0])) == float("inf")
+
+
+def test_stacked_position_error_bound_is_the_per_matrix_call_bit_for_bit():
+    rng = np.random.default_rng(79)
+    a = rng.normal(size=(30, 4, 4))
+    j_stack = a @ a.mT + 0.1 * np.eye(4)
+    j_stack[5] = np.diag([-1.0, -1.0, 1.0, 1.0])  # negative trace
+    bound = position_error_bound(j_stack)
+    assert bound.shape == (30,)
+    for k in range(30):
+        assert bound[k] == position_error_bound(j_stack[k])
+    assert np.isinf(bound[5]) and np.isfinite(np.delete(bound, 5)).all()
+    # a singular member reads inf at its index only, the rest keep their bits
+    j_stack[11] = 0.0
+    with_singular = position_error_bound(j_stack.reshape(3, 10, 4, 4))
+    assert with_singular.shape == (3, 10)
+    assert np.isinf(with_singular[1, 1])
+    assert np.array_equal(np.delete(with_singular.ravel(), 11), np.delete(bound, 11))
 
 
 def test_default_prior_information():
@@ -633,15 +666,6 @@ def test_parcrlb_trace_follows_a_turning_path():
         assert bound[k] == position_error_bound(j)
 
 
-def test_parcrlb_trace_custom_prior():
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
-    truth = _static_truth(steps=3)
-    strong = np.diag([1e4, 1e4, 1e4, 1e4])
-    _, tight = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1, j0=strong)
-    _, loose = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1)
-    assert np.all(tight < loose)
-
-
 def _matrix_product_information(state, anchors, model, sensors):
     """H^T R^{-1} H written as the matrix product over anchors."""
     diff = state[:2][None, :] - anchors.positions
@@ -656,10 +680,11 @@ def _matrix_product_information(state, anchors, model, sensors):
 
 @pytest.mark.parametrize("track", ["turning", "scenario-cv"])
 def test_parcrlb_trace_matches_the_matrix_product_recursion(track):
-    # The bound takes Pi from `pi_expectation_mc` on one sample; the sum
-    # over anchors then runs in another order than the matrix product
-    # H^T R^{-1} H, so the two sequences agree to rounding only: 1e-14
-    # relative per step (4.2e-16 seen).
+    # The bound takes every Pi from one `measurement_information` call on
+    # the stacked states, which sums each Pi entry over anchors on its
+    # own; the matrix product H^T R^{-1} H sums in another order, so the
+    # two sequences agree to rounding only: 1e-14 relative per step
+    # (4.2e-16 seen).
     model, sensors = RangeNoiseModel(), SensorNoiseModel()
     if track == "turning":
         truth, anchors = _turning_truth(), ANCHORS
@@ -703,6 +728,65 @@ def test_pcrlb_bounds_steps_are_the_recursion_steps():
         pi_hat = pi_expectation_mc(rollout[i, :, :2], ANCHORS, model)
         expected = pcrlb_recursion(out.j[i - 1], d11(tm, CV), d12(tm, CV), d22(pi_hat, CV, sensors))
         np.testing.assert_array_equal(out.j[i], expected)
+
+
+def _pcrlb_bounds_per_step(cv, anchors, range_model, sensor_model, x0, v0, phi0, steps,
+                           n_ensemble, rng):
+    """`pcrlb_bounds` one step at a time, each bracket repaired and each
+    bound taken inside the loop, D22 written out: the loop the stacked
+    code replaced, kept as its bit-for-bit oracle."""
+    rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
+    q_inv = np.linalg.inv(cv.q_matrix())
+    fields = {name: [] for name in ("j", "j_lb_g", "j_ub_g", "bound", "bound_lb",
+                                    "bound_ub", "sandwich_ok")}
+    for i in range(steps):
+        ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
+        pis = (
+            pi_expectation_mc(ensemble, anchors, range_model),
+            *_pi_elementwise_brackets(ensemble, anchors, range_model),
+        )
+        if i == 0:
+            prior = default_prior_information()
+            j, j_lb_elem, j_ub_elem = (prior + _measurement_block(pi, sensor_model) for pi in pis)
+        else:
+            tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
+            d12_mat = d12(tm, cv)
+            coupling = d12_mat.T @ np.linalg.solve(j + d11(tm, cv), d12_mat)
+            j, j_lb_elem, j_ub_elem = (
+                _symmetric(q_inv + _measurement_block(pi, sensor_model) - coupling) for pi in pis
+            )
+        j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
+        lo_gap = np.linalg.eigvalsh(j - j_lb_g).min()
+        hi_gap = np.linalg.eigvalsh(j_ub_g - j).min()
+        for name, value in (
+            ("j", j), ("j_lb_g", j_lb_g), ("j_ub_g", j_ub_g),
+            ("bound", position_error_bound(j)),
+            ("bound_lb", position_error_bound(j_ub_g)),
+            ("bound_ub", position_error_bound(j_lb_g)),
+            ("sandwich_ok", bool(lo_gap >= -1e-9 and hi_gap >= -1e-9)),
+        ):
+            fields[name].append(value)
+    return {name: np.array(values) for name, values in fields.items()}
+
+
+@pytest.mark.parametrize("scenario, n_ensemble", [("CV", 1000), ("B", 300)])
+def test_pcrlb_bounds_is_the_per_step_loop_bit_for_bit(scenario, n_ensemble):
+    # the inputs `crlb_traces` hands `pcrlb_bounds` at seed 0, 200 steps
+    spec = make_scenario(scenario, steps=200)
+    scene = Scene.from_config(ExperimentConfig(trajectory=spec, seed=0))
+    args = (scene.cv, scene.anchors, scene.range_model, scene.sensor_model, spec.start,
+            spec.speed, spec.heading, 200, n_ensemble)
+    seed = np.random.SeedSequence((0, 0x6372))
+    out = pcrlb_bounds(*args, rng=np.random.default_rng(seed))
+    expected = _pcrlb_bounds_per_step(*args, rng=np.random.default_rng(seed))
+    for field in dataclasses.fields(out):
+        value = getattr(out, field.name)
+        assert value.dtype == expected[field.name].dtype, field.name
+        assert np.array_equal(value, expected[field.name]), field.name
+    if scenario == "CV":
+        # the lower information matrix is singular there: the stacked
+        # bound falls back to one matrix at a time
+        assert np.isinf(out.bound_ub[1:111]).all() and np.isfinite(out.bound_ub[111:]).all()
 
 
 @pytest.mark.parametrize("n_ensemble", [0, -3])

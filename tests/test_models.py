@@ -83,6 +83,32 @@ def test_cv_process_model_matrices():
         CvProcessModel(sigma3_sq=-1.0)
 
 
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        (RangeNoiseModel, "sigma0_sq"),
+        (RangeNoiseModel, "kappa"),
+        (SensorNoiseModel, "sigma_v"),
+        (SensorNoiseModel, "sigma_phi"),
+        (CvProcessModel, "T"),
+        (CvProcessModel, "sigma1_sq"),
+        (CvProcessModel, "sigma4_sq"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_noise_models_reject_non_finite_settings(model, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        model(**{field: value})
+
+
+def test_anchor_set_rejects_non_finite_coordinates():
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for value in (math.nan, math.inf):
+        positions[2, 1] = value
+        with pytest.raises(ValueError, match="anchor positions must be finite"):
+            AnchorSet(positions)
+
+
 def test_sensor_streams_reproducible_and_independent():
     a = SensorStreams.from_seed(42)
     b = SensorStreams.from_seed(42)
