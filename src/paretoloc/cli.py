@@ -24,11 +24,13 @@ import sys
 
 import numpy as np
 
+from .crlb import require_invertible_noise
 from .fusion import ParetoConfig
 from .models import AnchorSet, CvProcessModel, RangeNoiseModel, SensorNoiseModel
 from .simulate import (
     SUMMARY_HEADER,
     ExperimentConfig,
+    Scene,
     crlb_traces,
     make_scenario,
     run_experiment,
@@ -228,6 +230,11 @@ def _cmd_crlb(args) -> int:
     if args.ensemble < 1:
         raise ConfigError("--ensemble must be at least 1")
     config = _build_experiment(args)
+    scene = Scene.from_config(config)
+    try:
+        require_invertible_noise(scene.sensor_model, scene.cv)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     traces = crlb_traces(config, n_ensemble=args.ensemble)
     if args.out:
         write_crlb(args.out, traces)

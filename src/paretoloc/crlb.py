@@ -39,9 +39,6 @@ from .models import (
     range_variance,
 )
 
-_EULER_GAMMA = float(np.euler_gamma)
-
-
 # ---------------------------------------------------------------------------
 # trig moments of the CV heading / speed random walks
 # ---------------------------------------------------------------------------
@@ -270,36 +267,54 @@ def ncx2_central_moments(lam: float, order: int) -> np.ndarray:
     return moments
 
 
+# ln n! and psi(n + 1/2) for n = 0, 1, ...: the Poisson-mixture terms of
+# `expected_log_ncx2`, built on first use and extended by `_mixture_tables`
+_LN_FACTORIAL = np.empty(0)
+_DIGAMMA_HALF = np.empty(0)
+
+
+def _mixture_tables(size: int) -> tuple:
+    """The tables ln n! (`math.lgamma`) and psi(n + 1/2), at least `size`
+    long; a table too short is rebuilt at twice its length or more.
+    psi(n + 1/2) = -gamma - 2 ln 2 + sum_{k=1..n} 2 / (2k - 1) is summed
+    exactly (`math.fsum`), so no entry carries the rounding of the terms
+    before it."""
+    global _LN_FACTORIAL, _DIGAMMA_HALF
+    if len(_LN_FACTORIAL) < size:
+        size = max(size, 2 * len(_LN_FACTORIAL))
+        terms = [-np.euler_gamma, -2.0 * math.log(2.0)]
+        terms += [2.0 / (2 * k - 1) for k in range(1, size)]
+        _LN_FACTORIAL = np.array([math.lgamma(n + 1.0) for n in range(size)])
+        _DIGAMMA_HALF = np.array([math.fsum(terms[: n + 2]) for n in range(size)])
+    return _LN_FACTORIAL, _DIGAMMA_HALF
+
+
 def expected_log_ncx2(lam: float) -> float:
     """E{ln X} for X ~ noncentral chi-square, 1 dof, noncentrality lam.
 
     Up to lam = 300, the Poisson-mixture representation: ln 2 +
     E_N{psi(1/2 + N)} with N ~ Poisson(lam / 2), summed far into the
-    Poisson tail.  Above, where that sum has about 24 sqrt(lam / 2) terms
-    and loses digits, the asymptotic expansion of E{ln (sqrt(lam) + Z)^2}
-    with Z standard normal, ln lam - sum_{k=1..6} (2k-1)!! / (k lam^k),
-    whose first omitted term is below 1e-13 there.  Both are exact to
-    about double precision.
+    Poisson tail, with ln n! and psi(n + 1/2) read from exact tables
+    (`_mixture_tables`).  Above, where that sum has about 24 sqrt(lam / 2)
+    terms and loses digits, the asymptotic expansion of
+    E{ln (sqrt(lam) + Z)^2} with Z standard normal,
+    ln lam - sum_{k=1..6} (2k-1)!! / (k lam^k), whose first omitted term
+    is below 1e-13 there.  Both are exact to about double precision.
     """
     if lam < 0.0:
         raise ValueError("noncentrality must be non-negative")
     if lam > 300.0:
         return math.log(lam) - sum(math.prod(range(1, 2 * k, 2)) / (k * lam**k) for k in range(1, 7))
-    # scipy.special costs about 0.2 s and 24 MB at import; only this
-    # function needs it
-    from scipy import special
-
     half = 0.5 * lam
-    if half == 0.0:
-        return float(special.digamma(0.5) + math.log(2.0))
     width = 12.0 * math.sqrt(half) + 25.0
     lo = max(0, int(half - width))
     hi = int(half + width)
-    n = np.arange(lo, hi + 1)
-    # Poisson(half) pmf in the arithmetic of scipy.stats.poisson.pmf,
-    # without importing scipy.stats (about 45 MB resident)
-    pmf = np.exp(special.xlogy(n, half) - special.gammaln(n + 1) - half)
-    return float(np.sum(pmf * special.digamma(0.5 + n)) + math.log(2.0))
+    ln_factorial, digamma_half = _mixture_tables(hi + 1)
+    if half == 0.0:
+        return float(digamma_half[0]) + math.log(2.0)
+    # the Poisson(half) pmf at n = lo..hi
+    pmf = np.exp(np.arange(lo, hi + 1) * math.log(half) - ln_factorial[lo : hi + 1] - half)
+    return float(np.sum(pmf * digamma_half[lo : hi + 1]) + math.log(2.0))
 
 
 def diag_bounds(
@@ -613,6 +628,22 @@ def default_prior_information() -> np.ndarray:
     return np.linalg.inv(np.diag(CV_PRIOR_VARIANCES))
 
 
+def require_invertible_noise(
+    sensor_model: SensorNoiseModel, cv: CvProcessModel | None = None
+) -> None:
+    """Raise ValueError naming the first noise setting that the bounds
+    invert and that is not positive: sigma_v and sigma_phi, and with `cv`
+    its four process-noise variances."""
+    settings = [(sensor_model, ("sigma_v", "sigma_phi"))]
+    if cv is not None:
+        settings.append((cv, ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq")))
+    for model, names in settings:
+        for name in names:
+            value = getattr(model, name)
+            if not value > 0.0:
+                raise ValueError(f"the bounds invert {name}, so it must be positive, got {value}")
+
+
 def measurement_information(
     state: np.ndarray,
     anchors: AnchorSet,
@@ -654,7 +685,13 @@ def parcrlb_trace(
     -------
     (j_seq, bound) : (np.ndarray (N, 4, 4), np.ndarray (N,))
         Information matrices and sqrt position-trace error bounds.
+
+    Raises
+    ------
+    ValueError
+        If sigma_v or sigma_phi is zero (`require_invertible_noise`).
     """
+    require_invertible_noise(sensor_model)
     positions, speed, heading = truth
     states = np.column_stack([positions, speed, heading])
     info = measurement_information(states, anchors, range_model, sensor_model)
@@ -758,10 +795,12 @@ def pcrlb_bounds(
     Raises
     ------
     ValueError
-        If `n_ensemble` is less than 1.
+        If `n_ensemble` is less than 1, or a noise setting the bound
+        inverts is zero (`require_invertible_noise`).
     """
     if n_ensemble < 1:
         raise ValueError(f"n_ensemble must be at least 1, got {n_ensemble}")
+    require_invertible_noise(sensor_model, cv)
     rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
     rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)

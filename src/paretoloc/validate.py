@@ -322,50 +322,94 @@ def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
     )
 
 
-def _trig_samples(v: np.ndarray, phi: np.ndarray, tm) -> Iterator[tuple]:
-    """(samples, closed form) of the six speed/heading moments, each sample
-    array formed only when it is read."""
-    yield v, tm.e_v
-    yield v**2, tm.e_v_sq
-    cos = np.cos(phi)
-    yield cos, tm.e_cos
-    sin = np.sin(phi)
-    yield sin, tm.e_sin
-    yield sin * cos, tm.e_sin_cos
-    yield cos**2, tm.e_cos_sq
+# the longest stretch of the walk that `check_trig_moments` draws or reduces
+# at once, so that no temporary is as long as the walk
+_TRIG_BLOCK = 2**16
+
+
+def _trig_samples(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The six speed/heading moment samples V, V^2, cos, sin, sin cos and
+    cos^2 at each walk state, (6, len(v))."""
+    out = np.empty((6, len(v)))
+    out[0] = v
+    np.square(v, out=out[1])
+    np.cos(phi, out=out[2])
+    np.sin(phi, out=out[3])
+    np.multiply(out[3], out[2], out=out[4])
+    np.square(out[2], out=out[5])
+    return out
+
+
+def _moment_sums(v: np.ndarray, phi: np.ndarray) -> tuple:
+    """Sums and scatters (sums of squared deviations from the mean), each
+    (6,), of the six moment samples over the walk states v, phi.
+
+    The walk is split as numpy's pairwise summation splits it (in halves,
+    the first rounded down to a multiple of 8) into stretches of at most
+    `_TRIG_BLOCK` states, each reduced at once.  Two halves add their sums,
+    which gives the bits of `np.sum` over the whole sample, and pool their
+    scatters: S = S_a + S_b + n_a n_b / n (m_a - m_b)^2.
+    """
+    n = len(v)
+    if n <= _TRIG_BLOCK:
+        samples = _trig_samples(v, phi)
+        total = samples.sum(axis=1)
+        samples -= (total / n)[:, None]
+        samples *= samples
+        return total, samples.sum(axis=1)
+    half = n // 2 - n // 2 % 8
+    sum_a, scatter_a = _moment_sums(v[:half], phi[:half])
+    sum_b, scatter_b = _moment_sums(v[half:], phi[half:])
+    gap = sum_a / half - sum_b / (n - half)
+    return sum_a + sum_b, scatter_a + scatter_b + half * (n - half) / n * gap**2
+
+
+def _trig_walk(
+    rng: np.random.Generator, n: int, v0: float, phi0: float, s3: float, s4: float, steps
+) -> Iterator[tuple]:
+    """(k, v, phi) at each of the 1-based `steps` of n speed/heading random
+    walks from (v0, phi0) with step variances s3 and s4.
+
+    The walk is drawn only at those steps: from one to the next it adds one
+    normal of the summed variance (k - k_prev) sigma^2, which gives its
+    joint law there.  Each jump updates v, then phi, in place, in blocks of
+    `_TRIG_BLOCK`: the stream and bits of one draw of n each.
+    """
+    v = np.full(n, v0)
+    phi = np.full(n, phi0)
+    k_prev = 1
+    for k in steps:
+        if k > k_prev:
+            for state, var in ((v, s3), (phi, s4)):
+                sd = math.sqrt((k - k_prev) * var)
+                for start in range(0, n, _TRIG_BLOCK):
+                    block = state[start : start + _TRIG_BLOCK]
+                    block += rng.normal(0.0, sd, size=block.size)
+            k_prev = k
+        yield k, v, phi
 
 
 def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
-    """Speed/heading random-walk moments vs a rollout MC at k in {1,2,5,10,20}.
-
-    The walk is drawn only at the tested steps: from one to the next it
-    adds one normal of the summed variance (k - k_prev) sigma^2, which
-    gives the walk's joint law at those steps.
-    """
+    """Speed/heading random-walk moments vs a rollout MC at k in {1,2,5,10,20}."""
     rng = np.random.default_rng(seed)
     n = max(int(1e6 * scale), 10000)
     v0, phi0 = 0.5, math.pi / 6.0
     s3, s4 = 1e-4, 2.5e-3
-    v = np.full(n, v0)
-    phi = np.full(n, phi0)
     worst = 0.0
-    k_prev = 1
-    for k in (1, 2, 5, 10, 20):
-        if k > k_prev:
-            v += rng.normal(0.0, math.sqrt((k - k_prev) * s3), size=n)
-            phi += rng.normal(0.0, math.sqrt((k - k_prev) * s4), size=n)
-            k_prev = k
-        for draw, closed in _trig_samples(v, phi, trig_moments(v0, phi0, s3, s4, k)):
-            mean, se = _mean_se(draw)
-            # absolute floor so the deterministic k = 1 entries (sample SE
-            # at rounding level) are judged against float tolerance, not a
-            # vanishing denominator
-            worst = max(worst, abs(mean - closed) / (3.0 * se + 1e-12))
+    for k, v, phi in _trig_walk(rng, n, v0, phi0, s3, s4, (1, 2, 5, 10, 20)):
+        tm = trig_moments(v0, phi0, s3, s4, k)
+        closed = np.array([tm.e_v, tm.e_v_sq, tm.e_cos, tm.e_sin, tm.e_sin_cos, tm.e_cos_sq])
+        total, scatter = _moment_sums(v, phi)
+        se = np.sqrt(scatter / (n - 1)) / math.sqrt(n)
+        # absolute floor so the deterministic k = 1 entries (sample SE
+        # at rounding level) are judged against float tolerance, not a
+        # vanishing denominator
+        worst = max(worst, float(np.max(np.abs(total / n - closed) / (3.0 * se + 1e-12))))
     return CheckResult(
         name="trig-moments",
         passed=worst <= 1.0,
         detail=f"max gap / (3 SE) = {worst:.3f} over six moments, k in {{1,2,5,10,20}}",
-        data={"worst_ratio": float(worst)},
+        data={"worst_ratio": worst},
     )
 
 

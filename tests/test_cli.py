@@ -200,6 +200,37 @@ def test_non_finite_model_settings_exit_before_any_run(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        ({"sigma_v": 0}, "sigma_v"),
+        ({"sigma_phi": 0}, "sigma_phi"),
+        ({"cv": {"sigma1_sq": 0}}, "sigma1_sq"),
+    ],
+)
+def test_crlb_with_a_zero_noise_setting_exits_before_any_bound(
+    settings, field, tmp_path, monkeypatch, capsys
+):
+    def must_not_run(config, *args, **kwargs):
+        raise AssertionError("a bound ran despite a config error")
+
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["crlb", "--config", str(cfg), "--steps", "20"]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: the bounds invert {field}" in captured.err
+    assert captured.out == ""
+
+
+def test_run_with_a_zero_speed_noise_still_runs(tmp_path, capsys):
+    # no estimator divides by sigma_v
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"sigma_v": 0}))
+    assert main(["run", "--config", str(cfg), "--steps", "20", "--runs", "2"]) == 0
+    assert "excluded 0/2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", [["--runs", "7"], ["--estimators", "ekf"]])
 def test_crlb_rejects_the_monte_carlo_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
+from paretoloc import crlb
 from paretoloc.crlb import (
     SeriesDivergenceError,
     SeriesExpectation,
@@ -269,6 +270,41 @@ def test_expected_log_identity_with_kummer_series(lam):
         math.log(2.0) + special.digamma(0.5) - kummer_a_derivative(-lam / 2.0)
     )
     assert expected_log_ncx2(lam) == pytest.approx(via_series, abs=1e-12)
+
+
+def _scipy_expected_log_ncx2(lam):
+    """The Poisson-mixture sum of `expected_log_ncx2` in scipy's special
+    functions: the pmf from xlogy and gammaln, psi(n + 1/2) from digamma."""
+    half = 0.5 * lam
+    if half == 0.0:
+        return float(special.digamma(0.5) + math.log(2.0))
+    width = 12.0 * math.sqrt(half) + 25.0
+    n = np.arange(max(0, int(half - width)), int(half + width) + 1)
+    pmf = np.exp(special.xlogy(n, half) - special.gammaln(n + 1) - half)
+    return float(np.sum(pmf * special.digamma(0.5 + n)) + math.log(2.0))
+
+
+def test_expected_log_ncx2_is_the_scipy_mixture():
+    # the tables stand in for scipy's special functions: measured 1.1e-13
+    # at most; past 300 the asymptotic branch agrees with the mixture too
+    lams = [0.0, 1e-12, 1e-6, *np.linspace(0.0, 300.0, 3001)[1:], 299.999, 300.0, 300.001]
+    gaps = [abs(expected_log_ncx2(float(lam)) - _scipy_expected_log_ncx2(lam)) for lam in lams]
+    assert max(gaps) <= 2e-13
+
+
+def test_mixture_tables_extend_when_more_terms_are_needed(monkeypatch):
+    monkeypatch.setattr(crlb, "_LN_FACTORIAL", np.empty(0))
+    monkeypatch.setattr(crlb, "_DIGAMMA_HALF", np.empty(0))
+    expected_log_ncx2(1.0)
+    short = len(crlb._LN_FACTORIAL)
+    # N up to 150 + 12 sqrt(150) + 25 at lam = 300
+    assert 0 < short < 322 and len(crlb._DIGAMMA_HALF) == short
+    assert expected_log_ncx2(300.0) == pytest.approx(_scipy_expected_log_ncx2(300.0), abs=2e-13)
+    ln_factorial, digamma_half = crlb._mixture_tables(400)
+    assert len(ln_factorial) == len(digamma_half) >= 400
+    n = np.arange(len(ln_factorial))
+    assert_allclose(ln_factorial, special.gammaln(n + 1), rtol=1e-14, atol=1e-14)
+    assert_allclose(digamma_half, special.digamma(n + 0.5), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +833,31 @@ def test_pcrlb_bounds_rejects_an_empty_ensemble(n_ensemble):
             CV, ANCHORS, model, sensors, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6,
             n_ensemble=n_ensemble, rng=np.random.default_rng(13),
         )
+
+
+@pytest.mark.parametrize(
+    "field, sensor_settings, cv_settings",
+    [
+        ("sigma_v", {"sigma_v": 0.0}, {}),
+        ("sigma_phi", {"sigma_phi": 0.0}, {}),
+        ("sigma1_sq", {}, {"sigma1_sq": 0.0}),
+        ("sigma4_sq", {}, {"sigma4_sq": 0.0}),
+    ],
+)
+def test_bounds_name_a_zero_noise_setting_they_invert(field, sensor_settings, cv_settings):
+    model, sensors = RangeNoiseModel(), SensorNoiseModel(**sensor_settings)
+    cv = dataclasses.replace(CV, **cv_settings)
+    with pytest.raises(ValueError, match=field):
+        pcrlb_bounds(
+            cv, ANCHORS, model, sensors, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6,
+            n_ensemble=10, rng=np.random.default_rng(13),
+        )
+    if sensor_settings:
+        with pytest.raises(ValueError, match=field):
+            parcrlb_trace(_static_truth(), ANCHORS, model, sensors, T=0.1)
+    else:
+        # the parametric bound inverts no process noise
+        assert np.isfinite(parcrlb_trace(_static_truth(), ANCHORS, model, sensors, T=0.1)[1]).all()
 
 
 def test_pcrlb_bounds_small_ensemble():

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the package in `src/`."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,5 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    # a bracket is printed only where it holds, so no end of it reads inf
+    assert not re.search(r"\[[^\]]*inf[^\]]*\]", done.stdout)

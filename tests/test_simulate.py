@@ -6,6 +6,7 @@ noise-free dead reckoning must replay the exact path — bounces, ramps
 and all.  The experiment harness is checked for seed determinism and for
 noise pairing across estimator subsets.
 """
+import ast
 import csv
 import dataclasses
 import math
@@ -901,20 +902,40 @@ def test_crlb_traces_small():
 
 
 def test_import_and_a_run_do_not_load_scipy_special():
-    # scipy.special is a large import that only the posterior-bound
-    # brackets need; the package and a Monte Carlo run must not pay for it
+    # numpy is the one run-time dependency: the package, a Monte Carlo run,
+    # the bound traces and the oracle suite load no scipy at all
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
     script = (
         "import sys, paretoloc as pl\n"
+        "from paretoloc.validate import run_all_checks\n"
         "spec = pl.make_scenario('B', steps=20)\n"
         "pl.run_experiment(pl.ExperimentConfig(trajectory=spec, runs=2,"
         " estimators=pl.simulate.KNOWN_ESTIMATORS))\n"
         "print('scipy.special' in sys.modules)\n"
+        "cv = pl.make_scenario('CV', steps=20)\n"
+        "pl.crlb_traces(pl.ExperimentConfig(trajectory=cv), n_ensemble=50)\n"
+        "run_all_checks(scale=0.02, verbose=False)\n"
+        "print('scipy' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_src_imports_no_scipy():
+    # every import statement of the package, at module level or inside a
+    # function
+    src = Path(__file__).resolve().parent.parent / "src" / "paretoloc"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), (path.name, node.lineno)
