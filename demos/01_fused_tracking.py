@@ -9,8 +9,9 @@ Run:  python3 demos/01_fused_tracking.py
 """
 import numpy as np
 
+from paretoloc.deadreckoning import measurement_frames
 from paretoloc.fusion import fusion_step, init_fusion
-from paretoloc.models import MeasurementFrame, SensorStreams, draw_measurements
+from paretoloc.models import SensorStreams, draw_measurements
 from paretoloc.simulate import (
     ExperimentConfig,
     Scene,
@@ -47,15 +48,13 @@ ranges, speed, heading = draw_measurements(
     SensorStreams.from_seed(1),
 )
 
+# each step's measurements as a batch of one run
+frames = measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None])
 
-def frame(k):
-    """Step k's measurements as a batch of one run."""
-    return MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
-
-
-state = init_fusion(scene, frame(0))
-for k in range(1, spec.steps):
-    state = fusion_step(scene, state, frame(k))
+state = init_fusion(scene, next(frames))
+for frame in frames:
+    state = fusion_step(scene, state, frame)
+    k = frame.k
     if k % 30 == 0:
         err = np.linalg.norm(state.estimate[0] - positions[k])
         beta, rho = state.last_beta[0], state.last_rho[0]

@@ -25,6 +25,8 @@ from .deadreckoning import (
     dr_predict,
     dr_second_moment,
     heading_vector,
+    input_terms,
+    measurement_frames,
 )
 from .filters import (
     KfState,

@@ -14,10 +14,14 @@ and analogously for sine (second-harmonic sign flipped).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import MeasurementFrame
+from .models import MeasurementFrame, SensorNoiseModel
+
+if TYPE_CHECKING:
+    from .simulate import Scene
 
 
 def heading_vector(phi) -> np.ndarray:
@@ -29,14 +33,41 @@ def heading_vector(phi) -> np.ndarray:
     return out
 
 
-def dr_predict(previous_position, frame: MeasurementFrame, T: float) -> np.ndarray:
-    """Dead-reckoned position (2,): previous + T * V * [cos phi, sin phi].
+def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tuple:
+    """Displacements T V [cos phi, sin phi] (..., 2) of measured speeds and
+    headings (...), and the covariances Q = B diag(sigma_v^2, sigma_phi^2) B^T
+    (..., 2, 2) that their noise gives them, B = d(displacement)/d(V, phi)."""
+    v = np.asarray(speed, dtype=float)
+    direction = heading_vector(heading)
+    c, s = direction[..., 0], direction[..., 1]
+    b = np.stack([T * c, -T * v * s, T * s, T * v * c], axis=-1).reshape(v.shape + (2, 2))
+    q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ b.swapaxes(-1, -2)
+    return (T * v)[..., None] * direction, q
 
-    A batch of runs (positions (R, 2), a batched frame) gives (R, 2).
-    """
-    prev = np.asarray(previous_position, dtype=float)
-    step = np.asarray(T * frame.speed, dtype=float)[..., None]
-    return prev + step * heading_vector(frame.heading)
+
+def measurement_frames(scene: Scene, ranges, speed, heading, per_frame: int = 1):
+    """Frames, in step order, of n steps of R rows: `ranges` (n, R, M),
+    `speed` and `heading` (n, R).  `input_terms` runs once on all of them;
+    each frame holds `per_frame` steps (the last may hold fewer), rows
+    stacked step-major, as one view per field, and `k` is its first step."""
+    speed, heading = np.asarray(speed, dtype=float), np.asarray(heading, dtype=float)
+    n, rows = speed.shape
+    ranges, speed, heading, displacement, input_cov = (
+        np.reshape(x, (n * rows,) + x.shape[2:])
+        for x in (np.asarray(ranges, dtype=float), speed, heading)
+        + input_terms(speed, heading, scene.T, scene.sensor_model)
+    )
+    for k in range(0, n, per_frame):
+        part = slice(k * rows, (k + per_frame) * rows)
+        yield MeasurementFrame(
+            ranges[part], speed[part], heading[part], displacement[part], input_cov[part], k
+        )
+
+
+def dr_predict(previous_position, frame: MeasurementFrame) -> np.ndarray:
+    """Dead-reckoned positions (R, 2): previous positions (R, 2) plus the
+    frame's displacements T V [cos phi, sin phi]."""
+    return np.asarray(previous_position, dtype=float) + frame.displacement
 
 
 def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int = 0) -> float:

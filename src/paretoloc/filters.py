@@ -15,17 +15,17 @@ step takes the experiment's `Scene` first: `step(scene, state, frame)`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .deadreckoning import heading_vector
 from .models import (
     CV_PRIOR_VARIANCES,
     AnchorSet,
     MeasurementFrame,
-    SensorNoiseModel,
+    _identity,
     cv_transition_jacobian,
     range_variance,
     true_ranges,
@@ -71,14 +71,8 @@ def cv_init(position, speed: float, heading: float) -> KfState:
     (pi/4)^2 rad^2 -- loose priors that let the measurements take over.
     Positions (R, 2) with speeds and headings (R,) give a batch.
     """
-    mean = np.concatenate(
-        [
-            np.asarray(position, dtype=float),
-            np.asarray(speed, dtype=float)[..., None],
-            np.asarray(heading, dtype=float)[..., None],
-        ],
-        axis=-1,
-    )
+    position = np.asarray(position, dtype=float)
+    mean = np.concatenate([position, np.stack([speed, heading], axis=-1)], axis=-1, dtype=float)
     cov = np.diag(CV_PRIOR_VARIANCES)
     return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
 
@@ -99,26 +93,17 @@ def _diag(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _input_driven_predict(
-    state: KfState, frame: MeasurementFrame, sensor_model: SensorNoiseModel, T: float
-) -> KfState:
+def _input_driven_predict(state: KfState, frame: MeasurementFrame) -> KfState:
     """Dead-reckoning predict step shared by the 2-D filters.
 
-    The measured speed/heading act as control inputs; their noise enters
-    the state through the displacement Jacobian B = d(displacement)/d(V, phi),
-    giving process noise Q = B diag(sigma_v^2, sigma_phi^2) B^T.
+    The measured speed/heading act as control inputs: the state moves by
+    the frame's displacement, and their noise adds the frame's input
+    covariance Q = B diag(sigma_v^2, sigma_phi^2) B^T.
     """
-    v = frame.speed
-    direction = heading_vector(frame.heading)
-    c, s = direction[..., 0], direction[..., 1]
-    mean = state.mean + (T * v)[..., None] * direction
-    b = np.empty(v.shape + (2, 2))
-    b[..., 0, 0] = T * c
-    b[..., 0, 1] = -T * v * s
-    b[..., 1, 0] = T * s
-    b[..., 1, 1] = T * v * c
-    q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ _transpose(b)
-    return KfState(mean=mean, covariance=_symmetrize(state.covariance + q))
+    return KfState(
+        mean=state.mean + frame.displacement,
+        covariance=_symmetrize(state.covariance + frame.input_cov),
+    )
 
 
 def _floored_ranges(position, anchors: AnchorSet) -> np.ndarray:
@@ -141,7 +126,7 @@ def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: 
     s = h @ p @ ht + r_cov
     gain = _transpose(np.linalg.solve(_transpose(s), _transpose(p @ ht)))
     mean = pred.mean + (gain @ innovation[..., None])[..., 0]
-    cov = (np.eye(p.shape[-1]) - gain @ h) @ p
+    cov = (_identity(p.shape[-1]) - gain @ h) @ p
     return KfState(mean=mean, covariance=_symmetrize(cov))
 
 
@@ -152,7 +137,7 @@ def ekf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     noise covariance is diagonal with the distance-dependent variances
     evaluated at the predicted ranges.
     """
-    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    pred = _input_driven_predict(state, frame)
     r_hat, h = _range_jacobian(pred.mean, scene.anchors)
     return _kalman_update(
         pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, scene.range_model))
@@ -173,20 +158,24 @@ def _cholesky(cov: np.ndarray, scale: float) -> np.ndarray:
         return np.linalg.cholesky(scale * (cov + 1e-12 * np.eye(cov.shape[-1])))
 
 
-def _sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = 1.0) -> tuple:
-    """Symmetric 2n+1 sigma-point set (..., 2n+1, n) with weights (2n+1,).
+def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """Symmetric 2n+1 sigma-point set (..., 2n+1, n) with weights (2n+1,),
+    spread kappa = 1.
 
     Cholesky failure triggers one retry with 1e-12 jitter on the
     diagonal, per run of a batch; a second failure propagates.
     """
     n = mean.shape[-1]
-    scale = n + kappa
-    root_t = _transpose(_cholesky(cov, scale))
+    root_t = _transpose(_cholesky(cov, n + 1.0))
     center = mean[..., None, :]
     points = np.concatenate([center, center + root_t, center - root_t], axis=-2)
-    weights = np.full(2 * n + 1, 1.0 / (2.0 * scale))
-    weights[0] = kappa / scale
-    return points, weights
+    return points, _sigma_weights(n)
+
+
+@functools.cache
+def _sigma_weights(n: int) -> np.ndarray:
+    """Weights (2n+1,) of the sigma-point set in n dimensions, built once."""
+    return np.array([1.0 / (n + 1.0)] + [1.0 / (2.0 * (n + 1.0))] * (2 * n))
 
 
 def _unscented_correct(
@@ -214,7 +203,7 @@ def ukf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     does not depend on position), so only the range update goes through
     the unscented transform.
     """
-    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    pred = _input_driven_predict(state, frame)
     r_cov = _diag(range_variance(_floored_ranges(pred.mean, scene.anchors), scene.range_model))
     points, weights = _sigma_points(pred.mean, pred.covariance)
     z_points = _floored_ranges(points, scene.anchors)
@@ -230,7 +219,7 @@ def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     linear H = I update.  The covariance is floored to stay positive
     definite.
     """
-    pred = _input_driven_predict(state, frame, scene.sensor_model, scene.T)
+    pred = _input_driven_predict(state, frame)
     r_hat = true_ranges(pred.mean, scene.anchors)
     z, bias, second = ranging_layer(
         scene.geometry, r_hat, range_variance(r_hat, scene.range_model), frame.ranges
@@ -238,8 +227,7 @@ def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     r_cov = _symmetrize(second - bias[..., :, None] * bias[..., None, :])
     eigvals, eigvecs = np.linalg.eigh(r_cov)
     r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ _transpose(eigvecs)
-    h = np.broadcast_to(np.eye(2), r_cov.shape)
-    return _kalman_update(pred, h, z - pred.mean, r_cov)
+    return _kalman_update(pred, _identity(2), z - pred.mean, r_cov)
 
 
 def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
@@ -252,20 +240,18 @@ def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfStat
     cv_model, anchors, sensor_model = scene.cv, scene.anchors, scene.sensor_model
     f_jac = cv_transition_jacobian(state.mean, cv_model.T)
     mean_pred = cv_model.transition(state.mean)
-    cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + cv_model.q_matrix())
+    cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + scene.cv_noise)
 
     r_hat, d = _range_jacobian(mean_pred[..., :2], anchors)
     m = anchors.m
     h = np.zeros(d.shape[:-2] + (m + 2, 4))
     h[..., :m, :2] = d
-    h[..., m, 2] = 1.0
-    h[..., m + 1, 3] = 1.0
-    z_hat = np.concatenate([r_hat, mean_pred[..., 2:]], axis=-1)
-    z = np.concatenate(
-        [frame.ranges, frame.speed[..., None], frame.heading[..., None]], axis=-1
-    )
-    sensor_var = np.broadcast_to(
-        [sensor_model.sigma_v**2, sensor_model.sigma_phi**2], r_hat.shape[:-1] + (2,)
-    )
-    r_cov = _diag(np.concatenate([range_variance(r_hat, scene.range_model), sensor_var], axis=-1))
-    return _kalman_update(KfState(mean=mean_pred, covariance=cov_pred), h, z - z_hat, r_cov)
+    h[..., m:, 2:] = _identity(2)
+    innovation = np.empty(r_hat.shape[:-1] + (m + 2,))
+    innovation[..., :m] = frame.ranges - r_hat
+    innovation[..., m] = frame.speed - mean_pred[..., 2]
+    innovation[..., m + 1] = frame.heading - mean_pred[..., 3]
+    variances = np.empty_like(innovation)
+    variances[..., :m] = range_variance(r_hat, scene.range_model)
+    variances[..., m:] = sensor_model.sigma_v**2, sensor_model.sigma_phi**2
+    return _kalman_update(KfState(mean_pred, cov_pred), h, innovation, _diag(variances))

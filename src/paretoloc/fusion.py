@@ -383,7 +383,7 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
     )
 
-    x_v = dr_predict(state.estimate, frame, T)
+    x_v = dr_predict(state.estimate, frame)
 
     # The ranging moments describe the *incoming* frame, so the unknown
     # true ranges are approximated at the dead-reckoned prediction (the

@@ -10,10 +10,14 @@ homoscedastic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_identity = functools.cache(np.eye)  # one (n, n) identity per size; callers only read it
 
 
 @dataclass(slots=True)
@@ -178,7 +182,8 @@ def cv_rollout(
 
 @dataclass(slots=True)
 class MeasurementFrame:
-    """One step's raw measurements for a batch of R runs (or other rows).
+    """One step's measurements for a batch of R runs (or other rows), and
+    the terms that read only them (`deadreckoning.measurement_frames`).
 
     Attributes
     ----------
@@ -188,6 +193,9 @@ class MeasurementFrame:
         Measured speeds (R,), m/s.
     heading : np.ndarray
         Measured headings (R,), rad.
+    displacement, input_cov : np.ndarray
+        Dead-reckoning displacements (R, 2) and their input covariances Q
+        (R, 2, 2) (`deadreckoning.input_terms`).
     k : int
         Step index the frame belongs to.
     """
@@ -195,7 +203,9 @@ class MeasurementFrame:
     ranges: np.ndarray
     speed: np.ndarray
     heading: np.ndarray
-    k: int = 0
+    displacement: np.ndarray
+    input_cov: np.ndarray
+    k: int
 
 
 @dataclass(slots=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AnchorSet
+from .models import AnchorSet, _identity
 
 
 @dataclass(slots=True)
@@ -97,7 +97,7 @@ def noise_cov_inverse(ranges, variances) -> np.ndarray:
     d_inv = 1.0 / d[..., :-1]
     g = d[..., -1:] * d_inv
     q = g.sum(axis=-1, keepdims=True)
-    return (np.eye(d_inv.shape[-1]) - (g / (1.0 + q))[..., :, None]) * d_inv[..., None, :]
+    return (_identity(d_inv.shape[-1]) - (g / (1.0 + q))[..., :, None]) * d_inv[..., None, :]
 
 
 def _range_differences(geometry: RangingGeometry, measured_ranges) -> np.ndarray:
@@ -166,7 +166,7 @@ def ranging_layer(
     columns[..., 1] = var[..., -1:] - var[..., :-1]  # the noise mean mu
     rhs = np.empty(atw.shape[:-2] + (2, 4))
     rhs[..., :2] = atw @ columns
-    rhs[..., 2:] = np.eye(2)
+    rhs[..., 2:] = _identity(2)
     solution = np.linalg.solve(atw @ a_mat, rhs)
     fix, bias = solution[..., 0], solution[..., 1]
     corr = solution[..., 2:] + bias[..., :, None] * bias[..., None, :]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crlb import parcrlb_trace, pcrlb_bounds
-from .deadreckoning import dr_predict
+from .deadreckoning import dr_predict, measurement_frames
 from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, ukf_step
 from .fusion import ParetoConfig, fusion_step, init_fusion
 from .models import (
@@ -378,6 +378,8 @@ class Scene:
         Pareto kernels (`init_fusion`, `fusion_step`).
     geometry : RangingGeometry
         Linearised trilateration geometry of `anchors` (derived).
+    cv_noise : np.ndarray
+        Process-noise covariance (4, 4) of `cv` (derived).
     """
 
     anchors: AnchorSet = field(default_factory=lambda: DEFAULT_ANCHORS)
@@ -387,10 +389,12 @@ class Scene:
     cv: CvProcessModel | None = None
     paretos: tuple = field(default_factory=lambda: (ParetoConfig(),))
     geometry: RangingGeometry = field(init=False, repr=False, compare=False)
+    cv_noise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cv", dataclasses.replace(self.cv or CvProcessModel(), T=self.T))
         object.__setattr__(self, "geometry", build_geometry(self.anchors))
+        object.__setattr__(self, "cv_noise", self.cv.q_matrix())
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "Scene":
@@ -441,7 +445,7 @@ def _wls_fix(scene: Scene, frame: MeasurementFrame) -> np.ndarray:
 
 
 def _dr_step(scene, state, frame):
-    return dr_predict(state, frame, scene.T)
+    return dr_predict(state, frame)
 
 
 def _filter_init(scene, frame):
@@ -510,25 +514,16 @@ def _track(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading) -> n
         # frames of several whole steps go into one call
         rows = speed.shape[1]
         per_call = max(1, STATELESS_BLOCK_ROWS // rows)
-        for k in range(0, len(speed), per_call):
-            part = slice(k, k + per_call)
-            frame = MeasurementFrame(
-                ranges=ranges[part].reshape(-1, ranges.shape[-1]),
-                speed=speed[part].ravel(),
-                heading=heading[part].ravel(),
-                k=k,
-            )
+        for frame in measurement_frames(scene, ranges, speed, heading, per_call):
+            part = slice(frame.k, frame.k + per_call)
             trace[part] = kernels.position(kernels.init(scene, frame)).reshape(-1, rows, 2)
         return trace
-    frames = [
-        MeasurementFrame(ranges=ranges[k], speed=speed[k], heading=heading[k], k=k)
-        for k in range(len(ranges))
-    ]
-    state = kernels.init(scene, frames[0])
+    frames = measurement_frames(scene, ranges, speed, heading)
+    state = kernels.init(scene, next(frames))
     trace[0] = kernels.position(state)
-    for k in range(1, len(frames)):
-        state = kernels.step(scene, state, frames[k])
-        trace[k] = kernels.position(state)
+    for frame in frames:
+        state = kernels.step(scene, state, frame)
+        trace[frame.k] = kernels.position(state)
     return trace
 
 
@@ -679,12 +674,7 @@ ARENA_BOUNDS = ((0.4, 3.6), (0.4, 3.6))
 def scenario_linear(steps: int = 300, T: float = 0.1, speed: float = 0.1) -> TrajectorySpec:
     """Straight eastbound track through the arena (reflective walls)."""
     return TrajectorySpec(
-        kind="linear",
-        steps=steps,
-        T=T,
-        start=np.array([0.5, 2.0]),
-        speed=speed,
-        heading=0.0,
+        kind="linear", steps=steps, T=T, start=np.array([0.5, 2.0]), speed=speed,
         bounds=ARENA_BOUNDS,
     )
 
@@ -694,13 +684,7 @@ def scenario_pwl(
 ) -> TrajectorySpec:
     """Randomly accelerating track (piecewise-linear acceleration)."""
     return TrajectorySpec(
-        kind="pwl",
-        steps=steps,
-        T=T,
-        start=np.array([2.0, 2.0]),
-        speed=speed,
-        heading=0.0,
-        a_max=a_max,
+        kind="pwl", steps=steps, T=T, start=np.array([2.0, 2.0]), speed=speed, a_max=a_max,
         bounds=ARENA_BOUNDS,
     )
 
@@ -717,26 +701,17 @@ def scenario_cv(
     if cv is None:
         cv = CvProcessModel(sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-6, sigma4_sq=1e-6)
     return TrajectorySpec(
-        kind="cv",
-        steps=steps,
-        T=T,
-        start=np.array([0.5, 1.6]),
-        speed=speed,
-        heading=np.pi / 12.0,
-        cv=cv,
+        kind="cv", steps=steps, T=T, start=np.array([0.5, 1.6]), speed=speed,
+        heading=np.pi / 12.0, cv=cv,
     )
 
 
 def make_scenario(name: str, **overrides) -> TrajectorySpec:
     """Scenario presets by letter: A linear, B accelerating, CV rollout."""
-    key = name.upper()
-    if key == "A":
-        return scenario_linear(**overrides)
-    if key == "B":
-        return scenario_pwl(**overrides)
-    if key == "CV":
-        return scenario_cv(**overrides)
-    raise ValueError(f"unknown scenario {name!r}")
+    preset = {"A": scenario_linear, "B": scenario_pwl, "CV": scenario_cv}.get(name.upper())
+    if preset is None:
+        raise ValueError(f"unknown scenario {name!r}")
+    return preset(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -814,15 +789,8 @@ def crlb_traces(
         truth, scene.anchors, scene.range_model, scene.sensor_model, scene.T
     )
     post = pcrlb_bounds(
-        scene.cv,
-        scene.anchors,
-        scene.range_model,
-        scene.sensor_model,
-        spec.start,
-        spec.speed,
-        spec.heading,
-        steps=n,
-        n_ensemble=n_ensemble,
+        scene.cv, scene.anchors, scene.range_model, scene.sensor_model,
+        spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble,
         rng=np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372))),
     )
     return {

@@ -11,8 +11,10 @@ from paretoloc.deadreckoning import (
     dr_first_moment,
     dr_predict,
     dr_second_moment,
+    measurement_frames,
 )
-from paretoloc.models import MeasurementFrame
+from paretoloc.models import SensorNoiseModel
+from paretoloc.simulate import Scene
 from paretoloc.validate import _speed_power_variant
 
 
@@ -115,8 +117,64 @@ def test_second_moments_sum_to_speed_power():
 
 
 def test_dr_predict_displacement():
-    frame = MeasurementFrame(
-        ranges=np.zeros(4), speed=2.0, heading=math.pi / 2.0, k=3
-    )
-    out = dr_predict([1.0, 1.0], frame, T=0.5)
+    (frame,) = measurement_frames(Scene(T=0.5), np.zeros((1, 1, 4)), [[2.0]], [[math.pi / 2.0]])
+    out = dr_predict([1.0, 1.0], frame)[0]
     assert_allclose(out, [1.0, 2.0], atol=1e-12)
+
+
+def _per_step_input_terms(speed, heading, T, sensor_model):
+    """Displacement and input covariance of one step's rows (R,), with
+    the arithmetic the filters' predict step used at every step before
+    frames carried them (the oracle of `input_terms`)."""
+    c, s = np.cos(heading), np.sin(heading)
+    displacement = (T * speed)[..., None] * np.stack([c, s], axis=-1)
+    b = np.empty(speed.shape + (2, 2))
+    b[..., 0, 0] = T * c
+    b[..., 0, 1] = -T * speed * s
+    b[..., 1, 0] = T * s
+    b[..., 1, 1] = T * speed * c
+    noise = np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])
+    return displacement, (b * noise) @ b.swapaxes(-1, -2)
+
+
+def _measurements(rows, steps=23, anchors=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.uniform(0.0, 5.0, (steps, rows, anchors)),
+        rng.uniform(0.0, 1.0, (steps, rows)),
+        rng.uniform(-math.pi, math.pi, (steps, rows)),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_frames_carry_the_per_step_displacement_and_input_covariance(rows):
+    ranges, speed, heading = _measurements(rows)
+    scene = Scene(T=0.3, sensor_model=SensorNoiseModel(sigma_v=0.07, sigma_phi=0.4))
+    frames = list(measurement_frames(scene, ranges, speed, heading))
+    assert [frame.k for frame in frames] == list(range(len(speed)))
+    for k, frame in enumerate(frames):
+        displacement, q = _per_step_input_terms(speed[k], heading[k], scene.T, scene.sensor_model)
+        np.testing.assert_array_equal(frame.displacement, displacement)
+        np.testing.assert_array_equal(frame.input_cov, q)
+        np.testing.assert_array_equal(frame.ranges, ranges[k])
+        np.testing.assert_array_equal(frame.speed, speed[k])
+        np.testing.assert_array_equal(frame.heading, heading[k])
+        assert np.shares_memory(frame.ranges, ranges) and np.shares_memory(frame.speed, speed)
+    # every frame holds a view of one displacement and one covariance array
+    assert len({id(frame.displacement.base) for frame in frames}) == 1
+    assert len({id(frame.input_cov.base) for frame in frames}) == 1
+
+
+def test_frames_of_several_steps_stack_their_rows_step_major():
+    ranges, speed, heading = _measurements(rows=3)
+    scene = Scene()
+    whole = list(measurement_frames(scene, ranges, speed, heading))
+    blocks = list(measurement_frames(scene, ranges, speed, heading, per_frame=5))
+    assert [frame.k for frame in blocks] == [0, 5, 10, 15, 20]
+    assert len(blocks[-1].speed) == 3 * 3
+    for frame in blocks:
+        steps = whole[frame.k : frame.k + 5]
+        for field in ("ranges", "speed", "heading", "displacement", "input_cov"):
+            np.testing.assert_array_equal(
+                getattr(frame, field), np.concatenate([getattr(s, field) for s in steps])
+            )

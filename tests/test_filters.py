@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from paretoloc.deadreckoning import measurement_frames
 from paretoloc.filters import (
     KfState,
     _sigma_points,
@@ -26,7 +27,6 @@ from paretoloc.filters import (
 from paretoloc.models import (
     AnchorSet,
     CvProcessModel,
-    MeasurementFrame,
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
@@ -46,9 +46,11 @@ QUIET_SENSORS = SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0)
 POSITION_STEPS = [ekf_step, ukf_step, lckf_step]
 
 
-def _frame(ranges, speed, heading, k):
-    """One run's measurements as a batch of one."""
-    return MeasurementFrame(np.asarray(ranges)[None], np.array([speed]), np.array([heading]), k)
+def _frame(scene, ranges, speed, heading):
+    """One run's measurements of one step as a batch of one."""
+    speed, heading = (np.reshape(x, (1, 1)) for x in (speed, heading))
+    (frame,) = measurement_frames(scene, np.reshape(ranges, (1, 1, -1)), speed, heading)
+    return frame
 
 
 def _random_spd(rng, n):
@@ -176,8 +178,9 @@ def test_ekf_zero_innovation_keeps_predicted_mean():
     state = position_init([[1.3, 0.8]], variance=0.5)
     v, phi, t_step = 0.4, 0.3, 0.1
     pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-    frame = _frame(true_ranges(pred_pos, ANCHORS), v, phi, 1)
-    out = ekf_step(Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step), state, frame)
+    scene = Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step)
+    frame = _frame(scene, true_ranges(pred_pos, ANCHORS), v, phi)
+    out = ekf_step(scene, state, frame)
     assert_allclose(out.mean[0], pred_pos, atol=1e-10)
     assert np.all(np.linalg.eigvalsh(out.covariance[0]) > 0.0)
     assert np.trace(out.covariance[0]) < np.trace(state.covariance[0])
@@ -201,7 +204,7 @@ def _track(step, steps=40, start=(1.0, 1.2), init_offset=(0.4, -0.3)):
     state = position_init([np.array(start) + np.array(init_offset)])
     for k in range(1, steps + 1):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-        frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
+        frame = _frame(scene, true_ranges(pos, ANCHORS), v, phi)
         state = step(scene, state, frame)
     return state, pos
 
@@ -224,7 +227,7 @@ def test_ekf_cv_locks_onto_noise_free_truth():
     state = cv_init([pos + np.array([0.3, -0.2])], speed=[0.0], heading=[0.0])
     for k in range(1, 40):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
-        frame = _frame(true_ranges(pos, ANCHORS), v, phi, k)
+        frame = _frame(scene, true_ranges(pos, ANCHORS), v, phi)
         state = ekf_cv_step(scene, state, frame)
     assert_allclose(state.mean[0, :2], pos, atol=1e-4)
     assert state.mean[0, 2] == pytest.approx(v, abs=1e-4)
@@ -240,9 +243,9 @@ def test_noisy_steps_keep_covariance_positive(step):
     pos = np.array([1.5, 1.5])
     for k in range(1, 25):
         pos = pos + 0.03 * np.array([1.0, 0.5])
-        frame = MeasurementFrame(
+        frame = _frame(
+            scene,
             *draw_measurements(pos[None], [0.3], [0.46], ANCHORS, range_model, sensor_model, streams),
-            k,
         )
         state = step(scene, state, frame)
         cov = state.covariance[0]
@@ -264,9 +267,9 @@ def test_ekf_beats_memoryless_wls():
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         if not (0.2 < pos[0] < 3.8 and 0.2 < pos[1] < 3.8):
             phi += math.pi / 2.0
-        frame = MeasurementFrame(
+        frame = _frame(
+            scene,
             *draw_measurements(pos[None], [v], [phi], ANCHORS, range_model, sensor_model, streams),
-            k,
         )
         state = ekf_step(scene, state, frame)
         r_true = true_ranges(pos, ANCHORS)

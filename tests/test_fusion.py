@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from paretoloc.deadreckoning import dr_second_moment
+from paretoloc.deadreckoning import dr_second_moment, measurement_frames
 from paretoloc.fusion import (
     AxisContext,
     FusionState,
@@ -34,7 +34,6 @@ from paretoloc.fusion import (
 )
 from paretoloc.models import (
     AnchorSet,
-    MeasurementFrame,
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
@@ -327,16 +326,13 @@ def test_approximate_kinematics_cases():
 ANCHORS = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 0.0]]))
 
 
-def _one_run_frames(positions, speed, heading, range_model, sensor_model, seed):
+def _one_run_frames(scene, positions, speed, heading, seed):
     """Measurement frames of one run, each a batch of one."""
     ranges, speed, heading = draw_measurements(
-        positions, speed, heading, ANCHORS, range_model, sensor_model,
+        positions, speed, heading, ANCHORS, scene.range_model, scene.sensor_model,
         SensorStreams.from_seed(seed),
     )
-    return [
-        MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
-        for k in range(len(speed))
-    ]
+    return list(measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None]))
 
 
 def _run_sequence(range_model, sensor_model, steps=40, seed=23, mode="knee"):
@@ -348,9 +344,7 @@ def _run_sequence(range_model, sensor_model, steps=40, seed=23, mode="knee"):
     )
     vel = 0.3 * np.array([math.cos(0.5), math.sin(0.5)])
     truth = np.array([1.0, 1.2]) + np.arange(steps)[:, None] * (0.1 * vel)
-    frames = _one_run_frames(
-        truth, np.full(steps, 0.3), np.full(steps, 0.5), range_model, sensor_model, seed
-    )
+    frames = _one_run_frames(scene, truth, np.full(steps, 0.3), np.full(steps, 0.5), seed)
     state = init_fusion(scene, frames[0])
     for frame in frames[1:]:
         state = fusion_step(scene, state, frame)
@@ -379,10 +373,7 @@ def test_fusion_step_modes_run_and_differ():
 
 def test_fusion_step_does_not_mutate_input():
     scene = Scene(anchors=ANCHORS)
-    f0, f1 = _one_run_frames(
-        np.array([[1.0, 1.0], [1.01, 1.0]]), [0.1, 0.1], [0.0, 0.0],
-        scene.range_model, scene.sensor_model, 3,
-    )
+    f0, f1 = _one_run_frames(scene, np.array([[1.0, 1.0], [1.01, 1.0]]), [0.1, 0.1], [0.0, 0.0], 3)
     state = init_fusion(scene, f0)
     before = state.estimate.copy()
     out = fusion_step(scene, state, f1)
@@ -392,11 +383,9 @@ def test_fusion_step_does_not_mutate_input():
 
 
 def test_init_fusion_populates_moments():
-    frame = MeasurementFrame(
-        ranges=true_ranges([[1.5, 2.0]], ANCHORS), speed=np.array([0.1]),
-        heading=np.array([0.0]), k=0,
-    )
-    state = init_fusion(Scene(anchors=ANCHORS), frame)
+    scene = Scene(anchors=ANCHORS)
+    (frame,) = measurement_frames(scene, true_ranges([[[1.5, 2.0]]], ANCHORS), [[0.1]], [[0.0]])
+    state = init_fusion(scene, frame)
     assert state.prev_estimate is None
     assert state.error_variance.shape == (1, 2)
     assert np.all(state.error_variance > 0.0)
@@ -421,7 +410,7 @@ def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
         for run in range(runs)
     ]
     ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
-    frames = [MeasurementFrame(ranges[k], speed[k], heading[k], k) for k in range(steps)]
+    frames = list(measurement_frames(Scene(anchors=ANCHORS), ranges, speed, heading))
     mse = ParetoConfig(mode="mse", initial_speed=0.3)
     fixed = ParetoConfig(mode="fixed", fixed_rho=0.5, initial_speed=0.3)
     states = []

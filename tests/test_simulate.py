@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretoloc import simulate
-from paretoloc.deadreckoning import dr_predict
+from paretoloc import deadreckoning, simulate
+from paretoloc.deadreckoning import dr_predict, measurement_frames
 from paretoloc.filters import (
     cv_init,
     ekf_cv_step,
@@ -34,7 +34,6 @@ from paretoloc.fusion import ParetoConfig, fusion_step, init_fusion
 from paretoloc.models import (
     CvProcessModel,
     DEFAULT_ANCHORS,
-    MeasurementFrame,
     RangeNoiseModel,
     SensorStreams,
     cv_rollout,
@@ -498,6 +497,48 @@ def test_noise_pairing_survives_estimator_subsetting():
     assert_allclose(both.errors["ekf"], alone.errors["ekf"], atol=0.0)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_each_estimator_alone_is_the_full_set_bit_for_bit(seed):
+    # an estimator's frames, with their displacements and input
+    # covariances, do not depend on which estimators run beside it
+    config = _small_config(
+        trajectory=make_scenario("B", steps=80), estimators=KNOWN_ESTIMATORS, runs=4, seed=seed
+    )
+    full = run_experiment(config)
+    for name in KNOWN_ESTIMATORS:
+        alone = run_experiment(dataclasses.replace(config, estimators=(name,)))
+        np.testing.assert_array_equal(alone.errors[name], full.errors[name], err_msg=name)
+        np.testing.assert_array_equal(
+            alone.estimate_traces[name], full.estimate_traces[name], err_msg=name
+        )
+        assert alone.excluded[name] == full.excluded[name] == 0
+
+
+def test_frames_are_built_once_per_batch_not_once_per_step(monkeypatch):
+    builds, terms = [], []
+    original_build, original_terms = simulate.measurement_frames, deadreckoning.input_terms
+
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return original_build(*args, **kwargs)
+
+    def counted_terms(speed, *args):
+        terms.append(np.shape(speed))
+        return original_terms(speed, *args)
+
+    monkeypatch.setattr(simulate, "measurement_frames", counted_build)
+    monkeypatch.setattr(deadreckoning, "input_terms", counted_terms)
+    config = _small_config(estimators=KNOWN_ESTIMATORS, runs=3)
+    run_experiment(config)
+    # one batch per stack of estimators sharing kernels ("fusion" with
+    # "mse" as two blocks of rows, then one for each other estimator)
+    stacks = simulate._stacks(simulate._estimators(), KNOWN_ESTIMATORS)
+    assert len(stacks) == 7
+    assert len(builds) == len(terms) == len(stacks)
+    steps = config.trajectory.steps
+    assert terms == [(steps, len(names) * config.runs) for names in stacks]
+
+
 def test_each_run_is_the_same_alone_and_in_a_batch():
     one = run_experiment(_small_config(estimators=KNOWN_ESTIMATORS, runs=1))
     six = run_experiment(_small_config(estimators=KNOWN_ESTIMATORS, runs=6))
@@ -672,10 +713,7 @@ def _one_run_trace(name, config, ranges, speed, heading):
         T=config.trajectory.T,
         paretos=(pareto,),
     )
-    frames = [
-        MeasurementFrame(ranges[k : k + 1], speed[k : k + 1], heading[k : k + 1], k)
-        for k in range(len(speed))
-    ]
+    frames = list(measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None]))
 
     def fix(frame):
         r = np.maximum(frame.ranges, 0.0)
@@ -693,7 +731,7 @@ def _one_run_trace(name, config, ranges, speed, heading):
     elif name == "dr":
         out = [fix(frames[0])]
         for frame in frames[1:]:
-            out.append(dr_predict(out[-1], frame, scene.T))
+            out.append(dr_predict(out[-1], frame))
     elif name == "ekf-cv":
         state = cv_init(fix(frames[0]), frames[0].speed, frames[0].heading)
         out = [state.mean[:, :2]]
