@@ -4,9 +4,9 @@ Three curves per step:
 
   parcrlb   parametric bound along the known (noise-free) reference path
   pcrlb     posterior bound from CV-model rollouts, MC measurement term
-  bracket   [lb, ub] around the posterior bound, from entry-wise
-            information brackets pushed through an eigenvalue-ordered
-            Gershgorin repair
+  bracket   [lb, ub] around the posterior bound, from the recursions on
+            a lower and an upper measurement term that hold the MC one
+            between them in the PSD order
 
 and, for context, the per-step RMSE of the model-matched Kalman filter
 and the fused estimator over a modest ensemble.  The bound pair answers
@@ -45,8 +45,7 @@ def per_step_rmse(errors):
 rmse = {name: per_step_rmse(result.errors[name]) for name in result.estimators}
 
 lb, pcrlb, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
-# the construction does not guarantee a bracket: as `paretoloc crlb` does,
-# print it only where it is finite and holds
+# as `paretoloc crlb` does, print a bracket only where it is finite and holds
 holds = np.isfinite(ub) & (lb <= pcrlb) & (pcrlb <= ub)
 
 print("step   parcrlb    pcrlb   [bracket lo, hi]          lckf   fusion   (cm)")
@@ -62,7 +61,7 @@ for k in range(0, STEPS, 10):
 print()
 print(f"a finite bracket [lb, ub] holds at {int(holds.sum())} of {STEPS} steps")
 print(f"MC information inside the PSD sandwich at {int(traces['sandwich_ok'].sum())} of {STEPS} steps")
-print("  (diagnostic: the repair guarantees lb <= ub in the PSD order, not")
-print("   containment of the MC estimate)")
+print("  (the recursions keep that order where J + D11 is positive definite;")
+print("   see `pcrlb_bounds`)")
 print()
 print("same curves to CSV:  paretoloc crlb --scenario CV --steps 120 --out bounds.csv")

@@ -13,7 +13,8 @@ against an independent Monte Carlo or brute-force evaluation:
   fisher-blocks           sampled information blocks vs their expectations
   ratio-bounds            deterministic brackets on E{q^2/(q^2+z^2)}
   gershgorin-ordering     eigenvalue-ordered repair of entry-wise
-                          information brackets stays PSD-ordered
+                          information brackets stays PSD-ordered, and
+                          the posterior bracket holds the MC information
   recursion-identities    variance recursion / Riccati fixed points
 
 `scale` multiplies every sample budget; the CLI equivalent is

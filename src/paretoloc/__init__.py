@@ -12,10 +12,10 @@ from .crlb import (
     diag_expectation_mc,
     diag_expectation_series,
     gershgorin_sandwich,
-    offdiag_bounds,
     parcrlb_trace,
     pcrlb_bounds,
     pcrlb_recursion,
+    pi_bracket,
     pi_expectation_mc,
     position_error_bound,
     trig_moments,

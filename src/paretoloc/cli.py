@@ -241,7 +241,7 @@ def _cmd_crlb(args) -> int:
         print(f"bound traces written to {args.out}")
     n = len(traces["parcrlb"])
     lb, pcrlb, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
-    # the construction does not guarantee a bracket: print it only where it holds
+    # a bracket is printed only where it is finite and holds
     holds = np.isfinite(ub) & (lb <= pcrlb) & (pcrlb <= ub)
     for k in sorted({0, n // 2, n - 1}):
         bracket = (

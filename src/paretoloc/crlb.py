@@ -11,10 +11,15 @@ Two bound flavours:
   expectations over the state distribution.  The transition-related
   blocks D11/D12 are available in closed form through the Gaussian trig
   moments of the heading random walk; the measurement block contains a
-  bearing/weight expectation (Pi) that is estimated by Monte Carlo, or
-  bracketed element-wise by moment bounds on ratios of squared
-  Gaussians.  Element-wise brackets are turned into an eigenvalue-ordered
-  pair by a Gershgorin-style diagonal adjustment.
+  bearing/weight expectation (Pi) that is estimated by Monte Carlo over
+  the rollout ensemble and bracketed in the PSD order on the same
+  ensemble (`pi_bracket`); the recursions on the bracket's two ends
+  bracket the bound.
+
+Also here: deterministic moment bounds and an asymptotic series for the
+ratio E{q^2 / (q^2 + z^2)} of squared Gaussians, and a Gershgorin-style
+repair that turns entry-wise information brackets into a PSD-ordered
+pair; the oracle suite checks both.
 
 Convention: gradients are stored as Jacobians F_ij = d f_i / d p_j; the
 information recursions below are written for that convention.
@@ -160,18 +165,29 @@ def d12(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
     return -_weighted_mean_jacobian(tm, cv)
 
 
-def _pi_entries(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> tuple:
-    """Entries (e11, e12, e22), each (N,), of sum_i sigma_ri^{-2} d_i d_i^T
-    at each of N positions (N, 2)."""
+def _directions(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> tuple:
+    """Unit vectors u (N, M, 2) from each of M anchors to each of N
+    positions (N, 2), and the weights w = 1 / sigma_r^2 (N, M) at their
+    ranges."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     diff = pos[:, None, :] - anchors.positions[None, :, :]  # (N, M, 2)
     r = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
-    w = 1.0 / range_variance(r, range_model)
-    d = diff / r[..., None]
-    e11 = np.sum(w * d[..., 0] ** 2, axis=1)
-    e12 = np.sum(w * d[..., 0] * d[..., 1], axis=1)
-    e22 = np.sum(w * d[..., 1] ** 2, axis=1)
+    return diff / r[..., None], 1.0 / range_variance(r, range_model)
+
+
+def _pi_entries(u: np.ndarray, w: np.ndarray) -> tuple:
+    """Entries (e11, e12, e22), each (N,), of sum_m w_m u_m u_m^T per sample,
+    for unit vectors u (N, M, 2) and weights w (N, M) or (1, M)."""
+    e11 = np.sum(w * u[..., 0] ** 2, axis=1)
+    e12 = np.sum(w * u[..., 0] * u[..., 1], axis=1)
+    e22 = np.sum(w * u[..., 1] ** 2, axis=1)
     return e11, e12, e22
+
+
+def _pi_mean(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ensemble mean of sum_m w_m u_m u_m^T, (2, 2)."""
+    e11, e12, e22 = _pi_entries(u, w)
+    return np.array([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
 
 
 def pi_expectation_mc(
@@ -193,8 +209,28 @@ def pi_expectation_mc(
     np.ndarray
         The ensemble mean of the information, (2, 2).
     """
-    e11, e12, e22 = _pi_entries(positions, anchors, range_model)
-    return np.array([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
+    return _pi_mean(*_directions(positions, anchors, range_model))
+
+
+def pi_bracket(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> np.ndarray:
+    """Pi_MC and a bracket L <= Pi_MC <= U in the PSD order, stacked (3, 2, 2).
+
+    With u_m the unit vectors of anchor m over the ensemble, u_bar_m their
+    mean and w_min,m, w_max,m the ensemble extremes of its weight,
+
+        L = sum_m w_min,m u_bar_m u_bar_m^T,   U = sum_m w_max,m E{u_m u_m^T}.
+
+    Both orders hold on the ensemble itself: E{w u u^T} >= w_min E{u u^T}
+    >= w_min u_bar u_bar^T and E{w u u^T} <= w_max E{u u^T}.  L and U take
+    Pi_MC's arithmetic with the mean direction or the extreme weights put
+    in, so on a one-point ensemble all three are the same bits.
+    """
+    u, w = _directions(positions, anchors, range_model)
+    return np.stack([
+        _pi_mean(u, w),
+        _pi_mean(u.mean(axis=0, keepdims=True), w.min(axis=0, keepdims=True)),
+        _pi_mean(u, w.max(axis=0, keepdims=True)),
+    ])
 
 
 def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np.ndarray:
@@ -226,14 +262,14 @@ def pcrlb_recursion(
     """One posterior-information step: D22 - D21 (J + D11)^{-1} D12.
 
     With D12 = 0 the result is exactly D22 (prior information cannot leak
-    into the next step without transition coupling).  A stack of D22
-    (..., 4, 4) gives one step per member, all from the same J.
+    into the next step without transition coupling).  A stack of J or of
+    D22 (..., 4, 4) gives one step per member.
     """
     return _symmetric(d22_mat - d12_mat.T @ np.linalg.solve(j_prev + d11_mat, d12_mat))
 
 
 # ---------------------------------------------------------------------------
-# moment machinery for the element-wise Pi brackets
+# moments and bounds for ratios of squared Gaussians
 # ---------------------------------------------------------------------------
 
 
@@ -349,11 +385,6 @@ def diag_bounds(
     alpha = expected_log_ncx2(mu_qs**2)
     lb = math.exp(alpha - math.log(1.0 + mu_qs**2 + sig_zs**2 + mu_zs**2))
     return lb, 1.0
-
-
-def offdiag_bounds() -> tuple:
-    """Bracket for E{q z / (q^2 + z^2)}: the ratio never leaves [-1/2, 1/2]."""
-    return -0.5, 0.5
 
 
 def _mean_se(x: np.ndarray, axis: int | None = None) -> tuple:
@@ -654,7 +685,8 @@ def measurement_information(
     (4,), or at each state of a stack (..., 4): the measurement block with
     Pi taken at the state's position alone."""
     state = np.asarray(state, dtype=float)
-    e11, e12, e22 = _pi_entries(state[..., :2].reshape(-1, 2), anchors, range_model)
+    u, w = _directions(state[..., :2].reshape(-1, 2), anchors, range_model)
+    e11, e12, e22 = _pi_entries(u, w)
     pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
     return _measurement_block(pi_mat, sensor_model)
 
@@ -711,61 +743,24 @@ class PcrlbResult:
     ----------
     j : np.ndarray
         MC-information matrices, shape (N, 4, 4); index 0 is step k = 1.
-    j_lb_g, j_ub_g : np.ndarray
-        PSD-ordered bound matrices per step, same shape.
+    j_lb, j_ub : np.ndarray
+        Information matrices of the recursions on the lower and upper Pi
+        bracket (`pi_bracket`), same shape.
     bound, bound_lb, bound_ub : np.ndarray
         sqrt position-trace of the inverses: the nominal bound and its
         bracket (bound_lb comes from the *upper* information matrix).
     sandwich_ok : np.ndarray of bool
-        Per step, whether j_lb_g <= j <= j_ub_g held in the PSD order
-        (diagnostic; the construction only guarantees j_lb_g <= j_ub_g).
+        Per step, whether j_lb <= j <= j_ub held in the PSD order, with
+        eigenvalue slack 1e-9.
     """
 
     j: np.ndarray
-    j_lb_g: np.ndarray
-    j_ub_g: np.ndarray
+    j_lb: np.ndarray
+    j_ub: np.ndarray
     bound: np.ndarray
     bound_lb: np.ndarray
     bound_ub: np.ndarray
     sandwich_ok: np.ndarray
-
-
-def _pi_elementwise_brackets(
-    positions: np.ndarray, anchors: AnchorSet, range_model: RangeNoiseModel
-) -> tuple:
-    """Entry-wise brackets for Pi from per-anchor weight and ratio bounds.
-
-    Weights (inverse range variances) are bracketed by their ensemble
-    extremes; the squared-direction ratios by the deterministic moment
-    bounds where the coordinate spread allows, otherwise by ensemble
-    extremes of the ratio itself.
-    """
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    # (M, 2, N): the ensemble last and contiguous, so each reduction over
-    # it sums in the order of the same reduction on one 1-D coordinate
-    diff = np.ascontiguousarray(pos.T)[None, :, :] - anchors.positions[:, :, None]
-    r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-    w = 1.0 / range_variance(r, range_model)
-    w_min, w_max = w.min(axis=1).tolist(), w.max(axis=1).tolist()
-    mu, sig = diff.mean(axis=2).tolist(), diff.std(axis=2).tolist()
-    lb = np.zeros((2, 2))
-    ub = np.zeros((2, 2))
-    off_lo, off_hi = offdiag_bounds()
-    for m in range(anchors.m):
-        for axis in range(2):
-            mu_q, sig_q = mu[m][axis], sig[m][axis]
-            mu_z, sig_z = mu[m][1 - axis], sig[m][1 - axis]
-            if sig_q > 1e-9:
-                ratio_lb, ratio_ub = diag_bounds(mu_q, sig_q, mu_z, sig_z)
-            else:
-                ratio_lb, ratio_ub = float(((diff[m, axis] / r[m]) ** 2).min()), 1.0
-            lb[axis, axis] += w_min[m] * ratio_lb
-            ub[axis, axis] += w_max[m] * ratio_ub
-        lb[0, 1] += w_max[m] * off_lo
-        ub[0, 1] += w_max[m] * off_hi
-    lb[1, 0] = lb[0, 1]
-    ub[1, 0] = ub[0, 1]
-    return lb, ub
 
 
 def pcrlb_bounds(
@@ -782,15 +777,21 @@ def pcrlb_bounds(
 ) -> PcrlbResult:
     """Posterior bound and its bracket along CV-model rollouts.
 
-    An ensemble of rollouts from the configured initial state supplies
-    the measurement expectation Pi per step (MC estimate plus entry-wise
-    brackets).  The first step is the filter prior plus the measurement
-    block at the deterministic initial state; every later step is the
-    `pcrlb_recursion` step on the MC estimate.  The bracket matrices
-    swap the bracketed Pi into the same step, from the MC information
-    (so the entry-wise order is preserved exactly).  Only the recursion
-    runs per step: the brackets are eigenvalue-ordered by
-    `gershgorin_sandwich` and all bounds taken once, on the stacks.
+    An ensemble of rollouts from the configured initial state supplies,
+    per step, the MC estimate of Pi and its PSD-ordered bracket L <= Pi <= U
+    (`pi_bracket`).  The first step is the filter prior plus the
+    measurement block at the deterministic initial state; every later step
+    is one `pcrlb_recursion` step on the stack of the three information
+    matrices, each from its own previous member.  The map
+    J -> D22 - D21 (J + D11)^{-1} D12 is monotone where J + D11 is
+    positive definite, so there the recursions keep j_lb <= j <= j_ub and
+    the position bounds ordered; the bounds and the sandwich test are
+    taken once, on the stacks.
+
+    The (4, 4) entry of `d11` omits V0^2 (see its docstring), and that can
+    make J + D11 indefinite: on the default CV run (seed 0) `j` is
+    indefinite at indices 1-110, `sandwich_ok` fails at index 110, and the
+    position bracket still holds at all 200 steps.
 
     Raises
     ------
@@ -804,34 +805,28 @@ def pcrlb_bounds(
     rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
     rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
-    # (MC, element-wise lower, element-wise upper) information per step
+    # (MC, lower, upper) information per step
     info = np.empty((3, steps, 4, 4))
     for i in range(steps):
         # step i + 1 of the rollout; the first is one deterministic state
         ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = np.stack(
-            [pi_expectation_mc(ensemble, anchors, range_model),
-             *_pi_elementwise_brackets(ensemble, anchors, range_model)]
-        )
+        pis = pi_bracket(ensemble, anchors, range_model)
         if i == 0:
             info[:, 0] = default_prior_information() + _measurement_block(pis, sensor_model)
         else:
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-            # the brackets step from the MC information; they run no
-            # recursions of their own, so they need not hold in PSD order
             info[:, i] = pcrlb_recursion(
-                info[0, i - 1], d11(tm, cv), d12(tm, cv), d22(pis, cv, sensor_model)
+                info[:, i - 1], d11(tm, cv), d12(tm, cv), d22(pis, cv, sensor_model)
             )
 
-    j, j_lb_elem, j_ub_elem = info
-    j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
-    gaps = np.linalg.eigvalsh(np.stack([j - j_lb_g, j_ub_g - j]))
+    j, j_lb, j_ub = info
+    gaps = np.linalg.eigvalsh(np.stack([j - j_lb, j_ub - j]))
     return PcrlbResult(
         j=j,
-        j_lb_g=j_lb_g,
-        j_ub_g=j_ub_g,
+        j_lb=j_lb,
+        j_ub=j_ub,
         bound=position_error_bound(j),
-        bound_lb=position_error_bound(j_ub_g),
-        bound_ub=position_error_bound(j_lb_g),
+        bound_lb=position_error_bound(j_ub),
+        bound_ub=position_error_bound(j_lb),
         sandwich_ok=np.all(gaps >= -1e-9, axis=(0, 2)),
     )

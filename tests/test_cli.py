@@ -163,8 +163,8 @@ def test_crlb_prints_each_step_once_and_a_bracket_only_where_it_holds(tmp_path, 
     for line, k in zip(lines, (0, 100, 199)):
         assert ("[" in line) == holds[k]
         assert ("(bracket does not hold)" in line) != holds[k]
-    # the default CV run holds its bracket at step 0 alone
-    assert lines[3] == "a finite bracket [lb, ub] holds at 1 of 200 steps" == (
+    # the default CV run holds its bracket at every step
+    assert lines[3] == "a finite bracket [lb, ub] holds at 200 of 200 steps" == (
         f"a finite bracket [lb, ub] holds at {sum(holds)} of 200 steps"
     )
     # two steps print k = 1 once

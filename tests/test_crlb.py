@@ -12,7 +12,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
@@ -23,7 +23,6 @@ from paretoloc.crlb import (
     SeriesExpectation,
     _mean_se,
     _measurement_block,
-    _pi_elementwise_brackets,
     _symmetric,
     _truncate_alternating,
     d11,
@@ -37,10 +36,10 @@ from paretoloc.crlb import (
     gershgorin_sandwich,
     measurement_information,
     ncx2_central_moments,
-    offdiag_bounds,
     parcrlb_trace,
     pcrlb_bounds,
     pcrlb_recursion,
+    pi_bracket,
     pi_expectation_mc,
     position_error_bound,
     trig_moments,
@@ -56,7 +55,9 @@ from paretoloc.models import (
     cv_transition_jacobian,
     range_variance,
 )
-from paretoloc.simulate import ExperimentConfig, Scene, gen_trajectory, make_scenario, scenario_cv
+from paretoloc.simulate import (
+    ExperimentConfig, Scene, crlb_traces, gen_trajectory, make_scenario, scenario_cv,
+)
 from paretoloc.validate import _corrected_d11
 
 ANCHORS = AnchorSet(
@@ -330,7 +331,6 @@ def test_diag_bounds_scale_invariance_and_validation():
         diag_bounds(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         diag_bounds(1.0, 1.0, 0.0, -1.0)
-    assert offdiag_bounds() == (-0.5, 0.5)
 
 
 def _truncate_all_orders(terms):
@@ -766,39 +766,61 @@ def test_pcrlb_bounds_steps_are_the_recursion_steps():
         np.testing.assert_array_equal(out.j[i], expected)
 
 
+def _pi_bracket_per_anchor(positions, anchors, range_model):
+    """(Pi_MC, L, U) with the terms of each anchor formed one anchor at a
+    time: w u u^T per sample for Pi_MC, w_max,m u u^T for U and
+    w_min,m u_bar u_bar^T for L.  They are summed over the anchors along a
+    contiguous last axis, as numpy sums a row, then averaged over the
+    samples."""
+    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    terms = {"mc": [], "lo": [], "up": []}
+    for anchor in anchors.positions:
+        diff = pos - anchor[None, :]
+        r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
+        w = 1.0 / range_variance(r, range_model)
+        u = diff / r[:, None]
+        u_bar = u.mean(axis=0, keepdims=True)
+        for key, weight, (x, y) in (
+            ("mc", w, u.T), ("lo", w.min(), u_bar.T), ("up", w.max(), u.T)
+        ):
+            terms[key].append([weight * x**2, weight * x * y, weight * y**2])
+    out = []
+    for key in ("mc", "lo", "up"):
+        e11, e12, e22 = np.stack(terms[key], axis=-1).sum(axis=-1)
+        out.append([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
+    return np.array(out)
+
+
 def _pcrlb_bounds_per_step(cv, anchors, range_model, sensor_model, x0, v0, phi0, steps,
                            n_ensemble, rng):
-    """`pcrlb_bounds` one step at a time, each bracket repaired and each
-    bound taken inside the loop, D22 written out: the loop the stacked
-    code replaced, kept as its bit-for-bit oracle."""
+    """`pcrlb_bounds` one step and one recursion at a time, each bound taken
+    inside the loop, D22 written out: the stacked recursions' oracle."""
     rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
     q_inv = np.linalg.inv(cv.q_matrix())
-    fields = {name: [] for name in ("j", "j_lb_g", "j_ub_g", "bound", "bound_lb",
+    fields = {name: [] for name in ("j", "j_lb", "j_ub", "bound", "bound_lb",
                                     "bound_ub", "sandwich_ok")}
     for i in range(steps):
         ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = (
-            pi_expectation_mc(ensemble, anchors, range_model),
-            *_pi_elementwise_brackets(ensemble, anchors, range_model),
-        )
+        pis = pi_bracket(ensemble, anchors, range_model)
         if i == 0:
             prior = default_prior_information()
-            j, j_lb_elem, j_ub_elem = (prior + _measurement_block(pi, sensor_model) for pi in pis)
+            mats = [prior + _measurement_block(pi, sensor_model) for pi in pis]
         else:
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-            d12_mat = d12(tm, cv)
-            coupling = d12_mat.T @ np.linalg.solve(j + d11(tm, cv), d12_mat)
-            j, j_lb_elem, j_ub_elem = (
-                _symmetric(q_inv + _measurement_block(pi, sensor_model) - coupling) for pi in pis
-            )
-        j_lb_g, j_ub_g = gershgorin_sandwich(j_lb_elem, j_ub_elem)
-        lo_gap = np.linalg.eigvalsh(j - j_lb_g).min()
-        hi_gap = np.linalg.eigvalsh(j_ub_g - j).min()
+            d11_mat, d12_mat = d11(tm, cv), d12(tm, cv)
+            mats = [
+                _symmetric(q_inv + _measurement_block(pi, sensor_model)
+                           - d12_mat.T @ np.linalg.solve(prev + d11_mat, d12_mat))
+                for pi, prev in zip(pis, mats)
+            ]
+        j, j_lb, j_ub = mats
+        lo_gap = np.linalg.eigvalsh(j - j_lb).min()
+        hi_gap = np.linalg.eigvalsh(j_ub - j).min()
         for name, value in (
-            ("j", j), ("j_lb_g", j_lb_g), ("j_ub_g", j_ub_g),
+            ("j", j), ("j_lb", j_lb), ("j_ub", j_ub),
             ("bound", position_error_bound(j)),
-            ("bound_lb", position_error_bound(j_ub_g)),
-            ("bound_ub", position_error_bound(j_lb_g)),
+            ("bound_lb", position_error_bound(j_ub)),
+            ("bound_ub", position_error_bound(j_lb)),
             ("sandwich_ok", bool(lo_gap >= -1e-9 and hi_gap >= -1e-9)),
         ):
             fields[name].append(value)
@@ -820,9 +842,12 @@ def test_pcrlb_bounds_is_the_per_step_loop_bit_for_bit(scenario, n_ensemble):
         assert value.dtype == expected[field.name].dtype, field.name
         assert np.array_equal(value, expected[field.name]), field.name
     if scenario == "CV":
-        # the lower information matrix is singular there: the stacked
-        # bound falls back to one matrix at a time
-        assert np.isinf(out.bound_ub[1:111]).all() and np.isfinite(out.bound_ub[111:]).all()
+        # `d11` omits V0^2 from its (4, 4) entry, so J + D11 is indefinite
+        # early on and the recursions need not keep the PSD order there:
+        # it fails at one step, and the position bracket holds throughout
+        assert np.flatnonzero(~out.sandwich_ok).tolist() == [110]
+    else:
+        assert out.sandwich_ok.all()
 
 
 @pytest.mark.parametrize("n_ensemble", [0, -3])
@@ -877,41 +902,10 @@ def test_pcrlb_bounds_small_ensemble():
     assert out.j.shape == (6, 4, 4)
     for k in range(6):
         assert_allclose(out.j[k], out.j[k].T, atol=1e-9)
-        gap = out.j_ub_g[k] - out.j_lb_g[k]
-        assert np.all(np.linalg.eigvalsh(out.j_lb_g[k]) >= -1e-8)
-        assert np.all(np.linalg.eigvalsh(gap) >= -1e-8)
+        assert np.all(np.linalg.eigvalsh(out.j_ub[k] - out.j_lb[k]) >= -1e-8)
     assert np.all(out.bound > 0.0)
-    assert np.all(out.bound_lb <= out.bound_ub + 1e-12)
-    assert out.sandwich_ok.dtype == bool
-
-
-def _pi_brackets_per_anchor(positions, anchors, range_model):
-    """Entry-wise Pi brackets one anchor and one axis at a time: the loop
-    `_pi_elementwise_brackets` vectorises, kept as its bit-for-bit oracle."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    lb = np.zeros((2, 2))
-    ub = np.zeros((2, 2))
-    off_lo, off_hi = offdiag_bounds()
-    for anchor in anchors.positions:
-        diff = pos - anchor[None, :]
-        r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-        w = 1.0 / range_variance(r, range_model)
-        w_min, w_max = float(w.min()), float(w.max())
-        ratios = (diff / r[:, None]) ** 2
-        for axis in range(2):
-            mu_q, sig_q = float(diff[:, axis].mean()), float(diff[:, axis].std())
-            mu_z, sig_z = float(diff[:, 1 - axis].mean()), float(diff[:, 1 - axis].std())
-            if sig_q > 1e-9:
-                ratio_lb, ratio_ub = diag_bounds(mu_q, sig_q, mu_z, sig_z)
-            else:
-                ratio_lb, ratio_ub = float(ratios[:, axis].min()), 1.0
-            lb[axis, axis] += w_min * ratio_lb
-            ub[axis, axis] += w_max * ratio_ub
-        lb[0, 1] += w_max * off_lo
-        ub[0, 1] += w_max * off_hi
-    lb[1, 0] = lb[0, 1]
-    ub[1, 0] = ub[0, 1]
-    return lb, ub
+    assert np.all((out.bound_lb <= out.bound) & (out.bound <= out.bound_ub))
+    assert out.sandwich_ok.dtype == bool and out.sandwich_ok.all()
 
 
 def _bracket_ensemble(kind):
@@ -930,10 +924,57 @@ def _bracket_ensemble(kind):
 def test_pi_brackets_are_the_per_anchor_loop_bit_for_bit(anchors, kind):
     positions = _bracket_ensemble(kind)
     model = RangeNoiseModel()
-    lb, ub = _pi_elementwise_brackets(positions, anchors, model)
-    lb_ref, ub_ref = _pi_brackets_per_anchor(positions, anchors, model)
-    assert np.array_equal(lb, lb_ref)
-    assert np.array_equal(ub, ub_ref)
+    pis = pi_bracket(positions, anchors, model)
+    assert np.array_equal(pis, _pi_bracket_per_anchor(positions, anchors, model))
+    assert np.array_equal(pis[0], pi_expectation_mc(positions, anchors, model))
+    if kind == "one-point":
+        # one sample is its own mean and extremes: the three are one matrix
+        assert np.array_equal(pis[1], pis[0]) and np.array_equal(pis[2], pis[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    spread=st.floats(1e-3, 10.0),
+    n_anchors=st.integers(4, 10),
+)
+def test_pi_bracket_orders_random_ensembles(seed, n, spread, n_anchors):
+    # L <= Pi_MC <= U in eigenvalues, from the per-anchor loop and from src
+    rng = np.random.default_rng(seed)
+    anchors = AnchorSet(rng.uniform(-5.0, 5.0, size=(n_anchors, 2)))
+    positions = rng.normal(rng.uniform(-3.0, 3.0, size=2), spread, size=(n, 2))
+    model = RangeNoiseModel()
+    pis, expected = pi_bracket(positions, anchors, model), _pi_bracket_per_anchor(
+        positions, anchors, model)
+    assert_allclose(pis, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    for mc, lo, up in (pis, expected):
+        tol = 1e-12 * np.abs(up).max()
+        assert np.linalg.eigvalsh(mc - lo).min() >= -tol
+        assert np.linalg.eigvalsh(up - mc).min() >= -tol
+        assert np.linalg.eigvalsh(lo).min() >= -tol
+
+
+@pytest.mark.parametrize("scenario, n_ensemble", [("CV", 1000), ("A", 300), ("B", 300)])
+def test_crlb_traces_bracket_is_finite_and_holds_at_every_step(scenario, n_ensemble):
+    config = ExperimentConfig(trajectory=make_scenario(scenario, steps=200), seed=0)
+    traces = crlb_traces(config, n_ensemble=n_ensemble)
+    lb, bound, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
+    assert np.isfinite(lb).all() and np.isfinite(ub).all()
+    assert np.all((lb <= bound) & (bound <= ub))
+
+
+def test_pcrlb_bounds_one_point_ensembles_tie_at_every_step():
+    # n_ensemble = 1: every step's three Pi are one matrix, so are the
+    # three recursions, and the bracket closes on the bound
+    spec = scenario_cv(steps=50)
+    scene = Scene.from_config(ExperimentConfig(trajectory=spec, seed=0))
+    out = pcrlb_bounds(
+        scene.cv, scene.anchors, scene.range_model, scene.sensor_model, spec.start,
+        spec.speed, spec.heading, 50, 1, rng=np.random.default_rng(5),
+    )
+    assert np.array_equal(out.j_lb, out.j) and np.array_equal(out.j_ub, out.j)
+    assert np.array_equal(out.bound_lb, out.bound) and np.array_equal(out.bound_ub, out.bound)
 
 
 _MOMENT_SAMPLES = arrays(

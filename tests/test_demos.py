@@ -24,3 +24,5 @@ def test_demo_exits_zero(demo, tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
     # a bracket is printed only where it holds, so no end of it reads inf
     assert not re.search(r"\[[^\]]*inf[^\]]*\]", done.stdout)
+    if demo.name == "04_bounds.py":
+        assert "a finite bracket [lb, ub] holds at 120 of 120 steps" in done.stdout
