@@ -16,7 +16,6 @@ from .crlb import (
     pcrlb_bounds,
     pcrlb_recursion,
     pi_bracket,
-    pi_expectation_mc,
     position_error_bound,
     trig_moments,
 )
@@ -59,6 +58,7 @@ from .models import (
     SensorNoiseModel,
     SensorStreams,
     cv_rollout,
+    cv_transition,
     cv_transition_jacobian,
     draw_measurements,
     range_variance,

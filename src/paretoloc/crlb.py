@@ -21,6 +21,10 @@ ratio E{q^2 / (q^2 + z^2)} of squared Gaussians, and a Gershgorin-style
 repair that turns entry-wise information brackets into a PSD-ordered
 pair; the oracle suite checks both.
 
+The bound functions take the experiment's `Scene` first, as the
+estimator kernels do, and read its anchors, noise models, CV model
+(`scene.cv`, `scene.cv_noise`) and step period `scene.T` there.
+
 Convention: gradients are stored as Jacobians F_ij = d f_i / d p_j; the
 information recursions below are written for that convention.
 """
@@ -28,21 +32,24 @@ information recursions below are written for that convention.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .models import (
     CV_PRIOR_VARIANCES,
-    AnchorSet,
     CvProcessModel,
-    RangeNoiseModel,
     SensorNoiseModel,
     cv_rollout,
     cv_transition_jacobian,
     range_variance,
 )
+
+if TYPE_CHECKING:
+    from .simulate import Scene
 
 # ---------------------------------------------------------------------------
 # trig moments of the CV heading / speed random walks
@@ -128,10 +135,10 @@ def trig_moments(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_mean_jacobian(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
+def _weighted_mean_jacobian(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """E{F}^T Q^{-1} for the CV transition, shape (4, 4): Q^{-1} on the
     diagonal and the averaged speed/heading entries of F below it."""
-    t, v0, eps = cv.T, tm.e_v, tm.eps
+    cv, t, v0, eps = scene.cv, scene.T, tm.e_v, tm.eps
     i1, i2 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq
     out = np.diag([i1, i2, 1.0 / cv.sigma3_sq, 1.0 / cv.sigma4_sq])
     out[2, 0] = t * tm.c0 * eps * i1
@@ -141,7 +148,7 @@ def _weighted_mean_jacobian(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
     return out
 
 
-def d11(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
+def d11(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """Closed-form E{F^T Q^{-1} F} for the CV transition, shape (4, 4).
 
     Outside the speed/heading block it equals E{F}^T Q^{-1}, mirrored.
@@ -150,9 +157,9 @@ def d11(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
     V0^2 (E{V^2} = (k-1) sigma3_sq + V0^2), which the oracle suite
     measures as the gap to Monte Carlo.
     """
-    t, v0 = cv.T, tm.e_v
-    i1, i2 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq
-    out = _weighted_mean_jacobian(tm, cv)
+    t, v0 = scene.T, tm.e_v
+    i1, i2 = 1.0 / scene.cv.sigma1_sq, 1.0 / scene.cv.sigma2_sq
+    out = _weighted_mean_jacobian(scene, tm)
     out[:2, 2:] = out[2:, :2].T
     out[2, 2] += t**2 * (tm.e_cos_sq * i1 + tm.e_sin_sq * i2)
     out[2, 3] = out[3, 2] = t**2 * v0 * tm.e_sin_cos * (i2 - i1)
@@ -160,19 +167,19 @@ def d11(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
     return out
 
 
-def d12(tm: TrigMoments, cv: CvProcessModel) -> np.ndarray:
+def d12(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """Closed-form -E{F}^T Q^{-1} for the CV transition, shape (4, 4)."""
-    return -_weighted_mean_jacobian(tm, cv)
+    return -_weighted_mean_jacobian(scene, tm)
 
 
-def _directions(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> tuple:
-    """Unit vectors u (N, M, 2) from each of M anchors to each of N
-    positions (N, 2), and the weights w = 1 / sigma_r^2 (N, M) at their
-    ranges."""
+def _directions(scene: Scene, positions) -> tuple:
+    """Unit vectors u (N, M, 2) from each of the scene's M anchors to each
+    of N positions (N, 2), and the weights w = 1 / sigma_r^2 (N, M) at
+    their ranges."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    diff = pos[:, None, :] - anchors.positions[None, :, :]  # (N, M, 2)
+    diff = pos[:, None, :] - scene.anchors.positions[None, :, :]  # (N, M, 2)
     r = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
-    return diff / r[..., None], 1.0 / range_variance(r, range_model)
+    return diff / r[..., None], 1.0 / range_variance(r, scene.range_model)
 
 
 def _pi_entries(u: np.ndarray, w: np.ndarray) -> tuple:
@@ -190,33 +197,14 @@ def _pi_mean(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.array([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
 
 
-def pi_expectation_mc(
-    positions, anchors: AnchorSet, range_model: RangeNoiseModel
-) -> np.ndarray:
-    """Monte Carlo estimate of the range-measurement position information.
-
-    Pi = E{ sum_i sigma_ri^{-2} d_i d_i^T } with d_i the unit vector from
-    anchor i to the node and sigma_ri^2 the range variance at the sample's
-    range; the expectation runs over an ensemble of position samples.
-
-    Parameters
-    ----------
-    positions : array_like
-        Position ensemble, shape (N, 2).
-
-    Returns
-    -------
-    np.ndarray
-        The ensemble mean of the information, (2, 2).
-    """
-    return _pi_mean(*_directions(positions, anchors, range_model))
-
-
-def pi_bracket(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> np.ndarray:
+def pi_bracket(scene: Scene, positions) -> np.ndarray:
     """Pi_MC and a bracket L <= Pi_MC <= U in the PSD order, stacked (3, 2, 2).
 
-    With u_m the unit vectors of anchor m over the ensemble, u_bar_m their
-    mean and w_min,m, w_max,m the ensemble extremes of its weight,
+    Pi = E{ sum_m sigma_rm^{-2} u_m u_m^T } is the range-measurement
+    position information over an ensemble of positions (N, 2), and Pi_MC
+    its ensemble mean.  With u_m the unit vectors of anchor m over the
+    ensemble, u_bar_m their mean and w_min,m, w_max,m the ensemble
+    extremes of its weight,
 
         L = sum_m w_min,m u_bar_m u_bar_m^T,   U = sum_m w_max,m E{u_m u_m^T}.
 
@@ -225,7 +213,7 @@ def pi_bracket(positions, anchors: AnchorSet, range_model: RangeNoiseModel) -> n
     Pi_MC's arithmetic with the mean direction or the extreme weights put
     in, so on a one-point ensemble all three are the same bits.
     """
-    u, w = _directions(positions, anchors, range_model)
+    u, w = _directions(scene, positions)
     return np.stack([
         _pi_mean(u, w),
         _pi_mean(u.mean(axis=0, keepdims=True), w.min(axis=0, keepdims=True)),
@@ -244,12 +232,10 @@ def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np
     return out
 
 
-def d22(
-    pi_mat: np.ndarray, cv: CvProcessModel, sensor_model: SensorNoiseModel
-) -> np.ndarray:
+def d22(scene: Scene, pi_mat: np.ndarray) -> np.ndarray:
     """Measurement-side information block Q^{-1} + blkdiag(Pi, R2^{-1}),
     (4, 4), or one per Pi of a stack (..., 2, 2)."""
-    return np.linalg.inv(cv.q_matrix()) + _measurement_block(pi_mat, sensor_model)
+    return np.linalg.inv(scene.cv_noise) + _measurement_block(pi_mat, scene.sensor_model)
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
@@ -675,34 +661,24 @@ def require_invertible_noise(
                 raise ValueError(f"the bounds invert {name}, so it must be positive, got {value}")
 
 
-def measurement_information(
-    state: np.ndarray,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-) -> np.ndarray:
+def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:
     """H^T R^{-1} H for the range + speed + heading measurement at a state
     (4,), or at each state of a stack (..., 4): the measurement block with
     Pi taken at the state's position alone."""
     state = np.asarray(state, dtype=float)
-    u, w = _directions(state[..., :2].reshape(-1, 2), anchors, range_model)
+    u, w = _directions(scene, state[..., :2].reshape(-1, 2))
     e11, e12, e22 = _pi_entries(u, w)
     pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
-    return _measurement_block(pi_mat, sensor_model)
+    return _measurement_block(pi_mat, scene.sensor_model)
 
 
-def parcrlb_trace(
-    truth: tuple,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
-    T: float,
-) -> tuple:
+def parcrlb_trace(scene: Scene, truth: tuple) -> tuple:
     """Parametric bound along a known trajectory.
 
     Zero process noise makes the information recursion exact:
     J_k = F_{k-1}^{-T} J_{k-1} F_{k-1}^{-1} + H_k^T R_k^{-1} H_k, all
-    terms evaluated at the true states.  The first step fuses the loose
+    terms evaluated at the true states, with F the transition Jacobian
+    at the scene's step period `scene.T`.  The first step fuses the loose
     filter prior (`default_prior_information`) with the first measurement.
 
     Parameters
@@ -710,8 +686,6 @@ def parcrlb_trace(
     truth : tuple
         (positions (N, 2), speed (N,), heading (N,)) of the true states,
         as `gen_trajectory` returns them.
-    T : float
-        Step period entering the transition Jacobian.
 
     Returns
     -------
@@ -723,11 +697,11 @@ def parcrlb_trace(
     ValueError
         If sigma_v or sigma_phi is zero (`require_invertible_noise`).
     """
-    require_invertible_noise(sensor_model)
+    require_invertible_noise(scene.sensor_model)
     positions, speed, heading = truth
     states = np.column_stack([positions, speed, heading])
-    info = measurement_information(states, anchors, range_model, sensor_model)
-    f_inv = np.linalg.inv(cv_transition_jacobian(states[:-1], T))
+    info = measurement_information(scene, states)
+    f_inv = np.linalg.inv(cv_transition_jacobian(states[:-1], scene.T))
     j_seq = np.empty((len(states), 4, 4))
     j_seq[0] = default_prior_information() + info[0]
     for k in range(1, len(states)):
@@ -764,10 +738,7 @@ class PcrlbResult:
 
 
 def pcrlb_bounds(
-    cv: CvProcessModel,
-    anchors: AnchorSet,
-    range_model: RangeNoiseModel,
-    sensor_model: SensorNoiseModel,
+    scene: Scene,
     x0,
     v0: float,
     phi0: float,
@@ -775,7 +746,8 @@ def pcrlb_bounds(
     n_ensemble: int = 1000,
     rng: np.random.Generator | None = None,
 ) -> PcrlbResult:
-    """Posterior bound and its bracket along CV-model rollouts.
+    """Posterior bound and its bracket along rollouts of the scene's CV
+    model `scene.cv` at its step period `scene.T`.
 
     An ensemble of rollouts from the configured initial state supplies,
     per step, the MC estimate of Pi and its PSD-ordered bracket L <= Pi <= U
@@ -796,27 +768,29 @@ def pcrlb_bounds(
     Raises
     ------
     ValueError
-        If `n_ensemble` is less than 1, or a noise setting the bound
-        inverts is zero (`require_invertible_noise`).
+        If `steps` or `n_ensemble` is not an integer of at least 1, or a
+        noise setting the bound inverts is zero (`require_invertible_noise`).
     """
-    if n_ensemble < 1:
-        raise ValueError(f"n_ensemble must be at least 1, got {n_ensemble}")
-    require_invertible_noise(sensor_model, cv)
+    for name, value in (("steps", steps), ("n_ensemble", n_ensemble)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    cv = scene.cv
+    require_invertible_noise(scene.sensor_model, cv)
     rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
-    rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
+    rollout = cv_rollout(cv, scene.T, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
     # (MC, lower, upper) information per step
     info = np.empty((3, steps, 4, 4))
     for i in range(steps):
         # step i + 1 of the rollout; the first is one deterministic state
         ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = pi_bracket(ensemble, anchors, range_model)
+        pis = pi_bracket(scene, ensemble)
         if i == 0:
-            info[:, 0] = default_prior_information() + _measurement_block(pis, sensor_model)
+            info[:, 0] = default_prior_information() + _measurement_block(pis, scene.sensor_model)
         else:
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
             info[:, i] = pcrlb_recursion(
-                info[:, i - 1], d11(tm, cv), d12(tm, cv), d22(pis, cv, sensor_model)
+                info[:, i - 1], d11(scene, tm), d12(scene, tm), d22(scene, pis)
             )
 
     j, j_lb, j_ub = info

@@ -26,6 +26,7 @@ from .models import (
     AnchorSet,
     MeasurementFrame,
     _identity,
+    cv_transition,
     cv_transition_jacobian,
     range_variance,
     true_ranges,
@@ -233,13 +234,13 @@ def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
 def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One EKF cycle on the 4-D constant-velocity states of a batch.
 
-    The process model is `scene.cv`.  Speed and heading join the ranges
-    as measurements; the covariance is predicted through the analytic
-    transition Jacobian `cv_transition_jacobian`.
+    The process model is `scene.cv` at step period `scene.T`.  Speed and
+    heading join the ranges as measurements; the covariance is predicted
+    through the analytic transition Jacobian `cv_transition_jacobian`.
     """
-    cv_model, anchors, sensor_model = scene.cv, scene.anchors, scene.sensor_model
-    f_jac = cv_transition_jacobian(state.mean, cv_model.T)
-    mean_pred = cv_model.transition(state.mean)
+    anchors, sensor_model = scene.anchors, scene.sensor_model
+    f_jac = cv_transition_jacobian(state.mean, scene.T)
+    mean_pred = cv_transition(state.mean, scene.T)
     cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + scene.cv_noise)
 
     r_hat, d = _range_jacobian(mean_pred[..., :2], anchors)

@@ -107,26 +107,25 @@ CV_PRIOR_VARIANCES = (1.0, 1.0, 0.25, (math.pi / 4.0) ** 2)
 
 @dataclass(slots=True)
 class CvProcessModel:
-    """Nearly-constant-velocity process model in (x1, x2, V, phi) coordinates.
+    """Process-noise variances of the nearly-constant-velocity model in
+    (x1, x2, V, phi) coordinates.
 
-    The transition is x1' = x1 + T V cos(phi), x2' = x2 + T V sin(phi),
-    V' = V, phi' = phi, plus zero-mean Gaussian process noise with diagonal
-    covariance diag(sigma1_sq, sigma2_sq, sigma3_sq, sigma4_sq).
+    The model steps a state by `cv_transition` at the step period of the
+    experiment it belongs to (`Scene.T`, `TrajectorySpec.T`), plus
+    zero-mean Gaussian process noise with diagonal covariance
+    diag(sigma1_sq, sigma2_sq, sigma3_sq, sigma4_sq).
 
     The position noise components are assumed isotropic
     (sigma1_sq == sigma2_sq is *not* required, but several closed-form
     expectations below simplify when they match).
     """
 
-    T: float = 0.1
     sigma1_sq: float = 1e-4
     sigma2_sq: float = 1e-4
     sigma3_sq: float = 1e-4
     sigma4_sq: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"step period T must be finite and positive, got {self.T}")
         for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -137,15 +136,17 @@ class CvProcessModel:
             [self.sigma1_sq, self.sigma2_sq, self.sigma3_sq, self.sigma4_sq]
         )
 
-    def transition(self, state: np.ndarray) -> np.ndarray:
-        """Noise-free transition applied to a state vector (4,), or to each
-        row of a stack (..., 4)."""
-        state = np.asarray(state, dtype=float)
-        v, phi = state[..., 2], state[..., 3]
-        out = state.copy()
-        out[..., 0] += self.T * v * np.cos(phi)
-        out[..., 1] += self.T * v * np.sin(phi)
-        return out
+
+def cv_transition(state, T: float) -> np.ndarray:
+    """Noise-free constant-velocity transition over a step period T,
+    x1' = x1 + T V cos(phi), x2' = x2 + T V sin(phi), V' = V, phi' = phi:
+    of a state (4,), or of each row of a stack (..., 4)."""
+    state = np.asarray(state, dtype=float)
+    v, phi = state[..., 2], state[..., 3]
+    out = state.copy()
+    out[..., 0] += T * v * np.cos(phi)
+    out[..., 1] += T * v * np.sin(phi)
+    return out
 
 
 def cv_transition_jacobian(state, T: float) -> np.ndarray:
@@ -163,9 +164,10 @@ def cv_transition_jacobian(state, T: float) -> np.ndarray:
 
 
 def cv_rollout(
-    cv: CvProcessModel, x0, steps: int, rng: np.random.Generator, ensemble: int
+    cv: CvProcessModel, T: float, x0, steps: int, rng: np.random.Generator, ensemble: int
 ) -> np.ndarray:
-    """Random rollouts of the CV model from one initial state, (steps, ensemble, 4).
+    """Random rollouts of the CV model at step period T from one initial
+    state, (steps, ensemble, 4).
 
     Step 0 is `x0` (4,) in every member.  Each later step applies the
     noise-free transition and adds N(0, diag(sigma_i^2)) noise, drawn as
@@ -176,7 +178,7 @@ def cv_rollout(
     out = np.empty((steps, ensemble, 4))
     out[0] = np.asarray(x0, dtype=float)
     for k in range(1, steps):
-        out[k] = cv.transition(out[k - 1]) + rng.normal(0.0, 1.0, size=(ensemble, 4)) * sig
+        out[k] = cv_transition(out[k - 1], T) + rng.normal(0.0, 1.0, size=(ensemble, 4)) * sig
     return out
 
 

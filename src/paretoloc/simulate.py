@@ -69,8 +69,8 @@ class TrajectorySpec:
         Radius of the disk the bounded "pwl" kind draws its target
         velocities from, m/s; finite and positive.
     cv : CvProcessModel or None
-        Noise variances of the "cv" kind's process model (None: the
-        default's); the rollout steps at `T`, whatever the model's own `T`.
+        Noise variances of the "cv" kind's process model, which steps at
+        `T` (None: the default variances).
     """
 
     kind: str = "linear"
@@ -252,16 +252,16 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
             accel = accel_next
         return _chord_states(pos, t_step, spec.speed, spec.heading)
     # "cv": random rollout of the constant-velocity model
-    cv = dataclasses.replace(spec.cv or CvProcessModel(), T=t_step)
     x0 = [spec.start[0], spec.start[1], spec.speed, spec.heading]
-    states = cv_rollout(cv, x0, n, rng, ensemble=1)[:, 0]
+    states = cv_rollout(spec.cv or CvProcessModel(), t_step, x0, n, rng, ensemble=1)[:, 0]
     return states[:, :2], states[:, 2], states[:, 3]
 
 
 @dataclass(slots=True)
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment.  `cv_filter` sets
-    only the EKF-CV model's noise variances: it steps at `trajectory.T`."""
+    """Full description of one Monte Carlo experiment.  `cv_filter` holds
+    the noise variances of the EKF-CV's and the posterior bound's CV
+    model; the step period of every part is `trajectory.T`."""
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     anchors: AnchorSet = field(default_factory=lambda: DEFAULT_ANCHORS)
@@ -357,10 +357,12 @@ def draw_run(config: ExperimentConfig, run: int) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Scene:
-    """The constants of one experiment that every estimator kernel reads.
+    """The constants of one experiment that every estimator kernel and
+    bound reads.
 
     Every kernel takes the scene first: `init(scene, frame)` and
-    `step(scene, state, frame)`.
+    `step(scene, state, frame)`; so do the bounds of `crlb`
+    (`parcrlb_trace(scene, truth)`, `pcrlb_bounds(scene, ...)`).
 
     Attributes
     ----------
@@ -368,11 +370,11 @@ class Scene:
     range_model : RangeNoiseModel
     sensor_model : SensorNoiseModel
     T : float
-        Step period, s.
+        Step period, s, finite and positive: the one step period of the
+        CV model, the bounds and the measurements.
     cv : CvProcessModel
-        Process model of the EKF-CV filter and of the posterior bound.
-        It steps at `T`, whatever the given model's `T`; None gives the
-        default noise variances.
+        Process-noise variances of the EKF-CV filter and of the posterior
+        bound, whose CV model steps at `T`; None gives the defaults.
     paretos : tuple of ParetoConfig
         One ParetoConfig per equal block of rows, in row order, for the
         Pareto kernels (`init_fusion`, `fusion_step`).
@@ -392,7 +394,9 @@ class Scene:
     cv_noise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cv", dataclasses.replace(self.cv or CvProcessModel(), T=self.T))
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"step period T must be finite and positive, got {self.T}")
+        object.__setattr__(self, "cv", self.cv or CvProcessModel())
         object.__setattr__(self, "geometry", build_geometry(self.anchors))
         object.__setattr__(self, "cv_noise", self.cv.q_matrix())
 
@@ -785,12 +789,9 @@ def crlb_traces(
     n = spec.steps if steps is None else steps
     scene = Scene.from_config(config)
     truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n))
-    _, par_bound = parcrlb_trace(
-        truth, scene.anchors, scene.range_model, scene.sensor_model, scene.T
-    )
+    _, par_bound = parcrlb_trace(scene, truth)
     post = pcrlb_bounds(
-        scene.cv, scene.anchors, scene.range_model, scene.sensor_model,
-        spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble,
+        scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble,
         rng=np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372))),
     )
     return {

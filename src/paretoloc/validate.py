@@ -33,11 +33,11 @@ from .models import (
     AnchorSet,
     CvProcessModel,
     RangeNoiseModel,
-    SensorNoiseModel,
     cv_transition_jacobian,
     range_variance,
 )
 from .ranging import build_geometry, noise_cov_inverse, ranging_layer
+from .simulate import Scene
 
 
 @dataclass(slots=True)
@@ -413,13 +413,14 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
     )
 
 
-def _corrected_d11(tm, cv: CvProcessModel) -> np.ndarray:
+def _corrected_d11(scene: Scene, tm) -> np.ndarray:
     """`d11` with the full speed power E{V^2} = (k-1) sigma3_sq + V0^2 in
     its (4, 4) entry: the true second moment, which Monte Carlo accepts
     where the reference form's diffusion-only power falls short."""
+    cv = scene.cv
     i1, i2, i4 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq, 1.0 / cv.sigma4_sq
-    out = d11(tm, cv)
-    out[3, 3] = cv.T**2 * tm.e_v_sq * (tm.e_sin_sq * i1 + tm.e_cos_sq * i2) + i4
+    out = d11(scene, tm)
+    out[3, 3] = scene.T**2 * tm.e_v_sq * (tm.e_sin_sq * i1 + tm.e_cos_sq * i2) + i4
     return out
 
 
@@ -433,29 +434,30 @@ def check_fisher_blocks(scale: float = 1.0, seed: int = 27) -> CheckResult:
     """
     rng = np.random.default_rng(seed)
     m = max(int(2e4 * scale), 5000)
-    cv = CvProcessModel(T=0.1, sigma1_sq=1e-4, sigma2_sq=4e-4, sigma3_sq=1e-4, sigma4_sq=2.5e-3)
+    cv = CvProcessModel(sigma1_sq=1e-4, sigma2_sq=4e-4, sigma3_sq=1e-4, sigma4_sq=2.5e-3)
+    scene = Scene(T=0.1, cv=cv)
     v0, phi0, k = 0.5, math.pi / 6.0, 6
     v = v0 + rng.normal(0.0, math.sqrt((k - 1) * cv.sigma3_sq), size=m)
     phi = phi0 + rng.normal(0.0, math.sqrt((k - 1) * cv.sigma4_sq), size=m)
-    q_inv = np.linalg.inv(cv.q_matrix())
+    q_inv = np.linalg.inv(scene.cv_noise)
     states = np.zeros((m, 4))
     states[:, 2], states[:, 3] = v, phi
-    f_jac = cv_transition_jacobian(states, cv.T)
+    f_jac = cv_transition_jacobian(states, scene.T)
     mc11 = (f_jac.swapaxes(-1, -2) @ q_inv @ f_jac).mean(axis=0)
     mc12 = -f_jac.mean(axis=0).T @ q_inv
     tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, k)
-    ref = d11(tm, cv)
-    fixed = _corrected_d11(tm, cv)
+    ref = d11(scene, tm)
+    fixed = _corrected_d11(scene, tm)
     off_mask = np.ones((4, 4), dtype=bool)
     off_mask[3, 3] = False
     # entry scales vary over orders of magnitude; compare relative
     rel = np.abs(mc11 - ref) / np.maximum(np.abs(mc11), 1.0)
     rel44_ref = abs(mc11[3, 3] - ref[3, 3]) / abs(mc11[3, 3])
     rel44_fix = abs(mc11[3, 3] - fixed[3, 3]) / abs(mc11[3, 3])
-    bracket = cv.T**2 * (tm.e_sin_sq / cv.sigma1_sq + tm.e_cos_sq / cv.sigma2_sq)
+    bracket = scene.T**2 * (tm.e_sin_sq / cv.sigma1_sq + tm.e_cos_sq / cv.sigma2_sq)
     predicted_gap = v0**2 * bracket
     gap_match = abs((fixed[3, 3] - ref[3, 3]) - predicted_gap) <= 1e-9 * predicted_gap
-    rel12 = float(np.max(np.abs(mc12 - d12(tm, cv)) / np.maximum(np.abs(mc12), 1.0)))
+    rel12 = float(np.max(np.abs(mc12 - d12(scene, tm)) / np.maximum(np.abs(mc12), 1.0)))
     passed = (
         float(np.max(rel[off_mask])) <= 0.02
         and rel44_fix <= 0.02
@@ -548,17 +550,14 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
         )
         gaps += [lb_g, ub_g - lb_g]
     pair_worst = min(float(np.linalg.eigvalsh(gap).min()) for gap in gaps)
+    scene = Scene(
+        anchors=AnchorSet(np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]])),
+        T=0.1,
+        cv=CvProcessModel(sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-4, sigma4_sq=2.5e-3),
+    )
     result = pcrlb_bounds(
-        CvProcessModel(T=0.1, sigma1_sq=1e-6, sigma2_sq=1e-6, sigma3_sq=1e-4, sigma4_sq=2.5e-3),
-        AnchorSet(np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0], [20.0, 20.0]])),
-        RangeNoiseModel(),
-        SensorNoiseModel(),
-        np.array([2.0, 10.0]),
-        0.5,
-        0.0,
-        steps=200,
-        n_ensemble=max(int(100 * scale), 20),
-        rng=rng,
+        scene, np.array([2.0, 10.0]), 0.5, 0.0, steps=200,
+        n_ensemble=max(int(100 * scale), 20), rng=rng,
     )
     held, steps = int(result.sandwich_ok.sum()), len(result.sandwich_ok)
     return CheckResult(

@@ -13,6 +13,7 @@ import pytest
 from paretoloc.crlb import parcrlb_trace
 from paretoloc.simulate import (
     ExperimentConfig,
+    Scene,
     gen_trajectory,
     run_experiment,
     scenario_cv,
@@ -110,9 +111,7 @@ def bound_vs_rmse_cases():
         result = run_experiment(config)
         reference = dataclasses.replace(traj, kind="linear")
         truth = gen_trajectory(reference)
-        _, bound = parcrlb_trace(
-            truth, config.anchors, config.range_model, config.sensor_model, traj.T
-        )
+        _, bound = parcrlb_trace(Scene.from_config(config), truth)
         out.append((name, result, bound))
     return out
 

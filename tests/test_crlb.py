@@ -40,7 +40,6 @@ from paretoloc.crlb import (
     pcrlb_bounds,
     pcrlb_recursion,
     pi_bracket,
-    pi_expectation_mc,
     position_error_bound,
     trig_moments,
 )
@@ -63,9 +62,8 @@ from paretoloc.validate import _corrected_d11
 ANCHORS = AnchorSet(
     np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
 )
-CV = CvProcessModel(
-    T=0.1, sigma1_sq=1e-4, sigma2_sq=2e-4, sigma3_sq=4e-4, sigma4_sq=9e-4
-)
+CV = CvProcessModel(sigma1_sq=1e-4, sigma2_sq=2e-4, sigma3_sq=4e-4, sigma4_sq=9e-4)
+SCENE = Scene(anchors=ANCHORS, T=0.1, cv=CV)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +122,9 @@ def test_d11_initial_step_equals_plain_quadratic_form():
     # k = 1: no randomness, so E{F^T Q^-1 F} is just F^T Q^-1 F
     v0, phi0 = 0.7, 1.1
     tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, k=1)
-    f = cv_transition_jacobian(np.array([0.0, 0.0, v0, phi0]), CV.T)
+    f = cv_transition_jacobian(np.array([0.0, 0.0, v0, phi0]), SCENE.T)
     expected = f.T @ np.linalg.inv(CV.q_matrix()) @ f
-    assert_allclose(_corrected_d11(tm, CV), expected, rtol=1e-12)
+    assert_allclose(_corrected_d11(SCENE, tm), expected, rtol=1e-12)
 
 
 def test_d11_against_jacobian_sampling():
@@ -139,18 +137,18 @@ def test_d11_against_jacobian_sampling():
     q_inv = np.linalg.inv(CV.q_matrix())
     states = np.zeros((40000, 4))
     states[:, 2], states[:, 3] = v[:40000], phi[:40000]
-    f = cv_transition_jacobian(states, CV.T)
+    f = cv_transition_jacobian(states, SCENE.T)
     sampled = (f.swapaxes(-1, -2) @ q_inv @ f).mean(axis=0)
-    closed = _corrected_d11(tm, CV)
+    closed = _corrected_d11(SCENE, tm)
     assert np.linalg.norm(sampled - closed) < 0.01 * np.linalg.norm(closed)
 
 
 def test_corrected_d11_shifts_one_entry():
     tm = trig_moments(0.6, 0.8, CV.sigma3_sq, CV.sigma4_sq, k=5)
-    diff = _corrected_d11(tm, CV) - d11(tm, CV)
+    diff = _corrected_d11(SCENE, tm) - d11(SCENE, tm)
     expected = np.zeros((4, 4))
     expected[3, 3] = (
-        CV.T**2
+        SCENE.T**2
         * tm.e_v**2
         * (tm.e_sin_sq / CV.sigma1_sq + tm.e_cos_sq / CV.sigma2_sq)
     )
@@ -163,19 +161,19 @@ def test_d12_is_minus_expected_jacobian_weighted():
     # entry-wise E{F}: only the trig entries average, everything else is
     # constant in the transition Jacobian
     f_mean = np.eye(4)
-    f_mean[0, 2] = CV.T * tm.e_cos
-    f_mean[1, 2] = CV.T * tm.e_sin
-    f_mean[0, 3] = -CV.T * v0 * tm.e_sin
-    f_mean[1, 3] = CV.T * v0 * tm.e_cos
+    f_mean[0, 2] = SCENE.T * tm.e_cos
+    f_mean[1, 2] = SCENE.T * tm.e_sin
+    f_mean[0, 3] = -SCENE.T * v0 * tm.e_sin
+    f_mean[1, 3] = SCENE.T * v0 * tm.e_cos
     assert_allclose(
-        d12(tm, CV), -f_mean.T @ np.linalg.inv(CV.q_matrix()), rtol=1e-12
+        d12(SCENE, tm), -f_mean.T @ np.linalg.inv(CV.q_matrix()), rtol=1e-12
     )
 
 
 def test_d22_structure():
     pi_mat = np.array([[3.0, 0.4], [0.4, 2.0]])
-    sensors = SensorNoiseModel()
-    out = d22(pi_mat, CV, sensors)
+    sensors = SCENE.sensor_model
+    out = d22(SCENE, pi_mat)
     q_inv = np.linalg.inv(CV.q_matrix())
     assert_allclose(out[:2, :2], q_inv[:2, :2] + pi_mat, rtol=1e-12)
     assert out[2, 2] == pytest.approx(q_inv[2, 2] + 1.0 / sensors.sigma_v**2)
@@ -633,8 +631,8 @@ def test_filter_and_bound_priors_share_one_covariance():
 
 def test_pi_expectation_single_point_is_exact():
     pos = np.array([1.2, 0.9])
-    model = RangeNoiseModel()
-    pi_hat = pi_expectation_mc(pos[None, :], ANCHORS, model)
+    model = SCENE.range_model
+    pi_hat = pi_bracket(SCENE, pos[None, :])[0]
     expected = np.zeros((2, 2))
     for anchor in ANCHORS.positions:
         diff = pos - anchor
@@ -646,9 +644,9 @@ def test_pi_expectation_single_point_is_exact():
 
 def test_measurement_information_structure():
     state = np.array([1.2, 0.9, 0.4, 0.7])
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
-    info = measurement_information(state, ANCHORS, model, sensors)
-    pi_hat = pi_expectation_mc(state[None, :2], ANCHORS, model)
+    sensors = SCENE.sensor_model
+    info = measurement_information(SCENE, state)
+    pi_hat = pi_bracket(SCENE, state[None, :2])[0]
     assert_allclose(info[:2, :2], pi_hat, rtol=1e-12)
     assert info[2, 2] == pytest.approx(1.0 / sensors.sigma_v**2)
     assert info[3, 3] == pytest.approx(1.0 / sensors.sigma_phi**2)
@@ -661,14 +659,10 @@ def _static_truth(steps=20):
 
 
 def test_parcrlb_trace_first_step_and_growth():
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
-    truth = _static_truth()
-    j_seq, bound = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1)
+    j_seq, bound = parcrlb_trace(SCENE, _static_truth())
     assert j_seq.shape == (20, 4, 4) and bound.shape == (20,)
     state0 = np.array([1.5, 1.8, 0.3, 0.4])
-    expected0 = default_prior_information() + measurement_information(
-        state0, ANCHORS, model, sensors
-    )
+    expected0 = default_prior_information() + measurement_information(SCENE, state0)
     assert_allclose(j_seq[0], expected0, rtol=1e-12)
     assert bound[0] == pytest.approx(position_error_bound(expected0))
     # information accumulates: later bounds sit well below the first
@@ -687,16 +681,15 @@ def _turning_truth(steps=25):
 
 def test_parcrlb_trace_follows_a_turning_path():
     # oracle: the recursion stepped with each state's own Jacobian
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
     steps = 25
     truth = _turning_truth(steps)
-    j_seq, bound = parcrlb_trace(truth, ANCHORS, model, sensors, T=0.1)
+    j_seq, bound = parcrlb_trace(SCENE, truth)
     states = np.column_stack(truth)
-    j = default_prior_information() + measurement_information(states[0], ANCHORS, model, sensors)
+    j = default_prior_information() + measurement_information(SCENE, states[0])
     np.testing.assert_array_equal(j_seq[0], j)
     for k in range(1, steps):
         f_inv = np.linalg.solve(cv_transition_jacobian(states[k - 1], 0.1), np.eye(4))
-        j = f_inv.T @ j @ f_inv + measurement_information(states[k], ANCHORS, model, sensors)
+        j = f_inv.T @ j @ f_inv + measurement_information(SCENE, states[k])
         j = 0.5 * (j + j.T)
         np.testing.assert_array_equal(j_seq[k], j)
         assert bound[k] == position_error_bound(j)
@@ -728,7 +721,7 @@ def test_parcrlb_trace_matches_the_matrix_product_recursion(track):
         # the parametric path of `crlb_traces` on scenario CV
         truth = gen_trajectory(dataclasses.replace(scenario_cv(steps=200), kind="linear"))
         anchors = DEFAULT_ANCHORS
-    j_seq, bound = parcrlb_trace(truth, anchors, model, sensors, T=0.1)
+    j_seq, bound = parcrlb_trace(Scene(anchors=anchors, T=0.1), truth)
     states = np.column_stack(truth)
     for k in range(len(states)):
         info = _matrix_product_information(states[k], anchors, model, sensors)
@@ -747,23 +740,49 @@ def test_pcrlb_bounds_steps_are_the_recursion_steps():
     # state; every later step is `pcrlb_recursion` on the previous
     # information and the MC measurement block of the same rollout, bit
     # for bit.
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
     x0, v0, phi0, steps, n_ensemble = [1.5, 1.8], 0.3, 0.4, 12, 150
     out = pcrlb_bounds(
-        CV, ANCHORS, model, sensors, x0=x0, v0=v0, phi0=phi0, steps=steps,
-        n_ensemble=n_ensemble, rng=np.random.default_rng(21),
+        SCENE, x0=x0, v0=v0, phi0=phi0, steps=steps, n_ensemble=n_ensemble,
+        rng=np.random.default_rng(21),
     )
     state0 = np.array([x0[0], x0[1], v0, phi0])
-    rollout = cv_rollout(CV, state0, steps, np.random.default_rng(21), n_ensemble)
+    rollout = cv_rollout(CV, 0.1, state0, steps, np.random.default_rng(21), n_ensemble)
     np.testing.assert_array_equal(
-        out.j[0],
-        default_prior_information() + measurement_information(state0, ANCHORS, model, sensors),
+        out.j[0], default_prior_information() + measurement_information(SCENE, state0)
     )
     for i in range(1, steps):
         tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, i)
-        pi_hat = pi_expectation_mc(rollout[i, :, :2], ANCHORS, model)
-        expected = pcrlb_recursion(out.j[i - 1], d11(tm, CV), d12(tm, CV), d22(pi_hat, CV, sensors))
+        pi_hat = _pi_bracket_per_anchor(rollout[i, :, :2], ANCHORS, SCENE.range_model)[0]
+        expected = pcrlb_recursion(out.j[i - 1], d11(SCENE, tm), d12(SCENE, tm), d22(SCENE, pi_hat))
         np.testing.assert_array_equal(out.j[i], expected)
+
+
+@pytest.mark.parametrize("t_step", [0.05, 0.4])
+def test_bounds_step_at_the_scene_period(t_step):
+    # every transition term of both bounds is taken at `scene.T`: F and
+    # E{F} are the Jacobian at that period, and the rollouts step at it
+    scene = Scene(anchors=ANCHORS, T=t_step, cv=CV)
+    x0, v0, phi0 = [1.5, 1.8], 0.3, 0.4
+    tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, k=1)
+    f = cv_transition_jacobian(np.array([0.0, 0.0, v0, phi0]), t_step)
+    q_inv = np.linalg.inv(CV.q_matrix())
+    assert_allclose(_corrected_d11(scene, tm), f.T @ q_inv @ f, rtol=1e-12)
+    assert_allclose(d12(scene, tm), -f.T @ q_inv, rtol=1e-12)
+    truth = _turning_truth(3)
+    j_seq, _ = parcrlb_trace(scene, truth)
+    states = np.column_stack(truth)
+    f_inv = np.linalg.inv(cv_transition_jacobian(states[0], t_step))
+    expected = f_inv.T @ j_seq[0] @ f_inv + measurement_information(scene, states[1])
+    assert_allclose(j_seq[1], expected, rtol=1e-12)
+    out = pcrlb_bounds(scene, x0, v0, phi0, steps=3, n_ensemble=20, rng=np.random.default_rng(9))
+    rollout = cv_rollout(CV, t_step, [*x0, v0, phi0], 3, np.random.default_rng(9), 20)
+    for i in (1, 2):
+        tm = trig_moments(v0, phi0, CV.sigma3_sq, CV.sigma4_sq, i)
+        pi_hat = _pi_bracket_per_anchor(rollout[i, :, :2], ANCHORS, scene.range_model)[0]
+        np.testing.assert_array_equal(
+            out.j[i],
+            pcrlb_recursion(out.j[i - 1], d11(scene, tm), d12(scene, tm), d22(scene, pi_hat)),
+        )
 
 
 def _pi_bracket_per_anchor(positions, anchors, range_model):
@@ -791,23 +810,23 @@ def _pi_bracket_per_anchor(positions, anchors, range_model):
     return np.array(out)
 
 
-def _pcrlb_bounds_per_step(cv, anchors, range_model, sensor_model, x0, v0, phi0, steps,
-                           n_ensemble, rng):
+def _pcrlb_bounds_per_step(scene, x0, v0, phi0, steps, n_ensemble, rng):
     """`pcrlb_bounds` one step and one recursion at a time, each bound taken
     inside the loop, D22 written out: the stacked recursions' oracle."""
-    rollout = cv_rollout(cv, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
+    cv, sensor_model = scene.cv, scene.sensor_model
+    rollout = cv_rollout(cv, scene.T, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
     q_inv = np.linalg.inv(cv.q_matrix())
     fields = {name: [] for name in ("j", "j_lb", "j_ub", "bound", "bound_lb",
                                     "bound_ub", "sandwich_ok")}
     for i in range(steps):
         ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = pi_bracket(ensemble, anchors, range_model)
+        pis = pi_bracket(scene, ensemble)
         if i == 0:
             prior = default_prior_information()
             mats = [prior + _measurement_block(pi, sensor_model) for pi in pis]
         else:
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-            d11_mat, d12_mat = d11(tm, cv), d12(tm, cv)
+            d11_mat, d12_mat = d11(scene, tm), d12(scene, tm)
             mats = [
                 _symmetric(q_inv + _measurement_block(pi, sensor_model)
                            - d12_mat.T @ np.linalg.solve(prev + d11_mat, d12_mat))
@@ -832,8 +851,7 @@ def test_pcrlb_bounds_is_the_per_step_loop_bit_for_bit(scenario, n_ensemble):
     # the inputs `crlb_traces` hands `pcrlb_bounds` at seed 0, 200 steps
     spec = make_scenario(scenario, steps=200)
     scene = Scene.from_config(ExperimentConfig(trajectory=spec, seed=0))
-    args = (scene.cv, scene.anchors, scene.range_model, scene.sensor_model, spec.start,
-            spec.speed, spec.heading, 200, n_ensemble)
+    args = (scene, spec.start, spec.speed, spec.heading, 200, n_ensemble)
     seed = np.random.SeedSequence((0, 0x6372))
     out = pcrlb_bounds(*args, rng=np.random.default_rng(seed))
     expected = _pcrlb_bounds_per_step(*args, rng=np.random.default_rng(seed))
@@ -852,12 +870,40 @@ def test_pcrlb_bounds_is_the_per_step_loop_bit_for_bit(scenario, n_ensemble):
 
 @pytest.mark.parametrize("n_ensemble", [0, -3])
 def test_pcrlb_bounds_rejects_an_empty_ensemble(n_ensemble):
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
     with pytest.raises(ValueError, match="n_ensemble"):
         pcrlb_bounds(
-            CV, ANCHORS, model, sensors, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6,
-            n_ensemble=n_ensemble, rng=np.random.default_rng(13),
+            SCENE, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6, n_ensemble=n_ensemble,
+            rng=np.random.default_rng(13),
         )
+
+
+@pytest.mark.parametrize(
+    "name, steps, n_ensemble",
+    [
+        ("steps", 0, 10),
+        ("steps", -1, 10),
+        ("steps", 1.5, 10),
+        ("steps", 6.0, 10),
+        ("n_ensemble", 6, 2.5),
+    ],
+    ids=["steps-0", "steps-negative", "steps-fraction", "steps-float", "ensemble-fraction"],
+)
+def test_pcrlb_bounds_names_a_bad_steps_or_ensemble(name, steps, n_ensemble):
+    # both must be integers of at least 1, and the message names the one
+    # that is not
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        pcrlb_bounds(
+            SCENE, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=steps, n_ensemble=n_ensemble,
+            rng=np.random.default_rng(13),
+        )
+
+
+def test_pcrlb_bounds_runs_one_step_of_one_member():
+    # the smallest valid call: the prior plus one measurement block
+    out = pcrlb_bounds(SCENE, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=1, n_ensemble=1)
+    state0 = np.array([1.5, 1.8, 0.3, 0.4])
+    expected = default_prior_information() + measurement_information(SCENE, state0)
+    assert out.j.shape == (1, 4, 4) and np.array_equal(out.j[0], expected)
 
 
 @pytest.mark.parametrize(
@@ -870,28 +916,28 @@ def test_pcrlb_bounds_rejects_an_empty_ensemble(n_ensemble):
     ],
 )
 def test_bounds_name_a_zero_noise_setting_they_invert(field, sensor_settings, cv_settings):
-    model, sensors = RangeNoiseModel(), SensorNoiseModel(**sensor_settings)
-    cv = dataclasses.replace(CV, **cv_settings)
+    scene = Scene(
+        anchors=ANCHORS,
+        sensor_model=SensorNoiseModel(**sensor_settings),
+        T=0.1,
+        cv=dataclasses.replace(CV, **cv_settings),
+    )
     with pytest.raises(ValueError, match=field):
         pcrlb_bounds(
-            cv, ANCHORS, model, sensors, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6,
-            n_ensemble=10, rng=np.random.default_rng(13),
+            scene, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=6, n_ensemble=10,
+            rng=np.random.default_rng(13),
         )
     if sensor_settings:
         with pytest.raises(ValueError, match=field):
-            parcrlb_trace(_static_truth(), ANCHORS, model, sensors, T=0.1)
+            parcrlb_trace(scene, _static_truth())
     else:
         # the parametric bound inverts no process noise
-        assert np.isfinite(parcrlb_trace(_static_truth(), ANCHORS, model, sensors, T=0.1)[1]).all()
+        assert np.isfinite(parcrlb_trace(scene, _static_truth())[1]).all()
 
 
 def test_pcrlb_bounds_small_ensemble():
-    model, sensors = RangeNoiseModel(), SensorNoiseModel()
     out = pcrlb_bounds(
-        CV,
-        ANCHORS,
-        model,
-        sensors,
+        SCENE,
         x0=[1.5, 1.8],
         v0=0.3,
         phi0=0.4,
@@ -923,10 +969,8 @@ def _bracket_ensemble(kind):
 @pytest.mark.parametrize("kind", ["one-point", "constant-x", "wide"])
 def test_pi_brackets_are_the_per_anchor_loop_bit_for_bit(anchors, kind):
     positions = _bracket_ensemble(kind)
-    model = RangeNoiseModel()
-    pis = pi_bracket(positions, anchors, model)
-    assert np.array_equal(pis, _pi_bracket_per_anchor(positions, anchors, model))
-    assert np.array_equal(pis[0], pi_expectation_mc(positions, anchors, model))
+    pis = pi_bracket(Scene(anchors=anchors), positions)
+    assert np.array_equal(pis, _pi_bracket_per_anchor(positions, anchors, RangeNoiseModel()))
     if kind == "one-point":
         # one sample is its own mean and extremes: the three are one matrix
         assert np.array_equal(pis[1], pis[0]) and np.array_equal(pis[2], pis[0])
@@ -944,9 +988,8 @@ def test_pi_bracket_orders_random_ensembles(seed, n, spread, n_anchors):
     rng = np.random.default_rng(seed)
     anchors = AnchorSet(rng.uniform(-5.0, 5.0, size=(n_anchors, 2)))
     positions = rng.normal(rng.uniform(-3.0, 3.0, size=2), spread, size=(n, 2))
-    model = RangeNoiseModel()
-    pis, expected = pi_bracket(positions, anchors, model), _pi_bracket_per_anchor(
-        positions, anchors, model)
+    pis = pi_bracket(Scene(anchors=anchors), positions)
+    expected = _pi_bracket_per_anchor(positions, anchors, RangeNoiseModel())
     assert_allclose(pis, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     for mc, lo, up in (pis, expected):
         tol = 1e-12 * np.abs(up).max()
@@ -970,8 +1013,7 @@ def test_pcrlb_bounds_one_point_ensembles_tie_at_every_step():
     spec = scenario_cv(steps=50)
     scene = Scene.from_config(ExperimentConfig(trajectory=spec, seed=0))
     out = pcrlb_bounds(
-        scene.cv, scene.anchors, scene.range_model, scene.sensor_model, spec.start,
-        spec.speed, spec.heading, 50, 1, rng=np.random.default_rng(5),
+        scene, spec.start, spec.speed, spec.heading, 50, 1, rng=np.random.default_rng(5)
     )
     assert np.array_equal(out.j_lb, out.j) and np.array_equal(out.j_ub, out.j)
     assert np.array_equal(out.bound_lb, out.bound) and np.array_equal(out.bound_ub, out.bound)

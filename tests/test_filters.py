@@ -30,6 +30,7 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
+    cv_transition,
     cv_transition_jacobian,
     draw_measurements,
     range_variance,
@@ -134,11 +135,10 @@ def test_numerical_jacobian_against_analytic():
 
 
 def test_cv_transition_jacobian_matches_numerical():
-    cv = CvProcessModel(T=0.1)
     state = np.array([1.0, 2.0, 0.6, 0.9])
     assert_allclose(
-        cv_transition_jacobian(state, cv.T),
-        numerical_jacobian(cv.transition, state),
+        cv_transition_jacobian(state, 0.1),
+        numerical_jacobian(lambda x: cv_transition(x, 0.1), state),
         atol=1e-7,
     )
 
@@ -147,17 +147,19 @@ def test_stacked_cv_transition_jacobian_equals_per_row_calls():
     # the EKF-CV step calls the Jacobian once on its (R, 4) batch: each
     # row must carry the bits of the single-state call, and the
     # central-difference oracle's values
-    cv = CvProcessModel(T=0.1)
+    t_step = 0.1
     rng = np.random.default_rng(8)
     states = np.column_stack(
         [rng.uniform(-5.0, 5.0, (64, 2)), rng.uniform(0.0, 2.0, 64), rng.uniform(-4.0, 4.0, 64)]
     )
-    stacked = cv_transition_jacobian(states, cv.T)
+    stacked = cv_transition_jacobian(states, t_step)
     assert stacked.shape == (64, 4, 4)
     for row, state in enumerate(states):
-        np.testing.assert_array_equal(stacked[row], cv_transition_jacobian(state, cv.T))
-        assert_allclose(stacked[row], numerical_jacobian(cv.transition, state), atol=1e-7)
-    grid = cv_transition_jacobian(states.reshape(8, 8, 4), cv.T)
+        np.testing.assert_array_equal(stacked[row], cv_transition_jacobian(state, t_step))
+        assert_allclose(
+            stacked[row], numerical_jacobian(lambda x: cv_transition(x, t_step), state), atol=1e-7
+        )
+    grid = cv_transition_jacobian(states.reshape(8, 8, 4), t_step)
     np.testing.assert_array_equal(grid, stacked.reshape(8, 8, 4, 4))
 
 
@@ -217,9 +219,7 @@ def test_position_filters_lock_onto_noise_free_truth(step):
 
 def test_ekf_cv_locks_onto_noise_free_truth():
     t_step, v, phi = 0.1, 0.3, 0.5
-    cv = CvProcessModel(
-        T=t_step, sigma1_sq=1e-8, sigma2_sq=1e-8, sigma3_sq=1e-8, sigma4_sq=1e-8
-    )
+    cv = CvProcessModel(sigma1_sq=1e-8, sigma2_sq=1e-8, sigma3_sq=1e-8, sigma4_sq=1e-8)
     scene = Scene(
         anchors=ANCHORS, range_model=QUIET_RANGES, sensor_model=QUIET_SENSORS, T=t_step, cv=cv
     )
@@ -232,6 +232,19 @@ def test_ekf_cv_locks_onto_noise_free_truth():
     assert_allclose(state.mean[0, :2], pos, atol=1e-4)
     assert state.mean[0, 2] == pytest.approx(v, abs=1e-4)
     assert state.mean[0, 3] == pytest.approx(phi, abs=1e-4)
+
+
+@pytest.mark.parametrize("t_step", [0.05, 0.1, 0.5])
+def test_ekf_cv_predicts_over_the_scene_period(t_step):
+    # measurements exactly at the state moved on by `cv_transition` over
+    # the scene's T: a filter predicting over any other period would see
+    # a non-zero innovation and move its mean off the transition
+    scene = Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step)
+    mean = np.array([1.3, 0.8, 0.4, 0.3])
+    pred = cv_transition(mean, t_step)
+    frame = _frame(scene, true_ranges(pred[:2], ANCHORS), pred[2], pred[3])
+    out = ekf_cv_step(scene, cv_init([mean[:2]], mean[2:3], mean[3:]), frame)
+    assert_allclose(out.mean[0], pred, atol=1e-12)
 
 
 @pytest.mark.parametrize("step", POSITION_STEPS)

@@ -1,4 +1,5 @@
 """Domain types, noise models, and measurement synthesis."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
+    cv_transition,
     draw_measurements,
     range_variance,
     true_ranges,
 )
+from paretoloc.simulate import Scene
 
 
 def test_anchor_set_shape_and_count():
@@ -73,12 +76,14 @@ def test_true_ranges_hand_geometry():
 
 
 def test_cv_process_model_matrices():
-    cv = CvProcessModel(T=0.5, sigma1_sq=1.0, sigma2_sq=2.0, sigma3_sq=3.0, sigma4_sq=4.0)
+    cv = CvProcessModel(sigma1_sq=1.0, sigma2_sq=2.0, sigma3_sq=3.0, sigma4_sq=4.0)
     assert_allclose(cv.q_matrix(), np.diag([1.0, 2.0, 3.0, 4.0]))
-    out = cv.transition(np.array([1.0, 2.0, 2.0, math.pi / 2.0]))
+    out = cv_transition(np.array([1.0, 2.0, 2.0, math.pi / 2.0]), 0.5)
     assert_allclose(out, [1.0, 3.0, 2.0, math.pi / 2.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        CvProcessModel(T=0.0)
+    # the model holds its noise variances only; the step period is the scene's
+    assert [f.name for f in dataclasses.fields(CvProcessModel)] == [
+        "sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"
+    ]
     with pytest.raises(ValueError):
         CvProcessModel(sigma3_sq=-1.0)
 
@@ -90,7 +95,7 @@ def test_cv_process_model_matrices():
         (RangeNoiseModel, "kappa"),
         (SensorNoiseModel, "sigma_v"),
         (SensorNoiseModel, "sigma_phi"),
-        (CvProcessModel, "T"),
+        (Scene, "T"),
         (CvProcessModel, "sigma1_sq"),
         (CvProcessModel, "sigma4_sq"),
     ],

@@ -21,6 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paretoloc import deadreckoning, simulate
+from paretoloc.crlb import parcrlb_trace, pcrlb_bounds
 from paretoloc.deadreckoning import dr_predict, measurement_frames
 from paretoloc.filters import (
     cv_init,
@@ -37,6 +38,7 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorStreams,
     cv_rollout,
+    cv_transition,
     draw_measurements,
     range_variance,
 )
@@ -150,9 +152,7 @@ def test_chord_kinematics_replay_the_path_exactly(spec):
 
 
 def test_cv_rollout_follows_model_kinematics():
-    cv = CvProcessModel(
-        T=0.1, sigma1_sq=1e-18, sigma2_sq=1e-18, sigma3_sq=1e-18, sigma4_sq=1e-18
-    )
+    cv = CvProcessModel(sigma1_sq=1e-18, sigma2_sq=1e-18, sigma3_sq=1e-18, sigma4_sq=1e-18)
     spec = TrajectorySpec(kind="cv", steps=50, speed=0.3, heading=0.5, cv=cv)
     pos, speed, heading = gen_trajectory(spec, np.random.default_rng(0))
     # displacement at k uses the k-1 state's speed/heading (model form)
@@ -167,29 +167,29 @@ def test_cv_trajectory_is_the_rollout_of_one():
     x0 = np.array([spec.start[0], spec.start[1], spec.speed, spec.heading])
     for seed in range(5):
         pos, speed, heading = gen_trajectory(spec, np.random.default_rng(seed))
-        rollout = cv_rollout(cv, x0, spec.steps, np.random.default_rng(seed), ensemble=1)
+        rollout = cv_rollout(cv, spec.T, x0, spec.steps, np.random.default_rng(seed), ensemble=1)
         np.testing.assert_array_equal(np.column_stack([pos, speed, heading]), rollout[:, 0])
         # oracle: one transition and one draw of 4 per step
         rng, state, loop = np.random.default_rng(seed), x0, [x0]
         for _ in range(1, spec.steps):
-            state = cv.transition(state) + rng.normal(0.0, 1.0, size=4) * sig
+            state = cv_transition(state, spec.T) + rng.normal(0.0, 1.0, size=4) * sig
             loop.append(state)
         np.testing.assert_array_equal(rollout[:, 0], loop)
 
 
 def test_cv_rollout_of_an_ensemble_advances_every_member_in_place_order():
-    cv = CvProcessModel(T=0.1, sigma1_sq=1e-4, sigma2_sq=2e-4, sigma3_sq=3e-4, sigma4_sq=4e-4)
+    cv = CvProcessModel(sigma1_sq=1e-4, sigma2_sq=2e-4, sigma3_sq=3e-4, sigma4_sq=4e-4)
     sig = np.sqrt([cv.sigma1_sq, cv.sigma2_sq, cv.sigma3_sq, cv.sigma4_sq])
-    x0 = np.array([0.5, 1.6, 0.15, 0.3])
-    rollout = cv_rollout(cv, x0, 30, np.random.default_rng(4), ensemble=7)
+    x0, t_step = np.array([0.5, 1.6, 0.15, 0.3]), 0.1
+    rollout = cv_rollout(cv, t_step, x0, 30, np.random.default_rng(4), ensemble=7)
     assert rollout.shape == (30, 7, 4)
     # oracle: the whole ensemble rolled in place, one (ensemble, 4) draw per step
     rng, ensemble = np.random.default_rng(4), np.tile(x0, (7, 1))
     np.testing.assert_array_equal(rollout[0], ensemble)
     for k in range(1, 30):
         c, s = np.cos(ensemble[:, 3]), np.sin(ensemble[:, 3])
-        ensemble[:, 0] += cv.T * ensemble[:, 2] * c
-        ensemble[:, 1] += cv.T * ensemble[:, 2] * s
+        ensemble[:, 0] += t_step * ensemble[:, 2] * c
+        ensemble[:, 1] += t_step * ensemble[:, 2] * s
         ensemble += rng.normal(0.0, 1.0, size=ensemble.shape) * sig[None, :]
         np.testing.assert_array_equal(rollout[k], ensemble)
 
@@ -826,25 +826,47 @@ def test_sweep_checks_every_value_before_the_first_run(trajectory, parameter, va
 
 
 @pytest.mark.parametrize(
-    "cv_filter", [None, CvProcessModel(T=0.1, sigma1_sq=1e-5, sigma2_sq=1e-5)]
+    "cv_filter", [None, CvProcessModel(sigma1_sq=1e-5, sigma2_sq=1e-5)]
 )
 def test_a_t_sweep_on_cv_moves_the_rollout_and_the_filter_model(cv_filter):
     # the CV model steps at the trajectory's T: a swept T changes how far
-    # the rollout goes and the period the EKF-CV filter predicts over
+    # the rollout goes and the scene's period, which the EKF-CV filter
+    # predicts over and the bounds step at
     config = ExperimentConfig(trajectory=make_scenario("CV", steps=50), cv_filter=cv_filter)
     travel = []
     for value, cfg in sweep_configs(config, "T", [0.05, 0.2]):
         pos, _, _ = gen_trajectory(cfg.trajectory, np.random.default_rng(0))
         travel.append(float(np.linalg.norm(pos[-1] - pos[0])))
-        assert Scene.from_config(cfg).cv.T == value
-    # a model left at the base period rolls out 0.740 m at both values
+        assert Scene.from_config(cfg).T == value
+    # the same draws at the base T = 0.1 go 0.740 m
     assert travel == pytest.approx([0.3715, 1.4775], abs=1e-4)
 
 
 def test_scene_cv_model_steps_at_the_scene_period():
-    cv = CvProcessModel(T=0.1, sigma1_sq=1e-6, sigma2_sq=2e-6, sigma3_sq=3e-6, sigma4_sq=4e-6)
-    assert Scene(T=0.2, cv=cv).cv == dataclasses.replace(cv, T=0.2)
-    assert Scene(T=0.3).cv == CvProcessModel(T=0.3)
+    # the scene keeps the given variances, and its T is the one period of
+    # the EKF-CV and the bounds: `crlb_traces` at two periods equals the
+    # bounds taken on scenes that differ in T alone
+    cv = CvProcessModel(sigma1_sq=1e-6, sigma2_sq=2e-6, sigma3_sq=3e-6, sigma4_sq=4e-6)
+    assert Scene(T=0.2, cv=cv).cv == cv
+    assert Scene(T=0.3).cv == CvProcessModel()
+    for t_step in (0.05, 0.3):
+        spec = scenario_cv(steps=20, T=t_step, cv=cv)
+        config = ExperimentConfig(trajectory=spec, seed=2)
+        traces = crlb_traces(config, n_ensemble=5)
+        scene = Scene(T=t_step, cv=cv)
+        truth = gen_trajectory(dataclasses.replace(spec, kind="linear"))
+        post = pcrlb_bounds(
+            scene, spec.start, spec.speed, spec.heading, 20, 5,
+            rng=np.random.default_rng(np.random.SeedSequence((2, 0x6372))),
+        )
+        np.testing.assert_array_equal(traces["parcrlb"], parcrlb_trace(scene, truth)[1])
+        np.testing.assert_array_equal(traces["pcrlb"], post.bound)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1])
+def test_scene_rejects_a_step_period_that_is_not_positive(value):
+    with pytest.raises(ValueError, match="step period T must be finite and positive"):
+        Scene(T=value)
 
 
 # ---------------------------------------------------------------------------
@@ -977,3 +999,26 @@ def test_src_imports_no_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in modules), (path.name, node.lineno)
+
+
+def test_src_modules_use_every_name_they_import():
+    # every name an import statement binds, at module level or inside a
+    # function, is read somewhere in its module; `__init__` re-exports
+    # its imports and `from __future__` binds nothing
+    src = Path(__file__).resolve().parent.parent / "src" / "paretoloc"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert not unused, (path.name, unused)
