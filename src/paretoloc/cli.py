@@ -9,8 +9,8 @@ sweep           re-runs the experiment over a parameter grid; writes a
 crlb            parametric / posterior bound traces as CSV
 validate-lemmas closed-form-vs-Monte-Carlo oracle suite
 
-Exit codes: 0 success; 1 a failed oracle check, or a `run`/`sweep` with
-an excluded (run, estimator) pair; 2 bad usage or config.
+Exit codes: 0 success; 1 a failed oracle check, an excluded `run`/`sweep`
+(run, estimator) pair or a non-finite `crlb` bound; 2 bad usage or config.
 """
 
 from __future__ import annotations
@@ -252,7 +252,11 @@ def _cmd_crlb(args) -> int:
             f"posterior {pcrlb[k] * 100.0:.2f} cm {bracket}"
         )
     print(f"a finite bracket [lb, ub] holds at {int(holds.sum())} of {n} steps")
-    return 0
+    failed = ~(np.isfinite(traces["parcrlb"]) & np.isfinite(pcrlb))
+    if failed.any():
+        print(f"crlb: a bound is not finite at {failed.sum()} of {n} steps, "
+              f"first at k = {np.argmax(failed)}", file=sys.stderr)
+    return 1 if failed.any() else 0
 
 
 def _cmd_validate(args) -> int:

@@ -31,6 +31,7 @@ information recursions below are written for that convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable
@@ -157,7 +158,8 @@ def d11(scene: Scene, tm: TrigMoments) -> np.ndarray:
     V0^2 (E{V^2} = (k-1) sigma3_sq + V0^2), which the oracle suite
     measures as the gap to Monte Carlo.
     """
-    t, v0 = scene.T, tm.e_v
+    # a numpy scalar: t**2 overflows to inf, where a Python float raises
+    t, v0 = np.float64(scene.T), tm.e_v
     i1, i2 = 1.0 / scene.cv.sigma1_sq, 1.0 / scene.cv.sigma2_sq
     out = _weighted_mean_jacobian(scene, tm)
     out[:2, 2:] = out[2:, :2].T
@@ -289,26 +291,22 @@ def ncx2_central_moments(lam: float, order: int) -> np.ndarray:
     return moments
 
 
-# ln n! and psi(n + 1/2) for n = 0, 1, ...: the Poisson-mixture terms of
-# `expected_log_ncx2`, built on first use and extended by `_mixture_tables`
-_LN_FACTORIAL = np.empty(0)
-_DIGAMMA_HALF = np.empty(0)
+# Terms of the Poisson mixture of `expected_log_ncx2`: at lam <= 300 its
+# sum reaches at most n = int(150 + 12 sqrt(150) + 25) = 321.
+_MIXTURE_TERMS = 322
 
 
-def _mixture_tables(size: int) -> tuple:
-    """The tables ln n! (`math.lgamma`) and psi(n + 1/2), at least `size`
-    long; a table too short is rebuilt at twice its length or more.
-    psi(n + 1/2) = -gamma - 2 ln 2 + sum_{k=1..n} 2 / (2k - 1) is summed
-    exactly (`math.fsum`), so no entry carries the rounding of the terms
-    before it."""
-    global _LN_FACTORIAL, _DIGAMMA_HALF
-    if len(_LN_FACTORIAL) < size:
-        size = max(size, 2 * len(_LN_FACTORIAL))
-        terms = [-np.euler_gamma, -2.0 * math.log(2.0)]
-        terms += [2.0 / (2 * k - 1) for k in range(1, size)]
-        _LN_FACTORIAL = np.array([math.lgamma(n + 1.0) for n in range(size)])
-        _DIGAMMA_HALF = np.array([math.fsum(terms[: n + 2]) for n in range(size)])
-    return _LN_FACTORIAL, _DIGAMMA_HALF
+@functools.cache
+def _mixture_tables() -> tuple:
+    """The tables ln n! (`math.lgamma`) and psi(n + 1/2) for n = 0 ..
+    `_MIXTURE_TERMS` - 1.  psi(n + 1/2) = -gamma - 2 ln 2 +
+    sum_{k=1..n} 2 / (2k - 1) is summed exactly (`math.fsum`), so no entry
+    carries the rounding of the terms before it."""
+    terms = [-np.euler_gamma, -2.0 * math.log(2.0)]
+    terms += [2.0 / (2 * k - 1) for k in range(1, _MIXTURE_TERMS)]
+    ln_factorial = np.array([math.lgamma(n + 1.0) for n in range(_MIXTURE_TERMS)])
+    digamma_half = np.array([math.fsum(terms[: n + 2]) for n in range(_MIXTURE_TERMS)])
+    return ln_factorial, digamma_half
 
 
 def expected_log_ncx2(lam: float) -> float:
@@ -331,7 +329,7 @@ def expected_log_ncx2(lam: float) -> float:
     width = 12.0 * math.sqrt(half) + 25.0
     lo = max(0, int(half - width))
     hi = int(half + width)
-    ln_factorial, digamma_half = _mixture_tables(hi + 1)
+    ln_factorial, digamma_half = _mixture_tables()
     if half == 0.0:
         return float(digamma_half[0]) + math.log(2.0)
     # the Poisson(half) pmf at n = lo..hi
@@ -387,10 +385,10 @@ def diag_expectation_mc(
     mu_z: float,
     sigma_z: float,
     n: int = 1_000_000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple:
     """Monte Carlo E{q^2 / (q^2 + z^2)} with standard error."""
-    rng = np.random.default_rng() if rng is None else rng
     q = rng.normal(mu_q, sigma_q, size=n)
     z = rng.normal(mu_z, sigma_z, size=n)
     q *= q
@@ -461,7 +459,8 @@ def diag_expectation_series(
     sigma_z: float,
     truncation: int = 30,
     mc_budget: int = 200_000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SeriesExpectation:
     """Asymptotic-series evaluation of E{q^2 / (q^2 + z^2)}.
 
@@ -484,7 +483,6 @@ def diag_expectation_series(
         raise ValueError("sigma_q must be positive")
     if not math.isclose(sigma_q, sigma_z, rel_tol=1e-9, abs_tol=0.0):
         raise ValueError("the expansion assumes sigma_z == sigma_q")
-    rng = np.random.default_rng() if rng is None else rng
 
     lam_q = (mu_q / sigma_q) ** 2
     lam_z = (mu_z / sigma_q) ** 2
@@ -744,7 +742,8 @@ def pcrlb_bounds(
     phi0: float,
     steps: int,
     n_ensemble: int = 1000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> PcrlbResult:
     """Posterior bound and its bracket along rollouts of the scene's CV
     model `scene.cv` at its step period `scene.T`.
@@ -763,7 +762,8 @@ def pcrlb_bounds(
     The (4, 4) entry of `d11` omits V0^2 (see its docstring), and that can
     make J + D11 indefinite: on the default CV run (seed 0) `j` is
     indefinite at indices 1-110, `sandwich_ok` fails at index 110, and the
-    position bracket still holds at all 200 steps.
+    position bracket still holds at all 200 steps.  Where the information
+    overflows (a huge T), the bounds read inf or NaN and nothing raises.
 
     Raises
     ------
@@ -776,7 +776,6 @@ def pcrlb_bounds(
             raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     cv = scene.cv
     require_invertible_noise(scene.sensor_model, cv)
-    rng = np.random.default_rng() if rng is None else rng
     x0 = np.asarray(x0, dtype=float)
     rollout = cv_rollout(cv, scene.T, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
     # (MC, lower, upper) information per step
@@ -794,7 +793,9 @@ def pcrlb_bounds(
             )
 
     j, j_lb, j_ub = info
-    gaps = np.linalg.eigvalsh(np.stack([j - j_lb, j_ub - j]))
+    gaps = np.stack([j - j_lb, j_ub - j])
+    finite = np.isfinite(gaps).all(axis=(0, 2, 3))  # eigvalsh raises on inf or NaN
+    eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], gaps, 0.0))
     return PcrlbResult(
         j=j,
         j_lb=j_lb,
@@ -802,5 +803,5 @@ def pcrlb_bounds(
         bound=position_error_bound(j),
         bound_lb=position_error_bound(j_ub),
         bound_ub=position_error_bound(j_lb),
-        sandwich_ok=np.all(gaps >= -1e-9, axis=(0, 2)),
+        sandwich_ok=finite & np.all(eigs >= -1e-9, axis=(0, 2)),
     )

@@ -56,13 +56,14 @@ class KfState:
     covariance: np.ndarray
 
 
-def position_init(position, variance: float = 1.0) -> KfState:
-    """Initial 2-D belief: given position, isotropic covariance.
+def position_init(position) -> KfState:
+    """Initial 2-D belief: given position, covariance diag(CV_PRIOR_VARIANCES[:2]).
 
     A stack of positions (R, 2) gives a batch of R beliefs.
     """
     mean = np.array(position, dtype=float)
-    return KfState(mean=mean, covariance=np.tile(np.eye(2) * variance, mean.shape[:-1] + (1, 1)))
+    cov = np.diag(CV_PRIOR_VARIANCES[:2])
+    return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
 
 
 def cv_init(position, speed: float, heading: float) -> KfState:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class ParetoConfig:
     Attributes
     ----------
     rho_grid : np.ndarray
-        Candidate Pareto weights for the knee search, in [0, 1].
+        Knee-search candidates: 51 points over [0, 1], a read-only class constant.
     beta_clip : float
         Extra cap on |beta|; keeps the fused estimator strictly forgetting
         so bias/variance recursions stay contractive.
@@ -132,9 +132,8 @@ class ParetoConfig:
         Kinematic prior used before two estimates exist to difference.
     """
 
-    rho_grid: np.ndarray = field(
-        default_factory=lambda: np.linspace(0.0, 1.0, 51)
-    )
+    rho_grid: ClassVar[np.ndarray] = np.linspace(0.0, 1.0, 51)
+    rho_grid.flags.writeable = False
     beta_clip: float = 0.99
     mode: str = "knee"
     fixed_rho: float = 0.5

@@ -101,7 +101,7 @@ class SensorNoiseModel:
 
 
 # Diagonal of the loose initial covariance of a CV state (x1, x2, V, phi),
-# shared by the EKF-CV filter's start and the bounds' prior information.
+# shared by every filter's start (positions only in 2-D) and the bounds' prior.
 CV_PRIOR_VARIANCES = (1.0, 1.0, 0.25, (math.pi / 4.0) ** 2)
 
 

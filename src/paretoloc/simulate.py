@@ -37,6 +37,11 @@ from .models import (
 )
 from .ranging import RangingGeometry, build_geometry, noise_cov_inverse, wls_estimate
 
+# Seconds between the acceleration breakpoints of a "pwl" trajectory.
+BREAKPOINT_PERIOD = 2.0
+# Radius, m/s, of the disk a bounded "pwl" trajectory draws target velocities in.
+V_CAP = 0.5
+
 
 @dataclass(slots=True)
 class TrajectorySpec:
@@ -58,16 +63,11 @@ class TrajectorySpec:
         Initial speed (m/s) and heading (rad).
     a_max : float
         Acceleration cap for the "pwl" kind, m/s^2.
-    breakpoint_period : float
-        Seconds between acceleration breakpoints for the "pwl" kind.
     bounds : tuple or None
         ((x_lo, x_hi), (y_lo, y_hi)) soft arena box, finite with lo < hi.
         "linear" folds its straight line into the box (wall reflections,
         speed preserved); "pwl" steers its breakpoint accelerations back
         inside.  None disables both.
-    v_cap : float
-        Radius of the disk the bounded "pwl" kind draws its target
-        velocities from, m/s; finite and positive.
     cv : CvProcessModel or None
         Noise variances of the "cv" kind's process model, which steps at
         `T` (None: the default variances).
@@ -80,9 +80,7 @@ class TrajectorySpec:
     speed: float = 0.1
     heading: float = 0.0
     a_max: float = 0.5
-    breakpoint_period: float = 2.0
     bounds: tuple | None = None
-    v_cap: float = 0.5
     cv: CvProcessModel | None = None
 
     def __post_init__(self) -> None:
@@ -98,14 +96,10 @@ class TrajectorySpec:
             raise ValueError("speed and heading must be finite")
         if not 0.0 <= self.a_max < math.inf:
             raise ValueError("a_max must be finite and non-negative")
-        if not 0.0 < self.breakpoint_period < math.inf:
-            raise ValueError("breakpoint_period must be finite and positive")
         if self.bounds is not None:
             box = np.asarray(self.bounds, dtype=float)
             if not (box.shape == (2, 2) and np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
                 raise ValueError("bounds must be ((x_lo, x_hi), (y_lo, y_hi)) with finite lo < hi")
-        if not 0.0 < self.v_cap < math.inf:
-            raise ValueError("v_cap must be finite and positive")
         self.start = np.asarray(self.start, dtype=float)
         if self.start.shape != (2,) or not np.isfinite(self.start).all():
             raise ValueError("start must be [x1, x2], finite")
@@ -168,31 +162,30 @@ def _next_breakpoint_accel(
 ) -> np.ndarray:
     """Segment-end acceleration for the contained (bounded-arena) mode.
 
-    A target velocity is drawn uniformly in the disk of radius `v_cap`;
+    A target velocity is drawn uniformly in the disk of radius `V_CAP`;
     near a wall its offending component is pointed back inside.  The
     breakpoint acceleration is then the exact ramp solve that would reach
     the target by the segment end, norm-capped at a_max (so the target is
     only partially tracked when it asks for more authority than allowed).
     """
-    p = spec.breakpoint_period
-    radius = spec.v_cap * math.sqrt(rng.uniform())
+    radius = V_CAP * math.sqrt(rng.uniform())
     angle = rng.uniform(0.0, 2.0 * math.pi)
     target = radius * np.array([math.cos(angle), math.sin(angle)])
     for ax, (lo, hi) in enumerate(spec.bounds):
         # trapezoidal look-ahead of the segment-end position
-        look = pos[ax] + 0.5 * p * (vel[ax] + target[ax])
+        look = pos[ax] + 0.5 * BREAKPOINT_PERIOD * (vel[ax] + target[ax])
         if look > hi:
             target[ax] = -abs(target[ax])
         elif look < lo:
             target[ax] = abs(target[ax])
-    accel = 2.0 * (target - vel) / p - accel_start
+    accel = 2.0 * (target - vel) / BREAKPOINT_PERIOD - accel_start
     norm = float(np.linalg.norm(accel))
     if norm > spec.a_max:
         accel *= spec.a_max / norm
     return accel
 
 
-def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None) -> tuple:
+def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
     """Generate a ground-truth trajectory: (positions, speed, heading) of
     shapes (n, 2), (n,) and (n,) for n = `spec.steps`.
 
@@ -201,7 +194,7 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
     capped at a_max, so speed never exceeds speed0 + a_max * t.  Without
     `bounds` the breakpoints are per-axis uniform in [-a_max, a_max]
     (free random walk); with `bounds` they are chosen to chase random
-    target velocities inside the `v_cap` disk, pointed back inside the
+    target velocities inside the `V_CAP` disk, pointed back inside the
     box near its walls (see _next_breakpoint_accel), which keeps the
     node in ranging coverage for arbitrarily long runs.
 
@@ -209,7 +202,6 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
     values of the interval ending at each step (see _chord_states); for
     "cv" they are the model's own state coordinates.
     """
-    rng = np.random.default_rng() if rng is None else rng
     n, t_step = spec.steps, spec.T
     vel0 = spec.speed * np.array([math.cos(spec.heading), math.sin(spec.heading)])
     if spec.kind == "linear":
@@ -224,7 +216,7 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator | None = None)
     if spec.kind == "pwl":
         # Breakpoints snapped to the step grid so every integration step
         # sees a genuinely linear acceleration (exact two-point integral).
-        stride = max(1, int(round(spec.breakpoint_period / t_step)))
+        stride = max(1, int(round(BREAKPOINT_PERIOD / t_step)))
         frac = np.arange(stride + 1)[:, None] / stride
         vel = np.empty((n, 2))
         pos = np.empty((n, 2))
@@ -535,16 +527,17 @@ def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading)
     """Estimates (n, blocks, R, 2) of one stack, blocks for `scene.paretos`.
 
     Every block gets the same measurements (n, R, ...), and all blocks
-    and runs go in one batch.  If the batch raises a numerical error,
-    each (block, run) row is re-run alone with its block's config; a row
-    that raises again is left NaN.  Each row's arithmetic is the same
-    alone as in a batch, so the other rows' estimates do not change.
+    and runs go in one batch.  If the batch raises a numerical error (a
+    ValueError or an ArithmeticError), each (block, run) row is re-run
+    alone with its block's config; a row that raises again is left NaN.
+    Each row's arithmetic is the same alone as in a batch, so the other
+    rows' estimates do not change.
     """
     blocks, runs = len(scene.paretos), speed.shape[1]
     stacked = [np.concatenate((x,) * blocks, axis=1) for x in (ranges, speed, heading)]
     try:
         return _track(kernels, scene, *stacked).reshape(len(speed), blocks, runs, 2)
-    except (np.linalg.LinAlgError, ValueError):
+    except (ValueError, ArithmeticError):
         pass
     trace = np.full((len(speed), blocks, runs, 2), np.nan)
     for block, pareto in enumerate(scene.paretos):
@@ -555,7 +548,7 @@ def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading)
                 trace[:, block, one] = _track(
                     kernels, alone, ranges[:, one], speed[:, one], heading[:, one]
                 )
-            except (np.linalg.LinAlgError, ValueError):
+            except (ValueError, ArithmeticError):
                 pass
     return trace
 
@@ -788,11 +781,12 @@ def crlb_traces(
     spec = config.trajectory
     n = spec.steps if steps is None else steps
     scene = Scene.from_config(config)
-    truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n))
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372)))
+    # a "linear" track draws nothing, so the rollouts get the whole stream
+    truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n), rng)
     _, par_bound = parcrlb_trace(scene, truth)
     post = pcrlb_bounds(
-        scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble,
-        rng=np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372))),
+        scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
     )
     return {
         "parcrlb": par_bound,

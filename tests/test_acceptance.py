@@ -110,7 +110,7 @@ def bound_vs_rmse_cases():
         )
         result = run_experiment(config)
         reference = dataclasses.replace(traj, kind="linear")
-        truth = gen_trajectory(reference)
+        truth = gen_trajectory(reference, np.random.default_rng(0))
         _, bound = parcrlb_trace(Scene.from_config(config), truth)
         out.append((name, result, bound))
     return out

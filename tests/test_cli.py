@@ -565,3 +565,34 @@ def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, caps
         assert "best ekf (" in line and "nan" not in line
         assert line.endswith("; max |error| = 8.338e+61 cm at run 0, step 0)")
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (
+            ["run", "--T", "1e155", "--steps", "5", "--runs", "2"],
+            "fusion: 2/2 runs excluded (a step raised or gave a non-finite estimate)",
+        ),
+        (
+            ["sweep", "--parameter", "T", "--values", "0.1,1e155", "--steps", "5", "--runs", "2"],
+            "T = 1e+155: fusion: 2/2 runs excluded (a step raised or gave a non-finite estimate)",
+        ),
+        (["crlb", "--T", "1e100"], "crlb: a bound is not finite at 198 of 200 steps, first at k = 1"),
+        (
+            ["crlb", "--T", "1e154", "--steps", "3", "--ensemble", "2"],
+            "crlb: a bound is not finite at 2 of 3 steps, first at k = 1",
+        ),
+        (
+            ["crlb", "--T", "1e155", "--steps", "3", "--ensemble", "2"],
+            "crlb: a bound is not finite at 2 of 3 steps, first at k = 1",
+        ),
+    ],
+    ids=["run-1e155", "sweep-1e155", "crlb-1e100", "crlb-1e154", "crlb-1e155"],
+)
+def test_a_huge_step_period_exits_one_and_names_the_failure(argv, failure, capsys):
+    # T**2 overflows: the fusion's moments raise OverflowError, and the
+    # bounds run into inf; a run excludes the rows, crlb counts the steps
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(failure) for line in lines), lines

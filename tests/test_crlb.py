@@ -291,16 +291,15 @@ def test_expected_log_ncx2_is_the_scipy_mixture():
     assert max(gaps) <= 2e-13
 
 
-def test_mixture_tables_extend_when_more_terms_are_needed(monkeypatch):
-    monkeypatch.setattr(crlb, "_LN_FACTORIAL", np.empty(0))
-    monkeypatch.setattr(crlb, "_DIGAMMA_HALF", np.empty(0))
-    expected_log_ncx2(1.0)
-    short = len(crlb._LN_FACTORIAL)
-    # N up to 150 + 12 sqrt(150) + 25 at lam = 300
-    assert 0 < short < 322 and len(crlb._DIGAMMA_HALF) == short
+def test_mixture_tables_cover_the_largest_index_the_mixture_reads():
+    # at lam = 300, the largest the mixture branch takes, N reaches
+    # 150 + 12 sqrt(150) + 25; the tables are built once at that size
+    top = int(150.0 + 12.0 * math.sqrt(150.0) + 25.0)
+    assert top == 321
+    ln_factorial, digamma_half = crlb._mixture_tables()
+    assert crlb._mixture_tables() is crlb._mixture_tables()
+    assert len(ln_factorial) == len(digamma_half) > top
     assert expected_log_ncx2(300.0) == pytest.approx(_scipy_expected_log_ncx2(300.0), abs=2e-13)
-    ln_factorial, digamma_half = crlb._mixture_tables(400)
-    assert len(ln_factorial) == len(digamma_half) >= 400
     n = np.arange(len(ln_factorial))
     assert_allclose(ln_factorial, special.gammaln(n + 1), rtol=1e-14, atol=1e-14)
     assert_allclose(digamma_half, special.digamma(n + 0.5), rtol=1e-14, atol=0.0)
@@ -517,9 +516,9 @@ def test_series_expectation_rejects_hard_regimes():
     with pytest.raises(SeriesDivergenceError):
         diag_expectation_series(1.0, 1.0, 0.5, 1.0, rng=np.random.default_rng(21))
     with pytest.raises(ValueError):
-        diag_expectation_series(1.0, 1.0, 0.5, 0.7)
+        diag_expectation_series(1.0, 1.0, 0.5, 0.7, rng=np.random.default_rng(21))
     with pytest.raises(ValueError):
-        diag_expectation_series(1.0, 0.0, 0.5, 0.0)
+        diag_expectation_series(1.0, 0.0, 0.5, 0.0, rng=np.random.default_rng(21))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +718,9 @@ def test_parcrlb_trace_matches_the_matrix_product_recursion(track):
         truth, anchors = _turning_truth(), ANCHORS
     else:
         # the parametric path of `crlb_traces` on scenario CV
-        truth = gen_trajectory(dataclasses.replace(scenario_cv(steps=200), kind="linear"))
+        truth = gen_trajectory(
+            dataclasses.replace(scenario_cv(steps=200), kind="linear"), np.random.default_rng(0)
+        )
         anchors = DEFAULT_ANCHORS
     j_seq, bound = parcrlb_trace(Scene(anchors=anchors, T=0.1), truth)
     states = np.column_stack(truth)
@@ -900,7 +901,10 @@ def test_pcrlb_bounds_names_a_bad_steps_or_ensemble(name, steps, n_ensemble):
 
 def test_pcrlb_bounds_runs_one_step_of_one_member():
     # the smallest valid call: the prior plus one measurement block
-    out = pcrlb_bounds(SCENE, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=1, n_ensemble=1)
+    out = pcrlb_bounds(
+        SCENE, x0=[1.5, 1.8], v0=0.3, phi0=0.4, steps=1, n_ensemble=1,
+        rng=np.random.default_rng(0),
+    )
     state0 = np.array([1.5, 1.8, 0.3, 0.4])
     expected = default_prior_information() + measurement_information(SCENE, state0)
     assert out.j.shape == (1, 4, 4) and np.array_equal(out.j[0], expected)

@@ -25,6 +25,7 @@ from paretoloc.filters import (
     ukf_step,
 )
 from paretoloc.models import (
+    CV_PRIOR_VARIANCES,
     AnchorSet,
     CvProcessModel,
     RangeNoiseModel,
@@ -164,9 +165,9 @@ def test_stacked_cv_transition_jacobian_equals_per_row_calls():
 
 
 def test_inits():
-    p = position_init([1.0, 2.0], variance=0.5)
+    p = position_init([1.0, 2.0])
     assert_allclose(p.mean, [1.0, 2.0])
-    assert_allclose(p.covariance, 0.5 * np.eye(2))
+    np.testing.assert_array_equal(p.covariance, np.diag(CV_PRIOR_VARIANCES[:2]))
     c = cv_init([1.0, 2.0], 0.3, 0.4)
     assert_allclose(c.mean, [1.0, 2.0, 0.3, 0.4])
     assert_allclose(
@@ -177,7 +178,8 @@ def test_inits():
 def test_ekf_zero_innovation_keeps_predicted_mean():
     # measurements exactly at the predicted ranges: the update must not
     # move the mean, only shrink the covariance
-    state = position_init([[1.3, 0.8]], variance=0.5)
+    state = position_init([[1.3, 0.8]])
+    np.testing.assert_array_equal(state.covariance, [np.diag(CV_PRIOR_VARIANCES[:2])])
     v, phi, t_step = 0.4, 0.3, 0.1
     pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
     scene = Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step)

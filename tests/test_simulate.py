@@ -45,6 +45,7 @@ from paretoloc.models import (
 from paretoloc.ranging import build_geometry, noise_cov_inverse, wls_estimate
 from paretoloc.simulate import (
     ARENA_BOUNDS,
+    BREAKPOINT_PERIOD,
     ExperimentConfig,
     KNOWN_ESTIMATORS,
     Scene,
@@ -103,7 +104,7 @@ def test_reflect_many_widths_out_counts_every_wall(widths, side):
 def test_reflect_far_outside_does_not_hang():
     assert 0.4 <= _fold(1e9, 0.4, 3.6) <= 3.6
     assert 0.4 <= _fold(-1e9, 0.4, 3.6) <= 3.6
-    pos, _, _ = gen_trajectory(scenario_linear(steps=5, speed=1e9))
+    pos, _, _ = gen_trajectory(scenario_linear(steps=5, speed=1e9), np.random.default_rng(0))
     (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
     assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
     assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
@@ -198,7 +199,7 @@ def test_bouncing_linear_track_stays_inside_and_keeps_speed():
     spec = TrajectorySpec(
         kind="linear", steps=500, speed=1.2, heading=0.9, bounds=ARENA_BOUNDS
     )
-    pos, speed, _ = gen_trajectory(spec)
+    pos, speed, _ = gen_trajectory(spec, np.random.default_rng(0))
     (x_lo, x_hi), (y_lo, y_hi) = ARENA_BOUNDS
     assert np.all((pos[:, 0] >= x_lo) & (pos[:, 0] <= x_hi))
     assert np.all((pos[:, 1] >= y_lo) & (pos[:, 1] <= y_hi))
@@ -287,7 +288,7 @@ def _trajectory_loop(spec, rng):
                 v[ax] *= sign
             pos[k] = p
         return _chord_states_loop(pos, t_step, spec.speed, spec.heading)
-    stride = max(1, int(round(spec.breakpoint_period / t_step)))
+    stride = max(1, int(round(BREAKPOINT_PERIOD / t_step)))
     accel = np.empty(((n - 1) // stride + 2, 2))
     vel = np.empty((n, 2))
     vel[0] = vel0
@@ -325,8 +326,8 @@ WALL_TOL = 1e-10
     [
         (TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6), 0.0),
         (TrajectorySpec(kind="pwl", steps=101, speed=0.2, a_max=0.6), 0.0),
-        (TrajectorySpec(kind="pwl", steps=60, speed=0.2, breakpoint_period=0.1), 0.0),
-        (dataclasses.replace(scenario_pwl(steps=60), breakpoint_period=0.1), 0.0),
+        (TrajectorySpec(kind="pwl", steps=60, T=2.0, speed=0.2), 0.0),
+        (scenario_pwl(steps=60, T=2.0), 0.0),
         (scenario_pwl(), 0.0),
         (make_scenario("B", T=0.3, steps=101), 0.0),
         (TrajectorySpec(kind="linear", steps=120, speed=0.3, heading=0.7), 0.0),
@@ -384,9 +385,9 @@ def test_trajectory_spec_validation():
         ("a_max", -1.0),
         ("a_max", math.inf),
         ("a_max", math.nan),
-        ("breakpoint_period", 0.0),
-        ("breakpoint_period", -2.0),
-        ("breakpoint_period", math.nan),
+        ("T", -0.1),
+        ("steps", 1),
+        ("T", math.inf),
         ("speed", math.nan),
         ("speed", math.inf),
         ("heading", math.nan),
@@ -400,13 +401,11 @@ def test_trajectory_spec_validation():
         ("bounds", ((0.4, math.nan), (0.4, 3.6))),
         ("bounds", (0.4, 3.6)),
         ("bounds", ((0.4, 3.6), (0.4,))),
-        ("v_cap", 0.0),
-        ("v_cap", -0.5),
-        ("v_cap", math.inf),
-        ("v_cap", math.nan),
+        ("T", -math.inf),
+        ("a_max", -math.inf),
+        ("speed", -math.inf),
+        ("heading", math.inf),
         ("start", [math.nan, 2.0]),
-        ("T", math.inf),
-        ("breakpoint_period", math.inf),
     ],
 )
 def test_trajectory_spec_rejects_bad_settings(field, value):
@@ -854,7 +853,7 @@ def test_scene_cv_model_steps_at_the_scene_period():
         config = ExperimentConfig(trajectory=spec, seed=2)
         traces = crlb_traces(config, n_ensemble=5)
         scene = Scene(T=t_step, cv=cv)
-        truth = gen_trajectory(dataclasses.replace(spec, kind="linear"))
+        truth = gen_trajectory(dataclasses.replace(spec, kind="linear"), np.random.default_rng(0))
         post = pcrlb_bounds(
             scene, spec.start, spec.speed, spec.heading, 20, 5,
             rng=np.random.default_rng(np.random.SeedSequence((2, 0x6372))),
@@ -1022,3 +1021,49 @@ def test_src_modules_use_every_name_they_import():
                 used.add(node.id)
         unused = {name: line for name, line in imported.items() if name not in used}
         assert not unused, (path.name, unused)
+
+
+def test_no_src_function_falls_back_to_an_unseeded_generator():
+    # a function that draws takes its generator from its caller: no
+    # parameter named rng defaults to None
+    src = Path(__file__).resolve().parent.parent / "src" / "paretoloc"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            defaults = list(zip(positional[len(positional) - len(node.args.defaults):],
+                                node.args.defaults))
+            defaults += zip(node.args.kwonlyargs, node.args.kw_defaults)
+            for arg, default in defaults:
+                unseeded = isinstance(default, ast.Constant) and default.value is None
+                assert not (arg.arg == "rng" and unseeded), (path.name, node.lineno)
+
+
+def test_every_src_function_and_class_has_a_program_caller():
+    # every module-level function and class of the package is named, as a
+    # Name or an Attribute, somewhere in src/, demos/ or perfbench/ outside
+    # its own definition
+    root = Path(__file__).resolve().parent.parent
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {}
+    for path in sorted((root / "src" / "paretoloc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, definitions):
+                defined[node.name] = path.name
+    referenced = set()
+    for folder in ("src/paretoloc", "demos", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                own = top.name if isinstance(top, definitions) else None
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name != own:
+                        referenced.add(name)
+    unused = {name: module for name, module in defined.items() if name not in referenced}
+    assert not unused, unused
