@@ -3,7 +3,8 @@
 Every analytic quantity the estimators and bounds rely on is checked
 against an independent Monte Carlo or brute-force evaluation:
 
-  noise-cov-inverse       block inverse of the DR noise covariance
+  noise-cov-inverse       inverse of the differenced squared-range noise
+                          covariance
   ranging-bias            mean of the WLS position error vs closed form
   ranging-second-moment   its per-axis second moment
   dr-moments              displacement-noise bias/variance identities

@@ -40,13 +40,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .deadreckoning import HeadingMoments
 from .models import (
     CV_PRIOR_VARIANCES,
     CvProcessModel,
     SensorNoiseModel,
+    anchor_directions,
     cv_rollout,
     cv_transition_jacobian,
     range_variance,
+    symmetrize,
 )
 
 if TYPE_CHECKING:
@@ -58,53 +61,20 @@ if TYPE_CHECKING:
 
 
 @dataclass(slots=True)
-class TrigMoments:
-    """Exact moments of V_k ~ N(V0, (k-1) s3) and phi_k ~ N(phi0, (k-1) s4).
+class TrigMoments(HeadingMoments):
+    """Exact moments of V_k ~ N(V0, (k-1) s3) and phi_k ~ N(phi0, (k-1) s4):
+    the heading moments at var = (k-1) s4, and E{V_k} (`e_v`) and E{V_k^2}
+    (`e_v_sq`)."""
 
-    Attributes
-    ----------
-    k : int
-        Step index (1-based; k = 1 is the deterministic initial state).
-    c0, s0 : float
-        cos(phi0), sin(phi0).
-    c0p, s0p : float
-        cos(2 phi0), sin(2 phi0).
-    eps : float
-        First-harmonic attenuation exp(-(k-1) sigma4_sq / 2).
-    e_v, e_v_sq : float
-        E{V_k} and E{V_k^2}.
-    """
-
-    k: int
-    c0: float
-    s0: float
-    c0p: float
-    s0p: float
-    eps: float
     e_v: float
     e_v_sq: float
 
-    # Second-harmonic moments attenuate with exp(-2 (k-1) sigma4_sq),
-    # i.e. eps**4 -- the fourth power, not the square.
     @property
-    def e_cos(self) -> float:
-        return self.c0 * self.eps
-
-    @property
-    def e_sin(self) -> float:
-        return self.s0 * self.eps
-
-    @property
-    def e_cos_sq(self) -> float:
-        return 0.5 + 0.5 * self.c0p * self.eps**4
-
-    @property
-    def e_sin_sq(self) -> float:
-        return 0.5 - 0.5 * self.c0p * self.eps**4
-
-    @property
-    def e_sin_cos(self) -> float:
-        return 0.5 * self.s0p * self.eps**4
+    def second_attenuation(self) -> float:
+        """exp(-var / 2)^4, which `d11` reads: exp(-2 var) within the last bit,
+        and that bit decides which steps of an ill-conditioned bound
+        (`paretoloc crlb --T 1e100`) come out finite."""
+        return self.attenuation**4
 
 
 def trig_moments(
@@ -119,16 +89,7 @@ def trig_moments(
     """
     if k < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    return TrigMoments(
-        k=k,
-        c0=math.cos(phi0),
-        s0=math.sin(phi0),
-        c0p=math.cos(2.0 * phi0),
-        s0p=math.sin(2.0 * phi0),
-        eps=math.exp(-0.5 * (k - 1) * sigma4_sq),
-        e_v=v0,
-        e_v_sq=(k - 1) * sigma3_sq + v0**2,
-    )
+    return TrigMoments(phi0, (k - 1) * sigma4_sq, e_v=v0, e_v_sq=(k - 1) * sigma3_sq + v0**2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +100,16 @@ def trig_moments(
 def _weighted_mean_jacobian(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """E{F}^T Q^{-1} for the CV transition, shape (4, 4): Q^{-1} on the
     diagonal and the averaged speed/heading entries of F below it."""
-    cv, t, v0, eps = scene.cv, scene.T, tm.e_v, tm.eps
+    cv, t, v0, eps = scene.cv, scene.T, tm.e_v, tm.attenuation
+    c0, s0 = np.cos(tm.phi0), np.sin(tm.phi0)
     i1, i2 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq
     out = np.diag([i1, i2, 1.0 / cv.sigma3_sq, 1.0 / cv.sigma4_sq])
-    out[2, 0] = t * tm.c0 * eps * i1
-    out[2, 1] = t * tm.s0 * eps * i2
-    out[3, 0] = -t * v0 * tm.s0 * eps * i1
-    out[3, 1] = t * v0 * tm.c0 * eps * i2
+    # E{cos phi} = c0 eps and E{sin phi} = s0 eps, each factor multiplied in
+    # left to right: the order fixes the last bit of the bounds
+    out[2, 0] = t * c0 * eps * i1
+    out[2, 1] = t * s0 * eps * i2
+    out[3, 0] = -t * v0 * s0 * eps * i1
+    out[3, 1] = t * v0 * c0 * eps * i2
     return out
 
 
@@ -172,16 +136,6 @@ def d11(scene: Scene, tm: TrigMoments) -> np.ndarray:
 def d12(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """Closed-form -E{F}^T Q^{-1} for the CV transition, shape (4, 4)."""
     return -_weighted_mean_jacobian(scene, tm)
-
-
-def _directions(scene: Scene, positions) -> tuple:
-    """Unit vectors u (N, M, 2) from each of the scene's M anchors to each
-    of N positions (N, 2), and the weights w = 1 / sigma_r^2 (N, M) at
-    their ranges."""
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    diff = pos[:, None, :] - scene.anchors.positions[None, :, :]  # (N, M, 2)
-    r = np.maximum(np.linalg.norm(diff, axis=2), 1e-12)
-    return diff / r[..., None], 1.0 / range_variance(r, scene.range_model)
 
 
 def _pi_entries(u: np.ndarray, w: np.ndarray) -> tuple:
@@ -215,7 +169,8 @@ def pi_bracket(scene: Scene, positions) -> np.ndarray:
     Pi_MC's arithmetic with the mean direction or the extreme weights put
     in, so on a one-point ensemble all three are the same bits.
     """
-    u, w = _directions(scene, positions)
+    r, u = anchor_directions(positions, scene.anchors)
+    w = 1.0 / range_variance(r, scene.range_model)
     return np.stack([
         _pi_mean(u, w),
         _pi_mean(u.mean(axis=0, keepdims=True), w.min(axis=0, keepdims=True)),
@@ -240,10 +195,6 @@ def d22(scene: Scene, pi_mat: np.ndarray) -> np.ndarray:
     return np.linalg.inv(scene.cv_noise) + _measurement_block(pi_mat, scene.sensor_model)
 
 
-def _symmetric(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.mT)
-
-
 def pcrlb_recursion(
     j_prev: np.ndarray, d11_mat: np.ndarray, d12_mat: np.ndarray, d22_mat: np.ndarray
 ) -> np.ndarray:
@@ -253,7 +204,7 @@ def pcrlb_recursion(
     into the next step without transition coupling).  A stack of J or of
     D22 (..., 4, 4) gives one step per member.
     """
-    return _symmetric(d22_mat - d12_mat.T @ np.linalg.solve(j_prev + d11_mat, d12_mat))
+    return symmetrize(d22_mat - d12_mat.T @ np.linalg.solve(j_prev + d11_mat, d12_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +335,7 @@ def diag_expectation_mc(
     sigma_q: float,
     mu_z: float,
     sigma_z: float,
-    n: int = 1_000_000,
+    n: int,
     *,
     rng: np.random.Generator,
 ) -> tuple:
@@ -578,8 +529,7 @@ def gershgorin_sandwich(j_lb_elem: np.ndarray, j_ub_elem: np.ndarray) -> tuple:
         raise ValueError("brackets must be symmetric")
     if np.any(lb > ub + 1e-12):
         raise ValueError("entry-wise order violated: lower bracket exceeds upper")
-    lb = 0.5 * (lb + lb.mT)
-    ub = 0.5 * (ub + ub.mT)
+    lb, ub = symmetrize(lb), symmetrize(ub)
     n = lb.shape[-1]
     off = ~np.eye(n, dtype=bool)
     diag = (..., np.arange(n), np.arange(n))
@@ -664,8 +614,8 @@ def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:
     (4,), or at each state of a stack (..., 4): the measurement block with
     Pi taken at the state's position alone."""
     state = np.asarray(state, dtype=float)
-    u, w = _directions(scene, state[..., :2].reshape(-1, 2))
-    e11, e12, e22 = _pi_entries(u, w)
+    r, u = anchor_directions(state[..., :2].reshape(-1, 2), scene.anchors)
+    e11, e12, e22 = _pi_entries(u, 1.0 / range_variance(r, scene.range_model))
     pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
     return _measurement_block(pi_mat, scene.sensor_model)
 
@@ -703,7 +653,7 @@ def parcrlb_trace(scene: Scene, truth: tuple) -> tuple:
     j_seq = np.empty((len(states), 4, 4))
     j_seq[0] = default_prior_information() + info[0]
     for k in range(1, len(states)):
-        j_seq[k] = _symmetric(f_inv[k - 1].T @ j_seq[k - 1] @ f_inv[k - 1] + info[k])
+        j_seq[k] = symmetrize(f_inv[k - 1].T @ j_seq[k - 1] @ f_inv[k - 1] + info[k])
     return j_seq, position_error_bound(j_seq)
 
 
@@ -741,7 +691,7 @@ def pcrlb_bounds(
     v0: float,
     phi0: float,
     steps: int,
-    n_ensemble: int = 1000,
+    n_ensemble: int,
     *,
     rng: np.random.Generator,
 ) -> PcrlbResult:

@@ -3,7 +3,8 @@
 One step of dead reckoning displaces the previous position estimate by
 T * V_meas * [cos(phi_meas), sin(phi_meas)].  With independent Gaussian
 noise on speed and heading the displacement moments are available in
-closed form through the Gaussian characteristic function:
+closed form through the Gaussian characteristic function (heading part:
+`HeadingMoments`, which the fusion and the posterior bound read too):
 
     E{cos(phi + n)} = cos(phi) exp(-sigma_phi^2 / 2),
     E{cos^2(phi + n)} = 1/2 + (1/2) cos(2 phi) exp(-2 sigma_phi^2),
@@ -14,6 +15,7 @@ and analogously for sine (second-harmonic sign flipped).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,7 +43,7 @@ def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tup
     direction = heading_vector(heading)
     c, s = direction[..., 0], direction[..., 1]
     b = np.stack([T * c, -T * v * s, T * s, T * v * c], axis=-1).reshape(v.shape + (2, 2))
-    q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ b.swapaxes(-1, -2)
+    q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ b.mT
     return (T * v)[..., None] * direction, q
 
 
@@ -70,30 +72,73 @@ def dr_predict(previous_position, frame: MeasurementFrame) -> np.ndarray:
     return np.asarray(previous_position, dtype=float) + frame.displacement
 
 
-def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int = 0) -> float:
+@dataclass(slots=True)
+class HeadingMoments:
+    """Trig moments of a Gaussian heading phi ~ N(phi0, var), from its
+    characteristic function E{exp(i n phi)} = exp(i n phi0 - n^2 var / 2):
+    the first harmonic is attenuated by exp(-var / 2) (`attenuation`), the
+    second by exp(-2 var).  `phi0` may be an array; moments are elementwise.
+    """
+
+    phi0: float
+    var: float
+
+    @property
+    def attenuation(self) -> float:
+        return math.exp(-0.5 * self.var)
+
+    @property
+    def second_attenuation(self) -> float:
+        return math.exp(-2.0 * self.var)
+
+    @property
+    def e_cos(self):
+        return np.cos(self.phi0) * self.attenuation
+
+    @property
+    def e_sin(self):
+        return np.sin(self.phi0) * self.attenuation
+
+    def e_square(self, axis):
+        """E{cos^2 phi} (axis 0) or E{sin^2 phi} (axis 1); an array `axis`
+        broadcasts against `phi0`."""
+        phi0 = np.asarray(self.phi0, dtype=float)
+        # cos(2 phi0) on axis 0, -cos(2 phi0) on axis 1
+        double_angle = np.cos(2.0 * phi0) * (1.0 - 2.0 * np.asarray(axis))
+        return 0.5 + 0.5 * double_angle * self.second_attenuation
+
+    @property
+    def e_cos_sq(self):
+        return self.e_square(0)
+
+    @property
+    def e_sin_sq(self):
+        return self.e_square(1)
+
+    @property
+    def e_sin_cos(self):
+        return 0.5 * np.sin(2.0 * np.asarray(self.phi0, dtype=float)) * self.second_attenuation
+
+
+def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int) -> float:
     """E{V_meas cos(phi_meas)} (axis 0) or E{V_meas sin(phi_meas)} (axis 1).
 
     Speed noise is zero mean and independent of heading noise, so only
-    the heading attenuation factor exp(-sigma_phi^2 / 2) survives.
+    the heading moment E{cos phi_meas} or E{sin phi_meas} survives.
 
     Example
     -------
-    >>> dr_first_moment(1.0, 0.0, 0.0)
+    >>> dr_first_moment(1.0, 0.0, 0.0, 0)
     1.0
     """
-    trig = math.cos(phi) if axis == 0 else math.sin(phi)
-    return v * trig * math.exp(-0.5 * sigma_phi**2)
+    heading = HeadingMoments(phi, sigma_phi**2)
+    return float(v * (heading.e_cos if axis == 0 else heading.e_sin))
 
 
-def dr_second_moment(
-    v: float, sigma_v: float, phi: float, sigma_phi: float, axis: int = 0
-) -> float:
+def dr_second_moment(v: float, sigma_v: float, phi: float, sigma_phi: float, axis: int) -> float:
     """E{V_meas^2 cos^2(phi_meas)} (axis 0) or the sin^2 analog (axis 1).
 
     The prefactor is the full speed second moment V^2 + sigma_v^2.
     `v`, `phi` and `axis` may be arrays; they broadcast elementwise.
     """
-    # cos(2 phi) on axis 0, -cos(2 phi) on axis 1
-    double_angle = np.cos(2.0 * np.asarray(phi, dtype=float)) * (1.0 - 2.0 * np.asarray(axis))
-    return (v**2 + sigma_v**2) * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
-
+    return (v**2 + sigma_v**2) * HeadingMoments(phi, sigma_phi**2).e_square(axis)

@@ -23,20 +23,20 @@ import numpy as np
 
 from .models import (
     CV_PRIOR_VARIANCES,
-    AnchorSet,
     MeasurementFrame,
     _identity,
+    anchor_directions,
     cv_transition,
     cv_transition_jacobian,
+    floored_ranges,
     range_variance,
+    symmetrize,
     true_ranges,
 )
 from .ranging import ranging_layer
 
 if TYPE_CHECKING:
     from .simulate import Scene
-
-_MIN_RANGE = 1e-9
 
 
 @dataclass(slots=True)
@@ -79,14 +79,6 @@ def cv_init(position, speed: float, heading: float) -> KfState:
     return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
 
 
-def _transpose(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + _transpose(p))
-
-
 def _diag(values: np.ndarray) -> np.ndarray:
     """Diagonal matrices (..., m, m) with the given diagonals (..., m)."""
     out = np.zeros(values.shape + values.shape[-1:])
@@ -104,32 +96,20 @@ def _input_driven_predict(state: KfState, frame: MeasurementFrame) -> KfState:
     """
     return KfState(
         mean=state.mean + frame.displacement,
-        covariance=_symmetrize(state.covariance + frame.input_cov),
+        covariance=symmetrize(state.covariance + frame.input_cov),
     )
-
-
-def _floored_ranges(position, anchors: AnchorSet) -> np.ndarray:
-    """Ranges (..., M) from positions (..., 2), floored away from zero."""
-    return np.maximum(true_ranges(position, anchors), _MIN_RANGE)
-
-
-def _range_jacobian(position, anchors: AnchorSet) -> tuple:
-    """Predicted ranges (..., M) and their Jacobian (..., M, 2) at positions (..., 2)."""
-    r = _floored_ranges(position, anchors)
-    diff = np.asarray(position, dtype=float)[..., None, :] - anchors.positions
-    return r, diff / r[..., None]
 
 
 def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: np.ndarray) -> KfState:
     """Linear(ised) Kalman update with measurement Jacobian h (..., m, n),
     innovation (..., m) and measurement noise covariance (..., m, m)."""
     p = pred.covariance
-    ht = _transpose(h)
+    ht = h.mT
     s = h @ p @ ht + r_cov
-    gain = _transpose(np.linalg.solve(_transpose(s), _transpose(p @ ht)))
+    gain = np.linalg.solve(s.mT, (p @ ht).mT).mT
     mean = pred.mean + (gain @ innovation[..., None])[..., 0]
     cov = (_identity(p.shape[-1]) - gain @ h) @ p
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    return KfState(mean=mean, covariance=symmetrize(cov))
 
 
 def ekf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
@@ -140,7 +120,7 @@ def ekf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     evaluated at the predicted ranges.
     """
     pred = _input_driven_predict(state, frame)
-    r_hat, h = _range_jacobian(pred.mean, scene.anchors)
+    r_hat, h = anchor_directions(pred.mean, scene.anchors)
     return _kalman_update(
         pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, scene.range_model))
     )
@@ -168,7 +148,7 @@ def _sigma_points(mean: np.ndarray, cov: np.ndarray) -> tuple:
     diagonal, per run of a batch; a second failure propagates.
     """
     n = mean.shape[-1]
-    root_t = _transpose(_cholesky(cov, n + 1.0))
+    root_t = _cholesky(cov, n + 1.0).mT
     center = mean[..., None, :]
     points = np.concatenate([center, center + root_t, center - root_t], axis=-2)
     return points, _sigma_weights(n)
@@ -189,13 +169,13 @@ def _unscented_correct(
     dz = z_points - z_hat[..., None, :]
     dx = points - pred.mean[..., None, :]
     weighted = weights[:, None] * dz
-    s = _transpose(dz) @ weighted + r_cov
-    cross = _transpose(dx) @ weighted
-    gain = _transpose(np.linalg.solve(_transpose(s), _transpose(cross)))
+    s = dz.mT @ weighted + r_cov
+    cross = dx.mT @ weighted
+    gain = np.linalg.solve(s.mT, cross.mT).mT
     innovation = np.asarray(z, dtype=float) - z_hat
     mean = pred.mean + (gain @ innovation[..., None])[..., 0]
-    cov = pred.covariance - gain @ s @ _transpose(gain)
-    return KfState(mean=mean, covariance=_symmetrize(cov))
+    cov = pred.covariance - gain @ s @ gain.mT
+    return KfState(mean=mean, covariance=symmetrize(cov))
 
 
 def ukf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
@@ -206,9 +186,9 @@ def ukf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     the unscented transform.
     """
     pred = _input_driven_predict(state, frame)
-    r_cov = _diag(range_variance(_floored_ranges(pred.mean, scene.anchors), scene.range_model))
+    r_cov = _diag(range_variance(floored_ranges(pred.mean, scene.anchors), scene.range_model))
     points, weights = _sigma_points(pred.mean, pred.covariance)
-    z_points = _floored_ranges(points, scene.anchors)
+    z_points = floored_ranges(points, scene.anchors)
     return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
 
 
@@ -226,9 +206,9 @@ def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     z, bias, second = ranging_layer(
         scene.geometry, r_hat, range_variance(r_hat, scene.range_model), frame.ranges
     )
-    r_cov = _symmetrize(second - bias[..., :, None] * bias[..., None, :])
+    r_cov = symmetrize(second - bias[..., :, None] * bias[..., None, :])
     eigvals, eigvecs = np.linalg.eigh(r_cov)
-    r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ _transpose(eigvecs)
+    r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ eigvecs.mT
     return _kalman_update(pred, _identity(2), z - pred.mean, r_cov)
 
 
@@ -242,9 +222,9 @@ def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfStat
     anchors, sensor_model = scene.anchors, scene.sensor_model
     f_jac = cv_transition_jacobian(state.mean, scene.T)
     mean_pred = cv_transition(state.mean, scene.T)
-    cov_pred = _symmetrize(f_jac @ state.covariance @ _transpose(f_jac) + scene.cv_noise)
+    cov_pred = symmetrize(f_jac @ state.covariance @ f_jac.mT + scene.cv_noise)
 
-    r_hat, d = _range_jacobian(mean_pred[..., :2], anchors)
+    r_hat, d = anchor_directions(mean_pred[..., :2], anchors)
     m = anchors.m
     h = np.zeros(d.shape[:-2] + (m + 2, 4))
     h[..., :m, :2] = d

@@ -22,7 +22,6 @@ minimiser.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
-from .deadreckoning import dr_predict, dr_second_moment, heading_vector
+from .deadreckoning import HeadingMoments, dr_predict, dr_second_moment, heading_vector
 from .models import MeasurementFrame, range_variance, true_ranges
 from .ranging import ranging_layer
 
@@ -165,8 +164,6 @@ class FusionState:
         Tracked per-axis error biases (R, 2).
     error_variance : np.ndarray
         Tracked per-axis error variances (R, 2).
-    k : int
-        Step index of `estimate`.
     last_speed, last_heading : np.ndarray
         Kinematic approximations (R,) used at the most recent step
         (fallback values before any step has run).
@@ -179,7 +176,6 @@ class FusionState:
     prev_estimate: np.ndarray | None
     bias_estimate: np.ndarray
     error_variance: np.ndarray
-    k: int
     last_speed: np.ndarray
     last_heading: np.ndarray
     last_beta: np.ndarray
@@ -237,7 +233,7 @@ def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
     return np.clip(xi, -beta_clip, beta_clip)
 
 
-def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = None) -> float:
+def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig) -> float:
     """Minimiser of rho * mu^2(beta) + (1 - rho) * sigma^2(beta).
 
     The objective is quadratic in beta; the stationary point is
@@ -251,8 +247,6 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig | None = Non
     beta = 0 is returned with a warning.  Array contexts (and rho) give
     one beta per element.
     """
-    if config is None:
-        config = ParetoConfig()
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     return _pareto_beta(rho, ctx.moments(), config.beta_clip, warn=True)[()]
@@ -332,7 +326,6 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
         prev_estimate=None,
         bias_estimate=bias,
         error_variance=second.diagonal(0, -2, -1).copy(),
-        k=frame.k,
         last_speed=last_speed,
         last_heading=last_heading,
         last_beta=np.zeros((rows, 2)),
@@ -401,7 +394,7 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         prev_bias=state.bias_estimate,
         prev_variance=state.error_variance,
         dr_true_first=v * heading_vector(phi_ap),
-        heading_attenuation=math.exp(-0.5 * sensor_model.sigma_phi**2),
+        heading_attenuation=HeadingMoments(phi, sensor_model.sigma_phi**2).attenuation,
         dr_second=dr_second_moment(
             v, sensor_model.sigma_v, phi, sensor_model.sigma_phi, axis=_AXES
         ),
@@ -414,7 +407,6 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         prev_estimate=state.estimate,
         bias_estimate=bias,
         error_variance=variance,
-        k=frame.k,
         last_speed=v_ap,
         last_heading=phi_ap,
         last_beta=beta,

@@ -19,6 +19,14 @@ import numpy as np
 
 _identity = functools.cache(np.eye)  # one (n, n) identity per size; callers only read it
 
+# Floor of a range divided by: an anchor is MIN_RANGE from itself, in no direction.
+MIN_RANGE = 1e-9
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of a matrix, or of each of a stack (..., n, n)."""
+    return 0.5 * (a + a.mT)
+
 
 @dataclass(slots=True)
 class AnchorSet:
@@ -266,6 +274,19 @@ def true_ranges(position, anchors: AnchorSet) -> np.ndarray:
     of positions (..., 2) gives ranges (..., M)."""
     diff = anchors.positions - np.asarray(position, dtype=float)[..., None, :]
     return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def floored_ranges(position, anchors: AnchorSet) -> np.ndarray:
+    """`true_ranges` floored at MIN_RANGE, for dividing by."""
+    return np.maximum(true_ranges(position, anchors), MIN_RANGE)
+
+
+def anchor_directions(position, anchors: AnchorSet) -> tuple:
+    """Floored ranges (..., M) from positions (..., 2) to the M anchors and
+    the unit vectors (x - a_m) / r_m (..., M, 2), the range Jacobian."""
+    r = floored_ranges(position, anchors)
+    diff = np.asarray(position, dtype=float)[..., None, :] - anchors.positions
+    return r, diff / r[..., None]
 
 
 def draw_measurements(

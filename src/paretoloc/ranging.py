@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AnchorSet, _identity
+from .models import AnchorSet, _identity, symmetrize
 
 
 @dataclass(slots=True)
@@ -170,5 +170,5 @@ def ranging_layer(
     solution = np.linalg.solve(atw @ a_mat, rhs)
     fix, bias = solution[..., 0], solution[..., 1]
     corr = solution[..., 2:] + bias[..., :, None] * bias[..., None, :]
-    return fix, bias, 0.5 * (corr + corr.swapaxes(-1, -2))
+    return fix, bias, symmetrize(corr)
 

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import math
 import numbers
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -56,7 +57,9 @@ class TrajectorySpec:
     steps : int
         Number of discrete states generated (k = 0 .. steps-1).
     T : float
-        Step period in seconds.
+        Step period in seconds.  The track's reach |start| + n T |speed|
+        over its n = steps - 1 steps, plus a_max (n T)^2 / 2 for "pwl",
+        must stay within half the largest double.
     start : np.ndarray
         Initial position (2,).
     speed, heading : float
@@ -103,6 +106,18 @@ class TrajectorySpec:
         self.start = np.asarray(self.start, dtype=float)
         if self.start.shape != (2,) or not np.isfinite(self.start).all():
             raise ValueError("start must be [x1, x2], finite")
+        # For "cv", the reach of the noise-free rollout.  "pwl" integrates
+        # exactly and squares T: an inf T^2 makes `reach` inf, or NaN if
+        # a_max = 0, and both are refused.
+        n = self.steps - 1
+        reach = float(np.abs(self.start).max()) + n * (self.T * abs(self.speed))
+        if self.kind == "pwl":
+            reach += 0.5 * self.a_max * (self.T * self.T) * n * n
+        if not reach <= sys.float_info.max / 2.0:
+            raise ValueError(
+                f"step period T = {self.T:g} takes the {self.kind} track of {self.steps} steps "
+                f"past the largest double (reach {reach:.3g} m)"
+            )
 
 
 def _fold(x, lo, hi):
@@ -143,14 +158,19 @@ def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float
     return pos, speed, heading[np.maximum.accumulate(latest)]
 
 
+def _cap_norm(vec: np.ndarray, cap: float) -> np.ndarray:
+    """`vec` (2,), rescaled in place onto the circle of radius `cap` if its
+    norm exceeds it."""
+    norm = float(np.linalg.norm(vec))
+    if norm > cap:
+        vec *= cap / norm
+    return vec
+
+
 def _draw_capped(rng: np.random.Generator, a_max: float) -> np.ndarray:
     """Breakpoint acceleration: per-axis uniform in [-a_max, a_max],
     rescaled onto the cap if the vector norm exceeds it."""
-    vec = rng.uniform(-a_max, a_max, size=2)
-    norm = float(np.linalg.norm(vec))
-    if norm > a_max:
-        vec *= a_max / norm
-    return vec
+    return _cap_norm(rng.uniform(-a_max, a_max, size=2), a_max)
 
 
 def _next_breakpoint_accel(
@@ -178,11 +198,7 @@ def _next_breakpoint_accel(
             target[ax] = -abs(target[ax])
         elif look < lo:
             target[ax] = abs(target[ax])
-    accel = 2.0 * (target - vel) / BREAKPOINT_PERIOD - accel_start
-    norm = float(np.linalg.norm(accel))
-    if norm > spec.a_max:
-        accel *= spec.a_max / norm
-    return accel
+    return _cap_norm(2.0 * (target - vel) / BREAKPOINT_PERIOD - accel_start, spec.a_max)
 
 
 def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
@@ -768,9 +784,7 @@ def write_crlb(path, traces: dict) -> None:
             writer.writerow([str(k), *(_fmt(traces[name][k]) for name in columns)])
 
 
-def crlb_traces(
-    config: ExperimentConfig, steps: int | None = None, n_ensemble: int = 1000
-) -> dict:
+def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensemble: int) -> dict:
     """Parametric and posterior bound traces for the configured scenario.
 
     The parametric bound runs along the noise-free straight track from the

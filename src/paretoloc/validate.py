@@ -35,6 +35,8 @@ from .models import (
     RangeNoiseModel,
     cv_transition_jacobian,
     range_variance,
+    symmetrize,
+    true_ranges,
 )
 from .ranging import build_geometry, noise_cov_inverse, ranging_layer
 from .simulate import Scene
@@ -77,7 +79,7 @@ def _random_geometry(rng: np.random.Generator) -> tuple:
 def _squared_range_noise(rng: np.random.Generator, n: int, aset: AnchorSet, position) -> tuple:
     """True ranges r, their noise variances, and n draws (n, M-1) of the
     differenced squared-range noise w_M^2 + 2 r_M w_M - w_l^2 - 2 r_l w_l."""
-    r = np.linalg.norm(aset.positions - position[None, :], axis=1)
+    r = true_ranges(position, aset)
     var = range_variance(r, RangeNoiseModel())
     # the stream and bits of rng.normal(0.0, sqrt(var), size=(n, M))
     w = rng.standard_normal((n, aset.m))
@@ -176,20 +178,12 @@ def check_ranging_second_moment(scale: float = 1.0, seed: int = 13) -> CheckResu
     return _wls_moment_check("ranging-second-moment", scale, seed, second=True)
 
 
-def _speed_power_variant(sigma_v: float, phi: float, sigma_phi: float, axis: int) -> float:
-    """The displacement second moment with sigma_v^2 in place of the full
-    speed power V^2 + sigma_v^2: it drops the deterministic part of the
-    speed, so Monte Carlo rejects it wherever the speed is away from zero."""
-    double_angle = np.cos(2.0 * np.asarray(phi, dtype=float)) * (1.0 - 2.0 * np.asarray(axis))
-    return sigma_v**2 * (0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2))
-
-
 def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
     """Displacement moments vs MC over a (speed, heading-noise) grid.
 
     The full-prefactor second moment must pass everywhere at 3 SE; the
-    variant that drops the deterministic speed power must fail wherever
-    the speed is away from zero (recorded in the detail line).
+    second moment at zero speed, which drops the deterministic speed power,
+    must fail wherever the speed is away from zero (in the detail line).
     """
     rng = np.random.default_rng(seed)
     n = max(int(2e5 * scale), 1000)
@@ -210,7 +204,7 @@ def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
                     gap1 = abs(mean1 - dr_first_moment(v, phi, sigma_phi, axis))
                     gap2 = abs(mean2 - dr_second_moment(v, sigma_v, phi, sigma_phi, axis))
                     worst = max(worst, gap1 / (3.0 * se1), gap2 / (3.0 * se2))
-                    variant = _speed_power_variant(sigma_v, phi, sigma_phi, axis)
+                    variant = dr_second_moment(0.0, sigma_v, phi, sigma_phi, axis)
                     if abs(mean2 - variant) > 3.0 * se2:
                         variant_rejected += 1
     return CheckResult(
@@ -443,7 +437,7 @@ def check_fisher_blocks(scale: float = 1.0, seed: int = 27) -> CheckResult:
     states = np.zeros((m, 4))
     states[:, 2], states[:, 3] = v, phi
     f_jac = cv_transition_jacobian(states, scene.T)
-    mc11 = (f_jac.swapaxes(-1, -2) @ q_inv @ f_jac).mean(axis=0)
+    mc11 = (f_jac.mT @ q_inv @ f_jac).mean(axis=0)
     mc12 = -f_jac.mean(axis=0).T @ q_inv
     tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, k)
     ref = d11(scene, tm)
@@ -542,11 +536,11 @@ def check_gershgorin(scale: float = 1.0, seed: int = 31) -> CheckResult:
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         base = rng.normal(0.0, 1.0, size=(dim, dim))
-        base = 0.5 * (base + base.T)
+        base = symmetrize(base)
         gap_lo = np.abs(rng.normal(0.0, 0.5, size=(dim, dim)))
         gap_hi = np.abs(rng.normal(0.0, 0.5, size=(dim, dim)))
         lb_g, ub_g = gershgorin_sandwich(
-            base - 0.5 * (gap_lo + gap_lo.T), base + 0.5 * (gap_hi + gap_hi.T)
+            base - symmetrize(gap_lo), base + symmetrize(gap_hi)
         )
         gaps += [lb_g, ub_g - lb_g]
     pair_worst = min(float(np.linalg.eigvalsh(gap).min()) for gap in gaps)

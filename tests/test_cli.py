@@ -596,3 +596,26 @@ def test_a_huge_step_period_exits_one_and_names_the_failure(argv, failure, capsy
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith(failure) for line in lines), lines
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (["run", "--scenario", "A", "--T", "1e307", "--steps", "300", "--runs", "1"],
+         "T = 1e+307 takes the linear track of 300 steps"),
+        (["sweep", "--parameter", "T", "--values", "0.1,1e307", "--runs", "1"],
+         "T = 1e+307 takes the linear track of 300 steps"),
+        (["crlb", "--scenario", "A", "--T", "1e307", "--ensemble", "2"],
+         "T = 1e+307 takes the linear track of 300 steps"),
+        (["crlb", "--T", "1e307", "--ensemble", "2"], "T = 1e+307 takes the cv track of 200 steps"),
+        (["run", "--scenario", "B", "--T", "1e155", "--steps", "5", "--runs", "1"],
+         "T = 1e+155 takes the pwl track of 5 steps"),
+    ],
+    ids=["run-1e307", "sweep-1e307", "crlb-A-1e307", "crlb-CV-1e307", "run-B-1e155"],
+)
+def test_a_track_past_the_largest_double_is_a_config_error(argv, failure, capsys):
+    # T times the track's duration is past the largest double (for "pwl",
+    # so is T^2): the spec is refused before anything is drawn
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: step period {failure} past the largest double"), err

@@ -23,7 +23,6 @@ from paretoloc.crlb import (
     SeriesExpectation,
     _mean_se,
     _measurement_block,
-    _symmetric,
     _truncate_alternating,
     d11,
     d12,
@@ -53,6 +52,7 @@ from paretoloc.models import (
     cv_rollout,
     cv_transition_jacobian,
     range_variance,
+    symmetrize,
 )
 from paretoloc.simulate import (
     ExperimentConfig, Scene, crlb_traces, gen_trajectory, make_scenario, scenario_cv,
@@ -73,7 +73,7 @@ SCENE = Scene(anchors=ANCHORS, T=0.1, cv=CV)
 
 def test_trig_moments_initial_step_is_deterministic():
     tm = trig_moments(0.7, 0.9, 0.01, 0.02, k=1)
-    assert tm.eps == 1.0
+    assert tm.attenuation == 1.0
     assert tm.e_cos == pytest.approx(math.cos(0.9), rel=1e-15)
     assert tm.e_sin == pytest.approx(math.sin(0.9), rel=1e-15)
     assert tm.e_cos_sq == pytest.approx(math.cos(0.9) ** 2, rel=1e-12)
@@ -829,7 +829,7 @@ def _pcrlb_bounds_per_step(scene, x0, v0, phi0, steps, n_ensemble, rng):
             tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
             d11_mat, d12_mat = d11(scene, tm), d12(scene, tm)
             mats = [
-                _symmetric(q_inv + _measurement_block(pi, sensor_model)
+                symmetrize(q_inv + _measurement_block(pi, sensor_model)
                            - d12_mat.T @ np.linalg.solve(prev + d11_mat, d12_mat))
                 for pi, prev in zip(pis, mats)
             ]

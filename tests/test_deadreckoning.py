@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import hermite_e
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from paretoloc.crlb import trig_moments
 from paretoloc.deadreckoning import (
+    HeadingMoments,
     dr_first_moment,
     dr_predict,
     dr_second_moment,
@@ -15,7 +18,6 @@ from paretoloc.deadreckoning import (
 )
 from paretoloc.models import SensorNoiseModel
 from paretoloc.simulate import Scene
-from paretoloc.validate import _speed_power_variant
 
 
 def _gauss(x, sigma):
@@ -69,19 +71,58 @@ def test_second_moment_matches_integral(v, sigma_v, phi, sigma_phi):
 
 
 def test_speed_power_variant_drops_deterministic_part():
-    # the variant keeps only sigma_v^2 in the prefactor, so it undershoots
+    # the variant the dr-moments check must reject is the second moment at
+    # zero speed: it keeps only sigma_v^2 in the prefactor, so it undershoots
     # by exactly v^2 * (angular factor) -- measurably wrong off v = 0
     v, sigma_v, phi, sigma_phi = 0.5, 0.05, 0.7, math.pi / 8.0
     full = dr_second_moment(v, sigma_v, phi, sigma_phi, axis=0)
-    variant = _speed_power_variant(sigma_v, phi, sigma_phi, axis=0)
+    variant = dr_second_moment(0.0, sigma_v, phi, sigma_phi, axis=0)
     angular = full / (v**2 + sigma_v**2)
     assert full - variant == pytest.approx(v**2 * angular, rel=1e-12)
+    assert variant == pytest.approx(sigma_v**2 * angular, rel=1e-14)
     assert abs(full - _quad_second(v, sigma_v, phi, sigma_phi, math.cos)) < 1e-10
     assert abs(variant - _quad_second(v, sigma_v, phi, sigma_phi, math.cos)) > 0.05
-    # at v = 0 the two coincide
-    assert dr_second_moment(0.0, sigma_v, phi, sigma_phi) == pytest.approx(
-        _speed_power_variant(sigma_v, phi, sigma_phi, axis=0)
-    )
+
+
+def _gauss_hermite_heading_moments(phi0, var, nodes=80):
+    """E{cos}, E{sin}, E{cos^2}, E{sin^2} and E{sin cos} of phi ~ N(phi0, var)
+    by Gauss-Hermite quadrature in the standard normal weight."""
+    x, w = hermite_e.hermegauss(nodes)
+    w = w / math.sqrt(2.0 * math.pi)
+    phi = phi0 + math.sqrt(var) * x
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([w @ c, w @ s, w @ (c * c), w @ (s * s), w @ (s * c)])
+
+
+@pytest.mark.parametrize("var", [0.0, 1e-8, 1e-3, 0.25, 2.0, 9.0])
+@pytest.mark.parametrize("phi0", [0.0, 0.7, -2.5, math.pi / 2.0, 4.0])
+def test_heading_moments_match_gauss_hermite_quadrature(phi0, var):
+    m = HeadingMoments(phi0, var)
+    got = np.array([m.e_cos, m.e_sin, m.e_cos_sq, m.e_sin_sq, m.e_sin_cos], dtype=float)
+    assert_allclose(got, _gauss_hermite_heading_moments(phi0, var), rtol=0.0, atol=1e-14)
+    assert m.attenuation == pytest.approx(math.exp(-0.5 * var), rel=1e-15)
+
+
+def test_heading_moments_of_an_array_are_the_elementwise_moments():
+    # the batched fusion's call: headings (R, 1) against the axes (2,)
+    phi = np.array([[0.3], [-2.0], [5.5]])
+    m = HeadingMoments(phi, 0.04)
+    squares = m.e_square(np.arange(2))
+    for row, phi0 in enumerate(phi[:, 0]):
+        scalar = HeadingMoments(float(phi0), 0.04)
+        assert squares[row, 0] == scalar.e_cos_sq and squares[row, 1] == scalar.e_sin_sq
+        assert m.e_cos[row, 0] == scalar.e_cos and m.e_sin_cos[row, 0] == scalar.e_sin_cos
+
+
+@pytest.mark.parametrize("k", [1, 2, 30, 300])
+def test_trig_moments_are_the_heading_moments_of_the_walk(k):
+    # phi_k ~ N(phi0, (k - 1) s4): the bound reads the shared moments; its
+    # second harmonic is spelled exp(-var / 2)^4, within rounding of exp(-2 var)
+    tm = trig_moments(0.4, 1.1, 1e-4, 2.5e-3, k)
+    walk = HeadingMoments(1.1, (k - 1) * 2.5e-3)
+    assert tm.e_cos == walk.e_cos and tm.e_sin == walk.e_sin
+    for name in ("e_cos_sq", "e_sin_sq", "e_sin_cos"):
+        assert getattr(tm, name) == pytest.approx(getattr(walk, name), rel=1e-14, abs=0.0)
 
 
 @given(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from paretoloc import crlb, filters
 from paretoloc.deadreckoning import measurement_frames
 from paretoloc.filters import (
     KfState,
@@ -26,11 +27,13 @@ from paretoloc.filters import (
 )
 from paretoloc.models import (
     CV_PRIOR_VARIANCES,
+    MIN_RANGE,
     AnchorSet,
     CvProcessModel,
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
+    anchor_directions,
     cv_transition,
     cv_transition_jacobian,
     draw_measurements,
@@ -293,3 +296,39 @@ def test_ekf_beats_memoryless_wls():
         ekf_sq.append(np.sum((state.mean[0] - pos) ** 2))
         wls_sq.append(np.sum((fix - pos) ** 2))
     assert math.sqrt(np.mean(ekf_sq)) < 0.6 * math.sqrt(np.mean(wls_sq))
+
+
+def _recording_range_variance(monkeypatch, module) -> list:
+    """Record every range array `module` hands to `range_variance`."""
+    seen = []
+
+    def spy(r, model):
+        seen.append(np.array(r, dtype=float))
+        return range_variance(r, model)
+
+    monkeypatch.setattr(module, "range_variance", spy)
+    return seen
+
+
+def test_a_position_on_an_anchor_gets_the_one_range_floor(monkeypatch):
+    # the filters and the bounds divide by the same floored range: at an
+    # anchor, range MIN_RANGE and a zero direction, so nothing is NaN
+    scene = Scene(anchors=ANCHORS)
+    on_anchor = ANCHORS.positions[1]
+    r, u = anchor_directions(on_anchor, ANCHORS)
+    assert r[1] == MIN_RANGE and np.all(u[1] == 0.0)
+    assert np.all(r[[0, 2, 3, 4]] == true_ranges(on_anchor, ANCHORS)[[0, 2, 3, 4]])
+
+    seen = _recording_range_variance(monkeypatch, filters)
+    # zero speed: the prediction stays on the anchor
+    frame = _frame(scene, true_ranges(on_anchor, ANCHORS), [[0.0]], [[0.3]])
+    for step in (ekf_step, ukf_step):
+        assert np.isfinite(step(scene, position_init(on_anchor[None]), frame).mean).all()
+    assert np.isfinite(ekf_cv_step(scene, cv_init(on_anchor[None], [0.0], [0.3]), frame).mean).all()
+    assert [x.min() for x in seen] == [MIN_RANGE] * 3
+
+    seen = _recording_range_variance(monkeypatch, crlb)
+    state = np.array([*on_anchor, 0.2, 0.3])
+    assert np.isfinite(crlb.measurement_information(scene, state)).all()
+    assert np.isfinite(crlb.pi_bracket(scene, on_anchor[None])).all()
+    assert [x.min() for x in seen] == [MIN_RANGE] * 2
