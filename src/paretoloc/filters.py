@@ -8,6 +8,13 @@ to a WLS position fix), plus one 4-D EKF that instead models
 heading as measurements.  All filters share the distance-dependent range
 noise model, evaluated at predicted ranges.
 
+The EKF and the LC-KF update in information form, the information filter
+of Bar-Shalom, Li and Kirubarajan (*Estimation with Applications to
+Tracking and Navigation*, 2001): two 2x2 inverses (`models.inverse_2x2`)
+and no M x M innovation solve.  The EKF-CV keeps the covariance form
+(`_kalman_update`), because sigma_v = 0 or sigma_phi = 0 is a legal
+setting that leaves its measurement noise with no inverse.
+
 Each filter step is a kernel on a batch of runs: a leading run axis on
 every state and measurement array.  One run is a batch of one.  Every
 step takes the experiment's `Scene` first: `step(scene, state, frame)`.
@@ -29,11 +36,12 @@ from .models import (
     cv_transition,
     cv_transition_jacobian,
     floored_ranges,
+    inverse_2x2,
     range_variance,
     symmetrize,
     true_ranges,
 )
-from .ranging import ranging_layer
+from .ranging import noise_cov_inverse, normal_equations
 
 if TYPE_CHECKING:
     from .simulate import Scene
@@ -79,14 +87,6 @@ def cv_init(position, speed: float, heading: float) -> KfState:
     return KfState(mean=mean, covariance=np.tile(cov, mean.shape[:-1] + (1, 1)))
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    """Diagonal matrices (..., m, m) with the given diagonals (..., m)."""
-    out = np.zeros(values.shape + values.shape[-1:])
-    idx = np.arange(values.shape[-1])
-    out[..., idx, idx] = values
-    return out
-
-
 def _input_driven_predict(state: KfState, frame: MeasurementFrame) -> KfState:
     """Dead-reckoning predict step shared by the 2-D filters.
 
@@ -100,12 +100,17 @@ def _input_driven_predict(state: KfState, frame: MeasurementFrame) -> KfState:
     )
 
 
-def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: np.ndarray) -> KfState:
-    """Linear(ised) Kalman update with measurement Jacobian h (..., m, n),
-    innovation (..., m) and measurement noise covariance (..., m, m)."""
+def _kalman_update(
+    pred: KfState, h: np.ndarray, innovation: np.ndarray, variances: np.ndarray
+) -> KfState:
+    """Linear(ised) Kalman update in covariance form, with measurement
+    Jacobian h (..., m, n), innovation (..., m) and independent
+    measurement noise of variances (..., m), which may be zero."""
     p = pred.covariance
     ht = h.mT
-    s = h @ p @ ht + r_cov
+    s = h @ p @ ht
+    s_diagonal = np.einsum("...ii->...i", s)  # a view: the noise adds in place
+    s_diagonal += variances
     gain = np.linalg.solve(s.mT, (p @ ht).mT).mT
     mean = pred.mean + (gain @ innovation[..., None])[..., 0]
     cov = (_identity(p.shape[-1]) - gain @ h) @ p
@@ -113,16 +118,23 @@ def _kalman_update(pred: KfState, h: np.ndarray, innovation: np.ndarray, r_cov: 
 
 
 def ekf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
-    """One EKF predict/update cycle on the 2-D position states of a batch.
+    """One EKF predict/update cycle on the 2-D position states of a batch,
+    in information form.
 
-    Ranges are linearised about the predicted position; the measurement
-    noise covariance is diagonal with the distance-dependent variances
-    evaluated at the predicted ranges.
+    Ranges are linearised about the predicted position (Jacobian D, the
+    unit anchor directions); the measurement noise R is diagonal with the
+    distance-dependent variances evaluated at the predicted ranges.  The
+    update is the information filter's (Bar-Shalom, Li and Kirubarajan,
+    2001), P+ = (P^-1 + D^T R^-1 D)^-1 and m+ = m + P+ D^T R^-1 nu, with
+    nu the range innovation: two 2x2 inverses in place of an M x M solve.
     """
     pred = _input_driven_predict(state, frame)
-    r_hat, h = anchor_directions(pred.mean, scene.anchors)
-    return _kalman_update(
-        pred, h, frame.ranges - r_hat, _diag(range_variance(r_hat, scene.range_model))
+    r_hat, d = anchor_directions(pred.mean, scene.anchors)
+    dt_r_inv = d.mT / range_variance(r_hat, scene.range_model)[..., None, :]
+    cov = inverse_2x2(inverse_2x2(pred.covariance) + dt_r_inv @ d)
+    information_innovation = dt_r_inv @ (frame.ranges - r_hat)[..., None]
+    return KfState(
+        mean=pred.mean + (cov @ information_innovation)[..., 0], covariance=symmetrize(cov)
     )
 
 
@@ -161,15 +173,18 @@ def _sigma_weights(n: int) -> np.ndarray:
 
 
 def _unscented_correct(
-    pred: KfState, points: np.ndarray, weights: np.ndarray, z_points: np.ndarray, z, r_cov
+    pred: KfState, points: np.ndarray, weights: np.ndarray, z_points: np.ndarray, z, variances
 ) -> KfState:
     """Unscented update from sigma points (..., p, n) and their images
-    z_points (..., p, m) under the measurement function."""
+    z_points (..., p, m) under the measurement function, with independent
+    measurement noise of variances (..., m)."""
     z_hat = weights @ z_points
     dz = z_points - z_hat[..., None, :]
     dx = points - pred.mean[..., None, :]
     weighted = weights[:, None] * dz
-    s = dz.mT @ weighted + r_cov
+    s = dz.mT @ weighted
+    s_diagonal = np.einsum("...ii->...i", s)  # a view: the noise adds in place
+    s_diagonal += variances
     cross = dx.mT @ weighted
     gain = np.linalg.solve(s.mT, cross.mT).mT
     innovation = np.asarray(z, dtype=float) - z_hat
@@ -186,30 +201,31 @@ def ukf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     the unscented transform.
     """
     pred = _input_driven_predict(state, frame)
-    r_cov = _diag(range_variance(floored_ranges(pred.mean, scene.anchors), scene.range_model))
+    variances = range_variance(floored_ranges(pred.mean, scene.anchors), scene.range_model)
     points, weights = _sigma_points(pred.mean, pred.covariance)
     z_points = floored_ranges(points, scene.anchors)
-    return _unscented_correct(pred, points, weights, z_points, frame.ranges, r_cov)
+    return _unscented_correct(pred, points, weights, z_points, frame.ranges, variances)
 
 
 def lckf_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
     """One linear-correction KF cycle: WLS fix treated as a position reading.
 
-    The ranges are collapsed to a WLS position estimate (trilateration
-    `scene.geometry` of the anchors) whose error covariance (closed form,
-    evaluated at predicted ranges) becomes the measurement noise of a
-    linear H = I update.  The covariance is floored to stay positive
-    definite.
+    The ranges are collapsed to a WLS position fix z (trilateration
+    `scene.geometry` of the anchors, weights W at the predicted ranges)
+    whose error covariance G^-1, G = A^T W A, is the measurement noise of
+    a linear H = I update.  In information form (Bar-Shalom, Li and
+    Kirubarajan, 2001) the fix enters through its normal equations,
+    G z = A^T W b, so neither the fix nor G^-1 is formed:
+    P+ = (P^-1 + G)^-1 and m+ = P+ (P^-1 m + A^T W b).
     """
     pred = _input_driven_predict(state, frame)
     r_hat = true_ranges(pred.mean, scene.anchors)
-    z, bias, second = ranging_layer(
-        scene.geometry, r_hat, range_variance(r_hat, scene.range_model), frame.ranges
-    )
-    r_cov = symmetrize(second - bias[..., :, None] * bias[..., None, :])
-    eigvals, eigvecs = np.linalg.eigh(r_cov)
-    r_cov = (eigvecs * np.maximum(eigvals, 1e-12)[..., None, :]) @ eigvecs.mT
-    return _kalman_update(pred, _identity(2), z - pred.mean, r_cov)
+    weight = noise_cov_inverse(r_hat, range_variance(r_hat, scene.range_model))
+    gram, atwb = normal_equations(scene.geometry, frame.ranges, weight)
+    prior_information = inverse_2x2(pred.covariance)
+    cov = inverse_2x2(prior_information + gram)
+    information_mean = (prior_information @ pred.mean[..., None])[..., 0] + atwb
+    return KfState(mean=(cov @ information_mean[..., None])[..., 0], covariance=symmetrize(cov))
 
 
 def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfState:
@@ -236,4 +252,4 @@ def ekf_cv_step(scene: Scene, state: KfState, frame: MeasurementFrame) -> KfStat
     variances = np.empty_like(innovation)
     variances[..., :m] = range_variance(r_hat, scene.range_model)
     variances[..., m:] = sensor_model.sigma_v**2, sensor_model.sigma_phi**2
-    return _kalman_update(KfState(mean_pred, cov_pred), h, innovation, _diag(variances))
+    return _kalman_update(KfState(mean_pred, cov_pred), h, innovation, variances)

@@ -28,6 +28,28 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.mT)
 
 
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def inverse_2x2(a: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix, or of each of a stack (..., 2, 2), by the
+    determinant formula adj(A) / det(A).
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        Before dividing, so with no numpy warning, if a determinant is
+        zero (as `np.linalg.inv` raises on an exactly singular matrix) or
+        not finite, where the formula would give NaN or a false 0.
+    """
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    size = np.abs(det)
+    if not (size.min() > 0.0 and size.max() < math.inf):  # a NaN fails both
+        raise np.linalg.LinAlgError("Singular matrix")
+    # the transpose read backwards is [[a11, a01], [a10, a00]]
+    return (a.mT[..., ::-1, ::-1] * _ADJUGATE_SIGNS) / det[..., None, None]
+
+
 @dataclass(slots=True)
 class AnchorSet:
     """Fixed anchor constellation.

@@ -106,24 +106,33 @@ def _range_differences(geometry: RangingGeometry, measured_ranges) -> np.ndarray
     return r_sq[..., -1:] - r_sq[..., :-1] + geometry.offset_vector
 
 
+def normal_equations(geometry: RangingGeometry, measured_ranges, weight: np.ndarray) -> tuple:
+    """The WLS normal equations (A^T W A) x = A^T W b, with
+    b_l = r_M^2 - r_l^2 + a_l built from the *measured* ranges.
+
+    Returns the gram G = A^T W A (2, 2) and A^T W b (2,); stacks of
+    ranges (R, M) and weights (R, M-1, M-1) give (R, 2, 2) and (R, 2).
+    When W is the inverse noise covariance, G is the information of the
+    fix about the position.
+    """
+    a_mat = geometry.design_matrix
+    atw = a_mat.T @ weight
+    return atw @ a_mat, (atw @ _range_differences(geometry, measured_ranges)[..., None])[..., 0]
+
+
 def wls_estimate(
     geometry: RangingGeometry, measured_ranges, weight: np.ndarray
 ) -> np.ndarray:
-    """Weighted least-squares position estimate from measured ranges.
-
-    Solves (A^T W A) x = A^T W b with b_l = r_M^2 - r_l^2 + a_l built
-    from the *measured* ranges.  Stacks of ranges (R, M) and weights
-    (R, M-1, M-1) give one estimate per run, (R, 2).
+    """Weighted least-squares position estimate from measured ranges:
+    the solution of `normal_equations`, one per run for stacks.
 
     Raises
     ------
     np.linalg.LinAlgError
         If A^T W A is singular.
     """
-    a_mat = geometry.design_matrix
-    atw = a_mat.T @ weight
-    rhs = atw @ _range_differences(geometry, measured_ranges)[..., None]
-    return np.linalg.solve(atw @ a_mat, rhs)[..., 0]
+    gram, rhs = normal_equations(geometry, measured_ranges, weight)
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
 def ranging_layer(

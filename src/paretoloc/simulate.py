@@ -42,6 +42,11 @@ from .ranging import RangingGeometry, build_geometry, noise_cov_inverse, wls_est
 BREAKPOINT_PERIOD = 2.0
 # Radius, m/s, of the disk a bounded "pwl" trajectory draws target velocities in.
 V_CAP = 0.5
+# Largest reach, m, of a track.  Two points whose coordinates are within
+# it differ by at most 2 MAX_REACH per coordinate, so a squared 2-D
+# distance (a chord, a range) is at most 8 MAX_REACH^2, half the largest
+# double; the other half is margin for anchors and estimates off the track.
+MAX_REACH = math.sqrt(sys.float_info.max) / 4.0
 
 
 @dataclass(slots=True)
@@ -59,7 +64,8 @@ class TrajectorySpec:
     T : float
         Step period in seconds.  The track's reach |start| + n T |speed|
         over its n = steps - 1 steps, plus a_max (n T)^2 / 2 for "pwl",
-        must stay within half the largest double.
+        must stay within MAX_REACH, where squared distances still fit
+        in a double.
     start : np.ndarray
         Initial position (2,).
     speed, heading : float
@@ -113,10 +119,11 @@ class TrajectorySpec:
         reach = float(np.abs(self.start).max()) + n * (self.T * abs(self.speed))
         if self.kind == "pwl":
             reach += 0.5 * self.a_max * (self.T * self.T) * n * n
-        if not reach <= sys.float_info.max / 2.0:
+        if not reach <= MAX_REACH:
             raise ValueError(
                 f"step period T = {self.T:g} takes the {self.kind} track of {self.steps} steps "
-                f"past the largest double (reach {reach:.3g} m)"
+                f"past the largest double when squared (reach {reach:.3g} m, "
+                f"at most {MAX_REACH:.3g} m)"
             )
 
 

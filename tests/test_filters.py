@@ -1,11 +1,12 @@
 """Kalman-filter baselines.
 
 Strongest oracle here: on a *linear* measurement function the unscented
-update must reproduce the textbook Kalman update exactly (the sigma-point
-transform of an affine map is exact), so the two are compared to
-near-machine precision.  The nonlinear filters are checked by noise-free
+update must reproduce the covariance-form Kalman update exactly (the
+sigma-point transform of an affine map is exact), so the two are compared
+to near-machine precision.  The nonlinear filters are checked by noise-free
 tracking and by hand-built single steps.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from paretoloc import crlb, filters
 from paretoloc.deadreckoning import measurement_frames
 from paretoloc.filters import (
     KfState,
+    _kalman_update,
     _sigma_points,
     _unscented_correct,
     cv_init,
@@ -40,8 +42,8 @@ from paretoloc.models import (
     range_variance,
     true_ranges,
 )
-from paretoloc.ranging import noise_cov_inverse, wls_estimate
-from paretoloc.simulate import Scene
+from paretoloc.ranging import noise_cov_inverse, ranging_layer, wls_estimate
+from paretoloc.simulate import ExperimentConfig, Scene, draw_run, make_scenario
 
 ANCHORS = AnchorSet(
     np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0], [2.0, 0.0]])
@@ -80,11 +82,11 @@ def numerical_jacobian(f, x, h_scale=1e-6):
     return np.stack(columns, axis=-1)
 
 
-def unscented_update(state, z, h, r_cov):
+def unscented_update(state, z, h, variances):
     """Unscented measurement update of `state` through a measurement function h."""
     points, weights = _sigma_points(state.mean, state.covariance)
     z_points = np.array([h(p) for p in points])
-    return _unscented_correct(state, points, weights, z_points, z, r_cov)
+    return _unscented_correct(state, points, weights, z_points, z, variances)
 
 
 def test_sigma_points_reconstruct_moments():
@@ -104,23 +106,21 @@ def test_sigma_points_reconstruct_moments():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_unscented_update_linear_case_equals_kalman(seed):
-    # affine h: the unscented update and the exact Kalman update must agree
+    # affine h: the unscented update and the exact Kalman update, in the
+    # covariance form the EKF-CV keeps, must agree
     rng = np.random.default_rng(seed)
     n, m = 4, 3
     prior = KfState(mean=rng.normal(size=n), covariance=_random_spd(rng, n))
     h_mat = rng.normal(size=(m, n))
     offset = rng.normal(size=m)
-    r_cov = _random_spd(rng, m)
+    variances = rng.uniform(0.5, 2.0, size=m)
     z = rng.normal(size=m)
 
-    posterior = unscented_update(prior, z, lambda x: h_mat @ x + offset, r_cov)
+    posterior = unscented_update(prior, z, lambda x: h_mat @ x + offset, variances)
 
-    s = h_mat @ prior.covariance @ h_mat.T + r_cov
-    gain = prior.covariance @ h_mat.T @ np.linalg.inv(s)
-    mean = prior.mean + gain @ (z - h_mat @ prior.mean - offset)
-    cov = prior.covariance - gain @ s @ gain.T
-    assert_allclose(posterior.mean, mean, atol=1e-8)
-    assert_allclose(posterior.covariance, cov, atol=1e-8)
+    kalman = _kalman_update(prior, h_mat, z - h_mat @ prior.mean - offset, variances)
+    assert_allclose(posterior.mean, kalman.mean, atol=1e-8)
+    assert_allclose(posterior.covariance, kalman.covariance, atol=1e-8)
 
 
 def test_numerical_jacobian_against_analytic():
@@ -332,3 +332,61 @@ def test_a_position_on_an_anchor_gets_the_one_range_floor(monkeypatch):
     assert np.isfinite(crlb.measurement_information(scene, state)).all()
     assert np.isfinite(crlb.pi_bracket(scene, on_anchor[None])).all()
     assert [x.min() for x in seen] == [MIN_RANGE] * 2
+
+
+def _covariance_form_update(mean, cov, h, innovation, r_cov):
+    """Textbook Kalman update, one np.linalg.solve on the innovation
+    covariance S: the oracle of the information-form steps."""
+    s = h @ cov @ h.mT + r_cov
+    gain = np.linalg.solve(s, h @ cov).mT  # P H^T S^-1, S and P symmetric
+    return mean + (gain @ innovation[..., None])[..., 0], cov - gain @ s @ gain.mT
+
+
+def _ekf_oracle(scene, mean, cov, frame):
+    mean, cov = mean + frame.displacement, cov + frame.input_cov
+    diff = mean[..., None, :] - scene.anchors.positions
+    r_hat = np.maximum(np.linalg.norm(diff, axis=-1), MIN_RANGE)
+    variances = scene.range_model.sigma0_sq * np.exp(scene.range_model.kappa * r_hat)
+    r_cov = variances[..., None] * np.eye(r_hat.shape[-1])
+    return _covariance_form_update(mean, cov, diff / r_hat[..., None], frame.ranges - r_hat, r_cov)
+
+
+def _lckf_oracle(scene, mean, cov, frame):
+    # the WLS fix and its error covariance from the fix's moments,
+    # G^-1 = E{w w^T} - bias bias^T, as a position reading with H = I
+    mean, cov = mean + frame.displacement, cov + frame.input_cov
+    r_hat = np.linalg.norm(mean[..., None, :] - scene.anchors.positions, axis=-1)
+    variances = scene.range_model.sigma0_sq * np.exp(scene.range_model.kappa * r_hat)
+    fix, bias, second = ranging_layer(scene.geometry, r_hat, variances, frame.ranges)
+    r_cov = second - bias[..., :, None] * bias[..., None, :]
+    # the covariance-form LC-KF floored this noise's eigenvalues at 1e-12;
+    # the information form has no floor, so none may have been active
+    assert np.linalg.eigvalsh(0.5 * (r_cov + r_cov.mT)).min() > 1e-12
+    return _covariance_form_update(mean, cov, np.eye(2), fix - mean, r_cov)
+
+
+def _relative_gap(got, want):
+    """Largest |got - want| of each row over the row's largest |want|."""
+    axes = tuple(range(1, want.ndim))
+    return (np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)).max()
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+@pytest.mark.parametrize("step, oracle", [(ekf_step, _ekf_oracle), (lckf_step, _lckf_oracle)])
+def test_information_form_steps_track_the_covariance_form(scenario, step, oracle):
+    # the information-form filter and the covariance-form oracle run side
+    # by side, each on its own state, over the same 300 frames of 4 runs
+    config = ExperimentConfig(trajectory=make_scenario(scenario, steps=300), runs=4)
+    scene = Scene.from_config(config)
+    for seed in range(3):
+        draws = [draw_run(dataclasses.replace(config, seed=seed), run) for run in range(4)]
+        positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
+        frames = measurement_frames(scene, ranges, speed, heading)
+        state = position_init(positions[0])
+        mean, cov = state.mean, state.covariance
+        next(frames)
+        for frame in frames:
+            state = step(scene, state, frame)
+            mean, cov = oracle(scene, mean, cov, frame)
+            assert _relative_gap(state.mean, mean) < 1e-9
+            assert _relative_gap(state.covariance, cov) < 1e-9

@@ -1,10 +1,12 @@
 """Domain types, noise models, and measurement synthesis."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from paretoloc.models import (
@@ -16,6 +18,7 @@ from paretoloc.models import (
     SensorStreams,
     cv_transition,
     draw_measurements,
+    inverse_2x2,
     range_variance,
     true_ranges,
 )
@@ -161,3 +164,54 @@ def test_draw_measurements_deterministic():
     for i, part in enumerate(first):
         np.testing.assert_array_equal(part, again[i])
         np.testing.assert_array_equal(part, np.concatenate([one[i] for one in per_state]))
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _assert_inverse_matches_lapack(a):
+    # both inverses are backward stable, so they differ by at most a few
+    # ulps times the condition number, relative to the inverse's size
+    got, ref = inverse_2x2(a), np.linalg.inv(a)
+    cond = np.linalg.cond(a)[..., None, None]
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 16.0 * np.finfo(float).eps * cond * scale)
+
+
+@given(
+    arrays(float, st.tuples(st.integers(1, 6), st.just(2), st.just(2)), elements=_ENTRIES),
+    st.floats(1e-6, 1e3),
+)
+def test_inverse_2x2_matches_lapack_on_spd_stacks(factor, ridge):
+    _assert_inverse_matches_lapack(factor @ factor.mT + ridge * np.eye(2))
+
+
+@given(
+    arrays(float, (4, 2), elements=st.floats(0.1, 1e3)),
+    st.floats(1e-12, 1e-6),
+)
+def test_inverse_2x2_matches_lapack_near_singularity(vectors, gap):
+    # u v^T is singular; a relative gap on the diagonal makes it invertible
+    # with a condition number up to about 1e12
+    u, v = vectors[:2], vectors[2:]
+    rank_one = np.einsum("ki,kj->kij", u.T, v.T)
+    near = rank_one + gap * np.abs(rank_one).max(axis=(-2, -1), keepdims=True) * np.eye(2)
+    _assert_inverse_matches_lapack(near)
+
+
+@given(
+    arrays(float, (3, 2, 2), elements=st.floats(0.5, 2.0)),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 0.5, 2.0, -4.0]),
+)
+def test_inverse_2x2_refuses_a_stack_with_a_singular_member(stack, member, power_of_two):
+    # a second row that is a power of two times the first makes the
+    # determinant exactly zero: the whole stack fails with the error
+    # np.linalg.inv raises on a singular matrix, and prints no warning
+    stack[member, 1] = power_of_two * stack[member, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            inverse_2x2(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_2x2(np.where(np.eye(2, dtype=bool), np.nan, stack))

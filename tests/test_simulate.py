@@ -379,25 +379,27 @@ def test_trajectory_spec_validation():
         TrajectorySpec(T=0.0)
 
 
-# a held track's chord speed may still overflow (its steps square past the
-# largest double); only its positions are checked here
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize(
     "kind, steps, t_held, t_refused",
     [
-        # reach |start| + t |speed| with t = (steps - 1) T, speed 0.1
-        ("linear", 300, 1e306, 1e307),
-        ("cv", 300, 1e306, 1e307),
-        # plus a_max t^2 / 2, and T^2 must be finite
-        ("pwl", 300, 1e150, 1e153),
-        ("pwl", 2, 1e154, 1e155),
+        # reach |start| + t |speed| with t = (steps - 1) T, speed 0.1, at
+        # most sqrt(largest double) / 4 = 3.35e153 m
+        ("linear", 300, 1e152, 1e153),
+        ("cv", 300, 1e152, 1e153),
+        # plus a_max t^2 / 2
+        ("pwl", 300, 1e74, 1e75),
+        ("pwl", 2, 1e77, 2e77),
     ],
 )
 def test_trajectory_spec_refuses_a_track_past_the_largest_double(kind, steps, t_held, t_refused):
+    # a held track squares its chords without overflow: positions, chord
+    # speeds and headings are finite, and numpy warns of nothing
     spec = TrajectorySpec(kind=kind, steps=steps, T=t_held, speed=0.1)
     if kind != "cv":
-        positions, _, _ = gen_trajectory(spec, np.random.default_rng(0))
-        assert np.isfinite(positions).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            track = gen_trajectory(spec, np.random.default_rng(0))
+        assert all(np.isfinite(part).all() for part in track)
     with pytest.raises(ValueError, match=re.escape(f"step period T = {t_refused:g} takes the {kind}")):
         TrajectorySpec(kind=kind, steps=steps, T=t_refused, speed=0.1)
     with pytest.raises(ValueError, match="past the largest double"):
