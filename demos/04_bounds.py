@@ -46,7 +46,7 @@ rmse = {name: per_step_rmse(result.errors[name]) for name in result.estimators}
 
 lb, pcrlb, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
 # as `paretoloc crlb` does, print a bracket only where it is finite and holds
-holds = np.isfinite(ub) & (lb <= pcrlb) & (pcrlb <= ub)
+holds = traces["bracket_ok"]
 
 print("step   parcrlb    pcrlb   [bracket lo, hi]          lckf   fusion   (cm)")
 for k in range(0, STEPS, 10):

@@ -37,13 +37,12 @@ from .filters import (
     ukf_step,
 )
 from .fusion import (
-    AxisContext,
     FusionState,
     ParetoConfig,
     approximate_kinematics,
+    axis_moments,
     bias_recursion,
     error_variance,
-    fuse,
     fusion_step,
     init_fusion,
     optimal_beta,

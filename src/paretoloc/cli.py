@@ -57,8 +57,7 @@ _CONFIG_KEYS = {
     "kappa",
     "sigma_v",
     "sigma_phi",
-    "mode",
-    "fixed_rho",
+    "rho",
     "beta_clip",
     "cv",
 }
@@ -143,8 +142,7 @@ def _build_experiment(args) -> ExperimentConfig:
             range_model=RangeNoiseModel(**_given(settings, ("sigma0_sq", "kappa"))),
             sensor_model=SensorNoiseModel(**_given(settings, ("sigma_v", "sigma_phi"))),
             pareto=ParetoConfig(
-                **_given(settings, ("mode",), str),
-                **_given(settings, ("fixed_rho", "beta_clip")),
+                **_given(settings, ("rho", "beta_clip")),
                 initial_speed=spec.speed,
                 initial_heading=spec.heading,
             ),
@@ -242,7 +240,7 @@ def _cmd_crlb(args) -> int:
     n = len(traces["parcrlb"])
     lb, pcrlb, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
     # a bracket is printed only where it is finite and holds
-    holds = np.isfinite(ub) & (lb <= pcrlb) & (pcrlb <= ub)
+    holds = traces["bracket_ok"]
     for k in sorted({0, n // 2, n - 1}):
         bracket = (
             f"[{lb[k] * 100.0:.2f}, {ub[k] * 100.0:.2f}]" if holds[k] else "(bracket does not hold)"

@@ -15,9 +15,8 @@ chosen per axis and per step by minimising the weighted Pareto objective
 
     rho * mu_{k+1}^2(beta) + (1 - rho) * sigma_{k+1}^2(beta),
 
-with rho either fixed, or picked on a grid so bias^2 and variance
-balance (knee point), or rho = 1/2 which reduces to the plain MSE
-minimiser.
+with rho either set, or picked on a grid so bias^2 and variance
+balance (knee point); rho = 1/2 is the plain MSE minimiser.
 """
 
 from __future__ import annotations
@@ -41,61 +40,9 @@ if TYPE_CHECKING:
 _AXES = np.arange(2)
 
 
-@dataclass(slots=True)
-class AxisContext:
-    """Everything one axis needs to score a candidate beta at one step.
-
-    Each field is a float for one axis, or an array holding one value per
-    element (the batched step passes (R, 2): runs by axes); every formula
-    below works elementwise and broadcasts.
-
-    Attributes
-    ----------
-    ranging_mean : float
-        E{w_r}, the WLS error bias on this axis.
-    ranging_second : float
-        E{w_r^2}, the raw WLS error second moment on this axis.
-    prev_bias : float
-        Tracked bias of the previous fused estimate on this axis.
-    prev_variance : float
-        Tracked variance of the previous fused estimate on this axis.
-    dr_true_first : float
-        Noise-free displacement direction term V trig(phi) (trig = cos on
-        axis 0, sin on axis 1), from the kinematic approximations.
-    heading_attenuation : float
-        exp(-sigma_phi^2 / 2); ties the noisy displacement mean to the
-        noise-free one.
-    dr_second : float
-        E{V~^2 trig^2(phi~)}.
-    T : float
-        Step period.
-    """
-
-    ranging_mean: float
-    ranging_second: float
-    prev_bias: float
-    prev_variance: float
-    dr_true_first: float
-    heading_attenuation: float
-    dr_second: float
-    T: float
-
-    def moments(self) -> ParetoMoments:
-        """The moments that score a beta, each evaluated once."""
-        drift = self.T * self.dr_true_first * (self.heading_attenuation - 1.0)
-        sigma_vr_sq = self.ranging_second - self.ranging_mean**2
-        dr_first = self.dr_true_first * self.heading_attenuation  # E{V~ trig(phi~)}
-        sigma_vv_sq = self.T**2 * (self.dr_second - dr_first**2)
-        return ParetoMoments(
-            self.ranging_mean, self.prev_bias, self.prev_variance, drift, sigma_vr_sq, sigma_vv_sq,
-            gamma=-self.ranging_mean + self.prev_bias + drift,
-            eta=sigma_vr_sq + self.prev_variance + sigma_vv_sq,
-        )
-
-
 class ParetoMoments(NamedTuple):
-    """What the beta formula and the bias/variance recursions read of an
-    `AxisContext`, one value per element: E{w_r}, E{w_k}, sigma_vx^2, the
+    """What the beta formula and the bias/variance recursions read at one
+    step, one value per element: E{w_r}, E{w_k}, sigma_vx^2, the
     dead-reckoning bias increment T V trig(phi) (exp(-sigma_phi^2/2) - 1),
     the variances of the ranging error and of the displacement
     T V~ trig(phi~), gamma = -E{w_r} + E{w_k} + drift (the mean of the
@@ -122,11 +69,10 @@ class ParetoConfig:
     beta_clip : float
         Extra cap on |beta|; keeps the fused estimator strictly forgetting
         so bias/variance recursions stay contractive.
-    mode : str
-        "knee" (grid-balanced rho), "fixed" (use `fixed_rho`) or "mse"
-        (rho = 1/2, where the objective is half the mean square error).
-    fixed_rho : float
-        Pareto weight used when mode == "fixed".
+    rho : float or None
+        Pareto weight in [0, 1]; None picks it per step and axis at the
+        knee (`select_rho`).  At rho = 1/2 the objective is half the mean
+        square error.
     initial_speed, initial_heading : float
         Kinematic prior used before two estimates exist to difference.
     """
@@ -134,18 +80,15 @@ class ParetoConfig:
     rho_grid: ClassVar[np.ndarray] = np.linspace(0.0, 1.0, 51)
     rho_grid.flags.writeable = False
     beta_clip: float = 0.99
-    mode: str = "knee"
-    fixed_rho: float = 0.5
+    rho: float | None = None
     initial_speed: float = 0.0
     initial_heading: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("knee", "fixed", "mse"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.beta_clip <= 1.0:
             raise ValueError("beta_clip must be in (0, 1]")
-        if not 0.0 <= self.fixed_rho <= 1.0:
-            raise ValueError("fixed_rho must be in [0, 1]")
+        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must be None (knee) or in [0, 1], got {self.rho}")
 
 
 @dataclass(slots=True)
@@ -182,15 +125,41 @@ class FusionState:
     last_rho: np.ndarray
 
 
-def fuse(beta, ranging_estimate, dr_estimate) -> np.ndarray:
-    """Per-axis combination (1 - beta) * x_r + beta * x_v.
+def axis_moments(
+    ranging_mean, ranging_variance, prev_bias, prev_variance, dr_true_first,
+    heading_attenuation, dr_second, T,
+) -> ParetoMoments:
+    """The moments that score a beta on one axis, each evaluated once.
 
-    beta may be a scalar or one value per axis.
+    Each argument is a float for one axis, or an array holding one value
+    per element (the batched step passes (R, 2): runs by axes); every
+    formula works elementwise and broadcasts.
+
+    Parameters
+    ----------
+    ranging_mean, ranging_variance : float
+        E{w_r} and sigma_vr^2, the WLS error bias and variance on this axis.
+    prev_bias, prev_variance : float
+        Tracked bias and variance of the previous fused estimate.
+    dr_true_first : float
+        Noise-free displacement direction term V trig(phi) (trig = cos on
+        axis 0, sin on axis 1), from the kinematic approximations.
+    heading_attenuation : float
+        exp(-sigma_phi^2 / 2); ties the noisy displacement mean to the
+        noise-free one.
+    dr_second : float
+        E{V~^2 trig^2(phi~)}.
+    T : float
+        Step period.
     """
-    beta = np.asarray(beta, dtype=float)
-    x_r = np.asarray(ranging_estimate, dtype=float)
-    x_v = np.asarray(dr_estimate, dtype=float)
-    return (1.0 - beta) * x_r + beta * x_v
+    drift = T * dr_true_first * (heading_attenuation - 1.0)
+    dr_first = dr_true_first * heading_attenuation  # E{V~ trig(phi~)}
+    sigma_vv_sq = T**2 * (dr_second - dr_first**2)
+    return ParetoMoments(
+        ranging_mean, prev_bias, prev_variance, drift, ranging_variance, sigma_vv_sq,
+        gamma=-ranging_mean + prev_bias + drift,
+        eta=ranging_variance + prev_variance + sigma_vv_sq,
+    )
 
 
 def bias_recursion(beta: float, m: ParetoMoments) -> float:
@@ -233,7 +202,7 @@ def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
     return np.clip(xi, -beta_clip, beta_clip)
 
 
-def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig) -> float:
+def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
     """Minimiser of rho * mu^2(beta) + (1 - rho) * sigma^2(beta).
 
     The objective is quadratic in beta; the stationary point is
@@ -244,12 +213,12 @@ def optimal_beta(rho: float, ctx: AxisContext, config: ParetoConfig) -> float:
     with eta = sigma_vr^2 + sigma_vx^2 + sigma_vv^2, clipped to
     |beta| <= beta_clip (at most 1).  A non-positive denominator means the
     objective has no curvature (all variances and the bias drift vanish);
-    beta = 0 is returned with a warning.  Array contexts (and rho) give
+    beta = 0 is returned with a warning.  Array moments (and rho) give
     one beta per element.
     """
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    return _pareto_beta(rho, ctx.moments(), config.beta_clip, warn=True)[()]
+    return _pareto_beta(rho, m, config.beta_clip, warn=True)[()]
 
 
 def select_rho(m: ParetoMoments, config: ParetoConfig):
@@ -308,12 +277,15 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     first frames.
 
     Weights are evaluated at the measured ranges (no prior estimate
-    exists yet); the tracked bias / variance start from the ranging error
-    moments at that operating point.  `scene.paretos` holds one
-    ParetoConfig per equal block of rows, in row order.
+    exists yet); the tracked bias and variance start from the ranging
+    error moments at that operating point.  The variance seed is the raw
+    second moment diag(G^{-1}) + bias^2, not the variance diag(G^{-1}),
+    so the first step's sigma_vx^2 counts the bias, which `bias_estimate`
+    also carries, twice.  `scene.paretos` holds one ParetoConfig per
+    equal block of rows, in row order.
     """
     r = np.maximum(frame.ranges, 0.0)
-    estimate, bias, second = ranging_layer(
+    estimate, bias, cov = ranging_layer(
         scene.geometry, r, range_variance(r, scene.range_model), frame.ranges
     )
     rows = len(estimate)
@@ -325,7 +297,7 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
         estimate=estimate,
         prev_estimate=None,
         bias_estimate=bias,
-        error_variance=second.diagonal(0, -2, -1).copy(),
+        error_variance=cov.diagonal(0, -2, -1) + bias**2,
         last_speed=last_speed,
         last_heading=last_heading,
         last_beta=np.zeros((rows, 2)),
@@ -333,22 +305,21 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     )
 
 
-def _pareto_update(ctx: AxisContext, configs: Sequence[ParetoConfig]) -> tuple:
-    """(rho, beta, bias, variance) of one step for the contexts `ctx`
+def _pareto_update(m: ParetoMoments, configs: Sequence[ParetoConfig]) -> tuple:
+    """(rho, beta, bias, variance) of one step for the moments `m`
     (rows, 2), one equal block of rows per config.  Knee blocks scan for
-    rho ("mse" is rho = 1/2); one beta evaluation at the per-row rho and
-    beta_clip, with the scan's arithmetic, then serves every row, and
-    only fixed and mse rows warn of a degenerate objective."""
-    m = ctx.moments()
+    rho; one beta evaluation at the per-row rho and beta_clip, with the
+    scan's arithmetic, then serves every row, and only rows at a set rho
+    warn of a degenerate objective."""
     rows = len(m.ranging_mean)
     rho, beta_clip = np.empty((rows, 2)), np.empty((rows, 1))
     warn = np.zeros((rows, 1), dtype=bool)
     for part, config in _row_blocks(configs, rows):
         beta_clip[part] = config.beta_clip
-        if config.mode == "knee":
+        if config.rho is None:
             rho[part] = select_rho(ParetoMoments(*(x[part] for x in m)), config)
         else:
-            rho[part] = config.fixed_rho if config.mode == "fixed" else 0.5
+            rho[part] = config.rho
             warn[part] = True
     beta = _pareto_beta(rho, m, beta_clip, warn)
     return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
@@ -365,7 +336,7 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     `scene.paretos` holds one ParetoConfig per equal block of rows, in
     row order.  The dead reckoning, the ranging layer and the axis
     moments, of shape (rows, 2), are computed once for all rows; rho is
-    chosen per block by that block's mode (the knee search scans
+    each block's set weight or its knee (the knee search scans
     (len(rho_grid), block rows, 2)), and beta once for all rows.
 
     Returns a new FusionState; the input state is not modified.
@@ -383,14 +354,14 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     # previous estimate; the two coincide as the per-step displacement
     # shrinks.
     r_ap = true_ranges(x_v, scene.anchors)
-    x_r, r_bias, r_second = ranging_layer(
+    x_r, r_bias, r_cov = ranging_layer(
         scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
     )
 
     v, phi = v_ap[..., None], phi_ap[..., None]
-    ctx = AxisContext(
+    m = axis_moments(
         ranging_mean=r_bias,
-        ranging_second=r_second.diagonal(0, -2, -1),
+        ranging_variance=r_cov.diagonal(0, -2, -1),
         prev_bias=state.bias_estimate,
         prev_variance=state.error_variance,
         dr_true_first=v * heading_vector(phi_ap),
@@ -400,10 +371,10 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         ),
         T=T,
     )
-    rho, beta, bias, variance = _pareto_update(ctx, scene.paretos)
+    rho, beta, bias, variance = _pareto_update(m, scene.paretos)
 
     return FusionState(
-        estimate=fuse(beta, x_r, x_v),
+        estimate=(1.0 - beta) * x_r + beta * x_v,
         prev_estimate=state.estimate,
         bias_estimate=bias,
         error_variance=variance,

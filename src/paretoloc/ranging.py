@@ -11,7 +11,7 @@ The noise entering the right-hand side is a quadratic function of the
 raw range noise, so it is biased and correlated across rows; the helpers
 here provide its exact inverse covariance (rank-one update in closed
 form), and `ranging_layer` gives the fix together with the induced
-estimator bias and error correlation from one solve.  All second-order
+estimator bias and error covariance from one solve.  All second-order
 quantities assume independent zero-mean Gaussian range noise with
 per-anchor variances.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AnchorSet, _identity, symmetrize
+from .models import AnchorSet, _identity
 
 
 @dataclass(slots=True)
@@ -140,17 +140,15 @@ def ranging_layer(
 ) -> tuple:
     """WLS fix and its error moments, for one run or a stack of runs.
 
-    The weights W, the bias and the correlation are evaluated at `ranges`
+    The weights W, the bias and the covariance are evaluated at `ranges`
     with range-noise `variances` (true ranges in analysis, a predicted
     position's ranges online); the fix solves the normal equations for
     `measured_ranges`.  One solve on the 2x2 gram G = A^T W A per run,
     with right-hand sides [A^T W b, A^T W mu, I], gives the fix, the bias
     and G^{-1}.  Because W is the inverse of the noise covariance at the
-    same ranges, and the noise raw second moment is that covariance plus
-    mu mu^T, the correlation G^{-1} A^T W E{b b^T} W A G^{-1} of the
-    error mapped through the solve reduces to
-
-        E{w w^T} = G^{-1} + bias bias^T.
+    same ranges, the covariance G^{-1} A^T W Cov{b} W A G^{-1} of the
+    error mapped through the solve is G^{-1} itself; the error
+    correlation is E{w w^T} = G^{-1} + bias bias^T.
 
     Parameters
     ----------
@@ -159,7 +157,7 @@ def ranging_layer(
 
     Returns
     -------
-    (fix, bias, correlation) : tuple
+    (fix, bias, covariance) : tuple
         Shapes (2,), (2,) and (2, 2), with a leading R axis for a stack.
 
     Raises
@@ -177,7 +175,4 @@ def ranging_layer(
     rhs[..., :2] = atw @ columns
     rhs[..., 2:] = _identity(2)
     solution = np.linalg.solve(atw @ a_mat, rhs)
-    fix, bias = solution[..., 0], solution[..., 1]
-    corr = solution[..., 2:] + bias[..., :, None] * bias[..., None, :]
-    return fix, bias, symmetrize(corr)
-
+    return solution[..., 0], solution[..., 1], solution[..., 2:]

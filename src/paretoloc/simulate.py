@@ -488,7 +488,7 @@ def _filter_position(state):
 
 
 def _mse_pareto(config):
-    return dataclasses.replace(config.pareto, mode="mse")
+    return dataclasses.replace(config.pareto, rho=0.5)
 
 
 def _estimators() -> dict:
@@ -797,7 +797,8 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     The parametric bound runs along the noise-free straight track from the
     scenario's initial state; the posterior bound and its bracket run
     along rollouts of the scene's CV model (see `Scene.from_config`) from
-    the same state.
+    the same state.  `bracket_ok` marks the steps where the bracket is
+    finite and holds the posterior bound: ub finite, lb <= pcrlb <= ub.
     """
     spec = config.trajectory
     n = spec.steps if steps is None else steps
@@ -809,10 +810,12 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     post = pcrlb_bounds(
         scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
     )
+    lb, bound, ub = post.bound_lb, post.bound, post.bound_ub
     return {
         "parcrlb": par_bound,
-        "pcrlb": post.bound,
-        "pcrlb_lb": post.bound_lb,
-        "pcrlb_ub": post.bound_ub,
+        "pcrlb": bound,
+        "pcrlb_lb": lb,
+        "pcrlb_ub": ub,
+        "bracket_ok": np.isfinite(ub) & (lb <= bound) & (bound <= ub),
         "sandwich_ok": post.sandwich_ok,
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .crlb import (
     trig_moments,
 )
 from .deadreckoning import dr_first_moment, dr_second_moment
-from .fusion import AxisContext, ParetoConfig, optimal_beta
+from .fusion import ParetoConfig, axis_moments, optimal_beta
 from .models import (
     AnchorSet,
     CvProcessModel,
@@ -146,7 +147,8 @@ def check_noise_cov_inverse(scale: float = 1.0, seed: int = 7) -> CheckResult:
 def _wls_moment_check(name: str, scale: float, seed: int, second: bool) -> CheckResult:
     """MC WLS errors against the moment `ranging_layer`, the estimators'
     moment path, gives at the same operating point: the bias (the mean
-    error) or the correlation (the mean of e e^T), 3 SE per entry."""
+    error) or the correlation G^{-1} + bias bias^T (the mean of e e^T),
+    3 SE per entry."""
     rng = np.random.default_rng(seed)
     n = max(int(1e5 * scale), 1000)
     aset, position = _random_geometry(rng)
@@ -155,7 +157,8 @@ def _wls_moment_check(name: str, scale: float, seed: int, second: bool) -> Check
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(r, var)
     errors = b @ np.linalg.solve(atw @ a_mat, atw).T  # (n, 2)
-    _, bias, correlation = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r)
+    correlation = cov + bias[:, None] * bias[None, :]
     samples = errors[:, :, None] * errors[:, None, :] if second else errors  # (n, 2, 2) or (n, 2)
     mean, se = _mean_se(samples, axis=0)
     ratio = float(np.max(np.abs(mean - (correlation if second else bias)) / (3.0 * se)))
@@ -219,7 +222,8 @@ def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
     )
 
 
-def _random_axis_context(rng: np.random.Generator) -> AxisContext:
+def _random_axis_inputs(rng: np.random.Generator) -> dict:
+    """`axis_moments` arguments of a random operating point."""
     m_r = rng.normal(0.0, 0.1)
     sigma_vr_sq = rng.uniform(1e-4, 0.25)
     svv = rng.uniform(1e-8, 0.01)
@@ -227,9 +231,9 @@ def _random_axis_context(rng: np.random.Generator) -> AxisContext:
     atten = rng.uniform(0.6, 1.0)
     dr_true_first = rng.uniform(-1.0, 1.0)
     dr_first = dr_true_first * atten
-    return AxisContext(
+    return dict(
         ranging_mean=m_r,
-        ranging_second=sigma_vr_sq + m_r**2,
+        ranging_variance=sigma_vr_sq,
         prev_bias=rng.normal(0.0, 0.1),
         prev_variance=rng.uniform(1e-6, 0.04),
         dr_true_first=dr_true_first,
@@ -239,9 +243,9 @@ def _random_axis_context(rng: np.random.Generator) -> AxisContext:
     )
 
 
-def _second_moment_terms(ctx: AxisContext) -> tuple:
+def _second_moment_terms(**inputs) -> tuple:
     """Paper-form quadratic coefficients (a_k, b_k) of the fused error
-    second moment.
+    second moment, from the `axis_moments` arguments `inputs`.
 
     E{w_{k+1}^2} = beta^2 a_k + 2 beta b_k + E{w_r^2}, with
 
@@ -253,18 +257,20 @@ def _second_moment_terms(ctx: AxisContext) -> tuple:
     where c is the dead-reckoning drift term.  Algebraically
     a_k = gamma^2 + eta >= 0 and b_k = E{w_r} gamma - sigma_vr^2.
     """
-    prev_second = ctx.prev_bias**2 + ctx.prev_variance
-    c = ctx.moments().drift
+    p = SimpleNamespace(**inputs)
+    ranging_second = p.ranging_variance + p.ranging_mean**2
+    prev_second = p.prev_bias**2 + p.prev_variance
+    c = axis_moments(**inputs).drift
     a_k = (
-        ctx.ranging_second
+        ranging_second
         + prev_second
-        + ctx.T**2 * ctx.dr_second
-        + ctx.T**2 * ctx.dr_true_first**2 * (1.0 - 2.0 * ctx.heading_attenuation)
-        - 2.0 * ctx.prev_bias * ctx.ranging_mean
-        - 2.0 * ctx.ranging_mean * c
-        + 2.0 * ctx.prev_bias * c
+        + p.T**2 * p.dr_second
+        + p.T**2 * p.dr_true_first**2 * (1.0 - 2.0 * p.heading_attenuation)
+        - 2.0 * p.prev_bias * p.ranging_mean
+        - 2.0 * p.ranging_mean * c
+        + 2.0 * p.prev_bias * c
     )
-    b_k = -ctx.ranging_second + ctx.prev_bias * ctx.ranging_mean + ctx.ranging_mean * c
+    b_k = -ranging_second + p.prev_bias * p.ranging_mean + p.ranging_mean * c
     return a_k, b_k
 
 
@@ -287,8 +293,8 @@ def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
     worst_grid = 0.0
     worst_mse = 0.0
     for _ in range(100):
-        ctx = _random_axis_context(rng)
-        m = ctx.moments()
+        inputs = _random_axis_inputs(rng)
+        m = axis_moments(**inputs)
         rho = float(rng.uniform(0.0, 1.0))
         mu = (1.0 - beta_grid) * m.ranging_mean + beta_grid * m.prev_bias + beta_grid * m.drift
         var = (
@@ -298,12 +304,10 @@ def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
         )
         objective = rho * mu**2 + (1.0 - rho) * var
         brute = float(beta_grid[int(np.argmin(objective))])
-        closed = optimal_beta(rho, ctx, config)
+        closed = optimal_beta(rho, m, config)
         worst_grid = max(worst_grid, abs(closed - brute))
-        a_k, b_k = _second_moment_terms(ctx)
-        worst_mse = max(
-            worst_mse, abs(_mse_beta(a_k, b_k, config) - optimal_beta(0.5, ctx, config))
-        )
+        a_k, b_k = _second_moment_terms(**inputs)
+        worst_mse = max(worst_mse, abs(_mse_beta(a_k, b_k, config) - optimal_beta(0.5, m, config)))
     passed = worst_grid <= 2e-4 and worst_mse <= 1e-9
     return CheckResult(
         name="optimal-beta",

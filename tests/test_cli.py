@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,9 +374,9 @@ def test_bad_trajectory_settings_exit_with_config_error(argv, capsys):
 @pytest.mark.parametrize(
     "settings",
     [
-        {"mode": "fixed", "fixed_rho": 1.5},
-        {"mode": "fixed", "fixed_rho": -0.5},
-        {"mode": "fixed", "fixed_rho": float("nan")},
+        {"rho": 1.5},
+        {"rho": -0.5},
+        {"rho": float("nan")},
         {"heading": float("nan")},
     ],
 )
@@ -387,6 +388,41 @@ def test_bad_config_values_exit_with_config_error(settings, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "rmse" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "settings", [{"mode": "mse"}, {"fixed_rho": 0.5}, {"mode": "fixed", "rho": 0.3}]
+)
+def test_the_retired_weight_keys_are_unknown_config_keys(settings, tmp_path, monkeypatch, capsys):
+    def must_not_run(config, *args, **kwargs):
+        raise AssertionError("an experiment ran despite a config error")
+
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", must_not_run)
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err
+    assert all(key in err for key in settings if key != "rho")
+
+
+def test_a_rho_setting_runs_fusion_at_that_weight(tmp_path):
+    cfg, out = tmp_path / "rho.json", tmp_path / "trace.csv"
+    cfg.write_text(json.dumps({"rho": 0.3}))
+    argv = ["run", "--config", str(cfg), "--steps", "30", "--runs", "2", "--estimators", "fusion"]
+    assert _build_experiment(build_parser().parse_args(argv)).pareto.rho == 0.3
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        written = np.array([row[3:5] for row in list(csv.reader(fh))[1:]], dtype=float)
+    spec = make_scenario("A", steps=30)
+    for rho in (0.3, None):
+        pareto = ParetoConfig(rho=rho, initial_speed=spec.speed, initial_heading=spec.heading)
+        result = run_experiment(
+            ExperimentConfig(trajectory=spec, estimators=("fusion",), runs=2, pareto=pareto)
+        )
+        # the trace holds 10 significant digits
+        same = np.allclose(written, result.estimate_traces["fusion"], rtol=1e-9, atol=0.0)
+        assert same == (rho == 0.3), rho
 
 
 @pytest.mark.parametrize(
@@ -621,3 +657,33 @@ def test_a_track_past_the_largest_double_is_a_config_error(argv, failure, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: step period {failure} past the largest double"), err
+
+
+_ALL_ESTIMATORS = "fusion,mse,wls,dr,ekf,ukf,lckf,ekf-cv"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["run", "--scenario", scenario, "--estimators", _ALL_ESTIMATORS,
+             "--runs", "3", "--steps", "60"]
+            for scenario in ("A", "B", "CV")
+        ),
+        ["sweep", "--scenario", "B", "--parameter", "amax", "--values", "0.25,0.75",
+         "--estimators", _ALL_ESTIMATORS, "--runs", "3", "--steps", "60"],
+        ["crlb", "--scenario", "CV", "--steps", "50", "--ensemble", "100"],
+        ["crlb", "--scenario", "B", "--steps", "50", "--ensemble", "100"],
+        ["validate-lemmas", "--samples", "20000"],
+    ],
+    ids=["run-A", "run-B", "run-CV", "sweep-B", "crlb-CV", "crlb-B", "validate-lemmas"],
+)
+def test_default_paths_raise_no_warning_and_no_floating_point_error(argv, tmp_path, capsys):
+    # every warning is an error, and so is an overflow, an invalid
+    # operation or a division by zero anywhere numpy does not silence it
+    if argv[0] != "validate-lemmas":
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -17,6 +17,7 @@ from paretoloc import crlb, filters
 from paretoloc.deadreckoning import measurement_frames
 from paretoloc.filters import (
     KfState,
+    _cholesky,
     _kalman_update,
     _sigma_points,
     _unscented_correct,
@@ -102,6 +103,29 @@ def test_sigma_points_reconstruct_moments():
         assert_allclose(
             centered.T @ (weights[:, None] * centered), cov, atol=1e-10
         )
+
+
+def test_cholesky_retries_a_failing_member_once_with_jitter():
+    # the stack's factorisation fails on its singular middle member; each
+    # member is then factored alone, and only that one gets the jitter
+    scale = 3.0
+    stack = np.array(
+        [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[4.0, -1.0], [-1.0, 3.0]]]
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(scale * stack[1])
+    factors = _cholesky(stack, scale)
+    assert factors.shape == (3, 2, 2)
+    for i in (0, 2):
+        np.testing.assert_array_equal(factors[i], np.linalg.cholesky(scale * stack[i]))
+    np.testing.assert_array_equal(
+        factors[1], np.linalg.cholesky(scale * (stack[1] + 1e-12 * np.eye(2)))
+    )
+    # a member that the jitter does not make positive definite still fails
+    indefinite = stack.copy()
+    indefinite[1] = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(indefinite, scale)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -352,13 +376,12 @@ def _ekf_oracle(scene, mean, cov, frame):
 
 
 def _lckf_oracle(scene, mean, cov, frame):
-    # the WLS fix and its error covariance from the fix's moments,
-    # G^-1 = E{w w^T} - bias bias^T, as a position reading with H = I
+    # the WLS fix and its error covariance G^-1 as a position reading
+    # with H = I
     mean, cov = mean + frame.displacement, cov + frame.input_cov
     r_hat = np.linalg.norm(mean[..., None, :] - scene.anchors.positions, axis=-1)
     variances = scene.range_model.sigma0_sq * np.exp(scene.range_model.kappa * r_hat)
-    fix, bias, second = ranging_layer(scene.geometry, r_hat, variances, frame.ranges)
-    r_cov = second - bias[..., :, None] * bias[..., None, :]
+    fix, _, r_cov = ranging_layer(scene.geometry, r_hat, variances, frame.ranges)
     # the covariance-form LC-KF floored this noise's eigenvalues at 1e-12;
     # the information form has no floor, so none may have been active
     assert np.linalg.eigvalsh(0.5 * (r_cov + r_cov.mT)).min() > 1e-12

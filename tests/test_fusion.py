@@ -4,11 +4,10 @@ The bias/variance recursion formulas are checked against a direct
 ensemble simulation of the error model they describe; the beta
 optimisers against brute-force grid minimisation of the exact objective.
 """
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -16,17 +15,15 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from paretoloc.deadreckoning import dr_second_moment, measurement_frames
+from paretoloc.deadreckoning import dr_predict, dr_second_moment, measurement_frames
 from paretoloc.fusion import (
-    AxisContext,
-    FusionState,
     ParetoConfig,
     _pareto_update,
     _row_blocks,
     approximate_kinematics,
+    axis_moments,
     bias_recursion,
     error_variance,
-    fuse,
     fusion_step,
     init_fusion,
     optimal_beta,
@@ -38,17 +35,20 @@ from paretoloc.models import (
     SensorNoiseModel,
     SensorStreams,
     draw_measurements,
+    range_variance,
     true_ranges,
 )
-from paretoloc.simulate import Scene
+from paretoloc.ranging import ranging_layer
+from paretoloc.simulate import ExperimentConfig, Scene, make_scenario, run_experiment
 from paretoloc.validate import _mse_beta, _second_moment_terms
 
 
-def _context(v=0.4, phi=0.6, sigma_v=0.05, sigma_phi=math.pi / 8.0, axis=0):
+def _inputs(v=0.4, phi=0.6, sigma_v=0.05, sigma_phi=math.pi / 8.0, axis=0):
+    """`axis_moments` arguments of one axis at a fixed operating point."""
     trig = math.cos(phi) if axis == 0 else math.sin(phi)
-    return AxisContext(
+    return dict(
         ranging_mean=0.03,
-        ranging_second=0.02,
+        ranging_variance=0.02 - 0.03**2,
         prev_bias=-0.01,
         prev_variance=0.004,
         dr_true_first=v * trig,
@@ -58,44 +58,38 @@ def _context(v=0.4, phi=0.6, sigma_v=0.05, sigma_phi=math.pi / 8.0, axis=0):
     )
 
 
-def test_fuse_is_convex_combination():
-    out = fuse(0.25, [1.0, 2.0], [3.0, 6.0])
-    assert_allclose(out, [1.5, 3.0])
-    assert_allclose(fuse([0.0, 1.0], [1.0, 2.0], [3.0, 6.0]), [1.0, 6.0])
-
-
 def test_recursion_matches_error_ensemble():
     # simulate w' = (1-b) w_r + b (w_k + T (V~ trig(phi~) - V trig(phi)))
     # with the exact noise models the closed forms describe
     v, phi, sigma_v, sigma_phi = 0.4, 0.6, 0.05, math.pi / 8.0
-    ctx = _context(v, phi, sigma_v, sigma_phi)
-    m = ctx.moments()
+    inputs = _inputs(v, phi, sigma_v, sigma_phi)
+    m = axis_moments(**inputs)
     beta = 0.7
     rng = np.random.default_rng(11)
     n = 500000
-    w_r = rng.normal(ctx.ranging_mean, math.sqrt(m.sigma_vr_sq), size=n)
-    w_k = rng.normal(ctx.prev_bias, math.sqrt(ctx.prev_variance), size=n)
+    w_r = rng.normal(m.ranging_mean, math.sqrt(m.sigma_vr_sq), size=n)
+    w_k = rng.normal(m.prev_bias, math.sqrt(m.prev_variance), size=n)
     v_meas = v + rng.normal(0.0, sigma_v, size=n)
     phi_meas = phi + rng.normal(0.0, sigma_phi, size=n)
-    dr_err = ctx.T * (v_meas * np.cos(phi_meas) - v * math.cos(phi))
+    dr_err = inputs["T"] * (v_meas * np.cos(phi_meas) - v * math.cos(phi))
     w_next = (1.0 - beta) * w_r + beta * (w_k + dr_err)
 
     se_mean = w_next.std(ddof=1) / math.sqrt(n)
     assert abs(w_next.mean() - bias_recursion(beta, m)) < 4.0 * se_mean
     assert w_next.var(ddof=1) == pytest.approx(error_variance(beta, m), rel=0.01)
     # raw second moment through the quadratic coefficients
-    a_k, b_k = _second_moment_terms(ctx)
-    predicted = beta**2 * a_k + 2.0 * beta * b_k + ctx.ranging_second
+    a_k, b_k = _second_moment_terms(**inputs)
+    predicted = beta**2 * a_k + 2.0 * beta * b_k + m.sigma_vr_sq + m.ranging_mean**2
     assert np.mean(w_next**2) == pytest.approx(predicted, rel=0.01)
 
 
 def test_second_moment_terms_closed_forms():
-    ctx = _context()
-    a_k, b_k = _second_moment_terms(ctx)
-    m = ctx.moments()
-    assert m.eta == m.sigma_vr_sq + ctx.prev_variance + m.sigma_vv_sq
+    inputs = _inputs()
+    a_k, b_k = _second_moment_terms(**inputs)
+    m = axis_moments(**inputs)
+    assert m.eta == m.sigma_vr_sq + m.prev_variance + m.sigma_vv_sq
     assert a_k == pytest.approx(m.gamma**2 + m.eta, rel=1e-12)
-    assert b_k == pytest.approx(ctx.ranging_mean * m.gamma - m.sigma_vr_sq, rel=1e-12)
+    assert b_k == pytest.approx(m.ranging_mean * m.gamma - m.sigma_vr_sq, rel=1e-12)
 
 
 def test_optimal_beta_matches_grid():
@@ -103,26 +97,22 @@ def test_optimal_beta_matches_grid():
     grid = np.arange(-1.0, 1.0 + 1e-4, 1e-4)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        ctx = _context(
-            v=rng.uniform(0.0, 1.0), phi=rng.uniform(-math.pi, math.pi)
-        )
-        m = ctx.moments()
+        m = axis_moments(**_inputs(v=rng.uniform(0.0, 1.0), phi=rng.uniform(-math.pi, math.pi)))
         rho = float(rng.uniform(0.0, 1.0))
         mu = (1.0 - grid) * m.ranging_mean + grid * (m.prev_bias + m.drift)
         var = (1.0 - grid) ** 2 * m.sigma_vr_sq + grid**2 * (m.prev_variance + m.sigma_vv_sq)
         brute = grid[int(np.argmin(rho * mu**2 + (1.0 - rho) * var))]
-        assert optimal_beta(rho, ctx, config) == pytest.approx(brute, abs=2e-4)
+        assert optimal_beta(rho, m, config) == pytest.approx(brute, abs=2e-4)
 
 
 def test_optimal_beta_validation_and_clip():
-    ctx = _context()
     with pytest.raises(ValueError):
-        optimal_beta(1.5, ctx, ParetoConfig())
+        optimal_beta(1.5, axis_moments(**_inputs()), ParetoConfig())
     # gamma = -m_r + prev_bias + drift = -0.1 with m_r = 0.2 makes the
     # rho = 1 stationary point -m_r / gamma = 2, so the cap must bite
-    clipped = AxisContext(
+    clipped = axis_moments(
         ranging_mean=0.2,
-        ranging_second=0.05,
+        ranging_variance=0.05 - 0.2**2,
         prev_bias=0.1,
         prev_variance=0.004,
         dr_true_first=0.0,
@@ -133,7 +123,7 @@ def test_optimal_beta_validation_and_clip():
     assert optimal_beta(1.0, clipped, ParetoConfig()) == pytest.approx(0.99)
     # no variance and no bias drift: the objective has no curvature
     with pytest.warns(RuntimeWarning, match="degenerate"):
-        degenerate = AxisContext(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1)
+        degenerate = axis_moments(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.1)
         assert optimal_beta(0.5, degenerate, ParetoConfig()) == 0.0
 
 
@@ -151,13 +141,13 @@ def test_paper_form_mse_beta_equals_even_weighting(
     ranging_mean, sigma_vr_sq, prev_bias, prev_variance, dr_true_first, attenuation,
     sigma_vv_sq, beta_clip,
 ):
-    # "mse" mode runs optimal_beta at rho = 1/2; the paper's own form
-    # minimises beta^2 a_k + 2 beta b_k and must give the same beta
+    # the "mse" estimator runs optimal_beta at rho = 1/2; the paper's own
+    # form minimises beta^2 a_k + 2 beta b_k and must give the same beta
     t_step = 0.1
     dr_first = dr_true_first * attenuation
-    ctx = AxisContext(
+    inputs = dict(
         ranging_mean=ranging_mean,
-        ranging_second=sigma_vr_sq + ranging_mean**2,
+        ranging_variance=sigma_vr_sq,
         prev_bias=prev_bias,
         prev_variance=prev_variance,
         dr_true_first=dr_true_first,
@@ -166,20 +156,22 @@ def test_paper_form_mse_beta_equals_even_weighting(
         T=t_step,
     )
     config = ParetoConfig(beta_clip=beta_clip)
-    a_k, b_k = _second_moment_terms(ctx)
-    assert _mse_beta(a_k, b_k, config) == pytest.approx(optimal_beta(0.5, ctx, config), abs=1e-9)
+    a_k, b_k = _second_moment_terms(**inputs)
+    assert _mse_beta(a_k, b_k, config) == pytest.approx(
+        optimal_beta(0.5, axis_moments(**inputs), config), abs=1e-9
+    )
 
 
 def test_select_rho_minimises_balance_gap():
     config = ParetoConfig()
-    ctx = _context()
-    rho_star = select_rho(ctx.moments(), config)
+    m = axis_moments(**_inputs())
+    rho_star = select_rho(m, config)
     assert 0.0 <= rho_star <= 1.0
 
     def gap(rho):
-        beta = optimal_beta(rho, ctx, config)
-        mu = bias_recursion(beta, ctx.moments())
-        var = error_variance(beta, ctx.moments())
+        beta = optimal_beta(rho, m, config)
+        mu = bias_recursion(beta, m)
+        var = error_variance(beta, m)
         return (var - mu**2) ** 2
 
     chosen = gap(rho_star)
@@ -188,15 +180,16 @@ def test_select_rho_minimises_balance_gap():
 
 
 def _per_block_moments(ctx):
-    """Drift and variance terms evaluated from the context's fields."""
-    dr_first = ctx.dr_true_first * ctx.heading_attenuation
+    """Drift and variance terms evaluated from the `axis_moments`
+    arguments `ctx`."""
+    dr_first = ctx["dr_true_first"] * ctx["heading_attenuation"]
     return SimpleNamespace(
-        ranging_mean=ctx.ranging_mean,
-        prev_bias=ctx.prev_bias,
-        prev_variance=ctx.prev_variance,
-        drift=ctx.T * ctx.dr_true_first * (ctx.heading_attenuation - 1.0),
-        sigma_vr_sq=ctx.ranging_second - ctx.ranging_mean**2,
-        sigma_vv_sq=ctx.T**2 * (ctx.dr_second - dr_first**2),
+        ranging_mean=ctx["ranging_mean"],
+        prev_bias=ctx["prev_bias"],
+        prev_variance=ctx["prev_variance"],
+        drift=ctx["T"] * ctx["dr_true_first"] * (ctx["heading_attenuation"] - 1.0),
+        sigma_vr_sq=ctx["ranging_variance"],
+        sigma_vv_sq=ctx["T"] ** 2 * (ctx["dr_second"] - dr_first**2),
     )
 
 
@@ -220,24 +213,23 @@ def _per_block_beta(rho, m, config):
 
 
 def _context_fields(ctx, index):
-    """The context with `index` applied to its array fields; T and the
+    """The arguments `ctx` with `index` applied to the arrays; T and the
     heading attenuation are shared by all rows."""
-    fields = (getattr(ctx, f.name) for f in dataclasses.fields(AxisContext))
-    return AxisContext(*(x[index] if isinstance(x, np.ndarray) else x for x in fields))
+    return {key: x[index] if isinstance(x, np.ndarray) else x for key, x in ctx.items()}
 
 
 def _per_block_step(ctx, configs):
-    """Oracle of one step's Pareto update: each block gets its own context
-    rows; a knee block scans a context rebuilt along a trailing grid axis
-    and gathers beta from the scan, the other blocks solve beta at their
-    rho.  Returns (rho, beta, bias, variance, warned), with `warned` set
-    when a fixed or mse row has no curvature."""
-    rows = len(ctx.ranging_mean)
+    """Oracle of one step's Pareto update: each block gets its own rows of
+    the `axis_moments` arguments `ctx`; a knee block scans them rebuilt
+    along a trailing grid axis and gathers beta from the scan, the other
+    blocks solve beta at their rho.  Returns (rho, beta, bias, variance,
+    warned), with `warned` set when a row at a set rho has no curvature."""
+    rows = len(ctx["ranging_mean"])
     rho, beta = np.empty((rows, 2)), np.empty((rows, 2))
     warned = False
     for part, config in _row_blocks(configs, rows):
         block = _context_fields(ctx, part)
-        if config.mode == "knee":
+        if config.rho is None:
             grid = _per_block_moments(_context_fields(block, (..., None)))
             betas, _ = _per_block_beta(config.rho_grid, grid, config)
             mu, var = _per_block_recursions(betas, grid)
@@ -246,24 +238,23 @@ def _per_block_step(ctx, configs):
             rho[part] = config.rho_grid[best]
             beta[part] = flat[np.arange(flat.shape[0]), best.reshape(-1)].reshape(best.shape)
         else:
-            fixed = config.fixed_rho if config.mode == "fixed" else 0.5
-            rho[part] = fixed
-            beta[part], degenerate = _per_block_beta(fixed, _per_block_moments(block), config)
+            rho[part] = config.rho
+            beta[part], degenerate = _per_block_beta(config.rho, _per_block_moments(block), config)
             warned |= bool(np.any(degenerate))
     return (rho, beta, *_per_block_recursions(beta, _per_block_moments(ctx)), warned)
 
 
 @st.composite
 def _stacked_contexts(draw):
-    """1-3 blocks of 1-3 rows under knee, fixed and mse configs; some rows
-    have every moment zero, so their beta objective has no curvature."""
+    """1-3 blocks of 1-3 rows under knee, set-rho and rho = 1/2 configs;
+    some rows have every moment zero, so their beta objective has no
+    curvature."""
     configs = draw(
         st.lists(
             st.builds(
                 ParetoConfig,
-                mode=st.sampled_from(("knee", "fixed", "mse")),
                 beta_clip=st.floats(0.0, 1.0, exclude_min=True),
-                fixed_rho=st.floats(0.0, 1.0),
+                rho=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(0.5)),
             ),
             min_size=1,
             max_size=3,
@@ -275,10 +266,9 @@ def _stacked_contexts(draw):
     def moment(lo, hi):
         return np.where(zero, 0.0, draw(arrays(np.float64, (rows, 2), elements=st.floats(lo, hi))))
 
-    mean = moment(-0.3, 0.3)
-    ctx = AxisContext(
-        ranging_mean=mean,
-        ranging_second=mean**2 + moment(0.0, 0.25),
+    ctx = dict(
+        ranging_mean=moment(-0.3, 0.3),
+        ranging_variance=moment(0.0, 0.25),
         prev_bias=moment(-0.3, 0.3),
         prev_variance=moment(0.0, 0.04),
         dr_true_first=moment(-1.0, 1.0),
@@ -294,7 +284,7 @@ def test_pareto_update_equals_the_per_block_composition(case):
     ctx, configs = case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _pareto_update(ctx, configs)
+        got = _pareto_update(axis_moments(**ctx), configs)
     *expected, warned = _per_block_step(ctx, configs)
     for name, a, b in zip(("rho", "beta", "bias", "variance"), got, expected):
         np.testing.assert_array_equal(a, b, err_msg=name)
@@ -305,13 +295,12 @@ def test_pareto_update_equals_the_per_block_composition(case):
 
 def test_pareto_config_validation():
     with pytest.raises(ValueError):
-        ParetoConfig(mode="balanced")
-    with pytest.raises(ValueError):
         ParetoConfig(beta_clip=0.0)
     for rho in (-0.1, 1.5, math.nan, math.inf):
         with pytest.raises(ValueError):
-            ParetoConfig(mode="fixed", fixed_rho=rho)
-    assert ParetoConfig(mode="fixed", fixed_rho=1.0).fixed_rho == 1.0
+            ParetoConfig(rho=rho)
+    assert ParetoConfig(rho=1.0).rho == 1.0 and ParetoConfig(rho=0.0).rho == 0.0
+    assert ParetoConfig().rho is None
 
 
 def test_approximate_kinematics_cases():
@@ -336,12 +325,12 @@ def _one_run_frames(scene, positions, speed, heading, seed):
     return list(measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None]))
 
 
-def _run_sequence(range_model, sensor_model, steps=40, seed=23, mode="knee"):
+def _run_sequence(range_model, sensor_model, steps=40, seed=23, rho=None):
     scene = Scene(
         anchors=ANCHORS,
         range_model=range_model,
         sensor_model=sensor_model,
-        paretos=(ParetoConfig(mode=mode, initial_speed=0.3, initial_heading=0.5),),
+        paretos=(ParetoConfig(rho=rho, initial_speed=0.3, initial_heading=0.5),),
     )
     vel = 0.3 * np.array([math.cos(0.5), math.sin(0.5)])
     truth = np.array([1.0, 1.2]) + np.arange(steps)[:, None] * (0.1 * vel)
@@ -363,8 +352,8 @@ def test_fusion_step_tracks_noise_free_motion():
 
 
 def test_fusion_step_modes_run_and_differ():
-    knee, _ = _run_sequence(RangeNoiseModel(), SensorNoiseModel(), mode="knee")
-    mse, _ = _run_sequence(RangeNoiseModel(), SensorNoiseModel(), mode="mse")
+    knee, _ = _run_sequence(RangeNoiseModel(), SensorNoiseModel(), rho=None)
+    mse, _ = _run_sequence(RangeNoiseModel(), SensorNoiseModel(), rho=0.5)
     assert np.all(np.isfinite(knee.estimate)) and np.all(np.isfinite(mse.estimate))
     assert not np.allclose(knee.estimate, mse.estimate)
     assert np.all(np.abs(knee.last_beta) <= 0.99)
@@ -393,35 +382,41 @@ def test_init_fusion_populates_moments():
     assert_allclose(state.estimate, [[1.5, 2.0]], atol=1e-8)
 
 
-def test_mse_mode_is_fixed_rho_one_half_bit_for_bit():
-    # the "mse" mode has no beta formula of its own: a batch stepped under
-    # mode="mse" and under mode="fixed", fixed_rho=0.5 carries the same bits
-    range_model, sensor_model = RangeNoiseModel(), SensorNoiseModel()
-    runs, steps = 5, 40
-    headings = np.linspace(0.2, 2.0, runs)
-    truth = np.array([1.0, 1.2]) + 0.03 * np.arange(steps)[:, None, None] * np.stack(
-        [np.cos(headings), np.sin(headings)], axis=-1
+def test_fusion_step_blends_the_wls_fix_and_the_dead_reckoned_prediction():
+    # per axis, estimate = (1 - beta) x_r + beta x_v with the beta the step
+    # reports, x_r the WLS fix at ranges from x_v, and x_v the
+    # dead-reckoned prediction; beta = 0 and beta = 1 give x_r and x_v
+    scene = Scene(anchors=ANCHORS)
+    truth = np.array([[1.0, 1.0], [1.02, 1.01], [1.04, 1.02]])
+    frames = _one_run_frames(scene, truth, [0.2] * 3, [0.45] * 3, 7)
+    state = init_fusion(scene, frames[0])
+    for frame in frames[1:]:
+        out = fusion_step(scene, state, frame)
+        x_v = dr_predict(state.estimate, frame)
+        r_ap = true_ranges(x_v, scene.anchors)
+        x_r = ranging_layer(
+            scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
+        )[0]
+        beta = out.last_beta
+        assert np.all((beta != 0.0) & (x_r != x_v))
+        np.testing.assert_array_equal(out.estimate, (1.0 - beta) * x_r + beta * x_v)
+        state = out
+
+
+def test_mse_is_fusion_at_rho_one_half_bit_for_bit():
+    # the "mse" estimator has no beta formula of its own: it is the fused
+    # estimator at ParetoConfig(rho=0.5), error for error
+    spec = make_scenario("B", steps=60)
+    knee = ExperimentConfig(
+        trajectory=spec, estimators=("fusion", "mse"), runs=5, seed=2,
+        pareto=ParetoConfig(initial_speed=spec.speed, initial_heading=spec.heading),
     )
-    draws = [
-        draw_measurements(
-            truth[:, run], np.full(steps, 0.3), np.full(steps, headings[run]),
-            ANCHORS, range_model, sensor_model, SensorStreams.from_seed(run),
-        )
-        for run in range(runs)
-    ]
-    ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
-    frames = list(measurement_frames(Scene(anchors=ANCHORS), ranges, speed, heading))
-    mse = ParetoConfig(mode="mse", initial_speed=0.3)
-    fixed = ParetoConfig(mode="fixed", fixed_rho=0.5, initial_speed=0.3)
-    states = []
-    for config in (mse, fixed):
-        scene = Scene(anchors=ANCHORS, paretos=(config,))
-        state = init_fusion(scene, frames[0])
-        for frame in frames[1:]:
-            state = fusion_step(scene, state, frame)
-        states.append(state)
-    assert np.all(np.isfinite(states[0].estimate))
-    for field in dataclasses.fields(FusionState):
+    half = dataclasses.replace(knee, pareto=dataclasses.replace(knee.pareto, rho=0.5))
+    both, at_half = run_experiment(knee), run_experiment(half)
+    assert np.all(np.isfinite(both.errors["mse"])) and both.excluded["mse"] == 0
+    for result in (both, at_half):
+        np.testing.assert_array_equal(result.errors["mse"], at_half.errors["fusion"])
         np.testing.assert_array_equal(
-            getattr(states[0], field.name), getattr(states[1], field.name), err_msg=field.name
+            result.estimate_traces["mse"], at_half.estimate_traces["fusion"]
         )
+    assert not np.array_equal(both.errors["mse"], both.errors["fusion"])

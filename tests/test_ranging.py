@@ -152,21 +152,21 @@ def test_noise_second_moment_and_error_correlation_match_sampling():
     c_closed = _noise_raw_second_moment(r, var)
     assert np.linalg.norm(c_mc - c_closed) / np.linalg.norm(c_closed) < 0.02
     # 2% relative Frobenius at n = 4e5, for the long form and for the
-    # shortcut the estimators use
-    _, _, shortcut = ranging_layer(geometry, r, var, r)
+    # shortcut the estimators use, G^-1 + bias bias^T
+    _, bias, cov = ranging_layer(geometry, r, var, r)
+    shortcut = cov + np.outer(bias, bias)
     for closed in (_moments_through_solve(geometry, w, r, var)[1], shortcut):
         assert np.linalg.norm(mc - closed) / np.linalg.norm(closed) < 0.02
 
 
 def test_ranging_layer_moments_are_a_valid_covariance():
     geometry, r, var = _operating_point()
-    _, bias, corr = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r)
     long_bias, long_corr = _moments_through_solve(geometry, noise_cov_inverse(r, var), r, var)
     assert_allclose(bias, long_bias, atol=1e-12)
-    assert_allclose(corr, long_corr, atol=1e-12)
-    assert np.all(np.diag(corr) - bias**2 > 0.0)
-    # raw correlation minus squared bias must stay a valid covariance
-    cov = corr - np.outer(bias, bias)
+    # the long form's raw correlation minus squared bias is the covariance
+    assert_allclose(cov, long_corr - np.outer(long_bias, long_bias), atol=1e-12)
+    assert_allclose(cov, cov.T, rtol=1e-15, atol=0.0)
     assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
@@ -176,7 +176,7 @@ def test_wls_error_scale_matches_prediction():
     rng = np.random.default_rng(303)
     n = 20000
     w = noise_cov_inverse(r, var)
-    _, _, correlation = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r)
     est = np.array(
         [
             wls_estimate(geometry, r + rng.normal(0.0, np.sqrt(var)), w)
@@ -186,12 +186,12 @@ def test_wls_error_scale_matches_prediction():
     err = est - POSITION
     mc = err.T @ err / n
     assert_allclose(
-        np.diag(mc), np.diag(correlation), rtol=0.05
+        np.diag(mc), np.diag(cov) + bias**2, rtol=0.05
     )
 
 
 def test_ranging_layer_matches_the_separate_moments_per_run():
-    # One stacked solve with G^{-1} + bias bias^T for the correlation must
+    # One stacked solve, with G^{-1} + bias bias^T for the correlation, must
     # agree with the general-weight long form run by run, and with its own
     # single-run form.
     geometry = build_geometry(ANCHORS)
@@ -200,14 +200,14 @@ def test_ranging_layer_matches_the_separate_moments_per_run():
     r = true_ranges(positions, ANCHORS)
     var = range_variance(r, MODEL)
     measured = r + rng.normal(0.0, np.sqrt(var))
-    fix, bias, corr = ranging_layer(geometry, r, var, measured)
-    assert fix.shape == (5, 2) and bias.shape == (5, 2) and corr.shape == (5, 2, 2)
+    fix, bias, cov = ranging_layer(geometry, r, var, measured)
+    assert fix.shape == (5, 2) and bias.shape == (5, 2) and cov.shape == (5, 2, 2)
     for run in range(5):
         w = noise_cov_inverse(r[run], var[run])
         assert_allclose(fix[run], wls_estimate(geometry, measured[run], w), rtol=1e-10)
         long_bias, long_corr = _moments_through_solve(geometry, w, r[run], var[run])
         assert_allclose(bias[run], long_bias, rtol=1e-10)
-        assert_allclose(corr[run], long_corr, rtol=1e-10)
+        assert_allclose(cov[run] + np.outer(bias[run], bias[run]), long_corr, rtol=1e-10)
         single = ranging_layer(geometry, r[run], var[run], measured[run])
-        for stacked, one in zip((fix, bias, corr), single):
+        for stacked, one in zip((fix, bias, cov), single):
             np.testing.assert_array_equal(stacked[run], one)

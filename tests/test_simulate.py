@@ -618,8 +618,8 @@ def test_the_engine_calls_the_kernel_the_module_names_at_run_time(kernel, monkey
 
 
 @pytest.mark.parametrize("runs", [1, 6])
-@pytest.mark.parametrize("mode", ["knee", "fixed", "mse"])
-def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
+@pytest.mark.parametrize("rho", [None, 0.3, 0.5], ids=["knee", "fixed", "mse"])
+def test_stacked_pareto_estimators_match_each_alone(rho, runs, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -628,7 +628,7 @@ def test_stacked_pareto_estimators_match_each_alone(mode, runs, monkeypatch):
 
     config = _small_config(
         trajectory=scenario_pwl(steps=60),
-        pareto=ParetoConfig(mode=mode, fixed_rho=0.3),
+        pareto=ParetoConfig(rho=rho),
         estimators=("fusion", "mse"),
         runs=runs,
     )
@@ -678,12 +678,12 @@ def test_a_failing_row_of_a_stack_is_excluded_alone(monkeypatch):
     stacked = []
 
     def step(scene, state, frame):
-        modes = [pareto.mode for pareto in scene.paretos]
-        stacked.append(len(modes) > 1)
-        size = len(frame.speed) // len(modes)
-        for block, mode in enumerate(modes):
+        weights = [pareto.rho for pareto in scene.paretos]
+        stacked.append(len(weights) > 1)
+        size = len(frame.speed) // len(weights)
+        for block, rho in enumerate(weights):
             ranges = frame.ranges[block * size : (block + 1) * size]
-            if mode == "mse" and frame.k == 10 and np.any(np.all(ranges == marked[10], axis=-1)):
+            if rho == 0.5 and frame.k == 10 and np.any(np.all(ranges == marked[10], axis=-1)):
                 raise np.linalg.LinAlgError("forced failure of run 2 of mse")
         return fusion_step(scene, state, frame)
 
@@ -732,7 +732,7 @@ def _one_run_trace(name, config, ranges, speed, heading):
     kernels called on a batch of one run per step."""
     pareto = config.pareto
     if name == "mse":
-        pareto = dataclasses.replace(pareto, mode="mse")
+        pareto = dataclasses.replace(pareto, rho=0.5)
     scene = Scene(
         anchors=config.anchors,
         range_model=config.range_model,
@@ -978,7 +978,7 @@ def test_crlb_traces_small():
         trajectory=scenario_cv(steps=10), estimators=("ekf",), runs=1, seed=4
     )
     out = crlb_traces(config, n_ensemble=150)
-    assert set(out) == {"parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub", "sandwich_ok"}
+    assert set(out) == {"parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub", "bracket_ok", "sandwich_ok"}
     for key in ("parcrlb", "pcrlb", "pcrlb_lb", "pcrlb_ub"):
         assert out[key].shape == (10,)
     assert np.all(out["parcrlb"] > 0.0) and np.all(np.isfinite(out["parcrlb"]))
@@ -986,6 +986,8 @@ def test_crlb_traces_small():
     finite = np.isfinite(out["pcrlb_ub"])
     assert np.all(out["pcrlb_lb"][finite] <= out["pcrlb_ub"][finite] + 1e-12)
     assert out["sandwich_ok"].dtype == bool
+    lb, bound, ub = out["pcrlb_lb"], out["pcrlb"], out["pcrlb_ub"]
+    np.testing.assert_array_equal(out["bracket_ok"], finite & (lb <= bound) & (bound <= ub))
 
 
 def test_import_and_a_run_do_not_load_scipy_special():

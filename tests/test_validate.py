@@ -75,12 +75,12 @@ def test_check_result_fields():
     assert r.data["riccati_gap"] <= 1e-9
 
 
-def _perturb_ranging_layer(monkeypatch, bias_shift=0.0, corr_scale=1.0, corr_shift=0.0):
+def _perturb_ranging_layer(monkeypatch, bias_shift=0.0, cov_scale=1.0, cov_shift=0.0):
     runtime = validate.ranging_layer
 
     def perturbed(*args):
-        fix, bias, corr = runtime(*args)
-        return fix, bias + bias_shift, corr * corr_scale + corr_shift
+        fix, bias, cov = runtime(*args)
+        return fix, bias + bias_shift, cov * cov_scale + cov_shift
 
     monkeypatch.setattr(validate, "ranging_layer", perturbed)
 
@@ -94,12 +94,12 @@ def test_ranging_bias_check_reads_the_runtime_moment_path(monkeypatch):
 
 
 def test_ranging_second_moment_check_reads_the_runtime_moment_path(monkeypatch):
-    # the gate is 3 SE per entry of the sample mean of e e^T; a 10 % error
-    # in the correlation fails it, and so does 1e-2 m^2 on every entry
-    # (about 2 % of its norm here, 2.7 of the gate at the default 1e5
-    # samples)
+    # the gate is 3 SE per entry of the sample mean of e e^T, which the
+    # check forms as G^-1 + bias bias^T from the covariance G^-1; a 10 %
+    # error in that covariance fails it (7.7 of the gate at the default
+    # 1e5 samples), and so does 1e-2 m^2 on every entry (2.7 of the gate)
     assert check_ranging_second_moment().passed
-    for perturbation in ({"corr_scale": 1.1}, {"corr_shift": 1e-2}):
+    for perturbation in ({"cov_scale": 1.1}, {"cov_shift": 1e-2}):
         with monkeypatch.context() as patch:
             _perturb_ranging_layer(patch, **perturbation)
             assert not check_ranging_second_moment().passed, perturbation
