@@ -41,31 +41,21 @@ from .simulate import (
     write_summary,
 )
 
-_CONFIG_KEYS = {
-    "scenario",
-    "estimators",
-    "seed",
-    "runs",
-    "steps",
-    "T",
-    "speed",
-    "heading",
-    "amax",
-    "start",
-    "anchors",
-    "sigma0_sq",
-    "kappa",
-    "sigma_v",
-    "sigma_phi",
-    "rho",
-    "beta_clip",
-    "cv",
-}
-
-_CV_KEYS = {"sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"}
-
 # config keys that set a `TrajectorySpec` field, and the field each sets
 _TRAJECTORY_KEYS = {key: key for key in ("T", "speed", "heading", "start")} | {"amax": "a_max"}
+# config keys that set the field of the same name in the range model, the
+# sensor model, the `ParetoConfig`, the `ExperimentConfig` and (inside the
+# "cv" block) the `CvProcessModel`
+_RANGE_KEYS = ("sigma0_sq", "kappa")
+_SENSOR_KEYS = ("sigma_v", "sigma_phi")
+_PARETO_KEYS = ("rho", "beta_clip")
+_RUN_KEYS = ("runs", "seed")
+_CV_KEYS = {"sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"}
+
+_CONFIG_KEYS = {
+    "scenario", "estimators", "steps", "anchors", "cv",
+    *_TRAJECTORY_KEYS, *_RANGE_KEYS, *_SENSOR_KEYS, *_PARETO_KEYS, *_RUN_KEYS,
+}
 
 
 class ConfigError(Exception):
@@ -130,7 +120,7 @@ def _build_experiment(args) -> ExperimentConfig:
             **{field: settings[key] for key, field in _TRAJECTORY_KEYS.items() if key in settings},
             **_given(settings, ("steps",), _integer),
         )
-        experiment = _given(settings, ("runs", "seed"), _integer)
+        experiment = _given(settings, _RUN_KEYS, _integer)
         if "estimators" in settings:
             experiment["estimators"] = settings["estimators"]
         if "anchors" in settings:
@@ -139,10 +129,10 @@ def _build_experiment(args) -> ExperimentConfig:
             experiment["cv_filter"] = CvProcessModel(**_given(settings["cv"], _CV_KEYS))
         return ExperimentConfig(
             trajectory=spec,
-            range_model=RangeNoiseModel(**_given(settings, ("sigma0_sq", "kappa"))),
-            sensor_model=SensorNoiseModel(**_given(settings, ("sigma_v", "sigma_phi"))),
+            range_model=RangeNoiseModel(**_given(settings, _RANGE_KEYS)),
+            sensor_model=SensorNoiseModel(**_given(settings, _SENSOR_KEYS)),
             pareto=ParetoConfig(
-                **_given(settings, ("rho", "beta_clip")),
+                **_given(settings, _PARETO_KEYS),
                 initial_speed=spec.speed,
                 initial_heading=spec.heading,
             ),

@@ -700,8 +700,9 @@ def pcrlb_bounds(
 
     An ensemble of rollouts from the configured initial state supplies,
     per step, the MC estimate of Pi and its PSD-ordered bracket L <= Pi <= U
-    (`pi_bracket`).  The first step is the filter prior plus the
-    measurement block at the deterministic initial state; every later step
+    (`pi_bracket`).  The first step is the one `parcrlb_trace` starts
+    from, the filter prior plus `measurement_information` at the
+    deterministic initial state, in all three members; every later step
     is one `pcrlb_recursion` step on the stack of the three information
     matrices, each from its own previous member.  The map
     J -> D22 - D21 (J + D11)^{-1} D12 is monotone where J + D11 is
@@ -730,17 +731,11 @@ def pcrlb_bounds(
     rollout = cv_rollout(cv, scene.T, [x0[0], x0[1], v0, phi0], steps, rng, n_ensemble)
     # (MC, lower, upper) information per step
     info = np.empty((3, steps, 4, 4))
-    for i in range(steps):
-        # step i + 1 of the rollout; the first is one deterministic state
-        ensemble = rollout[i, :1, :2] if i == 0 else rollout[i, :, :2]
-        pis = pi_bracket(scene, ensemble)
-        if i == 0:
-            info[:, 0] = default_prior_information() + _measurement_block(pis, scene.sensor_model)
-        else:
-            tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-            info[:, i] = pcrlb_recursion(
-                info[:, i - 1], d11(scene, tm), d12(scene, tm), d22(scene, pis)
-            )
+    info[:, 0] = default_prior_information() + measurement_information(scene, rollout[0, 0])
+    for i in range(1, steps):
+        tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
+        d22_mat = d22(scene, pi_bracket(scene, rollout[i, :, :2]))
+        info[:, i] = pcrlb_recursion(info[:, i - 1], d11(scene, tm), d12(scene, tm), d22_mat)
 
     j, j_lb, j_ub = info
     gaps = np.stack([j - j_lb, j_ub - j])

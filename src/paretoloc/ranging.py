@@ -44,17 +44,11 @@ class RangingGeometry:
 def build_geometry(anchors: AnchorSet) -> RangingGeometry:
     """Design matrix and offset vector for an anchor set.
 
-    The last anchor is the differencing reference.
-
-    Raises
-    ------
-    ValueError
-        If the design matrix is rank deficient (collinear anchors).
+    The last anchor is the differencing reference.  `AnchorSet` refuses
+    collinear anchors, so the design matrix has full column rank.
     """
     s = anchors.positions
     a_mat = 2.0 * (s[:-1] - s[-1])
-    if np.linalg.matrix_rank(a_mat) < 2:
-        raise ValueError("design matrix is rank deficient (collinear anchors)")
     offset = np.sum(s[:-1] ** 2, axis=1) - np.sum(s[-1] ** 2)
     return RangingGeometry(design_matrix=a_mat, offset_vector=offset)
 

@@ -40,7 +40,7 @@ from .ranging import RangingGeometry, build_geometry, noise_cov_inverse, wls_est
 
 # Seconds between the acceleration breakpoints of a "pwl" trajectory.
 BREAKPOINT_PERIOD = 2.0
-# Radius, m/s, of the disk a bounded "pwl" trajectory draws target velocities in.
+# Radius, m/s, of the disk a "pwl" trajectory draws target velocities in.
 V_CAP = 0.5
 # Largest reach, m, of a track.  Two points whose coordinates are within
 # it differ by at most 2 MAX_REACH per coordinate, so a squared 2-D
@@ -75,8 +75,8 @@ class TrajectorySpec:
     bounds : tuple or None
         ((x_lo, x_hi), (y_lo, y_hi)) soft arena box, finite with lo < hi.
         "linear" folds its straight line into the box (wall reflections,
-        speed preserved); "pwl" steers its breakpoint accelerations back
-        inside.  None disables both.
+        speed preserved), or runs straight on with None; "pwl" steers its
+        breakpoint accelerations back inside, and needs bounds.
     cv : CvProcessModel or None
         Noise variances of the "cv" kind's process model, which steps at
         `T` (None: the default variances).
@@ -109,6 +109,8 @@ class TrajectorySpec:
             box = np.asarray(self.bounds, dtype=float)
             if not (box.shape == (2, 2) and np.isfinite(box).all() and (box[:, 0] < box[:, 1]).all()):
                 raise ValueError("bounds must be ((x_lo, x_hi), (y_lo, y_hi)) with finite lo < hi")
+        elif self.kind == "pwl":
+            raise ValueError("a pwl track steers inside its bounds, so bounds must be given")
         self.start = np.asarray(self.start, dtype=float)
         if self.start.shape != (2,) or not np.isfinite(self.start).all():
             raise ValueError("start must be [x1, x2], finite")
@@ -165,21 +167,6 @@ def _chord_states(pos: np.ndarray, t_step: float, speed0: float, heading0: float
     return pos, speed, heading[np.maximum.accumulate(latest)]
 
 
-def _cap_norm(vec: np.ndarray, cap: float) -> np.ndarray:
-    """`vec` (2,), rescaled in place onto the circle of radius `cap` if its
-    norm exceeds it."""
-    norm = float(np.linalg.norm(vec))
-    if norm > cap:
-        vec *= cap / norm
-    return vec
-
-
-def _draw_capped(rng: np.random.Generator, a_max: float) -> np.ndarray:
-    """Breakpoint acceleration: per-axis uniform in [-a_max, a_max],
-    rescaled onto the cap if the vector norm exceeds it."""
-    return _cap_norm(rng.uniform(-a_max, a_max, size=2), a_max)
-
-
 def _next_breakpoint_accel(
     rng: np.random.Generator,
     accel_start: np.ndarray,
@@ -187,7 +174,7 @@ def _next_breakpoint_accel(
     vel: np.ndarray,
     spec: TrajectorySpec,
 ) -> np.ndarray:
-    """Segment-end acceleration for the contained (bounded-arena) mode.
+    """Segment-end acceleration of a "pwl" track.
 
     A target velocity is drawn uniformly in the disk of radius `V_CAP`;
     near a wall its offending component is pointed back inside.  The
@@ -205,7 +192,11 @@ def _next_breakpoint_accel(
             target[ax] = -abs(target[ax])
         elif look < lo:
             target[ax] = abs(target[ax])
-    return _cap_norm(2.0 * (target - vel) / BREAKPOINT_PERIOD - accel_start, spec.a_max)
+    accel = 2.0 * (target - vel) / BREAKPOINT_PERIOD - accel_start
+    norm = float(np.linalg.norm(accel))
+    if norm > spec.a_max:
+        accel *= spec.a_max / norm
+    return accel
 
 
 def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
@@ -214,12 +205,12 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
 
     The "pwl" kind interpolates random breakpoint accelerations linearly
     and integrates them exactly; the norm of every breakpoint value is
-    capped at a_max, so speed never exceeds speed0 + a_max * t.  Without
-    `bounds` the breakpoints are per-axis uniform in [-a_max, a_max]
-    (free random walk); with `bounds` they are chosen to chase random
-    target velocities inside the `V_CAP` disk, pointed back inside the
-    box near its walls (see _next_breakpoint_accel), which keeps the
-    node in ranging coverage for arbitrarily long runs.
+    capped at a_max, so speed never exceeds speed0 + a_max * t.  It needs
+    `bounds`: the breakpoints chase random target velocities inside the
+    `V_CAP` disk, pointed back inside the box near its walls (see
+    _next_breakpoint_accel), which keeps the node in ranging coverage
+    for arbitrarily long runs while T is small against
+    `BREAKPOINT_PERIOD` (the ramp solve aims at a 2-s segment).
 
     For "linear" and "pwl" the per-step speed/heading are the chord
     values of the interval ending at each step (see _chord_states); for
@@ -245,12 +236,9 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
         pos = np.empty((n, 2))
         vel[0] = vel0
         pos[0] = spec.start
-        accel = _draw_capped(rng, spec.a_max) if spec.bounds is None else np.zeros(2)
+        accel = np.zeros(2)
         for k in range(0, n - 1, stride):
-            if spec.bounds is None:
-                accel_next = _draw_capped(rng, spec.a_max)
-            else:
-                accel_next = _next_breakpoint_accel(rng, accel, pos[k], vel[k], spec)
+            accel_next = _next_breakpoint_accel(rng, accel, pos[k], vel[k], spec)
             m = min(stride, n - 1 - k)
             a = accel + frac[: m + 1] * (accel_next - accel)
             # exact integrals of the linear acceleration segment, summed in

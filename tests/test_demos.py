@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in `src/`."""
+"""Every demo script runs to completion against the package in `src/`,
+with no runtime warning."""
 import os
 import re
 import subprocess
@@ -17,9 +18,10 @@ def test_demo_exits_zero(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # a numpy overflow or invalid-value warning ends the demo with an error
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     # a bracket is printed only where it holds, so no end of it reads inf

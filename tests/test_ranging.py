@@ -85,8 +85,8 @@ def test_build_geometry_rows():
     )
 
 
-def test_build_geometry_rejects_collinear():
-    with pytest.raises(ValueError):
+def test_anchor_set_rejects_collinear_anchors():
+    with pytest.raises(ValueError, match="collinear"):
         AnchorSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
 
 

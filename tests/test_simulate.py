@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paretoloc
 from paretoloc import deadreckoning, simulate
 from paretoloc.crlb import parcrlb_trace, pcrlb_bounds
 from paretoloc.deadreckoning import dr_predict, measurement_frames
@@ -51,7 +53,6 @@ from paretoloc.simulate import (
     KNOWN_ESTIMATORS,
     Scene,
     TrajectorySpec,
-    _draw_capped,
     _fold,
     _next_breakpoint_accel,
     crlb_traces,
@@ -134,7 +135,7 @@ def _dr_replay(positions, speed, heading, t_step):
         TrajectorySpec(
             kind="linear", steps=400, speed=0.9, heading=0.7, bounds=ARENA_BOUNDS
         ),
-        TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6),
+        TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6, bounds=ARENA_BOUNDS),
         TrajectorySpec(
             kind="pwl",
             steps=300,
@@ -211,7 +212,7 @@ def test_bouncing_linear_track_stays_inside_and_keeps_speed():
 
 
 def test_pwl_acceleration_cap_limits_velocity_increments():
-    spec = TrajectorySpec(kind="pwl", steps=200, speed=0.2, a_max=0.4)
+    spec = TrajectorySpec(kind="pwl", steps=200, speed=0.2, a_max=0.4, bounds=ARENA_BOUNDS)
     pos, _, _ = gen_trajectory(spec, np.random.default_rng(8))
     vel = np.diff(pos, axis=0) / spec.T
     accel = np.linalg.norm(np.diff(vel, axis=0), axis=1) / spec.T
@@ -238,7 +239,7 @@ def test_contained_pwl_keeps_long_runs_in_coverage():
 
 
 def test_gen_trajectory_is_seed_deterministic():
-    spec = TrajectorySpec(kind="pwl", steps=60, a_max=0.5)
+    spec = TrajectorySpec(kind="pwl", steps=60, a_max=0.5, bounds=ARENA_BOUNDS)
     a = gen_trajectory(spec, np.random.default_rng(5))
     b = gen_trajectory(spec, np.random.default_rng(5))
     for part_a, part_b in zip(a, b):
@@ -293,20 +294,13 @@ def _trajectory_loop(spec, rng):
     accel = np.empty(((n - 1) // stride + 2, 2))
     vel = np.empty((n, 2))
     vel[0] = vel0
-    if spec.bounds is None:
-        accel[0] = _draw_capped(rng, spec.a_max)
-        accel[1] = _draw_capped(rng, spec.a_max)
-    else:
-        accel[0] = np.zeros(2)
-        accel[1] = _next_breakpoint_accel(rng, accel[0], pos[0], vel[0], spec)
+    accel[0] = np.zeros(2)
+    accel[1] = _next_breakpoint_accel(rng, accel[0], pos[0], vel[0], spec)
     seg = 0
     for k in range(n - 1):
         if k // stride > seg:
             seg = k // stride
-            if spec.bounds is None:
-                accel[seg + 1] = _draw_capped(rng, spec.a_max)
-            else:
-                accel[seg + 1] = _next_breakpoint_accel(rng, accel[seg], pos[k], vel[k], spec)
+            accel[seg + 1] = _next_breakpoint_accel(rng, accel[seg], pos[k], vel[k], spec)
         frac = (k - seg * stride) / stride
         a_k = accel[seg] + frac * (accel[seg + 1] - accel[seg])
         frac1 = (k + 1 - seg * stride) / stride
@@ -325,9 +319,9 @@ WALL_TOL = 1e-10
 @pytest.mark.parametrize(
     "spec, atol",
     [
-        (TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6), 0.0),
-        (TrajectorySpec(kind="pwl", steps=101, speed=0.2, a_max=0.6), 0.0),
-        (TrajectorySpec(kind="pwl", steps=60, T=2.0, speed=0.2), 0.0),
+        (TrajectorySpec(kind="pwl", steps=150, speed=0.2, a_max=0.6, bounds=ARENA_BOUNDS), 0.0),
+        (TrajectorySpec(kind="pwl", steps=101, speed=0.2, a_max=0.6, bounds=ARENA_BOUNDS), 0.0),
+        (TrajectorySpec(kind="pwl", steps=60, T=2.0, speed=0.2, bounds=ARENA_BOUNDS), 0.0),
         (scenario_pwl(steps=60, T=2.0), 0.0),
         (scenario_pwl(), 0.0),
         (make_scenario("B", T=0.3, steps=101), 0.0),
@@ -394,14 +388,15 @@ def test_trajectory_spec_validation():
 def test_trajectory_spec_refuses_a_track_past_the_largest_double(kind, steps, t_held, t_refused):
     # a held track squares its chords without overflow: positions, chord
     # speeds and headings are finite, and numpy warns of nothing
-    spec = TrajectorySpec(kind=kind, steps=steps, T=t_held, speed=0.1)
+    bounds = ARENA_BOUNDS if kind == "pwl" else None
+    spec = TrajectorySpec(kind=kind, steps=steps, T=t_held, speed=0.1, bounds=bounds)
     if kind != "cv":
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             track = gen_trajectory(spec, np.random.default_rng(0))
         assert all(np.isfinite(part).all() for part in track)
     with pytest.raises(ValueError, match=re.escape(f"step period T = {t_refused:g} takes the {kind}")):
-        TrajectorySpec(kind=kind, steps=steps, T=t_refused, speed=0.1)
+        TrajectorySpec(kind=kind, steps=steps, T=t_refused, speed=0.1, bounds=bounds)
     with pytest.raises(ValueError, match="past the largest double"):
         dataclasses.replace(spec, T=t_refused)
 
@@ -437,10 +432,18 @@ def test_trajectory_spec_refuses_a_track_past_the_largest_double(kind, steps, t_
     ],
 )
 def test_trajectory_spec_rejects_bad_settings(field, value):
+    # a "pwl" track needs bounds, so each case gives them unless it sets them
     with pytest.raises(ValueError):
-        TrajectorySpec(kind="pwl", **{field: value})
+        TrajectorySpec(kind="pwl", **({"bounds": ARENA_BOUNDS} | {field: value}))
     with pytest.raises(ValueError):
-        dataclasses.replace(TrajectorySpec(kind="pwl"), **{field: value})
+        dataclasses.replace(TrajectorySpec(kind="pwl", bounds=ARENA_BOUNDS), **{field: value})
+
+
+def test_a_pwl_track_without_bounds_is_refused():
+    with pytest.raises(ValueError, match="bounds"):
+        TrajectorySpec(kind="pwl")
+    with pytest.raises(ValueError, match="bounds"):
+        dataclasses.replace(scenario_pwl(), bounds=None)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,3 +1100,36 @@ def test_every_src_function_and_class_has_a_program_caller():
                         referenced.add(name)
     unused = {name: module for name, module in defined.items() if name not in referenced}
     assert not unused, unused
+
+
+def test_the_package_namespace_is_what_programs_import_from_it():
+    # the public names of `paretoloc` are exactly those that README's
+    # Python blocks, demos/, the CLI and perfbench/ take from the package
+    # itself (`from paretoloc import X`, `pl.X`, `paretoloc.X`); a
+    # submodule is reached as an attribute, not a re-export
+    root = Path(__file__).resolve().parent.parent
+    submodules = {path.stem for path in (root / "src" / "paretoloc").glob("*.py")}
+    programs = [*sorted((root / "demos").glob("*.py")), root / "src" / "paretoloc" / "cli.py",
+                *sorted((root / "perfbench").glob("*.py"))]
+    sources = [path.read_text() for path in programs]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    imported = set()
+    for source in sources:
+        tree = ast.parse(source)
+        aliases = {"paretoloc"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "paretoloc"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "paretoloc" and not node.level:
+                imported |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                imported.add(node.attr)
+    imported = {name for name in imported if not name.startswith("_")} - submodules
+    public = {
+        name for name, value in vars(paretoloc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == imported
