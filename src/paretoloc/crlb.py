@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -330,6 +330,16 @@ def _mean_se(x: np.ndarray, axis: int | None = None) -> tuple:
     return mean.squeeze(axis)[()], se
 
 
+def _normal(rng: np.random.Generator, loc, scale, size) -> np.ndarray:
+    """The stream and bits of `rng.normal(loc, scale, size)`, which numpy
+    forms as loc + scale z one element at a time: here the standard normals
+    are drawn in one fill, then scaled and shifted in place."""
+    z = rng.standard_normal(size)
+    z *= scale
+    z += loc
+    return z
+
+
 def diag_expectation_mc(
     mu_q: float,
     sigma_q: float,
@@ -340,8 +350,8 @@ def diag_expectation_mc(
     rng: np.random.Generator,
 ) -> tuple:
     """Monte Carlo E{q^2 / (q^2 + z^2)} with standard error."""
-    q = rng.normal(mu_q, sigma_q, size=n)
-    z = rng.normal(mu_z, sigma_z, size=n)
+    q = _normal(rng, mu_q, sigma_q, n)
+    z = _normal(rng, mu_z, sigma_z, n)
     q *= q
     q /= q + z**2  # q^2 / (q^2 + z^2)
     return tuple(float(v) for v in _mean_se(q))
@@ -403,6 +413,16 @@ def _truncate_alternating(terms: Iterable[float]) -> tuple:
     return float(np.sum(kept)), len(kept), float(prev)
 
 
+def _running_powers(x: np.ndarray, last: int) -> Iterator[np.ndarray]:
+    """x^2, x^3, ..., x^last as a running product in one array, which each
+    order overwrites: one multiply per element and order, where numpy's
+    general pow costs about fifty."""
+    power = x.copy()
+    for _ in range(2, last + 1):
+        power *= x
+        yield power
+
+
 def diag_expectation_series(
     mu_q: float,
     sigma_q: float,
@@ -447,8 +467,8 @@ def diag_expectation_series(
     upsilon_err = (1.0 + lam_z) / scale * inner_omitted
 
     # Outer stage: central moments of z^2/q^2 around upsilon, by MC.
-    q = rng.normal(math.sqrt(lam_q), 1.0, size=mc_budget)
-    z = rng.normal(math.copysign(math.sqrt(lam_z), mu_z), 1.0, size=mc_budget)
+    q = _normal(rng, math.sqrt(lam_q), 1.0, mc_budget)
+    z = _normal(rng, math.copysign(math.sqrt(lam_z), mu_z), 1.0, mc_budget)
     f_gap = z**2 / q**2 - upsilon
     denom = 1.0 + upsilon
     outer_se: list = []
@@ -458,8 +478,8 @@ def diag_expectation_series(
         # expansion point; only k >= 2 carries information.
         outer_se.append(0.0)
         yield 0.0
-        for kk in range(2, truncation + 1):
-            mean, se = _mean_se(f_gap**kk)
+        for kk, power in enumerate(_running_powers(f_gap, truncation), start=2):
+            mean, se = _mean_se(power)
             outer_se.append(se / denom**kk)
             yield (-1.0) ** kk * mean / denom**kk
 

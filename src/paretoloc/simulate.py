@@ -65,7 +65,7 @@ class TrajectorySpec:
         Step period in seconds.  The track's reach |start| + n T |speed|
         over its n = steps - 1 steps, plus a_max (n T)^2 / 2 for "pwl",
         must stay within MAX_REACH, where squared distances still fit
-        in a double.
+        in a double.  A "pwl" track needs T <= BREAKPOINT_PERIOD.
     start : np.ndarray
         Initial position (2,).
     speed, heading : float
@@ -126,6 +126,15 @@ class TrajectorySpec:
                 f"step period T = {self.T:g} takes the {self.kind} track of {self.steps} steps "
                 f"past the largest double when squared (reach {reach:.3g} m, "
                 f"at most {MAX_REACH:.3g} m)"
+            )
+        # A "pwl" segment lasts max(1, round(BREAKPOINT_PERIOD / T)) steps,
+        # but its steering looks ahead and solves its ramp over one period:
+        # with longer steps it overshoots the box (16.6 m from the centre
+        # of the 3.2 m cell at T = 5 s).
+        if self.kind == "pwl" and self.T > BREAKPOINT_PERIOD:
+            raise ValueError(
+                f"step period T = {self.T:g} s is longer than the pwl track's "
+                f"breakpoint period of {BREAKPOINT_PERIOD:g} s"
             )
 
 
@@ -209,8 +218,10 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
     `bounds`: the breakpoints chase random target velocities inside the
     `V_CAP` disk, pointed back inside the box near its walls (see
     _next_breakpoint_accel), which keeps the node in ranging coverage
-    for arbitrarily long runs while T is small against
-    `BREAKPOINT_PERIOD` (the ramp solve aims at a 2-s segment).
+    for arbitrarily long runs.  The look-ahead and the ramp solve aim at
+    a `BREAKPOINT_PERIOD` segment, which is why `TrajectorySpec` refuses
+    a "pwl" T longer than that period; the steering is closest while T
+    is small against it.
 
     For "linear" and "pwl" the per-step speed/heading are the chord
     values of the interval ending at each step (see _chord_states); for

@@ -18,6 +18,7 @@ import numpy as np
 from .crlb import (
     SeriesDivergenceError,
     _mean_se,
+    _normal,
     d11,
     d12,
     diag_bounds,
@@ -97,17 +98,20 @@ def _streamed_covariances(
     """r, var, the sample covariance of n draws of the squared-range noise,
     and the covariances of its `groups` consecutive blocks of n/groups rows.
 
-    Each block is drawn and reduced to its mean and covariance at once, so
-    one block is held at a time; concatenated, the blocks are the stream and
-    bits of one (n, M) draw.  The full covariance is the pooled identity
+    Each block is drawn, centred in place on its mean and reduced to its
+    Gram product at once, so one block is held at a time and never copied;
+    concatenated, the blocks are the stream and bits of one (n, M) draw.
+    The full covariance is the pooled identity
     (n-1) C = sum (n_g-1) C_g + sum n_g (m_g-m)(m_g-m)^T.
     """
     size = n // groups
     means, covs = [], []
     for _ in range(groups):
         r, var, block = _squared_range_noise(rng, size, aset, position)
-        means.append(block.mean(axis=0))
-        covs.append(np.cov(block, rowvar=False))
+        mean = block.mean(axis=0)
+        means.append(mean)
+        block -= mean
+        covs.append(block.T @ block / (size - 1))
     group_covs = np.stack(covs)
     spread = np.array(means) - np.mean(means, axis=0)
     cov = ((size - 1) * group_covs.sum(axis=0) + size * spread.T @ spread) / (n - 1)
@@ -198,8 +202,8 @@ def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
         for sigma_phi in (0.1, math.pi / 8.0, math.pi / 4.0, 1.0):
             for phi in (0.0, 0.7, 2.5):
                 points += 1
-                vm = v + rng.normal(0.0, sigma_v, size=n)
-                pm = phi + rng.normal(0.0, sigma_phi, size=n)
+                vm = _normal(rng, v, sigma_v, n)
+                pm = _normal(rng, phi, sigma_phi, n)
                 for axis, trig in ((0, np.cos), (1, np.sin)):
                     first = vm * trig(pm)
                     mean1, se1 = _mean_se(first)
@@ -382,7 +386,7 @@ def _trig_walk(
                 sd = math.sqrt((k - k_prev) * var)
                 for start in range(0, n, _TRIG_BLOCK):
                     block = state[start : start + _TRIG_BLOCK]
-                    block += rng.normal(0.0, sd, size=block.size)
+                    block += _normal(rng, 0.0, sd, block.size)
             k_prev = k
         yield k, v, phi
 

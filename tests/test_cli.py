@@ -659,6 +659,28 @@ def test_a_track_past_the_largest_double_is_a_config_error(argv, failure, capsys
     assert err.startswith(f"config error: step period {failure} past the largest double"), err
 
 
+@pytest.mark.parametrize(
+    "argv, t_step",
+    [
+        (["run", "--scenario", "B", "--T", "10", "--runs", "2", "--estimators", "fusion,ekf"], "10"),
+        (["sweep", "--scenario", "B", "--parameter", "T", "--values", "0.1,2.5", "--runs", "1"], "2.5"),
+        (["crlb", "--scenario", "B", "--T", "2.5", "--ensemble", "2"], "2.5"),
+    ],
+    ids=["run-B-10", "sweep-B-2.5", "crlb-B-2.5"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_pwl_step_past_the_breakpoint_period_is_a_config_error(argv, t_step, capsys):
+    # the run at T = 10 excluded both fusion runs and kept a 1231 m EKF
+    # RMSE: the steering aims at 2 s segments and the track left its cell
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: step period T = {t_step} s is longer than the pwl track's "
+        "breakpoint period of 2 s"
+    ), captured.err
+
+
 _ALL_ESTIMATORS = "fusion,mse,wls,dr,ekf,ukf,lckf,ekf-cv"
 
 

@@ -355,8 +355,9 @@ def _series_all_orders(mu_q, sigma_q, mu_z, sigma_z, truncation=30,
                        mc_budget=200_000, rng=None):
     """Reference series that evaluates every outer order before truncating.
 
-    Same draws and the same per-order arithmetic as the library, so the
-    library's stop-at-the-cut evaluation must match it bit for bit.
+    Same draws and the same per-order arithmetic as the library, the outer
+    central moments included as a running product, so the library's
+    stop-at-the-cut evaluation must match it bit for bit.
     """
     lam_q = (mu_q / sigma_q) ** 2
     lam_z = (mu_z / sigma_q) ** 2
@@ -369,13 +370,14 @@ def _series_all_orders(mu_q, sigma_q, mu_z, sigma_z, truncation=30,
     upsilon_err = (1.0 + lam_z) / scale * inner_omitted
     q = rng.normal(math.sqrt(lam_q), 1.0, size=mc_budget)
     z = rng.normal(math.copysign(math.sqrt(lam_z), mu_z), 1.0, size=mc_budget)
-    f = z**2 / q**2
+    f_gap = z**2 / q**2 - upsilon
     denom = 1.0 + upsilon
     outer_terms_arr = np.zeros(truncation)
     outer_se = np.zeros(truncation)
+    centred = f_gap
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(2, truncation + 1):
-            centred = (f - upsilon) ** kk
+            centred = centred * f_gap
             outer_terms_arr[kk - 1] = (-1.0) ** kk * centred.mean() / denom**kk
             outer_se[kk - 1] = centred.std(ddof=1) / math.sqrt(mc_budget) / denom**kk
     outer_sum, outer_kept, outer_omitted = _truncate_all_orders(outer_terms_arr)
@@ -460,42 +462,81 @@ def test_truncate_alternating_reads_no_term_past_the_cut():
     assert _truncate_alternating(terms()) == (0.75, 4, 0.3)
 
 
-def test_series_matches_all_orders_reference_on_the_check_grid():
+def _series_cases():
+    """(args, kwargs, rng seed): the 25 points of the `ratio-bounds` check
+    grid at its seed and default budget, then 150 random points with a
+    random truncation and budget."""
     grid = (0.5, 1.0, 2.0, 3.0, 5.0)
-    outcomes = []
-    for mu_q in grid:
-        for mu_z in grid:
-            args = (mu_q, 1.0, mu_z, 1.0)
-            got = _outcome(
-                diag_expectation_series, *args, rng=np.random.default_rng((29, 1))
-            )
-            want = _outcome(
-                _series_all_orders, *args, rng=np.random.default_rng((29, 1))
-            )
-            assert got == want, args
-            outcomes.append(got[0] == "diverges")
-    assert 0 < sum(outcomes) < len(outcomes)
-
-
-def test_series_matches_all_orders_reference_on_random_points():
+    cases = [((mu_q, 1.0, mu_z, 1.0), {}, (29, 1)) for mu_q in grid for mu_z in grid]
     rng = np.random.default_rng(2024)
-    diverged = 0
     for i in range(150):
         sigma = float(rng.uniform(0.2, 3.0))
         mu_q = float(rng.uniform(0.0, 8.0)) * sigma
         mu_z = float(rng.uniform(-8.0, 8.0)) * sigma
         truncation = int(rng.integers(1, 31))
         budget = int(rng.integers(200, 3000))
-        rng_lib = np.random.default_rng((7, i))
-        rng_ref = np.random.default_rng((7, i))
-        got = _outcome(diag_expectation_series, mu_q, sigma, mu_z, sigma,
-                       truncation=truncation, mc_budget=budget, rng=rng_lib)
-        want = _outcome(_series_all_orders, mu_q, sigma, mu_z, sigma,
-                        truncation=truncation, mc_budget=budget, rng=rng_ref)
-        assert got == want, (mu_q, mu_z, sigma, truncation, budget)
+        kwargs = {"truncation": truncation, "mc_budget": budget}
+        cases.append(((mu_q, sigma, mu_z, sigma), kwargs, (7, i)))
+    return cases
+
+
+def _diverged_matching_the_reference(cases):
+    """How many of `cases` diverge, after asserting that the library and the
+    all-orders reference give the same outcome and leave their generators
+    in the same state."""
+    diverged = 0
+    for args, kwargs, seed in cases:
+        rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _outcome(diag_expectation_series, *args, rng=rng_lib, **kwargs)
+        want = _outcome(_series_all_orders, *args, rng=rng_ref, **kwargs)
+        assert got == want, (args, kwargs)
         assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
         diverged += got[0] == "diverges"
-    assert 10 < diverged < 140
+    return diverged
+
+
+def test_series_matches_all_orders_reference_on_the_check_grid():
+    assert 0 < _diverged_matching_the_reference(_series_cases()[:25]) < 25
+
+
+def test_series_matches_all_orders_reference_on_random_points():
+    assert 10 < _diverged_matching_the_reference(_series_cases()[25:]) < 140
+
+
+def test_running_powers_keep_the_outcomes_of_the_general_pow(monkeypatch):
+    # x^kk as a running product rounds once per order where numpy's pow
+    # rounds once; on these 175 cases no cut, divergence or kept count
+    # moves, and value and error differ by 2.0e-16 relative at most
+    running = [
+        _outcome(diag_expectation_series, *args, rng=np.random.default_rng(seed), **kwargs)
+        for args, kwargs, seed in _series_cases()
+    ]
+    monkeypatch.setattr(
+        crlb, "_running_powers", lambda x, last: (x**kk for kk in range(2, last + 1))
+    )
+    converged = 0
+    for (args, kwargs, seed), got in zip(_series_cases(), running):
+        want = _outcome(diag_expectation_series, *args, rng=np.random.default_rng(seed), **kwargs)
+        if want[0] == "diverges":
+            assert got == want, args
+            continue
+        converged += 1
+        got_fields = [np.frombuffer(b)[0] for b in got]
+        want_fields = [np.frombuffer(b)[0] for b in want]
+        # upsilon, inner_terms and outer_terms are exact; value and error
+        # within a relative 1e-14
+        assert got_fields[2:] == want_fields[2:], args
+        assert_allclose(got_fields[:2], want_fields[:2], rtol=1e-14, atol=0.0)
+    assert 40 < converged < 175
+
+
+def test_mc_ratio_draws_the_stream_of_the_scaled_normals():
+    rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
+    got = diag_expectation_mc(1.5, 0.7, -2.0, 0.7, n=5000, rng=rng)
+    q = old_rng.normal(1.5, 0.7, size=5000)
+    z = old_rng.normal(-2.0, 0.7, size=5000)
+    assert got == tuple(float(v) for v in _mean_se(q**2 / (q**2 + z**2)))
+    assert rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_series_expectation_agrees_with_sampling_where_it_converges():

@@ -373,6 +373,15 @@ def test_trajectory_spec_validation():
         TrajectorySpec(T=0.0)
 
 
+def _assert_held_track_is_finite(spec):
+    # a held track squares its chords without overflow: positions, chord
+    # speeds and headings are finite, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        track = gen_trajectory(spec, np.random.default_rng(0))
+    assert all(np.isfinite(part).all() for part in track)
+
+
 @pytest.mark.parametrize(
     "kind, steps, t_held, t_refused",
     [
@@ -380,25 +389,51 @@ def test_trajectory_spec_validation():
         # most sqrt(largest double) / 4 = 3.35e153 m
         ("linear", 300, 1e152, 1e153),
         ("cv", 300, 1e152, 1e153),
-        # plus a_max t^2 / 2
-        ("pwl", 300, 1e74, 1e75),
-        ("pwl", 2, 1e77, 2e77),
     ],
 )
 def test_trajectory_spec_refuses_a_track_past_the_largest_double(kind, steps, t_held, t_refused):
-    # a held track squares its chords without overflow: positions, chord
-    # speeds and headings are finite, and numpy warns of nothing
-    bounds = ARENA_BOUNDS if kind == "pwl" else None
-    spec = TrajectorySpec(kind=kind, steps=steps, T=t_held, speed=0.1, bounds=bounds)
+    spec = TrajectorySpec(kind=kind, steps=steps, T=t_held, speed=0.1)
     if kind != "cv":
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            track = gen_trajectory(spec, np.random.default_rng(0))
-        assert all(np.isfinite(part).all() for part in track)
+        _assert_held_track_is_finite(spec)
     with pytest.raises(ValueError, match=re.escape(f"step period T = {t_refused:g} takes the {kind}")):
-        TrajectorySpec(kind=kind, steps=steps, T=t_refused, speed=0.1, bounds=bounds)
+        TrajectorySpec(kind=kind, steps=steps, T=t_refused, speed=0.1)
     with pytest.raises(ValueError, match="past the largest double"):
         dataclasses.replace(spec, T=t_refused)
+
+
+@pytest.mark.parametrize(
+    "steps, a_held, a_refused",
+    [
+        # "pwl" adds a_max t^2 / 2 to the reach; at the longest step period
+        # it may take, T = BREAKPOINT_PERIOD, t^2 / 2 is 2 (steps - 1)^2
+        (300, 1e148, 2e148),
+        (2, 1e153, 2e153),
+    ],
+)
+def test_a_pwl_track_past_the_largest_double_is_refused(steps, a_held, a_refused):
+    spec = TrajectorySpec(
+        kind="pwl", steps=steps, T=BREAKPOINT_PERIOD, speed=0.1, a_max=a_held, bounds=ARENA_BOUNDS
+    )
+    _assert_held_track_is_finite(spec)
+    with pytest.raises(ValueError, match=re.escape("step period T = 2 takes the pwl")):
+        dataclasses.replace(spec, a_max=a_refused)
+    # past the reach bound, the reach is named before the step period
+    with pytest.raises(ValueError, match=re.escape("step period T = 1e+155 takes the pwl")):
+        dataclasses.replace(spec, T=1e155, a_max=0.5)
+
+
+def test_a_pwl_step_period_past_the_breakpoint_period_is_refused():
+    # a segment lasts max(1, round(2 s / T)) steps, and its steering aims
+    # at a 2 s segment: at T = 10 s scenario B went 244 m from the centre
+    # of its 3.2 m cell
+    assert BREAKPOINT_PERIOD == 2.0
+    make_scenario("B", T=2.0)
+    for t_step in (2.5, 10.0):
+        with pytest.raises(ValueError, match=f"T = {t_step:g} s is longer than the pwl track's breakpoint period of 2 s"):
+            make_scenario("B", T=t_step)
+        # the other kinds have no breakpoints
+        make_scenario("A", T=t_step)
+        make_scenario("CV", T=t_step)
 
 
 @pytest.mark.parametrize(

@@ -125,19 +125,45 @@ def test_noise_cov_groups_stream_the_one_draw(monkeypatch):
     draw, blocks = validate._squared_range_noise, []
 
     def recorded(*args):
-        blocks.append(draw(*args))
-        return blocks[-1]
+        r, var, block = draw(*args)
+        blocks.append(block.copy())  # the reduction centres it in place
+        return r, var, block
 
     monkeypatch.setattr(validate, "_squared_range_noise", recorded)
     rng, one_rng = np.random.default_rng(9), np.random.default_rng(9)
     _, _, cov, group_covs = validate._streamed_covariances(rng, 20000, 50, aset, position)
     _, _, b = draw(one_rng, 20000, aset, position)
     assert len(blocks) == 50
-    assert np.array_equal(np.concatenate([block for _, _, block in blocks]), b)
+    assert np.array_equal(np.concatenate(blocks), b)
     assert rng.bit_generator.state == one_rng.bit_generator.state
+    # a centred Gram product where `np.cov` copies and centres again: the
+    # two round apart, by 2.2e-16 relative at most here
     split = np.stack([np.cov(chunk, rowvar=False) for chunk in np.split(b, 50)])
-    assert np.array_equal(group_covs, split)
+    assert_allclose(group_covs, split, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(cov, np.cov(b, rowvar=False), rtol=1e-12, atol=0.0)
+
+
+def test_dr_moments_draw_the_stream_of_the_scaled_normals(monkeypatch):
+    # at each grid point the check draws speed and heading as
+    # rng.normal(v, sigma_v, n) and rng.normal(phi, sigma_phi, n), and
+    # reduces v cos(phi), v sin(phi) and their squares (n = 1000 here)
+    samples, made = [], []
+    mean_se, default_rng = validate._mean_se, np.random.default_rng
+    monkeypatch.setattr(validate, "_mean_se", lambda x: samples.append(x) or mean_se(x))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    validate.check_dr_moments(scale=0.005)
+    rng, want = default_rng(17), []
+    for v in (0.0, 0.1, 0.5, 1.0):
+        for sigma_phi in (0.1, math.pi / 8.0, math.pi / 4.0, 1.0):
+            for phi in (0.0, 0.7, 2.5):
+                speed = rng.normal(v, 0.05, size=1000)
+                heading = rng.normal(phi, sigma_phi, size=1000)
+                for trig in (np.cos, np.sin):
+                    first = speed * trig(heading)
+                    want += [first, first**2]
+    assert len(samples) == len(want) == 192
+    assert all(np.array_equal(got, expected) for got, expected in zip(samples, want))
+    assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
 
 
 def _full_draw_noise_cov_ratio(scale: float, seed: int = 7) -> float:
