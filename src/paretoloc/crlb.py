@@ -388,7 +388,9 @@ def _truncate_alternating(terms: Iterable[float]) -> tuple:
     Reads the terms one at a time and stops at the first one, after the
     first nonzero term, whose magnitude is not below its predecessor's;
     no later term is requested.  Leading zero terms are kept.  When no
-    term is cut, the last term's magnitude stands in for the omitted one.
+    term is cut, the last term's magnitude stands in for the omitted one;
+    when no term read is nonzero, nothing bounds the omitted part, and
+    its magnitude is inf.
 
     Returns (sum_of_kept_terms, kept_count, first_omitted_magnitude).
     Raises SeriesDivergenceError when the leading terms never decrease.
@@ -409,7 +411,7 @@ def _truncate_alternating(terms: Iterable[float]) -> tuple:
         kept.append(term)
         prev = mag
     if start is None:
-        return 0.0, len(kept), 0.0
+        return 0.0, len(kept), math.inf
     return float(np.sum(kept)), len(kept), float(prev)
 
 

@@ -102,10 +102,17 @@ class HeadingMoments:
     def e_square(self, axis):
         """E{cos^2 phi} (axis 0) or E{sin^2 phi} (axis 1); an array `axis`
         broadcasts against `phi0`."""
-        phi0 = np.asarray(self.phi0, dtype=float)
+        return self.signed_square(
+            np.asarray(self.phi0, dtype=float), _axis_sign(axis), self.second_attenuation
+        )
+
+    @staticmethod
+    def signed_square(phi0, sign, second_attenuation):
+        """`e_square` with its factors given: E{cos^2 phi} where `sign` is 1
+        and E{sin^2 phi} where it is -1, with exp(-2 var) = `second_attenuation`."""
         # cos(2 phi0) on axis 0, -cos(2 phi0) on axis 1
-        double_angle = np.cos(2.0 * phi0) * (1.0 - 2.0 * np.asarray(axis))
-        return 0.5 + 0.5 * double_angle * self.second_attenuation
+        double_angle = np.cos(2.0 * phi0) * sign
+        return 0.5 + 0.5 * double_angle * second_attenuation
 
     @property
     def e_cos_sq(self):
@@ -135,10 +142,42 @@ def dr_first_moment(v: float, phi: float, sigma_phi: float, axis: int) -> float:
     return float(v * (heading.e_cos if axis == 0 else heading.e_sin))
 
 
+@dataclass(frozen=True, slots=True)
+class DisplacementNoise:
+    """The speed and heading noise of dead reckoning on the axes `axis`,
+    with the factors of the displacement moments that do not depend on
+    the operating point evaluated once: sigma_v^2, the attenuations
+    exp(-sigma_phi^2 / 2) and exp(-2 sigma_phi^2) of `HeadingMoments`, and
+    each axis' second-harmonic sign (`sign`, +1 for cos^2, -1 for sin^2).
+    A track builds one and evaluates it at each step's speed and heading.
+    """
+
+    sigma_v_sq: float
+    attenuation: float
+    second_attenuation: float
+    sign: np.ndarray
+
+    @classmethod
+    def of(cls, sigma_v: float, sigma_phi: float, axis) -> DisplacementNoise:
+        # the attenuations do not depend on the mean heading
+        heading = HeadingMoments(0.0, sigma_phi**2)
+        return cls(sigma_v**2, heading.attenuation, heading.second_attenuation, _axis_sign(axis))
+
+    def second_moment(self, v, phi):
+        """`dr_second_moment` at speeds `v` and headings `phi`."""
+        square = HeadingMoments.signed_square(phi, self.sign, self.second_attenuation)
+        return (v**2 + self.sigma_v_sq) * square
+
+
+def _axis_sign(axis):
+    """+1 on axis 0 and -1 on axis 1: the sign of cos(2 phi) in cos^2 and sin^2."""
+    return 1.0 - 2.0 * np.asarray(axis)
+
+
 def dr_second_moment(v: float, sigma_v: float, phi: float, sigma_phi: float, axis: int) -> float:
     """E{V_meas^2 cos^2(phi_meas)} (axis 0) or the sin^2 analog (axis 1).
 
     The prefactor is the full speed second moment V^2 + sigma_v^2.
     `v`, `phi` and `axis` may be arrays; they broadcast elementwise.
     """
-    return (v**2 + sigma_v**2) * HeadingMoments(phi, sigma_phi**2).e_square(axis)
+    return DisplacementNoise.of(sigma_v, sigma_phi, axis).second_moment(v, phi)

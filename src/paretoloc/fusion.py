@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
-from .deadreckoning import HeadingMoments, dr_predict, dr_second_moment, heading_vector
+from .deadreckoning import DisplacementNoise, dr_predict, heading_vector
 from .models import MeasurementFrame, range_variance, true_ranges
 from .ranging import ranging_layer
 
@@ -91,10 +91,46 @@ class ParetoConfig:
             raise ValueError(f"rho must be None (knee) or in [0, 1], got {self.rho}")
 
 
+@dataclass(frozen=True, slots=True)
+class ParetoRows:
+    """The Pareto settings of a stack's rows, one ParetoConfig per equal
+    block of rows: built once per track (`_pareto_rows`, called by
+    `init_fusion`) and read by every step.  The arrays are read-only.
+
+    Attributes
+    ----------
+    rho : np.ndarray
+        Pareto weights (rows, 2): each set row's rho; NaN on the knee
+        rows, whose weights each step's knee search gives.
+    beta_clip : np.ndarray
+        Cap on |beta| of each row (rows, 1).
+    warn : np.ndarray or None
+        Mask (rows, 1) of the rows at a set rho, the only rows that warn
+        of a degenerate objective; None when no row is at a set rho.
+    knee : tuple
+        (rows, beta_clip) of each knee block: a slice, or `_ALL_ROWS` when
+        the block is every row, and the block's cap on |beta|.
+    rho_grid : np.ndarray
+        The knee candidates `ParetoConfig.rho_grid` along a leading axis,
+        (len(rho_grid), 1, 1), so that they broadcast against (rows, 2).
+    """
+
+    rho: np.ndarray
+    beta_clip: np.ndarray
+    warn: np.ndarray | None
+    knee: tuple
+    rho_grid: np.ndarray
+
+
+# The knee block of a stack that is all knee rows: its moments are the
+# step's moments themselves, not a slice of them.
+_ALL_ROWS = slice(None)
+
+
 @dataclass(slots=True)
 class FusionState:
     """Fused estimator states of a batch of R runs (or other rows),
-    carried between steps.
+    carried between steps, and the constants of their track.
 
     Attributes
     ----------
@@ -113,6 +149,13 @@ class FusionState:
     last_beta, last_rho : np.ndarray
         Per-axis beta and rho (R, 2) chosen at the most recent step
         (diagnostics).
+    pareto : ParetoRows
+        The rows' Pareto settings, built once per track by `init_fusion`
+        from `scene.paretos` and the row count.
+    displacement : DisplacementNoise
+        The scene's sensor-noise constants of the dead-reckoning moments
+        (sigma_v^2 and the heading attenuations), built once per track by
+        `init_fusion`.
     """
 
     estimate: np.ndarray
@@ -123,6 +166,8 @@ class FusionState:
     last_heading: np.ndarray
     last_beta: np.ndarray
     last_rho: np.ndarray
+    pareto: ParetoRows
+    displacement: DisplacementNoise
 
 
 def axis_moments(
@@ -199,7 +244,8 @@ def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
             stacklevel=3,
         )
     xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
-    return np.clip(xi, -beta_clip, beta_clip)
+    # np.clip's bits, without its wrapper's cost
+    return np.minimum(np.maximum(xi, -beta_clip), beta_clip)
 
 
 def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
@@ -221,21 +267,22 @@ def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
     return _pareto_beta(rho, m, config.beta_clip, warn=True)[()]
 
 
-def select_rho(m: ParetoMoments, config: ParetoConfig):
+def select_rho(m: ParetoMoments, beta_clip, rho_grid):
     """Knee-point Pareto weight for one axis.
 
-    Scans `config.rho_grid`, computes beta*(rho) for each candidate, then
-    the resulting one-step bias and variance, and keeps the rho whose
-    squared-bias / variance gap (sigma^2 - mu^2)^2 is smallest.  Ties go
-    to the smallest rho (np.argmin keeps the first minimum on the sorted
-    grid).  Array moments are scanned elementwise along a leading grid
-    axis and give one rho per element.
+    Scans the sorted candidates `rho_grid` (`ParetoConfig.rho_grid`),
+    computes beta*(rho) for each candidate under the cap `beta_clip`,
+    then the resulting one-step bias and variance, and keeps the rho
+    whose squared-bias / variance gap (sigma^2 - mu^2)^2 is smallest.
+    Ties go to the smallest rho (np.argmin keeps the first minimum).
+    The candidates lie along a leading axis: array moments (...) take
+    them shaped (n,) + (1,) * ndim, are scanned elementwise and give one
+    rho per element.
     """
-    rho = config.rho_grid.reshape((-1,) + (1,) * np.ndim(m.ranging_mean))
-    betas = _pareto_beta(rho, m, config.beta_clip)
+    betas = _pareto_beta(rho_grid, m, beta_clip)
     mu = bias_recursion(betas, m)
     var = error_variance(betas, m)
-    return config.rho_grid[np.argmin((var - mu**2) ** 2, axis=0)][()]
+    return rho_grid.flat[np.argmin((var - mu**2) ** 2, axis=0)]
 
 
 def approximate_kinematics(
@@ -272,6 +319,24 @@ def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
     return [(slice(i * size, (i + 1) * size), config) for i, config in enumerate(configs)]
 
 
+def _pareto_rows(configs: Sequence[ParetoConfig], rows: int) -> ParetoRows:
+    """The ParetoRows of `rows` rows, one equal block per config."""
+    rho, beta_clip = np.full((rows, 2), np.nan), np.empty((rows, 1))
+    warn = np.zeros((rows, 1), dtype=bool)
+    knee = []
+    for part, config in _row_blocks(configs, rows):
+        beta_clip[part] = config.beta_clip
+        if config.rho is None:
+            knee.append((_ALL_ROWS if len(configs) == 1 else part, config.beta_clip))
+        else:
+            rho[part] = config.rho
+            warn[part] = True
+    for x in (rho, beta_clip, warn):
+        x.flags.writeable = False
+    grid = ParetoConfig.rho_grid[:, None, None]
+    return ParetoRows(rho, beta_clip, warn if warn.any() else None, tuple(knee), grid)
+
+
 def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     """Bootstrap a batch of fused states from WLS-only solves of the
     first frames.
@@ -283,6 +348,11 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     so the first step's sigma_vx^2 counts the bias, which `bias_estimate`
     also carries, twice.  `scene.paretos` holds one ParetoConfig per
     equal block of rows, in row order.
+
+    What does not change from step to step is built here, once per
+    track, and carried by every state of the track: the rows' Pareto
+    settings (`ParetoRows`) and the sensor-noise constants of the
+    dead-reckoning moments (`DisplacementNoise`).
     """
     r = np.maximum(frame.ranges, 0.0)
     estimate, bias, cov = ranging_layer(
@@ -302,26 +372,24 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
         last_heading=last_heading,
         last_beta=np.zeros((rows, 2)),
         last_rho=np.full((rows, 2), 0.5),
+        pareto=_pareto_rows(scene.paretos, rows),
+        displacement=DisplacementNoise.of(
+            scene.sensor_model.sigma_v, scene.sensor_model.sigma_phi, _AXES
+        ),
     )
 
 
-def _pareto_update(m: ParetoMoments, configs: Sequence[ParetoConfig]) -> tuple:
+def _pareto_update(m: ParetoMoments, pareto: ParetoRows) -> tuple:
     """(rho, beta, bias, variance) of one step for the moments `m`
-    (rows, 2), one equal block of rows per config.  Knee blocks scan for
-    rho; one beta evaluation at the per-row rho and beta_clip, with the
-    scan's arithmetic, then serves every row, and only rows at a set rho
-    warn of a degenerate objective."""
-    rows = len(m.ranging_mean)
-    rho, beta_clip = np.empty((rows, 2)), np.empty((rows, 1))
-    warn = np.zeros((rows, 1), dtype=bool)
-    for part, config in _row_blocks(configs, rows):
-        beta_clip[part] = config.beta_clip
-        if config.rho is None:
-            rho[part] = select_rho(ParetoMoments(*(x[part] for x in m)), config)
-        else:
-            rho[part] = config.rho
-            warn[part] = True
-    beta = _pareto_beta(rho, m, beta_clip, warn)
+    (rows, 2) under the rows' settings `pareto`.  Each knee block scans
+    for rho; one beta evaluation at the per-row rho and beta_clip, with
+    the scan's arithmetic, then serves every row, and only rows at a set
+    rho warn of a degenerate objective."""
+    rho = pareto.rho.copy()
+    for part, beta_clip in pareto.knee:
+        block = m if part is _ALL_ROWS else ParetoMoments._make(x[part] for x in m)
+        rho[part] = select_rho(block, beta_clip, pareto.rho_grid)
+    beta = _pareto_beta(rho, m, pareto.beta_clip, pareto.warn)
     return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
 
 
@@ -333,15 +401,18 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     ranges from the dead-reckoned prediction, the previous error variance
     by the tracked one.
 
-    `scene.paretos` holds one ParetoConfig per equal block of rows, in
-    row order.  The dead reckoning, the ranging layer and the axis
-    moments, of shape (rows, 2), are computed once for all rows; rho is
-    each block's set weight or its knee (the knee search scans
-    (len(rho_grid), block rows, 2)), and beta once for all rows.
+    The rows' Pareto settings and the sensor-noise constants come from
+    the state, which `init_fusion` built once per track from the scene
+    (`scene.paretos`, one ParetoConfig per equal block of rows, and
+    `scene.sensor_model`); each step reads them and builds none.  The
+    dead reckoning, the ranging layer and the axis moments, of shape
+    (rows, 2), are computed once for all rows; rho is each block's set
+    weight or its knee (the knee search scans (len(rho_grid), block
+    rows, 2)), and beta once for all rows.
 
     Returns a new FusionState; the input state is not modified.
     """
-    T, sensor_model = scene.T, scene.sensor_model
+    T, displacement = scene.T, state.displacement
     v_ap, phi_ap = approximate_kinematics(
         state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
     )
@@ -365,13 +436,11 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         prev_bias=state.bias_estimate,
         prev_variance=state.error_variance,
         dr_true_first=v * heading_vector(phi_ap),
-        heading_attenuation=HeadingMoments(phi, sensor_model.sigma_phi**2).attenuation,
-        dr_second=dr_second_moment(
-            v, sensor_model.sigma_v, phi, sensor_model.sigma_phi, axis=_AXES
-        ),
+        heading_attenuation=displacement.attenuation,
+        dr_second=displacement.second_moment(v, phi),
         T=T,
     )
-    rho, beta, bias, variance = _pareto_update(m, scene.paretos)
+    rho, beta, bias, variance = _pareto_update(m, state.pareto)
 
     return FusionState(
         estimate=(1.0 - beta) * x_r + beta * x_v,
@@ -382,4 +451,6 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         last_heading=phi_ap,
         last_beta=beta,
         last_rho=rho,
+        pareto=state.pareto,
+        displacement=displacement,
     )

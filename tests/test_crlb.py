@@ -335,7 +335,7 @@ def _truncate_all_orders(terms):
     mags = np.abs(terms)
     nonzero = np.nonzero(mags)[0]
     if nonzero.size == 0:
-        return 0.0, len(terms), 0.0
+        return 0.0, len(terms), math.inf
     start = nonzero[0]
     if start + 1 < len(mags) and mags[start + 1] >= mags[start]:
         raise SeriesDivergenceError(
@@ -414,7 +414,8 @@ def test_truncate_alternating():
     assert omitted == pytest.approx(0.4)
     with pytest.raises(SeriesDivergenceError):
         _truncate_alternating(np.array([0.1, -0.2, 0.3]))
-    assert _truncate_alternating(np.zeros(4)) == (0.0, 4, 0.0)
+    # no nonzero term: nothing bounds the omitted part
+    assert _truncate_alternating(np.zeros(4)) == (0.0, 4, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +461,20 @@ def test_truncate_alternating_reads_no_term_past_the_cut():
         raise AssertionError("a term past the cut was requested")
 
     assert _truncate_alternating(terms()) == (0.75, 4, 0.3)
+
+
+def test_a_series_of_zero_terms_reports_an_unbounded_error():
+    # At truncation 1 the only inner and outer terms are first central
+    # moments, both zero.  The value is then off the sampled ratio by about
+    # eight standard errors, which an error of 0 would deny.
+    args = (1.0769, 0.4816, -2.1688, 0.4816)
+    got = diag_expectation_series(
+        *args, truncation=1, mc_budget=568, rng=np.random.default_rng(0)
+    )
+    assert (got.inner_terms, got.outer_terms) == (1, 1)
+    assert got.error == math.inf
+    mc, se = diag_expectation_mc(*args, n=400_000, rng=np.random.default_rng(0))
+    assert abs(got.value - mc) > 6.0 * se
 
 
 def _series_cases():

@@ -15,9 +15,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from paretoloc.deadreckoning import dr_predict, dr_second_moment, measurement_frames
+from paretoloc.deadreckoning import dr_predict, dr_second_moment, heading_vector, measurement_frames
 from paretoloc.fusion import (
     ParetoConfig,
+    ParetoMoments,
+    _pareto_rows,
     _pareto_update,
     _row_blocks,
     approximate_kinematics,
@@ -39,7 +41,7 @@ from paretoloc.models import (
     true_ranges,
 )
 from paretoloc.ranging import ranging_layer
-from paretoloc.simulate import ExperimentConfig, Scene, make_scenario, run_experiment
+from paretoloc.simulate import ExperimentConfig, Scene, draw_run, make_scenario, run_experiment
 from paretoloc.validate import _mse_beta, _second_moment_terms
 
 
@@ -165,7 +167,7 @@ def test_paper_form_mse_beta_equals_even_weighting(
 def test_select_rho_minimises_balance_gap():
     config = ParetoConfig()
     m = axis_moments(**_inputs())
-    rho_star = select_rho(m, config)
+    rho_star = select_rho(m, config.beta_clip, config.rho_grid)
     assert 0.0 <= rho_star <= 1.0
 
     def gap(rho):
@@ -284,7 +286,9 @@ def test_pareto_update_equals_the_per_block_composition(case):
     ctx, configs = case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _pareto_update(axis_moments(**ctx), configs)
+        got = _pareto_update(
+            axis_moments(**ctx), _pareto_rows(configs, len(ctx["ranging_mean"]))
+        )
     *expected, warned = _per_block_step(ctx, configs)
     for name, a, b in zip(("rho", "beta", "bias", "variance"), got, expected):
         np.testing.assert_array_equal(a, b, err_msg=name)
@@ -420,3 +424,155 @@ def test_mse_is_fusion_at_rho_one_half_bit_for_bit():
             result.estimate_traces["mse"], at_half.estimate_traces["fusion"]
         )
     assert not np.array_equal(both.errors["mse"], both.errors["fusion"])
+
+
+# The fused step as it was when every step built its own Pareto set-up:
+# each block's rho, beta_clip and warn mask from `scene.paretos`, the
+# knee grid's shape, and the heading attenuations and speed variance
+# from the sensor model.  The kernel, which builds them once per track,
+# must step the same states bit for bit.
+
+
+def _reference_beta(rho, m, beta_clip, warn=None):
+    w_var, w_bias = 2.0 * (1.0 - rho), 2.0 * rho
+    num = w_var * m.sigma_vr_sq - w_bias * m.gamma * m.ranging_mean
+    den = w_var * m.eta + w_bias * m.gamma**2
+    degenerate = den <= 0.0
+    if warn is not None and np.count_nonzero(degenerate & warn):
+        warnings.warn(
+            "degenerate beta objective (zero curvature); falling back to beta = 0",
+            RuntimeWarning,
+        )
+    xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
+    return np.clip(xi, -beta_clip, beta_clip)
+
+
+def _reference_pareto_update(m, configs):
+    rows = len(m.ranging_mean)
+    rho, beta_clip = np.empty((rows, 2)), np.empty((rows, 1))
+    warn = np.zeros((rows, 1), dtype=bool)
+    for part, config in _row_blocks(configs, rows):
+        beta_clip[part] = config.beta_clip
+        if config.rho is None:
+            block = ParetoMoments(*(x[part] for x in m))
+            grid = config.rho_grid.reshape((-1,) + (1,) * np.ndim(block.ranging_mean))
+            betas = _reference_beta(grid, block, config.beta_clip)
+            mu, var = bias_recursion(betas, block), error_variance(betas, block)
+            rho[part] = config.rho_grid[np.argmin((var - mu**2) ** 2, axis=0)]
+        else:
+            rho[part] = config.rho
+            warn[part] = True
+    beta = _reference_beta(rho, m, beta_clip, warn)
+    return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
+
+
+def _reference_step(scene, state, frame):
+    T, sigma_v, sigma_phi = scene.T, scene.sensor_model.sigma_v, scene.sensor_model.sigma_phi
+    v_ap, phi_ap = approximate_kinematics(
+        state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
+    )
+    x_v = dr_predict(state.estimate, frame)
+    r_ap = true_ranges(x_v, scene.anchors)
+    x_r, r_bias, r_cov = ranging_layer(
+        scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
+    )
+    v, phi = v_ap[..., None], phi_ap[..., None]
+    # E{cos^2} on axis 0 and E{sin^2} on axis 1 of a N(phi, sigma_phi^2) heading
+    double_angle = np.cos(2.0 * phi) * (1.0 - 2.0 * np.arange(2))
+    square = 0.5 + 0.5 * double_angle * math.exp(-2.0 * sigma_phi**2)
+    m = axis_moments(
+        ranging_mean=r_bias,
+        ranging_variance=r_cov.diagonal(0, -2, -1),
+        prev_bias=state.bias_estimate,
+        prev_variance=state.error_variance,
+        dr_true_first=v * heading_vector(phi_ap),
+        heading_attenuation=math.exp(-0.5 * sigma_phi**2),
+        dr_second=(v**2 + sigma_v**2) * square,
+        T=T,
+    )
+    rho, beta, bias, variance = _reference_pareto_update(m, scene.paretos)
+    return dataclasses.replace(
+        state,
+        estimate=(1.0 - beta) * x_r + beta * x_v,
+        prev_estimate=state.estimate,
+        bias_estimate=bias,
+        error_variance=variance,
+        last_speed=v_ap,
+        last_heading=phi_ap,
+        last_beta=beta,
+        last_rho=rho,
+    )
+
+
+_STACKS = {
+    "knee": (ParetoConfig(),),
+    "mse": (ParetoConfig(rho=0.5),),
+    "knee+mse": (ParetoConfig(), ParetoConfig(rho=0.5)),
+    "knee+rho0.3": (ParetoConfig(), ParetoConfig(rho=0.3)),
+    "clip0.5": (ParetoConfig(beta_clip=0.5), ParetoConfig(rho=0.5)),
+}
+_STATE_FIELDS = (
+    "estimate", "prev_estimate", "bias_estimate", "error_variance",
+    "last_speed", "last_heading", "last_beta", "last_rho",
+)
+
+
+def _stepped_beside_the_reference(scenario, paretos, **models):
+    """Step the kernel and `_reference_step` side by side over 3 runs of 80
+    steps of `scenario`, one block of rows per ParetoConfig, requiring the
+    same state and the same warnings at every step.  Returns the warning
+    count and the kernel's betas (steps, rows, 2)."""
+    config = ExperimentConfig(
+        trajectory=make_scenario(scenario, steps=80), runs=3, seed=3, **models
+    )
+    scene = dataclasses.replace(Scene.from_config(config), paretos=paretos)
+    draws = [draw_run(config, run) for run in range(config.runs)]
+    _, ranges, speed, heading = (
+        np.concatenate((np.stack(part, axis=1),) * len(paretos), axis=1) for part in zip(*draws)
+    )
+    frames = measurement_frames(scene, ranges, speed, heading)
+    new = old = init_fusion(scene, next(frames))
+    warned, betas = 0, []
+    for frame in frames:
+        caught = []
+        for step, state in ((fusion_step, new), (_reference_step, old)):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                caught.append((step(scene, state, frame), [str(w.message) for w in record]))
+        (new, new_warnings), (old, old_warnings) = caught
+        for name in _STATE_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(new, name), getattr(old, name), err_msg=f"{name} at step {frame.k}"
+            )
+        assert new_warnings == old_warnings, frame.k
+        warned += len(new_warnings)
+        betas.append(new.last_beta)
+    return warned, np.array(betas)
+
+
+@pytest.mark.parametrize("stack", list(_STACKS))
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+def test_fusion_step_is_the_per_step_set_up_bit_for_bit(scenario, stack):
+    warned, betas = _stepped_beside_the_reference(scenario, _STACKS[stack])
+    assert warned == 0
+    if stack == "clip0.5":
+        # the knee block's cap binds, and the mse block's betas pass it
+        assert np.any(np.abs(betas[:, :3]) == 0.5) and np.any(np.abs(betas[:, 3:]) > 0.5)
+
+
+@pytest.mark.parametrize("stack", ["knee", "knee+rho0.3"])
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+def test_a_zero_curvature_row_warns_only_at_a_set_rho(scenario, stack):
+    # Range noise of 1e-100 m^2 and noise-free speed and heading: the
+    # displacement variance, zero but for rounding, comes out negative at
+    # some steps and outweighs the others, so the beta objective of that
+    # row has no curvature and its beta is 0.
+    warned, betas = _stepped_beside_the_reference(
+        scenario,
+        _STACKS[stack],
+        range_model=RangeNoiseModel(sigma0_sq=1e-100, kappa=0.0),
+        sensor_model=SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0),
+    )
+    knee_rows = betas[:, :3]
+    assert np.any(knee_rows == 0.0)
+    assert (warned > 0) == (stack == "knee+rho0.3")

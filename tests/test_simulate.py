@@ -23,7 +23,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import paretoloc
-from paretoloc import deadreckoning, simulate
+from paretoloc import deadreckoning, fusion, simulate
 from paretoloc.crlb import parcrlb_trace, pcrlb_bounds
 from paretoloc.deadreckoning import dr_predict, measurement_frames
 from paretoloc.filters import (
@@ -602,6 +602,35 @@ def test_frames_are_built_once_per_batch_not_once_per_step(monkeypatch):
     assert len(builds) == len(terms) == len(stacks)
     steps = config.trajectory.steps
     assert terms == [(steps, len(names) * config.runs) for names in stacks]
+
+
+def test_the_pareto_set_up_is_built_once_per_track_not_once_per_step(monkeypatch):
+    built, headings = [], []
+    original_rows, original_init = fusion._pareto_rows, deadreckoning.HeadingMoments.__init__
+
+    def counted_rows(configs, rows):
+        built.append((tuple(configs), rows))
+        return original_rows(configs, rows)
+
+    def counted_init(self, *args, **kwargs):
+        headings.append(1)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "_pareto_rows", counted_rows)
+    monkeypatch.setattr(deadreckoning.HeadingMoments, "__init__", counted_init)
+    for steps in (20, 60):
+        built.clear()
+        headings.clear()
+        config = _small_config(
+            trajectory=scenario_pwl(steps=steps), estimators=KNOWN_ESTIMATORS, runs=3
+        )
+        run_experiment(config)
+        # one stack of Pareto rows ("fusion" and "mse", two blocks of 3
+        # rows): one set of per-row settings and one heading moment, at
+        # any number of steps
+        mse = dataclasses.replace(config.pareto, rho=0.5)
+        assert built == [((config.pareto, mse), 6)]
+        assert headings == [1]
 
 
 def test_each_run_is_the_same_alone_and_in_a_batch():
