@@ -330,30 +330,29 @@ def _mean_se(x: np.ndarray, axis: int | None = None) -> tuple:
     return mean.squeeze(axis)[()], se
 
 
+def _fill_normal(rng: np.random.Generator, out: np.ndarray, loc, scale) -> np.ndarray:
+    """`out` filled with the stream and bits of `rng.normal(loc, scale,
+    out.shape)`, which numpy forms as loc + scale z one element at a time:
+    here the standard normals are drawn in one fill, then scaled and
+    shifted in place."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += loc
+    return out
+
+
 def _normal(rng: np.random.Generator, loc, scale, size) -> np.ndarray:
-    """The stream and bits of `rng.normal(loc, scale, size)`, which numpy
-    forms as loc + scale z one element at a time: here the standard normals
-    are drawn in one fill, then scaled and shifted in place."""
-    z = rng.standard_normal(size)
-    z *= scale
-    z += loc
-    return z
+    """The stream and bits of `rng.normal(loc, scale, size)`."""
+    return _fill_normal(rng, np.empty(size), loc, scale)
 
 
-def diag_expectation_mc(
-    mu_q: float,
-    sigma_q: float,
-    mu_z: float,
-    sigma_z: float,
-    n: int,
-    *,
-    rng: np.random.Generator,
-) -> tuple:
-    """Monte Carlo E{q^2 / (q^2 + z^2)} with standard error."""
-    q = _normal(rng, mu_q, sigma_q, n)
-    z = _normal(rng, mu_z, sigma_z, n)
+def diag_expectation_mc(q: np.ndarray, z: np.ndarray) -> tuple:
+    """Monte Carlo E{q^2 / (q^2 + z^2)} with standard error, over samples q
+    and z of the two normals, which it overwrites."""
     q *= q
-    q /= q + z**2  # q^2 / (q^2 + z^2)
+    z *= z
+    z += q
+    q /= z
     return tuple(float(v) for v in _mean_se(q))
 
 

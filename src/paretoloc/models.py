@@ -293,9 +293,14 @@ def range_variance(r, model: RangeNoiseModel):
 
 def true_ranges(position, anchors: AnchorSet) -> np.ndarray:
     """Euclidean ranges (M,) from a position (2,) to every anchor; a stack
-    of positions (..., 2) gives ranges (..., M)."""
+    of positions (..., 2) gives ranges (..., M).  The two squared
+    coordinate gaps are added as one sum: the bits of a sum over the
+    coordinate axis without its reduction, in the memory order of that
+    sum, which later products read."""
     diff = anchors.positions - np.asarray(position, dtype=float)[..., None, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    diff *= diff
+    squared = diff[..., 0] + diff[..., 1]
+    return np.sqrt(squared, out=squared)
 
 
 def floored_ranges(position, anchors: AnchorSet) -> np.ndarray:

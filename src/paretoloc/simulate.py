@@ -114,13 +114,7 @@ class TrajectorySpec:
         self.start = np.asarray(self.start, dtype=float)
         if self.start.shape != (2,) or not np.isfinite(self.start).all():
             raise ValueError("start must be [x1, x2], finite")
-        # For "cv", the reach of the noise-free rollout.  "pwl" integrates
-        # exactly and squares T: an inf T^2 makes `reach` inf, or NaN if
-        # a_max = 0, and both are refused.
-        n = self.steps - 1
-        reach = float(np.abs(self.start).max()) + n * (self.T * abs(self.speed))
-        if self.kind == "pwl":
-            reach += 0.5 * self.a_max * (self.T * self.T) * n * n
+        reach = self.reach()
         if not reach <= MAX_REACH:
             raise ValueError(
                 f"step period T = {self.T:g} takes the {self.kind} track of {self.steps} steps "
@@ -136,6 +130,21 @@ class TrajectorySpec:
                 f"step period T = {self.T:g} s is longer than the pwl track's "
                 f"breakpoint period of {BREAKPOINT_PERIOD:g} s"
             )
+
+    def reach(self) -> float:
+        """The largest coordinate, m, the track can reach from the origin:
+        |start| + n T |speed| over its n = steps - 1 steps, plus
+        a_max (n T)^2 / 2 for "pwl".
+
+        For "cv", the reach of the noise-free rollout.  "pwl" integrates
+        exactly and squares T: an inf T^2 makes it inf, or NaN if
+        a_max = 0.
+        """
+        n = self.steps - 1
+        reach = float(np.abs(self.start).max()) + n * (self.T * abs(self.speed))
+        if self.kind == "pwl":
+            reach += 0.5 * self.a_max * (self.T * self.T) * n * n
+        return reach
 
 
 def _fold(x, lo, hi):
@@ -303,6 +312,59 @@ class ExperimentConfig:
             raise ValueError(f"need at least one run, as an integer; got {self.runs!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+# Standard deviations of speed noise a dead-reckoned step is allowed above
+# the track's speed, and the log of the largest range-noise variance whose
+# square, which the WLS noise covariance holds, is a double.
+DR_SPEED_MARGIN = 5.0
+_LOG_VARIANCE_MAX = 0.5 * math.log(sys.float_info.max)
+
+
+def require_finite_range_noise(config: ExperimentConfig) -> None:
+    """Refuse a track on which the range-noise variance overflows.
+
+    The estimators take sigma0_sq exp(kappa r) at the ranges of their
+    dead-reckoned predictions, and the WLS noise covariance squares it
+    (`noise_cov_inverse`).  So the variance must stay below the square
+    root of the largest double at every range from an anchor to a point
+    one dead-reckoned step from the track: T (v + DR_SPEED_MARGIN sigma_v)
+    past its box in each coordinate, or past its reach when it has none,
+    with v its initial speed (at least V_CAP for "pwl", whose targets lie
+    in that disk).
+
+    This bounds the prediction of an estimate that stays near the track.
+    An estimate that drifts further, as a WLS fix under range noise of
+    100 m does, can still go non-finite, and its run is then excluded.
+
+    Raises
+    ------
+    ValueError
+        If the variance passes the bound.
+    """
+    spec = config.trajectory
+    if spec.bounds is None:
+        reach = spec.reach()
+        box = np.array([[-reach, reach], [-reach, reach]])
+    else:
+        box = np.array(spec.bounds, dtype=float)
+    speed = max(abs(spec.speed), V_CAP) if spec.kind == "pwl" else abs(spec.speed)
+    step = spec.T * (speed + DR_SPEED_MARGIN * config.sensor_model.sigma_v)
+    anchors = config.anchors.positions
+    # per coordinate, the largest gap from an anchor to the widened box
+    gap = np.maximum(anchors - (box[:, 0] - step), (box[:, 1] + step) - anchors)
+    farthest = float(np.hypot(gap[:, 0], gap[:, 1]).max())
+    model = config.range_model
+    log_variance = math.log(model.sigma0_sq) + model.kappa * farthest
+    if not log_variance <= _LOG_VARIANCE_MAX:
+        raise ValueError(
+            f"the range-noise variance overflows on the {spec.kind} track of {spec.steps} steps "
+            f"at T = {spec.T:g} s: a dead-reckoned prediction one step of "
+            f"T (speed + {DR_SPEED_MARGIN:g} sigma_v) = {step:.3g} m past the track "
+            f"reaches {farthest:.3g} m from an anchor, where "
+            f"ln(sigma0_sq exp(kappa r)) = {log_variance:.4g} passes {_LOG_VARIANCE_MAX:.4g}, "
+            "half the log of the largest double"
+        )
 
 
 @dataclass(slots=True)

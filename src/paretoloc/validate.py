@@ -9,7 +9,8 @@ suite can assert on the same code path.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .crlb import (
     SeriesDivergenceError,
+    _fill_normal,
     _mean_se,
     _normal,
     d11,
@@ -78,18 +80,83 @@ def _random_geometry(rng: np.random.Generator) -> tuple:
         return aset, position
 
 
-def _squared_range_noise(rng: np.random.Generator, n: int, aset: AnchorSet, position) -> tuple:
-    """True ranges r, their noise variances, and n draws (n, M-1) of the
-    differenced squared-range noise w_M^2 + 2 r_M w_M - w_l^2 - 2 r_l w_l."""
+def _drawn_ahead(rng: np.random.Generator, units: Iterable) -> Iterator[tuple]:
+    """The samples of each unit of `units`, drawn on a worker thread one unit
+    ahead of the caller.
+
+    A unit is a tuple of (loc, scale, shape) normal draws, and its samples
+    are the tuple of their arrays, each the stream and bits of
+    `_normal(rng, loc, scale, shape)`, drawn in turn.  While the caller
+    reads one unit, a worker thread fills the next: numpy's fills and
+    in-place ufuncs release the GIL, so the two overlap.  Only the worker
+    calls `rng` while the stream is open, one unit at a time and in order,
+    so every bit is that of the serial draw.  The calling thread allocates
+    every buffer and the worker only fills them, so no sample lives in a
+    second malloc arena.  Closing the stream, also by an error in the
+    caller, waits for the unit in flight; a worker never waits on the
+    caller.  The caller drops a unit before it asks for the next, or three
+    units are live at once.
+    """
+
+    def fill(draws: tuple, out: tuple, failed: list) -> None:
+        try:
+            for (loc, scale, _), buffer in zip(draws, out):
+                _fill_normal(rng, buffer, loc, scale)
+        except Exception as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    def start(draws: tuple) -> tuple:
+        out, failed = tuple(np.empty(shape) for _, _, shape in draws), []
+        worker = threading.Thread(target=fill, args=(draws, out, failed))
+        worker.start()
+        return worker, out, failed
+
+    def finish(worker: threading.Thread, out: tuple, failed: list) -> tuple:
+        worker.join()
+        if failed:
+            raise failed[0]
+        return out
+
+    ahead, ready = None, []
+    try:
+        for draws in (*units, None):
+            if ahead is not None:
+                ready.append(finish(*ahead))
+            ahead = None if draws is None else start(draws)
+            if ready:
+                # handed over from the stack: the stream keeps no reference
+                # to a unit once the caller has it
+                yield ready.pop()
+    finally:
+        if ahead is not None:
+            ahead[0].join()
+
+
+def _range_noise(aset: AnchorSet, position) -> tuple:
+    """True ranges r from `position` to the anchors and their noise
+    variances."""
     r = true_ranges(position, aset)
-    var = range_variance(r, RangeNoiseModel())
-    # the stream and bits of rng.normal(0.0, sqrt(var), size=(n, M))
-    w = rng.standard_normal((n, aset.m))
-    w *= np.sqrt(var)
+    return r, range_variance(r, RangeNoiseModel())
+
+
+def _squared_noise(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Draws (n, M-1) of the differenced squared-range noise
+    w_M^2 + 2 r_M w_M - w_l^2 - 2 r_l w_l from range-noise draws w (n, M),
+    which it overwrites."""
     squared = w**2
     w *= 2.0 * r
     squared += w  # w^2 + 2 r w
-    return r, var, squared[:, -1:] - squared[:, :-1]
+    return squared[:, -1:] - squared[:, :-1]
+
+
+def _squared_range_noise(rng: np.random.Generator, n: int, aset: AnchorSet, position) -> tuple:
+    """True ranges r, their noise variances, and n draws (n, M-1) of the
+    differenced squared-range noise."""
+    r, var = _range_noise(aset, position)
+    # the stream and bits of rng.normal(0.0, sqrt(var), size=(n, M))
+    w = rng.standard_normal((n, aset.m))
+    w *= np.sqrt(var)
+    return r, var, _squared_noise(w, r)
 
 
 def _streamed_covariances(
@@ -98,16 +165,18 @@ def _streamed_covariances(
     """r, var, the sample covariance of n draws of the squared-range noise,
     and the covariances of its `groups` consecutive blocks of n/groups rows.
 
-    Each block is drawn, centred in place on its mean and reduced to its
-    Gram product at once, so one block is held at a time and never copied;
-    concatenated, the blocks are the stream and bits of one (n, M) draw.
-    The full covariance is the pooled identity
+    Each block is drawn ahead (`_drawn_ahead`), then centred in place on its
+    mean and reduced to its Gram product, so three blocks at most are held
+    at a time and none is copied; concatenated, the blocks are the stream
+    and bits of one (n, M) draw.  The full covariance is the pooled identity
     (n-1) C = sum (n_g-1) C_g + sum n_g (m_g-m)(m_g-m)^T.
     """
     size = n // groups
+    r, var = _range_noise(aset, position)
+    unit = ((0.0, np.sqrt(var), (size, aset.m)),)
     means, covs = [], []
-    for _ in range(groups):
-        r, var, block = _squared_range_noise(rng, size, aset, position)
+    for (w,) in _drawn_ahead(rng, [unit] * groups):
+        block = _squared_noise(w, r)
         mean = block.mean(axis=0)
         means.append(mean)
         block -= mean
@@ -195,25 +264,28 @@ def check_dr_moments(scale: float = 1.0, seed: int = 17) -> CheckResult:
     rng = np.random.default_rng(seed)
     n = max(int(2e5 * scale), 1000)
     sigma_v = 0.05
+    grid = [
+        (v, sigma_phi, phi)
+        for v in (0.0, 0.1, 0.5, 1.0)
+        for sigma_phi in (0.1, math.pi / 8.0, math.pi / 4.0, 1.0)
+        for phi in (0.0, 0.7, 2.5)
+    ]
+    stream = _drawn_ahead(rng, (((v, sigma_v, n), (phi, sigma_phi, n)) for v, sigma_phi, phi in grid))
     worst = 0.0
     variant_rejected = 0
-    points = 0
-    for v in (0.0, 0.1, 0.5, 1.0):
-        for sigma_phi in (0.1, math.pi / 8.0, math.pi / 4.0, 1.0):
-            for phi in (0.0, 0.7, 2.5):
-                points += 1
-                vm = _normal(rng, v, sigma_v, n)
-                pm = _normal(rng, phi, sigma_phi, n)
-                for axis, trig in ((0, np.cos), (1, np.sin)):
-                    first = vm * trig(pm)
-                    mean1, se1 = _mean_se(first)
-                    mean2, se2 = _mean_se(first**2)
-                    gap1 = abs(mean1 - dr_first_moment(v, phi, sigma_phi, axis))
-                    gap2 = abs(mean2 - dr_second_moment(v, sigma_v, phi, sigma_phi, axis))
-                    worst = max(worst, gap1 / (3.0 * se1), gap2 / (3.0 * se2))
-                    variant = dr_second_moment(0.0, sigma_v, phi, sigma_phi, axis)
-                    if abs(mean2 - variant) > 3.0 * se2:
-                        variant_rejected += 1
+    for v, sigma_phi, phi in grid:
+        vm, pm = next(stream)
+        for axis, trig in ((0, np.cos), (1, np.sin)):
+            first = vm * trig(pm)
+            mean1, se1 = _mean_se(first)
+            mean2, se2 = _mean_se(first**2)
+            gap1 = abs(mean1 - dr_first_moment(v, phi, sigma_phi, axis))
+            gap2 = abs(mean2 - dr_second_moment(v, sigma_v, phi, sigma_phi, axis))
+            worst = max(worst, gap1 / (3.0 * se1), gap2 / (3.0 * se2))
+            variant = dr_second_moment(0.0, sigma_v, phi, sigma_phi, axis)
+            if abs(mean2 - variant) > 3.0 * se2:
+                variant_rejected += 1
+    points = len(grid)
     return CheckResult(
         name="dr-moments",
         passed=worst <= 1.0,
@@ -493,26 +565,29 @@ def check_ratio_bounds(scale: float = 1.0, seed: int = 29) -> CheckResult:
     rng = np.random.default_rng(seed)
     n = max(int(4e5 * scale), 10000)
     grid = (0.5, 1.0, 2.0, 3.0, 5.0)
+    points = [(mu_q, mu_z) for mu_q in grid for mu_z in grid]
+    stream = _drawn_ahead(rng, (((mu_q, 1.0, n), (mu_z, 1.0, n)) for mu_q, mu_z in points))
     bracket_fail = 0
     series_fail = 0
     divergent = 0
     converged = 0
-    for mu_q in grid:
-        for mu_z in grid:
-            mc, se = diag_expectation_mc(mu_q, 1.0, mu_z, 1.0, n=n, rng=rng)
-            lb, ub = diag_bounds(mu_q, 1.0, mu_z, 1.0)
-            if not (lb <= mc + 3.0 * se and mc - 3.0 * se <= ub):
-                bracket_fail += 1
-            try:
-                series = diag_expectation_series(
-                    mu_q, 1.0, mu_z, 1.0, rng=np.random.default_rng((seed, 1))
-                )
-            except SeriesDivergenceError:
-                divergent += 1
-                continue
-            converged += 1
-            if abs(series.value - mc) > series.error + 3.0 * se:
-                series_fail += 1
+    for mu_q, mu_z in points:
+        q, z = next(stream)
+        mc, se = diag_expectation_mc(q, z)
+        del q, z  # the pair's last reference: two pairs are live at most
+        lb, ub = diag_bounds(mu_q, 1.0, mu_z, 1.0)
+        if not (lb <= mc + 3.0 * se and mc - 3.0 * se <= ub):
+            bracket_fail += 1
+        try:
+            series = diag_expectation_series(
+                mu_q, 1.0, mu_z, 1.0, rng=np.random.default_rng((seed, 1))
+            )
+        except SeriesDivergenceError:
+            divergent += 1
+            continue
+        converged += 1
+        if abs(series.value - mc) > series.error + 3.0 * se:
+            series_fail += 1
     passed = bracket_fail == 0 and series_fail == 0
     return CheckResult(
         name="ratio-bounds",

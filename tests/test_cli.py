@@ -660,6 +660,37 @@ def test_a_track_past_the_largest_double_is_a_config_error(argv, failure, capsys
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "A", "--T", "1e150", "--steps", "5", "--runs", "2"],
+        ["sweep", "--parameter", "T", "--values", "0.1,1e150", "--steps", "5", "--runs", "2"],
+    ],
+    ids=["run", "sweep"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_track_whose_range_noise_variance_overflows_is_a_config_error(argv, monkeypatch, capsys):
+    # the track fits in a double, but one dead-reckoned step takes the
+    # prediction 3.5e149 m from it, where sigma0^2 exp(kappa r) overflows:
+    # the run printed numpy overflow warnings and excluded every run
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", None)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: the range-noise variance overflows on the linear track of 5 steps "
+        "at T = 1e+150 s: a dead-reckoned prediction one step of T (speed + 5 sigma_v) "
+        "= 3.5e+149 m past the track reaches 4.95e+149 m from an anchor"
+    ), captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_track_inside_the_range_noise_bound_runs(capsys):
+    # T = 2800 s is just inside scenario A's bound at 5 steps (2880 s)
+    assert main(["run", "--scenario", "A", "--T", "2800", "--steps", "5", "--runs", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
     "argv, t_step",
     [
         (["run", "--scenario", "B", "--T", "10", "--runs", "2", "--estimators", "fusion,ekf"], "10"),

@@ -23,6 +23,7 @@ from paretoloc.crlb import (
     SeriesExpectation,
     _mean_se,
     _measurement_block,
+    _normal,
     _truncate_alternating,
     d11,
     d12,
@@ -310,12 +311,17 @@ def test_mixture_tables_cover_the_largest_index_the_mixture_reads():
 # ---------------------------------------------------------------------------
 
 
+def _ratio_samples(mu_q, sigma_q, mu_z, sigma_z, n, rng) -> tuple:
+    """n samples each of q ~ N(mu_q, sigma_q^2), then z ~ N(mu_z, sigma_z^2)."""
+    return rng.normal(mu_q, sigma_q, n), rng.normal(mu_z, sigma_z, n)
+
+
 def test_diag_bounds_bracket_sampled_ratio():
     rng = np.random.default_rng(9)
     for mu_q, mu_z in [(0.5, 0.5), (2.0, 1.0), (3.0, 0.2), (1.0, 3.0)]:
         lb, ub = diag_bounds(mu_q, 1.0, mu_z, 1.0)
         assert 0.0 < lb <= ub == 1.0
-        mc, se = diag_expectation_mc(mu_q, 1.0, mu_z, 1.0, n=300000, rng=rng)
+        mc, se = diag_expectation_mc(rng.normal(mu_q, 1.0, 300000), rng.normal(mu_z, 1.0, 300000))
         assert lb <= mc + 4.0 * se
         assert mc - 4.0 * se <= ub
 
@@ -473,7 +479,7 @@ def test_a_series_of_zero_terms_reports_an_unbounded_error():
     )
     assert (got.inner_terms, got.outer_terms) == (1, 1)
     assert got.error == math.inf
-    mc, se = diag_expectation_mc(*args, n=400_000, rng=np.random.default_rng(0))
+    mc, se = diag_expectation_mc(*_ratio_samples(*args, 400_000, np.random.default_rng(0)))
     assert abs(got.value - mc) > 6.0 * se
 
 
@@ -546,8 +552,9 @@ def test_running_powers_keep_the_outcomes_of_the_general_pow(monkeypatch):
 
 
 def test_mc_ratio_draws_the_stream_of_the_scaled_normals():
+    # the samples are `_normal`'s, as the ratio-bounds check fills them
     rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
-    got = diag_expectation_mc(1.5, 0.7, -2.0, 0.7, n=5000, rng=rng)
+    got = diag_expectation_mc(_normal(rng, 1.5, 0.7, 5000), _normal(rng, -2.0, 0.7, 5000))
     q = old_rng.normal(1.5, 0.7, size=5000)
     z = old_rng.normal(-2.0, 0.7, size=5000)
     assert got == tuple(float(v) for v in _mean_se(q**2 / (q**2 + z**2)))
@@ -561,9 +568,7 @@ def test_series_expectation_agrees_with_sampling_where_it_converges():
     series = diag_expectation_series(
         5.0, 1.0, 0.5, 1.0, rng=np.random.default_rng((29, 1))
     )
-    mc, se = diag_expectation_mc(
-        5.0, 1.0, 0.5, 1.0, n=400000, rng=np.random.default_rng(22)
-    )
+    mc, se = diag_expectation_mc(*_ratio_samples(5.0, 1.0, 0.5, 1.0, 400000, np.random.default_rng(22)))
     assert series.inner_terms >= 2 and series.outer_terms >= 2
     assert abs(series.value - mc) <= series.error + 4.0 * se
 

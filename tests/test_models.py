@@ -78,6 +78,37 @@ def test_true_ranges_hand_geometry():
     assert_allclose(r, [0.0, 3.0, 4.0, 5.0], atol=1e-12)
 
 
+def _summed_ranges(position, anchors):
+    """Ranges as a sum over the coordinate axis of the squared gaps."""
+    diff = anchors.positions - np.asarray(position, dtype=float)[..., None, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _layouts():
+    """Stacks of positions in the memory orders the callers pass: C order,
+    Fortran order, the coordinate axis slowest (the UKF's sigma points),
+    and a strided view."""
+    rng = np.random.default_rng(8)
+    yield rng.normal(2.0, 3.0, 2)
+    for shape in ((1, 2), (4, 2), (1000, 2), (4, 5, 2), (25, 40, 2)):
+        p = rng.normal(2.0, 3.0, shape)
+        yield p
+        yield np.asfortranarray(p)
+        yield np.moveaxis(np.ascontiguousarray(np.moveaxis(p, -1, 0)), 0, -1)
+        yield p[::2]
+
+
+@pytest.mark.parametrize("position", list(_layouts()), ids=lambda p: f"{p.shape}-{p.strides}")
+def test_true_ranges_are_the_summed_ranges_in_their_memory_order(position):
+    # the two squared gaps are added without a reduction; the bits and the
+    # layout are the sum's, since later products (the UKF's) round by
+    # the layout they read: a C-ordered result moved UKF errors by 7e-16
+    anchors = AnchorSet(np.random.default_rng(9).uniform(-5.0, 5.0, (8, 2)))
+    got, want = true_ranges(position, anchors), _summed_ranges(position, anchors)
+    assert np.array_equal(got, want)
+    assert got.strides == want.strides
+
+
 def test_cv_process_model_matrices():
     cv = CvProcessModel(sigma1_sq=1.0, sigma2_sq=2.0, sigma3_sq=3.0, sigma4_sq=4.0)
     assert_allclose(cv.q_matrix(), np.diag([1.0, 2.0, 3.0, 4.0]))

@@ -59,6 +59,7 @@ from paretoloc.simulate import (
     draw_run,
     gen_trajectory,
     make_scenario,
+    require_finite_range_noise,
     run_experiment,
     scenario_cv,
     scenario_linear,
@@ -1197,3 +1198,35 @@ def test_the_package_namespace_is_what_programs_import_from_it():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == imported
+
+
+@pytest.mark.parametrize(
+    "scenario, kappa, box_gap, speed",
+    [("A", 0.25, 3.6, 0.1), ("B", 50.0, 3.6, 0.5), ("CV", 0.25, None, 0.15)],
+)
+def test_the_range_noise_bound_allows_one_dead_reckoned_step_past_the_track(
+    scenario, kappa, box_gap, speed
+):
+    # anchors on the corners and edges of [0, 4]^2; A and B keep to the box
+    # [0.4, 3.6]^2, whose farthest point from an anchor is 3.6 away per
+    # coordinate; the unbounded CV track is bounded by its reach
+    # 1.6 + 4 T 0.15 about the origin, 4 + reach per coordinate.  B's step
+    # takes the V_CAP disk's 0.5 m/s.  The range may grow by one step of
+    # T (speed + 5 * 0.05) per coordinate before 0.0625 exp(kappa r)
+    # reaches the square root of the largest double.
+    r_max = (0.5 * math.log(sys.float_info.max) - math.log(0.0625)) / kappa
+    per_coordinate = r_max / math.sqrt(2.0)
+    if box_gap is None:  # 4 + 1.6 + 4 T 0.15 + T (0.15 + 0.25)
+        t_max = (per_coordinate - 5.6) / (4.0 * 0.15 + speed + 0.25)
+    else:
+        t_max = (per_coordinate - box_gap) / (speed + 0.25)
+
+    def config(t_step):
+        return ExperimentConfig(
+            trajectory=dataclasses.replace(make_scenario(scenario), steps=5, T=t_step),
+            range_model=RangeNoiseModel(kappa=kappa),
+        )
+
+    require_finite_range_noise(config(0.999 * t_max))
+    with pytest.raises(ValueError, match="the range-noise variance overflows"):
+        require_finite_range_noise(config(1.001 * t_max))

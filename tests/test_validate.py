@@ -5,7 +5,12 @@ the acceptance tests; here we only pin the suite's structure and the two
 checks that are deterministic given their seed.
 """
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +21,12 @@ from paretoloc.crlb import _mean_se
 from paretoloc.validate import (
     ALL_CHECKS,
     CheckResult,
+    check_dr_moments,
     check_noise_cov_inverse,
     check_optimal_beta,
     check_ranging_bias,
     check_ranging_second_moment,
+    check_ratio_bounds,
     check_recursion_identities,
     check_trig_moments,
     run_all_checks,
@@ -119,20 +126,21 @@ def test_squared_range_noise_draws_the_stream_of_the_scaled_normal():
 
 
 def test_noise_cov_groups_stream_the_one_draw(monkeypatch):
-    # the groups are drawn and reduced one at a time; concatenated, they
-    # must be the one (n, M) draw, and their covariances those of its split
+    # the groups are drawn ahead and reduced one at a time; concatenated,
+    # they must be the one (n, M) draw, and their covariances those of its
+    # split
     aset, position = validate._random_geometry(np.random.default_rng(5))
-    draw, blocks = validate._squared_range_noise, []
-
-    def recorded(*args):
-        r, var, block = draw(*args)
-        blocks.append(block.copy())  # the reduction centres it in place
-        return r, var, block
-
-    monkeypatch.setattr(validate, "_squared_range_noise", recorded)
     rng, one_rng = np.random.default_rng(9), np.random.default_rng(9)
+    _, _, b = validate._squared_range_noise(one_rng, 20000, aset, position)
+    form, blocks = validate._squared_noise, []
+
+    def recorded(w, r):
+        block = form(w, r)
+        blocks.append(block.copy())  # the reduction centres it in place
+        return block
+
+    monkeypatch.setattr(validate, "_squared_noise", recorded)
     _, _, cov, group_covs = validate._streamed_covariances(rng, 20000, 50, aset, position)
-    _, _, b = draw(one_rng, 20000, aset, position)
     assert len(blocks) == 50
     assert np.array_equal(np.concatenate(blocks), b)
     assert rng.bit_generator.state == one_rng.bit_generator.state
@@ -164,6 +172,114 @@ def test_dr_moments_draw_the_stream_of_the_scaled_normals(monkeypatch):
     assert len(samples) == len(want) == 192
     assert all(np.array_equal(got, expected) for got, expected in zip(samples, want))
     assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
+
+
+def _serial_draws(rng, units):
+    """`_drawn_ahead` as a plain in-thread iterator: each unit's samples
+    drawn with `rng.normal` when the caller asks for them."""
+    for draws in units:
+        yield tuple(rng.normal(loc, scale, size=shape) for loc, scale, shape in draws)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25])
+@pytest.mark.parametrize(
+    "check", [check_noise_cov_inverse, check_dr_moments, check_ratio_bounds],
+    ids=["noise-cov-inverse", "dr-moments", "ratio-bounds"],
+)
+def test_a_check_drawn_ahead_is_the_check_drawn_in_order(check, scale, monkeypatch):
+    # the worker thread changes no bit: name, verdict, detail and data are
+    # those of the same check drawing each unit in turn on one thread
+    ahead = check(scale=scale)
+    monkeypatch.setattr(validate, "_drawn_ahead", _serial_draws)
+    assert ahead == check(scale=scale)
+
+
+def test_streams_drawn_ahead_on_many_threads_are_their_serial_streams():
+    # four callers, each with its own generator and worker, on two cores
+    # and with a thread switch every microsecond: every stream keeps the
+    # bits and the final state of its serial draw
+    units = [
+        ((0.5, 2.0, 1000), (-1.0, 0.1, (20, 3))),
+        ((0.0, np.array([1.0, 2.0, 3.0]), (50, 3)),),
+    ] * 20
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    got = {}
+
+    def consume(k):
+        got[k] = list(validate._drawn_ahead(rngs[k], units))
+
+    callers = [threading.Thread(target=consume, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for k, rng in enumerate(rngs):
+        serial = np.random.default_rng(k)
+        want = list(_serial_draws(serial, units))
+        assert [len(samples) for samples in got[k]] == [2, 1] * 20
+        for samples, expected in zip(got[k], want):
+            assert all(np.array_equal(a, b) for a, b in zip(samples, expected))
+        assert rng.bit_generator.state == serial.bit_generator.state
+    assert list(validate._drawn_ahead(rngs[0], [])) == []
+
+
+def test_a_stream_left_early_or_failing_leaves_no_worker_running():
+    # a worker never waits on the caller, and closing the stream joins the
+    # one in flight: nothing is left to hold the interpreter at exit
+    baseline = threading.active_count()
+    units = [((0.0, 1.0, 200_000),)] * 4
+    stream = validate._drawn_ahead(np.random.default_rng(3), units)
+    next(stream)
+    stream.close()
+    assert threading.active_count() == baseline
+    with pytest.raises(ZeroDivisionError):
+        for _ in validate._drawn_ahead(np.random.default_rng(3), units):
+            1 / 0
+    assert threading.active_count() == baseline
+    # an error on the worker reaches the caller
+    bad = [((0.0, 1.0, 10),), ((0.0, np.ones(3), (10, 2)),), ((0.0, 1.0, 10),)]
+    with pytest.raises(ValueError):
+        list(validate._drawn_ahead(np.random.default_rng(3), bad))
+    assert threading.active_count() == baseline
+
+
+def test_the_suite_peaks_no_higher_than_its_trig_moments_check():
+    # the suite's largest working set is the random walk of trig-moments
+    # (18.1 MB); the checks drawn ahead hold two or three units at a
+    # time, and ratio-bounds' two (q, z) pairs with the series peak at
+    # 15.3 MB
+    peaks = []
+    for run in (check_trig_moments, lambda scale: run_all_checks(scale, verbose=False)):
+        tracemalloc.start()
+        try:
+            run(scale=1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_importing_the_suite_loads_no_thread_pool_or_logging():
+    # the benchmark imports the suite in every set-up interpreter, where an
+    # eager `concurrent.futures` (and with it `logging`) cost 2.8 ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, paretoloc.validate\n"
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["[]"]
 
 
 def _full_draw_noise_cov_ratio(scale: float, seed: int = 7) -> float:
