@@ -45,7 +45,7 @@ from .models import (
     CV_PRIOR_VARIANCES,
     CvProcessModel,
     SensorNoiseModel,
-    anchor_directions,
+    anchor_planes,
     cv_rollout,
     cv_transition_jacobian,
     range_variance,
@@ -138,19 +138,16 @@ def d12(scene: Scene, tm: TrigMoments) -> np.ndarray:
     return -_weighted_mean_jacobian(scene, tm)
 
 
-def _pi_entries(u: np.ndarray, w: np.ndarray) -> tuple:
-    """Entries (e11, e12, e22), each (N,), of sum_m w_m u_m u_m^T per sample,
-    for unit vectors u (N, M, 2) and weights w (N, M) or (1, M)."""
-    e11 = np.sum(w * u[..., 0] ** 2, axis=1)
-    e12 = np.sum(w * u[..., 0] * u[..., 1], axis=1)
-    e22 = np.sum(w * u[..., 1] ** 2, axis=1)
-    return e11, e12, e22
-
-
-def _pi_mean(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The ensemble mean of sum_m w_m u_m u_m^T, (2, 2)."""
-    e11, e12, e22 = _pi_entries(u, w)
-    return np.array([[e11.mean(), e12.mean()], [e12.mean(), e22.mean()]])
+def _pi_entries(ux: np.ndarray, uy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Entries (e11, e12, e22) of sum_m w_m u_m u_m^T per sample, stacked
+    (..., 3, N), for the unit-vector planes ux, uy (N, M) of
+    `anchor_planes` and weights w (..., N, M), or (..., 1, M) for one
+    weight per anchor.  Each plane is squared once for every stack of
+    weights."""
+    return np.stack(
+        [np.sum(w * ux**2, axis=-1), np.sum(w * ux * uy, axis=-1), np.sum(w * uy**2, axis=-1)],
+        axis=-2,
+    )
 
 
 def pi_bracket(scene: Scene, positions) -> np.ndarray:
@@ -169,13 +166,14 @@ def pi_bracket(scene: Scene, positions) -> np.ndarray:
     Pi_MC's arithmetic with the mean direction or the extreme weights put
     in, so on a one-point ensemble all three are the same bits.
     """
-    r, u = anchor_directions(positions, scene.anchors)
+    r, ux, uy = anchor_planes(positions, scene.anchors)
     w = 1.0 / range_variance(r, scene.range_model)
-    return np.stack([
-        _pi_mean(u, w),
-        _pi_mean(u.mean(axis=0, keepdims=True), w.min(axis=0, keepdims=True)),
-        _pi_mean(u, w.max(axis=0, keepdims=True)),
-    ])
+    # Pi_MC's and U's entries per sample, (2, 3, N), averaged in one pass
+    weights = np.stack([w, np.broadcast_to(w.max(axis=0), w.shape)])
+    mc, upper = _pi_entries(ux, uy, weights).mean(axis=-1)
+    mean_x, mean_y = ux.mean(axis=0, keepdims=True), uy.mean(axis=0, keepdims=True)
+    lower = _pi_entries(mean_x, mean_y, w.min(axis=0, keepdims=True))[:, 0]
+    return np.stack([mc, lower, upper])[:, [0, 1, 1, 2]].reshape(3, 2, 2)
 
 
 def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np.ndarray:
@@ -635,8 +633,8 @@ def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:
     (4,), or at each state of a stack (..., 4): the measurement block with
     Pi taken at the state's position alone."""
     state = np.asarray(state, dtype=float)
-    r, u = anchor_directions(state[..., :2].reshape(-1, 2), scene.anchors)
-    e11, e12, e22 = _pi_entries(u, 1.0 / range_variance(r, scene.range_model))
+    r, ux, uy = anchor_planes(state[..., :2].reshape(-1, 2), scene.anchors)
+    e11, e12, e22 = _pi_entries(ux, uy, 1.0 / range_variance(r, scene.range_model))
     pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
     return _measurement_block(pi_mat, scene.sensor_model)
 
@@ -753,9 +751,11 @@ def pcrlb_bounds(
     # (MC, lower, upper) information per step
     info = np.empty((3, steps, 4, 4))
     info[:, 0] = default_prior_information() + measurement_information(scene, rollout[0, 0])
-    for i in range(1, steps):
+    # every step's D22 stack from one call: Q^{-1} is formed once per bound
+    brackets = [pi_bracket(scene, rollout[i, :, :2]) for i in range(1, steps)]
+    d22_mats = d22(scene, np.reshape(brackets, (-1, 3, 2, 2)))
+    for i, d22_mat in enumerate(d22_mats, start=1):
         tm = trig_moments(v0, phi0, cv.sigma3_sq, cv.sigma4_sq, i)
-        d22_mat = d22(scene, pi_bracket(scene, rollout[i, :, :2]))
         info[:, i] = pcrlb_recursion(info[:, i - 1], d11(scene, tm), d12(scene, tm), d22_mat)
 
     j, j_lb, j_ub = info

@@ -199,7 +199,8 @@ def axis_moments(
     """
     drift = T * dr_true_first * (heading_attenuation - 1.0)
     dr_first = dr_true_first * heading_attenuation  # E{V~ trig(phi~)}
-    sigma_vv_sq = T**2 * (dr_second - dr_first**2)
+    # a variance: clamped at 0, where rounding takes noise-free moments below it
+    sigma_vv_sq = np.maximum(T**2 * (dr_second - dr_first**2), 0.0)
     return ParetoMoments(
         ranging_mean, prev_bias, prev_variance, drift, ranging_variance, sigma_vv_sq,
         gamma=-ranging_mean + prev_bias + drift,

@@ -316,6 +316,24 @@ def anchor_directions(position, anchors: AnchorSet) -> tuple:
     return r, diff / r[..., None]
 
 
+def anchor_planes(position, anchors: AnchorSet) -> tuple:
+    """`anchor_directions` with each coordinate of the unit vectors in its
+    own plane: floored ranges r (..., M) from positions (..., 2) to the M
+    anchors and the planes (x - a_x) / r and (y - a_y) / r, each (..., M)
+    and C-contiguous for positions (N, 2), with the bits of
+    `floored_ranges` and `anchor_directions`."""
+    position = np.asarray(position, dtype=float)
+    dx = position[..., :1] - anchors.positions[:, 0]
+    dy = position[..., 1:] - anchors.positions[:, 1]
+    r = dx * dx
+    r += dy * dy
+    np.sqrt(r, out=r)
+    np.maximum(r, MIN_RANGE, out=r)
+    dx /= r
+    dy /= r
+    return r, dx, dy
+
+
 def draw_measurements(
     positions,
     speeds,

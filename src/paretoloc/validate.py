@@ -20,7 +20,6 @@ from .crlb import (
     SeriesDivergenceError,
     _fill_normal,
     _mean_se,
-    _normal,
     d11,
     d12,
     diag_bounds,
@@ -86,7 +85,7 @@ def _drawn_ahead(rng: np.random.Generator, units: Iterable) -> Iterator[tuple]:
 
     A unit is a tuple of (loc, scale, shape) normal draws, and its samples
     are the tuple of their arrays, each the stream and bits of
-    `_normal(rng, loc, scale, shape)`, drawn in turn.  While the caller
+    `rng.normal(loc, scale, shape)`, drawn in turn.  While the caller
     reads one unit, a worker thread fills the next: numpy's fills and
     in-place ufuncs release the GIL, so the two overlap.  Only the worker
     calls `rng` while the stream is open, one unit at a time and in order,
@@ -401,66 +400,101 @@ def check_optimal_beta(scale: float = 1.0, seed: int = 19) -> CheckResult:
 _TRIG_BLOCK = 2**16
 
 
-def _trig_samples(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The six speed/heading moment samples V, V^2, cos, sin, sin cos and
-    cos^2 at each walk state, (6, len(v))."""
-    out = np.empty((6, len(v)))
+def _trig_leaves(start: int, n: int) -> list:
+    """(start, stop) of the stretches of n walk states from `start` that
+    numpy's pairwise summation splits them into (in halves, the first
+    rounded down to a multiple of 8) down to at most `_TRIG_BLOCK` each."""
+    if n <= _TRIG_BLOCK:
+        return [(start, start + n)]
+    half = n // 2 - n // 2 % 8
+    return _trig_leaves(start, half) + _trig_leaves(start + half, n - half)
+
+
+def _speed_rows(v: np.ndarray) -> np.ndarray:
+    """The speed moment samples V and V^2 at each walk state, (2, len(v))."""
+    out = np.empty((2, len(v)))
     out[0] = v
     np.square(v, out=out[1])
-    np.cos(phi, out=out[2])
-    np.sin(phi, out=out[3])
-    np.multiply(out[3], out[2], out=out[4])
-    np.square(out[2], out=out[5])
     return out
 
 
-def _moment_sums(v: np.ndarray, phi: np.ndarray) -> tuple:
-    """Sums and scatters (sums of squared deviations from the mean), each
-    (6,), of the six moment samples over the walk states v, phi.
+def _heading_rows(phi: np.ndarray) -> np.ndarray:
+    """The heading moment samples cos, sin, sin cos and cos^2 at each walk
+    state, (4, len(phi))."""
+    out = np.empty((4, len(phi)))
+    np.cos(phi, out=out[0])
+    np.sin(phi, out=out[1])
+    np.multiply(out[1], out[0], out=out[2])
+    np.square(out[0], out=out[3])
+    return out
 
-    The walk is split as numpy's pairwise summation splits it (in halves,
-    the first rounded down to a multiple of 8) into stretches of at most
-    `_TRIG_BLOCK` states, each reduced at once.  Two halves add their sums,
-    which gives the bits of `np.sum` over the whole sample, and pool their
-    scatters: S = S_a + S_b + n_a n_b / n (m_a - m_b)^2.
-    """
-    n = len(v)
+
+def _leaf_sums(rows: np.ndarray) -> tuple:
+    """Sums and scatters (sums of squared deviations from the mean) of the
+    rows of `rows`, which it overwrites."""
+    total = rows.sum(axis=1)
+    rows -= (total / rows.shape[1])[:, None]
+    rows *= rows
+    return total, rows.sum(axis=1)
+
+
+def _pooled(n: int, leaves: Iterator[tuple]) -> tuple:
+    """Sum and scatter over n walk states from the (sum, scatter) of each of
+    its `_trig_leaves`, in order.  Two halves add their sums, as numpy's
+    pairwise summation adds them, which gives the bits of `np.sum` over
+    the whole sample, and pool their scatters:
+    S = S_a + S_b + n_a n_b / n (m_a - m_b)^2."""
     if n <= _TRIG_BLOCK:
-        samples = _trig_samples(v, phi)
-        total = samples.sum(axis=1)
-        samples -= (total / n)[:, None]
-        samples *= samples
-        return total, samples.sum(axis=1)
+        return next(leaves)
     half = n // 2 - n // 2 % 8
-    sum_a, scatter_a = _moment_sums(v[:half], phi[:half])
-    sum_b, scatter_b = _moment_sums(v[half:], phi[half:])
+    sum_a, scatter_a = _pooled(half, leaves)
+    sum_b, scatter_b = _pooled(n - half, leaves)
     gap = sum_a / half - sum_b / (n - half)
     return sum_a + sum_b, scatter_a + scatter_b + half * (n - half) / n * gap**2
 
 
-def _trig_walk(
+def _trig_moment_sums(
     rng: np.random.Generator, n: int, v0: float, phi0: float, s3: float, s4: float, steps
 ) -> Iterator[tuple]:
-    """(k, v, phi) at each of the 1-based `steps` of n speed/heading random
-    walks from (v0, phi0) with step variances s3 and s4.
+    """(k, sums, scatters) at each of the 1-based `steps`, increasing from 1,
+    of n speed/heading random walks from (v0, phi0) with step variances s3
+    and s4: the sums and scatters, each (6,), of the six moment samples V,
+    V^2, cos, sin, sin cos and cos^2 over the walk states.
 
     The walk is drawn only at those steps: from one to the next it adds one
     normal of the summed variance (k - k_prev) sigma^2, which gives its
-    joint law there.  Each jump updates v, then phi, in place, in blocks of
-    `_TRIG_BLOCK`: the stream and bits of one draw of n each.
+    joint law there.  Walk and reduction go leaf by leaf (`_trig_leaves`):
+    a leaf's speed rows are summed just before its speed step is added,
+    and its heading rows just before its heading step, while the next
+    leaf's step is drawn ahead (`_drawn_ahead`).  A jump's units are its
+    speed leaves, then its heading leaves: the stream and bits of one draw
+    of n each.  The walk is the only array as long as the walk.
     """
-    v = np.full(n, v0)
-    phi = np.full(n, phi0)
-    k_prev = 1
-    for k in steps:
-        if k > k_prev:
-            for state, var in ((v, s3), (phi, s4)):
-                sd = math.sqrt((k - k_prev) * var)
-                for start in range(0, n, _TRIG_BLOCK):
-                    block = state[start : start + _TRIG_BLOCK]
-                    block += _normal(rng, 0.0, sd, block.size)
-            k_prev = k
-        yield k, v, phi
+    leaves = _trig_leaves(0, n)
+    units = (
+        ((0.0, math.sqrt((k - k_prev) * var), stop - start),)
+        for k_prev, k in zip(steps, steps[1:])
+        for var in (s3, s4)
+        for start, stop in leaves
+    )
+    v, phi = np.full(n, v0), np.full(n, phi0)
+    stream = _drawn_ahead(rng, units)
+    try:
+        for i, k in enumerate(steps):
+            moves = i + 1 < len(steps)
+            pooled = []
+            for state, rows in ((v, _speed_rows), (phi, _heading_rows)):
+                sums = []
+                for start, stop in leaves:
+                    leaf = state[start:stop]
+                    sums.append(_leaf_sums(rows(leaf)))
+                    if moves:
+                        leaf += next(stream)[0]
+                pooled.append(_pooled(n, iter(sums)))
+            totals, scatters = zip(*pooled)
+            yield k, np.concatenate(totals), np.concatenate(scatters)
+    finally:
+        stream.close()
 
 
 def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
@@ -470,10 +504,9 @@ def check_trig_moments(scale: float = 1.0, seed: int = 23) -> CheckResult:
     v0, phi0 = 0.5, math.pi / 6.0
     s3, s4 = 1e-4, 2.5e-3
     worst = 0.0
-    for k, v, phi in _trig_walk(rng, n, v0, phi0, s3, s4, (1, 2, 5, 10, 20)):
+    for k, total, scatter in _trig_moment_sums(rng, n, v0, phi0, s3, s4, (1, 2, 5, 10, 20)):
         tm = trig_moments(v0, phi0, s3, s4, k)
         closed = np.array([tm.e_v, tm.e_v_sq, tm.e_cos, tm.e_sin, tm.e_sin_cos, tm.e_cos_sq])
-        total, scatter = _moment_sums(v, phi)
         se = np.sqrt(scatter / (n - 1)) / math.sqrt(n)
         # absolute floor so the deterministic k = 1 entries (sample SE
         # at rounding level) are judged against float tolerance, not a

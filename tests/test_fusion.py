@@ -191,7 +191,7 @@ def _per_block_moments(ctx):
         prev_variance=ctx["prev_variance"],
         drift=ctx["T"] * ctx["dr_true_first"] * (ctx["heading_attenuation"] - 1.0),
         sigma_vr_sq=ctx["ranging_variance"],
-        sigma_vv_sq=ctx["T"] ** 2 * (ctx["dr_second"] - dr_first**2),
+        sigma_vv_sq=np.maximum(ctx["T"] ** 2 * (ctx["dr_second"] - dr_first**2), 0.0),
     )
 
 
@@ -564,15 +564,49 @@ def test_fusion_step_is_the_per_step_set_up_bit_for_bit(scenario, stack):
 @pytest.mark.parametrize("scenario", ["A", "B", "CV"])
 def test_a_zero_curvature_row_warns_only_at_a_set_rho(scenario, stack):
     # Range noise of 1e-100 m^2 and noise-free speed and heading: the
-    # displacement variance, zero but for rounding, comes out negative at
-    # some steps and outweighs the others, so the beta objective of that
-    # row has no curvature and its beta is 0.
+    # displacement variance, zero but for rounding, is clamped at 0, so no
+    # row loses its curvature (unclamped, it came out negative at some
+    # steps and outweighed the others, and beta fell back to 0).
+    paretos = _STACKS[stack]
     warned, betas = _stepped_beside_the_reference(
         scenario,
-        _STACKS[stack],
+        paretos,
         range_model=RangeNoiseModel(sigma0_sq=1e-100, kappa=0.0),
         sensor_model=SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0),
     )
-    knee_rows = betas[:, :3]
-    assert np.any(knee_rows == 0.0)
-    assert (warned > 0) == (stack == "knee+rho0.3")
+    assert warned == 0 and np.all(betas != 0.0)
+    # A row with every moment zero has no curvature at any rho: its beta
+    # is 0, and only a set-rho block warns.
+    rows = 3 * len(paretos)
+    ctx = {key: np.full((rows, 2), value) for key, value in _inputs().items()}
+    ctx.update(heading_attenuation=ctx["heading_attenuation"][0, 0], T=ctx["T"][0, 0])
+    for key in ("ranging_mean", "ranging_variance", "prev_bias", "prev_variance",
+                "dr_true_first", "dr_second"):
+        ctx[key][::3] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _pareto_update(axis_moments(**ctx), _pareto_rows(paretos, rows))
+    *expected, warned = _per_block_step(ctx, paretos)
+    for name, a, b in zip(("rho", "beta", "bias", "variance"), got, expected):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert np.all(got[1][::3] == 0.0) and np.all(got[1][1::3] != 0.0)
+    assert warned == (stack == "knee+rho0.3") == bool(caught)
+
+
+def test_noise_free_motion_runs_without_a_degenerate_beta_objective():
+    # 49 "degenerate beta objective" warnings while sigma_vv^2 could round
+    # below 0; the RMSE at 1e-12 m^2 moved from 1.57395e-7 to 1.57400e-7
+    config = ExperimentConfig(
+        trajectory=make_scenario("B", steps=60),
+        estimators=("mse",),
+        runs=2,
+        seed=0,
+        range_model=RangeNoiseModel(sigma0_sq=1e-100, kappa=0.0),
+        sensor_model=SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_experiment(config)
+    assert [str(w.message) for w in caught] == []
+    assert result.excluded["mse"] == 0 and np.isfinite(result.rmse["mse"])
+

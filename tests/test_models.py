@@ -16,8 +16,11 @@ from paretoloc.models import (
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
+    anchor_directions,
+    anchor_planes,
     cv_transition,
     draw_measurements,
+    floored_ranges,
     inverse_2x2,
     range_variance,
     true_ranges,
@@ -107,6 +110,23 @@ def test_true_ranges_are_the_summed_ranges_in_their_memory_order(position):
     got, want = true_ranges(position, anchors), _summed_ranges(position, anchors)
     assert np.array_equal(got, want)
     assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("position", list(_layouts()), ids=lambda p: f"{p.shape}-{p.strides}")
+def test_anchor_planes_are_the_anchor_directions_split_by_coordinate(position):
+    # the bracket's contiguous (..., M) planes carry the bits of the
+    # filters' (..., M, 2) unit vectors and of the floored ranges, also at
+    # a position on an anchor
+    anchors = AnchorSet(np.random.default_rng(9).uniform(-5.0, 5.0, (8, 2)))
+    if position.ndim == 2:
+        position = position.copy()
+        position[0] = anchors.positions[3]
+    r, ux, uy = anchor_planes(position, anchors)
+    want_r, u = anchor_directions(position, anchors)
+    assert np.array_equal(r, want_r) and np.array_equal(r, floored_ranges(position, anchors))
+    assert np.array_equal(ux, u[..., 0]) and np.array_equal(uy, u[..., 1])
+    if position.ndim <= 2:  # the bracket's ensembles (N, 2)
+        assert ux.flags.c_contiguous and uy.flags.c_contiguous
 
 
 def test_cv_process_model_matrices():

@@ -183,8 +183,8 @@ def _serial_draws(rng, units):
 
 @pytest.mark.parametrize("scale", [1.0, 0.25])
 @pytest.mark.parametrize(
-    "check", [check_noise_cov_inverse, check_dr_moments, check_ratio_bounds],
-    ids=["noise-cov-inverse", "dr-moments", "ratio-bounds"],
+    "check", [check_noise_cov_inverse, check_dr_moments, check_trig_moments, check_ratio_bounds],
+    ids=["noise-cov-inverse", "dr-moments", "trig-moments", "ratio-bounds"],
 )
 def test_a_check_drawn_ahead_is_the_check_drawn_in_order(check, scale, monkeypatch):
     # the worker thread changes no bit: name, verdict, detail and data are
@@ -246,6 +246,29 @@ def test_a_stream_left_early_or_failing_leaves_no_worker_running():
     bad = [((0.0, 1.0, 10),), ((0.0, np.ones(3), (10, 2)),), ((0.0, 1.0, 10),)]
     with pytest.raises(ValueError):
         list(validate._drawn_ahead(np.random.default_rng(3), bad))
+    assert threading.active_count() == baseline
+
+
+def test_a_trig_walk_closed_mid_jump_leaves_no_worker_running():
+    # at each yielded step the next jump's first leaf is in flight; closing
+    # the walk there, or failing in the middle of a jump, joins it
+    baseline = threading.active_count()
+    walk = validate._trig_moment_sums(np.random.default_rng(3), 300_001, 0.5, 0.3, 1e-4, 2.5e-3, (1, 2, 5))
+    next(walk)
+    walk.close()
+    assert threading.active_count() == baseline
+    rows, calls = validate._heading_rows, []
+
+    def failing(phi):
+        calls.append(phi.size)
+        if len(calls) == 11:  # 8 leaves: step 2, the heading rows of its third
+            raise FloatingPointError
+        return rows(phi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validate, "_heading_rows", failing)
+        with pytest.raises(FloatingPointError):
+            list(validate._trig_moment_sums(np.random.default_rng(3), 300_001, 0.5, 0.3, 1e-4, 2.5e-3, (1, 2, 5)))
     assert threading.active_count() == baseline
 
 
@@ -360,18 +383,30 @@ def test_trig_moments_ratio_is_the_whole_array_ratio(seed):
     assert ratio == pytest.approx(_whole_array_trig_ratio(seed), rel=1e-12, abs=0.0)
 
 
-def test_trig_walk_is_one_draw_per_jump():
+def test_trig_walk_is_one_draw_per_jump(monkeypatch):
+    # the leaves each step reduces are the walk of one draw of n per jump,
+    # and its sums are those of the whole walk
     n = 3 * validate._TRIG_BLOCK + 5
+    seen = []
+    for name in ("_speed_rows", "_heading_rows"):
+        rows = getattr(validate, name)
+        monkeypatch.setattr(validate, name, lambda x, rows=rows: seen.append(x.copy()) or rows(x))
+    leaves = len(validate._trig_leaves(0, n))
     rng, one_rng = np.random.default_rng(9), np.random.default_rng(9)
     v, phi = np.full(n, 0.5), np.full(n, 0.3)
     k_prev = 1
     steps = []
-    for k, walk_v, walk_phi in validate._trig_walk(rng, n, 0.5, 0.3, 1e-4, 2.5e-3, (1, 2, 5)):
+    for k, total, scatter in validate._trig_moment_sums(rng, n, 0.5, 0.3, 1e-4, 2.5e-3, (1, 2, 5)):
         if k > k_prev:
             v += one_rng.normal(0.0, math.sqrt((k - k_prev) * 1e-4), size=n)
             phi += one_rng.normal(0.0, math.sqrt((k - k_prev) * 2.5e-3), size=n)
             k_prev = k
+        walk_v, walk_phi = np.concatenate(seen[:leaves]), np.concatenate(seen[leaves:])
+        del seen[:]
         assert np.array_equal(walk_v, v) and np.array_equal(walk_phi, phi)
+        cos, sin = np.cos(phi), np.sin(phi)
+        samples = [v, v**2, cos, sin, sin * cos, cos**2]
+        assert np.array_equal(total, [np.sum(x) for x in samples])
         steps.append(k)
     assert steps == [1, 2, 5]
     assert rng.bit_generator.state == one_rng.bit_generator.state
@@ -383,20 +418,29 @@ def test_moment_sums_are_the_whole_array_sums(n):
     v, phi = rng.normal(0.5, 0.01, n), rng.normal(0.5, 0.2, n)
     cos, sin = np.cos(phi), np.sin(phi)
     samples = [v, v**2, cos, sin, sin * cos, cos**2]
-    assert np.array_equal(validate._trig_samples(v, phi), samples)
-    total, scatter = validate._moment_sums(v, phi)
+    assert np.array_equal(np.concatenate([validate._speed_rows(v), validate._heading_rows(phi)]), samples)
+    leaves = validate._trig_leaves(0, n)
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert max(stop - start for start, stop in leaves) <= validate._TRIG_BLOCK
+    per_leaf = (
+        validate._leaf_sums(np.concatenate([validate._speed_rows(v[a:b]), validate._heading_rows(phi[a:b])]))
+        for a, b in leaves
+    )
+    total, scatter = validate._pooled(n, per_leaf)
     # `np.mean` divides this sum by n
     assert np.array_equal(total, [np.sum(x) for x in samples])
     assert_allclose(scatter, [np.sum((x - x.mean()) ** 2) for x in samples], rtol=1e-12, atol=0.0)
 
 
 def test_trig_moments_check_holds_no_temporary_as_long_as_the_walk():
-    # v and phi take 16 MB at scale 1.0; the whole-array check peaked at
-    # 45.8 MB, the streamed one at 18.1 MB
+    # v and phi take 15.3 MiB at scale 1.0; the whole-array check peaked at
+    # 43.7 MiB, the streamed one at 17.3 MiB, the one drawn ahead leaf by
+    # leaf at 17.7 MiB (a leaf's four heading rows and two leaf steps)
     tracemalloc.start()
     try:
         check_trig_moments(scale=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 19 * 2**20
