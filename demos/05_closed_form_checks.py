@@ -13,9 +13,9 @@ against an independent Monte Carlo or brute-force evaluation:
                           accumulated heading noise
   fisher-blocks           sampled information blocks vs their expectations
   ratio-bounds            deterministic brackets on E{q^2/(q^2+z^2)}
-  gershgorin-ordering     eigenvalue-ordered repair of entry-wise
-                          information brackets stays PSD-ordered, and
-                          the posterior bracket holds the MC information
+  gershgorin-ordering     the posterior bracket L <= Pi_MC <= U of
+                          random ensembles is PSD-ordered (and tied on
+                          one point), and so are the recursions on it
   recursion-identities    variance recursion / Riccati fixed points
 
 `scale` multiplies every sample budget; the CLI equivalent is

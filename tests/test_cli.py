@@ -533,7 +533,7 @@ def _excluded_counts(stdout: str) -> dict:
     return counts
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kappa", [50.0, 5.0])
 def test_run_with_excluded_runs_exits_one(kappa, tmp_path, capsys):
     # range noise that grows as exp(kappa r) ruins whole runs; the summary
@@ -555,7 +555,7 @@ def test_run_with_excluded_runs_exits_one(kappa, tmp_path, capsys):
     ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_traces_each_largest_error_to_its_run_and_step(tmp_path, capsys):
     # a finite but absurd error (the EKF at about 8e61 cm here) still prints
     # as an RMSE; the line under it names the run and step that carry it
@@ -580,7 +580,7 @@ def test_run_traces_each_largest_error_to_its_run_and_step(tmp_path, capsys):
     assert largest["ekf"] > 1e60
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kappa": 50.0}))

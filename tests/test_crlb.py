@@ -1,4 +1,5 @@
-"""Bound machinery: exact moments, information blocks, brackets, recursions.
+"""Bound machinery: exact moments, information blocks, brackets, recursions,
+and the ratio lemmas of `paretoloc.ratios` that the oracle suite checks.
 
 Oracles, strongest first: deterministic k = 1 cases where every
 expectation collapses to plain evaluation; quadrature of the log of a
@@ -17,25 +18,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
-from paretoloc import crlb
+from paretoloc import ratios
 from paretoloc.crlb import (
-    SeriesDivergenceError,
-    SeriesExpectation,
-    _mean_se,
     _measurement_block,
-    _normal,
-    _truncate_alternating,
     d11,
     d12,
     d22,
     default_prior_information,
-    diag_bounds,
-    diag_expectation_mc,
-    diag_expectation_series,
-    expected_log_ncx2,
-    gershgorin_sandwich,
     measurement_information,
-    ncx2_central_moments,
     parcrlb_trace,
     pcrlb_bounds,
     pcrlb_recursion,
@@ -54,6 +44,18 @@ from paretoloc.models import (
     cv_transition_jacobian,
     range_variance,
     symmetrize,
+)
+from paretoloc.ratios import (
+    SeriesDivergenceError,
+    SeriesExpectation,
+    _mean_se,
+    _normal,
+    _truncate_alternating,
+    diag_bounds,
+    diag_expectation_mc,
+    diag_expectation_series,
+    expected_log_ncx2,
+    ncx2_central_moments,
 )
 from paretoloc.simulate import (
     ExperimentConfig, Scene, crlb_traces, gen_trajectory, make_scenario, scenario_cv,
@@ -207,7 +209,7 @@ def test_pcrlb_recursion_scalar_riccati_fixed_point():
 
 
 # ---------------------------------------------------------------------------
-# noncentral chi-square helpers
+# noncentral chi-square helpers (`ratios`)
 # ---------------------------------------------------------------------------
 
 
@@ -297,8 +299,8 @@ def test_mixture_tables_cover_the_largest_index_the_mixture_reads():
     # 150 + 12 sqrt(150) + 25; the tables are built once at that size
     top = int(150.0 + 12.0 * math.sqrt(150.0) + 25.0)
     assert top == 321
-    ln_factorial, digamma_half = crlb._mixture_tables()
-    assert crlb._mixture_tables() is crlb._mixture_tables()
+    ln_factorial, digamma_half = ratios._mixture_tables()
+    assert ratios._mixture_tables() is ratios._mixture_tables()
     assert len(ln_factorial) == len(digamma_half) > top
     assert expected_log_ncx2(300.0) == pytest.approx(_scipy_expected_log_ncx2(300.0), abs=2e-13)
     n = np.arange(len(ln_factorial))
@@ -307,7 +309,7 @@ def test_mixture_tables_cover_the_largest_index_the_mixture_reads():
 
 
 # ---------------------------------------------------------------------------
-# ratio brackets and the asymptotic series
+# ratio brackets and the asymptotic series (`ratios`)
 # ---------------------------------------------------------------------------
 
 
@@ -469,14 +471,14 @@ def test_truncate_alternating_reads_no_term_past_the_cut():
     assert _truncate_alternating(terms()) == (0.75, 4, 0.3)
 
 
-def test_a_series_of_zero_terms_reports_an_unbounded_error():
+def test_a_series_of_zero_terms_reports_an_unbounded_error(monkeypatch):
     # At truncation 1 the only inner and outer terms are first central
     # moments, both zero.  The value is then off the sampled ratio by about
     # eight standard errors, which an error of 0 would deny.
+    monkeypatch.setattr(ratios, "SERIES_TRUNCATION", 1)
+    monkeypatch.setattr(ratios, "SERIES_MC_BUDGET", 568)
     args = (1.0769, 0.4816, -2.1688, 0.4816)
-    got = diag_expectation_series(
-        *args, truncation=1, mc_budget=568, rng=np.random.default_rng(0)
-    )
+    got = diag_expectation_series(*args, rng=np.random.default_rng(0))
     assert (got.inner_terms, got.outer_terms) == (1, 1)
     assert got.error == math.inf
     mc, se = diag_expectation_mc(*_ratio_samples(*args, 400_000, np.random.default_rng(0)))
@@ -485,8 +487,8 @@ def test_a_series_of_zero_terms_reports_an_unbounded_error():
 
 def _series_cases():
     """(args, kwargs, rng seed): the 25 points of the `ratio-bounds` check
-    grid at its seed and default budget, then 150 random points with a
-    random truncation and budget."""
+    grid at its seed and the module's truncation and budget ({}), then 150
+    random points with a random truncation and budget."""
     grid = (0.5, 1.0, 2.0, 3.0, 5.0)
     cases = [((mu_q, 1.0, mu_z, 1.0), {}, (29, 1)) for mu_q in grid for mu_z in grid]
     rng = np.random.default_rng(2024)
@@ -501,6 +503,16 @@ def _series_cases():
     return cases
 
 
+def _library_outcome(args, kwargs, rng):
+    """`_outcome` of `diag_expectation_series` with a case's truncation and
+    budget set on `ratios` for this call alone; {} keeps the module's."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kwargs:
+            patch.setattr(ratios, "SERIES_TRUNCATION", kwargs["truncation"])
+            patch.setattr(ratios, "SERIES_MC_BUDGET", kwargs["mc_budget"])
+        return _outcome(diag_expectation_series, *args, rng=rng)
+
+
 def _diverged_matching_the_reference(cases):
     """How many of `cases` diverge, after asserting that the library and the
     all-orders reference give the same outcome and leave their generators
@@ -508,7 +520,7 @@ def _diverged_matching_the_reference(cases):
     diverged = 0
     for args, kwargs, seed in cases:
         rng_lib, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _outcome(diag_expectation_series, *args, rng=rng_lib, **kwargs)
+        got = _library_outcome(args, kwargs, rng_lib)
         want = _outcome(_series_all_orders, *args, rng=rng_ref, **kwargs)
         assert got == want, (args, kwargs)
         assert rng_lib.bit_generator.state == rng_ref.bit_generator.state
@@ -529,15 +541,15 @@ def test_running_powers_keep_the_outcomes_of_the_general_pow(monkeypatch):
     # rounds once; on these 175 cases no cut, divergence or kept count
     # moves, and value and error differ by 2.0e-16 relative at most
     running = [
-        _outcome(diag_expectation_series, *args, rng=np.random.default_rng(seed), **kwargs)
+        _library_outcome(args, kwargs, np.random.default_rng(seed))
         for args, kwargs, seed in _series_cases()
     ]
     monkeypatch.setattr(
-        crlb, "_running_powers", lambda x, last: (x**kk for kk in range(2, last + 1))
+        ratios, "_running_powers", lambda x, last: (x**kk for kk in range(2, last + 1))
     )
     converged = 0
     for (args, kwargs, seed), got in zip(_series_cases(), running):
-        want = _outcome(diag_expectation_series, *args, rng=np.random.default_rng(seed), **kwargs)
+        want = _library_outcome(args, kwargs, np.random.default_rng(seed))
         if want[0] == "diverges":
             assert got == want, args
             continue
@@ -580,69 +592,6 @@ def test_series_expectation_rejects_hard_regimes():
         diag_expectation_series(1.0, 1.0, 0.5, 0.7, rng=np.random.default_rng(21))
     with pytest.raises(ValueError):
         diag_expectation_series(1.0, 0.0, 0.5, 0.0, rng=np.random.default_rng(21))
-
-
-# ---------------------------------------------------------------------------
-# Gershgorin ordering
-# ---------------------------------------------------------------------------
-
-
-def _random_bracket_pair(rng, n=4):
-    base = rng.normal(size=(n, n))
-    base = 0.5 * (base + base.T)
-    slack = np.abs(rng.normal(size=(n, n)))
-    slack = 0.5 * (slack + slack.T)
-    return base - slack, base + slack
-
-
-def test_gershgorin_sandwich_produces_psd_ordered_pair():
-    rng = np.random.default_rng(77)
-    for _ in range(50):
-        lb, ub = _random_bracket_pair(rng)
-        lb_g, ub_g = gershgorin_sandwich(lb, ub)
-        assert np.all(np.linalg.eigvalsh(lb_g) >= -1e-10)
-        assert np.all(np.linalg.eigvalsh(ub_g) >= -1e-10)
-        assert np.all(np.linalg.eigvalsh(ub_g - lb_g) >= -1e-10)
-        # the upper matrix only ever moves up, and only on the diagonal
-        off = ~np.eye(4, dtype=bool)
-        assert_allclose(ub_g[off], ub[off], atol=1e-12)
-        assert np.all(np.diag(ub_g) >= np.diag(ub) - 1e-12)
-        # the lower off-diagonals shrink toward zero, never grow
-        assert np.all(np.abs(lb_g[off]) <= np.abs(lb[off]) + 1e-12)
-        assert_allclose(np.diag(lb_g), np.maximum(np.diag(lb), 0.0))
-
-
-def test_gershgorin_sandwich_keeps_good_input_unchanged():
-    lb = np.diag([5.0, 6.0, 7.0])
-    ub = lb + np.eye(3)
-    lb_g, ub_g = gershgorin_sandwich(lb, ub)
-    assert_allclose(lb_g, lb, atol=0.0)
-    assert_allclose(ub_g, ub, atol=0.0)
-
-
-def test_gershgorin_sandwich_validation():
-    good = np.eye(3)
-    with pytest.raises(ValueError):
-        gershgorin_sandwich(np.eye(3)[:2], np.eye(3)[:2])
-    asym = np.eye(3)
-    asym[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        gershgorin_sandwich(asym, 2.0 * np.eye(3))
-    with pytest.raises(ValueError):
-        gershgorin_sandwich(2.0 * good, good)
-
-
-def test_stacked_gershgorin_sandwich_is_the_per_matrix_call_bit_for_bit():
-    rng = np.random.default_rng(78)
-    lb, ub = np.stack([np.stack(_random_bracket_pair(rng)) for _ in range(40)], axis=1)
-    lb_g, ub_g = gershgorin_sandwich(lb, ub)
-    for k in range(40):
-        lb_k, ub_k = gershgorin_sandwich(lb[k], ub[k])
-        assert np.array_equal(lb_g[k], lb_k) and np.array_equal(ub_g[k], ub_k)
-    # one asymmetric member fails the whole stack
-    lb[17, 0, 1] -= 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        gershgorin_sandwich(lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +798,8 @@ def test_bounds_step_at_the_scene_period(t_step):
 
 def _pi_bracket_per_anchor(positions, anchors, range_model):
     """(Pi_MC, L, U) with the terms of each anchor formed one anchor at a
-    time: w u u^T per sample for Pi_MC, w_max,m u u^T for U and
-    w_min,m u_bar u_bar^T for L.  They are summed over the anchors along a
+    time: w u u^T per sample for Pi_MC, w_min,m u u^T for L and
+    w_max,m u u^T for U.  They are summed over the anchors along a
     contiguous last axis, as numpy sums a row, then averaged over the
     samples."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -859,11 +808,8 @@ def _pi_bracket_per_anchor(positions, anchors, range_model):
         diff = pos - anchor[None, :]
         r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
         w = 1.0 / range_variance(r, range_model)
-        u = diff / r[:, None]
-        u_bar = u.mean(axis=0, keepdims=True)
-        for key, weight, (x, y) in (
-            ("mc", w, u.T), ("lo", w.min(), u_bar.T), ("up", w.max(), u.T)
-        ):
+        x, y = (diff / r[:, None]).T
+        for key, weight in (("mc", w), ("lo", w.min()), ("up", w.max())):
             terms[key].append([weight * x**2, weight * x * y, weight * y**2])
     out = []
     for key in ("mc", "lo", "up"):

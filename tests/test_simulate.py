@@ -767,19 +767,18 @@ def test_a_failing_row_of_a_stack_is_excluded_alone(monkeypatch):
         np.testing.assert_array_equal(forced.estimate_traces[name], clean.estimate_traces[name])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_runs_are_excluded_and_counted():
     # Range noise growing as exp(5 r) swamps the ranging at the cell's far
     # anchors: every estimator diverges to a non-finite value in some run,
-    # usually after step 0.
+    # usually after step 0, with no numpy warning.
     config = _small_config(
         trajectory=scenario_linear(steps=60),
         range_model=RangeNoiseModel(kappa=5.0),
         estimators=KNOWN_ESTIMATORS,
         runs=3,
     )
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = run_experiment(config)
+    result = run_experiment(config)
     for name in KNOWN_ESTIMATORS:
         err = result.errors[name]
         finite = np.all(np.isfinite(err), axis=1)
@@ -793,6 +792,22 @@ def test_non_finite_runs_are_excluded_and_counted():
             assert math.isnan(result.rmse[name]) and math.isnan(result.p95[name]), name
         if not finite[0]:
             assert np.all(np.isnan(result.estimate_traces[name])), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimates_that_drift_out_are_excluded_without_a_numpy_warning():
+    # At T = 3 s the CV track ends 90 m from the anchor cell.  The range
+    # noise variance of a WLS fix out there overflows, so every fusion, mse
+    # and wls run turns non-finite: each is a counted exclusion, and the
+    # overflow behind it is no RuntimeWarning.
+    config = ExperimentConfig(
+        trajectory=scenario_cv(T=3.0), estimators=KNOWN_ESTIMATORS, runs=2
+    )
+    result = run_experiment(config)
+    lost = {"fusion", "mse", "wls"}
+    assert result.excluded == {name: 2 if name in lost else 0 for name in KNOWN_ESTIMATORS}
+    for name in KNOWN_ESTIMATORS:
+        assert np.isnan(result.errors[name]).all() == (name in lost), name
 
 
 def _one_run_trace(name, config, ranges, speed, heading):
@@ -1096,6 +1111,37 @@ def test_src_imports_no_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in modules), (path.name, node.lineno)
+
+
+def _package_modules_imported(tree):
+    """The package's modules that a module's import statements name, by a
+    relative import or by the package name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            yield from (p[1] for p in parts if p[0] == "paretoloc" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "paretoloc":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_only_the_oracle_suite_imports_the_ratio_lemmas():
+    # `crlb` is the bound path alone: the ratio lemmas live in `ratios`,
+    # which only `validate` reads, and `crlb` reads neither of the two
+    src = Path(__file__).resolve().parent.parent / "src" / "paretoloc"
+    imports = {
+        path.stem: set(_package_modules_imported(ast.parse(path.read_text())))
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name for name, modules in imports.items() if "ratios" in modules} == {"validate"}
+    assert not imports["crlb"] & {"ratios", "validate"}, imports["crlb"]
 
 
 def test_src_modules_use_every_name_they_import():

@@ -17,11 +17,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paretoloc import validate
-from paretoloc.crlb import _mean_se
+from paretoloc.ratios import _mean_se
 from paretoloc.validate import (
     ALL_CHECKS,
     CheckResult,
     check_dr_moments,
+    check_gershgorin,
     check_noise_cov_inverse,
     check_optimal_beta,
     check_ranging_bias,
@@ -373,6 +374,35 @@ def _whole_array_trig_ratio(seed: int, scale: float = 1.0) -> float:
             mean, se = _mean_se(draw)
             worst = max(worst, abs(mean - closed) / (3.0 * se + 1e-12))
     return float(worst)
+
+
+def _end_scaled(end, factor):
+    """A mutation of `pi_bracket`'s stack: end 1 (L) or 2 (U) times `factor`."""
+
+    def scaled(pis):
+        pis[end] *= factor
+        return pis
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda pis: pis[[0, 2, 1]], _end_scaled(2, 1.0 - 1e-3), _end_scaled(1, 1.0 + 1e-3)],
+    ids=["extremes-swapped", "upper-shrunk", "lower-grown"],
+)
+def test_gershgorin_ordering_check_rejects_a_broken_bracket(mutate, monkeypatch):
+    # swapping the ends puts U at w_min and L at w_max, which breaks both
+    # orders on every ensemble whose weights spread; either end scaled by
+    # 1e-3 breaks an order, and the tie, on each one-point ensemble.  The
+    # recursion half runs `crlb`'s own bracket, so its 200/200 stays.
+    unmutated = check_gershgorin()
+    assert unmutated.passed, unmutated.detail
+    bracket = validate.pi_bracket
+    monkeypatch.setattr(validate, "pi_bracket", lambda scene, pos: mutate(bracket(scene, pos)))
+    check = check_gershgorin()
+    assert not check.passed and check.data["min_eig"] < -1e-9, check.detail
+    assert check.data["sandwich_steps"] == unmutated.data["sandwich_steps"]
 
 
 @pytest.mark.parametrize("seed", [23, *range(100, 110)])
