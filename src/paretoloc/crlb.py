@@ -230,16 +230,21 @@ def require_invertible_noise(
     sensor_model: SensorNoiseModel, cv: CvProcessModel | None = None
 ) -> None:
     """Raise ValueError naming the first noise setting that the bounds
-    invert and that is not positive: sigma_v and sigma_phi, and with `cv`
-    its four process-noise variances."""
+    invert and whose variance has no finite positive reciprocal: sigma_v
+    and sigma_phi (as 1/sigma^2), and with `cv` its four process-noise
+    variances."""
     settings = [(sensor_model, ("sigma_v", "sigma_phi"))]
     if cv is not None:
         settings.append((cv, ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq")))
     for model, names in settings:
         for name in names:
             value = getattr(model, name)
-            if not value > 0.0:
-                raise ValueError(f"the bounds invert {name}, so it must be positive, got {value}")
+            variance = value if name.endswith("_sq") else value * value
+            if not (value > 0.0 and variance > 0.0 and 0.0 < 1.0 / variance < np.inf):
+                raise ValueError(
+                    f"the bounds invert {name}, so its variance must have a finite "
+                    f"positive reciprocal, got {value}"
+                )
 
 
 def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:

@@ -93,38 +93,35 @@ class ParetoConfig:
 
 @dataclass(frozen=True, slots=True)
 class ParetoRows:
-    """The Pareto settings of a stack's rows, one ParetoConfig per equal
-    block of rows: built once per track (`_pareto_rows`, called by
-    `init_fusion`) and read by every step.  The arrays are read-only.
+    """The Pareto candidates of a stack's rows, one ParetoConfig per equal
+    block of rows, built once per track (`_pareto_rows`, by `init_fusion`).
 
-    Attributes
-    ----------
-    rho : np.ndarray
-        Pareto weights (rows, 2): each set row's rho; NaN on the knee
-        rows, whose weights each step's knee search gives.
-    beta_clip : np.ndarray
-        Cap on |beta| of each row (rows, 1).
-    warn : np.ndarray or None
-        Mask (rows, 1) of the rows at a set rho, the only rows that warn
-        of a degenerate objective; None when no row is at a set rho.
-    knee : tuple
-        (rows, beta_clip) of each knee block: a slice, or `_ALL_ROWS` when
-        the block is every row, and the block's cap on |beta|.
-    rho_grid : np.ndarray
-        The knee candidates `ParetoConfig.rho_grid` along a leading axis,
-        (len(rho_grid), 1, 1), so that they broadcast against (rows, 2).
+    A knee (row, axis) element has a candidate per `ParetoConfig.rho_grid`
+    point, a set element one at its rho: the knee candidates first,
+    grid-major, then the set ones.  Per candidate (C,), read-only: `rho`,
+    the weights `w_var` = 2 (1 - rho) and `w_bias` = 2 rho, `low` and
+    `high` = -/+ beta_clip, and `warn`, true on the set candidates, the
+    only ones that warn of a degenerate objective.  `moments` are the rows
+    of an (8, C) workspace, the track's one writable array, which each
+    step overwrites, as it does its views `knee_moments` (8, grid, knee
+    elements) and `set_moments`.  Also read-only: `knee` and `fixed`, the
+    indices of the knee and set elements among the flat (rows * 2) ones,
+    and `pick` (rows, 2), each element's first candidate; a knee
+    element's at grid point g lies g times the knee element count on.
     """
 
     rho: np.ndarray
-    beta_clip: np.ndarray
-    warn: np.ndarray | None
-    knee: tuple
-    rho_grid: np.ndarray
-
-
-# The knee block of a stack that is all knee rows: its moments are the
-# step's moments themselves, not a slice of them.
-_ALL_ROWS = slice(None)
+    w_var: np.ndarray
+    w_bias: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    warn: np.ndarray
+    moments: ParetoMoments
+    knee_moments: np.ndarray
+    set_moments: np.ndarray
+    knee: np.ndarray
+    fixed: np.ndarray
+    pick: np.ndarray
 
 
 @dataclass(slots=True)
@@ -150,8 +147,8 @@ class FusionState:
         Per-axis beta and rho (R, 2) chosen at the most recent step
         (diagnostics).
     pareto : ParetoRows
-        The rows' Pareto settings, built once per track by `init_fusion`
-        from `scene.paretos` and the row count.
+        The rows' Pareto candidates and moment workspace, built once per
+        track by `init_fusion` from `scene.paretos` and the row count.
     displacement : DisplacementNoise
         The scene's sensor-noise constants of the dead-reckoning moments
         (sigma_v^2 and the heading attenuations), built once per track by
@@ -227,18 +224,18 @@ def error_variance(beta: float, m: ParetoMoments) -> float:
     return (1.0 - beta) ** 2 * m.sigma_vr_sq + beta_sq * m.prev_variance + beta_sq * m.sigma_vv_sq
 
 
-def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
-    """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise;
-    `rho`, `beta_clip` and the mask `warn` broadcast against the moments.
+def _pareto_beta(m: ParetoMoments, w_var, w_bias, low, high, warn):
+    """Clamped minimiser of rho * mu^2 + (1 - rho) * sigma^2, elementwise, from
+    the weights w_var = 2 (1 - rho), w_bias = 2 rho and the bounds [low, high],
+    which, with the mask `warn`, broadcast against the moments.
 
     beta is 0 where the objective has no curvature (non-positive
     denominator), with a warning if any of those elements is in `warn`.
     """
-    w_var, w_bias = 2.0 * (1.0 - rho), 2.0 * rho
     num = w_var * m.sigma_vr_sq - w_bias * m.gamma * m.ranging_mean
     den = w_var * m.eta + w_bias * m.gamma**2
     degenerate = den <= 0.0
-    if warn is not None and np.count_nonzero(degenerate & warn):
+    if np.count_nonzero(degenerate & warn):
         warnings.warn(
             "degenerate beta objective (zero curvature); falling back to beta = 0",
             RuntimeWarning,
@@ -246,7 +243,7 @@ def _pareto_beta(rho, m: ParetoMoments, beta_clip, warn=None):
         )
     xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
     # np.clip's bits, without its wrapper's cost
-    return np.minimum(np.maximum(xi, -beta_clip), beta_clip)
+    return np.minimum(np.maximum(xi, low), high)
 
 
 def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
@@ -265,25 +262,23 @@ def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
     """
     if not np.all((0.0 <= rho) & (rho <= 1.0)):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    return _pareto_beta(rho, m, config.beta_clip, warn=True)[()]
+    cap = config.beta_clip
+    return _pareto_beta(m, 2.0 * (1.0 - rho), 2.0 * rho, -cap, cap, True)[()]
 
 
-def select_rho(m: ParetoMoments, beta_clip, rho_grid):
-    """Knee-point Pareto weight for one axis.
+def select_rho(bias, variance, pareto: ParetoRows) -> np.ndarray:
+    """Each element's chosen candidate (rows, 2), from the one-step bias
+    and variance of every candidate of `pareto` (C,).
 
-    Scans the sorted candidates `rho_grid` (`ParetoConfig.rho_grid`),
-    computes beta*(rho) for each candidate under the cap `beta_clip`,
-    then the resulting one-step bias and variance, and keeps the rho
-    whose squared-bias / variance gap (sigma^2 - mu^2)^2 is smallest.
-    Ties go to the smallest rho (np.argmin keeps the first minimum).
-    The candidates lie along a leading axis: array moments (...) take
-    them shaped (n,) + (1,) * ndim, are scanned elementwise and give one
-    rho per element.
+    A knee element keeps the grid point whose squared-bias / variance gap
+    (sigma^2 - mu^2)^2 is smallest, the first of equal ones (np.argmin),
+    so ties go to the smallest rho; a set element keeps its one candidate.
     """
-    betas = _pareto_beta(rho_grid, m, beta_clip)
-    mu = bias_recursion(betas, m)
-    var = error_variance(betas, m)
-    return rho_grid.flat[np.argmin((var - mu**2) ** 2, axis=0)]
+    gap = (variance - bias**2) ** 2
+    grid, knee = pareto.knee_moments.shape[1:]
+    pick = pareto.pick.copy()
+    pick.reshape(-1)[pareto.knee] += knee * gap[: grid * knee].reshape(grid, knee).argmin(axis=0)
+    return pick
 
 
 def approximate_kinematics(
@@ -322,20 +317,22 @@ def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
 
 def _pareto_rows(configs: Sequence[ParetoConfig], rows: int) -> ParetoRows:
     """The ParetoRows of `rows` rows, one equal block per config."""
-    rho, beta_clip = np.full((rows, 2), np.nan), np.empty((rows, 1))
-    warn = np.zeros((rows, 1), dtype=bool)
-    knee = []
+    rho, cap = np.empty((2, rows, 2))
     for part, config in _row_blocks(configs, rows):
-        beta_clip[part] = config.beta_clip
-        if config.rho is None:
-            knee.append((_ALL_ROWS if len(configs) == 1 else part, config.beta_clip))
-        else:
-            rho[part] = config.rho
-            warn[part] = True
-    for x in (rho, beta_clip, warn):
+        rho[part], cap[part] = np.nan if config.rho is None else config.rho, config.beta_clip
+    knee, grid, cap = np.isnan(rho).reshape(-1), ParetoConfig.rho_grid, cap.reshape(-1)
+    n_grid = np.count_nonzero(knee) * len(grid)
+    pick = np.where(knee, np.cumsum(knee), n_grid + np.cumsum(~knee)) - 1
+    # knee candidates grid-major, then the set ones
+    rho = np.concatenate((np.repeat(grid, n_grid // len(grid)), rho.reshape(-1)[~knee]))
+    cap = np.concatenate((np.tile(cap[knee], len(grid)), cap[~knee]))
+    candidates = [rho, 2.0 * (1.0 - rho), 2.0 * rho, -cap, cap, np.arange(len(rho)) >= n_grid]
+    elements = [np.flatnonzero(knee), np.flatnonzero(~knee), pick.reshape(rows, 2)]
+    for x in (*candidates, *elements):
         x.flags.writeable = False
-    grid = ParetoConfig.rho_grid[:, None, None]
-    return ParetoRows(rho, beta_clip, warn if warn.any() else None, tuple(knee), grid)
+    workspace = np.empty((len(ParetoMoments._fields), len(rho)))
+    views = workspace[:, :n_grid].reshape(len(workspace), len(grid), -1), workspace[:, n_grid:]
+    return ParetoRows(*candidates, ParetoMoments._make(workspace), *views, *elements)
 
 
 def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
@@ -352,7 +349,7 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
 
     What does not change from step to step is built here, once per
     track, and carried by every state of the track: the rows' Pareto
-    settings (`ParetoRows`) and the sensor-noise constants of the
+    candidates (`ParetoRows`) and the sensor-noise constants of the
     dead-reckoning moments (`DisplacementNoise`).
     """
     r = np.maximum(frame.ranges, 0.0)
@@ -381,17 +378,18 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
 
 
 def _pareto_update(m: ParetoMoments, pareto: ParetoRows) -> tuple:
-    """(rho, beta, bias, variance) of one step for the moments `m`
-    (rows, 2) under the rows' settings `pareto`.  Each knee block scans
-    for rho; one beta evaluation at the per-row rho and beta_clip, with
-    the scan's arithmetic, then serves every row, and only rows at a set
-    rho warn of a degenerate objective."""
-    rho = pareto.rho.copy()
-    for part, beta_clip in pareto.knee:
-        block = m if part is _ALL_ROWS else ParetoMoments._make(x[part] for x in m)
-        rho[part] = select_rho(block, beta_clip, pareto.rho_grid)
-    beta = _pareto_beta(rho, m, pareto.beta_clip, pareto.warn)
-    return rho, beta, bias_recursion(beta, m), error_variance(beta, m)
+    """(rho, beta, bias, variance) (rows, 2) of one step for the moments
+    `m` (rows, 2): copied to every candidate of `pareto`, in its workspace,
+    they give beta, bias and variance in one evaluation, and each
+    element's chosen candidate (`select_rho`) is gathered back."""
+    moments = np.array(m).reshape(len(m), -1)
+    pareto.knee_moments[...] = moments[:, None, pareto.knee]
+    pareto.set_moments[...] = moments[:, pareto.fixed]
+    c = pareto.moments
+    beta = _pareto_beta(c, pareto.w_var, pareto.w_bias, pareto.low, pareto.high, pareto.warn)
+    bias, variance = bias_recursion(beta, c), error_variance(beta, c)
+    pick = select_rho(bias, variance, pareto)
+    return tuple(x.take(pick) for x in (pareto.rho, beta, bias, variance))
 
 
 def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> FusionState:
@@ -402,16 +400,16 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     ranges from the dead-reckoned prediction, the previous error variance
     by the tracked one.
 
-    The rows' Pareto settings and the sensor-noise constants come from
+    The rows' Pareto candidates and the sensor-noise constants come from
     the state, which `init_fusion` built once per track from the scene
     (`scene.paretos`, one ParetoConfig per equal block of rows, and
     `scene.sensor_model`); each step reads them and builds none.  The
     dead reckoning, the ranging layer and the axis moments, of shape
-    (rows, 2), are computed once for all rows; rho is each block's set
-    weight or its knee (the knee search scans (len(rho_grid), block
-    rows, 2)), and beta once for all rows.
+    (rows, 2), are computed once for all rows; beta, bias and variance
+    once for all candidates, the knee grid's and the set rho's alike.
 
-    Returns a new FusionState; the input state is not modified.
+    Returns a new FusionState; the input state is not modified, but for
+    the track's moment workspace, which the step overwrites.
     """
     T, displacement = scene.T, state.displacement
     v_ap, phi_ap = approximate_kinematics(

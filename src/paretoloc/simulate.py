@@ -251,7 +251,7 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
         # Breakpoints snapped to the step grid so every integration step
         # sees a genuinely linear acceleration (exact two-point integral).
         stride = max(1, int(round(BREAKPOINT_PERIOD / t_step)))
-        frac = np.arange(stride + 1)[:, None] / stride
+        frac = np.arange(min(stride, n - 1) + 1)[:, None] / stride
         vel = np.empty((n, 2))
         pos = np.empty((n, 2))
         vel[0] = vel0
@@ -871,10 +871,12 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x6372)))
     # a "linear" track draws nothing, so the rollouts get the whole stream
     truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n), rng)
-    _, par_bound = parcrlb_trace(scene, truth)
-    post = pcrlb_bounds(
-        scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
-    )
+    # a rollout far off overflows its range noise: its bound is non-finite, and counted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, par_bound = parcrlb_trace(scene, truth)
+        post = pcrlb_bounds(
+            scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
+        )
     lb, bound, ub = post.bound_lb, post.bound, post.bound_ub
     return {
         "parcrlb": par_bound,

@@ -207,6 +207,13 @@ def test_non_finite_model_settings_exit_before_any_run(
         ({"sigma_v": 0}, "sigma_v"),
         ({"sigma_phi": 0}, "sigma_phi"),
         ({"cv": {"sigma1_sq": 0}}, "sigma1_sq"),
+        # 1/sigma^2 is 0 or past the largest double: the bound raised
+        # ZeroDivisionError (1e-300) or OverflowError (1e300)
+        ({"sigma_v": 1e-300}, "sigma_v"),
+        ({"sigma_v": 1e300}, "sigma_v"),
+        ({"sigma_phi": 1e-300}, "sigma_phi"),
+        ({"sigma_phi": 1e300}, "sigma_phi"),
+        ({"cv": {"sigma3_sq": 1e-320}}, "sigma3_sq"),
     ],
 )
 def test_crlb_with_a_zero_noise_setting_exits_before_any_bound(
@@ -602,7 +609,7 @@ def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, caps
         assert line.endswith("; max |error| = 8.338e+61 cm at run 0, step 0)")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, failure",
     [
@@ -619,6 +626,32 @@ def test_a_huge_step_period_exits_one_and_names_the_failure(argv, failure, capsy
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith(failure) for line in lines), lines
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_range_noise_that_overflows_on_the_rollouts_leaves_the_bounds_quiet(tmp_path, capsys):
+    # kappa = 1000 overflows exp(kappa r) on every rollout: the bounds
+    # print as before, with no numpy warning from the range noise
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": 1000}))
+    assert main(["crlb", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "k = 0: parametric 141.42 cm, posterior 141.42 cm [141.42, 141.42]",
+        "k = 100: parametric 141.63 cm, posterior 141.51 cm [141.51, 141.51]",
+        "k = 199: parametric 141.84 cm, posterior 141.60 cm [141.60, 141.60]",
+        "a finite bracket [lb, ub] holds at 200 of 200 steps",
+    ]
+    assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tiny_pwl_step_period_runs_without_a_traceback(capsys):
+    # the breakpoint stride is about 2e300 steps: the ramp was sized by
+    # it, not by the 20 steps it integrates, and numpy refused the size
+    argv = ["run", "--scenario", "B", "--T", "1e-300", "--steps", "20", "--runs", "2"]
+    assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

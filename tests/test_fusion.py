@@ -165,20 +165,44 @@ def test_paper_form_mse_beta_equals_even_weighting(
 
 
 def test_select_rho_minimises_balance_gap():
+    # a knee row and a row at rho = 0.3 over the same moments: the step
+    # copies each element's moments to its candidates, the knee element
+    # keeps the first grid point of smallest (sigma^2 - mu^2)^2, and the
+    # set element its own rho
     config = ParetoConfig()
-    m = axis_moments(**_inputs())
-    rho_star = select_rho(m, config.beta_clip, config.rho_grid)
-    assert 0.0 <= rho_star <= 1.0
+    axes = [_inputs(axis=axis) for axis in (0, 1)]
+    ctx = {key: np.array([[axes[0][key], axes[1][key]]] * 2) for key in axes[0]}
+    ctx.update(heading_attenuation=axes[0]["heading_attenuation"], T=axes[0]["T"])
+    m = axis_moments(**ctx)
+    pareto = _pareto_rows((config, ParetoConfig(rho=0.3)), 2)
+    rho, beta, _, _ = _pareto_update(m, pareto)
+    grid = config.rho_grid
+    knee = np.stack(m)[:, 0][:, None, :]
+    np.testing.assert_array_equal(pareto.knee_moments, np.broadcast_to(knee, (8, grid.size, 2)))
+    np.testing.assert_array_equal(pareto.set_moments, np.stack(m)[:, 1])
+    candidate_beta = optimal_beta(pareto.rho, pareto.moments, config)
+    pick = select_rho(
+        bias_recursion(candidate_beta, pareto.moments),
+        error_variance(candidate_beta, pareto.moments),
+        pareto,
+    )
+    assert pick.shape == (2, 2)
+    np.testing.assert_array_equal(pareto.rho[pick], rho)
+    np.testing.assert_array_equal(candidate_beta[pick], beta)
+    assert np.all(rho[1] == 0.3)
 
-    def gap(rho):
-        beta = optimal_beta(rho, m, config)
-        mu = bias_recursion(beta, m)
-        var = error_variance(beta, m)
-        return (var - mu**2) ** 2
+    for axis in (0, 1):
+        m_axis = axis_moments(**axes[axis])
 
-    chosen = gap(rho_star)
-    for rho in config.rho_grid:
-        assert chosen <= gap(float(rho)) + 1e-18
+        def gap(rho):
+            beta = optimal_beta(rho, m_axis, config)
+            mu = bias_recursion(beta, m_axis)
+            var = error_variance(beta, m_axis)
+            return (var - mu**2) ** 2
+
+        gaps = np.array([gap(float(r)) for r in grid])
+        assert rho[0, axis] == grid[np.argmin(gaps)]
+        assert np.all(gaps[grid < rho[0, axis]] > gap(rho[0, axis]))
 
 
 def _per_block_moments(ctx):
@@ -246,20 +270,36 @@ def _per_block_step(ctx, configs):
     return (rho, beta, *_per_block_recursions(beta, _per_block_moments(ctx)), warned)
 
 
+_STACKS = {
+    "knee": (ParetoConfig(),),
+    "mse": (ParetoConfig(rho=0.5),),
+    "knee+mse": (ParetoConfig(), ParetoConfig(rho=0.5)),
+    "knee+rho0.3": (ParetoConfig(), ParetoConfig(rho=0.3)),
+    "clip0.5": (ParetoConfig(beta_clip=0.5), ParetoConfig(rho=0.5)),
+    "mse+knee": (ParetoConfig(rho=0.5), ParetoConfig()),
+    "knee+knee0.5": (ParetoConfig(), ParetoConfig(beta_clip=0.5)),
+    "knee+knee0.7+mse": (ParetoConfig(), ParetoConfig(beta_clip=0.7), ParetoConfig(rho=0.5)),
+    "knee+mse+knee": (ParetoConfig(), ParetoConfig(rho=0.5), ParetoConfig()),
+}
+
+
 @st.composite
 def _stacked_contexts(draw):
-    """1-3 blocks of 1-3 rows under knee, set-rho and rho = 1/2 configs;
-    some rows have every moment zero, so their beta objective has no
-    curvature."""
+    """1-3 blocks of 1-3 rows under knee, set-rho and rho = 1/2 configs,
+    or under one of `_STACKS`; some rows have every moment zero, so their
+    beta objective has no curvature."""
     configs = draw(
-        st.lists(
-            st.builds(
-                ParetoConfig,
-                beta_clip=st.floats(0.0, 1.0, exclude_min=True),
-                rho=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(0.5)),
+        st.one_of(
+            st.lists(
+                st.builds(
+                    ParetoConfig,
+                    beta_clip=st.floats(0.0, 1.0, exclude_min=True),
+                    rho=st.one_of(st.none(), st.floats(0.0, 1.0), st.just(0.5)),
+                ),
+                min_size=1,
+                max_size=3,
             ),
-            min_size=1,
-            max_size=3,
+            st.sampled_from(list(_STACKS.values())),
         )
     )
     rows = len(configs) * draw(st.integers(1, 3))
@@ -447,6 +487,14 @@ def _reference_beta(rho, m, beta_clip, warn=None):
     return np.clip(xi, -beta_clip, beta_clip)
 
 
+def _reference_select_rho(m, beta_clip, rho_grid):
+    # the knee scan as it was: the candidates along a leading axis, shaped
+    # (n,) + (1,) * ndim against array moments, one rho per element
+    betas = _reference_beta(rho_grid, m, beta_clip)
+    mu, var = bias_recursion(betas, m), error_variance(betas, m)
+    return rho_grid.flat[np.argmin((var - mu**2) ** 2, axis=0)]
+
+
 def _reference_pareto_update(m, configs):
     rows = len(m.ranging_mean)
     rho, beta_clip = np.empty((rows, 2)), np.empty((rows, 1))
@@ -456,9 +504,7 @@ def _reference_pareto_update(m, configs):
         if config.rho is None:
             block = ParetoMoments(*(x[part] for x in m))
             grid = config.rho_grid.reshape((-1,) + (1,) * np.ndim(block.ranging_mean))
-            betas = _reference_beta(grid, block, config.beta_clip)
-            mu, var = bias_recursion(betas, block), error_variance(betas, block)
-            rho[part] = config.rho_grid[np.argmin((var - mu**2) ** 2, axis=0)]
+            rho[part] = _reference_select_rho(block, config.beta_clip, grid)
         else:
             rho[part] = config.rho
             warn[part] = True
@@ -504,13 +550,6 @@ def _reference_step(scene, state, frame):
     )
 
 
-_STACKS = {
-    "knee": (ParetoConfig(),),
-    "mse": (ParetoConfig(rho=0.5),),
-    "knee+mse": (ParetoConfig(), ParetoConfig(rho=0.5)),
-    "knee+rho0.3": (ParetoConfig(), ParetoConfig(rho=0.3)),
-    "clip0.5": (ParetoConfig(beta_clip=0.5), ParetoConfig(rho=0.5)),
-}
 _STATE_FIELDS = (
     "estimate", "prev_estimate", "bias_estimate", "error_variance",
     "last_speed", "last_heading", "last_beta", "last_rho",
@@ -591,6 +630,45 @@ def test_a_zero_curvature_row_warns_only_at_a_set_rho(scenario, stack):
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert np.all(got[1][::3] == 0.0) and np.all(got[1][1::3] != 0.0)
     assert warned == (stack == "knee+rho0.3") == bool(caught)
+
+
+_MOMENT_ARGS = (
+    "ranging_mean", "ranging_variance", "prev_bias", "prev_variance", "dr_true_first",
+    "dr_second",
+)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stack", ["knee+rho0.3", "knee+mse+knee", "mse+knee"])
+def test_a_non_finite_row_leaves_the_other_rows_as_the_per_block_scan_has_them(stack, bad):
+    # One row per block of the stack holds a non-finite moment, and one
+    # row of each block has every moment zero (no curvature).  Under the
+    # tracking's errstate, every row is the per-block scan's, bit for bit
+    # (NaN where it has NaN), and the step warns as that scan does.
+    paretos = _STACKS[stack]
+    rows = 4 * len(paretos)
+    inputs = [_inputs(v=0.1 * row, phi=0.3 * row, axis=row % 2) for row in range(rows)]
+    for key in _MOMENT_ARGS:
+        ctx = {name: np.array([[x[name]] * 2 for x in inputs]) for name in _MOMENT_ARGS}
+        ctx.update(heading_attenuation=inputs[0]["heading_attenuation"], T=inputs[0]["T"])
+        for name in _MOMENT_ARGS:
+            ctx[name][3::4] = 0.0
+        ctx[key][1::4, 0] = bad
+        caught = []
+        for update in (
+            lambda m: _pareto_update(m, _pareto_rows(paretos, rows)),
+            lambda m: _reference_pareto_update(m, paretos),
+        ):
+            with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
+                warnings.simplefilter("always")
+                caught.append((update(axis_moments(**ctx)), [str(w.message) for w in record]))
+        (got, got_warnings), (expected, expected_warnings) = caught
+        for name, a, b in zip(("rho", "beta", "bias", "variance"), got, expected):
+            np.testing.assert_array_equal(a, b, err_msg=f"{name} with {key} = {bad}")
+            assert np.all(np.isfinite(a[0::4])) and np.all(np.isfinite(a[2::4])), (name, key)
+        assert got_warnings == expected_warnings, key
+        # the zero row of the set block
+        assert len(got_warnings) == 1, key
 
 
 def test_noise_free_motion_runs_without_a_degenerate_beta_objective():
