@@ -134,19 +134,32 @@ def d12(scene: Scene, tm: TrigMoments) -> np.ndarray:
     return -_weighted_mean_jacobian(scene, tm)
 
 
-def _pi_entries(ux: np.ndarray, uy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Entries (e11, e12, e22) of sum_m w_m u_m u_m^T per sample, stacked
-    (..., 3, N), for the unit-vector planes ux, uy (N, M) of
-    `anchor_planes` and weights w (..., N, M).  Each plane is squared once
-    for every stack of weights."""
-    return np.stack(
-        [np.sum(w * ux**2, axis=-1), np.sum(w * ux * uy, axis=-1), np.sum(w * uy**2, axis=-1)],
-        axis=-2,
-    )
+def _anchor_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading (anchor) axis of `terms`, into terms[0] in place:
+    the bits of `np.sum(axis=-1)` over each row of anchors.  It relies on
+    numpy's pairwise summation tree, as `validate._trig_leaves` does, and
+    the tests check it against numpy (equal bit for bit on numpy 2.4.6):
+    under 8 terms in order; up to 128, eight accumulators over blocks of
+    eight, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the rest in order; past 128, halves split as there.  numpy's
+    reduction starts from +0.0, so no sum is -0.0."""
+    m = len(terms)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return np.add(_anchor_sum(terms[:half]), _anchor_sum(terms[half:]), out=terms[0])
+    if m >= 8:
+        for i in range(8, m - m % 8, 8):
+            terms[:8] += terms[i : i + 8]
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            terms[i] += terms[j]
+    for row in terms[max(1, m - m % 8) :]:
+        terms[0] += row
+    return np.add(terms[0], 0.0, out=terms[0])
 
 
 def pi_bracket(scene: Scene, positions) -> np.ndarray:
-    """Pi_MC and a bracket L <= Pi_MC <= U in the PSD order, stacked (3, 2, 2).
+    """Pi_MC and a bracket L <= Pi_MC <= U in the PSD order, stacked (3, 2, 2),
+    or (3, ..., 2, 2) with one ensemble per leading index of (..., N, 2).
 
     Pi = E{ sum_m sigma_rm^{-2} u_m u_m^T } is the range-measurement
     position information over an ensemble of positions (N, 2), and Pi_MC
@@ -158,13 +171,23 @@ def pi_bracket(scene: Scene, positions) -> np.ndarray:
     Both orders hold on the ensemble itself: w_min E{u u^T} <= E{w u u^T}
     <= w_max E{u u^T}, and L >= 0.  L and U take Pi_MC's arithmetic with
     the extreme weights put in, so on a one-point ensemble all three are
-    the same bits.
+    the same bits.  The nine per-sample entries of the three weight sets
+    are summed over the anchors by `_anchor_sum`, then averaged.
     """
     r, ux, uy = anchor_planes(positions, scene.anchors)
-    w = 1.0 / range_variance(r, scene.range_model)
-    # Pi_MC's, L's and U's entries per sample, (3, 3, N), averaged in one pass
-    weights = np.stack(np.broadcast_arrays(w, w.min(axis=0), w.max(axis=0)))
-    return _pi_entries(ux, uy, weights).mean(axis=-1)[:, [0, 1, 1, 2]].reshape(3, 2, 2)
+    weights = np.empty((3,) + r.shape)
+    np.divide(1.0, range_variance(r, scene.range_model), out=weights[0])
+    weights[1] = weights[0].min(axis=-1, keepdims=True)
+    weights[2] = weights[0].max(axis=-1, keepdims=True)
+    # (anchor, weight set, ..., entry, sample), each anchor's terms contiguous
+    terms = np.empty((len(r), 3) + r.shape[1:-1] + (3, r.shape[-1]))
+    by_entry = np.moveaxis(terms, (-2, 0), (0, 2))
+    np.multiply(weights, ux * ux, out=by_entry[0])
+    np.multiply(weights, ux, out=by_entry[1])
+    by_entry[1] *= uy
+    np.multiply(weights, uy * uy, out=by_entry[2])
+    e = _anchor_sum(terms).mean(axis=-1)
+    return e[..., [0, 1, 1, 2]].reshape(e.shape[:-1] + (2, 2))
 
 
 def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np.ndarray:
@@ -250,12 +273,9 @@ def require_invertible_noise(
 def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:
     """H^T R^{-1} H for the range + speed + heading measurement at a state
     (4,), or at each state of a stack (..., 4): the measurement block with
-    Pi taken at the state's position alone."""
-    state = np.asarray(state, dtype=float)
-    r, ux, uy = anchor_planes(state[..., :2].reshape(-1, 2), scene.anchors)
-    e11, e12, e22 = _pi_entries(ux, uy, 1.0 / range_variance(r, scene.range_model))
-    pi_mat = np.stack([e11, e12, e12, e22], axis=-1).reshape(state.shape[:-1] + (2, 2))
-    return _measurement_block(pi_mat, scene.sensor_model)
+    Pi the `pi_bracket` of the state's position as a one-point ensemble."""
+    positions = np.asarray(state, dtype=float)[..., None, :2]
+    return _measurement_block(pi_bracket(scene, positions)[0], scene.sensor_model)
 
 
 def parcrlb_trace(scene: Scene, truth: tuple) -> tuple:

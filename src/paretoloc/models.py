@@ -317,14 +317,15 @@ def anchor_directions(position, anchors: AnchorSet) -> tuple:
 
 
 def anchor_planes(position, anchors: AnchorSet) -> tuple:
-    """`anchor_directions` with each coordinate of the unit vectors in its
-    own plane: floored ranges r (..., M) from positions (..., 2) to the M
-    anchors and the planes (x - a_x) / r and (y - a_y) / r, each (..., M)
-    and C-contiguous for positions (N, 2), with the bits of
-    `floored_ranges` and `anchor_directions`."""
+    """`anchor_directions` anchor-major, with each coordinate of the unit
+    vectors in its own array: floored ranges r from positions (..., 2) to
+    the M anchors and the planes (x - a_x) / r and (y - a_y) / r, each
+    (M, ...), with the bits of `floored_ranges` and `anchor_directions`.
+    For positions (N, 2) each anchor's plane is contiguous."""
     position = np.asarray(position, dtype=float)
-    dx = position[..., :1] - anchors.positions[:, 0]
-    dy = position[..., 1:] - anchors.positions[:, 1]
+    ax, ay = anchors.positions.T.reshape((2, -1) + (1,) * (position.ndim - 1))
+    dx = position[..., 0] - ax
+    dy = position[..., 1] - ay
     r = dx * dx
     r += dy * dy
     np.sqrt(r, out=r)

@@ -331,7 +331,8 @@ def require_finite_range_noise(config: ExperimentConfig) -> None:
     one dead-reckoned step from the track: T (v + DR_SPEED_MARGIN sigma_v)
     past its box in each coordinate, or past its reach when it has none,
     with v its initial speed (at least V_CAP for "pwl", whose targets lie
-    in that disk).
+    in that disk).  A "pwl" track steers into its box from its start, so
+    its box is widened to cover the start.
 
     This bounds the prediction of an estimate that stays near the track.
     An estimate that drifts further, as a WLS fix under range noise of
@@ -348,6 +349,9 @@ def require_finite_range_noise(config: ExperimentConfig) -> None:
         box = np.array([[-reach, reach], [-reach, reach]])
     else:
         box = np.array(spec.bounds, dtype=float)
+        if spec.kind == "pwl":
+            box[:, 0] = np.minimum(box[:, 0], spec.start)
+            box[:, 1] = np.maximum(box[:, 1], spec.start)
     speed = max(abs(spec.speed), V_CAP) if spec.kind == "pwl" else abs(spec.speed)
     step = spec.T * (speed + DR_SPEED_MARGIN * config.sensor_model.sigma_v)
     anchors = config.anchors.positions

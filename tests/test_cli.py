@@ -716,6 +716,38 @@ def test_a_track_whose_range_noise_variance_overflows_is_a_config_error(argv, mo
     ), captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--parameter", "speed", "--values", "0.1,0.2"]],
+    ids=["run", "sweep"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_pwl_start_outside_its_box_is_a_config_error(command, tmp_path, monkeypatch, capsys):
+    # the track steers into its box from a start 1.4e6 m from the anchors,
+    # where sigma0^2 exp(kappa r) overflows: the run printed a numpy
+    # overflow warning, excluded every run of every estimator and exited 1
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"start": [1e6, 1e6]}))
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", None)
+    argv = [*command, "--scenario", "B", "--steps", "20", "--runs", "2", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: the range-noise variance overflows on the pwl track of 20 steps"
+    ), captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_linear_start_outside_its_box_is_folded_in_and_runs(tmp_path, capsys):
+    # scenario A reflects its straight line into the box, start included
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"start": [1e6, 1e6]}))
+    argv = ["run", "--scenario", "A", "--steps", "20", "--runs", "2", "--config", str(cfg)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_track_inside_the_range_noise_bound_runs(capsys):
     # T = 2800 s is just inside scenario A's bound at 5 steps (2880 s)

@@ -9,6 +9,7 @@ form; seeded Monte Carlo for the genuinely stochastic expectations.
 """
 import dataclasses
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy import integrate, special, stats
 
 from paretoloc import ratios
 from paretoloc.crlb import (
+    _anchor_sum,
     _measurement_block,
     d11,
     d12,
@@ -656,7 +658,7 @@ def test_measurement_information_structure():
     sensors = SCENE.sensor_model
     info = measurement_information(SCENE, state)
     pi_hat = pi_bracket(SCENE, state[None, :2])[0]
-    assert_allclose(info[:2, :2], pi_hat, rtol=1e-12)
+    assert np.array_equal(info[:2, :2], pi_hat)
     assert info[2, 2] == pytest.approx(1.0 / sensors.sigma_v**2)
     assert info[3, 3] == pytest.approx(1.0 / sensors.sigma_phi**2)
     assert np.all(info[:2, 2:] == 0.0) and np.all(info[2:, :2] == 0.0)
@@ -976,15 +978,41 @@ def _bracket_ensemble(kind):
     return rng.normal(2.0, 0.4, size=(1000, 2))
 
 
-@pytest.mark.parametrize("anchors", [DEFAULT_ANCHORS, ANCHORS], ids=["default", "four"])
+def _random_anchors(m):
+    """m anchors drawn uniformly on [-5, 5]^2 (`AnchorSet` refuses a
+    collinear draw)."""
+    return AnchorSet(np.random.default_rng(m).uniform(-5.0, 5.0, size=(m, 2)))
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [DEFAULT_ANCHORS, ANCHORS, *(_random_anchors(m) for m in (4, 7, 8, 9, 15, 16, 17))],
+    ids=["default", "four", *(f"random-{m}" for m in (4, 7, 8, 9, 15, 16, 17))],
+)
 @pytest.mark.parametrize("kind", ["one-point", "constant-x", "wide"])
 def test_pi_brackets_are_the_per_anchor_loop_bit_for_bit(anchors, kind):
+    # the anchor sums run in numpy's pairwise order: in order under 8
+    # anchors (4, 7), in blocks of eight from 8 on (8, 16), and then the
+    # rest in order (9, 15, 17)
     positions = _bracket_ensemble(kind)
     pis = pi_bracket(Scene(anchors=anchors), positions)
     assert np.array_equal(pis, _pi_bracket_per_anchor(positions, anchors, RangeNoiseModel()))
     if kind == "one-point":
         # one sample is its own mean and extremes: the three are one matrix
         assert np.array_equal(pis[1], pis[0]) and np.array_equal(pis[2], pis[0])
+
+
+@pytest.mark.parametrize("m", [*range(4, 21), 129, 300])
+def test_the_anchor_sum_is_numpys_row_sum_bit_for_bit(m):
+    # rows of m terms spread over 40 decades, where every change of order
+    # shows; past 128 numpy splits a row in halves; a row of negative
+    # zeros sums to +0.0
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((3, 50, m)) * np.exp(rng.uniform(-46.0, 46.0, (3, 50, m)))
+    rows[0, 0] = -0.0
+    want = np.sum(rows, axis=-1)
+    got = _anchor_sum(np.moveaxis(rows, -1, 0).copy())
+    assert np.array_equal(got, want) and not np.signbit(got[0, 0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1016,6 +1044,20 @@ def test_crlb_traces_bracket_is_finite_and_holds_at_every_step(scenario, n_ensem
     lb, bound, ub = traces["pcrlb_lb"], traces["pcrlb"], traces["pcrlb_ub"]
     assert np.isfinite(lb).all() and np.isfinite(ub).all()
     assert np.all((lb <= bound) & (bound <= ub))
+
+
+def test_crlb_traces_at_the_cli_defaults_peaks_at_most_9_mib():
+    # CV, 200 steps, ensemble 1000: the rollout alone is 6.1 MiB, and the
+    # bracket of one step at a time adds about 1.3 MiB; bracketing every
+    # step at once would hold about 115 MB of product planes
+    config = ExperimentConfig(trajectory=make_scenario("CV"), seed=0)
+    tracemalloc.start()
+    try:
+        crlb_traces(config, n_ensemble=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, peak / 2**20
 
 
 def test_pcrlb_bounds_one_point_ensembles_tie_at_every_step():

@@ -114,19 +114,22 @@ def test_true_ranges_are_the_summed_ranges_in_their_memory_order(position):
 
 @pytest.mark.parametrize("position", list(_layouts()), ids=lambda p: f"{p.shape}-{p.strides}")
 def test_anchor_planes_are_the_anchor_directions_split_by_coordinate(position):
-    # the bracket's contiguous (..., M) planes carry the bits of the
+    # the bracket's anchor-major (M, ...) planes carry the bits of the
     # filters' (..., M, 2) unit vectors and of the floored ranges, also at
-    # a position on an anchor
+    # a position on an anchor, and each anchor's plane is contiguous
     anchors = AnchorSet(np.random.default_rng(9).uniform(-5.0, 5.0, (8, 2)))
     if position.ndim == 2:
         position = position.copy()
         position[0] = anchors.positions[3]
     r, ux, uy = anchor_planes(position, anchors)
     want_r, u = anchor_directions(position, anchors)
-    assert np.array_equal(r, want_r) and np.array_equal(r, floored_ranges(position, anchors))
-    assert np.array_equal(ux, u[..., 0]) and np.array_equal(uy, u[..., 1])
+    assert np.array_equal(r, np.moveaxis(want_r, -1, 0))
+    assert np.array_equal(r, np.moveaxis(floored_ranges(position, anchors), -1, 0))
+    assert np.array_equal(ux, np.moveaxis(u[..., 0], -1, 0))
+    assert np.array_equal(uy, np.moveaxis(u[..., 1], -1, 0))
+    assert r.shape == ux.shape == uy.shape == (8, *position.shape[:-1])
     if position.ndim <= 2:  # the bracket's ensembles (N, 2)
-        assert ux.flags.c_contiguous and uy.flags.c_contiguous
+        assert r.flags.c_contiguous and ux.flags.c_contiguous and uy.flags.c_contiguous
 
 
 def test_cv_process_model_matrices():
