@@ -157,6 +157,20 @@ def _anchor_sum(terms: np.ndarray) -> np.ndarray:
     return np.add(terms[0], 0.0, out=terms[0])
 
 
+def _pi_sets(weights: np.ndarray, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Ensemble means of sum_m w_m u_m u_m^T (S, ..., 2, 2), one per weight set
+    (S, M, ..., N), on `anchor_planes`' (M, ..., N) planes ux and uy."""
+    # (anchor, weight set, ..., entry, sample), each anchor's terms contiguous
+    terms = np.empty((len(ux), len(weights)) + ux.shape[1:-1] + (3, ux.shape[-1]))
+    by_entry = np.moveaxis(terms, (-2, 0), (0, 2))
+    np.multiply(weights, ux * ux, out=by_entry[0])
+    np.multiply(weights, ux, out=by_entry[1])
+    by_entry[1] *= uy
+    np.multiply(weights, uy * uy, out=by_entry[2])
+    e = _anchor_sum(terms).mean(axis=-1)
+    return e[..., [0, 1, 1, 2]].reshape(e.shape[:-1] + (2, 2))
+
+
 def pi_bracket(scene: Scene, positions) -> np.ndarray:
     """Pi_MC and a bracket L <= Pi_MC <= U in the PSD order, stacked (3, 2, 2),
     or (3, ..., 2, 2) with one ensemble per leading index of (..., N, 2).
@@ -170,24 +184,15 @@ def pi_bracket(scene: Scene, positions) -> np.ndarray:
 
     Both orders hold on the ensemble itself: w_min E{u u^T} <= E{w u u^T}
     <= w_max E{u u^T}, and L >= 0.  L and U take Pi_MC's arithmetic with
-    the extreme weights put in, so on a one-point ensemble all three are
-    the same bits.  The nine per-sample entries of the three weight sets
-    are summed over the anchors by `_anchor_sum`, then averaged.
+    the extreme weights put in (`_pi_sets` on the three weight sets), so
+    on a one-point ensemble all three are the same bits.
     """
     r, ux, uy = anchor_planes(positions, scene.anchors)
     weights = np.empty((3,) + r.shape)
     np.divide(1.0, range_variance(r, scene.range_model), out=weights[0])
     weights[1] = weights[0].min(axis=-1, keepdims=True)
     weights[2] = weights[0].max(axis=-1, keepdims=True)
-    # (anchor, weight set, ..., entry, sample), each anchor's terms contiguous
-    terms = np.empty((len(r), 3) + r.shape[1:-1] + (3, r.shape[-1]))
-    by_entry = np.moveaxis(terms, (-2, 0), (0, 2))
-    np.multiply(weights, ux * ux, out=by_entry[0])
-    np.multiply(weights, ux, out=by_entry[1])
-    by_entry[1] *= uy
-    np.multiply(weights, uy * uy, out=by_entry[2])
-    e = _anchor_sum(terms).mean(axis=-1)
-    return e[..., [0, 1, 1, 2]].reshape(e.shape[:-1] + (2, 2))
+    return _pi_sets(weights, ux, uy)
 
 
 def _measurement_block(pi_mat: np.ndarray, sensor_model: SensorNoiseModel) -> np.ndarray:
@@ -273,9 +278,11 @@ def require_invertible_noise(
 def measurement_information(scene: Scene, state: np.ndarray) -> np.ndarray:
     """H^T R^{-1} H for the range + speed + heading measurement at a state
     (4,), or at each state of a stack (..., 4): the measurement block with
-    Pi the `pi_bracket` of the state's position as a one-point ensemble."""
-    positions = np.asarray(state, dtype=float)[..., None, :2]
-    return _measurement_block(pi_bracket(scene, positions)[0], scene.sensor_model)
+    Pi the `pi_bracket` Pi_MC of the state's position as a one-point
+    ensemble, from the one weight set."""
+    r, ux, uy = anchor_planes(np.asarray(state, dtype=float)[..., None, :2], scene.anchors)
+    pi_mat = _pi_sets(np.divide(1.0, range_variance(r, scene.range_model))[None], ux, uy)
+    return _measurement_block(pi_mat[0], scene.sensor_model)
 
 
 def parcrlb_trace(scene: Scene, truth: tuple) -> tuple:

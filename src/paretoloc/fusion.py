@@ -94,19 +94,20 @@ class ParetoConfig:
 @dataclass(frozen=True, slots=True)
 class ParetoRows:
     """The Pareto candidates of a stack's rows, one ParetoConfig per equal
-    block of rows, built once per track (`_pareto_rows`, by `init_fusion`).
+    block of rows, and the step's plan over them, built once per track
+    (`_pareto_rows`, by `init_fusion`).
 
     A knee (row, axis) element has a candidate per `ParetoConfig.rho_grid`
     point, a set element one at its rho: the knee candidates first,
     grid-major, then the set ones.  Per candidate (C,), read-only: `rho`,
     the weights `w_var` = 2 (1 - rho) and `w_bias` = 2 rho, `low` and
     `high` = -/+ beta_clip, and `warn`, true on the set candidates, the
-    only ones that warn of a degenerate objective.  `moments` are the rows
-    of an (8, C) workspace, the track's one writable array, which each
-    step overwrites, as it does its views `knee_moments` (8, grid, knee
-    elements) and `set_moments`.  Also read-only: `knee` and `fixed`, the
-    indices of the knee and set elements among the flat (rows * 2) ones,
-    and `pick` (rows, 2), each element's first candidate; a knee
+    only ones that warn of a degenerate objective.  Also read-only:
+    `knee`, the knee elements' indices among the flat (rows * 2) ones.
+    `gather` (8, C) holds the flat indices of the candidates' moments in
+    the step's (8, rows, 2) stack; each step takes them into `workspace`
+    (8, C), whose rows are `moments` and which is the only array a step
+    writes.  `pick` (rows, 2) is each element's first candidate; a knee
     element's at grid point g lies g times the knee element count on.
     """
 
@@ -116,11 +117,10 @@ class ParetoRows:
     low: np.ndarray
     high: np.ndarray
     warn: np.ndarray
+    gather: np.ndarray
+    workspace: np.ndarray
     moments: ParetoMoments
-    knee_moments: np.ndarray
-    set_moments: np.ndarray
     knee: np.ndarray
-    fixed: np.ndarray
     pick: np.ndarray
 
 
@@ -147,8 +147,8 @@ class FusionState:
         Per-axis beta and rho (R, 2) chosen at the most recent step
         (diagnostics).
     pareto : ParetoRows
-        The rows' Pareto candidates and moment workspace, built once per
-        track by `init_fusion` from `scene.paretos` and the row count.
+        The rows' Pareto candidates and plan, built once per track by
+        `init_fusion` from `scene.paretos` and the row count.
     displacement : DisplacementNoise
         The scene's sensor-noise constants of the dead-reckoning moments
         (sigma_v^2 and the heading attenuations), built once per track by
@@ -235,15 +235,16 @@ def _pareto_beta(m: ParetoMoments, w_var, w_bias, low, high, warn):
     num = w_var * m.sigma_vr_sq - w_bias * m.gamma * m.ranging_mean
     den = w_var * m.eta + w_bias * m.gamma**2
     degenerate = den <= 0.0
-    if np.count_nonzero(degenerate & warn):
-        warnings.warn(
-            "degenerate beta objective (zero curvature); falling back to beta = 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    xi = np.where(degenerate, 0.0, num / np.where(degenerate, 1.0, den))
+    if np.count_nonzero(degenerate):
+        if np.count_nonzero(degenerate & warn):
+            warnings.warn(
+                "degenerate beta objective (zero curvature); falling back to beta = 0",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        num, den = np.where(degenerate, 0.0, num), np.where(degenerate, 1.0, den)
     # np.clip's bits, without its wrapper's cost
-    return np.minimum(np.maximum(xi, low), high)
+    return np.minimum(np.maximum(num / den, low), high)
 
 
 def optimal_beta(rho: float, m: ParetoMoments, config: ParetoConfig) -> float:
@@ -274,8 +275,10 @@ def select_rho(bias, variance, pareto: ParetoRows) -> np.ndarray:
     (sigma^2 - mu^2)^2 is smallest, the first of equal ones (np.argmin),
     so ties go to the smallest rho; a set element keeps its one candidate.
     """
+    knee, grid = len(pareto.knee), len(ParetoConfig.rho_grid)
+    if not knee:
+        return pareto.pick
     gap = (variance - bias**2) ** 2
-    grid, knee = pareto.knee_moments.shape[1:]
     pick = pareto.pick.copy()
     pick.reshape(-1)[pareto.knee] += knee * gap[: grid * knee].reshape(grid, knee).argmin(axis=0)
     return pick
@@ -300,9 +303,10 @@ def approximate_kinematics(
         return fallback_speed, fallback_heading
     delta = np.asarray(prev, dtype=float) - np.asarray(prev_prev, dtype=float)
     norm = np.sqrt((delta * delta).sum(axis=-1))
+    speed, heading = norm / T, np.arctan2(delta[..., 1], delta[..., 0])
     still = norm < 1e-12
-    speed = np.where(still, 0.0, norm / T)
-    heading = np.where(still, fallback_heading, np.arctan2(delta[..., 1], delta[..., 0]))
+    if np.count_nonzero(still):
+        speed, heading = np.where(still, 0.0, speed), np.where(still, fallback_heading, heading)
     return speed[()], heading[()]
 
 
@@ -323,16 +327,19 @@ def _pareto_rows(configs: Sequence[ParetoConfig], rows: int) -> ParetoRows:
     knee, grid, cap = np.isnan(rho).reshape(-1), ParetoConfig.rho_grid, cap.reshape(-1)
     n_grid = np.count_nonzero(knee) * len(grid)
     pick = np.where(knee, np.cumsum(knee), n_grid + np.cumsum(~knee)) - 1
+    pick, knee_at = pick.reshape(rows, 2), np.flatnonzero(knee)
     # knee candidates grid-major, then the set ones
+    flat = np.concatenate((np.tile(knee_at, len(grid)), np.flatnonzero(~knee)))
     rho = np.concatenate((np.repeat(grid, n_grid // len(grid)), rho.reshape(-1)[~knee]))
     cap = np.concatenate((np.tile(cap[knee], len(grid)), cap[~knee]))
     candidates = [rho, 2.0 * (1.0 - rho), 2.0 * rho, -cap, cap, np.arange(len(rho)) >= n_grid]
-    elements = [np.flatnonzero(knee), np.flatnonzero(~knee), pick.reshape(rows, 2)]
-    for x in (*candidates, *elements):
-        x.flags.writeable = False
     workspace = np.empty((len(ParetoMoments._fields), len(rho)))
-    views = workspace[:, :n_grid].reshape(len(workspace), len(grid), -1), workspace[:, n_grid:]
-    return ParetoRows(*candidates, ParetoMoments._make(workspace), *views, *elements)
+    gather = np.arange(len(workspace))[:, None] * (rows * 2) + flat
+    # gather and pick stay writable: np.take copies an index that is not
+    for x in (*candidates, knee_at):
+        x.flags.writeable = False
+    moments = ParetoMoments._make(workspace)
+    return ParetoRows(*candidates, gather, workspace, moments, knee_at, pick)
 
 
 def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
@@ -349,8 +356,8 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
 
     What does not change from step to step is built here, once per
     track, and carried by every state of the track: the rows' Pareto
-    candidates (`ParetoRows`) and the sensor-noise constants of the
-    dead-reckoning moments (`DisplacementNoise`).
+    candidates and plan (`ParetoRows`) and the sensor-noise constants of
+    the dead-reckoning moments (`DisplacementNoise`).
     """
     r = np.maximum(frame.ranges, 0.0)
     estimate, bias, cov = ranging_layer(
@@ -379,12 +386,11 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
 
 def _pareto_update(m: ParetoMoments, pareto: ParetoRows) -> tuple:
     """(rho, beta, bias, variance) (rows, 2) of one step for the moments
-    `m` (rows, 2): copied to every candidate of `pareto`, in its workspace,
-    they give beta, bias and variance in one evaluation, and each
-    element's chosen candidate (`select_rho`) is gathered back."""
-    moments = np.array(m).reshape(len(m), -1)
-    pareto.knee_moments[...] = moments[:, None, pareto.knee]
-    pareto.set_moments[...] = moments[:, pareto.fixed]
+    `m` (rows, 2): gathered to every candidate of `pareto`, in its
+    workspace, they give beta, bias and variance in one evaluation, and
+    each element's chosen candidate (`select_rho`) is gathered back."""
+    # every index is in range: "clip" spares the checked take its buffer
+    np.array(m).take(pareto.gather, out=pareto.workspace, mode="clip")
     c = pareto.moments
     beta = _pareto_beta(c, pareto.w_var, pareto.w_bias, pareto.low, pareto.high, pareto.warn)
     bias, variance = bias_recursion(beta, c), error_variance(beta, c)

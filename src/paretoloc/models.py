@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ _identity = functools.cache(np.eye)  # one (n, n) identity per size; callers onl
 
 # Floor of a range divided by: an anchor is MIN_RANGE from itself, in no direction.
 MIN_RANGE = 1e-9
+# Largest reach, m, of a track and of an anchor coordinate.  Two points
+# within it are at most 8 MAX_REACH^2 apart squared (a chord, a range),
+# half the largest double; the other half is margin for estimates.
+MAX_REACH = math.sqrt(sys.float_info.max) / 4.0
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -71,10 +76,10 @@ class AnchorSet:
             raise ValueError("anchor positions must be finite")
         if self.m < 4:
             raise ValueError(f"need at least 4 anchors, got {self.m}")
-        diffs = self.positions[:, None, :] - self.positions[None, :, :]
-        dists = np.linalg.norm(diffs, axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if np.min(dists) <= 0.0:
+        if np.abs(self.positions).max() > MAX_REACH:  # `build_geometry` squares them
+            raise ValueError(f"anchor coordinates must be within +/-{MAX_REACH:.3g} m")
+        same = (self.positions[:, None, :] == self.positions).all(axis=-1)
+        if np.count_nonzero(same) > self.m:
             raise ValueError("anchors must be pairwise distinct")
         # Collinear anchors leave the position unobservable in the
         # squared-range-difference formulation.
@@ -285,9 +290,11 @@ def range_variance(r, model: RangeNoiseModel):
     0.0625
     """
     r = np.asarray(r, dtype=float)
-    if (r < 0.0).any():
+    if np.count_nonzero(r < 0.0):
         raise ValueError("ranges must be non-negative")
-    out = model.sigma0_sq * np.exp(model.kappa * r)
+    out = np.multiply(model.kappa, r, out=np.empty(r.shape))  # an array even for a scalar
+    np.exp(out, out=out)
+    out *= model.sigma0_sq
     return float(out) if out.ndim == 0 else out
 
 

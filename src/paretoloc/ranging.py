@@ -84,20 +84,27 @@ def noise_cov_inverse(ranges, variances) -> np.ndarray:
     var = np.asarray(variances, dtype=float)
     if r.shape != var.shape or r.ndim < 1:
         raise ValueError("ranges and variances must be vectors of equal shape")
-    if (var <= 0.0).any():
+    if np.count_nonzero(var <= 0.0):
         raise ValueError("variances must be positive")
-    # D_ll for l < M, and p in the last slot
-    d = 4.0 * r**2 * var + 2.0 * var**2
+    # D_ll for l < M, and p in the last slot; temporaries formed in place
+    d = r**2
+    d *= 4.0
+    d *= var
+    d += 2.0 * var**2
     d_inv = 1.0 / d[..., :-1]
     g = d[..., -1:] * d_inv
-    q = g.sum(axis=-1, keepdims=True)
-    return (_identity(d_inv.shape[-1]) - (g / (1.0 + q))[..., :, None]) * d_inv[..., None, :]
+    g /= 1.0 + g.sum(axis=-1, keepdims=True)
+    w = _identity(d_inv.shape[-1]) - g[..., :, None]
+    w *= d_inv[..., None, :]
+    return w
 
 
-def _range_differences(geometry: RangingGeometry, measured_ranges) -> np.ndarray:
-    """Right-hand side b_l = r_M^2 - r_l^2 + a_l (..., M-1) from ranges (..., M)."""
+def _range_differences(geometry: RangingGeometry, measured_ranges, out=None) -> np.ndarray:
+    """Right-hand side b_l = r_M^2 - r_l^2 + a_l (..., M-1) from ranges (..., M),
+    written into `out` if given."""
     r_sq = np.asarray(measured_ranges, dtype=float) ** 2
-    return r_sq[..., -1:] - r_sq[..., :-1] + geometry.offset_vector
+    b = np.subtract(r_sq[..., -1:], r_sq[..., :-1], out=out)
+    return np.add(b, geometry.offset_vector, out=b)
 
 
 def normal_equations(geometry: RangingGeometry, measured_ranges, weight: np.ndarray) -> tuple:
@@ -162,11 +169,11 @@ def ranging_layer(
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(ranges, variances)
     columns = np.empty(atw.shape[:-2] + (a_mat.shape[0], 2))
-    columns[..., 0] = _range_differences(geometry, measured_ranges)
+    _range_differences(geometry, measured_ranges, out=columns[..., 0])
     var = np.asarray(variances, dtype=float)
-    columns[..., 1] = var[..., -1:] - var[..., :-1]  # the noise mean mu
+    np.subtract(var[..., -1:], var[..., :-1], out=columns[..., 1])  # the noise mean mu
     rhs = np.empty(atw.shape[:-2] + (2, 4))
-    rhs[..., :2] = atw @ columns
+    np.matmul(atw, columns, out=rhs[..., :2])
     rhs[..., 2:] = _identity(2)
     solution = np.linalg.solve(atw @ a_mat, rhs)
     return solution[..., 0], solution[..., 1], solution[..., 2:]

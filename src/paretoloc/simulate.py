@@ -26,6 +26,7 @@ from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, u
 from .fusion import ParetoConfig, fusion_step, init_fusion
 from .models import (
     DEFAULT_ANCHORS,
+    MAX_REACH,
     AnchorSet,
     CvProcessModel,
     MeasurementFrame,
@@ -42,11 +43,6 @@ from .ranging import RangingGeometry, build_geometry, noise_cov_inverse, wls_est
 BREAKPOINT_PERIOD = 2.0
 # Radius, m/s, of the disk a "pwl" trajectory draws target velocities in.
 V_CAP = 0.5
-# Largest reach, m, of a track.  Two points whose coordinates are within
-# it differ by at most 2 MAX_REACH per coordinate, so a squared 2-D
-# distance (a chord, a range) is at most 8 MAX_REACH^2, half the largest
-# double; the other half is margin for anchors and estimates off the track.
-MAX_REACH = math.sqrt(sys.float_info.max) / 4.0
 
 
 @dataclass(slots=True)

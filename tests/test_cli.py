@@ -805,3 +805,74 @@ def test_default_paths_raise_no_warning_and_no_floating_point_error(argv, tmp_pa
         warnings.simplefilter("error")
         assert main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+_FAR_ANCHORS = {
+    "1e300": [[0, 0], [1e300, 0], [0, 1e300], [1e300, 1e300]],
+    "1e308": [[-1e308, -1e308], [1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]],
+}
+_PROBE_COMMANDS = {
+    "run": ["run", "--steps", "20", "--runs", "2"],
+    "sweep": ["sweep", "--parameter", "speed", "--values", "0.1", "--steps", "20", "--runs", "2"],
+    "crlb": ["crlb", "--steps", "20", "--ensemble", "50"],
+}
+
+
+@pytest.mark.parametrize("anchors", list(_FAR_ANCHORS))
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+@pytest.mark.parametrize("command", list(_PROBE_COMMANDS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_anchors_are_a_config_error_that_names_the_bound(
+    command, scenario, anchors, tmp_path, capsys
+):
+    # anchors at 1e300 m overflowed the distinctness check's norms (a numpy
+    # warning; crlb then printed bounds and exited 0), and at 1e308 m the
+    # collinearity check's differences, which read "anchors are collinear"
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"anchors": _FAR_ANCHORS[anchors]}))
+    argv = [*_PROBE_COMMANDS[command], "--scenario", scenario, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: anchor coordinates must be within +/-3.35e+153 m"
+    ), captured.err
+
+
+def _probe_table(command, scenario):
+    """ROADMAP item 16's single-key configs of one command and scenario."""
+    keys = ["T", "speed", "heading", "sigma0_sq", "kappa", "sigma_v", "sigma_phi", "rho",
+            "beta_clip"] + (["amax"] if scenario == "B" else [])
+    values = [0.0, 1e-300, -1e-300, 1e300, -1.0, math.inf, math.nan]
+    table = [{key: value} for key in keys for value in values]
+    table += [{"start": [1e300, 1e300]}, {"start": [math.nan, 0.0]}]
+    table += [{"anchors": anchors} for anchors in _FAR_ANCHORS.values()]
+    if scenario == "CV":
+        table += [
+            {"cv": {key: value}}
+            for key in sorted(paretoloc.cli._CV_KEYS) for value in (1e-300, 1e300, math.inf)
+        ]
+    return table
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+@pytest.mark.parametrize("command", list(_PROBE_COMMANDS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_extreme_single_key_config_exits_cleanly(command, scenario, tmp_path, capsys):
+    # each key at 0, +-1e-300, 1e300, -1, inf and nan, a far or NaN start,
+    # the far anchor sets and (CV) extreme process variances: exit 0, 1 or
+    # 2 with no numpy warning, and an exit 1 names its failure on stderr
+    cfg = tmp_path / "probe.json"
+    failures = []
+    table = _probe_table(command, scenario)
+    for settings in table:
+        cfg.write_text(json.dumps(settings))
+        try:
+            code = main([*_PROBE_COMMANDS[command], "--scenario", scenario, "--config", str(cfg)])
+        except Exception as exc:  # a warning turned error, or a traceback
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2) or (code == 1 and not err.strip()):
+            failures.append((settings, code))
+    assert len(table) == {"A": 67, "B": 74, "CV": 79}[scenario]
+    assert failures == []

@@ -177,9 +177,16 @@ def test_select_rho_minimises_balance_gap():
     pareto = _pareto_rows((config, ParetoConfig(rho=0.3)), 2)
     rho, beta, _, _ = _pareto_update(m, pareto)
     grid = config.rho_grid
+    # the workspace: the knee row's two elements tiled grid-major, then
+    # the set row's two
     knee = np.stack(m)[:, 0][:, None, :]
-    np.testing.assert_array_equal(pareto.knee_moments, np.broadcast_to(knee, (8, grid.size, 2)))
-    np.testing.assert_array_equal(pareto.set_moments, np.stack(m)[:, 1])
+    knee_moments = pareto.workspace[:, : grid.size * 2].reshape(8, grid.size, 2)
+    np.testing.assert_array_equal(knee_moments, np.broadcast_to(knee, (8, grid.size, 2)))
+    np.testing.assert_array_equal(pareto.workspace[:, grid.size * 2 :], np.stack(m)[:, 1])
+    np.testing.assert_array_equal(np.stack(pareto.moments), pareto.workspace)
+    # the gather index lays out the step's stacked (8, rows, 2) moments
+    np.testing.assert_array_equal(np.stack(m).take(pareto.gather), pareto.workspace)
+    assert pareto.gather.shape == (8, grid.size * 2 + 2)
     candidate_beta = optimal_beta(pareto.rho, pareto.moments, config)
     pick = select_rho(
         bias_recursion(candidate_beta, pareto.moments),
@@ -556,13 +563,17 @@ _STATE_FIELDS = (
 )
 
 
-def _stepped_beside_the_reference(scenario, paretos, **models):
+def _stepped_beside_the_reference(scenario, paretos, trajectory_args=(), **models):
     """Step the kernel and `_reference_step` side by side over 3 runs of 80
-    steps of `scenario`, one block of rows per ParetoConfig, requiring the
-    same state and the same warnings at every step.  Returns the warning
-    count and the kernel's betas (steps, rows, 2)."""
+    steps of `scenario` (with `trajectory_args` set), one block of rows
+    per ParetoConfig, requiring the same state and the same warnings at
+    every step.  Returns the warning count, the kernel's betas
+    (steps, rows, 2) and its speeds (steps, rows)."""
     config = ExperimentConfig(
-        trajectory=make_scenario(scenario, steps=80), runs=3, seed=3, **models
+        trajectory=make_scenario(scenario, steps=80, **dict(trajectory_args)),
+        runs=3,
+        seed=3,
+        **models,
     )
     scene = dataclasses.replace(Scene.from_config(config), paretos=paretos)
     draws = [draw_run(config, run) for run in range(config.runs)]
@@ -571,7 +582,7 @@ def _stepped_beside_the_reference(scenario, paretos, **models):
     )
     frames = measurement_frames(scene, ranges, speed, heading)
     new = old = init_fusion(scene, next(frames))
-    warned, betas = 0, []
+    warned, betas, speeds = 0, [], []
     for frame in frames:
         caught = []
         for step, state in ((fusion_step, new), (_reference_step, old)):
@@ -586,13 +597,14 @@ def _stepped_beside_the_reference(scenario, paretos, **models):
         assert new_warnings == old_warnings, frame.k
         warned += len(new_warnings)
         betas.append(new.last_beta)
-    return warned, np.array(betas)
+        speeds.append(new.last_speed)
+    return warned, np.array(betas), np.array(speeds)
 
 
 @pytest.mark.parametrize("stack", list(_STACKS))
 @pytest.mark.parametrize("scenario", ["A", "B", "CV"])
 def test_fusion_step_is_the_per_step_set_up_bit_for_bit(scenario, stack):
-    warned, betas = _stepped_beside_the_reference(scenario, _STACKS[stack])
+    warned, betas, _ = _stepped_beside_the_reference(scenario, _STACKS[stack])
     assert warned == 0
     if stack == "clip0.5":
         # the knee block's cap binds, and the mse block's betas pass it
@@ -607,7 +619,7 @@ def test_a_zero_curvature_row_warns_only_at_a_set_rho(scenario, stack):
     # row loses its curvature (unclamped, it came out negative at some
     # steps and outweighed the others, and beta fell back to 0).
     paretos = _STACKS[stack]
-    warned, betas = _stepped_beside_the_reference(
+    warned, betas, _ = _stepped_beside_the_reference(
         scenario,
         paretos,
         range_model=RangeNoiseModel(sigma0_sq=1e-100, kappa=0.0),
@@ -630,6 +642,42 @@ def test_a_zero_curvature_row_warns_only_at_a_set_rho(scenario, stack):
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert np.all(got[1][::3] == 0.0) and np.all(got[1][1::3] != 0.0)
     assert warned == (stack == "knee+rho0.3") == bool(caught)
+
+
+@pytest.mark.parametrize("stack", ["knee", "knee+rho0.3", "mse"])
+def test_a_still_track_steps_as_the_per_step_set_up_bit_for_bit(stack):
+    # A node standing on the linear track, noise-free ranges and motion:
+    # from the second step every row's two estimates coincide to rounding,
+    # so the kinematics take the still rows' speed 0 and previous heading.
+    warned, _, speeds = _stepped_beside_the_reference(
+        "A",
+        _STACKS[stack],
+        trajectory_args={"speed": 0.0},
+        range_model=RangeNoiseModel(sigma0_sq=1e-100, kappa=0.0),
+        sensor_model=SensorNoiseModel(sigma_v=0.0, sigma_phi=0.0),
+    )
+    assert warned == 0 and np.count_nonzero(speeds[1:] == 0.0) == speeds[1:].size
+
+
+def test_approximate_kinematics_is_the_masked_formula_bit_for_bit():
+    # still rows (a step under 1e-12 m) keep speed 0 and their fallback
+    # heading, moving rows take norm / T and atan2, in any mix of the two
+    rng = np.random.default_rng(5)
+    prev_prev = rng.uniform(-3.0, 3.0, (40, 2))
+    fallback = rng.uniform(-math.pi, math.pi, 40)
+    for still in ([], [3], [0, 7, 8, 39], list(range(40))):
+        prev = prev_prev + rng.normal(0.0, 0.1, (40, 2))
+        prev[still] = prev_prev[still] + rng.uniform(-1e-13, 1e-13, (len(still), 2))
+        prev[still[:1]] = prev_prev[still[:1]]
+        delta = prev - prev_prev
+        norm = np.sqrt((delta * delta).sum(axis=-1))
+        mask = norm < 1e-12
+        assert np.count_nonzero(mask) == len(still)
+        speed, heading = approximate_kinematics(prev_prev, prev, 0.1, 0.0, fallback)
+        np.testing.assert_array_equal(speed, np.where(mask, 0.0, norm / 0.1))
+        np.testing.assert_array_equal(
+            heading, np.where(mask, fallback, np.arctan2(delta[:, 1], delta[:, 0]))
+        )
 
 
 _MOMENT_ARGS = (

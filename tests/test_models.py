@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from paretoloc.models import (
     DEFAULT_ANCHORS,
+    MAX_REACH,
     AnchorSet,
     CvProcessModel,
     RangeNoiseModel,
@@ -161,6 +162,24 @@ def test_cv_process_model_matrices():
 def test_noise_models_reject_non_finite_settings(model, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         model(**{field: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_anchor_set_bounds_its_coordinates_and_compares_them_exactly():
+    # up to MAX_REACH a squared norm and a difference of two fit in a
+    # double; past it the distinctness check's norms overflowed at 1e300
+    # (a numpy warning) and the collinearity check's differences at 1e308
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    assert AnchorSet(MAX_REACH * square).m == 4
+    for scale in (np.nextafter(MAX_REACH, math.inf), 1e300, 1e308):
+        with pytest.raises(ValueError, match=r"anchor coordinates must be within \+/-3.35e\+153 m"):
+            AnchorSet(scale * square)
+    # the smallest gap is a gap, and -0.0 is 0.0
+    tiny = np.array([[0.0, 0.0], [5e-324, 0.0], [0.0, 4.0], [4.0, 4.0]])
+    assert AnchorSet(tiny).m == 4
+    tiny[1] = [-0.0, 0.0]
+    with pytest.raises(ValueError, match="anchors must be pairwise distinct"):
+        AnchorSet(tiny)
 
 
 def test_anchor_set_rejects_non_finite_coordinates():

@@ -211,3 +211,44 @@ def test_ranging_layer_matches_the_separate_moments_per_run():
         single = ranging_layer(geometry, r[run], var[run], measured[run])
         for stacked, one in zip((fix, bias, cov), single):
             np.testing.assert_array_equal(stacked[run], one)
+
+
+def _reference_ranging_layer(geometry, r, var, measured):
+    # the closed forms as single expressions, each temporary a new array
+    d = 4.0 * r**2 * var + 2.0 * var**2
+    d_inv = 1.0 / d[..., :-1]
+    g = d[..., -1:] * d_inv
+    q = g.sum(axis=-1, keepdims=True)
+    w = (np.eye(d_inv.shape[-1]) - (g / (1.0 + q))[..., :, None]) * d_inv[..., None, :]
+    a_mat = geometry.design_matrix
+    atw = a_mat.T @ w
+    columns = np.empty(atw.shape[:-2] + (a_mat.shape[0], 2))
+    columns[..., 0] = measured[..., -1:] ** 2 - measured[..., :-1] ** 2 + geometry.offset_vector
+    columns[..., 1] = var[..., -1:] - var[..., :-1]
+    rhs = np.empty(atw.shape[:-2] + (2, 4))
+    rhs[..., :2] = atw @ columns
+    rhs[..., 2:] = np.eye(2)
+    solution = np.linalg.solve(atw @ a_mat, rhs)
+    return w, solution[..., 0], solution[..., 1], solution[..., 2:]
+
+
+@pytest.mark.parametrize("anchors", [4, 5, 8])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (20,), (3, 4)])
+def test_the_ranging_layer_in_place_is_its_closed_forms_bit_for_bit(shape, anchors):
+    # the weights, the fix and its moments, and the range variances take
+    # their temporaries in place, with the closed forms' operations in
+    # their order: the same bits as the expressions written out
+    rng = np.random.default_rng(anchors)
+    anchor_set = AnchorSet(rng.uniform(-5.0, 5.0, (anchors, 2)))
+    geometry = build_geometry(anchor_set)
+    r = true_ranges(rng.uniform(-3.0, 3.0, shape + (2,)), anchor_set)
+    var = range_variance(r, MODEL)
+    np.testing.assert_array_equal(var, MODEL.sigma0_sq * np.exp(MODEL.kappa * r))
+    measured = r + rng.normal(0.0, np.sqrt(var))
+    w, *moments = _reference_ranging_layer(geometry, r, var, measured)
+    np.testing.assert_array_equal(noise_cov_inverse(r, var), w)
+    if len(shape) < 2:
+        for got, expected in zip(ranging_layer(geometry, r, var, measured), moments):
+            np.testing.assert_array_equal(got, expected)
+    value = range_variance(float(r.flat[0]), MODEL)
+    assert type(value) is float and value == MODEL.sigma0_sq * np.exp(MODEL.kappa * r.flat[0])
