@@ -20,7 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import MeasurementFrame, SensorNoiseModel
+from .models import MeasurementFrame, SensorNoiseModel, _constant
+
+_HALF, _TWO = _constant(0.5), _constant(2.0)
 
 if TYPE_CHECKING:
     from .simulate import Scene
@@ -47,15 +49,20 @@ def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tup
     return (T * v)[..., None] * direction, q
 
 
-def measurement_frames(scene: Scene, ranges, speed, heading, per_frame: int = 1):
-    """Frames, in step order, of n steps of R rows: `ranges` (n, R, M),
-    `speed` and `heading` (n, R).  `input_terms` runs once on all of them;
-    each frame holds `per_frame` steps (the last may hold fewer), rows
-    stacked step-major, as one view per field, and `k` is its first step."""
+def measurement_frames(scene: Scene, ranges, speed, heading, per_frame: int = 1, blocks: int = 1):
+    """Frames, in step order, of n steps of R measurement rows: `ranges`
+    (n, R, M), `speed` and `heading` (n, R).  `input_terms` runs once on
+    all of them; each step's rows are those R rows repeated `blocks` times,
+    block-major (a stack gives each of its blocks the same measurements),
+    so a step has blocks * R rows, copied only where blocks > 1.  Each
+    frame holds `per_frame` steps (the last may hold fewer), rows stacked
+    step-major, as one view per field, and `k` is its first step."""
     speed, heading = np.asarray(speed, dtype=float), np.asarray(heading, dtype=float)
-    n, rows = speed.shape
+    n, runs = speed.shape
+    rows = blocks * runs
+    # each (n, R, ...) field as (n, blocks, R, ...), flattened to (n * rows, ...)
     ranges, speed, heading, displacement, input_cov = (
-        np.reshape(x, (n * rows,) + x.shape[2:])
+        np.broadcast_to(x[:, None], (n, blocks) + x.shape[1:]).reshape((n * rows,) + x.shape[2:])
         for x in (np.asarray(ranges, dtype=float), speed, heading)
         + input_terms(speed, heading, scene.T, scene.sensor_model)
     )
@@ -69,7 +76,7 @@ def measurement_frames(scene: Scene, ranges, speed, heading, per_frame: int = 1)
 def dr_predict(previous_position, frame: MeasurementFrame) -> np.ndarray:
     """Dead-reckoned positions (R, 2): previous positions (R, 2) plus the
     frame's displacements T V [cos phi, sin phi]."""
-    return np.asarray(previous_position, dtype=float) + frame.displacement
+    return np.add(previous_position, frame.displacement)
 
 
 @dataclass(slots=True)
@@ -111,8 +118,8 @@ class HeadingMoments:
         """`e_square` with its factors given: E{cos^2 phi} where `sign` is 1
         and E{sin^2 phi} where it is -1, with exp(-2 var) = `second_attenuation`."""
         # cos(2 phi0) on axis 0, -cos(2 phi0) on axis 1
-        double_angle = np.cos(2.0 * phi0) * sign
-        return 0.5 + 0.5 * double_angle * second_attenuation
+        double_angle = np.cos(_TWO * phi0) * sign
+        return _HALF + _HALF * double_angle * second_attenuation
 
     @property
     def e_cos_sq(self):
@@ -150,18 +157,24 @@ class DisplacementNoise:
     exp(-sigma_phi^2 / 2) and exp(-2 sigma_phi^2) of `HeadingMoments`, and
     each axis' second-harmonic sign (`sign`, +1 for cos^2, -1 for sin^2).
     A track builds one and evaluates it at each step's speed and heading.
+    sigma_v^2 and exp(-2 sigma_phi^2), which multiply arrays, are read-only
+    0-d arrays; exp(-sigma_phi^2 / 2), which `fusion.axis_moments` also
+    subtracts 1 from, is a float.
     """
 
-    sigma_v_sq: float
+    sigma_v_sq: np.ndarray
     attenuation: float
-    second_attenuation: float
+    second_attenuation: np.ndarray
     sign: np.ndarray
 
     @classmethod
     def of(cls, sigma_v: float, sigma_phi: float, axis) -> DisplacementNoise:
         # the attenuations do not depend on the mean heading
         heading = HeadingMoments(0.0, sigma_phi**2)
-        return cls(sigma_v**2, heading.attenuation, heading.second_attenuation, _axis_sign(axis))
+        return cls(
+            _constant(sigma_v**2), heading.attenuation,
+            _constant(heading.second_attenuation), _axis_sign(axis),
+        )
 
     def second_moment(self, v, phi):
         """`dr_second_moment` at speeds `v` and headings `phi`."""

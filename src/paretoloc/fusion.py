@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, ClassVar, NamedTuple
 import numpy as np
 
 from .deadreckoning import DisplacementNoise, dr_predict, heading_vector
-from .models import MeasurementFrame, range_variance, true_ranges
-from .ranging import ranging_layer
+from .models import MeasurementFrame, RangeNoiseModel, _constant, range_variance, true_ranges
+from .ranging import RangingScratch, ranging_layer
 
 if TYPE_CHECKING:
     from .simulate import Scene
@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 # Axis indices (0 = x1, 1 = x2) along the trailing axis of a batched step.
 _AXES = np.arange(2)
+_ZERO, _ONE, _STILL = map(_constant, (0.0, 1.0, 1e-12))
 
 
 class ParetoMoments(NamedTuple):
@@ -106,9 +107,9 @@ class ParetoRows:
     `knee`, the knee elements' indices among the flat (rows * 2) ones.
     `gather` (8, C) holds the flat indices of the candidates' moments in
     the step's (8, rows, 2) stack; each step takes them into `workspace`
-    (8, C), whose rows are `moments` and which is the only array a step
-    writes.  `pick` (rows, 2) is each element's first candidate; a knee
-    element's at grid point g lies g times the knee element count on.
+    (8, C), a scratch buffer whose rows are `moments`.  `pick` (rows, 2)
+    is each element's first candidate; a knee element's at grid point g
+    lies g times the knee element count on.
     """
 
     rho: np.ndarray
@@ -122,6 +123,38 @@ class ParetoRows:
     moments: ParetoMoments
     knee: np.ndarray
     pick: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class FusionTrack:
+    """What the fused steps of one track read and never change, and the
+    scratch buffers they write over, built once per track by `init_fusion`.
+
+    A step writes only the scratch: `pareto.workspace` and the buffers of
+    `ranging`.  Each step overwrites them before it reads them, and no
+    state holds a view of them, so stepping one state twice gives the
+    same state, and tracks do not share them.
+
+    Attributes
+    ----------
+    pareto : ParetoRows
+        The rows' Pareto candidates and plan, from `scene.paretos`.
+    displacement : DisplacementNoise
+        The sensor-noise constants of the dead-reckoning moments
+        (sigma_v^2 and the heading attenuations).
+    range_model : RangeNoiseModel
+        `scene.range_model` with its values as read-only 0-d arrays.
+    ranging : RangingScratch
+        The ranging layer's buffers for the track's rows.
+    T : np.ndarray
+        `scene.T` as a read-only 0-d array.
+    """
+
+    pareto: ParetoRows
+    displacement: DisplacementNoise
+    range_model: RangeNoiseModel
+    ranging: RangingScratch
+    T: np.ndarray
 
 
 @dataclass(slots=True)
@@ -146,13 +179,9 @@ class FusionState:
     last_beta, last_rho : np.ndarray
         Per-axis beta and rho (R, 2) chosen at the most recent step
         (diagnostics).
-    pareto : ParetoRows
-        The rows' Pareto candidates and plan, built once per track by
-        `init_fusion` from `scene.paretos` and the row count.
-    displacement : DisplacementNoise
-        The scene's sensor-noise constants of the dead-reckoning moments
-        (sigma_v^2 and the heading attenuations), built once per track by
-        `init_fusion`.
+    track : FusionTrack
+        The track's constants and scratch buffers, built once by
+        `init_fusion` and carried by every state of the track.
     """
 
     estimate: np.ndarray
@@ -163,8 +192,7 @@ class FusionState:
     last_heading: np.ndarray
     last_beta: np.ndarray
     last_rho: np.ndarray
-    pareto: ParetoRows
-    displacement: DisplacementNoise
+    track: FusionTrack
 
 
 def axis_moments(
@@ -197,11 +225,11 @@ def axis_moments(
     drift = T * dr_true_first * (heading_attenuation - 1.0)
     dr_first = dr_true_first * heading_attenuation  # E{V~ trig(phi~)}
     # a variance: clamped at 0, where rounding takes noise-free moments below it
-    sigma_vv_sq = np.maximum(T**2 * (dr_second - dr_first**2), 0.0)
+    sigma_vv_sq = np.maximum(T**2 * (dr_second - dr_first**2), _ZERO)
+    gamma = -ranging_mean + prev_bias + drift
+    eta = ranging_variance + prev_variance + sigma_vv_sq
     return ParetoMoments(
-        ranging_mean, prev_bias, prev_variance, drift, ranging_variance, sigma_vv_sq,
-        gamma=-ranging_mean + prev_bias + drift,
-        eta=ranging_variance + prev_variance + sigma_vv_sq,
+        ranging_mean, prev_bias, prev_variance, drift, ranging_variance, sigma_vv_sq, gamma, eta
     )
 
 
@@ -234,7 +262,7 @@ def _pareto_beta(m: ParetoMoments, w_var, w_bias, low, high, warn):
     """
     num = w_var * m.sigma_vr_sq - w_bias * m.gamma * m.ranging_mean
     den = w_var * m.eta + w_bias * m.gamma**2
-    degenerate = den <= 0.0
+    degenerate = den <= _ZERO
     if np.count_nonzero(degenerate):
         if np.count_nonzero(degenerate & warn):
             warnings.warn(
@@ -242,7 +270,7 @@ def _pareto_beta(m: ParetoMoments, w_var, w_bias, low, high, warn):
                 RuntimeWarning,
                 stacklevel=3,
             )
-        num, den = np.where(degenerate, 0.0, num), np.where(degenerate, 1.0, den)
+        num, den = np.where(degenerate, _ZERO, num), np.where(degenerate, _ONE, den)
     # np.clip's bits, without its wrapper's cost
     return np.minimum(np.maximum(num / den, low), high)
 
@@ -297,17 +325,23 @@ def approximate_kinematics(
     With no older estimate available the configured fallbacks are
     returned; with zero displacement the speed is 0 and the previous
     heading is retained (the direction of a zero step is undefined).
-    Stacks of positions (..., 2) give one speed and heading per row.
+    Stacks of positions (..., 2) give one speed and heading per row.  T
+    may be a float or, as a fused track passes it, a 0-d array.
     """
     if prev_prev is None:
         return fallback_speed, fallback_heading
-    delta = np.asarray(prev, dtype=float) - np.asarray(prev_prev, dtype=float)
-    norm = np.sqrt((delta * delta).sum(axis=-1))
+    delta = np.subtract(prev, prev_prev, dtype=float)
+    # the two squared gaps added as one sum: the bits of their sum over the
+    # coordinate axis, without its reduction (as in `true_ranges`)
+    squared = delta * delta
+    norm = np.sqrt(squared[..., 0] + squared[..., 1])
     speed, heading = norm / T, np.arctan2(delta[..., 1], delta[..., 0])
-    still = norm < 1e-12
+    still = norm < _STILL
     if np.count_nonzero(still):
-        speed, heading = np.where(still, 0.0, speed), np.where(still, fallback_heading, heading)
-    return speed[()], heading[()]
+        # np.where makes 0-d arrays of scalars: [()] gives the scalars back
+        speed = np.where(still, _ZERO, speed)[()]
+        heading = np.where(still, fallback_heading, heading)[()]
+    return speed, heading
 
 
 def _row_blocks(configs: Sequence[ParetoConfig], rows: int) -> list:
@@ -355,15 +389,25 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
     equal block of rows, in row order.
 
     What does not change from step to step is built here, once per
-    track, and carried by every state of the track: the rows' Pareto
-    candidates and plan (`ParetoRows`) and the sensor-noise constants of
-    the dead-reckoning moments (`DisplacementNoise`).
+    track, and carried by every state of the track (`FusionTrack`): the
+    rows' Pareto candidates and plan, the sensor-noise constants of the
+    dead-reckoning moments, the scene's range noise and step period as
+    0-d arrays, and the scratch buffers of the ranging layer.
     """
-    r = np.maximum(frame.ranges, 0.0)
-    estimate, bias, cov = ranging_layer(
-        scene.geometry, r, range_variance(r, scene.range_model), frame.ranges
+    rows = len(frame.ranges)
+    track = FusionTrack(
+        pareto=_pareto_rows(scene.paretos, rows),
+        displacement=DisplacementNoise.of(
+            scene.sensor_model.sigma_v, scene.sensor_model.sigma_phi, _AXES
+        ),
+        range_model=scene.range_model.as_constants(),
+        ranging=RangingScratch.of(scene.geometry, (rows,)),
+        T=_constant(scene.T),
     )
-    rows = len(estimate)
+    r = np.maximum(frame.ranges, _ZERO)
+    estimate, bias, cov = ranging_layer(
+        scene.geometry, r, range_variance(r, track.range_model), frame.ranges, track.ranging
+    )
     last_speed, last_heading = np.empty(rows), np.empty(rows)
     for part, config in _row_blocks(scene.paretos, rows):
         last_speed[part] = config.initial_speed
@@ -377,10 +421,7 @@ def init_fusion(scene: Scene, frame: MeasurementFrame) -> FusionState:
         last_heading=last_heading,
         last_beta=np.zeros((rows, 2)),
         last_rho=np.full((rows, 2), 0.5),
-        pareto=_pareto_rows(scene.paretos, rows),
-        displacement=DisplacementNoise.of(
-            scene.sensor_model.sigma_v, scene.sensor_model.sigma_phi, _AXES
-        ),
+        track=track,
     )
 
 
@@ -395,7 +436,7 @@ def _pareto_update(m: ParetoMoments, pareto: ParetoRows) -> tuple:
     beta = _pareto_beta(c, pareto.w_var, pareto.w_bias, pareto.low, pareto.high, pareto.warn)
     bias, variance = bias_recursion(beta, c), error_variance(beta, c)
     pick = select_rho(bias, variance, pareto)
-    return tuple(x.take(pick) for x in (pareto.rho, beta, bias, variance))
+    return pareto.rho.take(pick), beta.take(pick), bias.take(pick), variance.take(pick)
 
 
 def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> FusionState:
@@ -406,20 +447,23 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     ranges from the dead-reckoned prediction, the previous error variance
     by the tracked one.
 
-    The rows' Pareto candidates and the sensor-noise constants come from
-    the state, which `init_fusion` built once per track from the scene
-    (`scene.paretos`, one ParetoConfig per equal block of rows, and
-    `scene.sensor_model`); each step reads them and builds none.  The
-    dead reckoning, the ranging layer and the axis moments, of shape
-    (rows, 2), are computed once for all rows; beta, bias and variance
-    once for all candidates, the knee grid's and the set rho's alike.
+    The rows' Pareto candidates, the sensor-noise constants and the
+    scratch buffers come from the state's `FusionTrack`, which
+    `init_fusion` built once per track from the scene (`scene.paretos`,
+    one ParetoConfig per equal block of rows, `scene.sensor_model`,
+    `scene.range_model` and `scene.T`); each step reads them and builds
+    none.  The dead reckoning, the ranging layer and the axis moments, of
+    shape (rows, 2), are computed once for all rows; beta, bias and
+    variance once for all candidates, the knee grid's and the set rho's
+    alike.
 
     Returns a new FusionState; the input state is not modified, but for
-    the track's moment workspace, which the step overwrites.
+    the track's scratch buffers, which the step overwrites.
     """
-    T, displacement = scene.T, state.displacement
+    track = state.track
+    displacement = track.displacement
     v_ap, phi_ap = approximate_kinematics(
-        state.prev_estimate, state.estimate, T, state.last_speed, state.last_heading
+        state.prev_estimate, state.estimate, track.T, state.last_speed, state.last_heading
     )
 
     x_v = dr_predict(state.estimate, frame)
@@ -431,7 +475,7 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
     # shrinks.
     r_ap = true_ranges(x_v, scene.anchors)
     x_r, r_bias, r_cov = ranging_layer(
-        scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
+        scene.geometry, r_ap, range_variance(r_ap, track.range_model), frame.ranges, track.ranging
     )
 
     v, phi = v_ap[..., None], phi_ap[..., None]
@@ -443,12 +487,12 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         dr_true_first=v * heading_vector(phi_ap),
         heading_attenuation=displacement.attenuation,
         dr_second=displacement.second_moment(v, phi),
-        T=T,
+        T=scene.T,
     )
-    rho, beta, bias, variance = _pareto_update(m, state.pareto)
+    rho, beta, bias, variance = _pareto_update(m, track.pareto)
 
     return FusionState(
-        estimate=(1.0 - beta) * x_r + beta * x_v,
+        estimate=(_ONE - beta) * x_r + beta * x_v,
         prev_estimate=state.estimate,
         bias_estimate=bias,
         error_variance=variance,
@@ -456,6 +500,5 @@ def fusion_step(scene: Scene, state: FusionState, frame: MeasurementFrame) -> Fu
         last_heading=phi_ap,
         last_beta=beta,
         last_rho=rho,
-        pareto=state.pareto,
-        displacement=displacement,
+        track=track,
     )

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AnchorSet, _identity
+from .models import AnchorSet, _constant, _identity
+
+_ZERO, _ONE, _TWO, _FOUR = map(_constant, (0.0, 1.0, 2.0, 4.0))
 
 
 @dataclass(slots=True)
@@ -84,16 +86,16 @@ def noise_cov_inverse(ranges, variances) -> np.ndarray:
     var = np.asarray(variances, dtype=float)
     if r.shape != var.shape or r.ndim < 1:
         raise ValueError("ranges and variances must be vectors of equal shape")
-    if np.count_nonzero(var <= 0.0):
+    if np.count_nonzero(var <= _ZERO):
         raise ValueError("variances must be positive")
     # D_ll for l < M, and p in the last slot; temporaries formed in place
     d = r**2
-    d *= 4.0
+    d *= _FOUR
     d *= var
-    d += 2.0 * var**2
-    d_inv = 1.0 / d[..., :-1]
+    d += _TWO * var**2
+    d_inv = _ONE / d[..., :-1]
     g = d[..., -1:] * d_inv
-    g /= 1.0 + g.sum(axis=-1, keepdims=True)
+    g /= _ONE + np.add.reduce(g, axis=-1, keepdims=True)  # g.sum without its wrapper
     w = _identity(d_inv.shape[-1]) - g[..., :, None]
     w *= d_inv[..., None, :]
     return w
@@ -136,8 +138,32 @@ def wls_estimate(
     return np.linalg.solve(gram, rhs[..., None])[..., 0]
 
 
+@dataclass(frozen=True, slots=True)
+class RangingScratch:
+    """The buffers `ranging_layer` solves from, for a stack of one shape
+    (...): `columns` (..., M-1, 2) holds the right-hand side b
+    (`differences`) and the noise mean mu (`noise_mean`), and `rhs`
+    (..., 2, 4) holds A^T W [b, mu] (`products`) and the identity, which
+    is set once.  A track builds one (`init_fusion`) and every step writes
+    over it; nothing `ranging_layer` returns is a view of it."""
+
+    columns: np.ndarray
+    differences: np.ndarray
+    noise_mean: np.ndarray
+    rhs: np.ndarray
+    products: np.ndarray
+
+    @classmethod
+    def of(cls, geometry: RangingGeometry, shape: tuple) -> RangingScratch:
+        columns = np.empty(shape + (len(geometry.offset_vector), 2))
+        rhs = np.empty(shape + (2, 4))
+        rhs[..., 2:] = _identity(2)
+        return cls(columns, columns[..., 0], columns[..., 1], rhs, rhs[..., :2])
+
+
 def ranging_layer(
-    geometry: RangingGeometry, ranges, variances, measured_ranges
+    geometry: RangingGeometry, ranges, variances, measured_ranges,
+    scratch: RangingScratch | None = None,
 ) -> tuple:
     """WLS fix and its error moments, for one run or a stack of runs.
 
@@ -155,6 +181,8 @@ def ranging_layer(
     ----------
     ranges, variances, measured_ranges : array_like
         Shape (M,) for one run, or (R, M) for R runs.
+    scratch : RangingScratch, optional
+        Buffers of the stack's shape, () or (R,); new ones if not given.
 
     Returns
     -------
@@ -168,12 +196,11 @@ def ranging_layer(
     """
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(ranges, variances)
-    columns = np.empty(atw.shape[:-2] + (a_mat.shape[0], 2))
-    _range_differences(geometry, measured_ranges, out=columns[..., 0])
+    if scratch is None:
+        scratch = RangingScratch.of(geometry, atw.shape[:-2])
+    _range_differences(geometry, measured_ranges, out=scratch.differences)
     var = np.asarray(variances, dtype=float)
-    np.subtract(var[..., -1:], var[..., :-1], out=columns[..., 1])  # the noise mean mu
-    rhs = np.empty(atw.shape[:-2] + (2, 4))
-    np.matmul(atw, columns, out=rhs[..., :2])
-    rhs[..., 2:] = _identity(2)
-    solution = np.linalg.solve(atw @ a_mat, rhs)
+    np.subtract(var[..., -1:], var[..., :-1], out=scratch.noise_mean)
+    np.matmul(atw, scratch.columns, out=scratch.products)
+    solution = np.linalg.solve(atw @ a_mat, scratch.rhs)
     return solution[..., 0], solution[..., 1], solution[..., 2:]

@@ -587,18 +587,21 @@ def _stacks(registry: dict, names) -> list:
     return list(stacks.values())
 
 
-def _track(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading) -> np.ndarray:
-    """Estimates (n, rows, 2) of one batch over measurements (n, rows, ...)."""
-    trace = np.empty(speed.shape + (2,))
+def _track(
+    kernels: EstimatorKernels, scene: Scene, ranges, speed, heading, blocks: int = 1
+) -> np.ndarray:
+    """Estimates (n, blocks * R, 2) of one batch over measurements (n, R, ...),
+    which each of its `blocks` blocks of rows gets (`measurement_frames`)."""
+    rows = blocks * speed.shape[1]
+    trace = np.empty((len(speed), rows, 2))
     if kernels.step is None:
         # frames of several whole steps go into one call
-        rows = speed.shape[1]
         per_call = max(1, STATELESS_BLOCK_ROWS // rows)
-        for frame in measurement_frames(scene, ranges, speed, heading, per_call):
+        for frame in measurement_frames(scene, ranges, speed, heading, per_call, blocks):
             part = slice(frame.k, frame.k + per_call)
             trace[part] = kernels.position(kernels.init(scene, frame)).reshape(-1, rows, 2)
         return trace
-    frames = measurement_frames(scene, ranges, speed, heading)
+    frames = measurement_frames(scene, ranges, speed, heading, blocks=blocks)
     state = kernels.init(scene, next(frames))
     trace[0] = kernels.position(state)
     for frame in frames:
@@ -611,16 +614,17 @@ def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading)
     """Estimates (n, blocks, R, 2) of one stack, blocks for `scene.paretos`.
 
     Every block gets the same measurements (n, R, ...), and all blocks
-    and runs go in one batch.  If the batch raises a numerical error (a
-    ValueError or an ArithmeticError), each (block, run) row is re-run
-    alone with its block's config; a row that raises again is left NaN.
-    Each row's arithmetic is the same alone as in a batch, so the other
-    rows' estimates do not change.
+    and runs go in one batch, whose frame terms are formed once for the R
+    runs.  If the batch raises a numerical error (a ValueError or an
+    ArithmeticError), each (block, run) row is re-run alone with its
+    block's config; a row that raises again is left NaN.  Each row's
+    arithmetic is the same alone as in a batch, so the other rows'
+    estimates do not change.
     """
     blocks, runs = len(scene.paretos), speed.shape[1]
-    stacked = [np.concatenate((x,) * blocks, axis=1) for x in (ranges, speed, heading)]
     try:
-        return _track(kernels, scene, *stacked).reshape(len(speed), blocks, runs, 2)
+        stacked = _track(kernels, scene, ranges, speed, heading, blocks)
+        return stacked.reshape(len(speed), blocks, runs, 2)
     except (ValueError, ArithmeticError):
         pass
     trace = np.full((len(speed), blocks, runs, 2), np.nan)

@@ -4,7 +4,10 @@ import dataclasses
 import importlib.metadata
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -38,6 +41,21 @@ def test_parser_knows_all_subcommands():
     ):
         args = parser.parse_args(argv)
         assert callable(args.func)
+
+
+def test_python_dash_m_paretoloc_runs_the_cli_from_a_checkout(tmp_path):
+    # with the package on the path (PYTHONPATH=src) and not installed,
+    # `python -m paretoloc` is the `paretoloc` command
+    src = Path(paretoloc.cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "paretoloc", "--help"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: paretoloc ")
+    assert "validate-lemmas" in done.stdout
 
 
 def test_run_writes_trace_and_summary(tmp_path, capsys):

@@ -219,3 +219,18 @@ def test_frames_of_several_steps_stack_their_rows_step_major():
             np.testing.assert_array_equal(
                 getattr(frame, field), np.concatenate([getattr(s, field) for s in steps])
             )
+
+
+@pytest.mark.parametrize("per_frame", [1, 5])
+def test_a_stack_of_blocks_forms_its_frame_terms_once_with_the_tiled_bits(per_frame):
+    # three blocks of four runs: the frames repeat each step's four rows
+    # block-major, with the bits of frames built on the rows tiled beforehand
+    ranges, speed, heading = _measurements(rows=4)
+    scene = Scene(T=0.3, sensor_model=SensorNoiseModel(sigma_v=0.07, sigma_phi=0.4))
+    tiled = [np.concatenate((x,) * 3, axis=1) for x in (ranges, speed, heading)]
+    frames = measurement_frames(scene, ranges, speed, heading, per_frame, blocks=3)
+    expected = measurement_frames(scene, *tiled, per_frame)
+    for frame, want in zip(frames, expected, strict=True):
+        assert frame.k == want.k and len(frame.speed) == len(want.speed)
+        for field in ("ranges", "speed", "heading", "displacement", "input_cov"):
+            np.testing.assert_array_equal(getattr(frame, field), getattr(want, field))

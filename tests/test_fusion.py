@@ -601,6 +601,52 @@ def _stepped_beside_the_reference(scenario, paretos, trajectory_args=(), **model
     return warned, np.array(betas), np.array(speeds)
 
 
+def _snapshot(state):
+    return {name: np.copy(getattr(state, name)) for name in _STATE_FIELDS}
+
+
+def _assert_state(state, snapshot, what):
+    for name, value in snapshot.items():
+        np.testing.assert_array_equal(getattr(state, name), value, err_msg=f"{name}, {what}")
+
+
+@pytest.mark.parametrize("stack", ["knee+mse", "knee+rho0.3"])
+def test_the_tracks_scratch_buffers_are_scratch_only(stack):
+    # A step writes the track's scratch (the moment workspace and the
+    # ranging layer's buffers) before it reads it, and no state holds a
+    # view of it: one state stepped twice with one frame gives the same
+    # state, two tracks of one scene stepped interleaved give each what it
+    # gives alone, and every state keeps its values while later steps run.
+    config = ExperimentConfig(trajectory=make_scenario("B", steps=40), runs=3, seed=3)
+    scene = dataclasses.replace(Scene.from_config(config), paretos=_STACKS[stack])
+    blocks = len(scene.paretos)
+    tracks = []
+    for runs in (range(3), range(3, 6)):
+        _, ranges, speed, heading = (
+            np.stack(part, axis=1) for part in zip(*(draw_run(config, run) for run in runs))
+        )
+        tracks.append(list(measurement_frames(scene, ranges, speed, heading, blocks=blocks)))
+    alone = []
+    for frames in tracks:
+        state = init_fusion(scene, frames[0])
+        alone.append([_snapshot(state)])
+        for frame in frames[1:]:
+            state = fusion_step(scene, state, frame)
+            alone[-1].append(_snapshot(state))
+    states = [init_fusion(scene, frames[0]) for frames in tracks]
+    history = [[state] for state in states]
+    for k in range(1, len(tracks[0])):
+        for track, frames in enumerate(tracks):
+            state = history[track][-1]
+            again = fusion_step(scene, state, frames[k])
+            history[track].append(fusion_step(scene, state, frames[k]))
+            _assert_state(again, alone[track][k], f"track {track} stepped twice at step {k}")
+        for track in range(2):
+            for j, state in enumerate(history[track]):
+                _assert_state(state, alone[track][j], f"track {track}, step {j}, after step {k}")
+    assert history[0][-1].track is history[0][0].track is not history[1][0].track
+
+
 @pytest.mark.parametrize("stack", list(_STACKS))
 @pytest.mark.parametrize("scenario", ["A", "B", "CV"])
 def test_fusion_step_is_the_per_step_set_up_bit_for_bit(scenario, stack):

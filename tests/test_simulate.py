@@ -597,12 +597,13 @@ def test_frames_are_built_once_per_batch_not_once_per_step(monkeypatch):
     config = _small_config(estimators=KNOWN_ESTIMATORS, runs=3)
     run_experiment(config)
     # one batch per stack of estimators sharing kernels ("fusion" with
-    # "mse" as two blocks of rows, then one for each other estimator)
+    # "mse" as two blocks of rows, then one for each other estimator),
+    # whose frame terms are formed once on the runs' measurements, not on
+    # each block's copy of them
     stacks = simulate._stacks(simulate._estimators(), KNOWN_ESTIMATORS)
-    assert len(stacks) == 7
+    assert len(stacks) == 7 and len(stacks[0]) == 2
     assert len(builds) == len(terms) == len(stacks)
-    steps = config.trajectory.steps
-    assert terms == [(steps, len(names) * config.runs) for names in stacks]
+    assert terms == [(config.trajectory.steps, config.runs)] * len(stacks)
 
 
 def test_the_pareto_set_up_is_built_once_per_track_not_once_per_step(monkeypatch):
