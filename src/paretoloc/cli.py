@@ -33,7 +33,6 @@ from .simulate import (
     Scene,
     crlb_traces,
     make_scenario,
-    require_finite_range_noise,
     run_experiment,
     summary_rows,
     sweep_configs,
@@ -162,18 +161,8 @@ def _largest_error(errors: np.ndarray) -> str:
     return f"max |error| = {errors[run, step] * 100.0:.4g} cm at run {run}, step {step}"
 
 
-def _require_finite_range_noise(configs) -> None:
-    """`require_finite_range_noise` of each config, as a config error."""
-    try:
-        for config in configs:
-            require_finite_range_noise(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_run(args) -> int:
     config = _build_experiment(args)
-    _require_finite_range_noise([config])
     result = run_experiment(config)
     if args.out:
         write_run_trace(args.out, result)
@@ -200,7 +189,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     if not experiments:
         raise ConfigError("no sweep values given")
-    _require_finite_range_noise(cfg for _, cfg in experiments)
     rows = [(value, run_experiment(cfg)) for value, cfg in experiments]
     if args.out:
         with open(args.out, "w", newline="") as fh:

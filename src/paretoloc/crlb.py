@@ -65,13 +65,6 @@ class TrigMoments(HeadingMoments):
     e_v: float
     e_v_sq: float
 
-    @property
-    def second_attenuation(self) -> float:
-        """exp(-var / 2)^4, which `d11` reads: exp(-2 var) within the last bit,
-        and that bit decides which steps of an ill-conditioned bound
-        (`paretoloc crlb --T 1e100`) come out finite."""
-        return self.attenuation**4
-
 
 def trig_moments(
     v0: float, phi0: float, sigma3_sq: float, sigma4_sq: float, k: int
@@ -96,16 +89,13 @@ def trig_moments(
 def _weighted_mean_jacobian(scene: Scene, tm: TrigMoments) -> np.ndarray:
     """E{F}^T Q^{-1} for the CV transition, shape (4, 4): Q^{-1} on the
     diagonal and the averaged speed/heading entries of F below it."""
-    cv, t, v0, eps = scene.cv, scene.T, tm.e_v, tm.attenuation
-    c0, s0 = np.cos(tm.phi0), np.sin(tm.phi0)
+    cv, t, v0, e_cos, e_sin = scene.cv, scene.T, tm.e_v, tm.e_cos, tm.e_sin
     i1, i2 = 1.0 / cv.sigma1_sq, 1.0 / cv.sigma2_sq
     out = np.diag([i1, i2, 1.0 / cv.sigma3_sq, 1.0 / cv.sigma4_sq])
-    # E{cos phi} = c0 eps and E{sin phi} = s0 eps, each factor multiplied in
-    # left to right: the order fixes the last bit of the bounds
-    out[2, 0] = t * c0 * eps * i1
-    out[2, 1] = t * s0 * eps * i2
-    out[3, 0] = -t * v0 * s0 * eps * i1
-    out[3, 1] = t * v0 * c0 * eps * i2
+    out[2, 0] = t * e_cos * i1
+    out[2, 1] = t * e_sin * i2
+    out[3, 0] = -t * v0 * e_sin * i1
+    out[3, 1] = t * v0 * e_cos * i2
     return out
 
 

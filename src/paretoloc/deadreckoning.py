@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import MeasurementFrame, SensorNoiseModel, _constant
+from .models import MeasurementFrame, SensorNoiseModel, _constant, displacement_jacobian
 
 _HALF, _TWO = _constant(0.5), _constant(2.0)
 
@@ -43,8 +43,7 @@ def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tup
     (..., 2, 2) that their noise gives them, B = d(displacement)/d(V, phi)."""
     v = np.asarray(speed, dtype=float)
     direction = heading_vector(heading)
-    c, s = direction[..., 0], direction[..., 1]
-    b = np.stack([T * c, -T * v * s, T * s, T * v * c], axis=-1).reshape(v.shape + (2, 2))
+    b = displacement_jacobian(v, direction[..., 0], direction[..., 1], T)
     q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ b.mT
     return (T * v)[..., None] * direction, q
 

@@ -200,17 +200,24 @@ def cv_transition(state, T: float) -> np.ndarray:
     return out
 
 
+def displacement_jacobian(v, c, s, T: float) -> np.ndarray:
+    """d(T V [cos phi, sin phi]) / d(V, phi), (..., 2, 2), at speeds `v` (...)
+    with c = cos phi and s = sin phi of the same shape."""
+    out = np.empty(np.shape(v) + (2, 2))
+    out[..., 0, 0] = T * c
+    out[..., 0, 1] = -T * v * s
+    out[..., 1, 0] = T * s
+    out[..., 1, 1] = T * v * c
+    return out
+
+
 def cv_transition_jacobian(state, T: float) -> np.ndarray:
     """Analytic Jacobian of the constant-velocity transition: (4, 4) at a
     state (4,), one per row (..., 4, 4) for a stack of states (..., 4)."""
     state = np.asarray(state, dtype=float)
     v, phi = state[..., 2], state[..., 3]
-    c, s = np.cos(phi), np.sin(phi)
     jac = np.tile(np.eye(4), state.shape[:-1] + (1, 1))
-    jac[..., 0, 2] = T * c
-    jac[..., 0, 3] = -T * v * s
-    jac[..., 1, 2] = T * s
-    jac[..., 1, 3] = T * v * c
+    jac[..., :2, 2:] = displacement_jacobian(v, np.cos(phi), np.sin(phi), T)
     return jac
 
 

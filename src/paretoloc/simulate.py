@@ -280,7 +280,8 @@ def gen_trajectory(spec: TrajectorySpec, rng: np.random.Generator) -> tuple:
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment.  `cv_filter` holds
     the noise variances of the EKF-CV's and the posterior bound's CV
-    model; the step period of every part is `trajectory.T`."""
+    model; the step period of every part is `trajectory.T`.  A track whose
+    range noise overflows is refused (`require_finite_range_noise`)."""
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     anchors: AnchorSet = field(default_factory=lambda: DEFAULT_ANCHORS)
@@ -308,6 +309,7 @@ class ExperimentConfig:
             raise ValueError(f"need at least one run, as an integer; got {self.runs!r}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_finite_range_noise(self)
 
 
 # Standard deviations of speed noise a dead-reckoned step is allowed above

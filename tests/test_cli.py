@@ -245,7 +245,12 @@ def test_crlb_with_a_zero_noise_setting_exits_before_any_bound(
     cfg.write_text(json.dumps(settings))
     assert main(["crlb", "--config", str(cfg), "--steps", "20"]) == 2
     captured = capsys.readouterr()
-    assert f"config error: the bounds invert {field}" in captured.err
+    # sigma_v = 1e300 also takes a dead-reckoned step past where the range
+    # noise overflows, which the experiment refuses first, as `run` does
+    if settings == {"sigma_v": 1e300}:
+        assert captured.err.startswith("config error: the range-noise variance overflows")
+    else:
+        assert f"config error: the bounds invert {field}" in captured.err
     assert captured.out == ""
 
 
@@ -631,36 +636,55 @@ def test_sweep_with_excluded_runs_exits_one_and_names_no_nan_best(tmp_path, caps
 @pytest.mark.parametrize(
     "argv, failure",
     [
-        (["crlb", "--T", "1e100"], "crlb: a bound is not finite at 198 of 200 steps, first at k = 1"),
+        (["crlb", "--T", "1e100"], "the range-noise variance overflows on the cv track of 200 steps "
+                                   "at T = 1e+100 s"),
         (
             ["crlb", "--T", "1e154", "--steps", "3", "--ensemble", "2"],
-            "crlb: a bound is not finite at 2 of 3 steps, first at k = 1",
+            "the range-noise variance overflows on the cv track of 3 steps at T = 1e+154 s",
         ),
     ],
     ids=["crlb-1e100", "crlb-1e154"],
 )
-def test_a_huge_step_period_exits_one_and_names_the_failure(argv, failure, capsys):
-    # the track fits, but the bounds run into inf: crlb counts the steps
-    assert main(argv) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert any(line.startswith(failure) for line in lines), lines
+def test_a_huge_step_period_is_refused_before_any_bound(argv, failure, monkeypatch, capsys):
+    # the track fits in a double, but one dead-reckoned step from it is
+    # where the range noise overflows: crlb refuses it, as run does, where
+    # it printed bounds with no range information at 198 of 200 steps
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", None)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {failure}"), captured.err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_range_noise_that_overflows_on_the_rollouts_leaves_the_bounds_quiet(tmp_path, capsys):
-    # kappa = 1000 overflows exp(kappa r) on every rollout: the bounds
-    # print as before, with no numpy warning from the range noise
+def test_a_non_finite_bound_exits_one_and_names_the_first_failed_step(tmp_path, capsys):
+    # a position noise of 1e-300 runs, but its information 1e300 overflows
+    # the posterior recursion: crlb counts the steps and names the first
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cv": {"sigma1_sq": 1e-300}}))
+    argv = ["crlb", "--scenario", "CV", "--steps", "20", "--ensemble", "50", "--config", str(cfg)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "crlb: a bound is not finite at 11 of 20 steps, first at k = 3"
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_range_noise_that_overflows_on_the_rollouts_leaves_the_bounds_quiet(
+    tmp_path, monkeypatch, capsys
+):
+    # kappa = 1000 overflows exp(kappa r) within a step of the track: the
+    # bounds do not run, and crlb refuses it with run's message and no
+    # numpy warning, where it printed 141 cm bounds with no range information
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", None)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"kappa": 1000}))
-    assert main(["crlb", "--config", str(config)]) == 0
+    assert main(["crlb", "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == [
-        "k = 0: parametric 141.42 cm, posterior 141.42 cm [141.42, 141.42]",
-        "k = 100: parametric 141.63 cm, posterior 141.51 cm [141.51, 141.51]",
-        "k = 199: parametric 141.84 cm, posterior 141.60 cm [141.60, 141.60]",
-        "a finite bracket [lb, ub] holds at 200 of 200 steps",
-    ]
-    assert captured.err == ""
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: the range-noise variance overflows on the cv track of 200 steps at T = 0.1 s"
+    ), captured.err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -894,3 +918,49 @@ def test_every_extreme_single_key_config_exits_cleanly(command, scenario, tmp_pa
             failures.append((settings, code))
     assert len(table) == {"A": 67, "B": 74, "CV": 79}[scenario]
     assert failures == []
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "CV"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_command_refuses_an_overflowing_range_noise_where_the_experiment_does(
+    scenario, tmp_path, monkeypatch, capsys
+):
+    # ROADMAP item 16's table, and anchors at 1e153 m (inside MAX_REACH),
+    # where crlb printed "parametric 87.30 cm" with no range information
+    # and run exited 2: building the experiment refuses a config with the
+    # range-noise message exactly where each command exits 2 with it, and
+    # no run and no bound is entered for such a config
+    class Entered(Exception):
+        pass
+
+    def enter(*args, **kwargs):
+        raise Entered
+
+    monkeypatch.setattr(paretoloc.cli, "run_experiment", enter)
+    monkeypatch.setattr(paretoloc.cli, "crlb_traces", enter)
+    message = "the range-noise variance overflows"
+    near_reach = {"anchors": [[0, 0], [1e153, 0], [0, 1e153], [1e153, 1e153]]}
+    cfg = tmp_path / "probe.json"
+    refused = {}
+    for command, probe in _PROBE_COMMANDS.items():
+        refused[command] = []
+        for settings in [*_probe_table(command, scenario), near_reach]:
+            cfg.write_text(json.dumps(settings))
+            argv = [*probe, "--scenario", scenario, "--config", str(cfg)]
+            try:
+                _build_experiment(build_parser().parse_args(argv))
+                built_refuses = False
+            except ConfigError as exc:
+                built_refuses = str(exc).startswith(message)
+                assert not built_refuses or type(exc.__cause__) is ValueError
+            try:
+                code = main(argv)
+            except Entered:
+                code = None
+            err = capsys.readouterr().err
+            command_refuses = code == 2 and err.startswith(f"config error: {message}")
+            assert command_refuses == built_refuses, (command, settings, code, err)
+            if built_refuses:
+                refused[command].append(settings)
+    huge = [{"sigma0_sq": 1e300}, {"kappa": 1e300}, {"sigma_v": 1e300}, near_reach]
+    assert refused == {"run": huge, "sweep": huge, "crlb": huge}

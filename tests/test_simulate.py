@@ -59,7 +59,6 @@ from paretoloc.simulate import (
     draw_run,
     gen_trajectory,
     make_scenario,
-    require_finite_range_noise,
     run_experiment,
     scenario_cv,
     scenario_linear,
@@ -1185,6 +1184,24 @@ def test_no_src_function_falls_back_to_an_unseeded_generator():
                 assert not (arg.arg == "rng" and unseeded), (path.name, node.lineno)
 
 
+def test_the_cli_holds_no_copy_of_the_range_noise_rule():
+    # `ExperimentConfig` refuses a track whose range noise overflows, so
+    # every command and library entry point refuses it when it is built;
+    # cli.py neither imports the rule nor wraps it again
+    cli = Path(__file__).resolve().parent.parent / "src" / "paretoloc" / "cli.py"
+    names = set()
+    for node in ast.walk(ast.parse(cli.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+    assert not {name for name in names if "require_finite_range_noise" in name}
+
+
 def test_every_src_function_and_class_has_a_program_caller():
     # every module-level function and class of the package is named, as a
     # Name or an Attribute, somewhere in src/, demos/ or perfbench/ outside
@@ -1274,6 +1291,7 @@ def test_the_range_noise_bound_allows_one_dead_reckoned_step_past_the_track(
             range_model=RangeNoiseModel(kappa=kappa),
         )
 
-    require_finite_range_noise(config(0.999 * t_max))
+    # the experiment runs the rule when it is built
+    config(0.999 * t_max)
     with pytest.raises(ValueError, match="the range-noise variance overflows"):
-        require_finite_range_noise(config(1.001 * t_max))
+        config(1.001 * t_max)
