@@ -145,7 +145,8 @@ class RangingScratch:
     (`differences`) and the noise mean mu (`noise_mean`), and `rhs`
     (..., 2, 4) holds A^T W [b, mu] (`products`) and the identity, which
     is set once.  A track builds one (`init_fusion`) and every step writes
-    over it; nothing `ranging_layer` returns is a view of it."""
+    over it, and an oracle check builds one per call; nothing
+    `ranging_layer` returns is a view of it."""
 
     columns: np.ndarray
     differences: np.ndarray
@@ -162,8 +163,7 @@ class RangingScratch:
 
 
 def ranging_layer(
-    geometry: RangingGeometry, ranges, variances, measured_ranges,
-    scratch: RangingScratch | None = None,
+    geometry: RangingGeometry, ranges, variances, measured_ranges, scratch: RangingScratch
 ) -> tuple:
     """WLS fix and its error moments, for one run or a stack of runs.
 
@@ -181,8 +181,8 @@ def ranging_layer(
     ----------
     ranges, variances, measured_ranges : array_like
         Shape (M,) for one run, or (R, M) for R runs.
-    scratch : RangingScratch, optional
-        Buffers of the stack's shape, () or (R,); new ones if not given.
+    scratch : RangingScratch
+        Buffers of the stack's shape, () or (R,), which the call overwrites.
 
     Returns
     -------
@@ -196,8 +196,6 @@ def ranging_layer(
     """
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(ranges, variances)
-    if scratch is None:
-        scratch = RangingScratch.of(geometry, atw.shape[:-2])
     _range_differences(geometry, measured_ranges, out=scratch.differences)
     var = np.asarray(variances, dtype=float)
     np.subtract(var[..., -1:], var[..., :-1], out=scratch.noise_mean)

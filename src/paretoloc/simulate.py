@@ -868,7 +868,8 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     The parametric bound runs along the noise-free straight track from the
     scenario's initial state; the posterior bound and its bracket run
     along rollouts of the scene's CV model (see `Scene.from_config`) from
-    the same state.  `bracket_ok` marks the steps where the bracket is
+    that track's first state, which on a track with walls is the start
+    folded into them.  `bracket_ok` marks the steps where the bracket is
     finite and holds the posterior bound: ub finite, lb <= pcrlb <= ub.
     """
     spec = config.trajectory
@@ -881,7 +882,7 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, par_bound = parcrlb_trace(scene, truth)
         post = pcrlb_bounds(
-            scene, spec.start, spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
+            scene, truth[0][0], spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
         )
     lb, bound, ub = post.bound_lb, post.bound, post.bound_ub
     return {

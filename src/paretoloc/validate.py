@@ -27,7 +27,7 @@ from .models import (
     range_variance,
     true_ranges,
 )
-from .ranging import build_geometry, noise_cov_inverse, ranging_layer
+from .ranging import RangingScratch, build_geometry, noise_cov_inverse, ranging_layer
 from .ratios import (
     SeriesDivergenceError,
     _fill_normal,
@@ -223,7 +223,7 @@ def _wls_moment_check(name: str, scale: float, seed: int, second: bool) -> Check
     a_mat = geometry.design_matrix
     atw = a_mat.T @ noise_cov_inverse(r, var)
     errors = b @ np.linalg.solve(atw @ a_mat, atw).T  # (n, 2)
-    _, bias, cov = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r, RangingScratch.of(geometry, ()))
     correlation = cov + bias[:, None] * bias[None, :]
     samples = errors[:, :, None] * errors[:, None, :] if second else errors  # (n, 2, 2) or (n, 2)
     mean, se = _mean_se(samples, axis=0)

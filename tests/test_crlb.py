@@ -1046,6 +1046,16 @@ def test_crlb_traces_bracket_is_finite_and_holds_at_every_step(scenario, n_ensem
     assert np.all((lb <= bound) & (bound <= ub))
 
 
+def test_the_posterior_rollouts_start_at_the_tracks_folded_start():
+    # A folds a far start into its box: the rollouts start where the track
+    # does, so at k = 0 both bounds are the prior plus one measurement at
+    # the same state, and the posterior carries range information
+    spec = dataclasses.replace(make_scenario("A", steps=20), start=np.array([1e6, 1e6]))
+    traces = crlb_traces(ExperimentConfig(trajectory=spec, seed=0), n_ensemble=50)
+    assert traces["pcrlb"][0] == traces["parcrlb"][0]
+    assert traces["bracket_ok"].all() and traces["pcrlb"].max() < 0.5
+
+
 def test_crlb_traces_at_the_cli_defaults_peaks_at_most_9_mib():
     # CV, 200 steps, ensemble 1000: the rollout alone is 6.1 MiB, and the
     # bracket of one step at a time adds about 1.3 MiB; bracketing every

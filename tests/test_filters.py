@@ -43,7 +43,7 @@ from paretoloc.models import (
     range_variance,
     true_ranges,
 )
-from paretoloc.ranging import noise_cov_inverse, ranging_layer, wls_estimate
+from paretoloc.ranging import RangingScratch, noise_cov_inverse, ranging_layer, wls_estimate
 from paretoloc.simulate import ExperimentConfig, Scene, draw_run, make_scenario
 
 ANCHORS = AnchorSet(
@@ -381,7 +381,8 @@ def _lckf_oracle(scene, mean, cov, frame):
     mean, cov = mean + frame.displacement, cov + frame.input_cov
     r_hat = np.linalg.norm(mean[..., None, :] - scene.anchors.positions, axis=-1)
     variances = scene.range_model.sigma0_sq * np.exp(scene.range_model.kappa * r_hat)
-    fix, _, r_cov = ranging_layer(scene.geometry, r_hat, variances, frame.ranges)
+    scratch = RangingScratch.of(scene.geometry, r_hat.shape[:-1])
+    fix, _, r_cov = ranging_layer(scene.geometry, r_hat, variances, frame.ranges, scratch)
     # the covariance-form LC-KF floored this noise's eigenvalues at 1e-12;
     # the information form has no floor, so none may have been active
     assert np.linalg.eigvalsh(0.5 * (r_cov + r_cov.mT)).min() > 1e-12

@@ -40,7 +40,7 @@ from paretoloc.models import (
     range_variance,
     true_ranges,
 )
-from paretoloc.ranging import ranging_layer
+from paretoloc.ranging import RangingScratch, ranging_layer
 from paretoloc.simulate import ExperimentConfig, Scene, draw_run, make_scenario, run_experiment
 from paretoloc.validate import _mse_beta, _second_moment_terms
 
@@ -445,8 +445,9 @@ def test_fusion_step_blends_the_wls_fix_and_the_dead_reckoned_prediction():
         out = fusion_step(scene, state, frame)
         x_v = dr_predict(state.estimate, frame)
         r_ap = true_ranges(x_v, scene.anchors)
+        scratch = RangingScratch.of(scene.geometry, r_ap.shape[:-1])
         x_r = ranging_layer(
-            scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
+            scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges, scratch
         )[0]
         beta = out.last_beta
         assert np.all((beta != 0.0) & (x_r != x_v))
@@ -526,8 +527,9 @@ def _reference_step(scene, state, frame):
     )
     x_v = dr_predict(state.estimate, frame)
     r_ap = true_ranges(x_v, scene.anchors)
+    scratch = RangingScratch.of(scene.geometry, r_ap.shape[:-1])
     x_r, r_bias, r_cov = ranging_layer(
-        scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges
+        scene.geometry, r_ap, range_variance(r_ap, scene.range_model), frame.ranges, scratch
     )
     v, phi = v_ap[..., None], phi_ap[..., None]
     # E{cos^2} on axis 0 and E{sin^2} on axis 1 of a N(phi, sigma_phi^2) heading

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from paretoloc.models import AnchorSet, RangeNoiseModel, range_variance, true_ranges
 from paretoloc.ranging import (
+    RangingScratch,
     build_geometry,
     noise_cov_inverse,
     ranging_layer,
@@ -132,7 +133,7 @@ def test_ranging_bias_matches_sampling():
     errors = b @ np.linalg.solve(atw @ geometry.design_matrix, atw).T
     se = errors.std(axis=0, ddof=1) / np.sqrt(n)
     # the shortcut the estimators use, and the long form
-    shortcut = ranging_layer(geometry, r, var, r)[1]
+    shortcut = ranging_layer(geometry, r, var, r, RangingScratch.of(geometry, ()))[1]
     long_form = _moments_through_solve(geometry, w, r, var)[0]
     for bias in (shortcut, long_form):
         assert np.all(np.abs(errors.mean(axis=0) - bias) < 4.0 * se)
@@ -153,7 +154,7 @@ def test_noise_second_moment_and_error_correlation_match_sampling():
     assert np.linalg.norm(c_mc - c_closed) / np.linalg.norm(c_closed) < 0.02
     # 2% relative Frobenius at n = 4e5, for the long form and for the
     # shortcut the estimators use, G^-1 + bias bias^T
-    _, bias, cov = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r, RangingScratch.of(geometry, ()))
     shortcut = cov + np.outer(bias, bias)
     for closed in (_moments_through_solve(geometry, w, r, var)[1], shortcut):
         assert np.linalg.norm(mc - closed) / np.linalg.norm(closed) < 0.02
@@ -161,7 +162,7 @@ def test_noise_second_moment_and_error_correlation_match_sampling():
 
 def test_ranging_layer_moments_are_a_valid_covariance():
     geometry, r, var = _operating_point()
-    _, bias, cov = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r, RangingScratch.of(geometry, ()))
     long_bias, long_corr = _moments_through_solve(geometry, noise_cov_inverse(r, var), r, var)
     assert_allclose(bias, long_bias, atol=1e-12)
     # the long form's raw correlation minus squared bias is the covariance
@@ -176,7 +177,7 @@ def test_wls_error_scale_matches_prediction():
     rng = np.random.default_rng(303)
     n = 20000
     w = noise_cov_inverse(r, var)
-    _, bias, cov = ranging_layer(geometry, r, var, r)
+    _, bias, cov = ranging_layer(geometry, r, var, r, RangingScratch.of(geometry, ()))
     est = np.array(
         [
             wls_estimate(geometry, r + rng.normal(0.0, np.sqrt(var)), w)
@@ -200,7 +201,7 @@ def test_ranging_layer_matches_the_separate_moments_per_run():
     r = true_ranges(positions, ANCHORS)
     var = range_variance(r, MODEL)
     measured = r + rng.normal(0.0, np.sqrt(var))
-    fix, bias, cov = ranging_layer(geometry, r, var, measured)
+    fix, bias, cov = ranging_layer(geometry, r, var, measured, RangingScratch.of(geometry, (5,)))
     assert fix.shape == (5, 2) and bias.shape == (5, 2) and cov.shape == (5, 2, 2)
     for run in range(5):
         w = noise_cov_inverse(r[run], var[run])
@@ -208,7 +209,9 @@ def test_ranging_layer_matches_the_separate_moments_per_run():
         long_bias, long_corr = _moments_through_solve(geometry, w, r[run], var[run])
         assert_allclose(bias[run], long_bias, rtol=1e-10)
         assert_allclose(cov[run] + np.outer(bias[run], bias[run]), long_corr, rtol=1e-10)
-        single = ranging_layer(geometry, r[run], var[run], measured[run])
+        single = ranging_layer(
+            geometry, r[run], var[run], measured[run], RangingScratch.of(geometry, ())
+        )
         for stacked, one in zip((fix, bias, cov), single):
             np.testing.assert_array_equal(stacked[run], one)
 
@@ -248,7 +251,8 @@ def test_the_ranging_layer_in_place_is_its_closed_forms_bit_for_bit(shape, ancho
     w, *moments = _reference_ranging_layer(geometry, r, var, measured)
     np.testing.assert_array_equal(noise_cov_inverse(r, var), w)
     if len(shape) < 2:
-        for got, expected in zip(ranging_layer(geometry, r, var, measured), moments):
+        scratch = RangingScratch.of(geometry, shape)
+        for got, expected in zip(ranging_layer(geometry, r, var, measured, scratch), moments):
             np.testing.assert_array_equal(got, expected)
     value = range_variance(float(r.flat[0]), MODEL)
     assert type(value) is float and value == MODEL.sigma0_sq * np.exp(MODEL.kappa * r.flat[0])
