@@ -43,27 +43,56 @@ def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tup
     (..., 2, 2) that their noise gives them, B = d(displacement)/d(V, phi)."""
     v = np.asarray(speed, dtype=float)
     direction = heading_vector(heading)
-    b = displacement_jacobian(v, direction[..., 0], direction[..., 1], T)
+    b = np.empty(v.shape + (2, 2))
+    displacement_jacobian(v, direction[..., 0], direction[..., 1], T, b)
     q = (b * np.array([sensor_model.sigma_v**2, sensor_model.sigma_phi**2])) @ b.mT
     return (T * v)[..., None] * direction, q
 
 
-def measurement_frames(scene: Scene, ranges, speed, heading, per_frame: int = 1, blocks: int = 1):
-    """Frames, in step order, of n steps of R measurement rows: `ranges`
-    (n, R, M), `speed` and `heading` (n, R).  `input_terms` runs once on
-    all of them; each step's rows are those R rows repeated `blocks` times,
-    block-major (a stack gives each of its blocks the same measurements),
-    so a step has blocks * R rows, copied only where blocks > 1.  Each
-    frame holds `per_frame` steps (the last may hold fewer), rows stacked
-    step-major, as one view per field, and `k` is its first step."""
-    speed, heading = np.asarray(speed, dtype=float), np.asarray(heading, dtype=float)
-    n, runs = speed.shape
+@dataclass(frozen=True, slots=True)
+class FrameTerms:
+    """The measurements of n steps of R rows and the terms that read only
+    them, formed once (`of`): `ranges` (n, R, M), `speed` and `heading`
+    (n, R), and their displacements (n, R, 2) and input covariances
+    (n, R, 2, 2) (`input_terms`).  `measurement_frames` cuts the steps'
+    frames from them, and `rows` gives some rows' terms."""
+
+    ranges: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    displacement: np.ndarray
+    input_cov: np.ndarray
+
+    @classmethod
+    def of(cls, scene: Scene, ranges, speed, heading) -> FrameTerms:
+        speed, heading = np.asarray(speed, dtype=float), np.asarray(heading, dtype=float)
+        return cls(
+            np.asarray(ranges, dtype=float), speed, heading,
+            *input_terms(speed, heading, scene.T, scene.sensor_model),
+        )
+
+    def fields(self) -> tuple:
+        """(ranges, speed, heading, displacement, input_cov)."""
+        return self.ranges, self.speed, self.heading, self.displacement, self.input_cov
+
+    def rows(self, part: slice) -> FrameTerms:
+        """The terms of the rows `part` of every step, as views."""
+        return FrameTerms(*(x[:, part] for x in self.fields()))
+
+
+def measurement_frames(terms: FrameTerms, per_frame: int = 1, blocks: int = 1):
+    """Frames, in step order, of the n steps of R rows of `terms`.  Each
+    step's rows are those R rows repeated `blocks` times, block-major (a
+    stack gives each of its blocks the same measurements), so a step has
+    blocks * R rows, copied only where blocks > 1.  Each frame holds
+    `per_frame` steps (the last may hold fewer), rows stacked step-major,
+    as one view per field, and `k` is its first step."""
+    n, runs = terms.speed.shape
     rows = blocks * runs
     # each (n, R, ...) field as (n, blocks, R, ...), flattened to (n * rows, ...)
     ranges, speed, heading, displacement, input_cov = (
         np.broadcast_to(x[:, None], (n, blocks) + x.shape[1:]).reshape((n * rows,) + x.shape[2:])
-        for x in (np.asarray(ranges, dtype=float), speed, heading)
-        + input_terms(speed, heading, scene.T, scene.sensor_model)
+        for x in terms.fields()
     )
     for k in range(0, n, per_frame):
         part = slice(k * rows, (k + per_frame) * rows)

@@ -59,8 +59,8 @@ def inverse_2x2(a: np.ndarray) -> np.ndarray:
         not finite, where the formula would give NaN or a false 0.
     """
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    size = np.abs(det)
-    if not (size.min() > 0.0 and size.max() < math.inf):  # a NaN fails both
+    # every determinant non-zero (a NaN counts as non-zero) and finite
+    if np.count_nonzero(det) + np.count_nonzero(np.isfinite(det)) < 2 * det.size:
         raise np.linalg.LinAlgError("Singular matrix")
     # the transpose read backwards is [[a11, a01], [a10, a00]]
     return (a.mT[..., ::-1, ::-1] * _ADJUGATE_SIGNS) / det[..., None, None]
@@ -188,22 +188,28 @@ class CvProcessModel:
         )
 
 
+def _cv_moved(state: np.ndarray, T: float, c, s) -> np.ndarray:
+    """`cv_transition` of states (..., 4) with c = cos phi and s = sin phi given."""
+    out = state.copy()
+    travel = T * state[..., 2]
+    out[..., 0] += travel * c
+    out[..., 1] += travel * s
+    return out
+
+
 def cv_transition(state, T: float) -> np.ndarray:
     """Noise-free constant-velocity transition over a step period T,
     x1' = x1 + T V cos(phi), x2' = x2 + T V sin(phi), V' = V, phi' = phi:
     of a state (4,), or of each row of a stack (..., 4)."""
     state = np.asarray(state, dtype=float)
-    v, phi = state[..., 2], state[..., 3]
-    out = state.copy()
-    out[..., 0] += T * v * np.cos(phi)
-    out[..., 1] += T * v * np.sin(phi)
-    return out
+    phi = state[..., 3]
+    return _cv_moved(state, T, np.cos(phi), np.sin(phi))
 
 
-def displacement_jacobian(v, c, s, T: float) -> np.ndarray:
-    """d(T V [cos phi, sin phi]) / d(V, phi), (..., 2, 2), at speeds `v` (...)
-    with c = cos phi and s = sin phi of the same shape."""
-    out = np.empty(np.shape(v) + (2, 2))
+def displacement_jacobian(v, c, s, T: float, out: np.ndarray) -> np.ndarray:
+    """d(T V [cos phi, sin phi]) / d(V, phi), written into `out` (..., 2, 2)
+    and returned, at speeds `v` (...) with c = cos phi and s = sin phi of
+    the same shape."""
     out[..., 0, 0] = T * c
     out[..., 0, 1] = -T * v * s
     out[..., 1, 0] = T * s
@@ -211,13 +217,26 @@ def displacement_jacobian(v, c, s, T: float) -> np.ndarray:
     return out
 
 
+def cv_transition_and_jacobian(state, T: float, jacobian: np.ndarray) -> np.ndarray:
+    """`cv_transition` of states (..., 4), and its analytic Jacobian written
+    into `jacobian` (..., 4, 4), from one cos and sin of each heading.
+
+    Only the displacement block `jacobian[..., :2, 2:]` is written: the
+    caller holds the other entries at the identity's.
+    """
+    state = np.asarray(state, dtype=float)
+    phi = state[..., 3]
+    c, s = np.cos(phi), np.sin(phi)
+    displacement_jacobian(state[..., 2], c, s, T, jacobian[..., :2, 2:])
+    return _cv_moved(state, T, c, s)
+
+
 def cv_transition_jacobian(state, T: float) -> np.ndarray:
     """Analytic Jacobian of the constant-velocity transition: (4, 4) at a
     state (4,), one per row (..., 4, 4) for a stack of states (..., 4)."""
     state = np.asarray(state, dtype=float)
-    v, phi = state[..., 2], state[..., 3]
     jac = np.tile(np.eye(4), state.shape[:-1] + (1, 1))
-    jac[..., :2, 2:] = displacement_jacobian(v, np.cos(phi), np.sin(phi), T)
+    cv_transition_and_jacobian(state, T, jac)
     return jac
 
 
@@ -322,28 +341,37 @@ def range_variance(r, model: RangeNoiseModel):
     return float(out) if out.ndim == 0 else out
 
 
+def _gap_norms(gaps: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Norms (..., M) of coordinate gaps (..., M, 2), their squares written
+    into `squares` (which may be `gaps`).  The two squared gaps are added
+    as one sum: the bits of a sum over the coordinate axis without its
+    reduction, in the memory order of that sum, which later products read."""
+    np.multiply(gaps, gaps, out=squares)
+    norms = squares[..., 0] + squares[..., 1]
+    return np.sqrt(norms, out=norms)
+
+
 def true_ranges(position, anchors: AnchorSet) -> np.ndarray:
     """Euclidean ranges (M,) from a position (2,) to every anchor; a stack
-    of positions (..., 2) gives ranges (..., M).  The two squared
-    coordinate gaps are added as one sum: the bits of a sum over the
-    coordinate axis without its reduction, in the memory order of that
-    sum, which later products read."""
+    of positions (..., 2) gives ranges (..., M)."""
     diff = anchors.positions - np.asarray(position, dtype=float)[..., None, :]
-    diff *= diff
-    squared = diff[..., 0] + diff[..., 1]
-    return np.sqrt(squared, out=squared)
+    return _gap_norms(diff, diff)
 
 
 def floored_ranges(position, anchors: AnchorSet) -> np.ndarray:
     """`true_ranges` floored at MIN_RANGE, for dividing by."""
-    return np.maximum(true_ranges(position, anchors), MIN_RANGE)
+    r = true_ranges(position, anchors)
+    return np.maximum(r, MIN_RANGE, out=r)
 
 
 def anchor_directions(position, anchors: AnchorSet) -> tuple:
     """Floored ranges (..., M) from positions (..., 2) to the M anchors and
-    the unit vectors (x - a_m) / r_m (..., M, 2), the range Jacobian."""
-    r = floored_ranges(position, anchors)
+    the unit vectors (x - a_m) / r_m (..., M, 2), the range Jacobian, from
+    one difference x - a_m (whose squares are those of a_m - x, so the
+    ranges have the bits of `floored_ranges`)."""
     diff = np.asarray(position, dtype=float)[..., None, :] - anchors.positions
+    r = _gap_norms(diff, np.empty_like(diff))
+    np.maximum(r, MIN_RANGE, out=r)
     return r, diff / r[..., None]
 
 

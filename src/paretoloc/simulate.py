@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crlb import parcrlb_trace, pcrlb_bounds
-from .deadreckoning import dr_predict, measurement_frames
+from .deadreckoning import FrameTerms, dr_predict, measurement_frames
 from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, ukf_step
 from .fusion import ParetoConfig, fusion_step, init_fusion
 from .models import (
@@ -531,11 +531,11 @@ def _dr_step(scene, state, frame):
 
 
 def _filter_init(scene, frame):
-    return position_init(_wls_fix(scene, frame))
+    return position_init(scene, _wls_fix(scene, frame))
 
 
 def _cv_filter_init(scene, frame):
-    return cv_init(_wls_fix(scene, frame), frame.speed, frame.heading)
+    return cv_init(scene, _wls_fix(scene, frame), frame.speed, frame.heading)
 
 
 def _same(state):
@@ -590,20 +590,21 @@ def _stacks(registry: dict, names) -> list:
 
 
 def _track(
-    kernels: EstimatorKernels, scene: Scene, ranges, speed, heading, blocks: int = 1
+    kernels: EstimatorKernels, scene: Scene, terms: FrameTerms, blocks: int = 1
 ) -> np.ndarray:
-    """Estimates (n, blocks * R, 2) of one batch over measurements (n, R, ...),
-    which each of its `blocks` blocks of rows gets (`measurement_frames`)."""
-    rows = blocks * speed.shape[1]
-    trace = np.empty((len(speed), rows, 2))
+    """Estimates (n, blocks * R, 2) of one batch over the frame terms of n
+    steps of R rows, which each of its `blocks` blocks of rows gets
+    (`measurement_frames`)."""
+    rows = blocks * terms.speed.shape[1]
+    trace = np.empty((len(terms.speed), rows, 2))
     if kernels.step is None:
         # frames of several whole steps go into one call
         per_call = max(1, STATELESS_BLOCK_ROWS // rows)
-        for frame in measurement_frames(scene, ranges, speed, heading, per_call, blocks):
+        for frame in measurement_frames(terms, per_call, blocks):
             part = slice(frame.k, frame.k + per_call)
             trace[part] = kernels.position(kernels.init(scene, frame)).reshape(-1, rows, 2)
         return trace
-    frames = measurement_frames(scene, ranges, speed, heading, blocks=blocks)
+    frames = measurement_frames(terms, blocks=blocks)
     state = kernels.init(scene, next(frames))
     trace[0] = kernels.position(state)
     for frame in frames:
@@ -612,32 +613,30 @@ def _track(
     return trace
 
 
-def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading) -> np.ndarray:
+def _track_runs(kernels: EstimatorKernels, scene: Scene, terms: FrameTerms) -> np.ndarray:
     """Estimates (n, blocks, R, 2) of one stack, blocks for `scene.paretos`.
 
-    Every block gets the same measurements (n, R, ...), and all blocks
-    and runs go in one batch, whose frame terms are formed once for the R
-    runs.  If the batch raises a numerical error (a ValueError or an
-    ArithmeticError), each (block, run) row is re-run alone with its
-    block's config; a row that raises again is left NaN.  Each row's
-    arithmetic is the same alone as in a batch, so the other rows'
-    estimates do not change.
+    Every block gets the same frame terms of n steps of R runs, and all
+    blocks and runs go in one batch.  If the batch raises a numerical
+    error (a ValueError or an ArithmeticError), each (block, run) row is
+    re-run alone with its block's config, on its run's slice of the
+    terms; a row that raises again is left NaN.  Each row's arithmetic is
+    the same alone as in a batch, so the other rows' estimates do not
+    change.
     """
-    blocks, runs = len(scene.paretos), speed.shape[1]
+    n, runs = terms.speed.shape
+    blocks = len(scene.paretos)
     try:
-        stacked = _track(kernels, scene, ranges, speed, heading, blocks)
-        return stacked.reshape(len(speed), blocks, runs, 2)
+        return _track(kernels, scene, terms, blocks).reshape(n, blocks, runs, 2)
     except (ValueError, ArithmeticError):
         pass
-    trace = np.full((len(speed), blocks, runs, 2), np.nan)
+    trace = np.full((n, blocks, runs, 2), np.nan)
     for block, pareto in enumerate(scene.paretos):
         alone = dataclasses.replace(scene, paretos=(pareto,))
         for run in range(runs):
             one = slice(run, run + 1)
             try:
-                trace[:, block, one] = _track(
-                    kernels, alone, ranges[:, one], speed[:, one], heading[:, one]
-                )
+                trace[:, block, one] = _track(kernels, alone, terms.rows(one))
             except (ValueError, ArithmeticError):
                 pass
     return trace
@@ -646,14 +645,17 @@ def _track_runs(kernels: EstimatorKernels, scene: Scene, ranges, speed, heading)
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run all configured estimators over paired Monte Carlo realizations.
 
-    Every run's truth and measurements are drawn up front (`draw_run`).
-    Estimators that share kernels (see `EstimatorKernels`) then run as
-    one stacked batch, one block of rows each, which advances all their
-    runs with one kernel call per time step; a stateless estimator is
-    called on blocks of whole time steps.  A (run, estimator) pair that
-    raised a numerical error or produced a non-finite estimate at any
-    step is excluded: its row of `errors` is NaN and it is counted in
-    `excluded`, with no numpy warning about its overflow.
+    Every run's truth and measurements are drawn up front (`draw_run`),
+    and their frame terms formed once (`FrameTerms`), which every
+    estimator reads.  Estimators that share kernels (see
+    `EstimatorKernels`) then run as one stacked batch, one block of rows
+    each, which advances all their runs with one kernel call per time
+    step; a stateless estimator is called on blocks of whole time steps.
+    A (run, estimator) pair that raised a numerical error or produced a
+    non-finite estimate at any step is excluded: its row of `errors` is
+    NaN and it is counted in `excluded`, with no numpy warning about its
+    overflow.  A sensor noise whose square overflows leaves no frame
+    terms, and every pair is excluded.
     """
     registry = _estimators()
     scene = Scene.from_config(config)
@@ -662,15 +664,22 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
     n = config.trajectory.steps
 
-    traces = {}
+    # a sensor noise whose square overflows leaves no estimator a frame:
+    # each run of each stays NaN and is excluded below
+    traces = dict.fromkeys(config.estimators, np.full((n, config.runs, 2), np.nan))
     # an estimate that drifts far from the anchors overflows its range
     # noise: its row turns non-finite and is excluded below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for names in _stacks(registry, config.estimators):
+        try:
+            terms = FrameTerms.of(scene, ranges, speed, heading)  # one set, which every stack reads
+        except ArithmeticError:
+            stacks = []
+        else:
+            stacks = _stacks(registry, config.estimators)
+        for names in stacks:
             paretos = tuple(registry[name].variant(config) for name in names)
             stacked = _track_runs(
-                registry[names[0]], dataclasses.replace(scene, paretos=paretos),
-                ranges, speed, heading,
+                registry[names[0]], dataclasses.replace(scene, paretos=paretos), terms
             )
             traces.update((name, stacked[:, block]) for block, name in enumerate(names))
 

@@ -635,7 +635,7 @@ def test_default_prior_information():
 
 def test_filter_and_bound_priors_share_one_covariance():
     # the EKF-CV start and the bounds' prior information are one constant
-    cov = cv_init([0.0, 0.0], 0.3, 0.4).covariance
+    cov = cv_init(SCENE, [0.0, 0.0], 0.3, 0.4).covariance
     np.testing.assert_array_equal(cov, np.diag([1.0, 1.0, 0.25, (math.pi / 4.0) ** 2]))
     np.testing.assert_array_equal(default_prior_information(), np.linalg.inv(cov))
 

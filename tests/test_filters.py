@@ -6,19 +6,21 @@ sigma-point transform of an affine map is exact), so the two are compared
 to near-machine precision.  The nonlinear filters are checked by noise-free
 tracking and by hand-built single steps.
 """
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretoloc import crlb, filters
-from paretoloc.deadreckoning import measurement_frames
+from paretoloc import crlb, filters, simulate
+from paretoloc.deadreckoning import FrameTerms, measurement_frames
 from paretoloc.filters import (
-    KfState,
     _cholesky,
     _kalman_update,
+    _sigma_point_buffer,
     _sigma_points,
     _unscented_correct,
     cv_init,
@@ -57,7 +59,9 @@ POSITION_STEPS = [ekf_step, ukf_step, lckf_step]
 def _frame(scene, ranges, speed, heading):
     """One run's measurements of one step as a batch of one."""
     speed, heading = (np.reshape(x, (1, 1)) for x in (speed, heading))
-    (frame,) = measurement_frames(scene, np.reshape(ranges, (1, 1, -1)), speed, heading)
+    (frame,) = measurement_frames(
+        FrameTerms.of(scene, np.reshape(ranges, (1, 1, -1)), speed, heading)
+    )
     return frame
 
 
@@ -85,7 +89,8 @@ def numerical_jacobian(f, x, h_scale=1e-6):
 
 def unscented_update(state, z, h, variances):
     """Unscented measurement update of `state` through a measurement function h."""
-    points, weights = _sigma_points(state.mean, state.covariance)
+    buffer = _sigma_point_buffer(state.mean.shape[:-1], state.mean.shape[-1])
+    points, weights = _sigma_points(state.mean, state.covariance, buffer)
     z_points = np.array([h(p) for p in points])
     return _unscented_correct(state, points, weights, z_points, z, variances)
 
@@ -95,7 +100,7 @@ def test_sigma_points_reconstruct_moments():
     for n in (2, 4):
         mean = rng.normal(size=n)
         cov = _random_spd(rng, n)
-        points, weights = _sigma_points(mean, cov)
+        points, weights = _sigma_points(mean, cov, _sigma_point_buffer((), n))
         assert points.shape == (2 * n + 1, n)
         assert weights.sum() == pytest.approx(1.0)
         assert_allclose(weights @ points, mean, atol=1e-12)
@@ -134,7 +139,8 @@ def test_unscented_update_linear_case_equals_kalman(seed):
     # covariance form the EKF-CV keeps, must agree
     rng = np.random.default_rng(seed)
     n, m = 4, 3
-    prior = KfState(mean=rng.normal(size=n), covariance=_random_spd(rng, n))
+    start = cv_init(Scene(), [0.0, 0.0], 0.0, 0.0)
+    prior = dataclasses.replace(start, mean=rng.normal(size=n), covariance=_random_spd(rng, n))
     h_mat = rng.normal(size=(m, n))
     offset = rng.normal(size=m)
     variances = rng.uniform(0.5, 2.0, size=m)
@@ -192,10 +198,10 @@ def test_stacked_cv_transition_jacobian_equals_per_row_calls():
 
 
 def test_inits():
-    p = position_init([1.0, 2.0])
+    p = position_init(Scene(), [1.0, 2.0])
     assert_allclose(p.mean, [1.0, 2.0])
     np.testing.assert_array_equal(p.covariance, np.diag(CV_PRIOR_VARIANCES[:2]))
-    c = cv_init([1.0, 2.0], 0.3, 0.4)
+    c = cv_init(Scene(), [1.0, 2.0], 0.3, 0.4)
     assert_allclose(c.mean, [1.0, 2.0, 0.3, 0.4])
     assert_allclose(
         c.covariance, np.diag([1.0, 1.0, 0.25, (np.pi / 4.0) ** 2])
@@ -205,11 +211,11 @@ def test_inits():
 def test_ekf_zero_innovation_keeps_predicted_mean():
     # measurements exactly at the predicted ranges: the update must not
     # move the mean, only shrink the covariance
-    state = position_init([[1.3, 0.8]])
-    np.testing.assert_array_equal(state.covariance, [np.diag(CV_PRIOR_VARIANCES[:2])])
     v, phi, t_step = 0.4, 0.3, 0.1
-    pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
     scene = Scene(anchors=ANCHORS, sensor_model=QUIET_SENSORS, T=t_step)
+    state = position_init(scene, [[1.3, 0.8]])
+    np.testing.assert_array_equal(state.covariance, [np.diag(CV_PRIOR_VARIANCES[:2])])
+    pred_pos = state.mean[0] + t_step * v * np.array([math.cos(phi), math.sin(phi)])
     frame = _frame(scene, true_ranges(pred_pos, ANCHORS), v, phi)
     out = ekf_step(scene, state, frame)
     assert_allclose(out.mean[0], pred_pos, atol=1e-10)
@@ -232,7 +238,7 @@ def _track(step, steps=40, start=(1.0, 1.2), init_offset=(0.4, -0.3)):
         T=t_step,
     )
     pos = np.array(start, dtype=float)
-    state = position_init([np.array(start) + np.array(init_offset)])
+    state = position_init(scene, [np.array(start) + np.array(init_offset)])
     for k in range(1, steps + 1):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         frame = _frame(scene, true_ranges(pos, ANCHORS), v, phi)
@@ -253,7 +259,7 @@ def test_ekf_cv_locks_onto_noise_free_truth():
         anchors=ANCHORS, range_model=QUIET_RANGES, sensor_model=QUIET_SENSORS, T=t_step, cv=cv
     )
     pos = np.array([1.0, 1.2])
-    state = cv_init([pos + np.array([0.3, -0.2])], speed=[0.0], heading=[0.0])
+    state = cv_init(scene, [pos + np.array([0.3, -0.2])], speed=[0.0], heading=[0.0])
     for k in range(1, 40):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
         frame = _frame(scene, true_ranges(pos, ANCHORS), v, phi)
@@ -272,7 +278,7 @@ def test_ekf_cv_predicts_over_the_scene_period(t_step):
     mean = np.array([1.3, 0.8, 0.4, 0.3])
     pred = cv_transition(mean, t_step)
     frame = _frame(scene, true_ranges(pred[:2], ANCHORS), pred[2], pred[3])
-    out = ekf_cv_step(scene, cv_init([mean[:2]], mean[2:3], mean[3:]), frame)
+    out = ekf_cv_step(scene, cv_init(scene, [mean[:2]], mean[2:3], mean[3:]), frame)
     assert_allclose(out.mean[0], pred, atol=1e-12)
 
 
@@ -281,7 +287,7 @@ def test_noisy_steps_keep_covariance_positive(step):
     scene = Scene(anchors=ANCHORS, T=0.1)
     range_model, sensor_model = scene.range_model, scene.sensor_model
     streams = SensorStreams.from_seed(7)
-    state = position_init([[1.5, 1.5]])
+    state = position_init(scene, [[1.5, 1.5]])
     pos = np.array([1.5, 1.5])
     for k in range(1, 25):
         pos = pos + 0.03 * np.array([1.0, 0.5])
@@ -303,7 +309,7 @@ def test_ekf_beats_memoryless_wls():
     range_model, sensor_model = scene.range_model, scene.sensor_model
     streams = SensorStreams.from_seed(42)
     pos = np.array([1.0, 1.2])
-    state = position_init([pos])
+    state = position_init(scene, [pos])
     ekf_sq, wls_sq = [], []
     for k in range(1, 300):
         pos = pos + t_step * v * np.array([math.cos(phi), math.sin(phi)])
@@ -347,8 +353,9 @@ def test_a_position_on_an_anchor_gets_the_one_range_floor(monkeypatch):
     # zero speed: the prediction stays on the anchor
     frame = _frame(scene, true_ranges(on_anchor, ANCHORS), [[0.0]], [[0.3]])
     for step in (ekf_step, ukf_step):
-        assert np.isfinite(step(scene, position_init(on_anchor[None]), frame).mean).all()
-    assert np.isfinite(ekf_cv_step(scene, cv_init(on_anchor[None], [0.0], [0.3]), frame).mean).all()
+        assert np.isfinite(step(scene, position_init(scene, on_anchor[None]), frame).mean).all()
+    start = cv_init(scene, on_anchor[None], [0.0], [0.3])
+    assert np.isfinite(ekf_cv_step(scene, start, frame).mean).all()
     assert [x.min() for x in seen] == [MIN_RANGE] * 3
 
     seen = _recording_range_variance(monkeypatch, crlb)
@@ -405,8 +412,8 @@ def test_information_form_steps_track_the_covariance_form(scenario, step, oracle
     for seed in range(3):
         draws = [draw_run(dataclasses.replace(config, seed=seed), run) for run in range(4)]
         positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
-        frames = measurement_frames(scene, ranges, speed, heading)
-        state = position_init(positions[0])
+        frames = measurement_frames(FrameTerms.of(scene, ranges, speed, heading))
+        state = position_init(scene, positions[0])
         mean, cov = state.mean, state.covariance
         next(frames)
         for frame in frames:
@@ -414,3 +421,90 @@ def test_information_form_steps_track_the_covariance_form(scenario, step, oracle
             mean, cov = oracle(scene, mean, cov, frame)
             assert _relative_gap(state.mean, mean) < 1e-9
             assert _relative_gap(state.covariance, cov) < 1e-9
+
+
+def _track_arrays(track):
+    """Every array a KfTrack holds: its buffers and its range-noise constants."""
+    values = [getattr(track, field.name) for field in dataclasses.fields(track)]
+    model = track.range_model
+    return [x for x in values if isinstance(x, np.ndarray)] + [model.sigma0_sq, model.kappa]
+
+
+@pytest.mark.parametrize("name", ["ekf", "ukf", "lckf", "ekf-cv"])
+def test_the_kalman_tracks_scratch_buffers_are_scratch_only(name):
+    # A step writes the track's scratch (the UKF's sigma points, the
+    # EKF-CV's Jacobians, innovation and variances) before it reads it,
+    # and no state holds a view of it: one state stepped twice with one
+    # frame gives the same state, two tracks share no buffer, no state's
+    # mean or covariance shares memory with its track, every state keeps
+    # its values while later steps run, and each row of the batch steps as
+    # that row alone does, bit for bit.
+    kernels = simulate._estimators()[name]
+    config = ExperimentConfig(trajectory=make_scenario("B", steps=40), runs=4, seed=3)
+    scene = Scene.from_config(config)
+    _, ranges, speed, heading = (
+        np.stack(part, axis=1) for part in zip(*(draw_run(config, run) for run in range(4)))
+    )
+    terms = FrameTerms.of(scene, ranges, speed, heading)
+    frames = list(measurement_frames(terms))
+    singles = [list(measurement_frames(terms.rows(slice(run, run + 1)))) for run in range(4)]
+    state = kernels.init(scene, frames[0])
+    other = kernels.init(scene, frames[0])
+    alone = [kernels.init(scene, one[0]) for one in singles]
+    buffers = _track_arrays(state.track)
+    assert len(buffers) == (3 if name != "ekf-cv" else 6)
+    others = _track_arrays(other.track) + [x for one in alone for x in _track_arrays(one.track)]
+    for a in buffers:
+        assert not any(np.shares_memory(a, b) for b in others)
+    history = [state]
+    for k in range(1, len(frames)):
+        again = kernels.step(scene, state, frames[k])
+        state = kernels.step(scene, state, frames[k])
+        np.testing.assert_array_equal(again.mean, state.mean, err_msg=f"step {k}")
+        np.testing.assert_array_equal(again.covariance, state.covariance, err_msg=f"step {k}")
+        assert state.track is history[0].track
+        for x in (state.mean, state.covariance):
+            assert not any(np.shares_memory(x, b) for b in buffers)
+        for run, one in enumerate(singles):
+            alone[run] = kernels.step(scene, alone[run], one[k])
+            np.testing.assert_array_equal(state.mean[run], alone[run].mean[0])
+            np.testing.assert_array_equal(state.covariance[run], alone[run].covariance[0])
+        history.append(state)
+    snapshots = [(s.mean.copy(), s.covariance.copy()) for s in history]
+    for k in range(1, len(frames)):
+        kernels.step(scene, history[k - 1], frames[k])
+    for s, (mean, cov) in zip(history, snapshots, strict=True):
+        np.testing.assert_array_equal(s.mean, mean)
+        np.testing.assert_array_equal(s.covariance, cov)
+
+
+def test_the_kalman_steps_build_no_set_up():
+    # What a Kalman step reads and never changes is built once per track
+    # by the init kernels (`KfTrack`): the four step kernels, and every
+    # function of filters.py they call, call none of np.tile, np.eye,
+    # np.zeros and np.concatenate; and filters.py calls no np.cos or
+    # np.sin, since the CV transition's trig lives once in models.py
+    tree = ast.parse(Path(filters.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def numpy_names(node):
+        return {
+            sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "np"
+        }
+
+    reached, todo = set(), ["ekf_step", "ukf_step", "lckf_step", "ekf_cv_step"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [
+                call.func.id for call in ast.walk(functions[name])
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id in functions
+            ]
+    assert reached >= {"_input_driven_predict", "_kalman_update", "_sigma_points", "_cholesky"}
+    for name in reached:
+        assert not numpy_names(functions[name]) & {"tile", "eye", "zeros", "concatenate"}, name
+    assert not numpy_names(tree) & {"cos", "sin"}

@@ -15,7 +15,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from paretoloc.deadreckoning import dr_predict, dr_second_moment, heading_vector, measurement_frames
+from paretoloc.deadreckoning import (
+    FrameTerms,
+    dr_predict,
+    dr_second_moment,
+    heading_vector,
+    measurement_frames,
+)
 from paretoloc.fusion import (
     ParetoConfig,
     ParetoMoments,
@@ -373,7 +379,8 @@ def _one_run_frames(scene, positions, speed, heading, seed):
         positions, speed, heading, ANCHORS, scene.range_model, scene.sensor_model,
         SensorStreams.from_seed(seed),
     )
-    return list(measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None]))
+    terms = FrameTerms.of(scene, ranges[:, None], speed[:, None], heading[:, None])
+    return list(measurement_frames(terms))
 
 
 def _run_sequence(range_model, sensor_model, steps=40, seed=23, rho=None):
@@ -424,7 +431,9 @@ def test_fusion_step_does_not_mutate_input():
 
 def test_init_fusion_populates_moments():
     scene = Scene(anchors=ANCHORS)
-    (frame,) = measurement_frames(scene, true_ranges([[[1.5, 2.0]]], ANCHORS), [[0.1]], [[0.0]])
+    (frame,) = measurement_frames(
+        FrameTerms.of(scene, true_ranges([[[1.5, 2.0]]], ANCHORS), [[0.1]], [[0.0]])
+    )
     state = init_fusion(scene, frame)
     assert state.prev_estimate is None
     assert state.error_variance.shape == (1, 2)
@@ -582,7 +591,7 @@ def _stepped_beside_the_reference(scenario, paretos, trajectory_args=(), **model
     _, ranges, speed, heading = (
         np.concatenate((np.stack(part, axis=1),) * len(paretos), axis=1) for part in zip(*draws)
     )
-    frames = measurement_frames(scene, ranges, speed, heading)
+    frames = measurement_frames(FrameTerms.of(scene, ranges, speed, heading))
     new = old = init_fusion(scene, next(frames))
     warned, betas, speeds = 0, [], []
     for frame in frames:
@@ -627,7 +636,8 @@ def test_the_tracks_scratch_buffers_are_scratch_only(stack):
         _, ranges, speed, heading = (
             np.stack(part, axis=1) for part in zip(*(draw_run(config, run) for run in runs))
         )
-        tracks.append(list(measurement_frames(scene, ranges, speed, heading, blocks=blocks)))
+        terms = FrameTerms.of(scene, ranges, speed, heading)
+        tracks.append(list(measurement_frames(terms, blocks=blocks)))
     alone = []
     for frames in tracks:
         state = init_fusion(scene, frames[0])

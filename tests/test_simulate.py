@@ -25,7 +25,7 @@ from numpy.testing import assert_allclose
 import paretoloc
 from paretoloc import deadreckoning, fusion, simulate
 from paretoloc.crlb import parcrlb_trace, pcrlb_bounds
-from paretoloc.deadreckoning import dr_predict, measurement_frames
+from paretoloc.deadreckoning import FrameTerms, dr_predict, measurement_frames
 from paretoloc.filters import (
     cv_init,
     ekf_cv_step,
@@ -39,6 +39,7 @@ from paretoloc.models import (
     CvProcessModel,
     DEFAULT_ANCHORS,
     RangeNoiseModel,
+    SensorNoiseModel,
     SensorStreams,
     cv_rollout,
     cv_transition,
@@ -597,12 +598,12 @@ def test_frames_are_built_once_per_batch_not_once_per_step(monkeypatch):
     run_experiment(config)
     # one batch per stack of estimators sharing kernels ("fusion" with
     # "mse" as two blocks of rows, then one for each other estimator),
-    # whose frame terms are formed once on the runs' measurements, not on
-    # each block's copy of them
+    # which all read one set of frame terms, formed once per experiment
+    # on the runs' measurements, not once per stack or on a block's copy
     stacks = simulate._stacks(simulate._estimators(), KNOWN_ESTIMATORS)
     assert len(stacks) == 7 and len(stacks[0]) == 2
-    assert len(builds) == len(terms) == len(stacks)
-    assert terms == [(config.trajectory.steps, config.runs)] * len(stacks)
+    assert len(builds) == len(stacks)
+    assert terms == [(config.trajectory.steps, config.runs)]
 
 
 def test_the_pareto_set_up_is_built_once_per_track_not_once_per_step(monkeypatch):
@@ -632,6 +633,20 @@ def test_the_pareto_set_up_is_built_once_per_track_not_once_per_step(monkeypatch
         mse = dataclasses.replace(config.pareto, rho=0.5)
         assert built == [((config.pareto, mse), 6)]
         assert headings == [1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sensor_noise_whose_square_overflows_excludes_every_run():
+    # sigma_phi^2 overflows a double: the one set of frame terms cannot be
+    # formed, and every run of every estimator is excluded, with no numpy
+    # warning, as when each stack formed its own terms and raised
+    config = _small_config(
+        sensor_model=SensorNoiseModel(sigma_phi=1e300), estimators=KNOWN_ESTIMATORS, runs=2
+    )
+    result = run_experiment(config)
+    assert result.excluded == dict.fromkeys(KNOWN_ESTIMATORS, 2)
+    for name in KNOWN_ESTIMATORS:
+        assert np.isnan(result.errors[name]).all() and np.isnan(result.estimate_traces[name]).all()
 
 
 def test_each_run_is_the_same_alone_and_in_a_batch():
@@ -823,7 +838,8 @@ def _one_run_trace(name, config, ranges, speed, heading):
         T=config.trajectory.T,
         paretos=(pareto,),
     )
-    frames = list(measurement_frames(scene, ranges[:, None], speed[:, None], heading[:, None]))
+    terms = FrameTerms.of(scene, ranges[:, None], speed[:, None], heading[:, None])
+    frames = list(measurement_frames(terms))
 
     def fix(frame):
         r = np.maximum(frame.ranges, 0.0)
@@ -843,14 +859,14 @@ def _one_run_trace(name, config, ranges, speed, heading):
         for frame in frames[1:]:
             out.append(dr_predict(out[-1], frame))
     elif name == "ekf-cv":
-        state = cv_init(fix(frames[0]), frames[0].speed, frames[0].heading)
+        state = cv_init(scene, fix(frames[0]), frames[0].speed, frames[0].heading)
         out = [state.mean[:, :2]]
         for frame in frames[1:]:
             state = ekf_cv_step(scene, state, frame)
             out.append(state.mean[:, :2])
     else:
         step = {"ekf": ekf_step, "ukf": ukf_step, "lckf": lckf_step}[name]
-        state = position_init(fix(frames[0]))
+        state = position_init(scene, fix(frames[0]))
         out = [state.mean]
         for frame in frames[1:]:
             state = step(scene, state, frame)
