@@ -9,7 +9,7 @@ Run:  python3 demos/01_fused_tracking.py
 """
 import numpy as np
 
-from paretoloc.deadreckoning import FrameTerms, measurement_frames
+from paretoloc.deadreckoning import MeasurementFrame, measurement_frames
 from paretoloc.fusion import fusion_step, init_fusion
 from paretoloc.models import SensorStreams, draw_measurements
 from paretoloc.simulate import (
@@ -49,7 +49,9 @@ ranges, speed, heading = draw_measurements(
 )
 
 # each step's measurements as a batch of one run
-frames = measurement_frames(FrameTerms.of(scene, ranges[:, None], speed[:, None], heading[:, None]))
+frames = measurement_frames(
+    MeasurementFrame.of(scene, ranges[:, None], speed[:, None], heading[:, None])
+)
 
 state = init_fusion(scene, next(frames))
 for frame in frames:

@@ -10,6 +10,9 @@ closed form through the Gaussian characteristic function (heading part:
     E{cos^2(phi + n)} = 1/2 + (1/2) cos(2 phi) exp(-2 sigma_phi^2),
 
 and analogously for sine (second-harmonic sign flipped).
+
+`MeasurementFrame` is the one measurement type from the draws to the
+kernels, and `measurement_frames` cuts it into the steps' frames.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import MeasurementFrame, SensorNoiseModel, _constant, displacement_jacobian
+from .models import SensorNoiseModel, _constant, displacement_jacobian
 
 _HALF, _TWO = _constant(0.5), _constant(2.0)
 
@@ -49,39 +52,43 @@ def input_terms(speed, heading, T: float, sensor_model: SensorNoiseModel) -> tup
     return (T * v)[..., None] * direction, q
 
 
-@dataclass(frozen=True, slots=True)
-class FrameTerms:
-    """The measurements of n steps of R rows and the terms that read only
-    them, formed once (`of`): `ranges` (n, R, M), `speed` and `heading`
-    (n, R), and their displacements (n, R, 2) and input covariances
-    (n, R, 2, 2) (`input_terms`).  `measurement_frames` cuts the steps'
-    frames from them, and `rows` gives some rows' terms."""
+@dataclass(slots=True)
+class MeasurementFrame:
+    """Measurements and the terms that read only them, formed once (`of`),
+    as arrays of any leading shape: (n, R) for n steps of R rows, as
+    `run_experiment` forms them, or (rows,) for one frame of
+    `measurement_frames`.  `ranges` (..., M), metres; `speed` (...), m/s;
+    `heading` (...), rad; their dead-reckoning displacements (..., 2) and
+    input covariances Q (..., 2, 2) (`input_terms`); and `k`, the index of
+    the first step (0 for a whole experiment).  `rows` gives some rows of
+    every step of an (n, R) frame."""
 
     ranges: np.ndarray
     speed: np.ndarray
     heading: np.ndarray
     displacement: np.ndarray
     input_cov: np.ndarray
+    k: int
 
     @classmethod
-    def of(cls, scene: Scene, ranges, speed, heading) -> FrameTerms:
+    def of(cls, scene: Scene, ranges, speed, heading) -> MeasurementFrame:
         speed, heading = np.asarray(speed, dtype=float), np.asarray(heading, dtype=float)
         return cls(
             np.asarray(ranges, dtype=float), speed, heading,
-            *input_terms(speed, heading, scene.T, scene.sensor_model),
+            *input_terms(speed, heading, scene.T, scene.sensor_model), 0,
         )
 
     def fields(self) -> tuple:
         """(ranges, speed, heading, displacement, input_cov)."""
         return self.ranges, self.speed, self.heading, self.displacement, self.input_cov
 
-    def rows(self, part: slice) -> FrameTerms:
-        """The terms of the rows `part` of every step, as views."""
-        return FrameTerms(*(x[:, part] for x in self.fields()))
+    def rows(self, part: slice) -> MeasurementFrame:
+        """The rows `part` of every step of an (n, R) frame, as views."""
+        return MeasurementFrame(*(x[:, part] for x in self.fields()), self.k)
 
 
-def measurement_frames(terms: FrameTerms, per_frame: int = 1, blocks: int = 1):
-    """Frames, in step order, of the n steps of R rows of `terms`.  Each
+def measurement_frames(terms: MeasurementFrame, per_frame: int = 1, blocks: int = 1):
+    """Frames, in step order, of the (n, R) frame `terms`.  Each
     step's rows are those R rows repeated `blocks` times, block-major (a
     stack gives each of its blocks the same measurements), so a step has
     blocks * R rows, copied only where blocks > 1.  Each frame holds

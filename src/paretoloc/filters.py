@@ -39,7 +39,6 @@ import numpy as np
 
 from .models import (
     CV_PRIOR_VARIANCES,
-    MeasurementFrame,
     RangeNoiseModel,
     _identity,
     anchor_directions,
@@ -53,6 +52,7 @@ from .models import (
 from .ranging import noise_cov_inverse, normal_equations
 
 if TYPE_CHECKING:
+    from .deadreckoning import MeasurementFrame
     from .simulate import Scene
 
 

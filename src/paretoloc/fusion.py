@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
-from .deadreckoning import DisplacementNoise, dr_predict, heading_vector
-from .models import MeasurementFrame, RangeNoiseModel, _constant, range_variance, true_ranges
+from .deadreckoning import DisplacementNoise, MeasurementFrame, dr_predict, heading_vector
+from .models import RangeNoiseModel, _constant, range_variance, true_ranges
 from .ranging import RangingScratch, ranging_layer
 
 if TYPE_CHECKING:

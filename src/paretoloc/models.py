@@ -140,6 +140,9 @@ class SensorNoiseModel:
         Speed noise standard deviation, m/s.
     sigma_phi : float
         Heading noise standard deviation, rad.
+
+    Each must be finite and non-negative, with a square that is a finite
+    double: dead reckoning's input covariance reads sigma^2.
     """
 
     sigma_v: float = 0.05
@@ -147,8 +150,11 @@ class SensorNoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("sigma_v", "sigma_phi"):
-            if not 0.0 <= getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+            if not value * value < math.inf:
+                raise ValueError(f"{name} must have a finite square, got {value:g}")
 
 
 # Diagonal of the loose initial covariance of a CV state (x1, x2, V, phi),
@@ -257,34 +263,6 @@ def cv_rollout(
     for k in range(1, steps):
         out[k] = cv_transition(out[k - 1], T) + rng.normal(0.0, 1.0, size=(ensemble, 4)) * sig
     return out
-
-
-@dataclass(slots=True)
-class MeasurementFrame:
-    """One step's measurements for a batch of R runs (or other rows), and
-    the terms that read only them (`deadreckoning.measurement_frames`).
-
-    Attributes
-    ----------
-    ranges : np.ndarray
-        Measured anchor ranges (R, M), metres.
-    speed : np.ndarray
-        Measured speeds (R,), m/s.
-    heading : np.ndarray
-        Measured headings (R,), rad.
-    displacement, input_cov : np.ndarray
-        Dead-reckoning displacements (R, 2) and their input covariances Q
-        (R, 2, 2) (`deadreckoning.input_terms`).
-    k : int
-        Step index the frame belongs to.
-    """
-
-    ranges: np.ndarray
-    speed: np.ndarray
-    heading: np.ndarray
-    displacement: np.ndarray
-    input_cov: np.ndarray
-    k: int
 
 
 @dataclass(slots=True)

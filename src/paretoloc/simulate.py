@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crlb import parcrlb_trace, pcrlb_bounds
-from .deadreckoning import FrameTerms, dr_predict, measurement_frames
+from .deadreckoning import MeasurementFrame, dr_predict, measurement_frames
 from .filters import cv_init, ekf_cv_step, ekf_step, lckf_step, position_init, ukf_step
 from .fusion import ParetoConfig, fusion_step, init_fusion
 from .models import (
@@ -29,7 +29,6 @@ from .models import (
     MAX_REACH,
     AnchorSet,
     CvProcessModel,
-    MeasurementFrame,
     RangeNoiseModel,
     SensorNoiseModel,
     SensorStreams,
@@ -589,12 +588,11 @@ def _stacks(registry: dict, names) -> list:
     return list(stacks.values())
 
 
-def _track(
-    kernels: EstimatorKernels, scene: Scene, terms: FrameTerms, blocks: int = 1
-) -> np.ndarray:
-    """Estimates (n, blocks * R, 2) of one batch over the frame terms of n
-    steps of R rows, which each of its `blocks` blocks of rows gets
+def _track(kernels: EstimatorKernels, scene: Scene, terms: MeasurementFrame) -> np.ndarray:
+    """Estimates (n, blocks * R, 2) of one batch over the (n, R) frame
+    `terms`, which each block of rows of `scene.paretos` gets
     (`measurement_frames`)."""
+    blocks = len(scene.paretos)
     rows = blocks * terms.speed.shape[1]
     trace = np.empty((len(terms.speed), rows, 2))
     if kernels.step is None:
@@ -613,21 +611,21 @@ def _track(
     return trace
 
 
-def _track_runs(kernels: EstimatorKernels, scene: Scene, terms: FrameTerms) -> np.ndarray:
+def _track_runs(kernels: EstimatorKernels, scene: Scene, terms: MeasurementFrame) -> np.ndarray:
     """Estimates (n, blocks, R, 2) of one stack, blocks for `scene.paretos`.
 
-    Every block gets the same frame terms of n steps of R runs, and all
+    Every block gets the same (n, R) frame of n steps of R runs, and all
     blocks and runs go in one batch.  If the batch raises a numerical
     error (a ValueError or an ArithmeticError), each (block, run) row is
-    re-run alone with its block's config, on its run's slice of the
-    terms; a row that raises again is left NaN.  Each row's arithmetic is
+    re-run alone with its block's config, on its run's rows of the
+    frame; a row that raises again is left NaN.  Each row's arithmetic is
     the same alone as in a batch, so the other rows' estimates do not
     change.
     """
     n, runs = terms.speed.shape
     blocks = len(scene.paretos)
     try:
-        return _track(kernels, scene, terms, blocks).reshape(n, blocks, runs, 2)
+        return _track(kernels, scene, terms).reshape(n, blocks, runs, 2)
     except (ValueError, ArithmeticError):
         pass
     trace = np.full((n, blocks, runs, 2), np.nan)
@@ -646,7 +644,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     """Run all configured estimators over paired Monte Carlo realizations.
 
     Every run's truth and measurements are drawn up front (`draw_run`),
-    and their frame terms formed once (`FrameTerms`), which every
+    and their frame terms formed once (`MeasurementFrame.of`), which every
     estimator reads.  Estimators that share kernels (see
     `EstimatorKernels`) then run as one stacked batch, one block of rows
     each, which advances all their runs with one kernel call per time
@@ -654,8 +652,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     A (run, estimator) pair that raised a numerical error or produced a
     non-finite estimate at any step is excluded: its row of `errors` is
     NaN and it is counted in `excluded`, with no numpy warning about its
-    overflow.  A sensor noise whose square overflows leaves no frame
-    terms, and every pair is excluded.
+    overflow.
     """
     registry = _estimators()
     scene = Scene.from_config(config)
@@ -664,19 +661,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
     n = config.trajectory.steps
 
-    # a sensor noise whose square overflows leaves no estimator a frame:
-    # each run of each stays NaN and is excluded below
-    traces = dict.fromkeys(config.estimators, np.full((n, config.runs, 2), np.nan))
+    traces = {}
     # an estimate that drifts far from the anchors overflows its range
     # noise: its row turns non-finite and is excluded below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            terms = FrameTerms.of(scene, ranges, speed, heading)  # one set, which every stack reads
-        except ArithmeticError:
-            stacks = []
-        else:
-            stacks = _stacks(registry, config.estimators)
-        for names in stacks:
+        terms = MeasurementFrame.of(scene, ranges, speed, heading)
+        for names in _stacks(registry, config.estimators):
             paretos = tuple(registry[name].variant(config) for name in names)
             stacked = _track_runs(
                 registry[names[0]], dataclasses.replace(scene, paretos=paretos), terms
@@ -889,10 +879,13 @@ def crlb_traces(config: ExperimentConfig, steps: int | None = None, *, n_ensembl
     truth = gen_trajectory(dataclasses.replace(spec, kind="linear", steps=n), rng)
     # a rollout far off overflows its range noise: its bound is non-finite, and counted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, par_bound = parcrlb_trace(scene, truth)
+        # the posterior bound first: its guard raises ValueError for every
+        # noise setting either bound inverts (`require_invertible_noise`)
+        # before any bound arithmetic runs
         post = pcrlb_bounds(
             scene, truth[0][0], spec.speed, spec.heading, steps=n, n_ensemble=n_ensemble, rng=rng
         )
+        _, par_bound = parcrlb_trace(scene, truth)
     lb, bound, ub = post.bound_lb, post.bound, post.bound_ub
     return {
         "parcrlb": par_bound,

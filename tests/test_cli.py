@@ -237,21 +237,58 @@ def test_non_finite_model_settings_exit_before_any_run(
 def test_crlb_with_a_zero_noise_setting_exits_before_any_bound(
     settings, field, tmp_path, monkeypatch, capsys
 ):
-    def must_not_run(config, *args, **kwargs):
+    # the bounds' own guard refuses the setting: no rollout is drawn and
+    # no information matrix is formed for either bound
+    def must_not_run(*args, **kwargs):
         raise AssertionError("a bound ran despite a config error")
 
-    monkeypatch.setattr(paretoloc.cli, "crlb_traces", must_not_run)
+    monkeypatch.setattr(paretoloc.simulate, "parcrlb_trace", must_not_run)
+    monkeypatch.setattr(paretoloc.crlb, "cv_rollout", must_not_run)
+    monkeypatch.setattr(paretoloc.crlb, "measurement_information", must_not_run)
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps(settings))
     assert main(["crlb", "--config", str(cfg), "--steps", "20"]) == 2
     captured = capsys.readouterr()
-    # sigma_v = 1e300 also takes a dead-reckoned step past where the range
-    # noise overflows, which the experiment refuses first, as `run` does
-    if settings == {"sigma_v": 1e300}:
-        assert captured.err.startswith("config error: the range-noise variance overflows")
+    # a deviation of 1e300 has no finite square, which the sensor model
+    # refuses when the experiment is built, as for `run`
+    if settings in ({"sigma_v": 1e300}, {"sigma_phi": 1e300}):
+        assert captured.err.startswith(f"config error: {field} must have a finite square")
     else:
         assert f"config error: the bounds invert {field}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "crlb"])
+@pytest.mark.parametrize(
+    "settings, field",
+    # kappa = 0, so that no range noise overflows on the dead-reckoned step
+    [({"sigma_phi": 1e300}, "sigma_phi"), ({"sigma_v": 1e300, "kappa": 0}, "sigma_v")],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_command_refuses_a_sensor_noise_whose_square_overflows(
+    command, settings, field, tmp_path, capsys
+):
+    # sigma^2 overflowed in the dead-reckoning terms: run and sweep
+    # excluded every run of every estimator (exit 1), and crlb exited 2
+    # through the bounds' reciprocal rule
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([*_PROBE_COMMANDS[command], "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field} must have a finite square")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "crlb"])
+@pytest.mark.parametrize("settings", [{"sigma_phi": 1e154}, {"sigma_v": 1e154, "kappa": 0}])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sensor_noise_whose_square_is_finite_still_runs(command, settings, tmp_path, capsys):
+    # (1e154)^2 is a double: the setting is run, and an excluded run or a
+    # non-finite bound is counted (exit 1), not refused
+    cfg = tmp_path / "large.json"
+    cfg.write_text(json.dumps(settings))
+    assert main([*_PROBE_COMMANDS[command], "--config", str(cfg)]) in (0, 1)
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_run_with_a_zero_speed_noise_still_runs(tmp_path, capsys):
@@ -962,5 +999,7 @@ def test_every_command_refuses_an_overflowing_range_noise_where_the_experiment_d
             assert command_refuses == built_refuses, (command, settings, code, err)
             if built_refuses:
                 refused[command].append(settings)
-    huge = [{"sigma0_sq": 1e300}, {"kappa": 1e300}, {"sigma_v": 1e300}, near_reach]
+    # sigma_v = 1e300 takes a dead-reckoned step past where the range noise
+    # overflows, but its square overflows first, which the sensor model refuses
+    huge = [{"sigma0_sq": 1e300}, {"kappa": 1e300}, near_reach]
     assert refused == {"run": huge, "sweep": huge, "crlb": huge}

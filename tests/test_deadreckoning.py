@@ -10,8 +10,8 @@ from scipy import integrate
 
 from paretoloc.crlb import trig_moments
 from paretoloc.deadreckoning import (
-    FrameTerms,
     HeadingMoments,
+    MeasurementFrame,
     dr_first_moment,
     dr_predict,
     dr_second_moment,
@@ -159,7 +159,7 @@ def test_second_moments_sum_to_speed_power():
 
 
 def test_dr_predict_displacement():
-    terms = FrameTerms.of(Scene(T=0.5), np.zeros((1, 1, 4)), [[2.0]], [[math.pi / 2.0]])
+    terms = MeasurementFrame.of(Scene(T=0.5), np.zeros((1, 1, 4)), [[2.0]], [[math.pi / 2.0]])
     (frame,) = measurement_frames(terms)
     out = dr_predict([1.0, 1.0], frame)[0]
     assert_allclose(out, [1.0, 2.0], atol=1e-12)
@@ -193,7 +193,7 @@ def _measurements(rows, steps=23, anchors=8, seed=0):
 def test_frames_carry_the_per_step_displacement_and_input_covariance(rows):
     ranges, speed, heading = _measurements(rows)
     scene = Scene(T=0.3, sensor_model=SensorNoiseModel(sigma_v=0.07, sigma_phi=0.4))
-    frames = list(measurement_frames(FrameTerms.of(scene, ranges, speed, heading)))
+    frames = list(measurement_frames(MeasurementFrame.of(scene, ranges, speed, heading)))
     assert [frame.k for frame in frames] == list(range(len(speed)))
     for k, frame in enumerate(frames):
         displacement, q = _per_step_input_terms(speed[k], heading[k], scene.T, scene.sensor_model)
@@ -211,8 +211,9 @@ def test_frames_carry_the_per_step_displacement_and_input_covariance(rows):
 def test_frames_of_several_steps_stack_their_rows_step_major():
     ranges, speed, heading = _measurements(rows=3)
     scene = Scene()
-    whole = list(measurement_frames(FrameTerms.of(scene, ranges, speed, heading)))
-    blocks = list(measurement_frames(FrameTerms.of(scene, ranges, speed, heading), per_frame=5))
+    terms = MeasurementFrame.of(scene, ranges, speed, heading)
+    whole = list(measurement_frames(terms))
+    blocks = list(measurement_frames(terms, per_frame=5))
     assert [frame.k for frame in blocks] == [0, 5, 10, 15, 20]
     assert len(blocks[-1].speed) == 3 * 3
     for frame in blocks:
@@ -230,8 +231,9 @@ def test_a_stack_of_blocks_forms_its_frame_terms_once_with_the_tiled_bits(per_fr
     ranges, speed, heading = _measurements(rows=4)
     scene = Scene(T=0.3, sensor_model=SensorNoiseModel(sigma_v=0.07, sigma_phi=0.4))
     tiled = [np.concatenate((x,) * 3, axis=1) for x in (ranges, speed, heading)]
-    frames = measurement_frames(FrameTerms.of(scene, ranges, speed, heading), per_frame, blocks=3)
-    expected = measurement_frames(FrameTerms.of(scene, *tiled), per_frame)
+    terms = MeasurementFrame.of(scene, ranges, speed, heading)
+    frames = measurement_frames(terms, per_frame, blocks=3)
+    expected = measurement_frames(MeasurementFrame.of(scene, *tiled), per_frame)
     for frame, want in zip(frames, expected, strict=True):
         assert frame.k == want.k and len(frame.speed) == len(want.speed)
         for field in ("ranges", "speed", "heading", "displacement", "input_cov"):

@@ -16,7 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paretoloc import crlb, filters, simulate
-from paretoloc.deadreckoning import FrameTerms, measurement_frames
+from paretoloc.deadreckoning import MeasurementFrame, measurement_frames
 from paretoloc.filters import (
     _cholesky,
     _kalman_update,
@@ -60,7 +60,7 @@ def _frame(scene, ranges, speed, heading):
     """One run's measurements of one step as a batch of one."""
     speed, heading = (np.reshape(x, (1, 1)) for x in (speed, heading))
     (frame,) = measurement_frames(
-        FrameTerms.of(scene, np.reshape(ranges, (1, 1, -1)), speed, heading)
+        MeasurementFrame.of(scene, np.reshape(ranges, (1, 1, -1)), speed, heading)
     )
     return frame
 
@@ -412,7 +412,7 @@ def test_information_form_steps_track_the_covariance_form(scenario, step, oracle
     for seed in range(3):
         draws = [draw_run(dataclasses.replace(config, seed=seed), run) for run in range(4)]
         positions, ranges, speed, heading = (np.stack(part, axis=1) for part in zip(*draws))
-        frames = measurement_frames(FrameTerms.of(scene, ranges, speed, heading))
+        frames = measurement_frames(MeasurementFrame.of(scene, ranges, speed, heading))
         state = position_init(scene, positions[0])
         mean, cov = state.mean, state.covariance
         next(frames)
@@ -445,7 +445,7 @@ def test_the_kalman_tracks_scratch_buffers_are_scratch_only(name):
     _, ranges, speed, heading = (
         np.stack(part, axis=1) for part in zip(*(draw_run(config, run) for run in range(4)))
     )
-    terms = FrameTerms.of(scene, ranges, speed, heading)
+    terms = MeasurementFrame.of(scene, ranges, speed, heading)
     frames = list(measurement_frames(terms))
     singles = [list(measurement_frames(terms.rows(slice(run, run + 1)))) for run in range(4)]
     state = kernels.init(scene, frames[0])

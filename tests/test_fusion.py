@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from paretoloc.deadreckoning import (
-    FrameTerms,
+    MeasurementFrame,
     dr_predict,
     dr_second_moment,
     heading_vector,
@@ -379,7 +379,7 @@ def _one_run_frames(scene, positions, speed, heading, seed):
         positions, speed, heading, ANCHORS, scene.range_model, scene.sensor_model,
         SensorStreams.from_seed(seed),
     )
-    terms = FrameTerms.of(scene, ranges[:, None], speed[:, None], heading[:, None])
+    terms = MeasurementFrame.of(scene, ranges[:, None], speed[:, None], heading[:, None])
     return list(measurement_frames(terms))
 
 
@@ -432,7 +432,7 @@ def test_fusion_step_does_not_mutate_input():
 def test_init_fusion_populates_moments():
     scene = Scene(anchors=ANCHORS)
     (frame,) = measurement_frames(
-        FrameTerms.of(scene, true_ranges([[[1.5, 2.0]]], ANCHORS), [[0.1]], [[0.0]])
+        MeasurementFrame.of(scene, true_ranges([[[1.5, 2.0]]], ANCHORS), [[0.1]], [[0.0]])
     )
     state = init_fusion(scene, frame)
     assert state.prev_estimate is None
@@ -591,7 +591,7 @@ def _stepped_beside_the_reference(scenario, paretos, trajectory_args=(), **model
     _, ranges, speed, heading = (
         np.concatenate((np.stack(part, axis=1),) * len(paretos), axis=1) for part in zip(*draws)
     )
-    frames = measurement_frames(FrameTerms.of(scene, ranges, speed, heading))
+    frames = measurement_frames(MeasurementFrame.of(scene, ranges, speed, heading))
     new = old = init_fusion(scene, next(frames))
     warned, betas, speeds = 0, [], []
     for frame in frames:
@@ -636,7 +636,7 @@ def test_the_tracks_scratch_buffers_are_scratch_only(stack):
         _, ranges, speed, heading = (
             np.stack(part, axis=1) for part in zip(*(draw_run(config, run) for run in runs))
         )
-        terms = FrameTerms.of(scene, ranges, speed, heading)
+        terms = MeasurementFrame.of(scene, ranges, speed, heading)
         tracks.append(list(measurement_frames(terms, blocks=blocks)))
     alone = []
     for frames in tracks:

@@ -1,6 +1,7 @@
 """Domain types, noise models, and measurement synthesis."""
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -162,6 +163,16 @@ def test_cv_process_model_matrices():
 def test_noise_models_reject_non_finite_settings(model, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         model(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["sigma_v", "sigma_phi"])
+def test_sensor_noise_refuses_a_deviation_whose_square_overflows(field):
+    # dead reckoning's input covariance reads sigma^2, which overflowed
+    largest = math.sqrt(sys.float_info.max)  # its square is a double
+    assert SensorNoiseModel(**{field: largest})
+    for value in (math.nextafter(largest, math.inf), 1e300):
+        with pytest.raises(ValueError, match=f"{field} must have a finite square, got "):
+            SensorNoiseModel(**{field: value})
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

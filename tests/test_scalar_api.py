@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paretoloc import deadreckoning, fusion, models, ranging
-from paretoloc.deadreckoning import FrameTerms, dr_second_moment, measurement_frames
+from paretoloc.deadreckoning import MeasurementFrame, dr_second_moment, measurement_frames
 from paretoloc.fusion import (
     ParetoConfig,
     approximate_kinematics,
@@ -166,7 +166,7 @@ def _constants():
     """Every module's 0-d constants and a track's, by name."""
     scene = Scene()
     (frame,) = measurement_frames(
-        FrameTerms.of(scene, np.full((1, 2, 8), 2.0), np.ones((1, 2)), np.zeros((1, 2)))
+        MeasurementFrame.of(scene, np.full((1, 2, 8), 2.0), np.ones((1, 2)), np.zeros((1, 2)))
     )
     track = init_fusion(scene, frame).track
     constants = {

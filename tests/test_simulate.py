@@ -25,7 +25,7 @@ from numpy.testing import assert_allclose
 import paretoloc
 from paretoloc import deadreckoning, fusion, simulate
 from paretoloc.crlb import parcrlb_trace, pcrlb_bounds
-from paretoloc.deadreckoning import FrameTerms, dr_predict, measurement_frames
+from paretoloc.deadreckoning import MeasurementFrame, dr_predict, measurement_frames
 from paretoloc.filters import (
     cv_init,
     ekf_cv_step,
@@ -635,18 +635,16 @@ def test_the_pareto_set_up_is_built_once_per_track_not_once_per_step(monkeypatch
         assert headings == [1]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_sensor_noise_whose_square_overflows_excludes_every_run():
-    # sigma_phi^2 overflows a double: the one set of frame terms cannot be
-    # formed, and every run of every estimator is excluded, with no numpy
-    # warning, as when each stack formed its own terms and raised
-    config = _small_config(
-        sensor_model=SensorNoiseModel(sigma_phi=1e300), estimators=KNOWN_ESTIMATORS, runs=2
-    )
-    result = run_experiment(config)
-    assert result.excluded == dict.fromkeys(KNOWN_ESTIMATORS, 2)
-    for name in KNOWN_ESTIMATORS:
-        assert np.isnan(result.errors[name]).all() and np.isnan(result.estimate_traces[name]).all()
+@pytest.mark.parametrize("field", ["sigma_v", "sigma_phi"])
+def test_an_experiment_refuses_a_sensor_noise_whose_square_overflows(field):
+    # sigma^2 overflowed in the dead-reckoning terms, and every run of
+    # every estimator was excluded: building the experiment refuses it,
+    # also at kappa = 0, where no range noise overflows on the track
+    flat = RangeNoiseModel(kappa=0.0)
+    with pytest.raises(ValueError, match=f"{field} must have a finite square"):
+        _small_config(range_model=flat, sensor_model=SensorNoiseModel(**{field: 1e300}))
+    # (1e154)^2 is a double
+    _small_config(range_model=flat, sensor_model=SensorNoiseModel(**{field: 1e154}))
 
 
 def test_each_run_is_the_same_alone_and_in_a_batch():
@@ -838,7 +836,7 @@ def _one_run_trace(name, config, ranges, speed, heading):
         T=config.trajectory.T,
         paretos=(pareto,),
     )
-    terms = FrameTerms.of(scene, ranges[:, None], speed[:, None], heading[:, None])
+    terms = MeasurementFrame.of(scene, ranges[:, None], speed[:, None], heading[:, None])
     frames = list(measurement_frames(terms))
 
     def fix(frame):
@@ -1216,6 +1214,34 @@ def test_the_cli_holds_no_copy_of_the_range_noise_rule():
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(node.name)
     assert not {name for name in names if "require_finite_range_noise" in name}
+
+
+def test_the_engine_has_one_failure_path():
+    # the frame terms cannot raise (the sensor model refuses a sigma whose
+    # square overflows), so the per-row fallback of `_track_runs` is the
+    # engine's one exception handler, and `_track` reads its block count
+    # from the scene it is handed
+    tree = ast.parse(Path(simulate.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(functions["run_experiment"]))
+    assert [arg.arg for arg in functions["_track"].args.args] == ["kernels", "scene", "terms"]
+
+
+def test_the_reciprocal_rule_and_the_frame_type_have_one_home():
+    # the bounds refuse a noise setting they invert, so no CLI function
+    # calls the rule; one frame type carries the measurements and their
+    # terms from the draws to the kernels
+    src = Path(__file__).resolve().parent.parent / "src" / "paretoloc"
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse((src / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+    }
+    assert "require_invertible_noise" not in called
+    for path in sorted(src.glob("*.py")):
+        # a class, function or import carries `name`, a variable `id`
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert "FrameTerms" not in (getattr(node, "name", None), getattr(node, "id", None))
 
 
 def test_every_src_function_and_class_has_a_program_caller():
